@@ -1,8 +1,11 @@
 """Best-first branch-and-bound over the binary set of a MIQP.
 
 Nodes are ordered by their convex relaxation bound; branching picks the most
-fractional binary (|v - 0.5| minimal, ties to the lowest index). Everything
-is deterministic: identical problems and limits reproduce identical node
+fractional binary (|v - 0.5| minimal, ties to the lowest index). Each
+relaxation is one interior-point solve in a shared ``BoxQp`` workspace with
+the node's binaries pinned; it starts from the same interior point whatever
+the node, so a relaxation depends on its fixings alone. Everything is
+deterministic: identical problems and limits reproduce identical node
 counts and solutions (time limits excepted). A brute-force enumerator over
 all binary patterns serves as the testing oracle for small instances.
 """
@@ -108,8 +111,8 @@ class _Tree:
         self.heap: list[tuple[float, int, BnbNode, np.ndarray]] = []
         self.tick = 0
 
-    def node_solve(self, fixings: dict[int, float], warm=None):
-        sol = self.ws.solve(fixings=fixings, warm_start=warm)
+    def node_solve(self, fixings: dict[int, float]):
+        sol = self.ws.solve(fixings=fixings)
         self.nodes += 1
         return sol
 
@@ -128,8 +131,8 @@ class _Tree:
         return best_i
 
     def try_incumbent(self, fixings: dict[int, float]) -> bool:
-        """Fix every free binary per ``fixings``, resolve tightly, snap and maybe update."""
-        sol = self.ws.solve(fixings=fixings, eps_abs=min(1e-8, self.ws.settings.eps_abs))
+        """Fix every free binary per ``fixings``, resolve, snap and maybe update."""
+        sol = self.ws.solve(fixings=fixings)
         self.refix_solves += 1
         if sol.status != "optimal":
             return False
@@ -241,7 +244,7 @@ class _Tree:
     def run(self) -> MiqpSolution:
         t0 = time.perf_counter()
         limits = self.limits
-        root = self.node_solve({}, warm="cold")
+        root = self.node_solve({})
         if root.status == "infeasible":
             return self.result("infeasible", t0)
         if self.free_bins.size == 0:
@@ -294,7 +297,7 @@ class _Tree:
             for val in (0.0, 1.0):
                 child_fix = dict(fixings)
                 child_fix[var] = val
-                sol = self.node_solve(child_fix, warm=x)
+                sol = self.node_solve(child_fix)
                 if sol.status == "infeasible":
                     continue
                 if sol.status == "max-iterations":
@@ -327,7 +330,8 @@ def solve_miqp(
     """Solve a MIQP by best-first branch-and-bound over its binary variables.
 
     ``rounding`` is an optional model-aware completion hook
-    ``fn(x, fixings) -> fixings`` used by the incumbent heuristic.
+    ``fn(x, fixings) -> list of fixings`` used by the incumbent heuristic;
+    each candidate it returns is completed and tried as an incumbent.
     """
     return _Tree(problem, limits or MiqpLimits(), settings, rounding=rounding).run()
 
@@ -355,10 +359,6 @@ def brute_force_solve(
         fixings = dict(zip(free, pattern))
         sol = ws.solve(fixings=fixings)
         solves += 1
-        if sol.status == "max-iterations":
-            # warm start may stall near an infeasible pattern; retry cold
-            sol = ws.solve(fixings=fixings, warm_start="cold", max_iter=3 * ws.settings.max_iter)
-            solves += 1
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":

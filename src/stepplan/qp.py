@@ -1,14 +1,25 @@
-"""Operator-splitting convex QP engine with active-set polishing.
+"""Primal-dual interior point for the convex relaxations of a MIQP.
 
-Solves  minimize 0.5 x'Px + q'x  subject to  l <= Ax <= u  by an ADMM scheme
-on the splitting (x, z = Ax), with Ruiz equilibration for conditioning, a
-single KKT factorization reused across bound updates (the key property that
-makes branch-and-bound cheap: fixing a binary only changes l/u), optional
-iteration-triggered rho adaptation, and an active-set polish step at
-convergence that typically lands the KKT residuals near machine precision.
+Solves  minimize 0.5 x'Px + q'x + const  subject to  Gx <= h,  Ax = b  and
+lo <= x <= hi  by Mehrotra's predictor-corrector method. A workspace holds
+one constraint structure. Each call pins a set of variables (the
+branch-and-bound fixings), substitutes them out, presolves the rows that
+remain and solves the reduced problem from a fixed interior starting point,
+so a result depends on the fixings alone. Variable bounds carry their own
+slacks: they add a diagonal to the Newton matrix instead of rows. When the
+interior point does not converge, an exact HiGHS feasibility LP decides
+whether the reduced problem is infeasible.
 
-Infinite bounds are allowed on constraint rows; variable bounds must be
-finite (the assembled problems always are).
+The presolve removes the structures that leave a feasible set without an
+interior: rows emptied by the fixings are checked and dropped, rows left
+with one free variable become bounds, and pairs of opposite rows whose
+right-hand sides cancel (a big-M row pair with its binary fixed) become
+equalities.
+
+Small problems are held dense: for a few variables, numpy products are far
+cheaper than building sparse objects. Large ones keep their rows in CSR
+form and only the Newton matrix is dense. Variable bounds must be finite
+(the assembled problems always are).
 """
 
 from __future__ import annotations
@@ -17,43 +28,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.optimize import linprog
 
 from .errors import ContractViolation
 from .formulation import MiqpProblem
 
+#: presolve tolerance for emptied rows, crossed bounds and zero-width pairs
+FEAS_TOL = 1e-9
+#: regularization of the equality block of the Newton matrix
+EQ_REG = 1e-12
+#: workspaces whose constraint matrix has more entries than this (rows times
+#: variables) hold it in CSR form
+SPARSE_MIN_ENTRIES = 20_000
+
+# LAPACK's LU directly: the checking wrappers cost more than a tiny solve
+_getrf, _getrs = la.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class QpSettings:
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-9
-    eps_inf: float = 1e-4       # primal infeasibility certificate tolerance
-    max_iter: int = 20000
-    check_interval: int = 25
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    rho: float = 1.0
-    rho_eq_scale: float = 1e3
-    stall_checks: int = 10  # residual checks without progress before a dual restart
-    scaling_iters: int = 10
-    adaptive_rho: bool = True
-    adaptive_rho_interval: int = 500
-    adaptive_rho_threshold: float = 5.0
-    adaptive_rho_max_factor: float = 10.0  # largest single adjustment
-    adaptive_rho_max_updates: int = 4      # per solve call
-    polish: bool = True
-    polish_delta: float = 1e-7
-    polish_refine_iters: int = 3
-    # once residuals reach eps_coarse, polishing is attempted as an accelerator;
-    # an accepted polish must still meet the fine tolerance to return early
-    eps_coarse: float = 1e-4
-    # safeguarded Anderson acceleration of the splitting iteration (0 = off;
-    # it trades fewer iterations for per-iteration overhead and only pays on
-    # severely ill-conditioned problems)
-    aa_memory: int = 0
-    aa_safeguard: float = 2.0  # tolerated growth of the fixed-point residual
-    aa_regularization: float = 1e-10
+    eps_abs: float = 1e-9  # residual and complementarity tolerance, relative to data scale
+    max_iter: int = 100
 
 
 @dataclass
@@ -63,7 +60,11 @@ class QpSolution:
     ``objective`` includes the problem's constant term, so it is directly
     comparable with integral incumbents. For an optimal status it is a lower
     bound (up to solver tolerance) for every completion of the fixings the
-    solve was given.
+    solve was given. ``y`` stacks the multipliers of the inequality rows,
+    the equality rows and the variable bounds (positive on an upper side,
+    negative on a lower side); with ``x`` it satisfies stationarity to
+    ``dual_res``. ``polished`` is always False: the interior point has no
+    polish step.
     """
 
     x: np.ndarray
@@ -74,171 +75,256 @@ class QpSolution:
     dual_res: float
     iterations: int
     polished: bool = False
-    certificate_residual: float | None = None
 
 
-class _Anderson:
-    """Type-II Anderson acceleration over a fixed-point map s -> T(s)."""
+@dataclass
+class _Reduced:
+    """A call's problem after substitution and presolve, with the maps back."""
 
-    def __init__(self, dim: int, memory: int, regularization: float):
-        self.memory = memory
-        self.reg = regularization
-        self.d_res = np.zeros((dim, memory))
-        self.d_map = np.zeros((dim, memory))
-        self.count = 0
-        self.prev_map = None
-        self.prev_res = None
-
-    def reset(self) -> None:
-        self.count = 0
-        self.prev_map = None
-        self.prev_res = None
-
-    def candidate(self, mapped: np.ndarray, residual: np.ndarray) -> np.ndarray | None:
-        """Record (T(s), s - T(s)) and return an accelerated iterate if possible."""
-        if self.prev_map is not None:
-            k = self.count % self.memory
-            self.d_map[:, k] = mapped - self.prev_map
-            self.d_res[:, k] = residual - self.prev_res
-            self.count += 1
-        self.prev_map = mapped.copy()
-        self.prev_res = residual.copy()
-        depth = min(self.count, self.memory)
-        if depth == 0:
-            return None
-        dr = self.d_res[:, :depth]
-        gram = dr.T @ dr
-        gram += self.reg * (1.0 + np.trace(gram)) * np.eye(depth)
-        try:
-            gamma = np.linalg.solve(gram, dr.T @ residual)
-        except np.linalg.LinAlgError:
-            return None
-        return mapped - self.d_map[:, :depth] @ gamma
+    x: np.ndarray  # full-length primal, fixed entries filled in
+    cols: np.ndarray  # free original columns
+    p: np.ndarray  # dense
+    c: np.ndarray
+    g: np.ndarray | sp.csr_matrix
+    h: np.ndarray
+    a: np.ndarray | sp.csr_matrix
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    g_rows: np.ndarray  # original inequality row of each reduced one
+    eq_rows: np.ndarray  # original equality row, or -1 for a zero-width pair
+    pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
+    bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
+    bound_coefs: np.ndarray  # (2, nf) that row's coefficient
 
 
-def _col_inf_norms(m: sp.spmatrix) -> np.ndarray:
-    m = abs(m.tocsc())
-    out = np.zeros(m.shape[1])
-    nz = m.indptr[:-1] != m.indptr[1:]
-    if m.nnz:
-        out_nz = np.maximum.reduceat(m.data, m.indptr[:-1][nz])
-        out[nz] = out_nz
-    return out
+def _take(m, rows, cols):
+    if isinstance(m, np.ndarray):
+        return m[np.ix_(rows, cols)]
+    return m[rows][:, cols]
 
 
-def _row_inf_norms(m: sp.spmatrix) -> np.ndarray:
-    return _col_inf_norms(m.T.tocsc())
+def _row_entries(m, rows):
+    """Column and value of the first stored entry of each row in ``rows``."""
+    if not len(rows):
+        return (), ()
+    if isinstance(m, np.ndarray):
+        sub = m[rows]
+        cols = np.argmax(sub != 0.0, axis=1)
+        return cols, sub[np.arange(len(rows)), cols]
+    return m.indices[m.indptr[rows]], m.data[m.indptr[rows]]
+
+
+def _row_nnz(m) -> np.ndarray:
+    if isinstance(m, np.ndarray):
+        return np.count_nonzero(m, axis=1)
+    return np.diff(m.indptr)
+
+
+def _opposite_pairs(g: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (i < j) of ``g`` that are exact negatives of each other.
+
+    Also returns a group id per pair: pairs of the same two opposite
+    patterns share it, so their zero-width equalities coincide.
+    """
+    g.sort_indices()
+    ids: dict[bytes, int] = {}
+    members: dict[int, list[int]] = {}
+    keys = []
+    for i in range(g.shape[0]):
+        span = slice(g.indptr[i], g.indptr[i + 1])
+        vals = np.round(g.data[span], 12) + 0.0  # +0.0 folds -0.0 into 0.0
+        cols = g.indices[span].tobytes()
+        keys.append((cols + vals.tobytes(), cols + (-vals + 0.0).tobytes()) if vals.any() else None)
+        if keys[-1] is not None:
+            members.setdefault(ids.setdefault(keys[-1][0], len(ids)), []).append(i)
+    pairs, groups = [], []
+    for i, key in enumerate(keys):
+        mate = ids.get(key[1]) if key is not None else None
+        if mate is not None:
+            for j in members[mate]:
+                if i < j:
+                    pairs.append((i, j))
+                    groups.append(min(mate, ids[key[0]]))
+    return np.array(pairs, dtype=int).reshape(-1, 2), np.array(groups, dtype=int)
+
+
+def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Variables whose bounds leave room beyond the presolve tolerance."""
+    return hi - lo > FEAS_TOL * (1.0 + np.abs(lo))
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.abs(v).max(initial=0.0))
+
+
+def _max_step(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> float:
+    """Largest step keeping the positive vectors ``s`` and ``z`` nonnegative."""
+    worst = min((ds / s).min(), (dz / z).min())
+    return -1.0 / worst if worst < 0.0 else math.inf
 
 
 class BoxQp:
-    """Reusable workspace for one constraint structure with varying bounds."""
+    """Reusable workspace for one constraint structure with varying fixings."""
 
     def __init__(
         self,
-        p_matrix: sp.spmatrix,
+        p_matrix,
         q_vector: np.ndarray,
-        a_matrix: sp.spmatrix,
+        g_matrix,
+        h_vector: np.ndarray,
+        a_matrix,
+        b_vector: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
         objective_constant: float = 0.0,
         settings: QpSettings | None = None,
-        bounds_row_offset: int | None = None,
+        integer_columns=(),
     ):
+        """``integer_columns`` are the variables a call may pin (the binaries);
+        rows are paired as opposites on the other columns."""
         self.settings = settings or QpSettings()
-        self.n = q_vector.shape[0]
-        self.m = lower.shape[0]
-        self.p0 = p_matrix.tocsr()
-        self.q0 = np.asarray(q_vector, dtype=float)
-        self.a0 = a_matrix.tocsr()
-        self.a0t = self.a0.T.tocsr()
-        self.l0 = np.asarray(lower, dtype=float)
-        self.u0 = np.asarray(upper, dtype=float)
+        self.lo = np.asarray(lower, dtype=float)
+        self.hi = np.asarray(upper, dtype=float)
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ContractViolation("all variable bounds must be finite")
+        self.n = n = self.lo.shape[0]
+        self.q = np.asarray(q_vector, dtype=float)
+        self.h = np.asarray(h_vector, dtype=float)
+        self.b = np.asarray(b_vector, dtype=float)
         self.constant = float(objective_constant)
-        # first row of the identity block holding variable bounds (for fixings)
-        self.bounds_row_offset = self.m - self.n if bounds_row_offset is None else bounds_row_offset
-        self._equilibrate()
-        eq_mask = self.l0 == self.u0
-        self.rho_vec = np.full(self.m, self.settings.rho)
-        self.rho_vec[eq_mask] = self.settings.rho * self.settings.rho_eq_scale
-        self.rho_scale = 1.0
-        self._factorize()
-        self._xbar = np.zeros(self.n)
-        self._ybar = np.zeros(self.m)
-        self._zbar = np.zeros(self.m)
+        g = sp.csr_matrix(g_matrix, shape=(self.h.shape[0], n), dtype=float)
+        a = sp.csr_matrix(a_matrix, shape=(self.b.shape[0], n), dtype=float)
+        p = sp.csr_matrix(p_matrix, shape=(n, n), dtype=float)
+        for m in (g, a, p):
+            m.eliminate_zeros()
+        self.sparse = g.shape[0] * n > SPARSE_MIN_ENTRIES
+        self.g, self.a, self.p = (g, a, p) if self.sparse else (g.toarray(), a.toarray(), p.toarray())
+        pinnable = np.zeros(n, dtype=bool)
+        pinnable[np.asarray(integer_columns, dtype=int)] = True
+        self._int_cols = np.flatnonzero(pinnable)
+        self._g_int = (abs(self.g[:, self._int_cols]) > 0.0).astype(float)
+        self._pairs, self._pair_groups = _opposite_pairs(g[:, ~pinnable & (self.lo < self.hi)])
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem, settings: QpSettings | None = None) -> "BoxQp":
-        """Relax a MIQP: binaries become [0,1] continuous, bounds become identity rows."""
-        if not (np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper))):
-            raise ContractViolation("all variable bounds must be finite")
-        n = problem.n_vars
-        a = sp.vstack(
-            [problem.a_ineq, problem.a_eq, sp.identity(n, format="csr")], format="csr"
-        )
-        l = np.concatenate([np.full(problem.n_ineq, -np.inf), problem.b_eq, problem.lower])
-        u = np.concatenate([problem.b_ineq, problem.b_eq, problem.upper])
+        """Relax a MIQP: binaries become [0,1] continuous."""
         return cls(
             2.0 * problem.q_matrix,
             problem.c_vector,
-            a,
-            l,
-            u,
+            problem.a_ineq,
+            problem.b_ineq,
+            problem.a_eq,
+            problem.b_eq,
+            problem.lower,
+            problem.upper,
             objective_constant=problem.objective_constant,
             settings=settings,
-            bounds_row_offset=problem.n_ineq + problem.n_eq,
+            integer_columns=problem.binary_indices,
         )
 
-    # ------------------------------------------------------------------ setup
-    def _equilibrate(self) -> None:
-        """Modified Ruiz scaling of (P, q, A) with cost normalization."""
-        n, m = self.n, self.m
-        d = np.ones(n)
-        e = np.ones(m)
-        cost = 1.0
-        ps = self.p0.tocsc()
-        as_ = self.a0.tocsc()
-        qs = self.q0.copy()
-        for _ in range(self.settings.scaling_iters):
-            col = np.maximum(_col_inf_norms(ps), _col_inf_norms(as_))
-            col[col < 1e-12] = 1.0
-            d_step = 1.0 / np.sqrt(np.clip(col, 1e-8, 1e8))
-            row = _row_inf_norms(as_)
-            row[row < 1e-12] = 1.0
-            e_step = 1.0 / np.sqrt(np.clip(row, 1e-8, 1e8))
-            dd = sp.diags(d_step)
-            ee = sp.diags(e_step)
-            ps = (dd @ ps @ dd).tocsc()
-            as_ = (ee @ as_ @ dd).tocsc()
-            qs = d_step * qs
-            d *= d_step
-            e *= e_step
-            p_col = _col_inf_norms(ps)
-            denom = max(float(np.mean(p_col)), float(np.max(np.abs(qs), initial=0.0)))
-            if denom > 1e-12:
-                g = 1.0 / denom
-                g = min(max(g, 1e-6), 1e6)
-                ps = ps * g
-                qs = qs * g
-                cost *= g
-        self.ps = ps
-        self.as_ = as_
-        self.ast = as_.T.tocsc()
-        self.qs = qs
-        self.d = d
-        self.e = e
-        self.cost = cost
-
-    def _factorize(self) -> None:
-        rho = self.rho_vec * self.rho_scale
-        kkt = sp.bmat(
-            [
-                [self.ps + self.settings.sigma * sp.identity(self.n), self.ast],
-                [self.as_, -sp.diags(1.0 / rho)],
-            ],
-            format="csc",
+    # --------------------------------------------------------------- presolve
+    def _presolve(self, fixings: dict[int, float] | None) -> _Reduced | None:
+        """Substitute the fixings and simplify; None proves infeasibility."""
+        lo = self.lo.copy()
+        hi = self.hi.copy()
+        if fixings:
+            idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
+            lo[idx] = hi[idx] = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
+        bound_rows = np.full((2, self.n), -1)
+        bound_coefs = np.zeros((2, self.n))
+        g_rows = np.arange(self.h.shape[0])
+        eq_rows = np.arange(self.b.shape[0])
+        free = _wide(lo, hi)
+        while True:
+            x = np.where(free, 0.0, 0.5 * (lo + hi))
+            cols = np.flatnonzero(free)
+            g = _take(self.g, g_rows, cols)
+            h = self.h[g_rows] - (self.g @ x)[g_rows]
+            a = _take(self.a, eq_rows, cols)
+            b = self.b[eq_rows] - (self.a @ x)[eq_rows]
+            g_nnz = _row_nnz(g)
+            a_nnz = _row_nnz(a)
+            empty = g_nnz == 0
+            if np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[g_rows[empty]]))):
+                return None
+            empty = a_nnz == 0
+            if np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[eq_rows[empty]]))):
+                return None
+            # a singleton inequality row tightens one bound of its variable
+            single = np.flatnonzero(g_nnz == 1)
+            for k, j, coef in zip(single, *_row_entries(g, single)):
+                col, bound = cols[j], h[k] / coef
+                if coef > 0.0 and bound < hi[col]:
+                    hi[col] = bound
+                    bound_rows[1, col], bound_coefs[1, col] = g_rows[k], coef
+                elif coef < 0.0 and bound > lo[col]:
+                    lo[col] = bound
+                    bound_rows[0, col], bound_coefs[0, col] = g_rows[k], coef
+            # a singleton equality row fixes its variable
+            single = np.flatnonzero(a_nnz == 1)
+            for k, j, coef in zip(single, *_row_entries(a, single)):
+                col, val = cols[j], b[k] / coef
+                slack = FEAS_TOL * (1.0 + abs(val))
+                if not lo[col] - slack <= val <= hi[col] + slack:
+                    return None
+                lo[col] = hi[col] = val
+            if np.any(lo - hi > FEAS_TOL * (1.0 + np.abs(lo))):
+                return None
+            keep_g, keep_a = g_nnz >= 2, a_nnz >= 2
+            g_rows, eq_rows = g_rows[keep_g], eq_rows[keep_a]
+            still_free = _wide(lo, hi)
+            if np.array_equal(still_free, free):
+                g, h, a, b = g[keep_g], h[keep_g], a[keep_a], b[keep_a]
+                break
+            free = still_free  # a row pinned a variable: substitute again
+        found = self._zero_width_pairs(x, free, g_rows)
+        if found is None:
+            return None
+        pairs, implied = found
+        if pairs.size:
+            keep = ~np.isin(g_rows, implied)
+            g, h, g_rows = g[keep], h[keep], g_rows[keep]
+            first = pairs[:, 0]
+            rows = _take(self.g, first, cols)
+            a = np.vstack([a, rows]) if not self.sparse else sp.vstack([a, rows], format="csr")
+            b = np.concatenate([b, self.h[first] - (self.g @ x)[first]])
+            eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
+        p = _take(self.p, cols, cols)
+        return _Reduced(
+            x, cols, p if not self.sparse else p.toarray(), self.q[cols] + (self.p @ x)[cols],
+            g, h, a, b, lo[cols], hi[cols], g_rows, eq_rows, pairs,
+            bound_rows[:, cols], bound_coefs[:, cols],
         )
-        self._lu = spla.splu(kkt)
-        self._rho_cur = rho
+
+    def _zero_width_pairs(self, x, free, g_rows):
+        """Find opposite row pairs whose right-hand sides cancel.
+
+        A pair is live when both rows are kept and all their pinnable
+        columns are fixed, so that their free parts are exact negatives.
+        Returns ``(pairs, implied)``: one pair per group, whose first row
+        becomes an equality, and every row of a zero-width pair, which those
+        equalities imply. Returns None if a live pair has negative width.
+        """
+        none = np.zeros((0, 2), dtype=int)
+        if not self._pairs.size:
+            return none, none
+        kept = np.zeros(self.h.shape[0], dtype=bool)
+        kept[g_rows] = True
+        pinned = self._g_int @ free[self._int_cols] == 0.0
+        pi, pj = self._pairs[:, 0], self._pairs[:, 1]
+        live = kept[pi] & kept[pj] & pinned[pi] & pinned[pj]
+        if not live.any():
+            return none, none
+        pairs, groups = self._pairs[live], self._pair_groups[live]
+        rhs = self.h - self.g @ x
+        h_i = rhs[pairs[:, 0]]
+        width = h_i + rhs[pairs[:, 1]]
+        if np.any(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
+            return None
+        zero = width <= FEAS_TOL * (1.0 + np.abs(h_i))
+        _, first = np.unique(groups[zero], return_index=True)
+        return pairs[zero][first], np.unique(pairs[zero])
 
     # ------------------------------------------------------------------ solve
     def solve(
@@ -248,319 +334,177 @@ class BoxQp:
         max_iter: int | None = None,
         eps_abs: float | None = None,
     ) -> QpSolution:
-        """Solve with current data, optionally pinning variables via their bound rows.
+        """Solve the relaxation with the variables in ``fixings`` pinned.
 
-        ``warm_start``: "carry" (default) continues from the previous solve's
-        iterates, "cold" starts from zero, an array warm-starts the primal
-        while carrying the dual.
+        ``warm_start`` is accepted for interface compatibility and ignored:
+        an interior point gains nothing from a start on the boundary, and a
+        fixed start makes every result a function of the fixings alone.
         """
-        st = self.settings
-        max_iter = max_iter or st.max_iter
-        eps_abs = st.eps_abs if eps_abs is None else eps_abs
-        l_cur = self.l0.copy()
-        u_cur = self.u0.copy()
-        if fixings:
-            off = self.bounds_row_offset
-            for var, val in fixings.items():
-                l_cur[off + var] = val
-                u_cur[off + var] = val
-        ls = self.e * l_cur
-        us = self.e * u_cur
+        max_iter = max_iter or self.settings.max_iter
+        eps = self.settings.eps_abs if eps_abs is None else eps_abs
+        red = self._presolve(fixings)
+        if red is None:
+            return self._infeasible(0)
+        if red.cols.size == 0:
+            return self._result(red, np.zeros(0), np.zeros(0), np.zeros(0), "optimal", 0)
+        xr, y, z, it, converged = _interior_point(red, eps, max_iter)
+        if converged:
+            return self._result(red, xr, y, z, "optimal", it)
+        if not _feasible(red):
+            return self._infeasible(it)
+        return self._result(red, xr, y, z, "max-iterations", it)
 
-        # state: scaled primal xb plus the splitting variable u = z + y/rho,
-        # from which z = clip(u) and y = rho (u - z) are reconstructed
-        rho = self._rho_cur
-        if isinstance(warm_start, str) and warm_start == "cold":
-            xb = np.zeros(self.n)
-            u = np.minimum(np.maximum(np.zeros(self.m), ls), us)
-        elif warm_start is None or (isinstance(warm_start, str) and warm_start == "carry"):
-            xb = self._xbar.copy()
-            u = np.minimum(np.maximum(self._zbar, ls), us) + self._ybar / rho
-        else:
-            xb = np.asarray(warm_start, dtype=float) / self.d
-            u = np.minimum(np.maximum(self.as_ @ xb, ls), us) + self._ybar / rho
+    def _infeasible(self, iterations: int) -> QpSolution:
+        m = self.h.shape[0] + self.b.shape[0] + self.n
+        return QpSolution(
+            np.full(self.n, np.nan), np.zeros(m), math.inf, "infeasible",
+            math.inf, math.inf, iterations,
+        )
 
-        alpha = st.alpha
-        one_minus_alpha = 1.0 - alpha
-        n = self.n
-        y_prev_check = None
-        status = "max-iterations"
-        prim_res = dual_res = math.inf
-        cert = None
-        it = 0
-        rho_updates = 0
-        polish_after = 0
-        rhs = np.empty(n + self.m)
-        pol_result = None
-        best_prim = math.inf
-        checks_since_progress = 0
-        restarted = False
-        accel = _Anderson(n + self.m, max(st.aa_memory, 0), st.aa_regularization)
-        fp_best = math.inf
-        plain_x = xb
-        plain_u = u
-        zb = np.minimum(np.maximum(u, ls), us)
-        yb = rho * (u - zb)
-        for it in range(1, max_iter + 1):
-            zb = np.minimum(np.maximum(u, ls), us)
-            yb = rho * (u - zb)
-            rhs[:n] = st.sigma * xb - self.qs
-            rhs[n:] = 2.0 * zb - u
-            sol = self._lu.solve(rhs)
-            xt = sol[:n]
-            zt = 2.0 * zb - u + sol[n:] / rho
-            x_next = alpha * xt + one_minus_alpha * xb
-            w = alpha * zt + one_minus_alpha * zb
-            u_next = w + u - zb
-
-            do_check = it % st.check_interval == 0 or it == max_iter
-            if st.aa_memory > 0:
-                mapped = np.concatenate([x_next, u_next])
-                residual = np.concatenate([xb - x_next, u - u_next])
-                fp_norm = float(np.linalg.norm(residual))
-                if fp_norm > st.aa_safeguard * fp_best and accel.count > 0:
-                    # acceleration overshot: fall back to the last plain iterate
-                    accel.reset()
-                    xb, u = plain_x, plain_u
-                    fp_best = math.inf
-                    continue
-                fp_best = min(fp_best, fp_norm)
-                plain_x, plain_u = x_next, u_next
-                cand = accel.candidate(mapped, residual)
-                if cand is not None and not do_check:
-                    xb = cand[:n]
-                    u = cand[n:]
-                else:
-                    xb, u = x_next, u_next
-            else:
-                xb, u = x_next, u_next
-
-            if do_check:
-                zb = np.minimum(np.maximum(u, ls), us)
-                yb = rho * (u - zb)
-                x = self.d * xb
-                z = zb / self.e
-                y = self.e * yb / self.cost
-                ax = self.a0 @ x
-                px = self.p0 @ x
-                aty = self.a0t @ y
-                prim_res = float(np.max(np.abs(ax - z), initial=0.0))
-                dual_res = float(np.max(np.abs(px + self.q0 + aty), initial=0.0))
-                eps_p = eps_abs + st.eps_rel * max(
-                    np.max(np.abs(ax), initial=0.0), np.max(np.abs(z), initial=0.0)
-                )
-                eps_d = eps_abs + st.eps_rel * max(
-                    np.max(np.abs(px), initial=0.0),
-                    np.max(np.abs(aty), initial=0.0),
-                    np.max(np.abs(self.q0), initial=0.0),
-                )
-                if prim_res <= eps_p and dual_res <= eps_d:
-                    status = "optimal"
-                    break
-                # attempt an early polish once the coarse tolerance is reached
-                if (
-                    st.polish
-                    and it >= polish_after
-                    and prim_res <= st.eps_coarse
-                    and dual_res <= st.eps_coarse
-                ):
-                    pol = self._polish(x, y, l_cur, u_cur, prim_res, dual_res)
-                    if pol is not None and max(pol[2], pol[3]) <= eps_abs:
-                        status = "optimal"
-                        pol_result = pol
-                        break
-                    polish_after = it + 5 * st.check_interval
-                if y_prev_check is not None:
-                    dy = y - y_prev_check
-                    cert = self._primal_infeasibility(dy, l_cur, u_cur)
-                    if cert is not None:
-                        status = "infeasible"
-                        break
-                y_prev_check = y
-                # a warm start can poison the dual state; restart it once if the
-                # primal residual stops making progress
-                if prim_res < 0.7 * best_prim:
-                    best_prim = prim_res
-                    checks_since_progress = 0
-                else:
-                    checks_since_progress += 1
-                if (
-                    not restarted
-                    and checks_since_progress >= st.stall_checks
-                    and prim_res > 1e3 * eps_abs
-                ):
-                    restarted = True
-                    u = np.minimum(np.maximum(self.as_ @ xb, ls), us)
-                    y_prev_check = None
-                    checks_since_progress = 0
-                    best_prim = math.inf
-                    accel.reset()
-                    fp_best = math.inf
-                    plain_x, plain_u = xb, u
-                    continue
-                if (
-                    st.adaptive_rho
-                    and it % st.adaptive_rho_interval == 0
-                    and it < max_iter
-                    and rho_updates < st.adaptive_rho_max_updates
-                ):
-                    if self._maybe_update_rho(prim_res, dual_res, ax, z, px, aty):
-                        rho_updates += 1
-                        u = zb + yb / self._rho_cur
-                        rho = self._rho_cur
-                        accel.reset()
-                        fp_best = math.inf
-                        plain_x, plain_u = xb, u
-
-        zb = np.minimum(np.maximum(u, ls), us)
-        yb = rho * (u - zb)
-        self._xbar, self._ybar, self._zbar = xb, yb, zb
-        polished = False
-        if pol_result is not None:
-            x, y, prim_res, dual_res = pol_result
-            polished = True
-        else:
-            x = self.d * xb
-            y = self.e * yb / self.cost
-            if status == "optimal" and st.polish:
-                pol = self._polish(x, y, l_cur, u_cur, prim_res, dual_res)
-                if pol is not None:
-                    x, y, prim_res, dual_res = pol
-                    polished = True
-        obj = float(0.5 * x @ (self.p0 @ x) + self.q0 @ x + self.constant)
-        if status == "infeasible":
-            obj = math.inf
+    def _result(self, red: _Reduced, xr, y_red, z, status, iterations) -> QpSolution:
+        """Map the reduced primal and duals back to the full problem."""
+        x = red.x.copy()
+        x[red.cols] = xr
+        y_in = np.zeros(self.h.shape[0])
+        y_eq = np.zeros(self.b.shape[0])
+        y_bnd = np.zeros(self.n)
+        k, nf = red.g_rows.size, red.cols.size
+        y_in[red.g_rows] = z[:k]
+        orig = red.eq_rows >= 0
+        y_eq[red.eq_rows[orig]] = y_red[orig]
+        lam = y_red[~orig]
+        # a pair equality's multiplier belongs to the row on its side
+        np.add.at(y_in, red.pair_rows[:, 0], np.maximum(lam, 0.0))
+        np.add.at(y_in, red.pair_rows[:, 1], np.maximum(-lam, 0.0))
+        # a bound set by a singleton row hands its multiplier to that row
+        for side, mult in ((0, -z[k : k + nf]), (1, z[k + nf :])):
+            rows = red.bound_rows[side]
+            by_row = rows >= 0
+            np.add.at(y_in, rows[by_row], mult[by_row] / red.bound_coefs[side, by_row])
+            y_bnd[red.cols[~by_row]] += mult[~by_row]
+        grad = self.p @ x + self.q + self.g.T @ y_in + self.a.T @ y_eq
+        fixed = np.ones(self.n, dtype=bool)
+        fixed[red.cols] = False
+        y_bnd[fixed] = -grad[fixed]  # a pinned variable's bound row absorbs the rest
+        prim_res = max(
+            float(np.max(self.g @ x - self.h, initial=0.0)),
+            _norm(self.a @ x - self.b),
+            float(np.max(self.lo - x, initial=0.0)),
+            float(np.max(x - self.hi, initial=0.0)),
+        )
         return QpSolution(
             x=x,
-            y=y,
-            objective=obj,
+            y=np.concatenate([y_in, y_eq, y_bnd]),
+            objective=float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant),
             status=status,
             prim_res=prim_res,
-            dual_res=dual_res,
-            iterations=it,
-            polished=polished,
-            certificate_residual=cert,
+            dual_res=_norm(grad + y_bnd),
+            iterations=iterations,
         )
 
-    # ------------------------------------------------------- helper routines
-    def _primal_infeasibility(self, dy: np.ndarray, l, u) -> float | None:
-        norm = float(np.max(np.abs(dy), initial=0.0))
-        if norm < 1e-14:
-            return None
-        yhat = dy / norm
-        eps = self.settings.eps_inf
-        cert_res = float(np.max(np.abs(self.a0t @ yhat), initial=0.0))
-        if cert_res > eps:
-            return None
-        pos = np.maximum(yhat, 0.0)
-        neg = np.minimum(yhat, 0.0)
-        # infinite bounds require a vanishing multiplier on their side
-        fin_u = np.isfinite(u)
-        fin_l = np.isfinite(l)
-        if np.any(pos[~fin_u] > eps) or np.any(-neg[~fin_l] > eps):
-            return None
-        support = float(pos[fin_u] @ u[fin_u] + neg[fin_l] @ l[fin_l])
-        if support <= -eps:
-            return cert_res
-        return None
 
-    def _maybe_update_rho(self, prim_res, dual_res, ax, z, px, aty) -> bool:
-        denom_p = max(
-            np.max(np.abs(ax), initial=0.0), np.max(np.abs(z), initial=0.0), 1e-10
-        )
-        denom_d = max(
-            np.max(np.abs(px), initial=0.0),
-            np.max(np.abs(aty), initial=0.0),
-            np.max(np.abs(self.q0), initial=0.0),
-            1e-10,
-        )
-        ratio = math.sqrt((prim_res / denom_p) / max(dual_res / denom_d, 1e-16))
-        thresh = self.settings.adaptive_rho_threshold
-        if not (ratio > thresh or ratio < 1.0 / thresh):
-            return False
-        cap = self.settings.adaptive_rho_max_factor
-        adj = min(max(ratio, 1.0 / cap), cap)
-        new_scale = min(max(self.rho_scale * adj, 1e-6), 1e6)
-        if new_scale == self.rho_scale:
-            return False
-        self.rho_scale = new_scale
-        self._factorize()
-        return True
+def _interior_point(red: _Reduced, eps: float, max_iter: int):
+    """Mehrotra predictor-corrector on the reduced problem.
 
-    def _polish(self, x, y, l, u, prim_res, dual_res):
-        """Solve the KKT system of the detected active set; accept only if the
-        result both improves the residuals and passes a complementarity check
-        (guards against mis-detected active sets from warm-start dual noise)."""
-        y_tol = 1e-12 * max(1.0, float(np.max(np.abs(y), initial=0.0)))
-        eq_rows = np.nonzero(l == u)[0]  # structural equalities and per-call fixings
-        low = np.nonzero((l != u) & (y < -y_tol) & np.isfinite(l))[0]
-        up = np.nonzero((l != u) & (y > y_tol) & np.isfinite(u))[0]
-        act = np.unique(np.concatenate([eq_rows, low, up]))
-        if act.size == 0:
-            return None
-        rhs_act = np.where(y[act] > 0, np.where(np.isfinite(u[act]), u[act], l[act]), l[act])
-        rhs_act = np.where(l[act] == u[act], l[act], rhs_act)
-        a_act = self.a0[act].tocsr()
-        a_act_t = a_act.T.tocsr()
-        delta = self.settings.polish_delta
-        n_act = act.size
-        kkt_reg = sp.bmat(
-            [
-                [self.p0 + delta * sp.identity(self.n), a_act_t],
-                [a_act, -delta * sp.identity(n_act)],
-            ],
-            format="csc",
-        )
-        rhs = np.concatenate([-self.q0, rhs_act])
-        try:
-            lu = spla.splu(kkt_reg)
-        except RuntimeError:
-            return None
-        w = lu.solve(rhs)
-        for _ in range(self.settings.polish_refine_iters):
-            # residual against the unregularized KKT, computed blockwise
-            xw, yw = w[: self.n], w[self.n :]
-            r = np.concatenate(
-                [
-                    -self.q0 - (self.p0 @ xw + a_act_t @ yw),
-                    rhs_act - a_act @ xw,
-                ]
-            )
-            w = w + lu.solve(r)
-        x_pol = w[: self.n]
-        y_pol = np.zeros(self.m)
-        y_pol[act] = w[self.n :]
-        ax = self.a0 @ x_pol
-        z_pol = np.clip(ax, l, u)
-        pr = float(np.max(np.abs(ax - z_pol), initial=0.0))
-        dr = float(
-            np.max(np.abs(self.p0 @ x_pol + self.q0 + self.a0t @ y_pol), initial=0.0)
-        )
-        if not (np.isfinite(pr) and np.isfinite(dr)):
-            return None
-        # complementarity: a signed multiplier must sit on its own active bound
-        comp_tol = 1e-9 * max(1.0, float(np.max(np.abs(y_pol), initial=0.0)))
-        free = l != u
-        comp = 0.0
-        pos_rows = free & (y_pol > comp_tol)
-        neg_rows = free & (y_pol < -comp_tol)
-        if np.any(pos_rows & ~np.isfinite(u)) or np.any(neg_rows & ~np.isfinite(l)):
-            return None
-        if np.any(pos_rows):
-            comp = max(comp, float(np.max(np.abs(ax[pos_rows] - u[pos_rows]))))
-        if np.any(neg_rows):
-            comp = max(comp, float(np.max(np.abs(ax[neg_rows] - l[neg_rows]))))
-        if comp > max(10.0 * prim_res, self.settings.eps_abs):
-            return None
-        if max(pr, dr) < max(prim_res, dual_res):
-            return x_pol, y_pol, pr, dr
-        return None
+    The inequality rows and both sides of the variable bounds form one
+    stacked system  Gx + s = h,  -x + s_l = -lo,  x + s_u = hi  with
+    slacks s >= 0 and multipliers z >= 0, each held as one vector. Returns
+    ``(x, y, z, iterations, converged)``.
+    """
+    p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
+    nf, mi, me = c.size, red.h.size, b.size
+    h_all = np.concatenate([red.h, -red.lo, red.hi])
+    n_cone = h_all.size
+    g_t = g.T.tocsr() if sp.issparse(g) else g.T
+
+    def gram(w):  # G' diag(w) G, dense
+        if sp.issparse(g):
+            return (g_t @ sp.diags(w, format="csr") @ g).toarray()
+        return (g_t * w) @ g
+
+    def stack(v):  # [G; -I; I] v
+        return np.concatenate([g @ v, -v, v])
+
+    def stack_t(w):  # [G; -I; I]' w
+        return g_t @ w[:mi] - w[mi : mi + nf] + w[mi + nf :]
+
+    x = 0.5 * (red.lo + red.hi)
+    s = np.maximum(h_all - stack(x), 1.0)
+    z = np.ones(n_cone)
+    y = np.zeros(me)
+    kkt = np.zeros((nf + me, nf + me))
+    kkt[nf:, :nf] = a.toarray() if sp.issparse(a) else a
+    kkt[:nf, nf:] = kkt[nf:, :nf].T
+    kkt[nf:, nf:] = -EQ_REG * np.eye(me)
+    diag = np.arange(nf)
+    a_t = kkt[:nf, nf:]
+    it = 0
+    for it in range(1, max_iter + 1):
+        px, gz, ay = p @ x, stack_t(z), a_t @ y
+        gx, ax = stack(x), a @ x
+        r_d = px + c + gz + ay
+        r_p = gx + s - h_all
+        r_e = ax - b
+        mu = float(s @ z) / n_cone
+        obj = float(0.5 * x @ px + c @ x)
+        # residuals relative to the terms that make them up
+        scale_p = 1.0 + max(_norm(gx), _norm(h_all), _norm(ax), _norm(b))
+        scale_d = 1.0 + max(_norm(px), _norm(c), _norm(gz), _norm(ay))
+        if (
+            max(_norm(r_p), _norm(r_e)) <= eps * scale_p
+            and _norm(r_d) <= eps * scale_d
+            and mu * n_cone <= eps * (1.0 + abs(obj))
+        ):
+            return x, y, z, it - 1, True
+        w = z / s
+        kkt[:nf, :nf] = p + gram(w[:mi])
+        kkt[diag, diag] += w[mi : mi + nf] + w[mi + nf :]
+        lu, piv, info = _getrf(kkt)
+        if info != 0:
+            break
+
+        def newton(r_c):
+            rhs = np.concatenate([-r_d - stack_t((z * r_p - r_c) / s), -r_e])
+            d = _getrs(lu, piv, rhs)[0]
+            ds = -r_p - stack(d[:nf])
+            return d[:nf], d[nf:], ds, (-r_c - z * ds) / s
+
+        # predictor: the affine-scaling direction sets Mehrotra's centering
+        dx, dy, ds, dz = newton(s * z)
+        alpha = min(1.0, _max_step(s, ds, z, dz))
+        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / n_cone
+        sigma = (mu_aff / mu) ** 3
+        # corrector: second-order term plus centering
+        dx, dy, ds, dz = newton(s * z + ds * dz - sigma * mu)
+        # a fixed fraction to the boundary can cycle at small mu
+        tau = max(0.9, 1.0 - 10.0 * mu)
+        alpha = min(1.0, tau * _max_step(s, ds, z, dz))
+        if not (alpha > 1e-12 and np.all(np.isfinite(dx))):
+            break
+        x = x + alpha * dx
+        y = y + alpha * dy
+        s = s + alpha * ds
+        z = z + alpha * dz
+    return x, y, z, it, False
+
+
+def _feasible(red: _Reduced) -> bool:
+    """Exact feasibility of the reduced constraints, decided by HiGHS."""
+    res = linprog(
+        np.zeros(red.c.size),
+        A_ub=red.g if red.h.size else None,
+        b_ub=red.h if red.h.size else None,
+        A_eq=red.a if red.b.size else None,
+        b_eq=red.b if red.b.size else None,
+        bounds=np.column_stack([red.lo, red.hi]),
+        method="highs",
+    )
+    return res.status != 2
 
 
 def solve_qp(
     problem: MiqpProblem,
     fixings: dict[int, float] | None = None,
-    warm_start=None,
     settings: QpSettings | None = None,
 ) -> QpSolution:
     """Solve the convex relaxation of ``problem`` (binaries in [0,1]).
@@ -569,5 +513,4 @@ def solve_qp(
     Convenience wrapper that builds a fresh workspace; reuse a BoxQp when
     solving many variations of one problem.
     """
-    ws = BoxQp.from_miqp(problem, settings)
-    return ws.solve(fixings=fixings, warm_start=warm_start or "cold")
+    return BoxQp.from_miqp(problem, settings).solve(fixings=fixings)

@@ -4,8 +4,8 @@ Scenario files are versioned JSON documents. Safe regions may be authored
 directly as halfspace systems or as convex 2D polygons with a z-plane
 (optionally tilted) and thickness, which the loader expands to halfspaces.
 Every region is proven nonempty and bounded at load time by solving small
-LPs with the embedded QP engine; the resulting bounding boxes are attached
-to the regions for use by the formulation and the renderer.
+exact LPs with HiGHS; the resulting bounding boxes are attached to the
+regions for use by the formulation and the renderer.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from .errors import ConfigurationError, ScenarioParseError
 from .model import RobotModel, SafeRegion, Scenario
 from .pwl import segment_count_with_zero_knot
-from .qp import BoxQp, QpSettings
 
 SCENARIO_VERSION = 1
 
@@ -154,68 +153,35 @@ def _parse_region(entry, index: int) -> SafeRegion:
     _fail("region needs 'halfspaces' or 'polygon'", path)
 
 
-def region_extent(region: SafeRegion, workspace_box) -> tuple[np.ndarray, np.ndarray]:
+def region_extent(region: SafeRegion) -> tuple[np.ndarray, np.ndarray]:
     """Prove the region nonempty and bounded; return its bounding box.
 
-    Boundedness is decided by maximizing each +-coordinate of the recession
-    cone {d : A d <= 0, |d|_inf <= 1}: any optimum above zero is an
-    unbounded direction. The extent then comes from coordinate LPs over the
-    region intersected with an inflated workspace box.
+    Each side of the box is an exact LP, solved by HiGHS, that minimizes or
+    maximizes one coordinate over the region. An infeasible LP means the
+    region is empty; an unbounded one gives a direction in which the region
+    is unbounded.
     """
-    a = region.a_matrix
-    m = a.shape[0]
-    settings = QpSettings(eps_abs=1e-8, max_iter=40000)
-    zero_p = sp.csr_matrix((3, 3))
-
-    # recession cone test
-    cone = BoxQp(
-        zero_p,
-        np.zeros(3),
-        sp.vstack([sp.csr_matrix(a), sp.identity(3, format="csr")], format="csr"),
-        np.concatenate([np.full(m, -np.inf), -np.ones(3)]),
-        np.concatenate([np.zeros(m), np.ones(3)]),
-        settings=settings,
-    )
-    for comp in range(3):
-        for sign in (1.0, -1.0):
-            q = np.zeros(3)
-            q[comp] = -sign  # maximize sign * d[comp]
-            cone.q0 = q
-            cone.qs = q * cone.d * cone.cost
-            sol = cone.solve(warm_start="cold")
-            if sol.status != "optimal" or -sol.objective > 1e-3:
-                raise ConfigurationError(
-                    f"region {region.name!r} is unbounded (direction {'xyz'[comp]})"
-                )
-
-    lo_w, hi_w = workspace_box
-    span = float(np.max(hi_w - lo_w))
-    big_lo = np.asarray(lo_w, dtype=float) - 10.0 * span
-    big_hi = np.asarray(hi_w, dtype=float) + 10.0 * span
-    extent = BoxQp(
-        zero_p,
-        np.zeros(3),
-        sp.vstack([sp.csr_matrix(a), sp.identity(3, format="csr")], format="csr"),
-        np.concatenate([np.full(m, -np.inf), big_lo]),
-        np.concatenate([region.b_vector, big_hi]),
-        settings=settings,
-    )
     lo = np.empty(3)
     hi = np.empty(3)
     for comp in range(3):
         for sign, store in ((1.0, hi), (-1.0, lo)):
-            q = np.zeros(3)
-            q[comp] = -sign
-            extent.q0 = q
-            extent.qs = q * extent.d * extent.cost
-            sol = extent.solve(warm_start="cold")
-            if sol.status == "infeasible":
+            cost = np.zeros(3)
+            cost[comp] = -sign  # maximize sign * p[comp]
+            res = linprog(
+                cost, A_ub=region.a_matrix, b_ub=region.b_vector,
+                bounds=(None, None), method="highs",
+            )
+            if res.status == 2:
                 raise ConfigurationError(f"region {region.name!r} is empty")
-            if sol.status != "optimal":
+            if res.status == 3:
+                raise ConfigurationError(
+                    f"region {region.name!r} is unbounded (direction {'xyz'[comp]})"
+                )
+            if res.status != 0:
                 raise ConfigurationError(
                     f"region {region.name!r}: extent solve did not converge"
                 )
-            store[comp] = sign * -sol.objective
+            store[comp] = -sign * res.fun
     return lo, hi
 
 
@@ -259,7 +225,7 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
     box_hi = np.array(_as_floats(box["max"], 3, "workspace_box.max"))
 
     regions = [
-        SafeRegion(r.a_matrix, r.b_vector, r.name, bbox=region_extent(r, (box_lo, box_hi)))
+        SafeRegion(r.a_matrix, r.b_vector, r.name, bbox=region_extent(r))
         for r in regions
     ]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from stepplan.bnb import (
     BRUTE_FORCE_MAX_BINARIES,
@@ -10,6 +11,7 @@ from stepplan.bnb import (
 )
 from stepplan.errors import ContractViolation
 from stepplan.formulation import MiqpProblem
+from stepplan.qp import BoxQp
 
 
 def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=None):
@@ -171,3 +173,41 @@ class TestOracleAgreement:
         if sol.feasible:
             assert sol.best_bound <= sol.objective + 1e-9
             assert sol.gap >= 0.0
+
+
+def slsqp_reference(prob, fixings):
+    """Relaxation optimum with ``fixings`` pinned, by scipy's SLSQP."""
+    free = [i for i in range(prob.n_vars) if i not in fixings]
+    a = prob.a_ineq.toarray()
+
+    def full(v):
+        x = np.zeros(prob.n_vars)
+        x[free] = v
+        for i, val in fixings.items():
+            x[i] = val
+        return x
+
+    res = minimize(
+        lambda v: prob.objective_value(full(v)),
+        np.zeros(len(free)),
+        method="SLSQP",
+        bounds=list(zip(prob.lower[free], prob.upper[free])),
+        constraints=[{"type": "ineq", "fun": lambda v: prob.b_ineq - a @ full(v)}],
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    assert res.success
+    return res.fun
+
+
+class TestRelaxationRegressions:
+    def test_fraction_to_boundary_does_not_cycle(self):
+        # a fixed fraction-to-boundary of 0.99 cycled near mu = 2e-4 on these
+        rng = np.random.default_rng(31337)
+        for _ in range(12):
+            prob = random_instance(rng)
+        ws = BoxQp.from_miqp(prob)
+        for pattern in ((0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0)):
+            fixings = dict(zip(prob.binary_indices.tolist(), map(float, pattern)))
+            sol = ws.solve(fixings=fixings)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(slsqp_reference(prob, fixings), abs=1e-6)

@@ -217,3 +217,27 @@ class TestValidatePlan:
         base = validate_plan(result, scn).family_worst["geometric"]
         assert worst > base
         assert worst - base <= scn.robot.l_leg * h * 2.5 + 1e-6
+
+
+class TestPresetRelaxations:
+    def test_presets_make_no_max_iteration_solve(self, monkeypatch):
+        from pathlib import Path
+
+        from stepplan import qp
+        from stepplan.scenario_io import load_scenario
+
+        statuses = []
+        real = qp.BoxQp.solve
+
+        def counting(self, *args, **kwargs):
+            sol = real(self, *args, **kwargs)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(qp.BoxQp, "solve", counting)
+        presets = sorted((Path(qp.__file__).parent / "scenarios").glob("*.json"))
+        assert len(presets) == 5
+        for path in presets:
+            result = plan(load_scenario(path))
+            assert result.converged, path.stem
+        assert statuses and "max-iterations" not in statuses

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from stepplan.errors import ContractViolation
 from stepplan.formulation import MiqpProblem
-from stepplan.qp import BoxQp, QpSettings, solve_qp
+from stepplan import qp as qp_module
+from stepplan.qp import BoxQp, solve_qp
 
 
 def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=None,
@@ -66,8 +67,22 @@ class TestSolveQp:
                             lb=[-5.0], ub=[5.0])
         sol = solve_qp(prob)
         assert sol.status == "infeasible"
-        assert sol.certificate_residual is not None
         assert math.isinf(sol.objective)
+
+    def test_infeasibility_decided_by_lp(self, monkeypatch):
+        # x + y <= -1 and -x + y <= -1 force y <= -1 against y >= 0; no row
+        # is a singleton or an opposite pair, so the presolve cannot see it
+        calls = []
+        real = qp_module.linprog
+        monkeypatch.setattr(
+            qp_module, "linprog", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        prob = make_problem(np.eye(2), [0.0, 0.0], a_in=[[1.0, 1.0], [-1.0, 1.0]],
+                            b_in=[-1.0, -1.0], lb=[-5.0, 0.0], ub=[5.0, 5.0])
+        sol = solve_qp(prob)
+        assert sol.status == "infeasible"
+        assert math.isinf(sol.objective)
+        assert calls == [1]
 
     def test_equality_constraints(self):
         # min x^2 + y^2 s.t. x + y = 2 -> (1, 1)
@@ -128,11 +143,58 @@ class TestWorkspaceReuse:
             assert sol.status == "optimal"
             assert np.allclose(sol.x, cold.x, atol=1e-5)
 
-    def test_polish_gives_high_accuracy(self):
+    def test_kkt_residuals_at_active_bound(self):
+        # min x^2 with 3 <= x <= 100: the lower bound is active with multiplier 6
         prob = make_problem([[1.0]], [0.0], lb=[3.0], ub=[100.0])
-        sol = solve_qp(prob, settings=QpSettings(polish=True))
-        assert sol.polished
-        assert max(sol.prim_res, sol.dual_res) < 1e-9
+        sol = solve_qp(prob)
+        assert sol.status == "optimal"
+        x, y_bound = sol.x[0], sol.y[-1]
+        assert abs(2.0 * x + y_bound) <= 1e-9  # stationarity: Px + q + y = 0
+        assert max(3.0 - x, x - 100.0, 0.0) <= 1e-9  # primal feasibility
+        assert y_bound == pytest.approx(-6.0, abs=1e-8)  # on the lower side
+        assert abs(y_bound * (x - 3.0)) <= 1e-8  # complementarity
+        assert max(sol.prim_res, sol.dual_res) <= 1e-9
+
+    def test_multipliers_satisfy_stationarity(self):
+        rng = np.random.default_rng(17)
+        G = rng.normal(size=(4, 4))
+        Q = G.T @ G + 0.1 * np.eye(4)
+        c = rng.normal(size=4) * 3.0
+        # the last row has one variable, so the presolve makes it a bound
+        A = np.vstack([rng.normal(size=(3, 4)), [0.0, 0.0, -2.0, 0.0]])
+        b = np.concatenate([rng.normal(size=3) * 0.2, [-0.5]])
+        prob = make_problem(Q, c, a_in=A, b_in=b, a_eq=[[1.0, 1.0, 0.0, 0.0]], b_eq=[0.3],
+                            lb=np.full(4, -1.0), ub=np.full(4, 1.0))
+        sol = solve_qp(prob)
+        assert sol.status == "optimal"
+        y_in, y_eq, y_b = sol.y[:4], sol.y[4:5], sol.y[5:]
+        grad = 2.0 * Q @ sol.x + c + A.T @ y_in + np.array([[1.0, 1.0, 0.0, 0.0]]).T @ y_eq + y_b
+        assert np.max(np.abs(grad)) <= 1e-8
+        assert np.all(y_in >= -1e-12)
+        assert np.all(A @ sol.x - b <= 1e-9)
+
+    def test_zero_width_pair_becomes_equality(self):
+        # with b = 1 the big-M rows x0 - x1 <= 1 - b and x1 - x0 <= 1 - b leave
+        # x0 = x1 = t, a feasible set without interior; the third row is
+        # nearly active. Optimum: 15.09 t^2 + 1.95 t is least at t = -1.95 / 30.18
+        prob = make_problem(
+            [[8.13, 1.55, 0.0], [1.55, 3.86, 0.0], [0.0, 0.0, 0.0]], [-0.27, 2.22, 0.0],
+            lb=[-1.0, -1.0, 0.0], ub=[1.0, 1.0, 1.0], bins=[2],
+            a_in=[[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-0.59, -0.94, 0.0]], b_in=[1.0, 1.0, 0.1],
+        )
+        sol = BoxQp.from_miqp(prob).solve(fixings={2: 1.0})
+        t = -1.95 / 30.18
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x, [t, t, 1.0], atol=1e-8)
+        assert sol.objective == pytest.approx(-1.95**2 / (4 * 15.09), abs=1e-8)
+        assert max(sol.prim_res, sol.dual_res) <= 1e-9
+        # the pair equality's multiplier lands on a row of the pair, with sign
+        P = 2.0 * prob.q_matrix.toarray()
+        G = prob.a_ineq.toarray()
+        y_in, y_b = sol.y[:3], sol.y[3:]
+        assert np.all(y_in >= 0.0)
+        assert np.max(np.abs(P @ sol.x + prob.c_vector + G.T @ y_in + y_b)) <= 1e-9
+        assert np.max(np.abs(y_b[:2])) <= 1e-9  # the free variables sit inside their bounds
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(5)
