@@ -4,10 +4,13 @@ Nodes are ordered by their convex relaxation bound; branching picks the most
 fractional binary (|v - 0.5| minimal, ties to the lowest index). Each
 relaxation is one interior-point solve in a shared ``BoxQp`` workspace with
 the node's binaries pinned; it starts from the same interior point whatever
-the node, so a relaxation depends on its fixings alone. Everything is
-deterministic: identical problems and limits reproduce identical node
-counts and solutions (time limits excepted). A brute-force enumerator over
-all binary patterns serves as the testing oracle for small instances.
+the node, so a relaxation depends on its fixings alone. Each tree therefore
+keeps a memo of its relaxations keyed by the fixing set: a tree node, a
+rounding candidate or a dive step that asks for fixings solved before gets
+the stored result instead of a new solve. Everything is deterministic:
+identical problems and limits reproduce identical node counts and solutions
+(time limits excepted). A brute-force enumerator over all binary patterns
+serves as the testing oracle for small instances.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolation, StepPlanError
 from .formulation import MiqpProblem
-from .qp import BoxQp, QpSettings
+from .qp import BoxQp, QpSettings, QpSolution
 
 INT_TOL = 1e-5
 PRUNE_EPS = 1e-9
@@ -106,15 +109,24 @@ class _Tree:
         self.groups = _choice_groups(problem)
         self.incumbent_x: np.ndarray | None = None
         self.incumbent_obj = math.inf
-        self.nodes = 0  # relaxation solves of tree nodes
-        self.refix_solves = 0  # integral snap + heuristic solves
+        # relaxations asked for, memo hits included
+        self.nodes = 0  # by tree nodes
+        self.refix_solves = 0  # by integral snaps and heuristics
         self.heap: list[tuple[float, int, BnbNode, np.ndarray]] = []
         self.tick = 0
+        self.relaxations: dict[frozenset, QpSolution] = {}
 
-    def node_solve(self, fixings: dict[int, float]):
-        sol = self.ws.solve(fixings=fixings)
-        self.nodes += 1
+    def relax(self, fixings: dict[int, float]) -> QpSolution:
+        """The relaxation with ``fixings`` pinned, solved once per fixing set."""
+        key = frozenset(fixings.items())
+        sol = self.relaxations.get(key)
+        if sol is None:
+            sol = self.relaxations[key] = self.ws.solve(fixings=fixings)
         return sol
+
+    def node_solve(self, fixings: dict[int, float]) -> QpSolution:
+        self.nodes += 1
+        return self.relax(fixings)
 
     def fractional_var(self, x: np.ndarray, fixings: dict[int, float]) -> int | None:
         best_i, best_d = None, math.inf
@@ -132,7 +144,7 @@ class _Tree:
 
     def try_incumbent(self, fixings: dict[int, float]) -> bool:
         """Fix every free binary per ``fixings``, resolve, snap and maybe update."""
-        sol = self.ws.solve(fixings=fixings)
+        sol = self.relax(fixings)
         self.refix_solves += 1
         if sol.status != "optimal":
             return False
@@ -174,7 +186,7 @@ class _Tree:
                     return
                 confident = best_group
             fix.update(confident)
-            sol = self.ws.solve(fixings=fix)
+            sol = self.relax(fix)
             self.refix_solves += 1
             if sol.status == "infeasible":
                 return

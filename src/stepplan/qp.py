@@ -5,21 +5,31 @@ lo <= x <= hi  by Mehrotra's predictor-corrector method. A workspace holds
 one constraint structure. Each call pins a set of variables (the
 branch-and-bound fixings), substitutes them out, presolves the rows that
 remain and solves the reduced problem from a fixed interior starting point,
-so a result depends on the fixings alone. Variable bounds carry their own
-slacks: they add a diagonal to the Newton matrix instead of rows. When the
-interior point does not converge, an exact HiGHS feasibility LP decides
-whether the reduced problem is infeasible.
+so a result depends on the fixings alone.
+
+The inequality rows and both sides of the variable bounds form one stacked
+operator  G_all = [G; -I; I]  with one slack and one multiplier per row, so
+the bounds add a diagonal to the Newton block  P + G_all' diag(w) G_all.
+When the iterates stall (the primal residual stops falling while the
+multipliers grow) or the interior point does not converge, an exact HiGHS
+feasibility LP decides whether the reduced problem is infeasible; it runs at
+most once per call.
 
 The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
 with one free variable become bounds, and pairs of opposite rows whose
 right-hand sides cancel (a big-M row pair with its binary fixed) become
-equalities.
+equalities. It changes only right-hand sides and bounds, so a call's G_all
+is always a row and column subset of the workspace's.
 
 Small problems are held dense: for a few variables, numpy products are far
-cheaper than building sparse objects. Large ones keep their rows in CSR
-form and only the Newton matrix is dense. Variable bounds must be finite
-(the assembled problems always are).
+cheaper than building sparse objects, and the Newton block is one product
+plus the bound diagonal. Large ones keep their rows in CSR form and only the
+Newton matrix is dense: the workspace lists once every pair of stored
+entries that share a row of G_all, and each Newton block is one
+``np.bincount`` over the pairs that survive the call's presolve, with no
+sparse object built inside the iteration loop. Variable bounds must be
+finite (the assembled problems always are).
 """
 
 from __future__ import annotations
@@ -42,6 +52,12 @@ EQ_REG = 1e-12
 #: workspaces whose constraint matrix has more entries than this (rows times
 #: variables) hold it in CSR form
 SPARSE_MIN_ENTRIES = 20_000
+#: the iterates stall when, over STALL_ITERS iterations, the relative primal
+#: residual keeps more than STALL_RATIO of its value while the largest
+#: multiplier grows more than STALL_GROWTH times
+STALL_ITERS = 3
+STALL_RATIO = 0.5
+STALL_GROWTH = 10.0
 
 # LAPACK's LU directly: the checking wrappers cost more than a tiny solve
 _getrf, _getrs = la.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
@@ -96,6 +112,21 @@ class _Reduced:
     pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
     bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
     bound_coefs: np.ndarray  # (2, nf) that row's coefficient
+    scatter: tuple | None  # CSR only: block index, G_all row and product of each entry pair
+
+    def newton_block(self, w: np.ndarray) -> np.ndarray:
+        """P + G_all' diag(w) G_all as a dense array."""
+        nf = self.c.size
+        if self.scatter is None:
+            # the bound diagonal goes in after the G product: one product over
+            # G_all sums in another order, and a criterion-1 relaxation whose
+            # complementarity sits within rounding of the tolerance then fails
+            k = self.h.size
+            block = self.p + (self.g.T * w[:k]) @ self.g
+            block[np.diag_indices(nf)] += w[k : k + nf] + w[k + nf :]
+            return block
+        flat, rows, prod = self.scatter
+        return self.p + np.bincount(flat, prod * w[rows], nf * nf).reshape(nf, nf)
 
 
 def _take(m, rows, cols):
@@ -149,6 +180,22 @@ def _opposite_pairs(g: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pairs, dtype=int).reshape(-1, 2), np.array(groups, dtype=int)
 
 
+def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
+    """Every ordered pair of stored entries that share a row of ``m``.
+
+    Returns ``(row, col_a, col_b, product)`` with one element per pair, so
+    that ``m' diag(w) m`` is the sum of ``w[row] * product`` at
+    ``(col_a, col_b)``.
+    """
+    count = np.diff(m.indptr)
+    row_of = np.repeat(np.arange(m.shape[0]), count)  # row of each entry
+    per_entry = count[row_of]
+    a = np.repeat(np.arange(m.nnz), per_entry)
+    first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+    b = m.indptr[row_of[a]] + np.arange(a.size) - first
+    return row_of[a], m.indices[a], m.indices[b], m.data[a] * m.data[b]
+
+
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Variables whose bounds leave room beyond the presolve tolerance."""
     return hi - lo > FEAS_TOL * (1.0 + np.abs(lo))
@@ -200,6 +247,9 @@ class BoxQp:
             m.eliminate_zeros()
         self.sparse = g.shape[0] * n > SPARSE_MIN_ENTRIES
         self.g, self.a, self.p = (g, a, p) if self.sparse else (g.toarray(), a.toarray(), p.toarray())
+        if self.sparse:
+            eye = sp.identity(n, format="csr")
+            self._scatter = _entry_pairs(sp.vstack([g, -eye, eye], format="csr"))
         pinnable = np.zeros(n, dtype=bool)
         pinnable[np.asarray(integer_columns, dtype=int)] = True
         self._int_cols = np.flatnonzero(pinnable)
@@ -291,11 +341,30 @@ class BoxQp:
             b = np.concatenate([b, self.h[first] - (self.g @ x)[first]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         p = _take(self.p, cols, cols)
+        scatter = self._reduced_scatter(g_rows, cols) if self.sparse else None
         return _Reduced(
             x, cols, p if not self.sparse else p.toarray(), self.q[cols] + (self.p @ x)[cols],
             g, h, a, b, lo[cols], hi[cols], g_rows, eq_rows, pairs,
-            bound_rows[:, cols], bound_coefs[:, cols],
+            bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
+
+    def _reduced_scatter(self, g_rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """The workspace's entry pairs that survive a call's presolve, renumbered.
+
+        A pair survives when its row of G_all is kept and both its columns
+        are free; its flat index addresses the reduced Newton block.
+        """
+        m, n, nf = self.h.shape[0], self.n, cols.size
+        row_map = np.full(m + 2 * n, -1)
+        row_map[g_rows] = np.arange(g_rows.size)
+        row_map[m + cols] = g_rows.size + np.arange(nf)
+        row_map[m + n + cols] = g_rows.size + nf + np.arange(nf)
+        col_map = np.full(n, -1)
+        col_map[cols] = np.arange(nf)
+        row, col_a, col_b, prod = self._scatter
+        row, col_a, col_b = row_map[row], col_map[col_a], col_map[col_b]
+        keep = (row >= 0) & (col_a >= 0) & (col_b >= 0)
+        return col_a[keep] * nf + col_b[keep], row[keep], prod[keep]
 
     def _zero_width_pairs(self, x, free, g_rows):
         """Find opposite row pairs whose right-hand sides cancel.
@@ -330,29 +399,28 @@ class BoxQp:
     def solve(
         self,
         fixings: dict[int, float] | None = None,
-        warm_start=None,
         max_iter: int | None = None,
         eps_abs: float | None = None,
     ) -> QpSolution:
         """Solve the relaxation with the variables in ``fixings`` pinned.
 
-        ``warm_start`` is accepted for interface compatibility and ignored:
-        an interior point gains nothing from a start on the boundary, and a
-        fixed start makes every result a function of the fixings alone.
+        Every call starts from the same interior point, so a result is a
+        function of the fixings alone.
         """
-        max_iter = max_iter or self.settings.max_iter
+        if max_iter is None:
+            max_iter = self.settings.max_iter
+        if max_iter < 1:
+            raise ContractViolation(f"max_iter must be at least 1, got {max_iter}")
         eps = self.settings.eps_abs if eps_abs is None else eps_abs
         red = self._presolve(fixings)
         if red is None:
             return self._infeasible(0)
         if red.cols.size == 0:
             return self._result(red, np.zeros(0), np.zeros(0), np.zeros(0), "optimal", 0)
-        xr, y, z, it, converged = _interior_point(red, eps, max_iter)
-        if converged:
-            return self._result(red, xr, y, z, "optimal", it)
-        if not _feasible(red):
+        xr, y, z, it, status = _interior_point(red, eps, max_iter)
+        if status == "infeasible":
             return self._infeasible(it)
-        return self._result(red, xr, y, z, "max-iterations", it)
+        return self._result(red, xr, y, z, status, it)
 
     def _infeasible(self, iterations: int) -> QpSolution:
         m = self.h.shape[0] + self.b.shape[0] + self.n
@@ -407,20 +475,17 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
     """Mehrotra predictor-corrector on the reduced problem.
 
     The inequality rows and both sides of the variable bounds form one
-    stacked system  Gx + s = h,  -x + s_l = -lo,  x + s_u = hi  with
-    slacks s >= 0 and multipliers z >= 0, each held as one vector. Returns
-    ``(x, y, z, iterations, converged)``.
+    stacked system  G_all x + s = h_all, that is  Gx + s = h,  -x + s_l = -lo
+    and  x + s_u = hi,  with slacks s >= 0 and multipliers z >= 0, each held
+    as one vector. Infeasibility is left to the HiGHS LP, run once: at a
+    stall, or when the iterates do not converge. Returns
+    ``(x, y, z, iterations, status)``.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
     h_all = np.concatenate([red.h, -red.lo, red.hi])
     n_cone = h_all.size
     g_t = g.T.tocsr() if sp.issparse(g) else g.T
-
-    def gram(w):  # G' diag(w) G, dense
-        if sp.issparse(g):
-            return (g_t @ sp.diags(w, format="csr") @ g).toarray()
-        return (g_t * w) @ g
 
     def stack(v):  # [G; -I; I] v
         return np.concatenate([g @ v, -v, v])
@@ -436,8 +501,9 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
     kkt[nf:, :nf] = a.toarray() if sp.issparse(a) else a
     kkt[:nf, nf:] = kkt[nf:, :nf].T
     kkt[nf:, nf:] = -EQ_REG * np.eye(me)
-    diag = np.arange(nf)
     a_t = kkt[:nf, nf:]
+    feasible = None  # the LP's verdict, once it has run
+    history = []  # relative primal residual and largest multiplier per iteration
     it = 0
     for it in range(1, max_iter + 1):
         px, gz, ay = p @ x, stack_t(z), a_t @ y
@@ -450,15 +516,23 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
         # residuals relative to the terms that make them up
         scale_p = 1.0 + max(_norm(gx), _norm(h_all), _norm(ax), _norm(b))
         scale_d = 1.0 + max(_norm(px), _norm(c), _norm(gz), _norm(ay))
+        prim = max(_norm(r_p), _norm(r_e))
         if (
-            max(_norm(r_p), _norm(r_e)) <= eps * scale_p
+            prim <= eps * scale_p
             and _norm(r_d) <= eps * scale_d
             and mu * n_cone <= eps * (1.0 + abs(obj))
         ):
-            return x, y, z, it - 1, True
+            return x, y, z, it - 1, "optimal"
+        res_p, z_max = prim / scale_p, float(z.max())
+        history.append((res_p, z_max))
+        if feasible is None and len(history) > STALL_ITERS:
+            old_res, old_z = history[-1 - STALL_ITERS]
+            if res_p > STALL_RATIO * old_res and z_max > STALL_GROWTH * old_z:
+                feasible = _feasible(red)
+                if not feasible:
+                    return x, y, z, it - 1, "infeasible"
         w = z / s
-        kkt[:nf, :nf] = p + gram(w[:mi])
-        kkt[diag, diag] += w[mi : mi + nf] + w[mi + nf :]
+        kkt[:nf, :nf] = red.newton_block(w)
         lu, piv, info = _getrf(kkt)
         if info != 0:
             break
@@ -485,7 +559,9 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
         y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
-    return x, y, z, it, False
+    if feasible is None:
+        feasible = _feasible(red)
+    return x, y, z, it, "max-iterations" if feasible else "infeasible"
 
 
 def _feasible(red: _Reduced) -> bool:

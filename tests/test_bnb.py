@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from stepplan import bnb
 from stepplan.bnb import (
     BRUTE_FORCE_MAX_BINARIES,
     MiqpLimits,
@@ -211,3 +212,32 @@ class TestRelaxationRegressions:
             sol = ws.solve(fixings=fixings)
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(slsqp_reference(prob, fixings), abs=1e-6)
+
+
+class TestRelaxationMemo:
+    def test_each_fixing_set_is_solved_once(self, monkeypatch):
+        # the 12th draw of seed 5: its tree asks for two fixing sets twice
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            prob = random_instance(rng)
+        calls = []
+        real = BoxQp.solve
+
+        def recording(self, fixings=None, **kwargs):
+            calls.append(frozenset((fixings or {}).items()))
+            return real(self, fixings=fixings, **kwargs)
+
+        monkeypatch.setattr(BoxQp, "solve", recording)
+        sol = solve_miqp(prob)
+        assert len(calls) == len(set(calls))
+        memo_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(bnb._Tree, "relax", lambda self, fixings: self.ws.solve(fixings=fixings))
+        plain = solve_miqp(prob)
+        assert len(calls) > memo_calls
+        assert (sol.status, sol.nodes, sol.objective) == (plain.status, plain.nodes, plain.objective)
+        assert np.array_equal(sol.x, plain.x)
+        brute = brute_force_solve(prob)
+        assert sol.status == brute.status == "optimal"
+        assert sol.objective == pytest.approx(brute.objective, abs=1e-5)
+        assert np.allclose(sol.x, brute.x, atol=1e-5)

@@ -133,15 +133,37 @@ class TestWorkspaceReuse:
         sol2 = ws.solve(fixings={1: -0.5})
         assert sol2.x[1] == pytest.approx(-0.5, abs=1e-6)
 
-    def test_warm_start_paths(self):
-        prob = make_problem(np.eye(3), [1.0, -2.0, 0.5])
+    def test_result_depends_on_fixings_alone(self):
+        # solving F, then other fixings, then F again must repeat F bit for bit
+        rng = np.random.default_rng(8)
+        G = rng.normal(size=(5, 5))
+        prob = make_problem(G.T @ G + 0.05 * np.eye(5), rng.normal(size=5),
+                            lb=[-2, -2, -2, 0, 0], ub=[2, 2, 2, 1, 1], bins=[3, 4],
+                            a_in=rng.normal(size=(4, 5)), b_in=rng.normal(size=4) + 3.0)
         ws = BoxQp.from_miqp(prob)
-        cold = ws.solve(warm_start="cold")
-        carried = ws.solve()  # carry
-        primal = ws.solve(warm_start=cold.x)
-        for sol in (cold, carried, primal):
-            assert sol.status == "optimal"
-            assert np.allclose(sol.x, cold.x, atol=1e-5)
+        first = ws.solve(fixings={3: 1.0})
+        ws.solve(fixings={3: 0.0, 4: 1.0})
+        ws.solve()
+        again = ws.solve(fixings={3: 1.0})
+        assert first.status == again.status == "optimal"
+        assert np.array_equal(first.x, again.x)
+        assert np.array_equal(first.y, again.y)
+        assert first.objective == again.objective
+
+    def test_max_iter_means_what_it_says(self):
+        rng = np.random.default_rng(11)
+        G = rng.normal(size=(4, 4))
+        prob = make_problem(G.T @ G + 0.1 * np.eye(4), rng.normal(size=4),
+                            a_in=rng.normal(size=(3, 4)), b_in=rng.normal(size=3) + 2.0,
+                            lb=np.full(4, -5.0), ub=np.full(4, 5.0))
+        ws = BoxQp.from_miqp(prob)
+        assert ws.solve().iterations > 1
+        one = ws.solve(max_iter=1)
+        assert one.status == "max-iterations"
+        assert one.iterations == 1
+        for bad in (0, -3):
+            with pytest.raises(ContractViolation):
+                ws.solve(max_iter=bad)
 
     def test_kkt_residuals_at_active_bound(self):
         # min x^2 with 3 <= x <= 100: the lower bound is active with multiplier 6
@@ -205,3 +227,78 @@ class TestWorkspaceReuse:
         b = solve_qp(prob)
         assert a.iterations == b.iterations
         assert np.array_equal(a.x, b.x)
+
+
+class TestNewtonBlock:
+    @staticmethod
+    def workspace(rng, n, m):
+        # sparse rows with slack right-hand sides: fixing columns leaves some
+        # rows empty or with one entry, which the presolve drops
+        g = sp.random(m, n, density=4.0 / n, random_state=np.random.RandomState(1), format="csr")
+        g.data = rng.normal(size=g.nnz)
+        p = sp.random(n, n, density=3.0 / n, random_state=np.random.RandomState(2), format="csr")
+        p = p @ p.T + sp.identity(n)
+        h = np.asarray(abs(g).sum(axis=1)).ravel() + 1.0
+        ws = BoxQp(p, rng.normal(size=n), g, h, sp.csr_matrix((0, n)), np.zeros(0),
+                   np.full(n, -1.0), np.full(n, 1.0))
+        return ws, g, p
+
+    @pytest.mark.parametrize("n, m, sparse", [(120, 200, True), (14, 12, False)])
+    def test_matches_direct_sparse_product(self, n, m, sparse):
+        rng = np.random.default_rng(n)
+        ws, g, p = self.workspace(rng, n, m)
+        assert ws.sparse == sparse
+        fixed = rng.choice(n, size=n // 3, replace=False)
+        red = ws._presolve({int(j): float(rng.uniform(-1, 1)) for j in fixed})
+        k, nf = red.g_rows.size, red.cols.size
+        assert 0 < k < m and nf == n - fixed.size
+        assert (red.scatter is not None) == sparse
+        w = rng.uniform(0.1, 10.0, size=k + 2 * nf)
+        g_red = g[red.g_rows][:, red.cols]
+        ref = (
+            p[red.cols][:, red.cols]
+            + g_red.T @ sp.diags(w[:k]) @ g_red
+            + sp.diags(w[k : k + nf] + w[k + nf :])
+        ).toarray()
+        block = red.newton_block(w)
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestInfeasibleHandOff:
+    @staticmethod
+    def node_problem():
+        # the binary b relaxes x + y <= -1 + 2b and -x + y <= -1 + 2b; with b
+        # fixed to 0 they force y <= -1 against y >= 0, which only the LP sees
+        return make_problem(np.diag([1.0, 1.0, 0.0]), [0.0, 0.0, 1.0],
+                            a_in=[[1.0, 1.0, -2.0], [-1.0, 1.0, -2.0]], b_in=[-1.0, -1.0],
+                            lb=[-5.0, 0.0, 0.0], ub=[5.0, 5.0, 1.0], bins=[2])
+
+    def test_stalled_infeasible_node_is_decided_early(self, monkeypatch):
+        calls = []
+        real = qp_module._feasible
+        monkeypatch.setattr(qp_module, "_feasible", lambda red: calls.append(1) or real(red))
+        sol = BoxQp.from_miqp(self.node_problem()).solve(fixings={2: 0.0})
+        assert sol.status == "infeasible"
+        assert calls == [1]
+        # waiting for the step to collapse took 16 iterations on this node
+        assert sol.iterations < 16
+
+    def test_stall_on_feasible_problem_keeps_iterating(self, monkeypatch):
+        ws = BoxQp.from_miqp(self.node_problem())
+        plain = ws.solve(fixings={2: 1.0})
+        assert plain.status == "optimal" and plain.iterations > qp_module.STALL_ITERS + 1
+        # make every iteration a stall and let the LP answer feasible
+        monkeypatch.setattr(qp_module, "STALL_RATIO", 0.0)
+        monkeypatch.setattr(qp_module, "STALL_GROWTH", 0.0)
+        calls = []
+        monkeypatch.setattr(qp_module, "_feasible", lambda red: calls.append(1) or True)
+        sol = ws.solve(fixings={2: 1.0})
+        assert sol.status == "optimal"
+        assert calls == [1]
+        assert sol.iterations == plain.iterations
+        assert np.array_equal(sol.x, plain.x)
+        # the LP's verdict stands: an unconverged end does not run it again
+        calls.clear()
+        short = ws.solve(fixings={2: 1.0}, max_iter=qp_module.STALL_ITERS + 2)
+        assert short.status == "max-iterations"
+        assert calls == [1]
