@@ -35,7 +35,7 @@ from .lp_export import problem_to_lp, save_lp
 from .plan_io import load_plan, plan_to_json, save_plan
 from .planner import FootstepPlan, plan, validate_plan
 from .pwl import PwlTable, build_table, segment_count_with_zero_knot
-from .qp import BoxQp, QpSettings, QpSolution, solve_qp
+from .qp import BoxQp, QpSolution, solve_qp
 from .scenario_io import load_scenario, parse_scenario, save_scenario, scenario_to_json
 from .svg import render_plan_svg
 
@@ -55,7 +55,6 @@ __all__ = [
     "MiqpSolution",
     "PlanningError",
     "PwlTable",
-    "QpSettings",
     "QpSolution",
     "RobotModel",
     "SafeRegion",

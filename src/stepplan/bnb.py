@@ -5,9 +5,11 @@ fractional binary (|v - 0.5| minimal, ties to the lowest index). Each
 relaxation is one interior-point solve in a shared ``BoxQp`` workspace with
 the node's binaries pinned; it starts from the same interior point whatever
 the node, so a relaxation depends on its fixings alone. Each tree therefore
-keeps a memo of its relaxations keyed by the fixing set: a tree node, a
-rounding candidate or a dive step that asks for fixings solved before gets
-the stored result instead of a new solve. Everything is deterministic:
+keeps a memo of its relaxations keyed by the fixing set: a tree node or a
+rounding candidate that asks for fixings solved before gets the stored
+result instead of a new solve. Incumbents come from rounding the root
+relaxation, integral relaxations, and rounding a popped node's relaxation
+every HEURISTIC_INTERVAL pops. Everything is deterministic:
 identical problems and limits reproduce identical node counts and solutions
 (time limits excepted). A brute-force enumerator over all binary patterns
 serves as the testing oracle for small instances.
@@ -25,12 +27,14 @@ import numpy as np
 
 from .errors import ContractViolation, StepPlanError
 from .formulation import MiqpProblem
-from .qp import BoxQp, QpSettings, QpSolution
+from .qp import BoxQp, QpSolution
 
 INT_TOL = 1e-5
 PRUNE_EPS = 1e-9
 OPTIMAL_GAP = 1e-4
 BRUTE_FORCE_MAX_BINARIES = 20
+#: the rounding heuristic runs on every k-th popped node
+HEURISTIC_INTERVAL = 8
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,6 @@ class MiqpLimits:
     gap: float = 1e-4
     max_nodes: int | None = None
     time_limit: float | None = None
-    heuristic_interval: int = 8  # rounding heuristic every k popped nodes (0 = off)
-    dive_rounds: int = 6  # partial-fix re-solves when one-shot rounding fails
 
 
 @dataclass(frozen=True)
@@ -91,17 +93,11 @@ def _choice_groups(problem: MiqpProblem) -> list[np.ndarray]:
 
 
 class _Tree:
-    def __init__(
-        self,
-        problem: MiqpProblem,
-        limits: MiqpLimits,
-        settings: QpSettings | None,
-        rounding=None,
-    ):
+    def __init__(self, problem: MiqpProblem, limits: MiqpLimits, rounding=None):
         self.problem = problem
         self.limits = limits
         self.rounding = rounding
-        self.ws = BoxQp.from_miqp(problem, settings)
+        self.ws = BoxQp.from_miqp(problem)
         lb, ub = problem.lower, problem.upper
         self.free_bins = np.array(
             [i for i in problem.binary_indices if lb[i] < ub[i]], dtype=int
@@ -142,61 +138,18 @@ class _Tree:
                 best_d, best_i = d, i
         return best_i
 
-    def try_incumbent(self, fixings: dict[int, float]) -> bool:
+    def try_incumbent(self, fixings: dict[int, float]) -> None:
         """Fix every free binary per ``fixings``, resolve, snap and maybe update."""
         sol = self.relax(fixings)
         self.refix_solves += 1
         if sol.status != "optimal":
-            return False
+            return
         x = sol.x.copy()
         x[self.problem.binary_indices] = np.round(x[self.problem.binary_indices])
         obj = self.problem.objective_value(x)
         if obj < self.incumbent_obj - 1e-12:
             self.incumbent_obj = obj
             self.incumbent_x = x
-        return True
-
-    def dive(self, x: np.ndarray, fixings: dict[int, float]) -> None:
-        """Progressively fix confident choice groups when one-shot rounding fails.
-
-        Each round fixes the groups whose largest indicator is confident (or
-        the single most confident group as a fallback), re-solves the
-        relaxation and retries the full completions. Bounded by dive_rounds.
-        """
-        fix = dict(fixings)
-        cur = x
-        for _ in range(self.limits.dive_rounds):
-            confident: dict[int, float] = {}
-            best_group = None
-            best_conf = -1.0
-            for g in self.groups:
-                free = [int(i) for i in g if int(i) not in fix]
-                if not free or any(fix.get(int(i), 0.0) == 1.0 for i in g):
-                    continue
-                pick = max(free, key=lambda i: (cur[i], -i))
-                conf = float(cur[pick])
-                assignment = {i: (1.0 if i == pick else 0.0) for i in free}
-                if conf >= 0.65:
-                    confident.update(assignment)
-                if conf > best_conf:
-                    best_conf = conf
-                    best_group = assignment
-            if not confident:
-                if best_group is None:
-                    return
-                confident = best_group
-            fix.update(confident)
-            sol = self.relax(fix)
-            self.refix_solves += 1
-            if sol.status == "infeasible":
-                return
-            cur = sol.x
-            done = False
-            for cand in self.rounding_candidates(cur, fix):
-                if self.try_incumbent(cand):
-                    done = True
-            if done:
-                return
 
     def rounding_candidates(self, x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
         """Deterministic integral completions to try as incumbents.
@@ -265,17 +218,9 @@ class _Tree:
             self.incumbent_x = x
             self.incumbent_obj = self.problem.objective_value(x)
             return self.result(None, t0)
-        var = self.fractional_var(root.x, {})
         for cand in self.rounding_candidates(root.x, {}):
             self.try_incumbent(cand)
-        root_gap = _relative_gap(self.incumbent_obj, root.objective)
-        if (
-            var is not None
-            and limits.dive_rounds > 0
-            and root_gap > max(3.0 * limits.gap, 0.02)
-        ):
-            self.dive(root.x, {})
-        if var is not None:
+        if self.fractional_var(root.x, {}) is not None:
             # ties on the bound pop newest-first: equal-bound plateaus are
             # traversed depth-first instead of exhaustively breadth-first
             node = BnbNode(fixings={}, bound=root.objective, depth=0)
@@ -327,7 +272,7 @@ class _Tree:
                 child = BnbNode(fixings=child_fix, bound=child_bound, depth=node.depth + 1)
                 heapq.heappush(self.heap, (child.bound, -self.tick, child, sol.x))
                 self.tick += 1
-            if limits.heuristic_interval and pops % limits.heuristic_interval == 0:
+            if pops % HEURISTIC_INTERVAL == 0:
                 for cand in self.rounding_candidates(x, fixings):
                     self.try_incumbent(cand)
         return self.result(status, t0)
@@ -336,21 +281,19 @@ class _Tree:
 def solve_miqp(
     problem: MiqpProblem,
     limits: MiqpLimits | None = None,
-    settings: QpSettings | None = None,
     rounding=None,
 ) -> MiqpSolution:
     """Solve a MIQP by best-first branch-and-bound over its binary variables.
 
     ``rounding`` is an optional model-aware completion hook
-    ``fn(x, fixings) -> list of fixings`` used by the incumbent heuristic;
-    each candidate it returns is completed and tried as an incumbent.
+    ``fn(x, fixings) -> list of fixings`` used by the incumbent heuristic in
+    place of the generic argmax rounding; each candidate it returns is
+    completed and tried as an incumbent.
     """
-    return _Tree(problem, limits or MiqpLimits(), settings, rounding=rounding).run()
+    return _Tree(problem, limits or MiqpLimits(), rounding=rounding).run()
 
 
-def brute_force_solve(
-    problem: MiqpProblem, settings: QpSettings | None = None
-) -> MiqpSolution:
+def brute_force_solve(problem: MiqpProblem) -> MiqpSolution:
     """Enumerate every assignment of the free binaries and keep the best QP.
 
     Exact up to QP tolerance; refuses more than BRUTE_FORCE_MAX_BINARIES free
@@ -363,7 +306,7 @@ def brute_force_solve(
         raise ContractViolation(
             f"brute force refused: {len(free)} free binaries exceeds {BRUTE_FORCE_MAX_BINARIES}"
         )
-    ws = BoxQp.from_miqp(problem, settings)
+    ws = BoxQp.from_miqp(problem)
     best_x = None
     best_obj = math.inf
     solves = 0

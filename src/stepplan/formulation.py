@@ -202,9 +202,6 @@ class MiqpProblem:
         x = np.asarray(x, dtype=float)
         return float(x @ (self.q_matrix @ x) + self.c_vector @ x + self.objective_constant)
 
-    def is_binary(self, index: int) -> bool:
-        return index in set(self.binary_indices.tolist())
-
 
 class _LinExpr:
     """Sparse linear expression  sum(coef * x[col]) + const."""
@@ -932,32 +929,14 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
             path.append((start_coc + travel * direction, scenario.start_yaw + turn))
         return assignment_for_path(path)
 
-    def relaxed_path(x: np.ndarray) -> dict[int, float] | None:
-        """Nominal-stance walk along the relaxation's own CoC/yaw path."""
-        path = []
-        for cfg in range(1, layout.n_configs + 1):
-            first = (cfg - 1) * n + 1
-            coc_c = np.array(
-                [
-                    np.mean([x[layout.foot(i, comp)] for i in range(first, first + n)])
-                    for comp in range(2)
-                ]
-            )
-            path.append((coc_c, float(x[layout.theta(cfg)])))
-        return assignment_for_path(path)
-
     def candidates(x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
         outs = [complete(x, fixings, with_trims=True)]
         second = complete(x, fixings, with_trims=False)
         if second != outs[0]:
             outs.append(second)
         if not fixings:
-            for cand in (
-                relaxed_path(x),
-                straight_walk(1.0),
-                straight_walk(0.8),
-                straight_walk(0.6),
-            ):
+            for stride_factor in (1.0, 0.8, 0.6):
+                cand = straight_walk(stride_factor)
                 if cand is not None and cand not in outs:
                     outs.append(cand)
         return outs

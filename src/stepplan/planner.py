@@ -29,7 +29,6 @@ from .model import (
     nominal_position,
     wrap_angle,
 )
-from .qp import QpSettings
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,23 @@ def _drop_standing_tail(
 #: always exact; these limits only affect step placement quality.
 DEFAULT_CHUNK_GAP = 0.01
 DEFAULT_CHUNK_NODES = 4
+#: the goal is reached when the CoC is within GOAL_TOL of it and the yaw
+#: within YAW_TOL; planning stops when a chunk brings the CoC less than
+#: PROGRESS_TOL closer
+GOAL_TOL = 0.05
+YAW_TOL = 0.05
+PROGRESS_TOL = 0.01
 
 
 def plan(
     scenario: Scenario,
     chunk_multiplier: int = 4,
     limits: MiqpLimits | None = None,
-    settings: QpSettings | None = None,
-    goal_tol: float = 0.05,
-    yaw_tol: float = 0.05,
-    progress_tol: float = 0.01,
 ) -> FootstepPlan:
     """Plan footsteps from the scenario start to its goal by chunked solves.
 
-    Terminates when the CoC and yaw reach the goal within the tolerances,
-    when a chunk fails to make ``progress_tol`` of progress, or when the
+    Terminates when the CoC and yaw reach the goal within GOAL_TOL and
+    YAW_TOL, when a chunk fails to make PROGRESS_TOL of progress, or when the
     scenario's step budget is exhausted. Raises PlanningError if a chunk is
     infeasible or hits solver limits without any feasible incumbent.
     """
@@ -159,7 +160,7 @@ def plan(
 
     dist = float(np.linalg.norm(coc(cur_holds) - goal_xy))
     yaw_err = abs(wrap_angle(cur_yaw - scenario.goal_yaw))
-    if dist <= goal_tol and yaw_err <= yaw_tol:
+    if dist <= GOAL_TOL and yaw_err <= YAW_TOL:
         return FootstepPlan((), (), True, "goal", dist, yaw_err)
 
     converged = False
@@ -176,7 +177,7 @@ def plan(
         )
         problem = assemble(chunk_scn)
         rounding = make_rounding_heuristic(chunk_scn, problem)
-        sol = solve_miqp(problem, limits=limits, settings=settings, rounding=rounding)
+        sol = solve_miqp(problem, limits=limits, rounding=rounding)
         if sol.status == "infeasible":
             raise PlanningError(
                 f"chunk {index} is infeasible", index, chunk_scn, reason="infeasible"
@@ -222,12 +223,12 @@ def plan(
             cur_yaw = tail[-1].theta
         new_dist = float(np.linalg.norm(coc(cur_holds) - goal_xy))
         yaw_err = abs(wrap_angle(cur_yaw - scenario.goal_yaw))
-        if new_dist <= goal_tol and yaw_err <= yaw_tol:
+        if new_dist <= GOAL_TOL and yaw_err <= YAW_TOL:
             converged = True
             termination = "goal"
             dist = new_dist
             break
-        if dist - new_dist < progress_tol:
+        if dist - new_dist < PROGRESS_TOL:
             termination = "no-progress"
             dist = new_dist
             break

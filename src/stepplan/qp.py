@@ -45,6 +45,10 @@ from scipy.optimize import linprog
 from .errors import ContractViolation
 from .formulation import MiqpProblem
 
+#: residual and complementarity tolerance, relative to the data scale
+EPS_ABS = 1e-9
+#: interior-point iterations per call before the LP decides the status
+MAX_ITER = 100
 #: presolve tolerance for emptied rows, crossed bounds and zero-width pairs
 FEAS_TOL = 1e-9
 #: regularization of the equality block of the Newton matrix
@@ -58,15 +62,14 @@ SPARSE_MIN_ENTRIES = 20_000
 STALL_ITERS = 3
 STALL_RATIO = 0.5
 STALL_GROWTH = 10.0
+#: the iterates stop once the complementarity gap is this small relative to
+#: the objective: further steps only push slacks and multipliers toward zero
+MU_FLOOR = 1e-32
+#: the fraction to the boundary stays below 1, so no slack lands on zero
+TAU_MAX = 1.0 - 1e-14
 
 # LAPACK's LU directly: the checking wrappers cost more than a tiny solve
 _getrf, _getrs = la.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class QpSettings:
-    eps_abs: float = 1e-9  # residual and complementarity tolerance, relative to data scale
-    max_iter: int = 100
 
 
 @dataclass
@@ -225,12 +228,10 @@ class BoxQp:
         lower: np.ndarray,
         upper: np.ndarray,
         objective_constant: float = 0.0,
-        settings: QpSettings | None = None,
         integer_columns=(),
     ):
         """``integer_columns`` are the variables a call may pin (the binaries);
         rows are paired as opposites on the other columns."""
-        self.settings = settings or QpSettings()
         self.lo = np.asarray(lower, dtype=float)
         self.hi = np.asarray(upper, dtype=float)
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
@@ -257,7 +258,7 @@ class BoxQp:
         self._pairs, self._pair_groups = _opposite_pairs(g[:, ~pinnable & (self.lo < self.hi)])
 
     @classmethod
-    def from_miqp(cls, problem: MiqpProblem, settings: QpSettings | None = None) -> "BoxQp":
+    def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
         """Relax a MIQP: binaries become [0,1] continuous."""
         return cls(
             2.0 * problem.q_matrix,
@@ -269,7 +270,6 @@ class BoxQp:
             problem.lower,
             problem.upper,
             objective_constant=problem.objective_constant,
-            settings=settings,
             integer_columns=problem.binary_indices,
         )
 
@@ -396,28 +396,18 @@ class BoxQp:
         return pairs[zero][first], np.unique(pairs[zero])
 
     # ------------------------------------------------------------------ solve
-    def solve(
-        self,
-        fixings: dict[int, float] | None = None,
-        max_iter: int | None = None,
-        eps_abs: float | None = None,
-    ) -> QpSolution:
+    def solve(self, fixings: dict[int, float] | None = None) -> QpSolution:
         """Solve the relaxation with the variables in ``fixings`` pinned.
 
         Every call starts from the same interior point, so a result is a
         function of the fixings alone.
         """
-        if max_iter is None:
-            max_iter = self.settings.max_iter
-        if max_iter < 1:
-            raise ContractViolation(f"max_iter must be at least 1, got {max_iter}")
-        eps = self.settings.eps_abs if eps_abs is None else eps_abs
         red = self._presolve(fixings)
         if red is None:
             return self._infeasible(0)
         if red.cols.size == 0:
             return self._result(red, np.zeros(0), np.zeros(0), np.zeros(0), "optimal", 0)
-        xr, y, z, it, status = _interior_point(red, eps, max_iter)
+        xr, y, z, it, status = _interior_point(red)
         if status == "infeasible":
             return self._infeasible(it)
         return self._result(red, xr, y, z, status, it)
@@ -471,7 +461,7 @@ class BoxQp:
         )
 
 
-def _interior_point(red: _Reduced, eps: float, max_iter: int):
+def _interior_point(red: _Reduced):
     """Mehrotra predictor-corrector on the reduced problem.
 
     The inequality rows and both sides of the variable bounds form one
@@ -504,8 +494,9 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
     a_t = kkt[:nf, nf:]
     feasible = None  # the LP's verdict, once it has run
     history = []  # relative primal residual and largest multiplier per iteration
+    eps = EPS_ABS
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         px, gz, ay = p @ x, stack_t(z), a_t @ y
         gx, ax = stack(x), a @ x
         r_d = px + c + gz + ay
@@ -523,6 +514,8 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
             and mu * n_cone <= eps * (1.0 + abs(obj))
         ):
             return x, y, z, it - 1, "optimal"
+        if mu * n_cone <= MU_FLOOR * (1.0 + abs(obj)):
+            break
         res_p, z_max = prim / scale_p, float(z.max())
         history.append((res_p, z_max))
         if feasible is None and len(history) > STALL_ITERS:
@@ -551,7 +544,7 @@ def _interior_point(red: _Reduced, eps: float, max_iter: int):
         # corrector: second-order term plus centering
         dx, dy, ds, dz = newton(s * z + ds * dz - sigma * mu)
         # a fixed fraction to the boundary can cycle at small mu
-        tau = max(0.9, 1.0 - 10.0 * mu)
+        tau = min(max(0.9, 1.0 - 10.0 * mu), TAU_MAX)
         alpha = min(1.0, tau * _max_step(s, ds, z, dz))
         if not (alpha > 1e-12 and np.all(np.isfinite(dx))):
             break
@@ -578,15 +571,11 @@ def _feasible(red: _Reduced) -> bool:
     return res.status != 2
 
 
-def solve_qp(
-    problem: MiqpProblem,
-    fixings: dict[int, float] | None = None,
-    settings: QpSettings | None = None,
-) -> QpSolution:
+def solve_qp(problem: MiqpProblem, fixings: dict[int, float] | None = None) -> QpSolution:
     """Solve the convex relaxation of ``problem`` (binaries in [0,1]).
 
     ``fixings`` pins individual variables (typically binaries) to values.
     Convenience wrapper that builds a fresh workspace; reuse a BoxQp when
     solving many variations of one problem.
     """
-    return BoxQp.from_miqp(problem, settings).solve(fixings=fixings)
+    return BoxQp.from_miqp(problem).solve(fixings=fixings)
