@@ -44,15 +44,6 @@ class MiqpLimits:
     time_limit: float | None = None
 
 
-@dataclass(frozen=True)
-class BnbNode:
-    """A subtree: partial binary fixings plus the relaxation bound proving it."""
-
-    fixings: dict[int, float]
-    bound: float
-    depth: int
-
-
 @dataclass
 class MiqpSolution:
     """Incumbent (exactly integral binaries) plus solve statistics."""
@@ -108,7 +99,8 @@ class _Tree:
         # relaxations asked for, memo hits included
         self.nodes = 0  # by tree nodes
         self.refix_solves = 0  # by integral snaps and heuristics
-        self.heap: list[tuple[float, int, BnbNode, np.ndarray]] = []
+        # open subtrees: (bound, -tick, fixings, branching variable, relaxed x)
+        self.heap: list[tuple[float, int, dict[int, float], int, np.ndarray]] = []
         self.tick = 0
         self.relaxations: dict[frozenset, QpSolution] = {}
 
@@ -220,11 +212,11 @@ class _Tree:
             return self.result(None, t0)
         for cand in self.rounding_candidates(root.x, {}):
             self.try_incumbent(cand)
-        if self.fractional_var(root.x, {}) is not None:
+        var = self.fractional_var(root.x, {})
+        if var is not None:
             # ties on the bound pop newest-first: equal-bound plateaus are
             # traversed depth-first instead of exhaustively breadth-first
-            node = BnbNode(fixings={}, bound=root.objective, depth=0)
-            heapq.heappush(self.heap, (node.bound, -self.tick, node, root.x))
+            heapq.heappush(self.heap, (root.objective, -self.tick, {}, var, root.x))
             self.tick += 1
 
         status = None
@@ -240,17 +232,11 @@ class _Tree:
             if limits.time_limit is not None and time.perf_counter() - t0 > limits.time_limit:
                 status = "time-limit"
                 break
-            bound, _, node, x = heapq.heappop(self.heap)
+            bound, _, fixings, var, x = heapq.heappop(self.heap)
             if bound >= self.incumbent_obj - PRUNE_EPS:
                 self.heap.clear()  # best-first: all remaining nodes are prunable
                 break
             pops += 1
-            fixings = node.fixings
-            var = self.fractional_var(x, fixings)
-            if var is None:
-                for cand in self.rounding_candidates(x, fixings):
-                    self.try_incumbent(cand)
-                continue
             for val in (0.0, 1.0):
                 child_fix = dict(fixings)
                 child_fix[var] = val
@@ -269,8 +255,7 @@ class _Tree:
                     for cand in self.rounding_candidates(sol.x, child_fix):
                         self.try_incumbent(cand)
                     continue
-                child = BnbNode(fixings=child_fix, bound=child_bound, depth=node.depth + 1)
-                heapq.heappush(self.heap, (child.bound, -self.tick, child, sol.x))
+                heapq.heappush(self.heap, (child_bound, -self.tick, child_fix, child_var, sol.x))
                 self.tick += 1
             if pops % HEURISTIC_INTERVAL == 0:
                 for cand in self.rounding_candidates(x, fixings):

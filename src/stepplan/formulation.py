@@ -839,7 +839,7 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
                         pick = k
                         break
                 if pick is None:
-                    pick = table.segment_of(theta) + 1
+                    pick = segment = table.segment_of(theta) + 1
                     if fixings.get(indices[pick - 1]) == 0.0:
                         free = [
                             k
@@ -847,7 +847,7 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
                             if fixings.get(idx) != 0.0 and problem.upper[idx] > 0.0
                         ]
                         if free:
-                            pick = min(free, key=lambda k: abs(k - (sin_table.segment_of(theta) + 1)))
+                            pick = min(free, key=lambda k: abs(k - segment))
                 for k, idx in enumerate(indices, start=1):
                     if idx not in fixings:
                         out[idx] = 1.0 if k == pick else 0.0
@@ -935,7 +935,7 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
         if second != outs[0]:
             outs.append(second)
         if not fixings:
-            for stride_factor in (1.0, 0.8, 0.6):
+            for stride_factor in (1.0, 0.8):
                 cand = straight_walk(stride_factor)
                 if cand is not None and cand not in outs:
                     outs.append(cand)

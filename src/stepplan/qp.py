@@ -20,7 +20,9 @@ interior: rows emptied by the fixings are checked and dropped, rows left
 with one free variable become bounds, and pairs of opposite rows whose
 right-hand sides cancel (a big-M row pair with its binary fixed) become
 equalities. It changes only right-hand sides and bounds, so a call's G_all
-is always a row and column subset of the workspace's.
+is always a row and column subset of the workspace's. Its rounds work on
+whole-workspace vectors (live-row and free-column masks, row counts from one
+product with the free-column mask); each matrix is sliced once per call.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
@@ -138,21 +140,15 @@ def _take(m, rows, cols):
     return m[rows][:, cols]
 
 
-def _row_entries(m, rows):
-    """Column and value of the first stored entry of each row in ``rows``."""
-    if not len(rows):
+def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
+    """Column and coefficient of the sole free entry of each row in ``rows``.
+
+    ``nz`` marks the entries of ``m`` and ``f`` the free columns; both
+    products are exact, since every other term is zero."""
+    if not rows.size:
         return (), ()
-    if isinstance(m, np.ndarray):
-        sub = m[rows]
-        cols = np.argmax(sub != 0.0, axis=1)
-        return cols, sub[np.arange(len(rows)), cols]
-    return m.indices[m.indptr[rows]], m.data[m.indptr[rows]]
-
-
-def _row_nnz(m) -> np.ndarray:
-    if isinstance(m, np.ndarray):
-        return np.count_nonzero(m, axis=1)
-    return np.diff(m.indptr)
+    cols = (nz @ (f * np.arange(f.size)))[rows].astype(int)
+    return cols, (m @ f)[rows]
 
 
 def _opposite_pairs(g: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +249,10 @@ class BoxQp:
             self._scatter = _entry_pairs(sp.vstack([g, -eye, eye], format="csr"))
         pinnable = np.zeros(n, dtype=bool)
         pinnable[np.asarray(integer_columns, dtype=int)] = True
-        self._int_cols = np.flatnonzero(pinnable)
-        self._g_int = (abs(self.g[:, self._int_cols]) > 0.0).astype(float)
+        self._pinnable = pinnable
+        # 1.0 at each stored entry: a product with the free mask counts free entries
+        self._nz_g = (abs(self.g) > 0.0).astype(float)
+        self._nz_a = (abs(self.a) > 0.0).astype(float)
         self._pairs, self._pair_groups = _opposite_pairs(g[:, ~pinnable & (self.lo < self.hi)])
 
     @classmethod
@@ -275,7 +273,12 @@ class BoxQp:
 
     # --------------------------------------------------------------- presolve
     def _presolve(self, fixings: dict[int, float] | None) -> _Reduced | None:
-        """Substitute the fixings and simplify; None proves infeasibility."""
+        """Substitute the fixings and simplify; None proves infeasibility.
+
+        Rows left empty or singleton leave the live set, and a round that
+        pins a variable starts another. The reduced problem is sliced from
+        the workspace once, after the last round.
+        """
         lo = self.lo.copy()
         hi = self.hi.copy()
         if fixings:
@@ -283,68 +286,70 @@ class BoxQp:
             lo[idx] = hi[idx] = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
         bound_rows = np.full((2, self.n), -1)
         bound_coefs = np.zeros((2, self.n))
-        g_rows = np.arange(self.h.shape[0])
-        eq_rows = np.arange(self.b.shape[0])
+        live_g = np.ones(self.h.shape[0], dtype=bool)
+        live_a = np.ones(self.b.shape[0], dtype=bool)
         free = _wide(lo, hi)
         while True:
             x = np.where(free, 0.0, 0.5 * (lo + hi))
-            cols = np.flatnonzero(free)
-            g = _take(self.g, g_rows, cols)
-            h = self.h[g_rows] - (self.g @ x)[g_rows]
-            a = _take(self.a, eq_rows, cols)
-            b = self.b[eq_rows] - (self.a @ x)[eq_rows]
-            g_nnz = _row_nnz(g)
-            a_nnz = _row_nnz(a)
-            empty = g_nnz == 0
-            if np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[g_rows[empty]]))):
+            f = free.astype(float)
+            h = self.h - self.g @ x
+            b = self.b - self.a @ x
+            g_nnz = self._nz_g @ f
+            a_nnz = self._nz_a @ f
+            empty = live_g & (g_nnz == 0.0)
+            if np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
                 return None
-            empty = a_nnz == 0
-            if np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[eq_rows[empty]]))):
+            empty = live_a & (a_nnz == 0.0)
+            if np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
                 return None
             # a singleton inequality row tightens one bound of its variable
-            single = np.flatnonzero(g_nnz == 1)
-            for k, j, coef in zip(single, *_row_entries(g, single)):
-                col, bound = cols[j], h[k] / coef
+            single = np.flatnonzero(live_g & (g_nnz == 1.0))
+            for k, col, coef in zip(single, *_singletons(self._nz_g, self.g, f, single)):
+                bound = h[k] / coef
                 if coef > 0.0 and bound < hi[col]:
                     hi[col] = bound
-                    bound_rows[1, col], bound_coefs[1, col] = g_rows[k], coef
+                    bound_rows[1, col], bound_coefs[1, col] = k, coef
                 elif coef < 0.0 and bound > lo[col]:
                     lo[col] = bound
-                    bound_rows[0, col], bound_coefs[0, col] = g_rows[k], coef
+                    bound_rows[0, col], bound_coefs[0, col] = k, coef
             # a singleton equality row fixes its variable
-            single = np.flatnonzero(a_nnz == 1)
-            for k, j, coef in zip(single, *_row_entries(a, single)):
-                col, val = cols[j], b[k] / coef
+            single = np.flatnonzero(live_a & (a_nnz == 1.0))
+            for k, col, coef in zip(single, *_singletons(self._nz_a, self.a, f, single)):
+                val = b[k] / coef
                 slack = FEAS_TOL * (1.0 + abs(val))
                 if not lo[col] - slack <= val <= hi[col] + slack:
                     return None
                 lo[col] = hi[col] = val
             if np.any(lo - hi > FEAS_TOL * (1.0 + np.abs(lo))):
                 return None
-            keep_g, keep_a = g_nnz >= 2, a_nnz >= 2
-            g_rows, eq_rows = g_rows[keep_g], eq_rows[keep_a]
+            live_g &= g_nnz >= 2.0
+            live_a &= a_nnz >= 2.0
             still_free = _wide(lo, hi)
             if np.array_equal(still_free, free):
-                g, h, a, b = g[keep_g], h[keep_g], a[keep_a], b[keep_a]
                 break
             free = still_free  # a row pinned a variable: substitute again
-        found = self._zero_width_pairs(x, free, g_rows)
+        found = self._zero_width_pairs(h, f, live_g)
         if found is None:
             return None
         pairs, implied = found
+        live_g[implied] = False
+        cols = np.flatnonzero(free)
+        g_rows = np.flatnonzero(live_g)
+        eq_rows = np.flatnonzero(live_a)
+        g = _take(self.g, g_rows, cols)
+        a = _take(self.a, eq_rows, cols)
+        b = b[eq_rows]
         if pairs.size:
-            keep = ~np.isin(g_rows, implied)
-            g, h, g_rows = g[keep], h[keep], g_rows[keep]
             first = pairs[:, 0]
             rows = _take(self.g, first, cols)
             a = np.vstack([a, rows]) if not self.sparse else sp.vstack([a, rows], format="csr")
-            b = np.concatenate([b, self.h[first] - (self.g @ x)[first]])
+            b = np.concatenate([b, h[first]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         p = _take(self.p, cols, cols)
         scatter = self._reduced_scatter(g_rows, cols) if self.sparse else None
         return _Reduced(
             x, cols, p if not self.sparse else p.toarray(), self.q[cols] + (self.p @ x)[cols],
-            g, h, a, b, lo[cols], hi[cols], g_rows, eq_rows, pairs,
+            g, h[g_rows], a, b, lo[cols], hi[cols], g_rows, eq_rows, pairs,
             bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
@@ -366,27 +371,25 @@ class BoxQp:
         keep = (row >= 0) & (col_a >= 0) & (col_b >= 0)
         return col_a[keep] * nf + col_b[keep], row[keep], prod[keep]
 
-    def _zero_width_pairs(self, x, free, g_rows):
+    def _zero_width_pairs(self, rhs, f, live_g):
         """Find opposite row pairs whose right-hand sides cancel.
 
-        A pair is live when both rows are kept and all their pinnable
-        columns are fixed, so that their free parts are exact negatives.
-        Returns ``(pairs, implied)``: one pair per group, whose first row
-        becomes an equality, and every row of a zero-width pair, which those
-        equalities imply. Returns None if a live pair has negative width.
+        ``rhs`` is h - Gx and ``f`` the free-column mask. A pair is live when
+        both rows are live and all their pinnable columns are fixed, so that
+        their free parts are exact negatives. Returns ``(pairs, implied)``:
+        one pair per group, whose first row becomes an equality, and every
+        row of a zero-width pair, which those equalities imply. Returns None
+        if a live pair has negative width.
         """
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
             return none, none
-        kept = np.zeros(self.h.shape[0], dtype=bool)
-        kept[g_rows] = True
-        pinned = self._g_int @ free[self._int_cols] == 0.0
+        pinned = self._nz_g @ (f * self._pinnable) == 0.0
         pi, pj = self._pairs[:, 0], self._pairs[:, 1]
-        live = kept[pi] & kept[pj] & pinned[pi] & pinned[pj]
+        live = live_g[pi] & live_g[pj] & pinned[pi] & pinned[pj]
         if not live.any():
             return none, none
         pairs, groups = self._pairs[live], self._pair_groups[live]
-        rhs = self.h - self.g @ x
         h_i = rhs[pairs[:, 0]]
         width = h_i + rhs[pairs[:, 1]]
         if np.any(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
@@ -492,6 +495,7 @@ def _interior_point(red: _Reduced):
     kkt[:nf, nf:] = kkt[nf:, :nf].T
     kkt[nf:, nf:] = -EQ_REG * np.eye(me)
     a_t = kkt[:nf, nf:]
+    norm_h, norm_b, norm_c = _norm(h_all), _norm(b), _norm(c)  # loop invariants
     feasible = None  # the LP's verdict, once it has run
     history = []  # relative primal residual and largest multiplier per iteration
     eps = EPS_ABS
@@ -505,8 +509,8 @@ def _interior_point(red: _Reduced):
         mu = float(s @ z) / n_cone
         obj = float(0.5 * x @ px + c @ x)
         # residuals relative to the terms that make them up
-        scale_p = 1.0 + max(_norm(gx), _norm(h_all), _norm(ax), _norm(b))
-        scale_d = 1.0 + max(_norm(px), _norm(c), _norm(gz), _norm(ay))
+        scale_p = 1.0 + max(_norm(gx), norm_h, _norm(ax), norm_b)
+        scale_d = 1.0 + max(_norm(px), norm_c, _norm(gz), _norm(ay))
         prim = max(_norm(r_p), _norm(r_e))
         if (
             prim <= eps * scale_p

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 pass/fail line (run with ``pytest tests/test_acceptance.py -s`` to see them).
 
-The bundled scenario plans are computed once per session and shared.
+The bundled scenario plans are computed once per session and shared (the
+``preset_plans`` fixture in ``conftest.py``).
 """
 
 import math
@@ -35,18 +36,6 @@ PRESETS = (
     "quadruped_stepping_stones",
     "quadruped_tilted_terrain",
 )
-
-_plan_cache = {}
-
-
-def preset_plan(name):
-    if name not in _plan_cache:
-        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
-        t0 = time.perf_counter()
-        result = plan(scenario)
-        _plan_cache[name] = (scenario, result, time.perf_counter() - t0)
-    return _plan_cache[name]
-
 
 def report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}")
@@ -110,11 +99,11 @@ def test_criterion_1_oracle_equivalence():
     )
 
 
-def test_criterion_2_constraint_feasibility():
+def test_criterion_2_constraint_feasibility(preset_plans):
     worst_rows = 0
     details = []
     for name in PRESETS:
-        scenario, result, _ = preset_plan(name)
+        scenario, result, _ = preset_plans[name]
         for chunk in result.chunks:
             problem = assemble(chunk.scenario)
             rep = validate_assignment(problem, chunk.solution.x, 1e-6)
@@ -148,8 +137,8 @@ def test_criterion_3_pwl_error_bound():
     report(3, ok, "dense-grid chord error within h^2/8 for all tables (" + "; ".join(worst) + ")")
 
 
-def test_criterion_4_stepping_stones_reproduction():
-    scenario, result, elapsed = preset_plan("hexapod_stepping_stones")
+def test_criterion_4_stepping_stones_reproduction(preset_plans):
+    scenario, result, _ = preset_plans["hexapod_stepping_stones"]
     chunk_times = [c.solve_time for c in result.chunks]
     chunk_ok = all(t < 60.0 for t in chunk_times)
     converged = result.converged and result.coc_error <= 0.05 and result.yaw_error <= 0.05
@@ -165,8 +154,8 @@ def test_criterion_4_stepping_stones_reproduction():
     )
 
 
-def test_criterion_5_rotation_scenario():
-    scenario, result, _ = preset_plan("hexapod_rotation")
+def test_criterion_5_rotation_scenario(preset_plans):
+    scenario, result, _ = preset_plans["hexapod_rotation"]
     final_yaw = result.steps[-1].theta if result.steps else scenario.start_yaw
     ok = result.converged and abs(final_yaw - math.pi / 2) <= 0.05
     single_range = scenario.theta_range[1] - scenario.theta_range[0]
@@ -178,10 +167,10 @@ def test_criterion_5_rotation_scenario():
     )
 
 
-def test_criterion_6_generality():
+def test_criterion_6_generality(preset_plans):
     results = []
     for name in ("quadruped_stepping_stones", "quadruped_tilted_terrain"):
-        scenario, result, _ = preset_plan(name)
+        scenario, result, _ = preset_plans[name]
         results.append((name, result.converged and validate_plan(result, scenario).ok))
     # data-only presets: the planner source must not branch on robot identity
     offenders = []

@@ -220,24 +220,16 @@ class TestValidatePlan:
 
 
 class TestPresetRelaxations:
-    def test_presets_make_no_max_iteration_solve(self, monkeypatch):
+    def test_presets_make_no_max_iteration_solve(self, preset_plans):
         from pathlib import Path
 
         from stepplan import qp
-        from stepplan.scenario_io import load_scenario
 
         statuses = []
-        real = qp.BoxQp.solve
-
-        def counting(self, *args, **kwargs):
-            sol = real(self, *args, **kwargs)
-            statuses.append(sol.status)
-            return sol
-
-        monkeypatch.setattr(qp.BoxQp, "solve", counting)
         presets = sorted((Path(qp.__file__).parent / "scenarios").glob("*.json"))
         assert len(presets) == 5
         for path in presets:
-            result = plan(load_scenario(path))
-            assert result.converged, path.stem
+            run = preset_plans[path.stem]
+            assert run.result.converged, path.stem
+            statuses.extend(run.statuses)
         assert statuses and "max-iterations" not in statuses

@@ -244,6 +244,55 @@ class TestWorkspaceReuse:
         assert np.array_equal(a.x, b.x)
 
 
+class TestPresolveCascade:
+    # with x3 = 1 the equality x1 + x3 = 1 is a singleton that pins x1 = 0;
+    # the second round then finds rows 0 and 2 singletons, which become the
+    # bounds x2 <= 0.5 and x0 >= -1, and the objective presses on both
+    Q = np.array([[1.0, 0.3, 0.2, 0.0], [0.3, 1.0, 0.0, 0.0], [0.2, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    c = np.array([6.0, 0.5, -6.0, 0.0])
+    G = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0], [-1.0, 0.5, 0.0, 0.0]])
+    h = np.array([0.5, 3.0, 1.0])
+    A = np.array([[0.0, 1.0, 0.0, 1.0]])
+    lb = np.array([-2.0, -2.0, -2.0, 0.0])
+    ub = np.array([2.0, 2.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_pinned_variable_leaves_rows_singleton(self, monkeypatch, sparse):
+        from scipy.optimize import minimize
+
+        if sparse:
+            monkeypatch.setattr(qp_module, "SPARSE_MIN_ENTRIES", 0)
+        prob = make_problem(self.Q, self.c, lb=self.lb, ub=self.ub, bins=[3],
+                            a_in=self.G, b_in=self.h, a_eq=self.A, b_eq=[1.0])
+        ws = BoxQp.from_miqp(prob)
+        assert ws.sparse == sparse
+        red = ws._presolve({3: 1.0})
+        assert red.cols.tolist() == [0, 2] and red.g_rows.tolist() == [1]
+        assert red.eq_rows.size == 0 and red.x[1] == 0.0
+        assert red.bound_rows[:, 0].tolist() == [2, -1]  # x0's lower bound: row 2
+        assert red.bound_rows[:, 1].tolist() == [-1, 0]  # x2's upper bound: row 0
+        sol = ws.solve(fixings={3: 1.0})
+        assert sol.status == "optimal"
+        lb = self.lb.copy()
+        lb[3] = 1.0
+        ref = minimize(
+            lambda x: x @ self.Q @ x + self.c @ x, np.zeros(4),
+            jac=lambda x: 2.0 * self.Q @ x + self.c,
+            bounds=list(zip(lb, self.ub)), method="SLSQP",
+            constraints=[{"type": "ineq", "fun": lambda x: self.h - self.G @ x, "jac": lambda x: -self.G},
+                         {"type": "eq", "fun": lambda x: self.A @ x - 1.0, "jac": lambda x: self.A}],
+            options={"ftol": 1e-14, "maxiter": 500},
+        )
+        assert ref.success
+        assert np.allclose(sol.x, ref.x, atol=1e-7)
+        assert np.allclose(sol.x[[0, 2]], [-1.0, 0.5], atol=1e-9)
+        y_in, y_eq, y_b = sol.y[:3], sol.y[3:4], sol.y[4:]
+        grad = 2.0 * self.Q @ sol.x + self.c + self.G.T @ y_in + self.A.T @ y_eq + y_b
+        assert np.max(np.abs(grad)) <= 1e-9
+        assert y_in[0] > 0.0 and y_in[2] > 0.0  # the rows that set bounds hold their multipliers
+        assert abs(y_in[1]) <= 1e-9 and np.max(np.abs(y_b[[0, 2]])) <= 1e-9  # inactive
+
+
 class TestNewtonBlock:
     @staticmethod
     def workspace(rng, n, m):

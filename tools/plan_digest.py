@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print digests that show whether a change altered any plan or solution.
+
+For each bundled preset, planned at default ``plan()`` limits, it prints the
+chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
+calls and the sha256 of the plan JSON followed by the plan SVG. For each seed
+given to ``--tree-seed`` it runs the ``tree_random_miqp`` benchmark workload
+on the batch of that seed and prints the total node count and the sha256 of
+every solution ``x`` (bytes in batch order). Run it from the repository root
+on two commits and compare the outputs; only the solve counts may differ
+between two commits that keep every plan:
+
+    python tools/plan_digest.py --tree-seed 1 2 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from stepplan import bnb, qp  # noqa: E402
+from stepplan.plan_io import plan_to_json  # noqa: E402
+from stepplan.planner import plan  # noqa: E402
+from stepplan.scenario_io import load_scenario  # noqa: E402
+from stepplan.svg import render_plan_svg  # noqa: E402
+
+SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
+
+
+@contextmanager
+def recorded_solves():
+    """Yield a list that gets the status of each ``BoxQp.solve`` call made inside."""
+    statuses = []
+    real = qp.BoxQp.solve
+
+    def recording(ws, *args, **kwargs):
+        sol = real(ws, *args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+
+    qp.BoxQp.solve = recording
+    try:
+        yield statuses
+    finally:
+        qp.BoxQp.solve = real
+
+
+def preset_digest(path: Path) -> str:
+    scenario = load_scenario(path)
+    with recorded_solves() as statuses:
+        result = plan(scenario)
+    text = plan_to_json(result, scenario) + render_plan_svg(result, scenario)
+    chunk_statuses = ",".join(c.solution.status for c in result.chunks)
+    nodes = ",".join(str(c.solution.nodes) for c in result.chunks)
+    return (
+        f"{path.stem}: status={chunk_statuses} nodes={nodes} solves={len(statuses)} "
+        f"sha256={hashlib.sha256(text.encode()).hexdigest()}"
+    )
+
+
+def tree_digest(seed: int) -> str:
+    from perfbench.workloads import TreeRandomMiqp
+
+    workload = TreeRandomMiqp(ROOT, seed, False)
+    problems = workload.setup(bnb)
+    with recorded_solves() as statuses:
+        sols = workload.run(bnb, problems).payload
+    digest = hashlib.sha256()
+    for sol in sols:
+        digest.update(sol.x.tobytes() if sol.x is not None else b"infeasible")
+    return (
+        f"tree_random_miqp seed {seed}: problems={len(problems)} "
+        f"nodes={sum(s.nodes for s in sols)} solves={len(statuses)} "
+        f"sha256={digest.hexdigest()}"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree-seed", type=int, nargs="*", default=[], metavar="SEED")
+    args = parser.parse_args(argv)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        print(preset_digest(path), flush=True)
+    for seed in args.tree_seed:
+        print(tree_digest(seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
