@@ -4,6 +4,11 @@ The assembled problem minimizes  x' Q x + c' x + const  subject to linear
 inequalities, linear equalities, variable bounds and integrality of the
 binary index set. Constraint rows carry a family tag (geometric,
 reachability, region, trig, trim) so violations can be reported per family.
+
+The region, trig-segment and trim binaries switch their rows through one
+big-M writer: the row  a.x <= rhs  becomes  a.x + M b <= rhs + M, with M
+the row's largest excess over the variable box, so it binds when b = 1 and
+holds across the whole box when b = 0.
 """
 
 from __future__ import annotations
@@ -82,11 +87,11 @@ class VariableLayout:
 
     @property
     def continuous_count(self) -> int:
-        return 3 * self.n_steps + 3 * self.n_configs
+        return self._region0
 
     @property
     def binary_count(self) -> int:
-        return self.n_steps * self.n_regions + 2 * self.n_configs * self.n_segments + self.n_steps
+        return self.size - self._region0
 
     def foot(self, step: int, comp) -> int:
         c = _COMP[comp] if isinstance(comp, str) else int(comp)
@@ -125,16 +130,8 @@ class VariableLayout:
         return self._trim0 + step - 1
 
     def binary_indices(self) -> np.ndarray:
-        """All binary variable positions, enumerated block by block."""
-        idx = []
-        for i in range(1, self.n_steps + 1):
-            idx.extend(self.region(i, r) for r in range(1, self.n_regions + 1))
-        for c in range(1, self.n_configs + 1):
-            idx.extend(self.sin_segment(c, k) for k in range(1, self.n_segments + 1))
-        for c in range(1, self.n_configs + 1):
-            idx.extend(self.cos_segment(c, k) for k in range(1, self.n_segments + 1))
-        idx.extend(self.trim(i) for i in range(1, self.n_steps + 1))
-        return np.array(sorted(idx), dtype=int)
+        """All binary variable positions: the blocks from the region binaries on."""
+        return np.arange(self._region0, self.size)
 
     def var_name(self, index: int) -> str:
         """Stable human-readable name of a flat index (used by the MIP export)."""
@@ -306,14 +303,14 @@ def _interval_scale(coef: float, rng: tuple[float, float]) -> tuple[float, float
     return (a, b) if a <= b else (b, a)
 
 
-def _graph_hull_edges(table: PwlTable) -> list[tuple[float, float, bool]]:
-    """Edges (slope, intercept, is_upper) of the convex hull of the chord graph.
+def _graph_hull_edges(knots: list[tuple[float, float]]) -> list[tuple[float, float, bool]]:
+    """Edges (slope, intercept, is_upper) of the convex hull of a chord graph.
 
-    Every chord segment connects consecutive knots, so the hull of the knot
-    points contains the whole piecewise-linear graph; the resulting rows are
-    valid for any (theta, value) pair the segment constraints allow.
+    ``knots`` are the table's (theta, value) points. Every chord segment
+    connects consecutive knots, so the hull of the knots contains the whole
+    piecewise-linear graph; the resulting rows are valid for any
+    (theta, value) pair the segment constraints allow.
     """
-    pts = [(float(t), float(table.eval(t))) for t in table.breakpoints]
 
     def half_hull(points):
         hull = []
@@ -326,8 +323,8 @@ def _graph_hull_edges(table: PwlTable) -> list[tuple[float, float, bool]]:
             hull.append(p)
         return hull
 
-    upper = half_hull(pts)
-    lower = half_hull(list(reversed(pts)))
+    upper = half_hull(knots)
+    lower = half_hull(list(reversed(knots)))
     edges = []
     for chain, is_upper in ((upper, True), (lower, False)):
         for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
@@ -514,6 +511,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             return
         ineq.add(expr, rhs, family, label)
 
+    def add_indicator_row(coefs: dict, rhs: float, binary: int, family: str, label: str) -> None:
+        """Add  coefs.x <= rhs  enforced when ``binary`` is 1; the big-M on
+        the binary makes the row vacuous across the whole box when it is 0."""
+        m_val = big_m_for_row(coefs, rhs, lower, upper)
+        add_row(_LinExpr(coefs).add(binary, m_val), rhs + m_val, family, label)
+
     # ---- (a) geometric: footstep inside the reference box around r_nom ----
     for i in range(1, n_steps + 1):
         for comp, tag in ((0, "x"), (1, "y")):
@@ -549,31 +552,21 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         reachable = 0
         for r, reg in enumerate(scenario.regions, start=1):
             h_idx = layout.region(i, r)
+            rows = [
+                ({layout.foot(i, comp): a_row[comp] for comp in range(3)}, b)
+                for a_row, b in zip(reg.a_matrix, reg.b_vector)
+            ]
             # a region some halfspace of which excludes the whole step box can
             # never host this step: pin its binary and omit its big-M rows
-            excluded = False
-            for row in range(reg.n_rows):
-                coefs = {layout.foot(i, comp): reg.a_matrix[row, comp] for comp in range(3)}
-                worst = -big_m_for_row(
-                    {k: -v for k, v in coefs.items()}, -reg.b_vector[row], lower, upper
-                )
-                if worst > 1e-12:
-                    excluded = True
-                    break
-            if excluded:
+            if any(
+                -big_m_for_row({k: -v for k, v in coefs.items()}, -b, lower, upper) > 1e-12
+                for coefs, b in rows
+            ):
                 upper[h_idx] = 0.0
                 continue
             reachable += 1
-            for row in range(reg.n_rows):
-                coefs = {layout.foot(i, comp): reg.a_matrix[row, comp] for comp in range(3)}
-                m_val = big_m_for_row(coefs, reg.b_vector[row], lower, upper)
-                expr = _LinExpr(coefs).add(h_idx, m_val)
-                add_row(
-                    expr,
-                    reg.b_vector[row] + m_val,
-                    "region",
-                    f"step {i} in {reg.name} row {row}",
-                )
+            for row, (coefs, b) in enumerate(rows):
+                add_indicator_row(coefs, b, h_idx, "region", f"step {i} in {reg.name} row {row}")
         if reachable == 0:
             raise InfeasibleScenarioError(
                 f"step {i} cannot reach any safe region inside its bounds"
@@ -590,42 +583,38 @@ def assemble(scenario: Scenario) -> MiqpProblem:
                 add_row(lo_expr, 0.0, "region", f"step {i} region hull -{tag}")
 
     # ---- (d) piecewise-linear trig segment selection ------------------------
+    # per table: each segment's knots, chord and value range, and the hull
+    # edges of the whole chord graph; every configuration shares them
+    chords = []
+    for table, tag, val_of, seg_of in (
+        (sin_table, "sin", layout.sin, layout.sin_segment),
+        (cos_table, "cos", layout.cos, layout.cos_segment),
+    ):
+        knots = [(float(t), table.eval(float(t))) for t in table.breakpoints]
+        segments = [
+            (t0, t1, float(m_k), float(n_k), min(v0, v1), max(v0, v1))
+            for (t0, v0), (t1, v1), m_k, n_k in zip(knots, knots[1:], table.slopes, table.intercepts)
+        ]
+        chords.append((tag, val_of, seg_of, segments, _graph_hull_edges(knots)))
     for cfg in range(1, layout.n_configs + 1):
         th = layout.theta(cfg)
-        for table, val_idx, seg_of, tag in (
-            (sin_table, layout.sin(cfg), layout.sin_segment, "sin"),
-            (cos_table, layout.cos(cfg), layout.cos_segment, "cos"),
-        ):
-            choice = _LinExpr({seg_of(cfg, k): 1.0 for k in range(1, scenario.n_segments + 1)})
+        for tag, val_of, seg_of, segments, hull in chords:
+            val_idx = val_of(cfg)
+            choice = _LinExpr({seg_of(cfg, k): 1.0 for k in range(1, len(segments) + 1)})
             eq.add(choice, 1.0, "trig", f"config {cfg} {tag} segment choice")
-            for k in range(1, scenario.n_segments + 1):
-                b_idx = seg_of(cfg, k)
-                bp_lo = float(table.breakpoints[k - 1])
-                bp_hi = float(table.breakpoints[k])
-                m_k = float(table.slopes[k - 1])
-                n_k = float(table.intercepts[k - 1])
-                rows = (
-                    ({th: 1.0}, bp_hi, f"config {cfg} {tag} seg {k} theta hi"),
-                    ({th: -1.0}, -bp_lo, f"config {cfg} {tag} seg {k} theta lo"),
-                    ({val_idx: 1.0, th: -m_k}, n_k, f"config {cfg} {tag} seg {k} chord +"),
-                    ({val_idx: -1.0, th: m_k}, -n_k, f"config {cfg} {tag} seg {k} chord -"),
-                )
-                for coefs, rhs, label in rows:
-                    m_val = big_m_for_row(coefs, rhs, lower, upper)
-                    expr = _LinExpr(coefs).add(b_idx, m_val)
-                    add_row(expr, rhs + m_val, "trig", label)
             # aggregated envelope rows over the one-hot segment choice; they
             # are implied for integral selections and tighten the relaxation
             theta_hi = _LinExpr({th: 1.0})
             theta_lo = _LinExpr({th: -1.0})
             val_hi = _LinExpr({val_idx: 1.0})
             val_lo = _LinExpr({val_idx: -1.0})
-            for k in range(1, scenario.n_segments + 1):
+            for k, (bp_lo, bp_hi, m_k, n_k, v_lo, v_hi) in enumerate(segments, start=1):
                 b_idx = seg_of(cfg, k)
-                bp_lo = float(table.breakpoints[k - 1])
-                bp_hi = float(table.breakpoints[k])
-                v_lo = float(min(table.eval(bp_lo), table.eval(bp_hi)))
-                v_hi = float(max(table.eval(bp_lo), table.eval(bp_hi)))
+                name = f"config {cfg} {tag} seg {k}"
+                add_indicator_row({th: 1.0}, bp_hi, b_idx, "trig", f"{name} theta hi")
+                add_indicator_row({th: -1.0}, -bp_lo, b_idx, "trig", f"{name} theta lo")
+                add_indicator_row({val_idx: 1.0, th: -m_k}, n_k, b_idx, "trig", f"{name} chord +")
+                add_indicator_row({val_idx: -1.0, th: m_k}, -n_k, b_idx, "trig", f"{name} chord -")
                 theta_hi.add(b_idx, -bp_hi)
                 theta_lo.add(b_idx, bp_lo)
                 val_hi.add(b_idx, -v_hi)
@@ -636,17 +625,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             add_row(val_lo, 0.0, "trig", f"config {cfg} {tag} envelope value lo")
             # hull of the chord graph couples the value variable to theta for
             # fractional segment choices as well
-            for e, (m_e, b_e, is_up) in enumerate(_graph_hull_edges(table)):
-                if is_up:
-                    add_row(
-                        _LinExpr({val_idx: 1.0, th: -m_e}), b_e,
-                        "trig", f"config {cfg} {tag} hull upper {e}",
-                    )
-                else:
-                    add_row(
-                        _LinExpr({val_idx: -1.0, th: m_e}), -b_e,
-                        "trig", f"config {cfg} {tag} hull lower {e}",
-                    )
+            for e, (m_e, b_e, is_up) in enumerate(hull):
+                sign = 1.0 if is_up else -1.0
+                add_row(
+                    _LinExpr({val_idx: sign, th: -sign * m_e}), sign * b_e,
+                    "trig", f"config {cfg} {tag} hull {'upper' if is_up else 'lower'} {e}",
+                )
 
     # ---- (e) trimming: pin trimmed steps to leg goals, monotone per leg ----
     # a step whose goal foothold lies outside its reachable box (or whose
@@ -667,22 +651,15 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             upper[layout.trim(i)] = 0.0
     for i in range(1, n_steps + 1):
         t_idx = layout.trim(i)
-        cfg = (i - 1) // n + 1
         target = goals[leg_of(i, n) - 1]
-        pins = [
-            ({layout.foot(i, comp): 1.0}, target[comp], f"step {i} trim pin +{'xyz'[comp]}")
-            for comp in range(3)
-        ]
-        pins += [
-            ({layout.foot(i, comp): -1.0}, -target[comp], f"step {i} trim pin -{'xyz'[comp]}")
-            for comp in range(3)
-        ]
-        pins.append(({layout.theta(cfg): 1.0}, scenario.goal_yaw, f"step {i} trim pin +yaw"))
-        pins.append(({layout.theta(cfg): -1.0}, -scenario.goal_yaw, f"step {i} trim pin -yaw"))
-        for coefs, rhs, label in pins:
-            m_val = big_m_for_row(coefs, rhs, lower, upper)
-            expr = _LinExpr(coefs).add(t_idx, m_val)
-            add_row(expr, rhs + m_val, "trim", label)
+        feet = [(layout.foot(i, comp), target[comp], "xyz"[comp]) for comp in range(3)]
+        yaw = [(layout.theta((i - 1) // n + 1), scenario.goal_yaw, "yaw")]
+        for pins in (feet, yaw):
+            for sign, tag in ((1.0, "+"), (-1.0, "-")):
+                for col, value, name in pins:
+                    add_indicator_row(
+                        {col: sign}, sign * value, t_idx, "trim", f"step {i} trim pin {tag}{name}"
+                    )
         if i + n <= n_steps:
             mono = _LinExpr({t_idx: 1.0, layout.trim(i + n): -1.0})
             add_row(mono, 0.0, "trim", f"trim monotone {i} <= {i + n}")
@@ -741,22 +718,9 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         add_quadratic([cur[0].minus(prev_coc[0]), cur[1].minus(prev_coc[1])], scenario.q_r)
         prev_coc = cur
 
-    # symmetrize Q
-    sym: dict[tuple[int, int], float] = {}
-    for (a, b), v in q_entries.items():
-        key = (a, b) if a <= b else (b, a)
-        sym[key] = sym.get(key, 0.0) + v
-    rows, cols, vals = [], [], []
-    for (a, b), v in sorted(sym.items()):
-        if a == b:
-            rows.append(a)
-            cols.append(b)
-            vals.append(v)
-        else:
-            rows.extend((a, b))
-            cols.extend((b, a))
-            vals.extend((0.5 * v, 0.5 * v))
-    q_matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_vars, n_vars)).tocsr()
+    rows, cols = np.array(list(q_entries), dtype=int).reshape(-1, 2).T
+    q = sp.coo_matrix((list(q_entries.values()), (rows, cols)), shape=(n_vars, n_vars)).tocsr()
+    q_matrix = (0.5 * (q + q.T)).tocsr()
 
     a_ineq, b_ineq = ineq.matrix(n_vars)
     a_eq, b_eq = eq.matrix(n_vars)
@@ -785,7 +749,9 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     Rounds a relaxation solution to a consistent binary assignment: trim
     chains are closed per leg (monotone suffixes), configurations containing
     a trimmed step take the goal yaw, trig segments are chosen from the yaw
-    value, and regions by largest indicator. Node fixings are respected;
+    value, and each step's region is the one nearest its relaxed position
+    (the indicator value breaks ties). At the root the same completion also
+    finishes two straight walks toward the goal. Node fixings are respected;
     infeasible completions are simply rejected by the re-fix solve.
     """
     layout = problem.layout
@@ -881,37 +847,9 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     # travel per configuration is limited by the window-lagged reference box
     speed_budget = 0.5 * (robot.d_lim + robot.l_bnd - robot.l_leg / max(n - 1, 1))
 
-    def assignment_for_path(path: list[tuple[np.ndarray, float]]) -> dict[int, float] | None:
-        """Segment/region/trim assignment for a given per-configuration
-        (CoC, yaw) path with feet at their nominal positions."""
-        out = {}
-        for cfg, (coc_c, theta) in enumerate(path, start=1):
-            theta = min(max(theta, lo_t), hi_t)
-            k = sin_table.segment_of(theta) + 1
-            for kk in range(1, layout.n_segments + 1):
-                out[layout.sin_segment(cfg, kk)] = 1.0 if kk == k else 0.0
-                out[layout.cos_segment(cfg, kk)] = 1.0 if kk == k else 0.0
-            for j in range(1, n + 1):
-                i = (cfg - 1) * n + j
-                foot = nominal_position(coc_c, theta, j, robot)
-                point = np.array([foot[0], foot[1], scenario.goal_position[2]])
-                best_r, best_v = None, math.inf
-                for r in range(1, layout.n_regions + 1):
-                    idx = layout.region(i, r)
-                    if problem.upper[idx] <= 0.0:
-                        continue
-                    v = scenario.regions[r - 1].violation(point)
-                    if v < best_v - 1e-12:
-                        best_v, best_r = v, r
-                if best_r is None:
-                    return None
-                for r in range(1, layout.n_regions + 1):
-                    out[layout.region(i, r)] = 1.0 if r == best_r else 0.0
-                out[layout.trim(i)] = 0.0
-        return out
-
-    def straight_walk(stride_factor: float) -> dict[int, float] | None:
-        """Walk the CoC straight at the goal while ramping the yaw."""
+    def straight_walk(stride_factor: float) -> dict[int, float]:
+        """Walk the CoC straight at the goal while ramping the yaw, feet at
+        their nominal positions at the goal height, nothing trimmed."""
         direction = goal_xy - start_coc
         dist = float(np.linalg.norm(direction))
         direction = direction / dist if dist > 1e-12 else np.zeros(2)
@@ -920,25 +858,29 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
             0.3 * speed_budget / robot.l_leg,
             abs(want_turn) / max(layout.n_configs - 1, 1),
         )
-        path = []
+        x = np.zeros(problem.n_vars)
         travel = 0.0
         for cfg in range(1, layout.n_configs + 1):
             stride = max(stride_factor * speed_budget - robot.l_leg * turn_rate, 0.15 * speed_budget)
             travel = min(travel + stride, dist)
             turn = min(max(want_turn, -turn_rate * cfg), turn_rate * cfg)
-            path.append((start_coc + travel * direction, scenario.start_yaw + turn))
-        return assignment_for_path(path)
+            theta = min(max(scenario.start_yaw + turn, lo_t), hi_t)
+            x[layout.theta(cfg)] = theta
+            for j in range(1, n + 1):
+                i = (cfg - 1) * n + j
+                foot = nominal_position(start_coc + travel * direction, theta, j, robot)
+                x[layout.foot(i, 0)], x[layout.foot(i, 1)] = foot[0], foot[1]
+                x[layout.foot(i, 2)] = scenario.goal_position[2]
+        return complete(x, {}, with_trims=False)
 
     def candidates(x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
-        outs = [complete(x, fixings, with_trims=True)]
-        second = complete(x, fixings, with_trims=False)
-        if second != outs[0]:
-            outs.append(second)
+        tries = [complete(x, fixings, with_trims=True), complete(x, fixings, with_trims=False)]
         if not fixings:
-            for stride_factor in (1.0, 0.8):
-                cand = straight_walk(stride_factor)
-                if cand is not None and cand not in outs:
-                    outs.append(cand)
+            tries += [straight_walk(1.0), straight_walk(0.8)]
+        outs = []
+        for cand in tries:
+            if cand not in outs:
+                outs.append(cand)
         return outs
 
     return candidates

@@ -17,23 +17,16 @@ import numpy as np
 from .errors import ScenarioParseError
 from .model import Footstep, Scenario
 from .planner import ChunkRecord, FootstepPlan
+from .scenario_io import robot_to_dict
 
 PLAN_VERSION = 1
 
 
 def plan_to_dict(plan: FootstepPlan, scenario: Scenario, include_timings: bool = False) -> dict:
-    robot = scenario.robot
     return {
         "version": PLAN_VERSION,
         "scenario": scenario.name,
-        "robot": {
-            "n_legs": robot.n_legs,
-            "leg_offsets": list(robot.leg_offsets),
-            "l_leg": robot.l_leg,
-            "l_bnd": robot.l_bnd,
-            "d_lim": robot.d_lim,
-            "dz_max": robot.dz_max,
-        },
+        "robot": robot_to_dict(scenario.robot),
         "convergence": {
             "converged": plan.converged,
             "termination": plan.termination,
@@ -83,19 +76,35 @@ def save_plan(plan: FootstepPlan, scenario: Scenario, path, include_timings: boo
     Path(path).write_text(plan_to_json(plan, scenario, include_timings))
 
 
-def _need(doc: dict, key: str, path: str):
+def _field(doc, key: str, path: str, kind=None):
+    """``doc[key]``, converted by ``kind`` when given; a missing key or a
+    value ``kind`` rejects raises ScenarioParseError naming its JSON path."""
+    if not isinstance(doc, dict):
+        raise ScenarioParseError(f"expected an object, got {type(doc).__name__}", path)
     if key not in doc:
         raise ScenarioParseError(f"missing key {key!r}", path)
-    return doc[key]
+    if kind is None:
+        return doc[key]
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ScenarioParseError(f"bad value {doc[key]!r}", f"{path}.{key}") from exc
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError("expected true or false")
+    return v
 
 
 def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepPlan:
     """Rebuild a FootstepPlan (without solver state) and cross-check the robot block."""
-    if _need(doc, "version", source) != PLAN_VERSION:
+    where = f"{source}: " if source else ""
+    if _field(doc, "version", source) != PLAN_VERSION:
         raise ScenarioParseError(f"unsupported plan version {doc['version']!r}", source)
-    rb = _need(doc, "robot", source)
+    rb = _field(doc, "robot", source)
     robot = scenario.robot
-    same = (
+    same = isinstance(rb, dict) and (
         rb.get("n_legs") == robot.n_legs
         and np.allclose(rb.get("leg_offsets", []), robot.leg_offsets)
         and np.isclose(rb.get("l_leg", -1), robot.l_leg)
@@ -103,32 +112,35 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
     if not same:
         raise ScenarioParseError("plan robot block does not match the scenario robot", source)
     steps = []
-    for i, s in enumerate(_need(doc, "steps", source)):
+    for i, s in enumerate(_field(doc, "steps", source, list)):
+        at = f"{where}steps[{i}]"
         steps.append(
             Footstep(
-                x=float(s["x"]), y=float(s["y"]), z=float(s["z"]),
-                theta=float(s["theta"]), leg=int(s["leg"]),
-                trimmed=bool(s["trimmed"]), region=s.get("region"),
+                x=_field(s, "x", at, float), y=_field(s, "y", at, float),
+                z=_field(s, "z", at, float), theta=_field(s, "theta", at, float),
+                leg=_field(s, "leg", at, int), trimmed=_field(s, "trimmed", at, _flag),
+                region=s.get("region"),
             )
         )
     chunks = []
-    for c in _need(doc, "chunks", source):
+    for i, c in enumerate(_field(doc, "chunks", source, list)):
+        at = f"{where}chunks[{i}]"
         chunks.append(
             ChunkRecord(
-                index=int(c["index"]),
-                start_footholds=np.array(c["start_footholds"], dtype=float),
-                start_yaw=float(c["start_yaw"]),
-                theta_range=(float(c["theta_range"][0]), float(c["theta_range"][1])),
-                n_segments=int(c["n_segments"]),
-                chunk_steps=int(c["chunk_steps"]),
-                kept_count=int(c["kept"]),
-                n_variables=int(c["variables"]),
-                n_binaries=int(c["binaries"]),
-                nodes=int(c["nodes"]),
-                gap=float(c["gap"]),
-                objective=float(c["objective"]),
-                status=c["status"],
-                solve_time=float(c["time_s"]) if c.get("time_s") is not None else 0.0,
+                index=_field(c, "index", at, int),
+                start_footholds=_field(c, "start_footholds", at, lambda v: np.array(v, dtype=float)),
+                start_yaw=_field(c, "start_yaw", at, float),
+                theta_range=_field(c, "theta_range", at, lambda v: (float(v[0]), float(v[1]))),
+                n_segments=_field(c, "n_segments", at, int),
+                chunk_steps=_field(c, "chunk_steps", at, int),
+                kept_count=_field(c, "kept", at, int),
+                n_variables=_field(c, "variables", at, int),
+                n_binaries=_field(c, "binaries", at, int),
+                nodes=_field(c, "nodes", at, int),
+                gap=_field(c, "gap", at, float),
+                objective=_field(c, "objective", at, float),
+                status=_field(c, "status", at, str),
+                solve_time=_field(c, "time_s", at, float) if c.get("time_s") is not None else 0.0,
             )
         )
     if sum(c.kept_count for c in chunks) != len(steps):
@@ -138,14 +150,15 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
     for i, s in enumerate(steps):
         if s.leg != i % robot.n_legs + 1:
             raise ScenarioParseError(f"step {i + 1} breaks the cyclic leg order", source)
-    conv = _need(doc, "convergence", source)
+    conv = _field(doc, "convergence", source)
+    at = f"{where}convergence"
     return FootstepPlan(
         steps=tuple(steps),
         chunks=tuple(chunks),
-        converged=bool(conv["converged"]),
-        termination=conv["termination"],
-        coc_error=float(conv["coc_error"]),
-        yaw_error=float(conv["yaw_error"]),
+        converged=_field(conv, "converged", at, _flag),
+        termination=_field(conv, "termination", at, str),
+        coc_error=_field(conv, "coc_error", at, float),
+        yaw_error=_field(conv, "yaw_error", at, float),
     )
 
 

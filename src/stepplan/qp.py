@@ -19,8 +19,12 @@ The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
 with one free variable become bounds, and pairs of opposite rows whose
 right-hand sides cancel (a big-M row pair with its binary fixed) become
-equalities. It changes only right-hand sides and bounds, so a call's G_all
-is always a row and column subset of the workspace's. Its rounds work on
+equalities. The workspace lists candidate pairs once; it searches only rows
+with at least two entries on continuous, non-fixed columns, because a pair
+becomes an equality only when both rows keep two free entries and all
+their pinnable columns are fixed. The presolve changes only right-hand
+sides and bounds, so a call's G_all is always a row and column subset of
+the workspace's. Its rounds work on
 whole-workspace vectors (live-row and free-column masks, row counts from one
 product with the free-column mask); each matrix is sliced once per call.
 
@@ -253,7 +257,12 @@ class BoxQp:
         # 1.0 at each stored entry: a product with the free mask counts free entries
         self._nz_g = (abs(self.g) > 0.0).astype(float)
         self._nz_a = (abs(self.a) > 0.0).astype(float)
-        self._pairs, self._pair_groups = _opposite_pairs(g[:, ~pinnable & (self.lo < self.hi)])
+        # a pair can only become an equality when both rows keep two free
+        # entries off the pinnable columns, so only such rows are searched
+        sub = g[:, ~pinnable & (self.lo < self.hi)]
+        rows = np.flatnonzero(np.diff(sub.indptr) >= 2)
+        pairs, self._pair_groups = _opposite_pairs(sub[rows])
+        self._pairs = rows[pairs]
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":

@@ -280,19 +280,24 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(text, source=str(path))
 
 
+def robot_to_dict(robot: RobotModel) -> dict:
+    """The robot block shared by scenario and plan files."""
+    return {
+        "n_legs": robot.n_legs,
+        "leg_offsets": list(robot.leg_offsets),
+        "l_leg": robot.l_leg,
+        "l_bnd": robot.l_bnd,
+        "d_lim": robot.d_lim,
+        "dz_max": robot.dz_max,
+    }
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical document for a scenario; regions serialize as halfspaces."""
     return {
         "version": SCENARIO_VERSION,
         "name": scenario.name,
-        "robot": {
-            "n_legs": scenario.robot.n_legs,
-            "leg_offsets": list(scenario.robot.leg_offsets),
-            "l_leg": scenario.robot.l_leg,
-            "l_bnd": scenario.robot.l_bnd,
-            "d_lim": scenario.robot.d_lim,
-            "dz_max": scenario.robot.dz_max,
-        },
+        "robot": robot_to_dict(scenario.robot),
         "regions": [
             {
                 "name": r.name,

@@ -21,6 +21,12 @@ REGION_FILL = "#dde9f2"
 REGION_EDGE = "#7d9db8"
 
 
+def _escape(text: str) -> str:
+    """Text content with &, < and > escaped, as ``xml.sax.saxutils.escape``
+    does; importing that module loads urllib.request, http.client and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     s = f"{v:.2f}"
     return "0.00" if s == "-0.00" else s
@@ -86,7 +92,7 @@ def render_plan_svg(plan: FootstepPlan, scenario: Scenario, scale: float = 260.0
         cy = sum(p[1] for p in poly) / len(poly)
         parts.append(
             f'<text x="{_fmt(px(cx))}" y="{_fmt(py(cy))}" font-size="9" fill="{REGION_EDGE}" '
-            f'text-anchor="middle">{region.name}</text>'
+            f'text-anchor="middle">{_escape(region.name)}</text>'
         )
 
     n = scenario.robot.n_legs

@@ -98,6 +98,19 @@ class TestValidateCommand:
             code = main(["validate", str(plan_path), str(scenario_file)])
             assert code == EXIT_INFEASIBLE
 
+    def test_step_missing_key_is_parse_error(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"])
+        doc = json.loads(plan_path.read_text())
+        assert doc["steps"]
+        del doc["steps"][0]["x"]
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["validate", str(plan_path), str(scenario_file)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert "steps[0]" in err and "'x'" in err
+
 
 class TestBenchCommand:
     def test_bench_counts(self, scenario_file, tmp_path, capsys):

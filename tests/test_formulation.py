@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stepplan.formulation import (
     VariableLayout,
     assemble,
     big_m_for_row,
+    make_rounding_heuristic,
     scenario_tables,
     validate_assignment,
 )
@@ -22,6 +24,10 @@ from stepplan.model import (
     leg_of,
     nominal_position,
 )
+from stepplan.qp import BoxQp
+from stepplan.scenario_io import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
 
 
 def box_region(name, x0, x1, y0, y1, z0=-0.05, z1=0.05, bbox=True):
@@ -135,6 +141,24 @@ class TestVariableLayout:
         with pytest.raises(ContractViolation):
             VariableLayout(7, 4, 3, 4)
 
+    @pytest.mark.parametrize(
+        "n_steps, n_legs, n_regions, n_segments",
+        [(4, 4, 1, 2), (8, 4, 3, 4), (12, 6, 13, 8), (24, 6, 2, 16), (6, 2, 5, 3)],
+    )
+    def test_binary_indices_are_the_binary_blocks(self, n_steps, n_legs, n_regions, n_segments):
+        # the binary blocks are contiguous, so binary_indices() can be a range
+        layout = VariableLayout(n_steps, n_legs, n_regions, n_segments)
+        expected = set()
+        for i in range(1, n_steps + 1):
+            expected.add(layout.trim(i))
+            expected.update(layout.region(i, r) for r in range(1, n_regions + 1))
+        for c in range(1, layout.n_configs + 1):
+            for k in range(1, n_segments + 1):
+                expected.update({layout.sin_segment(c, k), layout.cos_segment(c, k)})
+        assert layout.binary_indices().tolist() == sorted(expected)
+        assert layout.binary_count == len(expected)
+        assert layout.continuous_count == layout.size - len(expected)
+
 
 class TestBigM:
     def test_single_variable(self):
@@ -179,6 +203,11 @@ class TestAssemble:
         prob = assemble(small_scenario())
         w = np.linalg.eigvalsh(prob.q_matrix.toarray())
         assert w.min() >= -1e-9
+
+    def test_zero_weights_give_empty_q(self):
+        prob = assemble(small_scenario(q_goal=np.zeros((4, 4)), q_r=np.zeros((2, 2))))
+        assert prob.q_matrix.shape == (prob.n_vars, prob.n_vars)
+        assert prob.q_matrix.nnz == 0
 
     def test_goal_outside_regions_rejected(self):
         with pytest.raises(InfeasibleScenarioError):
@@ -293,6 +322,29 @@ class TestAssemble:
         )
         assert sol.feasible
         assert validate_assignment(prob, sol.x, 1e-6).ok
+
+
+class TestRoundingHeuristic:
+    def test_root_candidates_are_one_hot(self):
+        base = load_scenario(SCENARIO_DIR / "quadruped_stepping_stones.json")
+        scn = base.with_overrides(max_steps=4 * base.robot.n_legs)
+        prob = assemble(scn)
+        layout = prob.layout
+        root = BoxQp.from_miqp(prob).solve()
+        assert root.status == "optimal"
+        cands = make_rounding_heuristic(scn, prob)(root.x, {})
+        # complete with and without trims, then the straight walks
+        assert len(cands) >= 3
+        steps = range(1, layout.n_steps + 1)
+        for cand in cands:
+            for i in steps:
+                assert sum(cand[layout.region(i, r)] for r in range(1, layout.n_regions + 1)) == 1.0
+            for c in range(1, layout.n_configs + 1):
+                for seg_of in (layout.sin_segment, layout.cos_segment):
+                    assert sum(cand[seg_of(c, k)] for k in range(1, layout.n_segments + 1)) == 1.0
+        # every candidate after the first is built with trims off
+        for cand in cands[1:]:
+            assert all(cand[layout.trim(i)] == 0.0 for i in steps)
 
 
 class TestValidateAssignment:

@@ -1,4 +1,5 @@
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -99,6 +100,13 @@ class TestPlanFile:
         with pytest.raises(ScenarioParseError):
             plan_from_dict(doc, scn)
 
+    def test_mistyped_chunk_value_names_its_path(self, planned):
+        scn, result = planned
+        doc = plan_to_dict(result, scn)
+        doc["chunks"][0]["gap"] = "wide"
+        with pytest.raises(ScenarioParseError, match=r"chunks\[0\]\.gap"):
+            plan_from_dict(doc, scn)
+
     def test_byte_identical_output(self, planned):
         scn, result = planned
         assert plan_to_json(result, scn) == plan_to_json(result, scn)
@@ -119,6 +127,15 @@ class TestSvg:
         assert svg.count("<circle") >= result.n_steps
         assert svg.count("<polygon") == len(scn.regions)
         assert "ground" in svg
+
+    def test_region_names_are_escaped(self, planned):
+        scn, result = planned
+        region = scn.regions[0]
+        renamed = SafeRegion(region.a_matrix, region.b_vector, "ramp <A&B>", bbox=region.bbox)
+        svg = render_plan_svg(result, scn.with_overrides(regions=(renamed,)))
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["ramp <A&B>"]
 
     def test_region_polygon_extraction(self):
         region = SafeRegion(
