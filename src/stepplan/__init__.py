@@ -15,7 +15,6 @@ from .formulation import (
     MiqpProblem,
     VariableLayout,
     assemble,
-    big_m_for_row,
     scenario_tables,
     validate_assignment,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "StepPlanError",
     "VariableLayout",
     "assemble",
-    "big_m_for_row",
     "brute_force_solve",
     "build_table",
     "coc",

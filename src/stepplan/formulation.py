@@ -5,10 +5,12 @@ inequalities, linear equalities, variable bounds and integrality of the
 binary index set. Constraint rows carry a family tag (geometric,
 reachability, region, trig, trim) so violations can be reported per family.
 
-The region, trig-segment and trim binaries switch their rows through one
-big-M writer: the row  a.x <= rhs  becomes  a.x + M b <= rhs + M, with M
-the row's largest excess over the variable box, so it binds when b = 1 and
-holds across the whole box when b = 0.
+All inequalities are collected first, then one pass over the final
+variable bounds applies the big-M box rule. A row's box excess is its
+largest  a.x - rhs  over the bounds (interval arithmetic). A row switched by
+a region, trig-segment or trim binary b becomes  a.x + M b <= rhs + M,  with
+M its box excess, so it binds when b = 1 and holds across the whole box when
+b = 0. Every row the bounds already imply is dropped.
 """
 
 from __future__ import annotations
@@ -238,9 +240,11 @@ class _RowBag:
         self.rhs: list[float] = []
         self.families: list[str] = []
         self.labels: list[str] = []
+        self.binaries: list[int] = []
 
-    def add(self, expr: _LinExpr, rhs: float, family: str, label: str) -> None:
-        """Append the row  expr <= rhs  (or == rhs for equality bags)."""
+    def add(self, expr: _LinExpr, rhs: float, family: str, label: str, binary: int = -1) -> None:
+        """Append the row  expr <= rhs  (or == rhs for equality bags); an
+        inequality with an indicator ``binary`` is enforced only when it is 1."""
         r = len(self.rhs)
         for col, coef in sorted(expr.coefs.items()):
             if coef != 0.0:
@@ -250,37 +254,45 @@ class _RowBag:
         self.rhs.append(rhs - expr.const)
         self.families.append(family)
         self.labels.append(label)
+        self.binaries.append(binary)
 
     def matrix(self, n_vars: int) -> tuple[sp.csr_matrix, np.ndarray]:
-        a = sp.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(len(self.rhs), n_vars)
-        ).tocsr()
+        a = sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(len(self.rhs), n_vars))
         return a, np.asarray(self.rhs, dtype=float)
 
+    def box_rule(self, lower: np.ndarray, upper: np.ndarray):
+        """Matrix, rhs, families and labels of the rows kept by the big-M box rule.
 
-def big_m_for_row(coefficients, rhs: float, lower, upper) -> float:
-    """Smallest constant M such that  a.x <= rhs + M  holds across the whole box.
+        A row's box excess e is the M of its indicator b: the row becomes
+        a.x + e b <= rhs + e.  Rows with e <= 1e-12 (e times the upper bound
+        of b, so a binary pinned at 0 drops its rows) are implied and dropped.
+        """
+        a, rhs = self.matrix(lower.shape[0])
+        excess = _box_excess(a, rhs, lower, upper)
+        binaries = np.asarray(self.binaries)
+        ind = np.flatnonzero(binaries >= 0)
+        binary = binaries[ind]
+        rhs[ind] += excess[ind]
+        a = a + sp.csr_matrix((excess[ind], (ind, binary)), shape=a.shape)
+        excess[ind] *= upper[binary]
+        keep = np.flatnonzero(excess > 1e-12)
+        families = tuple(self.families[k] for k in keep)
+        return a[keep], rhs[keep], families, tuple(self.labels[k] for k in keep)
 
-    ``coefficients`` is either a mapping {index: coef} or a dense vector
-    aligned with ``lower``/``upper``. Computed by interval arithmetic, which
-    for a linear functional equals the maximum over the box corners.
+
+def _box_excess(a: sp.spmatrix, rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Per row of  a.x <= rhs,  the largest  a.x - rhs  across the box [lower, upper].
+
+    Computed by interval arithmetic, which for a linear functional equals
+    the maximum over the box corners.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if isinstance(coefficients, dict):
-        items = coefficients.items()
-    else:
-        vec = np.asarray(coefficients, dtype=float)
-        items = ((i, v) for i, v in enumerate(vec) if v != 0.0)
-    total = -float(rhs)
-    for idx, coef in items:
-        if coef == 0.0:
-            continue
-        lo, hi = lower[idx], upper[idx]
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise AssemblyError(f"variable {idx} in big-M row has unbounded range")
-        total += max(coef * lo, coef * hi)
-    return total
+    a = a.tocoo()
+    lo, hi = lower[a.col], upper[a.col]
+    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+    if unbounded.any():
+        raise AssemblyError(f"variable {a.col[unbounded][0]} in a row has unbounded range")
+    top = np.maximum(a.data * lo, a.data * hi)
+    return np.bincount(a.row, weights=top, minlength=a.shape[0]) - rhs
 
 
 def scenario_tables(scenario: Scenario) -> tuple[PwlTable, PwlTable]:
@@ -441,28 +453,23 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # variable lives between the extreme knot values; footstep coordinates
     # live in forward-propagated reachability boxes intersected with the
     # workspace box, which keeps every derived big-M as small as possible.
-    lower = np.empty(n_vars)
-    upper = np.empty(n_vars)
-    box_lo, box_hi = scenario.workspace_box
     s_rng = (float(np.min(np.sin(sin_table.breakpoints))), float(np.max(np.sin(sin_table.breakpoints))))
     c_rng = (float(np.min(np.cos(cos_table.breakpoints))), float(np.max(np.cos(cos_table.breakpoints))))
-    for c in range(1, layout.n_configs + 1):
-        lower[layout.theta(c)], upper[layout.theta(c)] = lo_t, hi_t
-        lower[layout.sin(c)], upper[layout.sin(c)] = s_rng
-        lower[layout.cos(c)], upper[layout.cos(c)] = c_rng
     foot_lo, foot_hi = _propagate_step_boxes(scenario, s_rng, c_rng)
-    for i in range(1, n_steps + 1):
-        for comp in range(3):
-            lower[layout.foot(i, comp)] = foot_lo[i - 1, comp]
-            upper[layout.foot(i, comp)] = foot_hi[i - 1, comp]
-    binaries = layout.binary_indices()
-    lower[binaries] = 0.0
-    upper[binaries] = 1.0
+    # in layout order: feet, then yaw / sine / cosine blocks, then binaries
+    lower = np.concatenate([
+        foot_lo.ravel(), np.repeat([lo_t, s_rng[0], c_rng[0]], layout.n_configs),
+        np.zeros(layout.binary_count),
+    ])
+    upper = np.concatenate([
+        foot_hi.ravel(), np.repeat([hi_t, s_rng[1], c_rng[1]], layout.n_configs),
+        np.ones(layout.binary_count),
+    ])
 
     # ---- goal footholds (trim targets / goal cost), region membership gate -
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
     for j in range(n):
-        if not any(reg.contains(goals[j], tol=1e-9) for reg in scenario.regions):
+        if not any(reg.contains(goals[j]) for reg in scenario.regions):
             raise InfeasibleScenarioError(
                 f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
             )
@@ -502,27 +509,19 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             out.add(c_idx, robot.l_leg * math.sin(phi))
         return out
 
+    # every inequality goes into one bag; ``ineq.box_rule`` sets the big-M
+    # of each indicator row and drops the implied rows from the final
+    # bounds, so a bound changed below (region and trim pins) must be set
+    # before any row on its column is added
     ineq = _RowBag()
     eq = _RowBag()
-
-    def add_row(expr: _LinExpr, rhs: float, family: str, label: str) -> None:
-        """Add an inequality row unless the bounds already imply it."""
-        if big_m_for_row(expr.coefs, rhs, lower, upper) <= 1e-12:
-            return
-        ineq.add(expr, rhs, family, label)
-
-    def add_indicator_row(coefs: dict, rhs: float, binary: int, family: str, label: str) -> None:
-        """Add  coefs.x <= rhs  enforced when ``binary`` is 1; the big-M on
-        the binary makes the row vacuous across the whole box when it is 0."""
-        m_val = big_m_for_row(coefs, rhs, lower, upper)
-        add_row(_LinExpr(coefs).add(binary, m_val), rhs + m_val, family, label)
 
     # ---- (a) geometric: footstep inside the reference box around r_nom ----
     for i in range(1, n_steps + 1):
         for comp, tag in ((0, "x"), (1, "y")):
             diff = foot_expr(i, comp).minus(nominal_expr(i, comp))
-            add_row(diff, robot.l_bnd, "geometric", f"step {i} ref box +{tag}")
-            add_row(diff.scaled(-1.0), robot.l_bnd, "geometric", f"step {i} ref box -{tag}")
+            ineq.add(diff, robot.l_bnd, "geometric", f"step {i} ref box +{tag}")
+            ineq.add(diff.scaled(-1.0), robot.l_bnd, "geometric", f"step {i} ref box -{tag}")
 
     # ---- (b) reachability from the same leg's previous nominal position ----
     for i in range(1, n_steps + 1):
@@ -533,12 +532,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             else:
                 anchor = _LinExpr(const=start_nominal[leg_of(i, n) - 1][comp])
             diff = foot_expr(i, comp).minus(anchor)
-            add_row(diff, robot.d_lim, "reachability", f"step {i} reach +{tag}")
-            add_row(diff.scaled(-1.0), robot.d_lim, "reachability", f"step {i} reach -{tag}")
+            ineq.add(diff, robot.d_lim, "reachability", f"step {i} reach +{tag}")
+            ineq.add(diff.scaled(-1.0), robot.d_lim, "reachability", f"step {i} reach -{tag}")
         prev_z = foot_expr(prev, 2) if prev >= 1 else _LinExpr(const=start[leg_of(i, n) - 1][2])
         dz = foot_expr(i, 2).minus(prev_z)
-        add_row(dz, robot.dz_max, "reachability", f"step {i} dz +")
-        add_row(dz.scaled(-1.0), robot.dz_max, "reachability", f"step {i} dz -")
+        ineq.add(dz, robot.dz_max, "reachability", f"step {i} dz +")
+        ineq.add(dz.scaled(-1.0), robot.dz_max, "reachability", f"step {i} dz -")
 
     # ---- (c) safe-region assignment with per-row big-M ---------------------
     # when every region carries a bounding box, hull rows confine each
@@ -546,31 +545,29 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # relaxation without cutting any integral point
     region_boxes = [reg.bbox for reg in scenario.regions]
     add_hull = all(b is not None for b in region_boxes)
+    # a region some halfspace  a.x <= b  of which excludes a step's whole box
+    # (its negation  -a.x <= -b  has a negative box excess) can never host
+    # that step: its binary is pinned to 0 and its big-M rows are omitted
+    halfspaces = np.vstack([reg.a_matrix for reg in scenario.regions])
+    outside = sp.kron(sp.identity(n_steps), -halfspaces, format="coo")
+    outside_rhs = np.tile(-np.concatenate([reg.b_vector for reg in scenario.regions]), n_steps)
+    first_rows = np.cumsum([0] + [reg.n_rows for reg in scenario.regions[:-1]])
+    excess = _box_excess(outside, outside_rhs, lower, upper).reshape(n_steps, -1)
+    excluded = np.minimum.reduceat(excess, first_rows, axis=1) < -1e-12
+    upper[layout.region(1, 1) + np.flatnonzero(excluded)] = 0.0
     for i in range(1, n_steps + 1):
         choice = _LinExpr({layout.region(i, r): 1.0 for r in range(1, n_regions + 1)})
         eq.add(choice, 1.0, "region", f"step {i} region choice")
-        reachable = 0
-        for r, reg in enumerate(scenario.regions, start=1):
-            h_idx = layout.region(i, r)
-            rows = [
-                ({layout.foot(i, comp): a_row[comp] for comp in range(3)}, b)
-                for a_row, b in zip(reg.a_matrix, reg.b_vector)
-            ]
-            # a region some halfspace of which excludes the whole step box can
-            # never host this step: pin its binary and omit its big-M rows
-            if any(
-                -big_m_for_row({k: -v for k, v in coefs.items()}, -b, lower, upper) > 1e-12
-                for coefs, b in rows
-            ):
-                upper[h_idx] = 0.0
-                continue
-            reachable += 1
-            for row, (coefs, b) in enumerate(rows):
-                add_indicator_row(coefs, b, h_idx, "region", f"step {i} in {reg.name} row {row}")
-        if reachable == 0:
+        if excluded[i - 1].all():
             raise InfeasibleScenarioError(
                 f"step {i} cannot reach any safe region inside its bounds"
             )
+        for r in np.flatnonzero(~excluded[i - 1]):
+            reg = scenario.regions[r]
+            for row, (a_row, b) in enumerate(zip(reg.a_matrix, reg.b_vector)):
+                coefs = {layout.foot(i, comp): a_row[comp] for comp in range(3)}
+                label = f"step {i} in {reg.name} row {row}"
+                ineq.add(_LinExpr(coefs), b, "region", label, layout.region(i, r + 1))
         if add_hull:
             for comp, tag in ((0, "x"), (1, "y"), (2, "z")):
                 hi_expr = _LinExpr({layout.foot(i, comp): 1.0})
@@ -579,8 +576,8 @@ def assemble(scenario: Scenario) -> MiqpProblem:
                     lo_r, hi_r = region_boxes[r - 1]
                     hi_expr.add(layout.region(i, r), -float(hi_r[comp]))
                     lo_expr.add(layout.region(i, r), float(lo_r[comp]))
-                add_row(hi_expr, 0.0, "region", f"step {i} region hull +{tag}")
-                add_row(lo_expr, 0.0, "region", f"step {i} region hull -{tag}")
+                ineq.add(hi_expr, 0.0, "region", f"step {i} region hull +{tag}")
+                ineq.add(lo_expr, 0.0, "region", f"step {i} region hull -{tag}")
 
     # ---- (d) piecewise-linear trig segment selection ------------------------
     # per table: each segment's knots, chord and value range, and the hull
@@ -611,23 +608,23 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             for k, (bp_lo, bp_hi, m_k, n_k, v_lo, v_hi) in enumerate(segments, start=1):
                 b_idx = seg_of(cfg, k)
                 name = f"config {cfg} {tag} seg {k}"
-                add_indicator_row({th: 1.0}, bp_hi, b_idx, "trig", f"{name} theta hi")
-                add_indicator_row({th: -1.0}, -bp_lo, b_idx, "trig", f"{name} theta lo")
-                add_indicator_row({val_idx: 1.0, th: -m_k}, n_k, b_idx, "trig", f"{name} chord +")
-                add_indicator_row({val_idx: -1.0, th: m_k}, -n_k, b_idx, "trig", f"{name} chord -")
+                ineq.add(_LinExpr({th: 1.0}), bp_hi, "trig", f"{name} theta hi", b_idx)
+                ineq.add(_LinExpr({th: -1.0}), -bp_lo, "trig", f"{name} theta lo", b_idx)
+                ineq.add(_LinExpr({val_idx: 1.0, th: -m_k}), n_k, "trig", f"{name} chord +", b_idx)
+                ineq.add(_LinExpr({val_idx: -1.0, th: m_k}), -n_k, "trig", f"{name} chord -", b_idx)
                 theta_hi.add(b_idx, -bp_hi)
                 theta_lo.add(b_idx, bp_lo)
                 val_hi.add(b_idx, -v_hi)
                 val_lo.add(b_idx, v_lo)
-            add_row(theta_hi, 0.0, "trig", f"config {cfg} {tag} envelope theta hi")
-            add_row(theta_lo, 0.0, "trig", f"config {cfg} {tag} envelope theta lo")
-            add_row(val_hi, 0.0, "trig", f"config {cfg} {tag} envelope value hi")
-            add_row(val_lo, 0.0, "trig", f"config {cfg} {tag} envelope value lo")
+            ineq.add(theta_hi, 0.0, "trig", f"config {cfg} {tag} envelope theta hi")
+            ineq.add(theta_lo, 0.0, "trig", f"config {cfg} {tag} envelope theta lo")
+            ineq.add(val_hi, 0.0, "trig", f"config {cfg} {tag} envelope value hi")
+            ineq.add(val_lo, 0.0, "trig", f"config {cfg} {tag} envelope value lo")
             # hull of the chord graph couples the value variable to theta for
             # fractional segment choices as well
             for e, (m_e, b_e, is_up) in enumerate(hull):
                 sign = 1.0 if is_up else -1.0
-                add_row(
+                ineq.add(
                     _LinExpr({val_idx: sign, th: -sign * m_e}), sign * b_e,
                     "trig", f"config {cfg} {tag} hull {'upper' if is_up else 'lower'} {e}",
                 )
@@ -637,18 +634,13 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # configuration cannot take the goal yaw) can never be trimmed; fixing
     # those binaries up front removes their reward from the relaxation
     yaw_ok = lo_t - 1e-9 <= scenario.goal_yaw <= hi_t + 1e-9
-    can_trim = [False] * (n_steps + 1)
-    for i in range(1, n_steps + 1):
-        g = goals[leg_of(i, n) - 1]
-        can_trim[i] = yaw_ok and all(
-            lower[layout.foot(i, comp)] - 1e-9 <= g[comp] <= upper[layout.foot(i, comp)] + 1e-9
-            for comp in range(3)
-        )
-    for i in range(n_steps - n, 0, -1):
-        can_trim[i] = can_trim[i] and can_trim[i + n]
-    for i in range(1, n_steps + 1):
-        if not can_trim[i]:
-            upper[layout.trim(i)] = 0.0
+    step_goals = np.tile(goals, (layout.n_configs, 1))
+    inside = (foot_lo - 1e-9 <= step_goals) & (step_goals <= foot_hi + 1e-9)
+    can_trim = yaw_ok & inside.all(axis=1)
+    # trims are monotone per leg, so a step can be trimmed only if every
+    # later step of its leg can
+    later = np.logical_and.accumulate(can_trim.reshape(-1, n)[::-1], axis=0)[::-1]
+    upper[layout.trim(1) + np.flatnonzero(~later.ravel())] = 0.0
     for i in range(1, n_steps + 1):
         t_idx = layout.trim(i)
         target = goals[leg_of(i, n) - 1]
@@ -657,12 +649,11 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         for pins in (feet, yaw):
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
                 for col, value, name in pins:
-                    add_indicator_row(
-                        {col: sign}, sign * value, t_idx, "trim", f"step {i} trim pin {tag}{name}"
-                    )
+                    label = f"step {i} trim pin {tag}{name}"
+                    ineq.add(_LinExpr({col: sign}), sign * value, "trim", label, t_idx)
         if i + n <= n_steps:
             mono = _LinExpr({t_idx: 1.0, layout.trim(i + n): -1.0})
-            add_row(mono, 0.0, "trim", f"trim monotone {i} <= {i + n}")
+            ineq.add(mono, 0.0, "trim", f"trim monotone {i} <= {i + n}")
 
     # ---- objective ---------------------------------------------------------
     q_entries: dict[tuple[int, int], float] = {}
@@ -722,7 +713,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     q = sp.coo_matrix((list(q_entries.values()), (rows, cols)), shape=(n_vars, n_vars)).tocsr()
     q_matrix = (0.5 * (q + q.T)).tocsr()
 
-    a_ineq, b_ineq = ineq.matrix(n_vars)
+    a_ineq, b_ineq, ineq_families, ineq_labels = ineq.box_rule(lower, upper)
     a_eq, b_eq = eq.matrix(n_vars)
     return MiqpProblem(
         q_matrix=q_matrix,
@@ -734,10 +725,10 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         b_eq=b_eq,
         lower=lower,
         upper=upper,
-        binary_indices=binaries,
+        binary_indices=layout.binary_indices(),
         layout=layout,
-        ineq_families=tuple(ineq.families),
-        ineq_labels=tuple(ineq.labels),
+        ineq_families=ineq_families,
+        ineq_labels=ineq_labels,
         eq_families=tuple(eq.families),
         eq_labels=tuple(eq.labels),
     )

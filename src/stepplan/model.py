@@ -18,6 +18,8 @@ from .errors import ConfigurationError, ContractViolation
 #: "exclude-current" averages the n_legs-1 steps before the constrained step,
 #: "include-current" averages the n_legs steps ending at it.
 COC_CONVENTIONS = ("exclude-current", "include-current")
+#: how far (m) start footholds and the goal may sit outside the workspace box
+_WORKSPACE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class Scenario:
         object.__setattr__(self, "theta_range", (float(self.theta_range[0]), float(self.theta_range[1])))
         self.validate()
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         n = self.robot.n_legs
         if self.start_footholds.shape != (n, 3):
             raise ConfigurationError(
@@ -198,9 +200,10 @@ class Scenario:
             raise ConfigurationError("workspace_box must be a nonempty axis-aligned box")
         for j in range(n):
             p = self.start_footholds[j]
-            if np.any(p < lo - tol) or np.any(p > hi + tol):
+            if np.any(p < lo - _WORKSPACE_TOL) or np.any(p > hi + _WORKSPACE_TOL):
                 raise ConfigurationError(f"start foothold of leg {j + 1} outside workspace_box")
-        if np.any(self.goal_position < lo - tol) or np.any(self.goal_position > hi + tol):
+        goal = self.goal_position
+        if np.any(goal < lo - _WORKSPACE_TOL) or np.any(goal > hi + _WORKSPACE_TOL):
             raise ConfigurationError("goal position outside workspace_box")
         if self.coc_convention not in COC_CONVENTIONS:
             raise ConfigurationError(

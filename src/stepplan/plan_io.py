@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ScenarioParseError
 from .model import Footstep, Scenario
 from .planner import ChunkRecord, FootstepPlan
-from .scenario_io import robot_to_dict
+from .scenario_io import _as_float, _as_floats, _as_int, _fail, robot_to_dict
 
 PLAN_VERSION = 1
 
@@ -77,24 +77,27 @@ def save_plan(plan: FootstepPlan, scenario: Scenario, path, include_timings: boo
 
 
 def _field(doc, key: str, path: str, kind=None):
-    """``doc[key]``, converted by ``kind`` when given; a missing key or a
-    value ``kind`` rejects raises ScenarioParseError naming its JSON path."""
+    """``doc[key]``, read by ``kind(value, path)`` when given; a missing key or
+    a value ``kind`` rejects raises ScenarioParseError naming its JSON path."""
     if not isinstance(doc, dict):
-        raise ScenarioParseError(f"expected an object, got {type(doc).__name__}", path)
+        _fail(f"expected an object, got {type(doc).__name__}", path)
     if key not in doc:
-        raise ScenarioParseError(f"missing key {key!r}", path)
-    if kind is None:
-        return doc[key]
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError, LookupError) as exc:
-        raise ScenarioParseError(f"bad value {doc[key]!r}", f"{path}.{key}") from exc
+        _fail(f"missing key {key!r}", path)
+    return doc[key] if kind is None else kind(doc[key], f"{path}.{key}")
 
 
-def _flag(v) -> bool:
-    if not isinstance(v, bool):
-        raise TypeError("expected true or false")
-    return v
+def _typed(kind: type, expected: str):
+    """Reader of a value that must be a JSON ``expected``, i.e. a Python ``kind``."""
+    return lambda v, path: v if isinstance(v, kind) else _fail(f"expected {expected}, got {v!r}", path)
+
+
+_flag = _typed(bool, "true or false")
+_text = _typed(str, "a string")
+_array = _typed(list, "an array")
+
+
+def _points(v, path: str) -> np.ndarray:
+    return np.array([_as_floats(p, 3, f"{path}[{k}]") for k, p in enumerate(_array(v, path))])
 
 
 def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepPlan:
@@ -112,35 +115,35 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
     if not same:
         raise ScenarioParseError("plan robot block does not match the scenario robot", source)
     steps = []
-    for i, s in enumerate(_field(doc, "steps", source, list)):
+    for i, s in enumerate(_field(doc, "steps", source, _array)):
         at = f"{where}steps[{i}]"
         steps.append(
             Footstep(
-                x=_field(s, "x", at, float), y=_field(s, "y", at, float),
-                z=_field(s, "z", at, float), theta=_field(s, "theta", at, float),
-                leg=_field(s, "leg", at, int), trimmed=_field(s, "trimmed", at, _flag),
+                x=_field(s, "x", at, _as_float), y=_field(s, "y", at, _as_float),
+                z=_field(s, "z", at, _as_float), theta=_field(s, "theta", at, _as_float),
+                leg=_field(s, "leg", at, _as_int), trimmed=_field(s, "trimmed", at, _flag),
                 region=s.get("region"),
             )
         )
     chunks = []
-    for i, c in enumerate(_field(doc, "chunks", source, list)):
+    for i, c in enumerate(_field(doc, "chunks", source, _array)):
         at = f"{where}chunks[{i}]"
         chunks.append(
             ChunkRecord(
-                index=_field(c, "index", at, int),
-                start_footholds=_field(c, "start_footholds", at, lambda v: np.array(v, dtype=float)),
-                start_yaw=_field(c, "start_yaw", at, float),
-                theta_range=_field(c, "theta_range", at, lambda v: (float(v[0]), float(v[1]))),
-                n_segments=_field(c, "n_segments", at, int),
-                chunk_steps=_field(c, "chunk_steps", at, int),
-                kept_count=_field(c, "kept", at, int),
-                n_variables=_field(c, "variables", at, int),
-                n_binaries=_field(c, "binaries", at, int),
-                nodes=_field(c, "nodes", at, int),
-                gap=_field(c, "gap", at, float),
-                objective=_field(c, "objective", at, float),
-                status=_field(c, "status", at, str),
-                solve_time=_field(c, "time_s", at, float) if c.get("time_s") is not None else 0.0,
+                index=_field(c, "index", at, _as_int),
+                start_footholds=_field(c, "start_footholds", at, _points),
+                start_yaw=_field(c, "start_yaw", at, _as_float),
+                theta_range=_field(c, "theta_range", at, lambda v, p: tuple(_as_floats(v, 2, p))),
+                n_segments=_field(c, "n_segments", at, _as_int),
+                chunk_steps=_field(c, "chunk_steps", at, _as_int),
+                kept_count=_field(c, "kept", at, _as_int),
+                n_variables=_field(c, "variables", at, _as_int),
+                n_binaries=_field(c, "binaries", at, _as_int),
+                nodes=_field(c, "nodes", at, _as_int),
+                gap=_field(c, "gap", at, _as_float),
+                objective=_field(c, "objective", at, _as_float),
+                status=_field(c, "status", at, _text),
+                solve_time=_field(c, "time_s", at, _as_float) if c.get("time_s") is not None else 0.0,
             )
         )
     if sum(c.kept_count for c in chunks) != len(steps):
@@ -156,9 +159,9 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
         steps=tuple(steps),
         chunks=tuple(chunks),
         converged=_field(conv, "converged", at, _flag),
-        termination=_field(conv, "termination", at, str),
-        coc_error=_field(conv, "coc_error", at, float),
-        yaw_error=_field(conv, "yaw_error", at, float),
+        termination=_field(conv, "termination", at, _text),
+        coc_error=_field(conv, "coc_error", at, _as_float),
+        yaw_error=_field(conv, "yaw_error", at, _as_float),
     )
 
 

@@ -95,7 +95,7 @@ def _extract_chunk_steps(problem: MiqpProblem, x: np.ndarray, scenario: Scenario
 
 
 def _drop_standing_tail(
-    steps: list[Footstep], start_holds: np.ndarray, n_legs: int, tol: float = 1e-7
+    steps: list[Footstep], start_holds: np.ndarray, n_legs: int
 ) -> list[Footstep]:
     """Drop trailing configurations that are trimmed and keep every foot in place."""
     n_cfg = len(steps) // n_legs
@@ -109,7 +109,7 @@ def _drop_standing_tail(
         else:
             prev_block = steps[(kept - 2) * n_legs : (kept - 1) * n_legs]
             prev = {s.leg: s.xyz() for s in prev_block}
-        if any(np.max(np.abs(s.xyz() - prev[s.leg])) > tol for s in block):
+        if any(np.max(np.abs(s.xyz() - prev[s.leg])) > _STANDING_TOL for s in block):
             break
         kept -= 1
     return steps[: kept * n_legs]
@@ -126,6 +126,8 @@ DEFAULT_CHUNK_NODES = 4
 GOAL_TOL = 0.05
 YAW_TOL = 0.05
 PROGRESS_TOL = 0.01
+#: a foot that moves less than this (m, per coordinate) stands in place
+_STANDING_TOL = 1e-7
 
 
 def plan(
@@ -290,8 +292,8 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
     }
 
     def note(family, chunk, step, amount, allowed, detail):
-        worst[family] = max(worst[family], amount)
-        if amount > allowed:
+        worst[family] = float(np.maximum(worst[family], amount))  # keeps a NaN
+        if not amount <= allowed:  # a NaN amount is an issue too
             issues.append(PlanIssue(family, chunk, step, amount, allowed, detail))
 
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 _FUNCS = {"sin": math.sin, "cos": math.cos}
+#: how far outside its range a table may be evaluated (rounding of the range ends)
+_DOMAIN_TOL = 1e-9
+#: segment counts tried above the requested one when looking for a knot at 0
+_ZERO_KNOT_SEARCH = 64
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,8 @@ class PwlTable:
         out = self.slopes[k] * t + self.intercepts[k]
         return float(out) if np.isscalar(theta) or t.ndim == 0 else out
 
-    def _check_domain(self, theta: float, tol: float = 1e-9) -> None:
-        if theta < self.theta_min - tol or theta > self.theta_max + tol:
+    def _check_domain(self, theta: float) -> None:
+        if theta < self.theta_min - _DOMAIN_TOL or theta > self.theta_max + _DOMAIN_TOL:
             raise DomainError(
                 f"theta {theta} outside [{self.theta_min}, {self.theta_max}] of {self.kind} table"
             )
@@ -95,9 +99,7 @@ def build_table(kind: str, theta_range: tuple[float, float], n_segments: int) ->
     return PwlTable(kind=kind, breakpoints=bp, slopes=slopes, intercepts=intercepts)
 
 
-def segment_count_with_zero_knot(
-    theta_range: tuple[float, float], n_segments: int, search_limit: int = 64
-) -> int:
+def segment_count_with_zero_knot(theta_range: tuple[float, float], n_segments: int) -> int:
     """Smallest count >= n_segments that puts a breakpoint at 0, if one exists.
 
     Only applies when the range straddles 0; uniform spacing cannot hit 0
@@ -108,7 +110,7 @@ def segment_count_with_zero_knot(
     if not lo < 0.0 < hi:
         return n_segments
     frac = -lo / (hi - lo)
-    for ns in range(n_segments, n_segments + search_limit + 1):
+    for ns in range(n_segments, n_segments + _ZERO_KNOT_SEARCH + 1):
         k = round(ns * frac)
         if 0 < k < ns and abs(ns * frac - k) <= 1e-9 * ns:
             return ns

@@ -98,6 +98,19 @@ class TestValidateCommand:
             code = main(["validate", str(plan_path), str(scenario_file)])
             assert code == EXIT_INFEASIBLE
 
+    def test_non_finite_coordinate_fails(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"])
+        doc = json.loads(plan_path.read_text())
+        assert doc["steps"]
+        doc["steps"][0]["x"] = float("nan")
+        plan_path.write_text(json.dumps(doc))
+        assert "NaN" in plan_path.read_text()
+        code = main(["validate", str(plan_path), str(scenario_file)])
+        assert code == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert "0 issue" not in out and "worst=nan" in out
+
     def test_step_missing_key_is_parse_error(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"])

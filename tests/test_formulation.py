@@ -4,14 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepplan.errors import AssemblyError, ContractViolation, InfeasibleScenarioError
 from stepplan.formulation import (
     VariableLayout,
+    _box_excess,
     assemble,
-    big_m_for_row,
     make_rounding_heuristic,
     scenario_tables,
     validate_assignment,
@@ -24,6 +25,7 @@ from stepplan.model import (
     leg_of,
     nominal_position,
 )
+from stepplan.planner import plan, validate_plan
 from stepplan.qp import BoxQp
 from stepplan.scenario_io import load_scenario
 
@@ -160,36 +162,85 @@ class TestVariableLayout:
         assert layout.continuous_count == layout.size - len(expected)
 
 
+def box_excess(a, rhs, lower, upper):
+    """``_box_excess`` of the dense rows ``a`` (one row may be given as a vector)."""
+    a = sp.coo_matrix(np.atleast_2d(np.asarray(a, dtype=float)))
+    return _box_excess(a, np.atleast_1d(rhs), np.asarray(lower, float), np.asarray(upper, float))
+
+
 class TestBigM:
     def test_single_variable(self):
-        assert big_m_for_row({0: 1.0}, 0.0, [-1.0], [2.0]) == pytest.approx(2.0)
+        assert box_excess([1.0], 0.0, [-1.0], [2.0]) == pytest.approx([2.0])
 
     def test_corner_evaluation(self):
-        assert big_m_for_row({0: 1.0, 1: 1.0}, 1.0, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(6.0)
-
-    def test_accepts_dense_vector(self):
-        assert big_m_for_row(np.array([1.0, 1.0]), 1.0, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(6.0)
+        assert box_excess([1.0, 1.0], 1.0, [0.0, 0.0], [3.0, 4.0]) == pytest.approx([6.0])
 
     def test_unbounded_variable_rejected(self):
         with pytest.raises(AssemblyError):
-            big_m_for_row({0: 1.0}, 0.0, [-np.inf], [1.0])
+            box_excess([1.0], 0.0, [-np.inf], [1.0])
 
     def test_random_rows_match_corner_enumeration(self):
         rng = np.random.default_rng(42)
-        for _ in range(50):
+        for _ in range(10):
             d = int(rng.integers(1, 11))
-            a = rng.normal(size=d)
+            a = rng.normal(size=(5, d))
+            a[rng.random(a.shape) < 0.3] = 0.0
             lo = rng.uniform(-3, 0, d)
             hi = lo + rng.uniform(0.1, 3, d)
-            b = float(rng.normal())
-            brute = max(
-                float(a @ np.array(corner)) - b
-                for corner in itertools.product(*zip(lo, hi))
-            )
-            assert big_m_for_row(a, b, lo, hi) == pytest.approx(brute, abs=1e-10)
+            b = rng.normal(size=5)
+            corners = np.array(list(itertools.product(*zip(lo, hi))))
+            brute = np.max(corners @ a.T, axis=0) - b
+            assert box_excess(a, b, lo, hi) == pytest.approx(brute, abs=1e-10)
 
 
 class TestAssemble:
+    def test_translated_preset_keeps_its_rows_and_plans_clean(self):
+        """The box rule reads each row with its constant (the start stance)
+        folded into the rhs, so moving the whole scene keeps every decision."""
+        scn = load_scenario(SCENARIO_DIR / "quadruped_tilted_terrain.json")
+        shift = np.array([-3.0, -3.0, 0.0])
+        moved = scn.with_overrides(
+            regions=tuple(
+                SafeRegion(r.a_matrix, r.b_vector + r.a_matrix @ shift, r.name,
+                           bbox=(r.bbox[0] + shift, r.bbox[1] + shift))
+                for r in scn.regions
+            ),
+            start_footholds=scn.start_footholds + shift,
+            goal_position=scn.goal_position + shift,
+            workspace_box=(scn.workspace_box[0] + shift, scn.workspace_box[1] + shift),
+        )
+
+        def row_counts(scenario):
+            prob = assemble(scenario.with_overrides(max_steps=16))
+            return {f: prob.ineq_families.count(f) for f in ("geometric", "reachability")}
+
+        assert row_counts(moved) == row_counts(scn)
+        report = validate_plan(plan(moved), moved)
+        assert report.ok, report.summary()
+
+    def test_pins_match_per_step_rules(self):
+        """Region and trim pins equal the per-step, per-leg loop statement."""
+        base = load_scenario(SCENARIO_DIR / "quadruped_stepping_stones.json")
+        near_goal = base.goal_position.copy()
+        near_goal[:2] = base.start_footholds[:, :2].mean(axis=0) + [0.25, 0.0]
+        scn = base.with_overrides(max_steps=16, goal_position=near_goal, goal_yaw=base.start_yaw)
+        prob = assemble(scn)
+        layout, n = prob.layout, scn.robot.n_legs
+        goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
+        can_trim = {}
+        for i in range(16, 0, -1):
+            feet = [layout.foot(i, comp) for comp in range(3)]
+            lo, hi = prob.lower[feet], prob.upper[feet]
+            g = goals[leg_of(i, n) - 1]
+            inside = bool(np.all((lo - 1e-9 <= g) & (g <= hi + 1e-9)))
+            can_trim[i] = inside and can_trim.get(i + n, True)
+            assert prob.upper[layout.trim(i)] == float(can_trim[i])
+            for r, reg in enumerate(scn.regions, start=1):
+                # smallest a.x - b over the step box, per halfspace
+                least = np.minimum(reg.a_matrix * lo, reg.a_matrix * hi).sum(axis=1) - reg.b_vector
+                assert prob.upper[layout.region(i, r)] == float(least.max() <= 1e-12)
+        assert 0 < sum(can_trim.values()) < 16
+
     def test_variable_counts(self):
         scn = small_scenario()
         prob = assemble(scn)

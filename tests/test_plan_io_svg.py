@@ -102,10 +102,12 @@ class TestPlanFile:
 
     def test_mistyped_chunk_value_names_its_path(self, planned):
         scn, result = planned
-        doc = plan_to_dict(result, scn)
-        doc["chunks"][0]["gap"] = "wide"
-        with pytest.raises(ScenarioParseError, match=r"chunks\[0\]\.gap"):
-            plan_from_dict(doc, scn)
+        mistyped = (("chunks", "gap", "wide"), ("steps", "leg", 1.9), ("steps", "x", "0.1"))
+        for where, key, value in mistyped:
+            doc = plan_to_dict(result, scn)
+            doc[where][0][key] = value
+            with pytest.raises(ScenarioParseError, match=rf"{where}\[0\]\.{key}"):
+                plan_from_dict(doc, scn)
 
     def test_byte_identical_output(self, planned):
         scn, result = planned
