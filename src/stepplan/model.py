@@ -20,6 +20,8 @@ from .errors import ConfigurationError, ContractViolation
 COC_CONVENTIONS = ("exclude-current", "include-current")
 #: how far (m) start footholds and the goal may sit outside the workspace box
 _WORKSPACE_TOL = 1e-6
+#: how far (m) a point may violate a region's halfspaces and still lie in it
+_CONTAINS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,8 @@ class SafeRegion:
         p = np.asarray(point, dtype=float).ravel()[:3]
         return float(np.max(self.a_matrix @ p - self.b_vector))
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        return self.violation(point) <= tol
+    def contains(self, point) -> bool:
+        return self.violation(point) <= _CONTAINS_TOL
 
 
 @dataclass(frozen=True)

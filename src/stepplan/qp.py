@@ -35,7 +35,19 @@ Newton matrix is dense: the workspace lists once every pair of stored
 entries that share a row of G_all, and each Newton block is one
 ``np.bincount`` over the pairs that survive the call's presolve, with no
 sparse object built inside the iteration loop. Variable bounds must be
-finite (the assembled problems always are).
+finite (the assembled problems always are), and so must every fixing; a
+fixing outside its variable's bounds makes the call infeasible.
+
+On small problems a call's cost is numpy call overhead, not arithmetic, so
+the interior point allocates its vectors once per call and writes each
+iteration into them: [x; y], [s; z] and [ds; dz] are one buffer each (one
+ratio test, one update), and so are [G_all x; A x], [r_p; r_e] and
+[Px; G_all'z; A'y] (one max-abs reduction per norm). Every such rewrite is
+exact: each element comes from the same floating point operations in the
+same order, so every iterate and result is bit for bit what the plain
+formulas give (``tools/ab_qp.py`` checks this against another checkout).
+For the same reason dense matrices stay C-ordered: a product sums in
+another order on an F-ordered copy, such as ``m[rows][:, cols]`` makes.
 """
 
 from __future__ import annotations
@@ -132,7 +144,7 @@ class _Reduced:
             # complementarity sits within rounding of the tolerance then fails
             k = self.h.size
             block = self.p + (self.g.T * w[:k]) @ self.g
-            block[np.diag_indices(nf)] += w[k : k + nf] + w[k + nf :]
+            block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
             return block
         flat, rows, prod = self.scatter
         return self.p + np.bincount(flat, prod * w[rows], nf * nf).reshape(nf, nf)
@@ -140,7 +152,8 @@ class _Reduced:
 
 def _take(m, rows, cols):
     if isinstance(m, np.ndarray):
-        return m[np.ix_(rows, cols)]
+        # C-ordered, unlike m[rows][:, cols] (see the module docstring)
+        return m.take(rows, 0).take(cols, 1)
     return m[rows][:, cols]
 
 
@@ -155,26 +168,32 @@ def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
     return cols, (m @ f)[rows]
 
 
-def _opposite_pairs(g: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (i < j) of ``g`` that are exact negatives of each other.
+def _opposite_pairs(g: sp.csr_matrix, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (i < j) of ``g`` that are exact negatives on the ``kept`` columns.
 
-    Also returns a group id per pair: pairs of the same two opposite
-    patterns share it, so their zero-width equalities coincide.
+    Only rows with at least two entries on those columns take part. Also
+    returns a group id per pair: pairs of the same two opposite patterns
+    share it, so their zero-width equalities coincide.
     """
-    g.sort_indices()
+    if not g.has_sorted_indices:
+        g = g.sorted_indices()
+    on = kept[g.indices]
+    row_of = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))[on]
+    bounds = np.searchsorted(row_of, np.arange(g.shape[0] + 1))
+    cols_on = g.indices[on]
+    vals_on = np.round(g.data[on], 12) + 0.0  # +0.0 folds -0.0 into 0.0
     ids: dict[bytes, int] = {}
     members: dict[int, list[int]] = {}
-    keys = []
-    for i in range(g.shape[0]):
-        span = slice(g.indptr[i], g.indptr[i + 1])
-        vals = np.round(g.data[span], 12) + 0.0  # +0.0 folds -0.0 into 0.0
-        cols = g.indices[span].tobytes()
-        keys.append((cols + vals.tobytes(), cols + (-vals + 0.0).tobytes()) if vals.any() else None)
-        if keys[-1] is not None:
-            members.setdefault(ids.setdefault(keys[-1][0], len(ids)), []).append(i)
+    keys = {}
+    for i in np.flatnonzero(np.diff(bounds) >= 2).tolist():
+        vals = vals_on[bounds[i] : bounds[i + 1]]
+        if vals.any():
+            cols = cols_on[bounds[i] : bounds[i + 1]].tobytes()
+            keys[i] = (cols + vals.tobytes(), cols + (-vals + 0.0).tobytes())
+            members.setdefault(ids.setdefault(keys[i][0], len(ids)), []).append(i)
     pairs, groups = [], []
-    for i, key in enumerate(keys):
-        mate = ids.get(key[1]) if key is not None else None
+    for i, key in keys.items():
+        mate = ids.get(key[1])
         if mate is not None:
             for j in members[mate]:
                 if i < j:
@@ -205,12 +224,17 @@ def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.abs(v).max(initial=0.0))
+    return float(np.maximum.reduce(np.abs(v), initial=0.0))
 
 
-def _max_step(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> float:
-    """Largest step keeping the positive vectors ``s`` and ``z`` nonnegative."""
-    worst = min((ds / s).min(), (dz / z).min())
+def _copy_product(m, v: np.ndarray, out: np.ndarray) -> None:
+    """``out = m @ v`` for a CSR ``m``, whose product cannot write in place."""
+    out[:] = m @ v
+
+
+def _max_step(sz: np.ndarray, dsz: np.ndarray) -> float:
+    """Largest step along ``dsz`` keeping the positive vector ``sz`` nonnegative."""
+    worst = np.minimum.reduce(dsz / sz)
     return -1.0 / worst if worst < 0.0 else math.inf
 
 
@@ -258,11 +282,8 @@ class BoxQp:
         self._nz_g = (abs(self.g) > 0.0).astype(float)
         self._nz_a = (abs(self.a) > 0.0).astype(float)
         # a pair can only become an equality when both rows keep two free
-        # entries off the pinnable columns, so only such rows are searched
-        sub = g[:, ~pinnable & (self.lo < self.hi)]
-        rows = np.flatnonzero(np.diff(sub.indptr) >= 2)
-        pairs, self._pair_groups = _opposite_pairs(sub[rows])
-        self._pairs = rows[pairs]
+        # entries off the pinnable columns, so only such entries are compared
+        self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
@@ -292,7 +313,13 @@ class BoxQp:
         hi = self.hi.copy()
         if fixings:
             idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
-            lo[idx] = hi[idx] = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
+            val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
+            if not (np.isfinite(val).all() and 0 <= idx.min() and idx.max() < self.n):
+                raise ContractViolation(f"fixings must pin variables 0..{self.n - 1} to finite values")
+            slack = FEAS_TOL * (1.0 + np.abs(val))
+            if ((val < lo[idx] - slack) | (val > hi[idx] + slack)).any():
+                return None
+            lo[idx] = hi[idx] = val
         bound_rows = np.full((2, self.n), -1)
         bound_coefs = np.zeros((2, self.n))
         live_g = np.ones(self.h.shape[0], dtype=bool)
@@ -306,10 +333,10 @@ class BoxQp:
             g_nnz = self._nz_g @ f
             a_nnz = self._nz_a @ f
             empty = live_g & (g_nnz == 0.0)
-            if np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
+            if empty.any() and np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
                 return None
             empty = live_a & (a_nnz == 0.0)
-            if np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
+            if empty.any() and np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
                 return None
             # a singleton inequality row tightens one bound of its variable
             single = np.flatnonzero(live_g & (g_nnz == 1.0))
@@ -412,7 +439,10 @@ class BoxQp:
         """Solve the relaxation with the variables in ``fixings`` pinned.
 
         Every call starts from the same interior point, so a result is a
-        function of the fixings alone.
+        function of the fixings alone. A fixing outside its variable's bounds
+        (beyond the presolve tolerance) makes the call infeasible; a
+        non-finite value or an index outside the variables is a
+        ContractViolation.
         """
         red = self._presolve(fixings)
         if red is None:
@@ -442,15 +472,17 @@ class BoxQp:
         y_in[red.g_rows] = z[:k]
         orig = red.eq_rows >= 0
         y_eq[red.eq_rows[orig]] = y_red[orig]
-        lam = y_red[~orig]
-        # a pair equality's multiplier belongs to the row on its side
-        np.add.at(y_in, red.pair_rows[:, 0], np.maximum(lam, 0.0))
-        np.add.at(y_in, red.pair_rows[:, 1], np.maximum(-lam, 0.0))
+        if red.pair_rows.size:
+            # a pair equality's multiplier belongs to the row on its side
+            lam = y_red[~orig]
+            np.add.at(y_in, red.pair_rows[:, 0], np.maximum(lam, 0.0))
+            np.add.at(y_in, red.pair_rows[:, 1], np.maximum(-lam, 0.0))
         # a bound set by a singleton row hands its multiplier to that row
         for side, mult in ((0, -z[k : k + nf]), (1, z[k + nf :])):
             rows = red.bound_rows[side]
             by_row = rows >= 0
-            np.add.at(y_in, rows[by_row], mult[by_row] / red.bound_coefs[side, by_row])
+            if by_row.any():
+                np.add.at(y_in, rows[by_row], mult[by_row] / red.bound_coefs[side, by_row])
             y_bnd[red.cols[~by_row]] += mult[~by_row]
         grad = self.p @ x + self.q + self.g.T @ y_in + self.a.T @ y_eq
         fixed = np.ones(self.n, dtype=bool)
@@ -478,49 +510,80 @@ def _interior_point(red: _Reduced):
 
     The inequality rows and both sides of the variable bounds form one
     stacked system  G_all x + s = h_all, that is  Gx + s = h,  -x + s_l = -lo
-    and  x + s_u = hi,  with slacks s >= 0 and multipliers z >= 0, each held
-    as one vector. Infeasibility is left to the HiGHS LP, run once: at a
-    stall, or when the iterates do not converge. Returns
-    ``(x, y, z, iterations, status)``.
+    and  x + s_u = hi,  with slacks s >= 0 and multipliers z >= 0. The
+    buffers ([x; y], [s; z], [ds; dz], the products and residuals) are
+    written in place, so the views into them made before the loop stay
+    valid. Infeasibility is left to the HiGHS LP, run once: at a stall, or
+    when the iterates do not converge. Returns ``(x, y, z, iterations,
+    status)``.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
-    h_all = np.concatenate([red.h, -red.lo, red.hi])
-    n_cone = h_all.size
+    n_cone = mi + 2 * nf
     g_t = g.T.tocsr() if sp.issparse(g) else g.T
+    # dense products write into their buffer; a CSR product is copied there
+    times = _copy_product if sp.issparse(g) else np.dot
 
-    def stack(v):  # [G; -I; I] v
-        return np.concatenate([g @ v, -v, v])
+    def blocks(v):  # the blocks of a G_all-row vector: G rows, lower, upper
+        return v[:mi], v[mi : mi + nf], v[mi + nf :]
 
-    def stack_t(w):  # [G; -I; I]' w
-        return g_t @ w[:mi] - w[mi : mi + nf] + w[mi + nf :]
+    def stack(v, out):  # out = [G; -I; I] v, given as its blocks
+        times(g, v, out[0])
+        np.negative(v, out=out[1])
+        np.copyto(out[2], v)
 
-    x = 0.5 * (red.lo + red.hi)
-    s = np.maximum(h_all - stack(x), 1.0)
-    z = np.ones(n_cone)
-    y = np.zeros(me)
+    def stack_t(w, out):  # out = [G; -I; I]' w, w given as its blocks
+        times(g_t, w[0], out)
+        np.subtract(out, w[1], out=out)
+        np.add(out, w[2], out=out)
+
+    hb = np.concatenate([red.h, -red.lo, red.hi, b])  # [h_all; b]
+    h_all = hb[:n_cone]
+    xy = np.zeros(nf + me)
+    x, y = xy[:nf], xy[nf:]
+    np.multiply(0.5, red.lo + red.hi, out=x)
+    sz = np.ones(2 * n_cone)
+    s, z = sz[:n_cone], sz[n_cone:]
+    dsz = np.empty(2 * n_cone)
+    ds, dz = dsz[:n_cone], dsz[n_cone:]
+    gax = np.empty(n_cone + me)  # [G_all x; A x]
+    gx, ax = gax[:n_cone], gax[n_cone:]
+    res = np.empty(n_cone + me)  # [r_p; r_e]
+    r_p, r_e = res[:n_cone], res[n_cone:]
+    terms = np.empty(3 * nf)  # [Px; G_all'z; A'y]: the terms of r_d
+    px, gz, ay = terms[:nf], terms[nf : 2 * nf], terms[2 * nf :]
+    neg_rp, t = np.empty(n_cone), np.empty(n_cone)
+    rhs = np.empty(nf + me)
+    rhs_x, rhs_y = rhs[:nf], rhs[nf:]
+    gx_b, z_b, t_b, ds_b, neg_rp_b = map(blocks, (gx, z, t, ds, neg_rp))
+    stack(x, gx_b)
+    np.maximum(h_all - gx, 1.0, out=s)
     kkt = np.zeros((nf + me, nf + me))
     kkt[nf:, :nf] = a.toarray() if sp.issparse(a) else a
     kkt[:nf, nf:] = kkt[nf:, :nf].T
     kkt[nf:, nf:] = -EQ_REG * np.eye(me)
     a_t = kkt[:nf, nf:]
-    norm_h, norm_b, norm_c = _norm(h_all), _norm(b), _norm(c)  # loop invariants
+    norm_hb, norm_c = _norm(hb), _norm(c)  # loop invariants
     feasible = None  # the LP's verdict, once it has run
     history = []  # relative primal residual and largest multiplier per iteration
     eps = EPS_ABS
     it = 0
     for it in range(1, MAX_ITER + 1):
-        px, gz, ay = p @ x, stack_t(z), a_t @ y
-        gx, ax = stack(x), a @ x
+        np.dot(p, x, out=px)
+        stack_t(z_b, gz)
+        np.dot(a_t, y, out=ay)
         r_d = px + c + gz + ay
-        r_p = gx + s - h_all
-        r_e = ax - b
+        stack(x, gx_b)
+        times(a, x, ax)
+        np.add(gx, s, out=r_p)
+        np.subtract(r_p, h_all, out=r_p)
+        np.subtract(ax, b, out=r_e)
         mu = float(s @ z) / n_cone
         obj = float(0.5 * x @ px + c @ x)
         # residuals relative to the terms that make them up
-        scale_p = 1.0 + max(_norm(gx), norm_h, _norm(ax), norm_b)
-        scale_d = 1.0 + max(_norm(px), norm_c, _norm(gz), _norm(ay))
-        prim = max(_norm(r_p), _norm(r_e))
+        scale_p = 1.0 + max(_norm(gax), norm_hb)
+        scale_d = 1.0 + max(_norm(terms), norm_c)
+        prim = _norm(res)
         if (
             prim <= eps * scale_p
             and _norm(r_d) <= eps * scale_d
@@ -529,7 +592,7 @@ def _interior_point(red: _Reduced):
             return x, y, z, it - 1, "optimal"
         if mu * n_cone <= MU_FLOOR * (1.0 + abs(obj)):
             break
-        res_p, z_max = prim / scale_p, float(z.max())
+        res_p, z_max = prim / scale_p, float(np.maximum.reduce(z))
         history.append((res_p, z_max))
         if feasible is None and len(history) > STALL_ITERS:
             old_res, old_z = history[-1 - STALL_ITERS]
@@ -537,34 +600,48 @@ def _interior_point(red: _Reduced):
                 feasible = _feasible(red)
                 if not feasible:
                     return x, y, z, it - 1, "infeasible"
-        w = z / s
-        kkt[:nf, :nf] = red.newton_block(w)
+        kkt[:nf, :nf] = red.newton_block(z / s)
         lu, piv, info = _getrf(kkt)
         if info != 0:
             break
+        # the parts of the Newton right-hand side both solves share
+        neg_rd, sz_prod, z_rp = -r_d, s * z, z * r_p
+        np.negative(r_p, out=neg_rp)
+        np.negative(r_e, out=rhs_y)
 
         def newton(r_c):
-            rhs = np.concatenate([-r_d - stack_t((z * r_p - r_c) / s), -r_e])
+            """[dx; dy] for the complementarity target ``r_c``; fills [ds; dz]."""
+            np.subtract(z_rp, r_c, out=t)
+            np.divide(t, s, out=t)
+            stack_t(t_b, rhs_x)
+            np.subtract(neg_rd, rhs_x, out=rhs_x)
             d = _getrs(lu, piv, rhs)[0]
-            ds = -r_p - stack(d[:nf])
-            return d[:nf], d[nf:], ds, (-r_c - z * ds) / s
+            dx = d[:nf]
+            # ds = -r_p - G_all dx, block by block (-r_p - (-dx) is -r_p + dx)
+            times(g, dx, ds_b[0])
+            np.subtract(neg_rp_b[0], ds_b[0], out=ds_b[0])
+            np.add(neg_rp_b[1], dx, out=ds_b[1])
+            np.subtract(neg_rp_b[2], dx, out=ds_b[2])
+            np.multiply(z, ds, out=dz)
+            np.subtract(-r_c, dz, out=dz)
+            np.divide(dz, s, out=dz)
+            return d
 
         # predictor: the affine-scaling direction sets Mehrotra's centering
-        dx, dy, ds, dz = newton(s * z)
-        alpha = min(1.0, _max_step(s, ds, z, dz))
-        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / n_cone
+        newton(sz_prod)
+        alpha = min(1.0, _max_step(sz, dsz))
+        shifted = sz + alpha * dsz
+        mu_aff = float(shifted[:n_cone] @ shifted[n_cone:]) / n_cone
         sigma = (mu_aff / mu) ** 3
         # corrector: second-order term plus centering
-        dx, dy, ds, dz = newton(s * z + ds * dz - sigma * mu)
+        d = newton(sz_prod + ds * dz - sigma * mu)
         # a fixed fraction to the boundary can cycle at small mu
         tau = min(max(0.9, 1.0 - 10.0 * mu), TAU_MAX)
-        alpha = min(1.0, tau * _max_step(s, ds, z, dz))
-        if not (alpha > 1e-12 and np.all(np.isfinite(dx))):
+        alpha = min(1.0, tau * _max_step(sz, dsz))
+        if not (alpha > 1e-12 and np.isfinite(d[:nf]).all()):
             break
-        x = x + alpha * dx
-        y = y + alpha * dy
-        s = s + alpha * ds
-        z = z + alpha * dz
+        xy += alpha * d
+        sz += alpha * dsz
     if feasible is None:
         feasible = _feasible(red)
     return x, y, z, it, "max-iterations" if feasible else "infeasible"

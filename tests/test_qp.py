@@ -244,6 +244,79 @@ class TestWorkspaceReuse:
         assert np.array_equal(a.x, b.x)
 
 
+class TestFixingContract:
+    # min (x0 - 3)^2 + x1^2 with x0 in [0, 1]: the least value is -5, at x0 = 1
+    @staticmethod
+    def workspace():
+        return BoxQp.from_miqp(make_problem(np.eye(2), [-6.0, 0.0], lb=[0.0, -5.0], ub=[1.0, 5.0]))
+
+    def test_fixing_outside_bounds_is_infeasible(self):
+        # solved as given, x0 = 2 would report -8, below the true minimum
+        sol = self.workspace().solve(fixings={0: 2.0})
+        assert sol.status == "infeasible"
+        assert math.isinf(sol.objective)
+
+    @pytest.mark.parametrize("value", [1.0, 1.0 + 1e-12])
+    def test_fixing_on_a_bound_is_kept(self, value):
+        sol = self.workspace().solve(fixings={0: value})
+        assert sol.status == "optimal"
+        assert sol.x[0] == value
+        assert sol.objective == pytest.approx(-5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fixings", [{0: math.nan}, {0: math.inf}, {5: 0.0}, {-1: 0.0}])
+    def test_bad_fixing_is_a_contract_violation(self, fixings):
+        with pytest.raises(ContractViolation):
+            self.workspace().solve(fixings=fixings)
+
+
+class TestLayout:
+    def test_dense_reduced_matrices_are_c_ordered(self):
+        # a product sums in another order on an F-ordered array, so every
+        # relaxation's last bits rest on this layout
+        rng = np.random.default_rng(4)
+        G = rng.normal(size=(6, 6))
+        prob = make_problem(G.T @ G + 0.1 * np.eye(6), rng.normal(size=6),
+                            lb=[-2, -2, -2, -2, 0, 0], ub=[2, 2, 2, 2, 1, 1], bins=[4, 5],
+                            a_in=rng.normal(size=(5, 6)), b_in=rng.normal(size=5) + 3.0,
+                            a_eq=rng.normal(size=(2, 6)), b_eq=rng.normal(size=2))
+        red = BoxQp.from_miqp(prob)._presolve({4: 1.0, 1: 0.5})
+        assert red.cols.tolist() == [0, 2, 3, 5]
+        assert red.g_rows.size == 5 and red.eq_rows.size == 2
+        for m in (red.g, red.a, red.p):
+            assert isinstance(m, np.ndarray) and m.flags.c_contiguous
+
+    def test_zero_width_pair_keeps_c_order(self):
+        prob = make_problem(np.eye(3), [0.0, 0.0, 0.0], lb=[-1.0, -1.0, 0.0], ub=[1.0, 1.0, 1.0],
+                            bins=[2], a_in=[[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]], b_in=[1.0, 1.0])
+        red = BoxQp.from_miqp(prob)._presolve({2: 1.0})
+        assert red.pair_rows.shape == (1, 2)
+        for m in (red.g, red.a, red.p):
+            assert isinstance(m, np.ndarray) and m.flags.c_contiguous
+
+
+class TestMaxStep:
+    @staticmethod
+    def separate(s, ds, z, dz):
+        """The ratio test on s and z apart, as two minima."""
+        worst = min((ds / s).min(), (dz / z).min())
+        return -1.0 / worst if worst < 0.0 else math.inf
+
+    def test_matches_separate_ratio_tests(self):
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            n = int(rng.integers(1, 12))
+            s, z = rng.uniform(0.01, 5.0, n), rng.uniform(0.01, 5.0, n)
+            ds, dz = rng.normal(size=n), rng.normal(size=n)
+            if trial % 4 == 0:
+                ds, dz = np.abs(ds), np.abs(dz)
+            step = qp_module._max_step(np.concatenate([s, z]), np.concatenate([ds, dz]))
+            assert step == self.separate(s, ds, z, dz)
+
+    def test_no_negative_direction_is_unbounded(self):
+        sz, dsz = np.array([1.0, 2.0, 0.5, 3.0]), np.array([0.0, 1.0, 2.0, 0.0])
+        assert qp_module._max_step(sz, dsz) == math.inf
+
+
 class TestPresolveCascade:
     # with x3 = 1 the equality x1 + x3 = 1 is a singleton that pins x1 = 0;
     # the second round then finds rows 0 and 2 singletons, which become the

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""In-process A/B of ``BoxQp.solve`` between another checkout and this one.
+
+Records every ``BoxQp.solve`` call of the ``tree_random_miqp`` benchmark
+workload on the batch of one seed (the workspace's problem and the call's
+fixings), then replays the calls through the ``qp`` module of PARENT_DIR and
+through this checkout's, call by call with the first of the two alternating,
+over ``--rounds`` rounds. Every
+field of every ``QpSolution`` must be bit-identical between the two; the tool
+prints the median over rounds of this checkout's replay time over the
+parent's. Both modules run in one process, so a drift in host speed between
+processes does not enter the ratio:
+
+    python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
+
+Exits 1 if any solution differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# one BLAS thread, as in the benchmark: tiny products gain nothing from threads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from stepplan import bnb, qp  # noqa: E402
+
+def load_qp(root: Path, alias: str):
+    """The ``qp`` module of the ``stepplan`` package under ``root``, imported as ``alias``."""
+    pkg_dir = root / "src" / "stepplan"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = pkg
+    spec.loader.exec_module(pkg)
+    return importlib.import_module(f"{alias}.qp")
+
+
+def record_calls(seed: int):
+    """The problems of the seed's workspaces and each solve as (workspace, fixings)."""
+    from perfbench.workloads import TreeRandomMiqp
+
+    workload = TreeRandomMiqp(ROOT, seed, False)
+    problems = workload.setup(bnb)
+    spaces, calls, index = [], [], {}
+    from_miqp, solve = qp.BoxQp.from_miqp, qp.BoxQp.solve
+
+    def recording_from_miqp(cls, problem):
+        ws = from_miqp(problem)
+        index[id(ws)] = len(spaces)
+        spaces.append(problem)
+        return ws
+
+    def recording_solve(ws, fixings=None):
+        calls.append((index[id(ws)], dict(fixings or {})))
+        return solve(ws, fixings)
+
+    qp.BoxQp.from_miqp = classmethod(recording_from_miqp)
+    qp.BoxQp.solve = recording_solve
+    try:
+        workload.run(bnb, problems)
+    finally:
+        qp.BoxQp.from_miqp, qp.BoxQp.solve = classmethod(from_miqp.__func__), solve
+    return spaces, calls
+
+
+def replay(modules, spaces, calls, first: int):
+    """Solve every call through both modules, alternating which goes first.
+
+    Returns each module's total solve time and solutions."""
+    workspaces = [[m.BoxQp.from_miqp(p) for p in spaces] for m in modules]
+    seconds, sols = [0.0, 0.0], [[], []]
+    for i, (k, fixings) in enumerate(calls):
+        for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            sols[j].append(workspaces[j][k].solve(fixings=fixings))
+            seconds[j] += time.perf_counter() - t0
+    return seconds, sols
+
+
+def same(a, b) -> bool:
+    """Whether two solutions agree bit for bit in every field."""
+    for field in dataclasses.fields(a):
+        u, v = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(u, np.ndarray):
+            if u.dtype != v.dtype or u.shape != v.shape or u.tobytes() != v.tobytes():
+                return False
+        elif np.asarray(u).tobytes() != np.asarray(v).tobytes():
+            return False
+    return True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, metavar="PARENT_DIR")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args(argv)
+    parent = load_qp(args.parent.resolve(), "parent_stepplan")
+    spaces, calls = record_calls(args.seed)
+    print(f"seed {args.seed}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
+    ratios, differ = [], 0
+    for r in range(args.rounds):
+        (t_parent, t_new), (old, new) = replay((parent, qp), spaces, calls, r)
+        differ = max(differ, sum(not same(a, b) for a, b in zip(old, new)))
+        ratios.append(t_new / t_parent)
+        print(f"round {r + 1}: parent {t_parent:.3f} s, this {t_new:.3f} s, ratio {ratios[-1]:.3f}", flush=True)
+    print(f"median ratio {statistics.median(ratios):.3f}; solutions differing: {differ} of {len(calls)}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
