@@ -12,21 +12,40 @@ operator  G_all = [G; -I; I]  with one slack and one multiplier per row, so
 the bounds add a diagonal to the Newton block  P + G_all' diag(w) G_all.
 When the iterates stall (the primal residual stops falling while the
 multipliers grow) or the interior point does not converge, an exact HiGHS
-feasibility LP decides whether the reduced problem is infeasible; it runs at
+feasibility LP (through ``scipy.optimize.milp``, a lighter wrapper than
+``linprog``) decides whether the reduced problem is infeasible; it runs at
 most once per call.
 
 The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
 with one free variable become bounds, and pairs of opposite rows whose
 right-hand sides cancel (a big-M row pair with its binary fixed) become
-equalities. The workspace lists candidate pairs once; it searches only rows
-with at least two entries on continuous, non-fixed columns, because a pair
-becomes an equality only when both rows keep two free entries and all
-their pinnable columns are fixed. The presolve changes only right-hand
-sides and bounds, so a call's G_all is always a row and column subset of
-the workspace's. Its rounds work on
-whole-workspace vectors (live-row and free-column masks, row counts from one
-product with the free-column mask); each matrix is sliced once per call.
+equalities. The presolve changes only right-hand sides and bounds, so a
+call's G_all is always a row and column subset of the workspace's.
+
+A call does only the work its fixings change; what depends on the
+structure alone is found once per workspace:
+
+- the candidate opposite pairs, searched only among rows with at least two
+  entries on continuous, non-fixed columns (a pair becomes an equality only
+  when both rows keep two free entries and all their pinnable columns are
+  fixed);
+- the rows that can shrink: the fixpoint of marking every row with fewer
+  than two entries off the pinnable and collapsed columns and adding the
+  marked rows' columns. Any other row keeps two free entries under every
+  fixing of pinnable columns, so the emptied-row and singleton tests, the
+  row counts (products with the free-column mask) and the live-row masks
+  run over the shrinkable rows only. When there are none, as in small
+  problems whose rows all have two continuous entries, a call substitutes
+  the fixings once and drops no row;
+- the free-column mask of the workspace bounds.
+
+Each matrix is sliced once per call; a CSR slice is built from the CSR
+arrays with the free-column map, as scipy's ``m[rows][:, cols]`` builds
+it, entry order included. A call's ``QpSolution`` keeps the reduced
+multipliers and their index maps and maps them back to the full problem,
+with the residuals, only when ``y``, ``prim_res`` or ``dual_res`` is first
+read; branch-and-bound reads none of them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
@@ -53,12 +72,13 @@ another order on an F-ordered copy, such as ``m[rows][:, cols]`` makes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import ContractViolation
 from .formulation import MiqpProblem
@@ -97,21 +117,37 @@ class QpSolution:
     ``objective`` includes the problem's constant term, so it is directly
     comparable with integral incumbents. For an optimal status it is a lower
     bound (up to solver tolerance) for every completion of the fixings the
-    solve was given. ``y`` stacks the multipliers of the inequality rows,
-    the equality rows and the variable bounds (positive on an upper side,
-    negative on a lower side); with ``x`` it satisfies stationarity to
-    ``dual_res``. ``polished`` is always False: the interior point has no
+    solve was given. ``polished`` is always False: the interior point has no
     polish step.
+
+    ``y``, ``prim_res`` and ``dual_res`` are computed from the reduced
+    multipliers the first time they are read, since branch-and-bound never
+    reads them. ``y`` stacks the multipliers of the inequality rows, the
+    equality rows and the variable bounds (positive on an upper side,
+    negative on a lower side); with ``x`` it satisfies stationarity to
+    ``dual_res``.
     """
 
     x: np.ndarray
-    y: np.ndarray
     objective: float
     status: str  # "optimal" | "infeasible" | "max-iterations"
-    prim_res: float
-    dual_res: float
     iterations: int
     polished: bool = False
+    # the workspace and the reduced multipliers with their maps back to it
+    _ws: BoxQp | None = field(default=None, repr=False, compare=False)
+    _duals: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self._ws._multipliers(self.x, *self._duals)
+
+    @cached_property
+    def prim_res(self) -> float:
+        return self._ws._prim_res(self.x)
+
+    @cached_property
+    def dual_res(self) -> float:
+        return self._ws._dual_res(self.x, self.y)
 
 
 @dataclass
@@ -150,11 +186,50 @@ class _Reduced:
         return self.p + np.bincount(flat, prod * w[rows], nf * nf).reshape(nf, nf)
 
 
-def _take(m, rows, cols):
+def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
+    """The rows ``rows`` and ascending columns ``cols`` of ``m``.
+
+    For a CSR ``m``, ``col_map`` gives each column's position in ``cols``,
+    or -1, and the result is built from the CSR arrays; it equals
+    ``m[rows][:, cols]``, entry order included. A dense result is C-ordered,
+    unlike ``m[rows][:, cols]`` (see the module docstring)."""
     if isinstance(m, np.ndarray):
-        # C-ordered, unlike m[rows][:, cols] (see the module docstring)
         return m.take(rows, 0).take(cols, 1)
-    return m[rows][:, cols]
+    start = m.indptr[rows]
+    count = m.indptr[rows + 1] - start
+    ends = np.zeros(rows.size + 1, dtype=m.indptr.dtype)  # each row's span among the picked entries
+    np.cumsum(count, out=ends[1:])
+    entry = np.arange(ends[-1]) + np.repeat(start - ends[:-1], count)
+    col = col_map[m.indices[entry]]
+    keep = col >= 0
+    kept = np.zeros(entry.size + 1, dtype=m.indptr.dtype)  # kept entries before each picked one
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix(
+        (m.data[entry[keep]], col[keep].astype(m.indices.dtype), kept[ends]),
+        shape=(rows.size, cols.size),
+    )
+
+
+def _kept(n_rows: int, dropped: np.ndarray) -> np.ndarray:
+    """The rows 0 .. n_rows - 1 that are not in ``dropped``, ascending."""
+    if not dropped.size:
+        return np.arange(n_rows)
+    keep = np.ones(n_rows, dtype=bool)
+    keep[dropped] = False
+    return keep.nonzero()[0]
+
+
+def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` without explicitly stored zeros.
+
+    ``sp.csr_matrix`` of a float CSR input shares the input's arrays, and
+    ``eliminate_zeros`` compacts them in place, so a matrix that stores a
+    zero is copied first: the caller's matrix stays as it was."""
+    if m.data.all():
+        return m
+    m = m.copy()
+    m.eliminate_zeros()
+    return m
 
 
 def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
@@ -223,6 +298,11 @@ def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi - lo > FEAS_TOL * (1.0 + np.abs(lo))
 
 
+def _crossed(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether a lower bound exceeds its upper bound beyond the presolve tolerance."""
+    return bool((lo - hi > FEAS_TOL * (1.0 + np.abs(lo))).any())
+
+
 def _norm(v: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(v), initial=0.0))
 
@@ -265,11 +345,9 @@ class BoxQp:
         self.h = np.asarray(h_vector, dtype=float)
         self.b = np.asarray(b_vector, dtype=float)
         self.constant = float(objective_constant)
-        g = sp.csr_matrix(g_matrix, shape=(self.h.shape[0], n), dtype=float)
-        a = sp.csr_matrix(a_matrix, shape=(self.b.shape[0], n), dtype=float)
-        p = sp.csr_matrix(p_matrix, shape=(n, n), dtype=float)
-        for m in (g, a, p):
-            m.eliminate_zeros()
+        g = _stored(sp.csr_matrix(g_matrix, shape=(self.h.shape[0], n), dtype=float))
+        a = _stored(sp.csr_matrix(a_matrix, shape=(self.b.shape[0], n), dtype=float))
+        p = _stored(sp.csr_matrix(p_matrix, shape=(n, n), dtype=float))
         self.sparse = g.shape[0] * n > SPARSE_MIN_ENTRIES
         self.g, self.a, self.p = (g, a, p) if self.sparse else (g.toarray(), a.toarray(), p.toarray())
         if self.sparse:
@@ -284,6 +362,9 @@ class BoxQp:
         # a pair can only become an equality when both rows keep two free
         # entries off the pinnable columns, so only such entries are compared
         self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
+        self._free = _wide(self.lo, self.hi)
+        self._crossed = _crossed(self.lo, self.hi)
+        self._shrink = self._shrinkable(pinnable)
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
@@ -302,15 +383,41 @@ class BoxQp:
         )
 
     # --------------------------------------------------------------- presolve
+    def _shrinkable(self, pinned: np.ndarray) -> tuple:
+        """The rows of G and of A that can drop below two free entries.
+
+        Starts from the ``pinned`` columns and those whose bounds are
+        collapsed, marks every row with fewer than two entries off them and
+        adds the marked rows' columns, which a singleton row can fix or
+        collapse, until nothing changes. Every other row keeps two free
+        entries under any fixing of ``pinned`` columns, so the presolve never
+        drops it. Returns each set's rows with their rows of the entry mask
+        and of the matrix.
+        """
+        fixable = pinned | ~self._free
+        while True:
+            g_rows = self._nz_g @ ~fixable < 2.0
+            a_rows = self._nz_a @ ~fixable < 2.0
+            grown = fixable | (self._nz_g.T @ g_rows + self._nz_a.T @ a_rows > 0.0)
+            if (grown == fixable).all():
+                break
+            fixable = grown
+        rg, ra = np.flatnonzero(g_rows), np.flatnonzero(a_rows)
+        return rg, self._nz_g[rg], self.g[rg], ra, self._nz_a[ra], self.a[ra]
+
     def _presolve(self, fixings: dict[int, float] | None) -> _Reduced | None:
         """Substitute the fixings and simplify; None proves infeasibility.
 
         Rows left empty or singleton leave the live set, and a round that
-        pins a variable starts another. The reduced problem is sliced from
-        the workspace once, after the last round.
+        pins a variable starts another. Only the workspace's shrinkable rows
+        are tested; a fixing off the pinnable columns computes that set for
+        the call. The reduced problem is sliced from the workspace once,
+        after the last round.
         """
         lo = self.lo.copy()
         hi = self.hi.copy()
+        free = self._free.copy()
+        shrink = self._shrink
         if fixings:
             idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
@@ -320,27 +427,37 @@ class BoxQp:
             if ((val < lo[idx] - slack) | (val > hi[idx] + slack)).any():
                 return None
             lo[idx] = hi[idx] = val
+            free[idx] = False
+            if not self._pinnable[idx].all():
+                pinned = self._pinnable.copy()
+                pinned[idx] = True
+                shrink = self._shrinkable(pinned)
+        # only the workspace's own bounds can cross here: a fixing sets lo = hi
+        if self._crossed and _crossed(lo, hi):
+            return None
+        rg, nz_g, g_s, ra, nz_a, a_s = shrink
         bound_rows = np.full((2, self.n), -1)
         bound_coefs = np.zeros((2, self.n))
-        live_g = np.ones(self.h.shape[0], dtype=bool)
-        live_a = np.ones(self.b.shape[0], dtype=bool)
-        free = _wide(lo, hi)
+        live_g = np.ones(rg.size, dtype=bool)  # of the shrinkable rows
+        live_a = np.ones(ra.size, dtype=bool)
         while True:
             x = np.where(free, 0.0, 0.5 * (lo + hi))
-            f = free.astype(float)
             h = self.h - self.g @ x
             b = self.b - self.a @ x
-            g_nnz = self._nz_g @ f
-            a_nnz = self._nz_a @ f
-            empty = live_g & (g_nnz == 0.0)
-            if empty.any() and np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
+            if not (rg.size or ra.size):
+                break  # no row can lose a free entry
+            f = free.astype(float)
+            g_nnz = nz_g @ f
+            a_nnz = nz_a @ f
+            empty = rg[live_g & (g_nnz == 0.0)]
+            if empty.size and np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
                 return None
-            empty = live_a & (a_nnz == 0.0)
-            if empty.any() and np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
+            empty = ra[live_a & (a_nnz == 0.0)]
+            if empty.size and np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
                 return None
             # a singleton inequality row tightens one bound of its variable
             single = np.flatnonzero(live_g & (g_nnz == 1.0))
-            for k, col, coef in zip(single, *_singletons(self._nz_g, self.g, f, single)):
+            for k, col, coef in zip(rg[single], *_singletons(nz_g, g_s, f, single)):
                 bound = h[k] / coef
                 if coef > 0.0 and bound < hi[col]:
                     hi[col] = bound
@@ -350,13 +467,13 @@ class BoxQp:
                     bound_rows[0, col], bound_coefs[0, col] = k, coef
             # a singleton equality row fixes its variable
             single = np.flatnonzero(live_a & (a_nnz == 1.0))
-            for k, col, coef in zip(single, *_singletons(self._nz_a, self.a, f, single)):
+            for k, col, coef in zip(ra[single], *_singletons(nz_a, a_s, f, single)):
                 val = b[k] / coef
                 slack = FEAS_TOL * (1.0 + abs(val))
                 if not lo[col] - slack <= val <= hi[col] + slack:
                     return None
                 lo[col] = hi[col] = val
-            if np.any(lo - hi > FEAS_TOL * (1.0 + np.abs(lo))):
+            if _crossed(lo, hi):  # a tightened bound crossed the other
                 return None
             live_g &= g_nnz >= 2.0
             live_a &= a_nnz >= 2.0
@@ -364,32 +481,36 @@ class BoxQp:
             if np.array_equal(still_free, free):
                 break
             free = still_free  # a row pinned a variable: substitute again
-        found = self._zero_width_pairs(h, f, live_g)
+        dropped = rg[~live_g]
+        found = self._zero_width_pairs(h, free, dropped)
         if found is None:
             return None
         pairs, implied = found
-        live_g[implied] = False
-        cols = np.flatnonzero(free)
-        g_rows = np.flatnonzero(live_g)
-        eq_rows = np.flatnonzero(live_a)
-        g = _take(self.g, g_rows, cols)
-        a = _take(self.a, eq_rows, cols)
+        cols = free.nonzero()[0]
+        col_map = None
+        if self.sparse:
+            col_map = np.full(self.n, -1)
+            col_map[cols] = np.arange(cols.size)
+        g_rows = _kept(self.h.shape[0], np.concatenate([dropped, implied]))
+        eq_rows = _kept(self.b.shape[0], ra[~live_a])
+        g = _take(self.g, g_rows, cols, col_map)
+        a = _take(self.a, eq_rows, cols, col_map)
         b = b[eq_rows]
         if pairs.size:
             first = pairs[:, 0]
-            rows = _take(self.g, first, cols)
+            rows = _take(self.g, first, cols, col_map)
             a = np.vstack([a, rows]) if not self.sparse else sp.vstack([a, rows], format="csr")
             b = np.concatenate([b, h[first]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
-        p = _take(self.p, cols, cols)
-        scatter = self._reduced_scatter(g_rows, cols) if self.sparse else None
+        p = _take(self.p, cols, cols, col_map)
+        scatter = self._reduced_scatter(g_rows, cols, col_map) if self.sparse else None
         return _Reduced(
             x, cols, p if not self.sparse else p.toarray(), self.q[cols] + (self.p @ x)[cols],
             g, h[g_rows], a, b, lo[cols], hi[cols], g_rows, eq_rows, pairs,
             bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
-    def _reduced_scatter(self, g_rows: np.ndarray, cols: np.ndarray) -> tuple:
+    def _reduced_scatter(self, g_rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray) -> tuple:
         """The workspace's entry pairs that survive a call's presolve, renumbered.
 
         A pair survives when its row of G_all is kept and both its columns
@@ -400,31 +521,30 @@ class BoxQp:
         row_map[g_rows] = np.arange(g_rows.size)
         row_map[m + cols] = g_rows.size + np.arange(nf)
         row_map[m + n + cols] = g_rows.size + nf + np.arange(nf)
-        col_map = np.full(n, -1)
-        col_map[cols] = np.arange(nf)
         row, col_a, col_b, prod = self._scatter
         row, col_a, col_b = row_map[row], col_map[col_a], col_map[col_b]
         keep = (row >= 0) & (col_a >= 0) & (col_b >= 0)
         return col_a[keep] * nf + col_b[keep], row[keep], prod[keep]
 
-    def _zero_width_pairs(self, rhs, f, live_g):
+    def _zero_width_pairs(self, rhs, free, dropped):
         """Find opposite row pairs whose right-hand sides cancel.
 
-        ``rhs`` is h - Gx and ``f`` the free-column mask. A pair is live when
-        both rows are live and all their pinnable columns are fixed, so that
-        their free parts are exact negatives. Returns ``(pairs, implied)``:
-        one pair per group, whose first row becomes an equality, and every
-        row of a zero-width pair, which those equalities imply. Returns None
-        if a live pair has negative width.
+        ``rhs`` is h - Gx, ``free`` the free-column mask and ``dropped`` the
+        rows the presolve dropped. A pair is live when the presolve kept both
+        rows and fixed all their pinnable columns, so that their free parts
+        are exact negatives. Returns ``(pairs, implied)``: one pair per
+        group, whose first row becomes an equality, and every row of a
+        zero-width pair, which those equalities imply. Returns None if a live
+        pair has negative width.
         """
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
-            return none, none
-        pinned = self._nz_g @ (f * self._pinnable) == 0.0
-        pi, pj = self._pairs[:, 0], self._pairs[:, 1]
-        live = live_g[pi] & live_g[pj] & pinned[pi] & pinned[pj]
+            return none, none[:, 0]
+        ready = self._nz_g @ (free & self._pinnable) == 0.0
+        ready[dropped] = False
+        live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
         if not live.any():
-            return none, none
+            return none, none[:, 0]
         pairs, groups = self._pairs[live], self._pair_groups[live]
         h_i = rhs[pairs[:, 0]]
         width = h_i + rhs[pairs[:, 1]]
@@ -455,54 +575,67 @@ class BoxQp:
         return self._result(red, xr, y, z, status, it)
 
     def _infeasible(self, iterations: int) -> QpSolution:
+        sol = QpSolution(np.full(self.n, np.nan), math.inf, "infeasible", iterations)
+        # nothing to map back: the lazy fields are set now
         m = self.h.shape[0] + self.b.shape[0] + self.n
-        return QpSolution(
-            np.full(self.n, np.nan), np.zeros(m), math.inf, "infeasible",
-            math.inf, math.inf, iterations,
-        )
+        vars(sol).update(y=np.zeros(m), prim_res=math.inf, dual_res=math.inf)
+        return sol
 
     def _result(self, red: _Reduced, xr, y_red, z, status, iterations) -> QpSolution:
-        """Map the reduced primal and duals back to the full problem."""
+        """The full primal and objective; the multipliers are mapped on read.
+
+        The solution keeps the reduced multipliers and the small index maps,
+        not ``red``, whose dense ``p`` and scatter arrays are large."""
         x = red.x.copy()
         x[red.cols] = xr
-        y_in = np.zeros(self.h.shape[0])
-        y_eq = np.zeros(self.b.shape[0])
-        y_bnd = np.zeros(self.n)
-        k, nf = red.g_rows.size, red.cols.size
-        y_in[red.g_rows] = z[:k]
-        orig = red.eq_rows >= 0
-        y_eq[red.eq_rows[orig]] = y_red[orig]
-        if red.pair_rows.size:
+        return QpSolution(
+            x, float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant), status, iterations,
+            _ws=self,
+            _duals=(y_red, z, red.cols, red.g_rows, red.eq_rows, red.pair_rows,
+                    red.bound_rows, red.bound_coefs),
+        )
+
+    def _multipliers(self, x, y_red, z, cols, g_rows, eq_rows, pair_rows, bound_rows, bound_coefs):
+        """A solution's ``y``: the reduced multipliers mapped back to the full problem."""
+        mi, me = self.h.shape[0], self.b.shape[0]
+        y = np.zeros(mi + me + self.n)
+        y_in, y_eq, y_bnd = y[:mi], y[mi : mi + me], y[mi + me :]
+        k, nf = g_rows.size, cols.size
+        y_in[g_rows] = z[:k]
+        orig = eq_rows >= 0
+        y_eq[eq_rows[orig]] = y_red[orig]
+        if pair_rows.size:
             # a pair equality's multiplier belongs to the row on its side
             lam = y_red[~orig]
-            np.add.at(y_in, red.pair_rows[:, 0], np.maximum(lam, 0.0))
-            np.add.at(y_in, red.pair_rows[:, 1], np.maximum(-lam, 0.0))
+            np.add.at(y_in, pair_rows[:, 0], np.maximum(lam, 0.0))
+            np.add.at(y_in, pair_rows[:, 1], np.maximum(-lam, 0.0))
         # a bound set by a singleton row hands its multiplier to that row
         for side, mult in ((0, -z[k : k + nf]), (1, z[k + nf :])):
-            rows = red.bound_rows[side]
+            rows = bound_rows[side]
             by_row = rows >= 0
             if by_row.any():
-                np.add.at(y_in, rows[by_row], mult[by_row] / red.bound_coefs[side, by_row])
-            y_bnd[red.cols[~by_row]] += mult[~by_row]
-        grad = self.p @ x + self.q + self.g.T @ y_in + self.a.T @ y_eq
+                np.add.at(y_in, rows[by_row], mult[by_row] / bound_coefs[side, by_row])
+            y_bnd[cols[~by_row]] += mult[~by_row]
         fixed = np.ones(self.n, dtype=bool)
-        fixed[red.cols] = False
-        y_bnd[fixed] = -grad[fixed]  # a pinned variable's bound row absorbs the rest
-        prim_res = max(
+        fixed[cols] = False
+        y_bnd[fixed] = -self._gradient(x, y)[fixed]  # a pinned variable's bound row absorbs the rest
+        return y
+
+    def _gradient(self, x, y):
+        """Px + q + G'y_in + A'y_eq: the Lagrangian's gradient without the bound terms."""
+        mi, me = self.h.shape[0], self.b.shape[0]
+        return self.p @ x + self.q + self.g.T @ y[:mi] + self.a.T @ y[mi : mi + me]
+
+    def _prim_res(self, x) -> float:
+        return max(
             float(np.max(self.g @ x - self.h, initial=0.0)),
             _norm(self.a @ x - self.b),
             float(np.max(self.lo - x, initial=0.0)),
             float(np.max(x - self.hi, initial=0.0)),
         )
-        return QpSolution(
-            x=x,
-            y=np.concatenate([y_in, y_eq, y_bnd]),
-            objective=float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant),
-            status=status,
-            prim_res=prim_res,
-            dual_res=_norm(grad + y_bnd),
-            iterations=iterations,
-        )
+
+    def _dual_res(self, x, y) -> float:
+        return _norm(self._gradient(x, y) + y[self.h.shape[0] + self.b.shape[0] :])
 
 
 def _interior_point(red: _Reduced):
@@ -649,16 +782,14 @@ def _interior_point(red: _Reduced):
 
 def _feasible(red: _Reduced) -> bool:
     """Exact feasibility of the reduced constraints, decided by HiGHS."""
-    res = linprog(
-        np.zeros(red.c.size),
-        A_ub=red.g if red.h.size else None,
-        b_ub=red.h if red.h.size else None,
-        A_eq=red.a if red.b.size else None,
-        b_eq=red.b if red.b.size else None,
-        bounds=np.column_stack([red.lo, red.hi]),
-        method="highs",
+    # one stacked constraint: milp stacks a list of them as sparse matrices
+    stack = sp.vstack if sp.issparse(red.g) else np.vstack
+    rows = LinearConstraint(
+        stack([red.g, red.a]),
+        np.concatenate([np.full(red.h.size, -np.inf), red.b]),
+        np.concatenate([red.h, red.b]),
     )
-    return res.status != 2
+    return milp(np.zeros(red.c.size), constraints=rows, bounds=Bounds(red.lo, red.hi)).status != 2
 
 
 def solve_qp(problem: MiqpProblem, fixings: dict[int, float] | None = None) -> QpSolution:

@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import ConfigurationError, ScenarioParseError
 from .model import RobotModel, SafeRegion, Scenario
@@ -163,14 +163,12 @@ def region_extent(region: SafeRegion) -> tuple[np.ndarray, np.ndarray]:
     """
     lo = np.empty(3)
     hi = np.empty(3)
+    rows = LinearConstraint(region.a_matrix, -np.inf, region.b_vector)
     for comp in range(3):
         for sign, store in ((1.0, hi), (-1.0, lo)):
             cost = np.zeros(3)
             cost[comp] = -sign  # maximize sign * p[comp]
-            res = linprog(
-                cost, A_ub=region.a_matrix, b_ub=region.b_vector,
-                bounds=(None, None), method="highs",
-            )
+            res = milp(cost, constraints=rows, bounds=Bounds(-np.inf, np.inf))
             if res.status == 2:
                 raise ConfigurationError(f"region {region.name!r} is empty")
             if res.status == 3:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from stepplan.errors import ContractViolation
 from stepplan.formulation import MiqpProblem
 from stepplan import qp as qp_module
 from stepplan.qp import BoxQp, solve_qp
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
 
 
 def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=None,
@@ -73,9 +77,9 @@ class TestSolveQp:
         # x + y <= -1 and -x + y <= -1 force y <= -1 against y >= 0; no row
         # is a singleton or an opposite pair, so the presolve cannot see it
         calls = []
-        real = qp_module.linprog
+        real = qp_module.milp
         monkeypatch.setattr(
-            qp_module, "linprog", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+            qp_module, "milp", lambda *a, **kw: calls.append(1) or real(*a, **kw)
         )
         prob = make_problem(np.eye(2), [0.0, 0.0], a_in=[[1.0, 1.0], [-1.0, 1.0]],
                             b_in=[-1.0, -1.0], lb=[-5.0, 0.0], ub=[5.0, 5.0])
@@ -440,3 +444,159 @@ class TestInfeasibleHandOff:
         short = ws.solve(fixings={2: 1.0})
         assert short.status == "max-iterations"
         assert calls == [1]
+
+
+class TestInputsUntouched:
+    def test_from_miqp_leaves_the_problem_matrices_alone(self):
+        # each matrix stores an explicit zero, which the workspace drops from its own copy
+        def with_zero(data, indices, indptr, shape):
+            return sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=shape)
+
+        prob = dataclasses.replace(
+            make_problem(np.eye(3), [0.0, 0.0, 0.0], a_in=[[1.0, 0.0, 1.0]], b_in=[1.0],
+                         a_eq=[[0.0, 1.0, 1.0]], b_eq=[0.5]),
+            a_ineq=with_zero([1.0, 0.0, 1.0], [0, 1, 2], [0, 3], (1, 3)),
+            a_eq=with_zero([0.0, 1.0, 1.0], [0, 1, 2], [0, 3], (1, 3)),
+            q_matrix=with_zero([1.0, 0.0, 1.0, 1.0], [0, 2, 1, 2], [0, 2, 3, 4], (3, 3)),
+        )
+        matrices = (prob.a_ineq, prob.a_eq, prob.q_matrix)
+        before = [(m.nnz, m.data.copy(), m.indices.copy()) for m in matrices]
+        ws = BoxQp.from_miqp(prob)
+        for m, (nnz, data, indices) in zip(matrices, before):
+            assert m.nnz == nnz
+            assert np.array_equal(m.data, data) and np.array_equal(m.indices, indices)
+
+
+class TestLazyDuals:
+    # between them, bounds set by singleton rows, a pinned variable and a
+    # zero-width pair run every branch of the map back to full multipliers
+    @staticmethod
+    def cascade():
+        c = TestPresolveCascade
+        return make_problem(c.Q, c.c, lb=c.lb, ub=c.ub, bins=[3], a_in=c.G, b_in=c.h,
+                            a_eq=c.A, b_eq=[1.0])
+
+    @staticmethod
+    def pair():
+        return make_problem(
+            [[8.13, 1.55, 0.0], [1.55, 3.86, 0.0], [0.0, 0.0, 0.0]], [-0.27, 2.22, 0.0],
+            lb=[-1.0, -1.0, 0.0], ub=[1.0, 1.0, 1.0], bins=[2],
+            a_in=[[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-0.59, -0.94, 0.0]], b_in=[1.0, 1.0, 0.1],
+        )
+
+    @pytest.mark.parametrize("build, fixings", [
+        ("cascade", [{3: 1.0}, {3: 0.0}, {}]),
+        ("pair", [{2: 1.0}, {2: 0.0}, {}]),
+    ])
+    def test_read_late_equals_read_at_once(self, build, fixings):
+        prob = getattr(self, build)()
+        ws = BoxQp.from_miqp(prob)
+        # solve every fixing set first, so later solves run before any read
+        late = [ws.solve(fixings=f) for f in fixings]
+        for f, sol in zip(fixings, late):
+            fresh = BoxQp.from_miqp(prob).solve(fixings=f)
+            y, prim_res, dual_res = fresh.y.copy(), fresh.prim_res, fresh.dual_res
+            assert sol.status == fresh.status == "optimal"
+            assert sol.y.tobytes() == y.tobytes()
+            assert (sol.prim_res, sol.dual_res) == (prim_res, dual_res)
+            assert max(sol.prim_res, sol.dual_res) <= 1e-9
+
+    def test_infeasible_fields_are_set_at_once(self):
+        sol = TestFixingContract.workspace().solve(fixings={0: 2.0})
+        assert sol.status == "infeasible"
+        assert np.array_equal(sol.y, np.zeros(2)) and sol.prim_res == sol.dual_res == math.inf
+
+
+class TestCsrTake:
+    @staticmethod
+    def unsorted(m, rng):
+        """``m`` with each row's entries in a random order."""
+        order = np.concatenate([
+            m.indptr[i] + rng.permutation(m.indptr[i + 1] - m.indptr[i]) for i in range(m.shape[0])
+        ]).astype(int)
+        return sp.csr_matrix((m.data[order], m.indices[order], m.indptr), shape=m.shape)
+
+    def test_matches_scipy_fancy_indexing(self):
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            n_rows, n = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+            m = sp.random(n_rows, n, density=0.35, format="csr",
+                          random_state=np.random.RandomState(trial))
+            if trial % 2:
+                m = self.unsorted(m, rng)
+            # rows in any order, repeats allowed; columns ascending
+            rows = rng.integers(0, n_rows, size=int(rng.integers(0, n_rows + 2)))
+            cols = np.flatnonzero(rng.random(n) < 0.6)
+            col_map = np.full(n, -1)
+            col_map[cols] = np.arange(cols.size)
+            got = qp_module._take(m, rows, cols, col_map)
+            ref = m[rows][:, cols]
+            assert got.shape == ref.shape
+            for name in ("data", "indices", "indptr"):
+                u, v = getattr(got, name), getattr(ref, name)
+                assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+class TestShrinkableRows:
+    @staticmethod
+    def free_entries(ws, red):
+        """Free entries of every inequality and equality row after the presolve."""
+        free = np.zeros(ws.n)
+        free[red.cols] = 1.0
+        return ws._nz_g @ free, ws._nz_a @ free
+
+    def check(self, ws, fixings):
+        rg, ra = ws._shrink[0], ws._shrink[3]
+        for fixing in fixings:
+            red = ws._presolve(fixing)
+            if red is None:
+                continue
+            g_count, a_count = self.free_entries(ws, red)
+            assert np.all(np.delete(g_count, rg) >= 2.0)
+            assert np.all(np.delete(a_count, ra) >= 2.0)
+
+    @staticmethod
+    def random_fixings(rng, bins, count=20):
+        out = []
+        for _ in range(count):
+            pick = rng.choice(bins, size=int(rng.integers(1, bins.size + 1)), replace=False)
+            out.append({int(i): float(rng.integers(0, 2)) for i in pick})
+        return out
+
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_rows_outside_keep_two_free_entries_on_presets(self, name, chunks):
+        from stepplan.formulation import assemble
+        from stepplan.scenario_io import load_scenario
+
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        prob = assemble(dataclasses.replace(scenario, max_steps=chunks * scenario.robot.n_legs))
+        rng = np.random.default_rng(chunks)
+        self.check(BoxQp.from_miqp(prob), self.random_fixings(rng, prob.binary_indices))
+
+    def test_the_set_grows_through_the_rows_it_marks(self):
+        # row 0 pins x0 once b0 = 1 (x0 <= 0 = lo); with b1 fixed too, row 1
+        # then has one free entry, x1, so it can shrink although two of its
+        # entries are continuous; row 2 keeps x2 and x3
+        prob = make_problem(np.eye(6), np.full(6, -0.1), lb=np.zeros(6), ub=np.ones(6), bins=[4, 5],
+                            a_in=[[1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                                  [1.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                                  [0.0, 0.0, 1.0, 1.0, 0.0, 1.0]],
+                            b_in=[1.0, 3.0, 3.0])
+        ws = BoxQp.from_miqp(prob)
+        assert ws._shrink[0].tolist() == [0, 1]
+        red = ws._presolve({4: 1.0, 5: 0.0})
+        assert red.cols.tolist() == [1, 2, 3] and red.g_rows.tolist() == [2]
+        rng = np.random.default_rng(3)
+        self.check(ws, [{4: 1.0, 5: 0.0}] + self.random_fixings(rng, np.array([4, 5])))
+
+    def test_fixing_a_continuous_column_widens_the_set(self):
+        # no binaries, so no row can shrink under pinnable fixings; pinning
+        # x0 makes row 0 a singleton that sets x1's upper bound
+        prob = make_problem(np.eye(2), [-4.0, -4.0], lb=[-1.0, -1.0], ub=[3.0, 3.0],
+                            a_in=[[1.0, 1.0]], b_in=[2.5])
+        ws = BoxQp.from_miqp(prob)
+        assert ws._shrink[0].size == 0
+        red = ws._presolve({0: 1.0})
+        assert red.cols.tolist() == [1] and red.g_rows.size == 0
+        assert red.bound_rows[:, 0].tolist() == [-1, 0] and red.hi[0] == 1.5

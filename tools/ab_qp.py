@@ -2,16 +2,21 @@
 """In-process A/B of ``BoxQp.solve`` between another checkout and this one.
 
 Records every ``BoxQp.solve`` call of the ``tree_random_miqp`` benchmark
-workload on the batch of one seed (the workspace's problem and the call's
-fixings), then replays the calls through the ``qp`` module of PARENT_DIR and
-through this checkout's, call by call with the first of the two alternating,
-over ``--rounds`` rounds. Every
-field of every ``QpSolution`` must be bit-identical between the two; the tool
-prints the median over rounds of this checkout's replay time over the
-parent's. Both modules run in one process, so a drift in host speed between
-processes does not enter the ratio:
+workload on the batch of one seed, or of ``plan()`` on one bundled preset
+with ``--preset NAME`` (the workspace's problem and the call's fixings),
+then replays the calls through the ``qp`` module of PARENT_DIR and through
+this checkout's, call by call with the first of the two alternating, over
+``--rounds`` rounds. Every field of every ``QpSolution``, and its lazily
+computed ``y``, ``prim_res`` and ``dual_res`` (read after the timed replay),
+must be bit-identical between the two; the tool prints the median over
+rounds of this checkout's replay time over the parent's. Both modules run in
+one process, so a drift in host speed between processes does not enter the
+ratio:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
+    python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain
+
+The tree workspaces are all dense; a preset's are all CSR.
 
 Exits 1 if any solution differs.
 """
@@ -40,6 +45,7 @@ sys.path.insert(0, str(ROOT))
 
 from stepplan import bnb, qp  # noqa: E402
 
+
 def load_qp(root: Path, alias: str):
     """The ``qp`` module of the ``stepplan`` package under ``root``, imported as ``alias``."""
     pkg_dir = root / "src" / "stepplan"
@@ -52,12 +58,26 @@ def load_qp(root: Path, alias: str):
     return importlib.import_module(f"{alias}.qp")
 
 
-def record_calls(seed: int):
-    """The problems of the seed's workspaces and each solve as (workspace, fixings)."""
+def tree_batch(seed: int):
+    """A callable that solves the ``tree_random_miqp`` batch of ``seed``."""
     from perfbench.workloads import TreeRandomMiqp
 
     workload = TreeRandomMiqp(ROOT, seed, False)
     problems = workload.setup(bnb)
+    return lambda: workload.run(bnb, problems)
+
+
+def preset_plan(name: str):
+    """A callable that plans the bundled preset ``name`` at default limits."""
+    from stepplan.planner import plan
+    from stepplan.scenario_io import load_scenario
+
+    scenario = load_scenario(ROOT / "src" / "stepplan" / "scenarios" / f"{name}.json")
+    return lambda: plan(scenario)
+
+
+def record_calls(run):
+    """The problems of the workspaces ``run()`` builds and each solve as (workspace, fixings)."""
     spaces, calls, index = [], [], {}
     from_miqp, solve = qp.BoxQp.from_miqp, qp.BoxQp.solve
 
@@ -74,7 +94,7 @@ def record_calls(seed: int):
     qp.BoxQp.from_miqp = classmethod(recording_from_miqp)
     qp.BoxQp.solve = recording_solve
     try:
-        workload.run(bnb, problems)
+        run()
     finally:
         qp.BoxQp.from_miqp, qp.BoxQp.solve = classmethod(from_miqp.__func__), solve
     return spaces, calls
@@ -95,9 +115,11 @@ def replay(modules, spaces, calls, first: int):
 
 
 def same(a, b) -> bool:
-    """Whether two solutions agree bit for bit in every field."""
-    for field in dataclasses.fields(a):
-        u, v = getattr(a, field.name), getattr(b, field.name)
+    """Whether two solutions agree bit for bit in every public field and in
+    the lazily computed ``y``, ``prim_res`` and ``dual_res``."""
+    public = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
+    for name in dict.fromkeys(public + ["y", "prim_res", "dual_res"]):
+        u, v = getattr(a, name), getattr(b, name)
         if isinstance(u, np.ndarray):
             if u.dtype != v.dtype or u.shape != v.shape or u.tobytes() != v.tobytes():
                 return False
@@ -111,10 +133,18 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, metavar="PARENT_DIR")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument(
+        "--preset", choices=sorted(p.stem for p in (ROOT / "src" / "stepplan" / "scenarios").glob("*.json")),
+        help="replay the solves of plan() on this bundled preset instead of the tree batch",
+    )
     args = parser.parse_args(argv)
     parent = load_qp(args.parent.resolve(), "parent_stepplan")
-    spaces, calls = record_calls(args.seed)
-    print(f"seed {args.seed}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
+    if args.preset:
+        label, run = args.preset, preset_plan(args.preset)
+    else:
+        label, run = f"seed {args.seed}", tree_batch(args.seed)
+    spaces, calls = record_calls(run)
+    print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
     ratios, differ = [], 0
     for r in range(args.rounds):
         (t_parent, t_new), (old, new) = replay((parent, qp), spaces, calls, r)
