@@ -39,6 +39,13 @@ HEURISTIC_INTERVAL = 8
 
 @dataclass(frozen=True)
 class MiqpLimits:
+    """When branch-and-bound stops: relative gap, node cap, wall-clock cap.
+
+    ``max_nodes`` is checked before each pop, and a pop solves both children,
+    so a solve can report up to ``max_nodes + 1`` nodes: the root plus two per
+    pop (the chunk default of 4 gives 5).
+    """
+
     gap: float = 1e-4
     max_nodes: int | None = None
     time_limit: float | None = None

@@ -173,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=int, default=4, help="chunk size in configurations (default 4)")
     p.add_argument("--gap", type=float, default=DEFAULT_CHUNK_GAP, help="per-chunk optimality gap")
     p.add_argument("--node-limit", type=int, default=DEFAULT_CHUNK_NODES,
-                   help="per-chunk branch-and-bound node cap")
+                   help="per-chunk branch-and-bound node cap; checked before each "
+                   "pop, which solves both children, so a chunk can report one node "
+                   "more than the cap")
     p.add_argument("--time-limit", type=float, default=None,
                    help="per-chunk wall-clock cap in seconds (breaks determinism)")
     p.add_argument("--timings", action="store_true",

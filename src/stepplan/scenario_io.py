@@ -3,9 +3,10 @@
 Scenario files are versioned JSON documents. Safe regions may be authored
 directly as halfspace systems or as convex 2D polygons with a z-plane
 (optionally tilted) and thickness, which the loader expands to halfspaces.
-Every region is proven nonempty and bounded at load time by solving small
-exact LPs with HiGHS; the resulting bounding boxes are attached to the
-regions for use by the formulation and the renderer.
+Every region is proven nonempty and bounded at load time: the six sides of
+every region's bounding box are exact LPs, solved by HiGHS as one
+block-diagonal LP per scenario. The boxes are attached to the regions for use
+by the formulation and the renderer.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import ConfigurationError, ScenarioParseError
@@ -153,34 +155,72 @@ def _parse_region(entry, index: int) -> SafeRegion:
     _fail("region needs 'halfspaces' or 'polygon'", path)
 
 
-def region_extent(region: SafeRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Prove the region nonempty and bounded; return its bounding box.
+# The six sides of a box, in the order a side that fails is reported:
+# x maximum, x minimum, y maximum, y minimum, z maximum, z minimum.
+_SIDES = tuple((comp, sign) for comp in range(3) for sign in (1.0, -1.0))
 
-    Each side of the box is an exact LP, solved by HiGHS, that minimizes or
-    maximizes one coordinate over the region. An infeasible LP means the
-    region is empty; an unbounded one gives a direction in which the region
-    is unbounded.
+
+def _solve_sides(
+    sides: list[tuple[SafeRegion, int, float]],
+) -> tuple[int, np.ndarray | None]:
+    """Maximize ``sign * p[comp]`` for every ``(region, comp, sign)`` in one LP.
+
+    Side k owns the variables ``3k .. 3k+2`` and its own copy of its region's
+    rows ``A p <= b``. No two sides share a variable, so the LP is block
+    diagonal and each side's optimum is its own coordinate of the solution.
+    Returns the ``milp`` status and, when it is 0 (optimal), the side values
+    in order.
     """
-    lo = np.empty(3)
-    hi = np.empty(3)
-    rows = LinearConstraint(region.a_matrix, -np.inf, region.b_vector)
-    for comp in range(3):
-        for sign, store in ((1.0, hi), (-1.0, lo)):
-            cost = np.zeros(3)
-            cost[comp] = -sign  # maximize sign * p[comp]
-            res = milp(cost, constraints=rows, bounds=Bounds(-np.inf, np.inf))
-            if res.status == 2:
-                raise ConfigurationError(f"region {region.name!r} is empty")
-            if res.status == 3:
-                raise ConfigurationError(
-                    f"region {region.name!r} is unbounded (direction {'xyz'[comp]})"
-                )
-            if res.status != 0:
-                raise ConfigurationError(
-                    f"region {region.name!r}: extent solve did not converge"
-                )
-            store[comp] = -sign * res.fun
-    return lo, hi
+    a = np.concatenate([r.a_matrix for r, _, _ in sides])
+    b = np.concatenate([r.b_vector for r, _, _ in sides])
+    owner = np.repeat(np.arange(len(sides)), [r.n_rows for r, _, _ in sides])
+    keep = a != 0.0  # the entries scipy keeps when it converts a dense A
+    rows = sp.csr_array(
+        (a[keep], (3 * owner[:, None] + np.arange(3))[keep],
+         np.concatenate(([0], np.cumsum(keep.sum(axis=1))))),
+        shape=(len(b), 3 * len(sides)),
+    )
+    picked = 3 * np.arange(len(sides)) + [comp for _, comp, _ in sides]
+    cost = np.zeros(3 * len(sides))
+    cost[picked] = [-sign for _, _, sign in sides]
+    res = milp(cost, constraints=LinearConstraint(rows, -np.inf, b),
+               bounds=Bounds(-np.inf, np.inf))
+    return res.status, (res.x[picked] if res.status == 0 else None)
+
+
+def _side_value(side: tuple[SafeRegion, int, float]) -> float:
+    """Solve one side alone; an LP that is not optimal names its region's fault."""
+    region, comp, _ = side
+    status, values = _solve_sides([side])
+    if status == 2:
+        raise ConfigurationError(f"region {region.name!r} is empty")
+    if status == 3:
+        raise ConfigurationError(
+            f"region {region.name!r} is unbounded (direction {'xyz'[comp]})"
+        )
+    if status != 0:
+        raise ConfigurationError(f"region {region.name!r}: extent solve did not converge")
+    return values[0]
+
+
+def region_extent(regions: list[SafeRegion]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Prove every region nonempty and bounded; return each one's bounding box.
+
+    Each side of a box is an exact LP that maximizes or minimizes one
+    coordinate over the region. All sides of all regions are solved by HiGHS
+    as one block-diagonal LP, in a single call. If that LP is not optimal,
+    the sides are solved again one at a time: regions in order, then x, y, z,
+    each maximum before its minimum. The first side that fails names its
+    region: an infeasible LP means the region is empty; an unbounded one
+    gives a direction in which it is unbounded.
+    Returns ``(lo, hi)`` per region, in order.
+    """
+    sides = [(r, comp, sign) for r in regions for comp, sign in _SIDES]
+    status, values = _solve_sides(sides)
+    if status != 0:
+        values = [_side_value(side) for side in sides]
+    boxes = np.reshape(values, (len(regions), 3, 2))
+    return [(box[:, 1].copy(), box[:, 0].copy()) for box in boxes]
 
 
 def parse_scenario(text: str, source: str = "") -> Scenario:
@@ -223,8 +263,8 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
     box_hi = np.array(_as_floats(box["max"], 3, "workspace_box.max"))
 
     regions = [
-        SafeRegion(r.a_matrix, r.b_vector, r.name, bbox=region_extent(r))
-        for r in regions
+        SafeRegion(r.a_matrix, r.b_vector, r.name, bbox=bbox)
+        for r, bbox in zip(regions, region_extent(regions))
     ]
 
     st = doc["start"]

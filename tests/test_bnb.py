@@ -92,11 +92,14 @@ class TestSolveMiqp:
         assert sol.status == "infeasible"
         assert not sol.feasible
 
-    def test_node_limit_status(self):
+    @pytest.mark.parametrize("max_nodes", [1, 2, 4])
+    def test_node_limit_status(self, max_nodes):
         rng = np.random.default_rng(77)
         prob = random_instance(rng)
-        sol = solve_miqp(prob, limits=MiqpLimits(max_nodes=1))
+        sol = solve_miqp(prob, limits=MiqpLimits(max_nodes=max_nodes))
         assert sol.status in ("node-limit", "optimal", "gap-limit")
+        # the cap is checked before each pop, and a pop solves both children
+        assert sol.nodes <= max_nodes + 1
 
     def test_incumbent_binaries_exactly_integral(self):
         rng = np.random.default_rng(123)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
+from stepplan import scenario_io
 from stepplan.errors import ConfigurationError, ScenarioParseError
 from stepplan.scenario_io import (
     load_scenario,
@@ -14,6 +16,20 @@ from stepplan.scenario_io import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
+PRESETS = [
+    "hexapod_stepping_stones",
+    "hexapod_rotation",
+    "hexapod_tilted_terrain",
+    "quadruped_stepping_stones",
+    "quadruped_tilted_terrain",
+]
+CUBE = {
+    "name": "cube",
+    "halfspaces": {
+        "a": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        "b": [1.0, 0.8, 0.6, 0.6, 0.05, 0.05],
+    },
+}
 
 
 def minimal_doc():
@@ -125,21 +141,18 @@ class TestParse:
 
     def test_halfspace_region_passthrough(self):
         doc = minimal_doc()
-        doc["regions"] = [
-            {
-                "name": "cube",
-                "halfspaces": {
-                    "a": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-                    "b": [1.0, 0.8, 0.6, 0.6, 0.05, 0.05],
-                },
-            }
-        ]
+        doc["regions"] = [CUBE]
         scn = parse_scenario(json.dumps(doc))
         assert scn.regions[0].n_rows == 6
 
-    def test_empty_region_rejected(self):
+    # the bad region goes in at this index of [ground, cube]: first, after one
+    # valid region, last
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_empty_region_rejected(self, position):
         doc = minimal_doc()
-        doc["regions"] = [
+        doc["regions"] = [doc["regions"][0], CUBE]
+        doc["regions"].insert(
+            position,
             {
                 "name": "void",
                 "halfspaces": {
@@ -148,23 +161,26 @@ class TestParse:
                           [0, 0, 1], [0, 0, -1], [1, 0, 0]],
                     "b": [1.0, 1.0, 1.0, 1.0, 0.05, 0.05, -2.0],
                 },
-            }
-        ]
+            },
+        )
         with pytest.raises(ConfigurationError) as exc:
             parse_scenario(json.dumps(doc))
-        assert "empty" in str(exc.value)
+        assert str(exc.value) == "region 'void' is empty"
 
-    def test_unbounded_region_rejected(self):
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_unbounded_region_rejected(self, position):
         doc = minimal_doc()
-        doc["regions"] = [
+        doc["regions"] = [doc["regions"][0], CUBE]
+        doc["regions"].insert(
+            position,
             {
                 "name": "slab",
                 "halfspaces": {"a": [[0, 0, 1], [0, 0, -1]], "b": [0.05, 0.05]},
-            }
-        ]
+            },
+        )
         with pytest.raises(ConfigurationError) as exc:
             parse_scenario(json.dumps(doc))
-        assert "unbounded" in str(exc.value)
+        assert str(exc.value) == "region 'slab' is unbounded (direction x)"
 
 
 class TestRoundTrip:
@@ -204,18 +220,40 @@ class TestRegionExtent:
         assert np.allclose(hi[:2], [1.4, 0.6], atol=1e-5)
         assert np.allclose([lo[2], hi[2]], [-0.02, 0.02], atol=1e-5)
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_boxes_equal_per_side_lps(self, name):
+        """The batched boxes keep every bit of one LP per side, solved here."""
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        for region in scn.regions:
+            lo, hi = np.empty(3), np.empty(3)
+            rows = LinearConstraint(region.a_matrix, -np.inf, region.b_vector)
+            for comp in range(3):
+                for sign, store in ((1.0, hi), (-1.0, lo)):
+                    cost = np.zeros(3)
+                    cost[comp] = -sign
+                    res = milp(cost, constraints=rows, bounds=Bounds(-np.inf, np.inf))
+                    assert res.status == 0
+                    store[comp] = -sign * res.fun
+            assert region.bbox[0].tobytes() == lo.tobytes(), region.name
+            assert region.bbox[1].tobytes() == hi.tobytes(), region.name
+
+    def test_one_lp_per_load(self, monkeypatch):
+        calls = []
+        real = scenario_io.milp
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_io, "milp", spy)
+        for name in PRESETS:
+            load_scenario(SCENARIO_DIR / f"{name}.json")
+        parse_scenario(json.dumps(minimal_doc()))
+        assert len(calls) == len(PRESETS) + 1
+
 
 class TestBundledPresets:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "hexapod_stepping_stones",
-            "hexapod_rotation",
-            "hexapod_tilted_terrain",
-            "quadruped_stepping_stones",
-            "quadruped_tilted_terrain",
-        ],
-    )
+    @pytest.mark.parametrize("name", PRESETS)
     def test_preset_parses(self, name):
         scn = load_scenario(SCENARIO_DIR / f"{name}.json")
         assert scn.max_steps % scn.robot.n_legs == 0

@@ -3,7 +3,10 @@
 
 For each bundled preset, planned at default ``plan()`` limits, it prints the
 chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
-calls and the sha256 of the plan JSON followed by the plan SVG. For each seed
+calls and the sha256 of the plan JSON followed by the plan SVG. One more line
+gives the sha256 of every preset's region boxes (``lo`` then ``hi`` bytes,
+presets and regions in order), so a change to the load path that moves a box
+shows even when no plan moves. For each seed
 given to ``--tree-seed`` it runs the ``tree_random_miqp`` benchmark workload
 on the batch of that seed and prints the total node count and the sha256 of
 every solution ``x`` (bytes in batch order). Run it from the repository root
@@ -65,6 +68,17 @@ def preset_digest(path: Path) -> str:
     )
 
 
+def box_digest(paths: list[Path]) -> str:
+    digest = hashlib.sha256()
+    count = 0
+    for path in paths:
+        for region in load_scenario(path).regions:
+            lo, hi = region.bbox
+            digest.update(lo.tobytes() + hi.tobytes())
+            count += 1
+    return f"region boxes: presets={len(paths)} regions={count} sha256={digest.hexdigest()}"
+
+
 def tree_digest(seed: int) -> str:
     from perfbench.workloads import TreeRandomMiqp
 
@@ -86,8 +100,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree-seed", type=int, nargs="*", default=[], metavar="SEED")
     args = parser.parse_args(argv)
-    for path in sorted(SCENARIOS.glob("*.json")):
+    paths = sorted(SCENARIOS.glob("*.json"))
+    for path in paths:
         print(preset_digest(path), flush=True)
+    print(box_digest(paths), flush=True)
     for seed in args.tree_seed:
         print(tree_digest(seed), flush=True)
     return 0
