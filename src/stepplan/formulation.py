@@ -5,6 +5,11 @@ inequalities, linear equalities, variable bounds and integrality of the
 binary index set. Constraint rows carry a family tag (geometric,
 reachability, region, trig, trim) so violations can be reported per family.
 
+Footstep bounds are boxes read from each step's own rows: walked in step
+order, every reference-box, reach and height-change row pair
+|foot - e| <= lim  clips its foot to the range of  e  over the bounds fixed
+so far, widened by lim. The reachability model is thus stated once, as rows.
+
 All inequalities are collected first, then one pass over the final
 variable bounds applies the big-M box rule. A row's box excess is its
 largest  a.x - rhs  over the bounds (interval arithmetic). A row switched by
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,40 +56,40 @@ class VariableLayout:
                 f"step count {self.n_steps} is not a multiple of n_legs {self.n_legs}"
             )
 
-    @property
+    @cached_property
     def n_configs(self) -> int:
         return self.n_steps // self.n_legs
 
     # block starts
-    @property
+    @cached_property
     def _theta0(self) -> int:
         return 3 * self.n_steps
 
-    @property
+    @cached_property
     def _sin0(self) -> int:
         return self._theta0 + self.n_configs
 
-    @property
+    @cached_property
     def _cos0(self) -> int:
         return self._sin0 + self.n_configs
 
-    @property
+    @cached_property
     def _region0(self) -> int:
         return self._cos0 + self.n_configs
 
-    @property
+    @cached_property
     def _sinseg0(self) -> int:
         return self._region0 + self.n_steps * self.n_regions
 
-    @property
+    @cached_property
     def _cosseg0(self) -> int:
         return self._sinseg0 + self.n_configs * self.n_segments
 
-    @property
+    @cached_property
     def _trim0(self) -> int:
         return self._cosseg0 + self.n_configs * self.n_segments
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self._trim0 + self.n_steps
 
@@ -229,6 +235,16 @@ class _LinExpr:
         out = _LinExpr(self.coefs, self.const)
         return out.add_expr(other, -1.0)
 
+    def bounds(self, lower: np.ndarray, upper: np.ndarray) -> tuple[float, float]:
+        """Least and largest value across the box [lower, upper], by the
+        interval arithmetic of ``_box_excess``."""
+        lo = hi = self.const
+        for col, coef in self.coefs.items():
+            a, b = coef * lower[col], coef * upper[col]
+            lo += min(a, b)
+            hi += max(a, b)
+        return lo, hi
+
 
 class _RowBag:
     """Accumulates sparse constraint rows with family/label metadata."""
@@ -310,11 +326,6 @@ def _coc_window(step: int, n_legs: int, convention: str) -> tuple[range, int]:
     return range(step - n_legs + 1, step), n_legs - 1
 
 
-def _interval_scale(coef: float, rng: tuple[float, float]) -> tuple[float, float]:
-    a, b = coef * rng[0], coef * rng[1]
-    return (a, b) if a <= b else (b, a)
-
-
 def _graph_hull_edges(knots: list[tuple[float, float]]) -> list[tuple[float, float, bool]]:
     """Edges (slope, intercept, is_upper) of the convex hull of a chord graph.
 
@@ -347,91 +358,6 @@ def _graph_hull_edges(knots: list[tuple[float, float]]) -> list[tuple[float, flo
     return edges
 
 
-def _propagate_step_boxes(
-    scenario: Scenario, s_rng: tuple[float, float], c_rng: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sound per-step coordinate boxes from forward interval propagation.
-
-    Every feasible footstep satisfies the reachability rows (trimming keeps
-    them active), so intervals propagated through the CoC / nominal-position
-    expressions and clipped to the workspace box are valid variable bounds.
-    An empty interval proves the scenario cannot place that step at all.
-    """
-    robot = scenario.robot
-    n = robot.n_legs
-    n_steps = scenario.max_steps
-    box_lo, box_hi = scenario.workspace_box
-    start = scenario.start_footholds
-    start_coc = coc(start)
-    lo = np.empty((n_steps, 3))
-    hi = np.empty((n_steps, 3))
-
-    trig_rng = []
-    for j in range(n):
-        phi = robot.leg_offsets[j]
-        cx = _interval_scale(math.cos(phi), c_rng)
-        sx = _interval_scale(-math.sin(phi), s_rng)
-        cy = _interval_scale(math.cos(phi), s_rng)
-        sy = _interval_scale(math.sin(phi), c_rng)
-        trig_rng.append(
-            (
-                (cx[0] + sx[0], cx[1] + sx[1]),  # range of cos(theta + phi)
-                (cy[0] + sy[0], cy[1] + sy[1]),  # range of sin(theta + phi)
-            )
-        )
-
-    def step_box(k: int, comp: int) -> tuple[float, float]:
-        if k >= 1:
-            return lo[k - 1, comp], hi[k - 1, comp]
-        v = start[(k - 1) % n + 1 - 1][comp]
-        return v, v
-
-    def nominal_box(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Interval hull of the linearized nominal position of step k (k may be <= 0)."""
-        leg = (k - 1) % n + 1
-        if k < 1:
-            p = nominal_position(start_coc, scenario.start_yaw, leg, robot)
-            return p.copy(), p.copy()
-        window, divisor = _coc_window(k, n, scenario.coc_convention)
-        p_lo = np.zeros(2)
-        p_hi = np.zeros(2)
-        for w in window:
-            for comp in range(2):
-                a, b = step_box(w, comp)
-                p_lo[comp] += a / divisor
-                p_hi[comp] += b / divisor
-        rng_x, rng_y = trig_rng[leg - 1]
-        return (
-            p_lo + robot.l_leg * np.array([rng_x[0], rng_y[0]]),
-            p_hi + robot.l_leg * np.array([rng_x[1], rng_y[1]]),
-        )
-
-    exclude_current = scenario.coc_convention != "include-current"
-    for i in range(1, n_steps + 1):
-        prev = i - n
-        # boxes are filled in step order, so nominal_box(prev) only reads
-        # boxes of steps before i under either CoC convention
-        anchor_lo, anchor_hi = nominal_box(prev)
-        z_lo, z_hi = step_box(prev, 2)
-        for comp in range(2):
-            lo[i - 1, comp] = max(anchor_lo[comp] - robot.d_lim, box_lo[comp])
-            hi[i - 1, comp] = min(anchor_hi[comp] + robot.d_lim, box_hi[comp])
-        if exclude_current:
-            # the reference box around this step's own (lagged) nominal
-            # position binds too and caps the per-configuration travel
-            geom_lo, geom_hi = nominal_box(i)
-            for comp in range(2):
-                lo[i - 1, comp] = max(lo[i - 1, comp], geom_lo[comp] - robot.l_bnd)
-                hi[i - 1, comp] = min(hi[i - 1, comp], geom_hi[comp] + robot.l_bnd)
-        lo[i - 1, 2] = max(z_lo - robot.dz_max, box_lo[2])
-        hi[i - 1, 2] = min(z_hi + robot.dz_max, box_hi[2])
-        if np.any(lo[i - 1] > hi[i - 1]):
-            raise InfeasibleScenarioError(
-                f"step {i} has no reachable position inside the workspace box"
-            )
-    return lo, hi
-
-
 def assemble(scenario: Scenario) -> MiqpProblem:
     """Build the complete mixed-integer quadratic program for ``scenario``."""
     robot = scenario.robot
@@ -451,28 +377,19 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # ---- bounds -----------------------------------------------------------
     # Chord values interpolate the function at the knots, so each trig
     # variable lives between the extreme knot values; footstep coordinates
-    # live in forward-propagated reachability boxes intersected with the
-    # workspace box, which keeps every derived big-M as small as possible.
+    # start at the workspace box and are clipped by their own rows below.
     s_rng = (float(np.min(np.sin(sin_table.breakpoints))), float(np.max(np.sin(sin_table.breakpoints))))
     c_rng = (float(np.min(np.cos(cos_table.breakpoints))), float(np.max(np.cos(cos_table.breakpoints))))
-    foot_lo, foot_hi = _propagate_step_boxes(scenario, s_rng, c_rng)
+    box_lo, box_hi = scenario.workspace_box
     # in layout order: feet, then yaw / sine / cosine blocks, then binaries
     lower = np.concatenate([
-        foot_lo.ravel(), np.repeat([lo_t, s_rng[0], c_rng[0]], layout.n_configs),
+        np.tile(box_lo, n_steps), np.repeat([lo_t, s_rng[0], c_rng[0]], layout.n_configs),
         np.zeros(layout.binary_count),
     ])
     upper = np.concatenate([
-        foot_hi.ravel(), np.repeat([hi_t, s_rng[1], c_rng[1]], layout.n_configs),
+        np.tile(box_hi, n_steps), np.repeat([hi_t, s_rng[1], c_rng[1]], layout.n_configs),
         np.ones(layout.binary_count),
     ])
-
-    # ---- goal footholds (trim targets / goal cost), region membership gate -
-    goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
-    for j in range(n):
-        if not any(reg.contains(goals[j]) for reg in scenario.regions):
-            raise InfeasibleScenarioError(
-                f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
-            )
 
     # ---- start configuration constants ------------------------------------
     start = scenario.start_footholds
@@ -509,35 +426,65 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             out.add(c_idx, robot.l_leg * math.sin(phi))
         return out
 
+    # ---- (a) geometric and (b) reachability rows, and the footstep boxes --
+    # Each step has row pairs  |foot(i, c) - e| <= lim:  (a) the reference
+    # box around its own nominal foothold (l_bnd), (b) the reach box around
+    # its leg's previous nominal foothold or start stance (d_lim) and the
+    # height change from its leg's previous z (dz_max). Walked in step order,
+    # each e without foot(i, c) reads only earlier steps, so its range over
+    # the bounds fixed so far clips foot(i, c) to [min e - lim, max e + lim].
+    # Every feasible footstep satisfies these rows (trimming keeps them
+    # active), so the clipped boxes are valid bounds; they keep every big-M
+    # derived from them small, and an empty one proves the step unplaceable.
+    nominal = {}
+    pairs = []  # (family, label, tag, step, comp, e, lim)
+    for i in range(1, n_steps + 1):
+        prev = i - n
+        first = len(pairs)
+        for comp, tag in ((0, "x"), (1, "y")):
+            nominal[i, comp] = nominal_expr(i, comp)
+            pairs.append(("geometric", f"step {i} ref box", tag, i, comp, nominal[i, comp], robot.l_bnd))
+        for comp, tag in ((0, "x"), (1, "y")):
+            if prev >= 1:
+                anchor = nominal[prev, comp]
+            else:
+                anchor = _LinExpr(const=start_nominal[leg_of(i, n) - 1][comp])
+            pairs.append(("reachability", f"step {i} reach", tag, i, comp, anchor, robot.d_lim))
+        pairs.append(("reachability", f"step {i} dz", "", i, 2, foot_expr(prev, 2), robot.dz_max))
+        for *_, comp, e, lim in pairs[first:]:
+            col = layout.foot(i, comp)
+            # under include-current the reference box's own nominal holds the foot
+            if col not in e.coefs:
+                e_lo, e_hi = e.bounds(lower, upper)
+                lower[col] = max(lower[col], e_lo - lim)
+                upper[col] = min(upper[col], e_hi + lim)
+        feet = slice(layout.foot(i, 0), layout.foot(i, 2) + 1)
+        if np.any(lower[feet] > upper[feet]):
+            raise InfeasibleScenarioError(
+                f"step {i} has no reachable position inside the workspace box"
+            )
+
+    # ---- goal footholds (trim targets / goal cost), region membership gate -
+    goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
+    for j in range(n):
+        if not any(reg.contains(goals[j]) for reg in scenario.regions):
+            raise InfeasibleScenarioError(
+                f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
+            )
+
     # every inequality goes into one bag; ``ineq.box_rule`` sets the big-M
     # of each indicator row and drops the implied rows from the final
     # bounds, so a bound changed below (region and trim pins) must be set
     # before any row on its column is added
     ineq = _RowBag()
     eq = _RowBag()
-
-    # ---- (a) geometric: footstep inside the reference box around r_nom ----
-    for i in range(1, n_steps + 1):
-        for comp, tag in ((0, "x"), (1, "y")):
-            diff = foot_expr(i, comp).minus(nominal_expr(i, comp))
-            ineq.add(diff, robot.l_bnd, "geometric", f"step {i} ref box +{tag}")
-            ineq.add(diff.scaled(-1.0), robot.l_bnd, "geometric", f"step {i} ref box -{tag}")
-
-    # ---- (b) reachability from the same leg's previous nominal position ----
-    for i in range(1, n_steps + 1):
-        prev = i - n
-        for comp, tag in ((0, "x"), (1, "y")):
-            if prev >= 1:
-                anchor = nominal_expr(prev, comp)
-            else:
-                anchor = _LinExpr(const=start_nominal[leg_of(i, n) - 1][comp])
-            diff = foot_expr(i, comp).minus(anchor)
-            ineq.add(diff, robot.d_lim, "reachability", f"step {i} reach +{tag}")
-            ineq.add(diff.scaled(-1.0), robot.d_lim, "reachability", f"step {i} reach -{tag}")
-        prev_z = foot_expr(prev, 2) if prev >= 1 else _LinExpr(const=start[leg_of(i, n) - 1][2])
-        dz = foot_expr(i, 2).minus(prev_z)
-        ineq.add(dz, robot.dz_max, "reachability", f"step {i} dz +")
-        ineq.add(dz.scaled(-1.0), robot.dz_max, "reachability", f"step {i} dz -")
+    # all reference-box rows first, then each step's reach and dz rows
+    for family in ("geometric", "reachability"):
+        for fam, label, tag, i, comp, e, lim in pairs:
+            if fam == family:
+                diff = foot_expr(i, comp).minus(e)
+                ineq.add(diff, lim, family, f"{label} +{tag}")
+                ineq.add(diff.scaled(-1.0), lim, family, f"{label} -{tag}")
 
     # ---- (c) safe-region assignment with per-row big-M ---------------------
     # when every region carries a bounding box, hull rows confine each
@@ -635,6 +582,8 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # those binaries up front removes their reward from the relaxation
     yaw_ok = lo_t - 1e-9 <= scenario.goal_yaw <= hi_t + 1e-9
     step_goals = np.tile(goals, (layout.n_configs, 1))
+    foot_lo = lower[: 3 * n_steps].reshape(-1, 3)
+    foot_hi = upper[: 3 * n_steps].reshape(-1, 3)
     inside = (foot_lo - 1e-9 <= step_goals) & (step_goals <= foot_hi + 1e-9)
     can_trim = yaw_ok & inside.all(axis=1)
     # trims are monotone per leg, so a step can be trimmed only if every
@@ -751,7 +700,6 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     n_steps = layout.n_steps
     lo_t, hi_t = scenario.theta_range
     goal_yaw = float(scenario.goal_yaw)
-    yaw_ok = lo_t - 1e-9 <= goal_yaw <= hi_t + 1e-9
 
     def complete(
         x: np.ndarray, fixings: dict[int, float], with_trims: bool = True
@@ -765,10 +713,12 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
                 return float(problem.lower[idx])
             return float(x[idx])
 
-        # trim suffixes per leg, honoring monotonicity from the tail inward
+        # trim suffixes per leg, honoring monotonicity from the tail inward;
+        # a trim ``assemble`` pinned to 0 (goal yaw or goal foothold out of
+        # reach) reads as its bound
         trimmed = [False] * (n_steps + 1)
         for leg in range(1, n + 1):
-            allowed = yaw_ok
+            allowed = True
             for i in range(n_steps - n + leg, 0, -n):
                 idx = layout.trim(i)
                 if with_trims:

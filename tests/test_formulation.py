@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -378,24 +379,108 @@ class TestAssemble:
 class TestRoundingHeuristic:
     def test_root_candidates_are_one_hot(self):
         base = load_scenario(SCENARIO_DIR / "quadruped_stepping_stones.json")
-        scn = base.with_overrides(max_steps=4 * base.robot.n_legs)
+        # the preset itself, then a goal 0.25 m ahead of the start whose yaw
+        # lies outside theta_range (0.9): at yaw 0.8 its first candidate
+        # trims 14 steps, at 1.0 no configuration can take the goal yaw
+        near_goal = base.goal_position.copy()
+        near_goal[:2] = base.start_footholds[:, :2].mean(axis=0) + [0.25, 0.0]
+        for goal_position, goal_yaw in ((base.goal_position, base.goal_yaw), (near_goal, 1.0)):
+            scn = base.with_overrides(
+                max_steps=4 * base.robot.n_legs, goal_position=goal_position, goal_yaw=goal_yaw
+            )
+            prob = assemble(scn)
+            layout = prob.layout
+            root = BoxQp.from_miqp(prob).solve()
+            assert root.status == "optimal"
+            cands = make_rounding_heuristic(scn, prob)(root.x, {})
+            # complete with and without trims, then the straight walks
+            assert len(cands) >= 3
+            steps = range(1, layout.n_steps + 1)
+            for cand in cands:
+                for i in steps:
+                    assert sum(cand[layout.region(i, r)] for r in range(1, layout.n_regions + 1)) == 1.0
+                for c in range(1, layout.n_configs + 1):
+                    for seg_of in (layout.sin_segment, layout.cos_segment):
+                        assert sum(cand[seg_of(c, k)] for k in range(1, layout.n_segments + 1)) == 1.0
+            # every candidate after the first is built with trims off, and
+            # none trims when the goal yaw is out of range
+            untrimmed = cands if goal_yaw > scn.theta_range[1] else cands[1:]
+            for cand in untrimmed:
+                assert all(cand[layout.trim(i)] == 0.0 for i in steps)
+
+
+def reference_step_boxes(scn):
+    """Footstep boxes propagated step by step from the exact nominal-position
+    helper, the chord tables' knot ranges and the CoC window.
+
+    The linearized nominal offset of a leg is its yaw-0 offset turned by the
+    (cos, sin) variable pair; it is linear in that pair, so its range over the
+    knot-range box is taken at the box's four corners.
+    """
+    robot = scn.robot
+    n = robot.n_legs
+    sin_t, cos_t = scenario_tables(scn)
+    s_knots, c_knots = np.sin(sin_t.breakpoints), np.cos(cos_t.breakpoints)
+    corners = [(c, s) for c in (c_knots.min(), c_knots.max()) for s in (s_knots.min(), s_knots.max())]
+    include_current = scn.coc_convention == "include-current"
+    ws_lo, ws_hi = scn.workspace_box
+    start = scn.start_footholds
+    lo = {k: start[(k - 1) % n] for k in range(1 - n, 1)}
+    hi = dict(lo)
+
+    def nominal_box(step):
+        leg = (step - 1) % n + 1
+        if step < 1:
+            p = nominal_position(start[:, :2].mean(axis=0), scn.start_yaw, leg, robot)
+            return p, p
+        window = range(step - n + 1, step + 1 if include_current else step)
+        coc_lo = sum(lo[k][:2] for k in window) / len(window)
+        coc_hi = sum(hi[k][:2] for k in window) / len(window)
+        u = nominal_position((0.0, 0.0), 0.0, leg, robot)
+        offsets = np.array([[c * u[0] - s * u[1], s * u[0] + c * u[1]] for c, s in corners])
+        return coc_lo + offsets.min(axis=0), coc_hi + offsets.max(axis=0)
+
+    for i in range(1, scn.max_steps + 1):
+        prev = i - n
+        reach_lo, reach_hi = nominal_box(prev)
+        xy_lo = np.maximum(ws_lo[:2], reach_lo - robot.d_lim)
+        xy_hi = np.minimum(ws_hi[:2], reach_hi + robot.d_lim)
+        if not include_current:
+            ref_lo, ref_hi = nominal_box(i)
+            xy_lo = np.maximum(xy_lo, ref_lo - robot.l_bnd)
+            xy_hi = np.minimum(xy_hi, ref_hi + robot.l_bnd)
+        lo[i] = np.append(xy_lo, max(ws_lo[2], lo[prev][2] - robot.dz_max))
+        hi[i] = np.append(xy_hi, min(ws_hi[2], hi[prev][2] + robot.dz_max))
+    steps = range(1, scn.max_steps + 1)
+    return np.array([lo[i] for i in steps]), np.array([hi[i] for i in steps])
+
+
+class TestStepBoxes:
+    @pytest.mark.parametrize("convention", ["exclude-current", "include-current"])
+    @pytest.mark.parametrize("n_configs", [1, 2, 4])
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_foot_bounds_match_reference_propagation(self, preset, n_configs, convention):
+        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
+        scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, coc_convention=convention)
         prob = assemble(scn)
-        layout = prob.layout
-        root = BoxQp.from_miqp(prob).solve()
-        assert root.status == "optimal"
-        cands = make_rounding_heuristic(scn, prob)(root.x, {})
-        # complete with and without trims, then the straight walks
-        assert len(cands) >= 3
-        steps = range(1, layout.n_steps + 1)
-        for cand in cands:
-            for i in steps:
-                assert sum(cand[layout.region(i, r)] for r in range(1, layout.n_regions + 1)) == 1.0
-            for c in range(1, layout.n_configs + 1):
-                for seg_of in (layout.sin_segment, layout.cos_segment):
-                    assert sum(cand[seg_of(c, k)] for k in range(1, layout.n_segments + 1)) == 1.0
-        # every candidate after the first is built with trims off
-        for cand in cands[1:]:
-            assert all(cand[layout.trim(i)] == 0.0 for i in steps)
+        ref_lo, ref_hi = reference_step_boxes(scn)
+        feet = slice(0, 3 * scn.max_steps)
+        np.testing.assert_allclose(prob.lower[feet].reshape(-1, 3), ref_lo, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prob.upper[feet].reshape(-1, 3), ref_hi, rtol=0, atol=1e-12)
+
+    def test_empty_step_box_names_the_step(self):
+        # all four legs start on the origin, so step 1 (leg 1) must land
+        # within d_lim = 0.1 of its nominal foothold (0.2, 0.2): x >= 0.1,
+        # beyond the workspace box's x <= 0.05
+        scn = small_scenario(
+            robot=replace(quadruped(), d_lim=0.1),
+            start_footholds=np.zeros((4, 3)),
+            goal_position=np.zeros(3),
+            workspace_box=(np.array([-0.7, -0.7, -0.06]), np.array([0.05, 0.7, 0.06])),
+        )
+        message = "step 1 has no reachable position inside the workspace box"
+        with pytest.raises(InfeasibleScenarioError, match=f"^{message}$"):
+            assemble(scn)
 
 
 class TestValidateAssignment:

@@ -3,7 +3,9 @@
 
 For each bundled preset, planned at default ``plan()`` limits, it prints the
 chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
-calls and the sha256 of the plan JSON followed by the plan SVG. One more line
+calls, each chunk's objective (``%.9g``) and the sha256 of the plan JSON
+followed by the plan SVG. A change that moves only the last bits of a plan
+keeps the statuses, nodes and objectives and shows a new sha256. One more line
 gives the sha256 of every preset's region boxes (``lo`` then ``hi`` bytes,
 presets and regions in order), so a change to the load path that moves a box
 shows even when no plan moves. For each seed
@@ -62,9 +64,10 @@ def preset_digest(path: Path) -> str:
     text = plan_to_json(result, scenario) + render_plan_svg(result, scenario)
     chunk_statuses = ",".join(c.solution.status for c in result.chunks)
     nodes = ",".join(str(c.solution.nodes) for c in result.chunks)
+    objectives = ",".join("%.9g" % c.solution.objective for c in result.chunks)
     return (
         f"{path.stem}: status={chunk_statuses} nodes={nodes} solves={len(statuses)} "
-        f"sha256={hashlib.sha256(text.encode()).hexdigest()}"
+        f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
 
