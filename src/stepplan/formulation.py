@@ -690,96 +690,90 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     chains are closed per leg (monotone suffixes), configurations containing
     a trimmed step take the goal yaw, trig segments are chosen from the yaw
     value, and each step's region is the one nearest its relaxed position
-    (the indicator value breaks ties). At the root the same completion also
-    finishes two straight walks toward the goal. Node fixings are respected;
-    infeasible completions are simply rejected by the re-fix solve.
+    (the indicator value breaks ties, then the lower region number). At the
+    root the same completion also finishes two straight walks toward the
+    goal. Node fixings are respected; infeasible completions are simply
+    rejected by the re-fix solve.
+
+    Each completion is a few array passes over index blocks laid out once:
+    one product over every region's rows gives the step-by-region violation
+    matrix, and the picks are array reductions with the tie rules above.
     """
     layout = problem.layout
     sin_table, cos_table = scenario_tables(scenario)
     n = layout.n_legs
-    n_steps = layout.n_steps
+    n_steps, n_configs = layout.n_steps, layout.n_configs
     lo_t, hi_t = scenario.theta_range
     goal_yaw = float(scenario.goal_yaw)
+    steps, configs = range(1, n_steps + 1), range(1, n_configs + 1)
+    segments, regions = range(1, layout.n_segments + 1), range(1, layout.n_regions + 1)
+    # each leg's chain of steps from the tail inward, legs in order (0-based)
+    chains = np.array([i - 1 for leg in range(1, n + 1) for i in range(n_steps - n + leg, 0, -n)])
+    trim_idx = np.array([layout.trim(i) for i in steps])
+    theta_idx = np.array([layout.theta(cfg) for cfg in configs])
+    # [configuration, sin or cos, segment]
+    tables = (layout.sin_segment, layout.cos_segment)
+    seg_idx = np.array([[[seg_of(cfg, k) for k in segments] for seg_of in tables] for cfg in configs])
+    region_idx = np.array([[layout.region(i, r) for r in regions] for i in steps])
+    foot_idx = np.array([[layout.foot(i, comp) for comp in range(3)] for i in steps])
+    a_all = np.vstack([region.a_matrix for region in scenario.regions])
+    b_all = np.concatenate([region.b_vector for region in scenario.regions])
+    first_row = np.cumsum([0] + [region.n_rows for region in scenario.regions])[:-1]
+    pinned = problem.lower == problem.upper
+    open_up = problem.upper > 0.0
 
     def complete(
         x: np.ndarray, fixings: dict[int, float], with_trims: bool = True
     ) -> dict[int, float]:
-        out = dict(fixings)
-
-        def value_of(idx: int) -> float:
-            if idx in fixings:
-                return fixings[idx]
-            if problem.lower[idx] == problem.upper[idx]:
-                return float(problem.lower[idx])
-            return float(x[idx])
+        fixed = np.full(problem.n_vars, np.nan)  # NaN where not fixed
+        is_fixed = np.zeros(problem.n_vars, dtype=bool)
+        if fixings:
+            keys = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
+            fixed[keys] = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
+            is_fixed[keys] = True
+        value = np.where(is_fixed, fixed, np.where(pinned, problem.lower, x))
+        one, allowed = fixed == 1.0, ~(fixed == 0.0) & open_up
 
         # trim suffixes per leg, honoring monotonicity from the tail inward;
         # a trim ``assemble`` pinned to 0 (goal yaw or goal foothold out of
         # reach) reads as its bound
-        trimmed = [False] * (n_steps + 1)
-        for leg in range(1, n + 1):
-            allowed = True
-            for i in range(n_steps - n + leg, 0, -n):
-                idx = layout.trim(i)
-                if with_trims:
-                    want = value_of(idx) > 0.5
-                else:
-                    want = fixings.get(idx) == 1.0
-                trimmed[i] = want and allowed
-                allowed = trimmed[i]
-                out[idx] = 1.0 if trimmed[i] else 0.0
+        want = value[trim_idx] > 0.5 if with_trims else one[trim_idx]
+        trimmed = np.logical_and.accumulate(want.reshape(n_configs, n)[::-1], axis=0)[::-1]
+        theta = np.where(trimmed.any(axis=1), goal_yaw, np.minimum(np.maximum(x[theta_idx], lo_t), hi_t))
 
-        for cfg in range(1, layout.n_configs + 1):
-            first = (cfg - 1) * n + 1
-            if any(trimmed[i] for i in range(first, first + n)):
-                theta = goal_yaw
-            else:
-                theta = min(max(float(x[layout.theta(cfg)]), lo_t), hi_t)
-            for table, seg_of in (
-                (sin_table, layout.sin_segment),
-                (cos_table, layout.cos_segment),
-            ):
-                indices = [seg_of(cfg, k) for k in range(1, layout.n_segments + 1)]
-                pick = None
-                for k, idx in enumerate(indices, start=1):
-                    if fixings.get(idx) == 1.0:
-                        pick = k
-                        break
-                if pick is None:
-                    pick = segment = table.segment_of(theta) + 1
-                    if fixings.get(indices[pick - 1]) == 0.0:
-                        free = [
-                            k
-                            for k, idx in enumerate(indices, start=1)
-                            if fixings.get(idx) != 0.0 and problem.upper[idx] > 0.0
-                        ]
-                        if free:
-                            pick = min(free, key=lambda k: abs(k - segment))
-                for k, idx in enumerate(indices, start=1):
-                    if idx not in fixings:
-                        out[idx] = 1.0 if k == pick else 0.0
+        # a segment fixed to 1 stands; else the one holding theta, or the
+        # nearest open one (the lower on a tie) when that one is fixed to 0
+        one_s, allowed_s = one[seg_idx], allowed[seg_idx]
+        taken = one_s.any(axis=2)
+        segment = np.zeros(taken.shape, dtype=int)
+        for t, table in enumerate((sin_table, cos_table)):
+            segment[~taken[:, t], t] = table.segment_of(theta[~taken[:, t]])
+        k = np.arange(len(segments))
+        nearest = np.where(allowed_s, np.abs(k - segment[..., None]), k.size).argmin(axis=2)
+        at = np.take_along_axis(seg_idx, segment[..., None], axis=2)[..., 0]
+        moved = (fixed[at] == 0.0) & allowed_s.any(axis=2)
+        segment = np.where(taken, one_s.argmax(axis=2), np.where(moved, nearest, segment))
 
-        for i in range(1, n_steps + 1):
-            indices = [layout.region(i, r) for r in range(1, layout.n_regions + 1)]
-            pick = None
-            for r, idx in enumerate(indices, start=1):
-                if fixings.get(idx) == 1.0:
-                    pick = r
-                    break
-            if pick is None:
-                # choose the region geometrically closest to the relaxed
-                # position; the indicator value only breaks ties
-                point = np.array([x[layout.foot(i, comp)] for comp in range(3)])
-                candidates = [
-                    (-scenario.regions[r - 1].violation(point), value_of(idx), -r, r)
-                    for r, idx in enumerate(indices, start=1)
-                    if fixings.get(idx) != 0.0 and problem.upper[idx] > 0.0
-                ]
-                if candidates:
-                    pick = max(candidates)[3]
-            for r, idx in enumerate(indices, start=1):
-                if idx not in fixings:
-                    out[idx] = 1.0 if r == pick else 0.0
+        # the region geometrically closest to the relaxed position; the
+        # indicator value breaks ties, then the lower region number. One
+        # product over every region's rows gives each row the dot product
+        # ``SafeRegion.violation`` takes (the rounding tests compare the
+        # candidates with a per-region reference)
+        violation = np.maximum.reduceat(a_all @ x[foot_idx].T - b_all[:, None], first_row, axis=0).T
+        allowed_r = allowed[region_idx]
+        closest = allowed_r & (violation == np.where(allowed_r, violation, np.inf).min(axis=1, keepdims=True))
+        tie_value = np.where(closest, value[region_idx], -np.inf)
+        best = closest & (tie_value == tie_value.max(axis=1, keepdims=True))
+        one_r = one[region_idx]
+        region = np.where(allowed_r.any(axis=1), best.argmax(axis=1), -1)
+        region = np.where(one_r.any(axis=1), one_r.argmax(axis=1), region)
+
+        out = dict(fixings)
+        out.update(zip(trim_idx[chains].tolist(), np.where(trimmed.ravel()[chains], 1.0, 0.0).tolist()))
+        seg_on, region_on = k == segment[..., None], np.arange(len(regions)) == region[:, None]
+        for idx, on in ((seg_idx, seg_on), (region_idx, region_on)):
+            unfixed = ~is_fixed[idx]
+            out.update(zip(idx[unfixed].tolist(), np.where(on[unfixed], 1.0, 0.0).tolist()))
         return out
 
     robot = scenario.robot
@@ -799,19 +793,22 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
             0.3 * speed_budget / robot.l_leg,
             abs(want_turn) / max(layout.n_configs - 1, 1),
         )
-        x = np.zeros(problem.n_vars)
+        travels, thetas = [], []
         travel = 0.0
-        for cfg in range(1, layout.n_configs + 1):
+        for cfg in configs:
             stride = max(stride_factor * speed_budget - robot.l_leg * turn_rate, 0.15 * speed_budget)
             travel = min(travel + stride, dist)
             turn = min(max(want_turn, -turn_rate * cfg), turn_rate * cfg)
-            theta = min(max(scenario.start_yaw + turn, lo_t), hi_t)
-            x[layout.theta(cfg)] = theta
-            for j in range(1, n + 1):
-                i = (cfg - 1) * n + j
-                foot = nominal_position(start_coc + travel * direction, theta, j, robot)
-                x[layout.foot(i, 0)], x[layout.foot(i, 1)] = foot[0], foot[1]
-                x[layout.foot(i, 2)] = scenario.goal_position[2]
+            travels.append(travel)
+            thetas.append(min(max(scenario.start_yaw + turn, lo_t), hi_t))
+        # each foot at ``nominal_position``, row by row in the same operations
+        angles = [theta + phi for theta in thetas for phi in robot.leg_offsets]
+        offset = robot.l_leg * np.array([[math.cos(a), math.sin(a)] for a in angles])
+        coc_xy = start_coc + np.array(travels)[:, None] * direction
+        x = np.zeros(problem.n_vars)
+        x[theta_idx] = thetas
+        x[foot_idx[:, :2]] = np.repeat(coc_xy, n, axis=0) + offset
+        x[foot_idx[:, 2]] = scenario.goal_position[2]
         return complete(x, {}, with_trims=False)
 
     def candidates(x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:

@@ -60,11 +60,16 @@ class PwlTable:
         h = self.segment_width
         return h * h / 8.0
 
-    def segment_of(self, theta: float) -> int:
-        """0-based index of a segment containing theta (lower one at interior knots)."""
-        self._check_domain(theta)
-        k = int(np.searchsorted(self.breakpoints, theta, side="right") - 1)
-        return min(max(k, 0), self.n_segments - 1)
+    def segment_of(self, theta):
+        """0-based index of a segment containing theta (lower one at interior
+        knots): an int for a scalar, an array of them for an array."""
+        t = np.asarray(theta, dtype=float)
+        if t.size:
+            self._check_domain(float(np.min(t)))
+            self._check_domain(float(np.max(t)))
+        k = np.searchsorted(self.breakpoints, t, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), self.n_segments - 1)
+        return int(k) if t.ndim == 0 else k
 
     def eval(self, theta):
         """Value of the active chord at ``theta`` (scalar or array)."""

@@ -21,7 +21,13 @@ interior: rows emptied by the fixings are checked and dropped, rows left
 with one free variable become bounds, and pairs of opposite rows whose
 right-hand sides cancel (a big-M row pair with its binary fixed) become
 equalities. The presolve changes only right-hand sides and bounds, so a
-call's G_all is always a row and column subset of the workspace's.
+call's G_all is always a row and column subset of the workspace's. A round
+applies all its singleton rows in a few array passes with the rules of
+applying them one by one in row order: inequality rows before equality
+rows; a bound moves only on a strictly tighter row, and the first row to
+reach the tightest bound sets it; each equality row must lie within the
+tolerance of the bounds already set, an earlier equality row on its column
+included, and the last one fixes the column.
 
 A call does only the work its fixings change; what depends on the
 structure alone is found once per workspace:
@@ -29,7 +35,9 @@ structure alone is found once per workspace:
 - the candidate opposite pairs, searched only among rows with at least two
   entries on continuous, non-fixed columns (a pair becomes an equality only
   when both rows keep two free entries and all their pinnable columns are
-  fixed);
+  fixed). One sort of the rows' padded keys (columns, then values rounded
+  to 12 digits) and of their negations finds them; when no two such rows
+  have opposite sums, there are none and nothing is sorted;
 - the rows that can shrink: the fixpoint of marking every row with fewer
   than two entries off the pinnable and collapsed columns and adding the
   marked rows' columns. Any other row keeps two free entries under every
@@ -38,18 +46,25 @@ structure alone is found once per workspace:
   run over the shrinkable rows only. When there are none, as in small
   problems whose rows all have two continuous entries, a call substitutes
   the fixings once and drops no row;
-- the free-column mask of the workspace bounds.
+- the free-column mask of the workspace bounds;
+- for CSR workspaces: every pair of G entries that share a row, G's entries
+  in transpose order, P's entries and the stacked rows [A; G].
 
 Each matrix is sliced once per call; a CSR slice is built from the CSR
 arrays with the free-column map, as scipy's ``m[rows][:, cols]`` builds
-it, entry order included. A call's ``QpSolution`` keeps the reduced
+it, entry order included. One mask over G's entries gives the call's G and
+its transpose, A and the zero-width pairs' rows come from one slice of
+[A; G], P is scattered straight into a dense array, and the Newton block's
+entry pairs are the workspace's G pairs that survive plus one diagonal pair
+per bound row. A call's ``QpSolution`` keeps the reduced
 multipliers and their index maps and maps them back to the full problem,
 with the residuals, only when ``y``, ``prim_res`` or ``dual_res`` is first
 read; branch-and-bound reads none of them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
-plus the bound diagonal. Large ones keep their rows in CSR form and only the
+plus the bound diagonal. A dense workspace converts each of P, G and A once
+from its input. Large ones keep their rows in CSR form and only the
 Newton matrix is dense: the workspace lists once every pair of stored
 entries that share a row of G_all, and each Newton block is one
 ``np.bincount`` over the pairs that survive the call's presolve, with no
@@ -159,6 +174,7 @@ class _Reduced:
     p: np.ndarray  # dense
     c: np.ndarray
     g: np.ndarray | sp.csr_matrix
+    g_t: np.ndarray | sp.csr_matrix  # g's transpose
     h: np.ndarray
     a: np.ndarray | sp.csr_matrix
     b: np.ndarray
@@ -232,57 +248,163 @@ def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
+def _held_sparse(n_rows: int, n: int) -> bool:
+    """Whether a workspace of ``n_rows`` inequality rows and ``n`` variables is held in CSR form."""
+    return n_rows * n > SPARSE_MIN_ENTRIES
+
+
+def _dense(m, shape: tuple) -> np.ndarray:
+    """``m`` as the C-ordered float array that ``toarray`` of its CSR form gives.
+
+    A float array, or a float CSR matrix in canonical form, of the right
+    shape is converted once; an array's ``+ 0.0`` copies it and folds -0.0
+    into 0.0, as dropping stored zeros does. Its nonzero entries are then
+    the CSR form's stored entries, which the pair search reads."""
+    if getattr(m, "dtype", None) == np.float64 and m.shape == shape:
+        if isinstance(m, np.ndarray):
+            return np.ascontiguousarray(m) + 0.0
+        if sp.issparse(m) and m.format == "csr" and m.has_canonical_format:
+            return m.toarray()
+    return _stored(sp.csr_matrix(m, shape=shape, dtype=float)).toarray()
+
+
+def _nonzero(m):
+    """1.0 at each nonzero entry of ``m`` and 0.0 elsewhere, in ``m``'s form."""
+    if isinstance(m, np.ndarray):
+        return (np.abs(m) > 0.0).astype(float)
+    return sp.csr_matrix(((np.abs(m.data) > 0.0).astype(float), m.indices, m.indptr), shape=m.shape)
+
+
+def _rows(m, rows: np.ndarray):
+    """The rows ``rows`` (ascending) of ``m``; ``m`` itself when that is all of them."""
+    return m if rows.size == m.shape[0] else m[rows]
+
+
 def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
     """Column and coefficient of the sole free entry of each row in ``rows``.
 
     ``nz`` marks the entries of ``m`` and ``f`` the free columns; both
     products are exact, since every other term is zero."""
-    if not rows.size:
-        return (), ()
     cols = (nz @ (f * np.arange(f.size)))[rows].astype(int)
     return cols, (m @ f)[rows]
 
 
-def _opposite_pairs(g: sp.csr_matrix, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tighten(rows, cols, coefs, rhs, lo, hi, bound_rows, bound_coefs) -> None:
+    """Apply the singleton inequality rows ``rows`` (ascending) to the bounds.
+
+    Row k reads ``coefs[k] x[cols[k]] <= rhs[rows[k]]``. Applied one by one,
+    a row moves its bound only when it is strictly tighter, so each bound
+    ends at its tightest row bound, set by the first row that reaches it;
+    ``bound_rows`` and ``bound_coefs`` record that row."""
+    bound = rhs[rows] / coefs
+    upper = coefs > 0.0
+    key = np.where(upper, bound, -bound)  # smaller is tighter on either side
+    order = np.lexsort((key, cols, upper))  # stable: the first row wins a tie
+    side, col = upper[order], cols[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (col[1:] != col[:-1]) | (side[1:] != side[:-1])
+    win = order[first]
+    side, col = upper[win], cols[win]
+    tighter = key[win] < np.where(side, hi[col], -lo[col])
+    win, side, col = win[tighter], side[tighter], col[tighter]
+    hi[col[side]] = bound[win[side]]
+    lo[col[~side]] = bound[win[~side]]
+    at = side.astype(int), col
+    bound_rows[at], bound_coefs[at] = rows[win], coefs[win]
+
+
+def _fix(rows, cols, coefs, rhs, lo, hi) -> bool:
+    """Apply the singleton equality rows ``rows`` (ascending); False if one conflicts.
+
+    Applied one by one, each row's value must lie within the presolve
+    tolerance of the bounds already set (an earlier row on its column set
+    both to its own value), and the last row on a column fixes it."""
+    val = rhs[rows] / coefs
+    order = np.argsort(cols, kind="stable")
+    col, val = cols[order], val[order]
+    same = col[1:] == col[:-1]  # the row before is on the same column
+    ref_lo, ref_hi = lo[col], hi[col]
+    ref_lo[1:][same] = ref_hi[1:][same] = val[:-1][same]
+    slack = FEAS_TOL * (1.0 + np.abs(val))
+    if not ((ref_lo - slack <= val) & (val <= ref_hi + slack)).all():
+        return False
+    last = np.ones(col.size, dtype=bool)
+    last[:-1] = ~same
+    lo[col[last]] = hi[col[last]] = val[last]
+    return True
+
+
+def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs (i < j) of ``g`` that are exact negatives on the ``kept`` columns.
 
-    Only rows with at least two entries on those columns take part. Also
-    returns a group id per pair: pairs of the same two opposite patterns
-    share it, so their zero-width equalities coincide.
+    ``g`` is dense or a CSR matrix without stored zeros. Only rows with at
+    least two entries on those columns take part. Also returns a group id
+    per pair: pairs of the same two opposite patterns share it, so their
+    zero-width equalities coincide.
     """
-    if not g.has_sorted_indices:
-        g = g.sorted_indices()
-    on = kept[g.indices]
-    row_of = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))[on]
-    bounds = np.searchsorted(row_of, np.arange(g.shape[0] + 1))
-    cols_on = g.indices[on]
-    vals_on = np.round(g.data[on], 12) + 0.0  # +0.0 folds -0.0 into 0.0
-    ids: dict[bytes, int] = {}
-    members: dict[int, list[int]] = {}
-    keys = {}
-    for i in np.flatnonzero(np.diff(bounds) >= 2).tolist():
-        vals = vals_on[bounds[i] : bounds[i + 1]]
-        if vals.any():
-            cols = cols_on[bounds[i] : bounds[i + 1]].tobytes()
-            keys[i] = (cols + vals.tobytes(), cols + (-vals + 0.0).tobytes())
-            members.setdefault(ids.setdefault(keys[i][0], len(ids)), []).append(i)
-    pairs, groups = [], []
-    for i, key in keys.items():
-        mate = ids.get(key[1])
-        if mate is not None:
-            for j in members[mate]:
-                if i < j:
-                    pairs.append((i, j))
-                    groups.append(min(mate, ids[key[0]]))
-    return np.array(pairs, dtype=int).reshape(-1, 2), np.array(groups, dtype=int)
+    none = np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int)
+    if isinstance(g, np.ndarray):
+        row_of, col_of = g.nonzero()  # row by row, columns ascending
+        data = g[row_of, col_of]
+    else:
+        if not g.has_sorted_indices:
+            g = g.sorted_indices()
+        row_of, col_of, data = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices, g.data
+    on = kept[col_of]
+    row_of, col_of = row_of[on], col_of[on]
+    vals_on = np.round(data[on], 12) + 0.0  # +0.0 folds -0.0 into 0.0
+    # a row takes part with two entries on, one of them nonzero
+    count = np.bincount(row_of, minlength=g.shape[0])
+    take = (count >= 2) & (np.bincount(row_of, vals_on != 0.0, minlength=g.shape[0]) > 0)
+    rows = take.nonzero()[0]
+    # a row's negation sums to the negated row sum (rounding is symmetric),
+    # so with no two opposite sums there is no pair
+    sums = np.bincount(row_of, vals_on, minlength=g.shape[0])[rows]
+    ordered = np.sort(sums)
+    mates = np.searchsorted(ordered, -sums, "right") - np.searchsorted(ordered, -sums, "left")
+    if not (mates > (sums == 0.0)).any():
+        return none
+    # each taking row's key, padded: its columns (-1 past the end), then the
+    # bits of its values; the negated keys are stacked below the row keys
+    entry = take[row_of]
+    row_of, vals_on = row_of[entry], vals_on[entry]
+    pos = np.arange(row_of.size) - np.repeat(np.cumsum(count[rows]) - count[rows], count[rows])
+    at = np.searchsorted(rows, row_of), pos
+    width = int(count[rows].max())
+    keys = np.zeros((2 * rows.size, 2 * width), dtype=np.int64)
+    keys[:, :width] = -1
+    keys[at] = keys[(at[0] + rows.size, at[1])] = col_of[entry]
+    keys[(at[0], at[1] + width)] = vals_on.view(np.int64)
+    keys[(at[0] + rows.size, at[1] + width)] = (-vals_on + 0.0).view(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    step = np.zeros(order.size, dtype=bool)
+    step[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    key_of = np.empty(order.size, dtype=int)
+    key_of[order] = np.cumsum(step)
+    own, negated = key_of[: rows.size], key_of[rows.size :]
+    # group ids number the keys by the first row that has them
+    keys_seen, first = np.unique(own, return_index=True)
+    ids = np.zeros(order.size, dtype=int)
+    ids[keys_seen[np.argsort(first)]] = np.arange(keys_seen.size)
+    # the rows of each key, ascending, and each row's mates among them
+    members = np.argsort(own, kind="stable")
+    size = np.bincount(own, minlength=order.size)
+    start = np.cumsum(size) - size
+    n_mates = size[negated]
+    i = np.repeat(np.arange(rows.size), n_mates)
+    j = members[np.arange(i.size) + np.repeat(start[negated] - (np.cumsum(n_mates) - n_mates), n_mates)]
+    later = j > i
+    i, j = i[later], j[later]
+    return np.stack([rows[i], rows[j]], axis=1), np.minimum(ids[negated[i]], ids[own[i]])
 
 
 def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
     """Every ordered pair of stored entries that share a row of ``m``.
 
-    Returns ``(row, col_a, col_b, product)`` with one element per pair, so
-    that ``m' diag(w) m`` is the sum of ``w[row] * product`` at
-    ``(col_a, col_b)``.
+    Returns ``(a, b, product)`` with one element per pair: the two entries'
+    positions in ``m.data`` and the product of their values, so that
+    ``m' diag(w) m`` is the sum of ``w[row] * product`` at the two entries'
+    columns. Pairs run by row, then by ``a``, then by ``b``.
     """
     count = np.diff(m.indptr)
     row_of = np.repeat(np.arange(m.shape[0]), count)  # row of each entry
@@ -290,7 +412,7 @@ def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
     a = np.repeat(np.arange(m.nnz), per_entry)
     first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
     b = m.indptr[row_of[a]] + np.arange(a.size) - first
-    return row_of[a], m.indices[a], m.indices[b], m.data[a] * m.data[b]
+    return a, b, m.data[a] * m.data[b]
 
 
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -345,20 +467,28 @@ class BoxQp:
         self.h = np.asarray(h_vector, dtype=float)
         self.b = np.asarray(b_vector, dtype=float)
         self.constant = float(objective_constant)
-        g = _stored(sp.csr_matrix(g_matrix, shape=(self.h.shape[0], n), dtype=float))
-        a = _stored(sp.csr_matrix(a_matrix, shape=(self.b.shape[0], n), dtype=float))
-        p = _stored(sp.csr_matrix(p_matrix, shape=(n, n), dtype=float))
-        self.sparse = g.shape[0] * n > SPARSE_MIN_ENTRIES
-        self.g, self.a, self.p = (g, a, p) if self.sparse else (g.toarray(), a.toarray(), p.toarray())
+        self.sparse = _held_sparse(self.h.shape[0], n)
+        shapes = (self.h.shape[0], n), (self.b.shape[0], n), (n, n)
+        g, a, p = (
+            _stored(sp.csr_matrix(m, shape=shape, dtype=float)) if self.sparse else _dense(m, shape)
+            for m, shape in zip((g_matrix, a_matrix, p_matrix), shapes)
+        )
+        self.g, self.a, self.p = g, a, p
         if self.sparse:
-            eye = sp.identity(n, format="csr")
-            self._scatter = _entry_pairs(sp.vstack([g, -eye, eye], format="csr"))
+            # computed once: the G entry pairs, G', the entries of P and [A; G]
+            self._scatter = _entry_pairs(g)
+            self._g_entries = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices.astype(np.intp)
+            # G' in CSR form lists each column's entries in row order
+            self._g_t = np.argsort(g.indices, kind="stable"), np.cumsum(np.bincount(g.indices, minlength=n))
+            self._p_entries = np.repeat(np.arange(n), np.diff(p.indptr)), p.indices, p.data
+            self._ag = sp.vstack([a, g], format="csr")
+        else:
+            self._ag = np.vstack([self.a, self.g])
         pinnable = np.zeros(n, dtype=bool)
         pinnable[np.asarray(integer_columns, dtype=int)] = True
         self._pinnable = pinnable
-        # 1.0 at each stored entry: a product with the free mask counts free entries
-        self._nz_g = (abs(self.g) > 0.0).astype(float)
-        self._nz_a = (abs(self.a) > 0.0).astype(float)
+        # 1.0 at each nonzero entry: a product with the free mask counts free entries
+        self._nz_g, self._nz_a = _nonzero(g), _nonzero(a)
         # a pair can only become an equality when both rows keep two free
         # entries off the pinnable columns, so only such entries are compared
         self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
@@ -369,8 +499,11 @@ class BoxQp:
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
         """Relax a MIQP: binaries become [0,1] continuous."""
+        q = problem.q_matrix
+        if sp.issparse(q) and not _held_sparse(problem.b_ineq.shape[0], problem.lower.shape[0]):
+            q = q.toarray()  # scaling by 2 is exact, so it may follow the conversion
         return cls(
-            2.0 * problem.q_matrix,
+            2.0 * q,
             problem.c_vector,
             problem.a_ineq,
             problem.b_ineq,
@@ -394,16 +527,18 @@ class BoxQp:
         drops it. Returns each set's rows with their rows of the entry mask
         and of the matrix.
         """
+        nz_g, nz_a = self._nz_g, self._nz_a
+        nz_g_t, nz_a_t = nz_g.T, nz_a.T
         fixable = pinned | ~self._free
         while True:
-            g_rows = self._nz_g @ ~fixable < 2.0
-            a_rows = self._nz_a @ ~fixable < 2.0
-            grown = fixable | (self._nz_g.T @ g_rows + self._nz_a.T @ a_rows > 0.0)
+            g_rows = nz_g @ (~fixable).astype(float) < 2.0
+            a_rows = nz_a @ (~fixable).astype(float) < 2.0
+            grown = fixable | (nz_g_t @ g_rows.astype(float) + nz_a_t @ a_rows.astype(float) > 0.0)
             if (grown == fixable).all():
                 break
             fixable = grown
         rg, ra = np.flatnonzero(g_rows), np.flatnonzero(a_rows)
-        return rg, self._nz_g[rg], self.g[rg], ra, self._nz_a[ra], self.a[ra]
+        return rg, _rows(nz_g, rg), _rows(self.g, rg), ra, _rows(nz_a, ra), _rows(self.a, ra)
 
     def _presolve(self, fixings: dict[int, float] | None) -> _Reduced | None:
         """Substitute the fixings and simplify; None proves infeasibility.
@@ -457,22 +592,12 @@ class BoxQp:
                 return None
             # a singleton inequality row tightens one bound of its variable
             single = np.flatnonzero(live_g & (g_nnz == 1.0))
-            for k, col, coef in zip(rg[single], *_singletons(nz_g, g_s, f, single)):
-                bound = h[k] / coef
-                if coef > 0.0 and bound < hi[col]:
-                    hi[col] = bound
-                    bound_rows[1, col], bound_coefs[1, col] = k, coef
-                elif coef < 0.0 and bound > lo[col]:
-                    lo[col] = bound
-                    bound_rows[0, col], bound_coefs[0, col] = k, coef
+            if single.size:
+                _tighten(rg[single], *_singletons(nz_g, g_s, f, single), h, lo, hi, bound_rows, bound_coefs)
             # a singleton equality row fixes its variable
             single = np.flatnonzero(live_a & (a_nnz == 1.0))
-            for k, col, coef in zip(ra[single], *_singletons(nz_a, a_s, f, single)):
-                val = b[k] / coef
-                slack = FEAS_TOL * (1.0 + abs(val))
-                if not lo[col] - slack <= val <= hi[col] + slack:
-                    return None
-                lo[col] = hi[col] = val
+            if single.size and not _fix(ra[single], *_singletons(nz_a, a_s, f, single), b, lo, hi):
+                return None
             if _crossed(lo, hi):  # a tightened bound crossed the other
                 return None
             live_g &= g_nnz >= 2.0
@@ -487,44 +612,75 @@ class BoxQp:
             return None
         pairs, implied = found
         cols = free.nonzero()[0]
-        col_map = None
-        if self.sparse:
-            col_map = np.full(self.n, -1)
-            col_map[cols] = np.arange(cols.size)
         g_rows = _kept(self.h.shape[0], np.concatenate([dropped, implied]))
         eq_rows = _kept(self.b.shape[0], ra[~live_a])
-        g = _take(self.g, g_rows, cols, col_map)
-        a = _take(self.a, eq_rows, cols, col_map)
-        b = b[eq_rows]
-        if pairs.size:
-            first = pairs[:, 0]
-            rows = _take(self.g, first, cols, col_map)
-            a = np.vstack([a, rows]) if not self.sparse else sp.vstack([a, rows], format="csr")
-            b = np.concatenate([b, h[first]])
+        a_rows, b = eq_rows, b[eq_rows]
+        if pairs.size:  # the first row of each zero-width pair joins the equalities
+            a_rows = np.concatenate([eq_rows, self.b.shape[0] + pairs[:, 0]])
+            b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
-        p = _take(self.p, cols, cols, col_map)
-        scatter = self._reduced_scatter(g_rows, cols, col_map) if self.sparse else None
+        if not self.sparse:
+            g = _take(self.g, g_rows, cols, None)
+            return _Reduced(
+                x, cols, _take(self.p, cols, cols, None), self.q[cols] + (self.p @ x)[cols],
+                g, g.T, h[g_rows], _take(self._ag, a_rows, cols, None), b, lo[cols], hi[cols],
+                g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], None,
+            )
+        nf = cols.size
+        col_map = np.full(self.n, -1)
+        col_map[cols] = np.arange(nf)
+        row_map = np.full(self.h.shape[0], -1)
+        row_map[g_rows] = np.arange(g_rows.size)
+        p_row, p_col, p_val = self._p_entries
+        p_row, p_col = col_map[p_row], col_map[p_col]
+        keep = (p_row >= 0) & (p_col >= 0)
+        p = np.zeros((nf, nf))  # as ``toarray`` builds it: each entry added in order
+        np.add.at(p, (p_row[keep], p_col[keep]), p_val[keep])
+        g, g_t, scatter = self._slice_g(g_rows, cols, row_map, col_map)
         return _Reduced(
-            x, cols, p if not self.sparse else p.toarray(), self.q[cols] + (self.p @ x)[cols],
-            g, h[g_rows], a, b, lo[cols], hi[cols], g_rows, eq_rows, pairs,
-            bound_rows[:, cols], bound_coefs[:, cols], scatter,
+            x, cols, p, self.q[cols] + (self.p @ x)[cols],
+            g, g_t, h[g_rows], _take(self._ag, a_rows, cols, col_map), b, lo[cols], hi[cols],
+            g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
-    def _reduced_scatter(self, g_rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray) -> tuple:
-        """The workspace's entry pairs that survive a call's presolve, renumbered.
+    def _slice_g(self, g_rows, cols, row_map, col_map) -> tuple:
+        """The call's G, its transpose and the entry pairs of its G_all.
 
-        A pair survives when its row of G_all is kept and both its columns
-        are free; its flat index addresses the reduced Newton block.
+        One mask marks the workspace's G entries in kept rows and free
+        columns. G keeps them in entry order, as ``_take`` does, and G' in
+        column then row order, as ``.T.tocsr()`` does. An entry pair
+        survives when both its entries do; each free column then adds one
+        pair, a product of 1.0 on the diagonal, for each of its bound rows.
+        The pairs keep the workspace's order and their flat index addresses
+        the reduced Newton block.
         """
-        m, n, nf = self.h.shape[0], self.n, cols.size
-        row_map = np.full(m + 2 * n, -1)
-        row_map[g_rows] = np.arange(g_rows.size)
-        row_map[m + cols] = g_rows.size + np.arange(nf)
-        row_map[m + n + cols] = g_rows.size + nf + np.arange(nf)
-        row, col_a, col_b, prod = self._scatter
-        row, col_a, col_b = row_map[row], col_map[col_a], col_map[col_b]
-        keep = (row >= 0) & (col_a >= 0) & (col_b >= 0)
-        return col_a[keep] * nf + col_b[keep], row[keep], prod[keep]
+        g, k, nf = self.g, g_rows.size, cols.size
+        row_of, col_of = self._g_entries
+        row, col = row_map[row_of], col_map[col_of]
+        on = (row >= 0) & (col >= 0)
+        out = []
+        for order, ends, index, shape in (
+            (None, g.indptr[g_rows + 1], col, (k, nf)),
+            (self._g_t[0], self._g_t[1][cols], row, (nf, k)),
+        ):
+            keep = on if order is None else on[order]
+            entry = keep.nonzero()[0] if order is None else order[keep]
+            kept = np.zeros(keep.size + 1, dtype=g.indptr.dtype)  # kept entries before each one
+            np.cumsum(keep, out=kept[1:])
+            indptr = np.zeros(shape[0] + 1, dtype=g.indptr.dtype)
+            indptr[1:] = kept[ends]
+            index = index[entry].astype(g.indices.dtype)
+            out.append(sp.csr_matrix((g.data[entry], index, indptr), shape=shape))
+        a, b, prod = self._scatter
+        keep = on[a] & on[b]
+        a, b = a[keep], b[keep]
+        diag = np.arange(nf)
+        out.append((
+            np.concatenate([col[a] * nf + col[b], diag * (nf + 1), diag * (nf + 1)]),
+            np.concatenate([row[a], k + diag, k + nf + diag]),
+            np.concatenate([prod[keep], np.ones(2 * nf)]),
+        ))
+        return out
 
     def _zero_width_pairs(self, rhs, free, dropped):
         """Find opposite row pairs whose right-hand sides cancel.
@@ -533,9 +689,9 @@ class BoxQp:
         rows the presolve dropped. A pair is live when the presolve kept both
         rows and fixed all their pinnable columns, so that their free parts
         are exact negatives. Returns ``(pairs, implied)``: one pair per
-        group, whose first row becomes an equality, and every row of a
-        zero-width pair, which those equalities imply. Returns None if a live
-        pair has negative width.
+        group, whose first row becomes an equality, and the rows of every
+        zero-width pair (repeats allowed), which those equalities imply.
+        Returns None if a live pair has negative width.
         """
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
@@ -552,7 +708,7 @@ class BoxQp:
             return None
         zero = width <= FEAS_TOL * (1.0 + np.abs(h_i))
         _, first = np.unique(groups[zero], return_index=True)
-        return pairs[zero][first], np.unique(pairs[zero])
+        return pairs[zero][first], pairs[zero].ravel()
 
     # ------------------------------------------------------------------ solve
     def solve(self, fixings: dict[int, float] | None = None) -> QpSolution:
@@ -653,7 +809,7 @@ def _interior_point(red: _Reduced):
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
     n_cone = mi + 2 * nf
-    g_t = g.T.tocsr() if sp.issparse(g) else g.T
+    g_t = red.g_t
     # dense products write into their buffer; a CSR product is copied there
     times = _copy_product if sp.issparse(g) else np.dot
 

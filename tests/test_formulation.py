@@ -22,9 +22,11 @@ from stepplan.model import (
     RobotModel,
     SafeRegion,
     Scenario,
+    coc,
     derive_leg_goals,
     leg_of,
     nominal_position,
+    wrap_angle,
 )
 from stepplan.planner import plan, validate_plan
 from stepplan.qp import BoxQp
@@ -408,6 +410,130 @@ class TestRoundingHeuristic:
             for cand in untrimmed:
                 assert all(cand[layout.trim(i)] == 0.0 for i in steps)
 
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_candidates_match_the_variable_by_variable_completion(self, preset):
+        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
+        scn = base.with_overrides(max_steps=4 * base.robot.n_legs)
+        prob = assemble(scn)
+        root = BoxQp.from_miqp(prob).solve()
+        hook = make_rounding_heuristic(scn, prob)
+        free = prob.binary_indices[prob.lower[prob.binary_indices] < prob.upper[prob.binary_indices]]
+        rng = np.random.default_rng(len(preset))
+        cases = [(root.x, {})]
+        for _ in range(40):
+            # a relaxed point near the root's, some of it on the 0.5 rounding edge
+            x = root.x + rng.normal(size=root.x.size) * rng.choice([0.0, 0.02, 0.3])
+            x[rng.random(x.size) < 0.1] = 0.5
+            pick = rng.choice(free, size=int(rng.integers(1, min(free.size, 30))), replace=False)
+            cases.append((x, {int(i): float(rng.integers(0, 2)) for i in pick}))
+        for x, fixings in cases:
+            got = hook(x, fixings)
+            ref = reference_candidates(scn, prob, x, fixings)
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in ref]
+
+
+
+def reference_candidates(scn, prob, x, fixings):
+    """The rounding candidates built one variable at a time.
+
+    Trims close as suffixes of each leg's chain, walked from the tail; a
+    configuration with a trimmed step takes the goal yaw; each sine and cosine
+    segment is the one fixed to 1, else the one holding the yaw, else (when
+    that one is fixed to 0) the open one nearest it; each step's region is the
+    one fixed to 1, else the open region of least ``SafeRegion.violation`` at
+    the step's relaxed position, ties to the larger indicator value, then to
+    the lower region. At the root, two straight walks at strides 1.0 and 0.8
+    follow the completions with and without trims.
+    """
+    layout, robot, n = prob.layout, scn.robot, prob.layout.n_legs
+    sin_t, cos_t = scenario_tables(scn)
+    lo_t, hi_t = scn.theta_range
+
+    def value(x, fixings, idx):
+        if idx in fixings:
+            return fixings[idx]
+        return float(prob.lower[idx]) if prob.lower[idx] == prob.upper[idx] else float(x[idx])
+
+    def is_open(fixings, idx):
+        return fixings.get(idx) != 0.0 and prob.upper[idx] > 0.0
+
+    def complete(x, fixings, with_trims):
+        out = dict(fixings)
+        trimmed = {}
+        for leg in range(1, n + 1):
+            chain_open = True
+            for i in range(layout.n_steps - n + leg, 0, -n):
+                idx = layout.trim(i)
+                want = value(x, fixings, idx) > 0.5 if with_trims else fixings.get(idx) == 1.0
+                trimmed[i] = chain_open = want and chain_open
+                out[idx] = 1.0 if trimmed[i] else 0.0
+        for cfg in range(1, layout.n_configs + 1):
+            if any(trimmed[i] for i in range((cfg - 1) * n + 1, cfg * n + 1)):
+                theta = float(scn.goal_yaw)
+            else:
+                theta = min(max(float(x[layout.theta(cfg)]), lo_t), hi_t)
+            for table, seg_of in ((sin_t, layout.sin_segment), (cos_t, layout.cos_segment)):
+                segs = [seg_of(cfg, k) for k in range(1, layout.n_segments + 1)]
+                ones = [k for k, idx in enumerate(segs) if fixings.get(idx) == 1.0]
+                if ones:
+                    chosen = ones[0]
+                else:
+                    chosen = home = table.segment_of(theta)
+                    if fixings.get(segs[home]) == 0.0:
+                        others = [k for k, idx in enumerate(segs) if is_open(fixings, idx)]
+                        if others:
+                            chosen = min(others, key=lambda k: abs(k - home))
+                for k, idx in enumerate(segs):
+                    if idx not in fixings:
+                        out[idx] = 1.0 if k == chosen else 0.0
+        for i in range(1, layout.n_steps + 1):
+            regs = [layout.region(i, r) for r in range(1, layout.n_regions + 1)]
+            ones = [r for r, idx in enumerate(regs) if fixings.get(idx) == 1.0]
+            chosen = ones[0] if ones else None
+            if chosen is None:
+                point = [x[layout.foot(i, c)] for c in range(3)]
+                best = None
+                for r, idx in enumerate(regs):
+                    if not is_open(fixings, idx):
+                        continue
+                    key = (scn.regions[r].violation(point), -value(x, fixings, idx))
+                    if best is None or key < best[0]:
+                        best = (key, r)
+                chosen = None if best is None else best[1]
+            for r, idx in enumerate(regs):
+                if idx not in fixings:
+                    out[idx] = 1.0 if r == chosen else 0.0
+        return out
+
+    def straight_walk(stride_factor):
+        start = coc(scn.start_footholds)
+        direction = scn.goal_position[:2] - start
+        dist = float(np.linalg.norm(direction))
+        direction = direction / dist if dist > 1e-12 else np.zeros(2)
+        want_turn = wrap_angle(scn.goal_yaw - scn.start_yaw)
+        budget = 0.5 * (robot.d_lim + robot.l_bnd - robot.l_leg / max(n - 1, 1))
+        rate = min(0.3 * budget / robot.l_leg, abs(want_turn) / max(layout.n_configs - 1, 1))
+        walk = np.zeros(prob.n_vars)
+        travel = 0.0
+        for cfg in range(1, layout.n_configs + 1):
+            travel = min(travel + max(stride_factor * budget - robot.l_leg * rate, 0.15 * budget), dist)
+            theta = min(max(scn.start_yaw + min(max(want_turn, -rate * cfg), rate * cfg), lo_t), hi_t)
+            walk[layout.theta(cfg)] = theta
+            for leg in range(1, n + 1):
+                i = (cfg - 1) * n + leg
+                foot = nominal_position(start + travel * direction, theta, leg, robot)
+                walk[layout.foot(i, 0)], walk[layout.foot(i, 1)] = foot
+                walk[layout.foot(i, 2)] = scn.goal_position[2]
+        return complete(walk, {}, False)
+
+    tries = [complete(x, fixings, True), complete(x, fixings, False)]
+    if not fixings:
+        tries += [straight_walk(1.0), straight_walk(0.8)]
+    unique = []
+    for cand in tries:
+        if cand not in unique:
+            unique.append(cand)
+    return unique
 
 def reference_step_boxes(scn):
     """Footstep boxes propagated step by step from the exact nominal-position

@@ -600,3 +600,179 @@ class TestShrinkableRows:
         red = ws._presolve({0: 1.0})
         assert red.cols.tolist() == [1] and red.g_rows.size == 0
         assert red.bound_rows[:, 0].tolist() == [-1, 0] and red.hi[0] == 1.5
+
+
+def reference_pairs(g, kept):
+    """Opposite row pairs by comparing every two rows of ``g``.
+
+    A row takes part with two or more entries on the ``kept`` columns, one
+    of them nonzero after rounding to 12 digits; a key is the row's sorted
+    (column, rounded value) entries. Group ids number the keys by the first
+    row that has them, and a pair's group is the smaller id of its two keys.
+    """
+    g = sp.csr_matrix(g)
+    keys = {}
+    for i in range(g.shape[0]):
+        lo, hi = g.indptr[i], g.indptr[i + 1]
+        entries = sorted(
+            (int(c), float(np.round(v, 12)) + 0.0)
+            for c, v in zip(g.indices[lo:hi], g.data[lo:hi])
+            if kept[c] and v != 0.0
+        )
+        if len(entries) >= 2 and any(v != 0.0 for _, v in entries):
+            keys[i] = tuple(entries)
+    ids = {}
+    for key in keys.values():
+        ids.setdefault(key, len(ids))
+    pairs, groups = [], []
+    for i, key in keys.items():
+        negated = tuple((c, -v + 0.0) for c, v in key)
+        for j, other in keys.items():
+            if i < j and other == negated:
+                pairs.append((i, j))
+                groups.append(min(ids[key], ids[other]))
+    return np.array(pairs, dtype=int).reshape(-1, 2), np.array(groups, dtype=int)
+
+
+def fuzz_matrix(rng, trial):
+    """A small matrix with planted negated and repeated rows, all-zero rows,
+    entries that round to 0.0 or -0.0, a stored -0.0 entry and, on odd
+    trials, unsorted column indices."""
+    m, n = int(rng.integers(0, 30)), int(rng.integers(1, 12))
+    dense = rng.choice([0.0, 1.0, -1.0, 0.5, -2.0, 1e-13, -1e-13, 3.0, 0.1 + 1e-14],
+                       size=(m, n), p=[0.5, 0.1, 0.1, 0.05, 0.05, 0.025, 0.025, 0.1, 0.05])
+    for _ in range(m):
+        i, j = rng.integers(0, m, 2)
+        dense[j] = -dense[i] if rng.random() < 0.7 else dense[i]
+    if m:
+        dense[rng.integers(0, m)] = 0.0
+    g = sp.csr_matrix(dense)
+    if g.nnz:
+        data = g.data.copy()
+        data[rng.integers(0, g.nnz)] = -0.0  # a stored negative zero
+        g = sp.csr_matrix((data, g.indices, g.indptr), shape=g.shape)
+    if trial % 2 and m:
+        g = TestCsrTake.unsorted(g, rng)
+    return g, rng.random(n) < 0.8
+
+
+class TestOppositePairs:
+    @staticmethod
+    def check(g, kept):
+        # the workspace searches its matrix without stored zeros
+        got = qp_module._opposite_pairs(qp_module._stored(g) if sp.issparse(g) else g, kept)
+        ref = reference_pairs(g, kept)
+        for u, v in zip(got, ref):
+            assert u.dtype == v.dtype and u.shape == v.shape and np.array_equal(u, v)
+        return len(ref[0])
+
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_presets_match_the_row_by_row_search(self, name, chunks):
+        from stepplan.formulation import assemble
+        from stepplan.scenario_io import load_scenario
+
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        prob = assemble(dataclasses.replace(scenario, max_steps=chunks * scenario.robot.n_legs))
+        ws = BoxQp.from_miqp(prob)
+        assert ws.sparse == (chunks == 4)
+        kept = ~ws._pinnable & (ws.lo < ws.hi)
+        assert self.check(ws.g, kept) > 0
+        for u, v in zip((ws._pairs, ws._pair_groups), reference_pairs(ws.g, kept)):
+            assert np.array_equal(u, v)
+
+    def test_fuzz_matrices_match_the_row_by_row_search(self):
+        rng = np.random.default_rng(12)
+        found = 0
+        for trial in range(300):
+            g, kept = fuzz_matrix(rng, trial)
+            found += self.check(g, kept)
+            found += self.check(g.toarray(), kept)  # as a dense workspace holds it
+        assert found > 100
+
+
+def sequential_singletons(rows, cols, coefs, rhs, lo, hi, bound_rows, bound_coefs):
+    """Inequality singleton rows applied one at a time, in row order."""
+    for k, col, coef in zip(rows, cols, coefs):
+        bound = rhs[k] / coef
+        if coef > 0.0 and bound < hi[col]:
+            hi[col], bound_rows[1, col], bound_coefs[1, col] = bound, k, coef
+        elif coef < 0.0 and bound > lo[col]:
+            lo[col], bound_rows[0, col], bound_coefs[0, col] = bound, k, coef
+
+
+def sequential_fixes(rows, cols, coefs, rhs, lo, hi):
+    """Equality singleton rows applied one at a time; False at a conflict."""
+    for k, col, coef in zip(rows, cols, coefs):
+        val = rhs[k] / coef
+        slack = qp_module.FEAS_TOL * (1.0 + abs(val))
+        if not lo[col] - slack <= val <= hi[col] + slack:
+            return False
+        lo[col] = hi[col] = val
+    return True
+
+
+class TestSingletonRows:
+    def test_tighten_matches_sequential_application(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 25))
+            rows = np.sort(rng.choice(60, size=k, replace=False))
+            cols = rng.integers(0, n, size=k)
+            coefs = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=k)
+            # few distinct right-hand sides, so bounds tie each other and the workspace bounds
+            rhs = rng.choice([-1.0, 0.0, 1.0, 2.0], size=60)
+            lo, hi = -rng.choice([1.0, 2.0], size=n), rng.choice([1.0, 2.0], size=n)
+            got = [lo.copy(), hi.copy(), np.full((2, n), -1), np.zeros((2, n))]
+            ref = [a.copy() for a in got]
+            qp_module._tighten(rows, cols, coefs, rhs, *got)
+            sequential_singletons(rows, cols, coefs, rhs, *ref)
+            for u, v in zip(got, ref):
+                assert u.tobytes() == v.tobytes()
+
+    def test_fix_matches_sequential_application(self):
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(200):
+            n, k = int(rng.integers(1, 5)), int(rng.integers(1, 10))
+            rows = np.sort(rng.choice(40, size=k, replace=False))
+            cols = rng.integers(0, n, size=k)
+            coefs = rng.choice([-1.0, 1.0, 2.0], size=k)
+            rhs = rng.choice([0.5, 1.0, 1.0 + 1e-10, 1.0 + 1e-8], size=40)
+            lo, hi = np.zeros(n), rng.choice([0.75, 1.5, 3.0], size=n)
+            got, ref = [lo.copy(), hi.copy()], [lo.copy(), hi.copy()]
+            ok = qp_module._fix(rows, cols, coefs, rhs, *got)
+            assert ok == sequential_fixes(rows, cols, coefs, rhs, *ref)
+            outcomes.add(ok)
+            if ok:
+                assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        assert outcomes == {True, False}
+
+    @staticmethod
+    def workspace(a_in, b_in, a_eq=None, b_eq=None):
+        n = len(a_in[0])
+        return BoxQp.from_miqp(make_problem(np.eye(n), np.zeros(n), lb=np.full(n, -5.0), ub=np.full(n, 5.0),
+                                            a_in=a_in, b_in=b_in, a_eq=a_eq, b_eq=b_eq))
+
+    def test_several_rows_on_one_column(self):
+        # x0 <= 3, x0 <= 1.5 (row 1), 2 x0 <= 3 (row 2 ties row 1), -x0 <= 1
+        red = self.workspace([[1.0], [1.0], [2.0], [-1.0]], [3.0, 1.5, 3.0, 1.0])._presolve(None)
+        assert red.lo.tolist() == [-1.0] and red.hi.tolist() == [1.5]
+        assert red.bound_rows[:, 0].tolist() == [3, 1]  # the first row to reach the bound
+        assert red.bound_coefs[:, 0].tolist() == [-1.0, 1.0]
+
+    def test_a_tie_with_the_bound_keeps_it(self):
+        # x0 <= 5 and -x0 <= 5 restate the bounds; x1 <= 1 tightens
+        red = self.workspace([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [5.0, 5.0, 1.0])._presolve(None)
+        assert red.bound_rows.tolist() == [[-1, -1], [-1, 2]]
+        assert red.hi.tolist() == [5.0, 1.0]
+
+    def test_equality_rows_on_one_column(self):
+        # two rows that agree within the tolerance: the later one fixes x0
+        ws = self.workspace([[1.0, 1.0]], [10.0], a_eq=[[1.0, 0.0], [2.0, 0.0]], b_eq=[0.5, 1.0 + 1e-10])
+        red = ws._presolve(None)
+        assert red.cols.tolist() == [1] and red.x[0] == (1.0 + 1e-10) / 2.0
+        # two rows that disagree: infeasible
+        ws = self.workspace([[1.0, 1.0]], [10.0], a_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.5, 0.6])
+        assert ws._presolve(None) is None
+        assert ws.solve().status == "infeasible"

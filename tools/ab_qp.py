@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
-"""In-process A/B of ``BoxQp.solve`` between another checkout and this one.
+"""In-process A/B of ``BoxQp`` set-up and solves between another checkout and this one.
 
-Records every ``BoxQp.solve`` call of the ``tree_random_miqp`` benchmark
-workload on the batch of one seed, or of ``plan()`` on one bundled preset
-with ``--preset NAME`` (the workspace's problem and the call's fixings),
-then replays the calls through the ``qp`` module of PARENT_DIR and through
-this checkout's, call by call with the first of the two alternating, over
-``--rounds`` rounds. Every field of every ``QpSolution``, and its lazily
-computed ``y``, ``prim_res`` and ``dual_res`` (read after the timed replay),
-must be bit-identical between the two; the tool prints the median over
-rounds of this checkout's replay time over the parent's. Both modules run in
-one process, so a drift in host speed between processes does not enter the
-ratio:
+Records every workspace and every ``BoxQp.solve`` call of the
+``tree_random_miqp`` benchmark workload on the batch of one seed, or of
+``plan()`` on each bundled preset named with ``--preset`` (the workspace's
+problem and the call's fixings). It then replays them through the ``qp``
+module of PARENT_DIR and through this checkout's, over ``--rounds`` rounds:
+first ``BoxQp.from_miqp`` workspace by workspace, then the solves call by
+call, with the first of the two alternating. The two checkouts' workspaces
+must find the same opposite row pairs, pair groups and shrinkable rows of G
+and A, and every field of every ``QpSolution``, with its lazily computed
+``y``, ``prim_res`` and ``dual_res`` (read after the timed replay), must be
+bit-identical. The tool prints the median over rounds of this checkout's
+set-up time and solve time over the parent's. Both modules run in one
+process, so a drift in host speed between processes does not enter the
+ratios:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
-    python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain
+    python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain hexapod_rotation
 
 The tree workspaces are all dense; a preset's are all CSR.
 
-Exits 1 if any solution differs.
+Exits 1 if any workspace structure or solution differs.
 """
 
 from __future__ import annotations
@@ -101,17 +104,33 @@ def record_calls(run):
 
 
 def replay(modules, spaces, calls, first: int):
-    """Solve every call through both modules, alternating which goes first.
+    """Build every workspace and solve every call through both modules,
+    alternating which goes first.
 
-    Returns each module's total solve time and solutions."""
-    workspaces = [[m.BoxQp.from_miqp(p) for p in spaces] for m in modules]
+    Returns each module's total set-up time, workspaces, total solve time
+    and solutions."""
+    setup, workspaces = [0.0, 0.0], [[], []]
+    for i, problem in enumerate(spaces):
+        for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            workspaces[j].append(modules[j].BoxQp.from_miqp(problem))
+            setup[j] += time.perf_counter() - t0
     seconds, sols = [0.0, 0.0], [[], []]
     for i, (k, fixings) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
             t0 = time.perf_counter()
             sols[j].append(workspaces[j][k].solve(fixings=fixings))
             seconds[j] += time.perf_counter() - t0
-    return seconds, sols
+    return setup, workspaces, seconds, sols
+
+
+def structure(ws) -> list[np.ndarray]:
+    """A workspace's opposite pairs, their groups and its shrinkable rows of G and A."""
+    return [ws._pairs, ws._pair_groups, ws._shrink[0], ws._shrink[3]]
+
+
+def same_arrays(u: np.ndarray, v: np.ndarray) -> bool:
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def same(a, b) -> bool:
@@ -121,11 +140,41 @@ def same(a, b) -> bool:
     for name in dict.fromkeys(public + ["y", "prim_res", "dual_res"]):
         u, v = getattr(a, name), getattr(b, name)
         if isinstance(u, np.ndarray):
-            if u.dtype != v.dtype or u.shape != v.shape or u.tobytes() != v.tobytes():
+            if not same_arrays(u, v):
                 return False
         elif np.asarray(u).tobytes() != np.asarray(v).tobytes():
             return False
     return True
+
+
+def compare(label: str, run, parent, rounds: int) -> bool:
+    """Record ``run()``, replay it through both modules; whether all agree."""
+    spaces, calls = record_calls(run)
+    print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
+    setup_ratios, ratios, differ, structures = [], [], 0, 0
+    for r in range(rounds):
+        (s_parent, s_new), (ws_old, ws_new), (t_parent, t_new), (old, new) = replay(
+            (parent, qp), spaces, calls, r
+        )
+        if r == 0:
+            structures = sum(
+                not all(map(same_arrays, structure(a), structure(b))) for a, b in zip(ws_old, ws_new)
+            )
+        differ = max(differ, sum(not same(a, b) for a, b in zip(old, new)))
+        setup_ratios.append(s_new / s_parent)
+        ratios.append(t_new / t_parent)
+        print(
+            f"round {r + 1}: set-up parent {s_parent:.4f} s, this {s_new:.4f} s, "
+            f"ratio {setup_ratios[-1]:.3f}; "
+            f"solves parent {t_parent:.3f} s, this {t_new:.3f} s, ratio {ratios[-1]:.3f}",
+            flush=True,
+        )
+    print(
+        f"median set-up ratio {statistics.median(setup_ratios):.3f}, median solve ratio "
+        f"{statistics.median(ratios):.3f}; workspace structures differing: {structures} of {len(spaces)}; "
+        f"solutions differing: {differ} of {len(calls)}"
+    )
+    return not (differ or structures)
 
 
 def main(argv=None) -> int:
@@ -134,25 +183,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument(
-        "--preset", choices=sorted(p.stem for p in (ROOT / "src" / "stepplan" / "scenarios").glob("*.json")),
-        help="replay the solves of plan() on this bundled preset instead of the tree batch",
+        "--preset", nargs="+", metavar="NAME",
+        choices=sorted(p.stem for p in (ROOT / "src" / "stepplan" / "scenarios").glob("*.json")),
+        help="replay the solves of plan() on these bundled presets instead of the tree batch",
     )
     args = parser.parse_args(argv)
     parent = load_qp(args.parent.resolve(), "parent_stepplan")
     if args.preset:
-        label, run = args.preset, preset_plan(args.preset)
+        runs = [(name, preset_plan(name)) for name in args.preset]
     else:
-        label, run = f"seed {args.seed}", tree_batch(args.seed)
-    spaces, calls = record_calls(run)
-    print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
-    ratios, differ = [], 0
-    for r in range(args.rounds):
-        (t_parent, t_new), (old, new) = replay((parent, qp), spaces, calls, r)
-        differ = max(differ, sum(not same(a, b) for a, b in zip(old, new)))
-        ratios.append(t_new / t_parent)
-        print(f"round {r + 1}: parent {t_parent:.3f} s, this {t_new:.3f} s, ratio {ratios[-1]:.3f}", flush=True)
-    print(f"median ratio {statistics.median(ratios):.3f}; solutions differing: {differ} of {len(calls)}")
-    return 1 if differ else 0
+        runs = [(f"seed {args.seed}", tree_batch(args.seed))]
+    agree = [compare(label, run, parent, args.rounds) for label, run in runs]
+    return 0 if all(agree) else 1
 
 
 if __name__ == "__main__":
