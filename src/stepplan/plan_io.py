@@ -122,7 +122,7 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
                 x=_field(s, "x", at, _as_float), y=_field(s, "y", at, _as_float),
                 z=_field(s, "z", at, _as_float), theta=_field(s, "theta", at, _as_float),
                 leg=_field(s, "leg", at, _as_int), trimmed=_field(s, "trimmed", at, _flag),
-                region=s.get("region"),
+                region=_field(s, "region", at, _text) if s.get("region") is not None else None,
             )
         )
     chunks = []

@@ -313,6 +313,11 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
             leg = (k - 1) % n + 1
             return start[leg - 1]
 
+        def coc_at(k: int) -> np.ndarray:
+            """Mean xy of the feet in step k's CoC window."""
+            end = k + 1 if scenario.coc_convention == "include-current" else k
+            return np.mean([foot_at(j)[:2] for j in range(k - n + 1, end)], axis=0)
+
         if chunk.kept_count % n != 0:
             note("yaw-sharing", chunk.index, 0, float(chunk.kept_count % n), 0.0,
                  "steps not grouped in complete configurations")
@@ -334,12 +339,7 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
                 note("yaw-sharing", chunk.index, i, 1.0, 0.0, "leg out of cyclic order")
 
             # reference box around the linearized nominal position, checked exactly
-            if scenario.coc_convention == "include-current":
-                window = range(i - n + 1, i + 1)
-            else:
-                window = range(i - n + 1, i)
-            p_i = np.mean([foot_at(k)[:2] for k in window], axis=0)
-            r_nom = nominal_position(p_i, step.theta, leg, robot)
+            r_nom = nominal_position(coc_at(i), step.theta, leg, robot)
             dev = float(np.max(np.abs(step.xy() - r_nom)))
             note("geometric", chunk.index, i, dev, robot.l_bnd + slack + 1e-9,
                  f"leg {leg} outside reference box")
@@ -348,12 +348,7 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
             prev = i - n
             if prev >= 1:
                 prev_step = kept[prev - 1]
-                if scenario.coc_convention == "include-current":
-                    pwindow = range(prev - n + 1, prev + 1)
-                else:
-                    pwindow = range(prev - n + 1, prev)
-                p_prev = np.mean([foot_at(k)[:2] for k in pwindow], axis=0)
-                anchor = nominal_position(p_prev, prev_step.theta, leg, robot)
+                anchor = nominal_position(coc_at(prev), prev_step.theta, leg, robot)
                 prev_z = prev_step.z
             else:
                 anchor = nominal_position(start_coc, chunk.start_yaw, leg, robot)

@@ -38,14 +38,13 @@ structure alone is found once per workspace:
   fixed). One sort of the rows' padded keys (columns, then values rounded
   to 12 digits) and of their negations finds them; when no two such rows
   have opposite sums, there are none and nothing is sorted;
-- the rows that can shrink: the fixpoint of marking every row with fewer
-  than two entries off the pinnable and collapsed columns and adding the
-  marked rows' columns. Any other row keeps two free entries under every
-  fixing of pinnable columns, so the emptied-row and singleton tests, the
-  row counts (products with the free-column mask) and the live-row masks
-  run over the shrinkable rows only. When there are none, as in small
-  problems whose rows all have two continuous entries, a call substitutes
-  the fixings once and drops no row;
+- whether the presolve tests rows: it does when some row has fewer than
+  two entries off the pinnable and collapsed columns, and then it tests
+  every row, as on every chunk relaxation. When no row has, no fixing of
+  pinnable columns leaves a row empty or singleton, so a call substitutes
+  the fixings once and drops no row, as in small problems whose rows all
+  have two continuous entries. A call that fixes a column that is not
+  pinnable tests every row;
 - the free-column mask of the workspace bounds;
 - for CSR workspaces: every pair of G entries that share a row, G's entries
   in transpose order, P's entries and the stacked rows [A; G].
@@ -226,15 +225,6 @@ def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
     )
 
 
-def _kept(n_rows: int, dropped: np.ndarray) -> np.ndarray:
-    """The rows 0 .. n_rows - 1 that are not in ``dropped``, ascending."""
-    if not dropped.size:
-        return np.arange(n_rows)
-    keep = np.ones(n_rows, dtype=bool)
-    keep[dropped] = False
-    return keep.nonzero()[0]
-
-
 def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
     """``m`` without explicitly stored zeros.
 
@@ -273,11 +263,6 @@ def _nonzero(m):
     if isinstance(m, np.ndarray):
         return (np.abs(m) > 0.0).astype(float)
     return sp.csr_matrix(((np.abs(m.data) > 0.0).astype(float), m.indices, m.indptr), shape=m.shape)
-
-
-def _rows(m, rows: np.ndarray):
-    """The rows ``rows`` (ascending) of ``m``; ``m`` itself when that is all of them."""
-    return m if rows.size == m.shape[0] else m[rows]
 
 
 def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
@@ -494,7 +479,11 @@ class BoxQp:
         self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
         self._free = _wide(self.lo, self.hi)
         self._crossed = _crossed(self.lo, self.hi)
-        self._shrink = self._shrinkable(pinnable)
+        # with two entries off the pinnable and collapsed columns in every
+        # row, no fixing of pinnable columns leaves a row empty or singleton,
+        # so no bound moves and the presolve tests no row
+        kept = (~pinnable & self._free).astype(float)
+        self._tests_rows = bool((self._nz_g @ kept < 2.0).any() or (self._nz_a @ kept < 2.0).any())
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
@@ -516,43 +505,19 @@ class BoxQp:
         )
 
     # --------------------------------------------------------------- presolve
-    def _shrinkable(self, pinned: np.ndarray) -> tuple:
-        """The rows of G and of A that can drop below two free entries.
-
-        Starts from the ``pinned`` columns and those whose bounds are
-        collapsed, marks every row with fewer than two entries off them and
-        adds the marked rows' columns, which a singleton row can fix or
-        collapse, until nothing changes. Every other row keeps two free
-        entries under any fixing of ``pinned`` columns, so the presolve never
-        drops it. Returns each set's rows with their rows of the entry mask
-        and of the matrix.
-        """
-        nz_g, nz_a = self._nz_g, self._nz_a
-        nz_g_t, nz_a_t = nz_g.T, nz_a.T
-        fixable = pinned | ~self._free
-        while True:
-            g_rows = nz_g @ (~fixable).astype(float) < 2.0
-            a_rows = nz_a @ (~fixable).astype(float) < 2.0
-            grown = fixable | (nz_g_t @ g_rows.astype(float) + nz_a_t @ a_rows.astype(float) > 0.0)
-            if (grown == fixable).all():
-                break
-            fixable = grown
-        rg, ra = np.flatnonzero(g_rows), np.flatnonzero(a_rows)
-        return rg, _rows(nz_g, rg), _rows(self.g, rg), ra, _rows(nz_a, ra), _rows(self.a, ra)
-
     def _presolve(self, fixings: dict[int, float] | None) -> _Reduced | None:
         """Substitute the fixings and simplify; None proves infeasibility.
 
         Rows left empty or singleton leave the live set, and a round that
-        pins a variable starts another. Only the workspace's shrinkable rows
-        are tested; a fixing off the pinnable columns computes that set for
-        the call. The reduced problem is sliced from the workspace once,
+        pins a variable starts another. Rows are tested only when the
+        workspace tests them or a fixing is off the pinnable columns; then
+        every row is. The reduced problem is sliced from the workspace once,
         after the last round.
         """
         lo = self.lo.copy()
         hi = self.hi.copy()
         free = self._free.copy()
-        shrink = self._shrink
+        tests_rows = self._tests_rows
         if fixings:
             idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
@@ -563,40 +528,37 @@ class BoxQp:
                 return None
             lo[idx] = hi[idx] = val
             free[idx] = False
-            if not self._pinnable[idx].all():
-                pinned = self._pinnable.copy()
-                pinned[idx] = True
-                shrink = self._shrinkable(pinned)
+            tests_rows = tests_rows or not self._pinnable[idx].all()
         # only the workspace's own bounds can cross here: a fixing sets lo = hi
         if self._crossed and _crossed(lo, hi):
             return None
-        rg, nz_g, g_s, ra, nz_a, a_s = shrink
+        nz_g, nz_a = self._nz_g, self._nz_a
         bound_rows = np.full((2, self.n), -1)
         bound_coefs = np.zeros((2, self.n))
-        live_g = np.ones(rg.size, dtype=bool)  # of the shrinkable rows
-        live_a = np.ones(ra.size, dtype=bool)
+        live_g = np.ones(self.h.shape[0], dtype=bool)
+        live_a = np.ones(self.b.shape[0], dtype=bool)
         while True:
             x = np.where(free, 0.0, 0.5 * (lo + hi))
             h = self.h - self.g @ x
             b = self.b - self.a @ x
-            if not (rg.size or ra.size):
-                break  # no row can lose a free entry
+            if not tests_rows:
+                break  # every row keeps two free entries
             f = free.astype(float)
             g_nnz = nz_g @ f
             a_nnz = nz_a @ f
-            empty = rg[live_g & (g_nnz == 0.0)]
+            empty = np.flatnonzero(live_g & (g_nnz == 0.0))
             if empty.size and np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
                 return None
-            empty = ra[live_a & (a_nnz == 0.0)]
+            empty = np.flatnonzero(live_a & (a_nnz == 0.0))
             if empty.size and np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
                 return None
             # a singleton inequality row tightens one bound of its variable
             single = np.flatnonzero(live_g & (g_nnz == 1.0))
             if single.size:
-                _tighten(rg[single], *_singletons(nz_g, g_s, f, single), h, lo, hi, bound_rows, bound_coefs)
+                _tighten(single, *_singletons(nz_g, self.g, f, single), h, lo, hi, bound_rows, bound_coefs)
             # a singleton equality row fixes its variable
             single = np.flatnonzero(live_a & (a_nnz == 1.0))
-            if single.size and not _fix(ra[single], *_singletons(nz_a, a_s, f, single), b, lo, hi):
+            if single.size and not _fix(single, *_singletons(nz_a, self.a, f, single), b, lo, hi):
                 return None
             if _crossed(lo, hi):  # a tightened bound crossed the other
                 return None
@@ -606,59 +568,56 @@ class BoxQp:
             if np.array_equal(still_free, free):
                 break
             free = still_free  # a row pinned a variable: substitute again
-        dropped = rg[~live_g]
-        found = self._zero_width_pairs(h, free, dropped)
+        found = self._zero_width_pairs(h, free, live_g)
         if found is None:
             return None
         pairs, implied = found
-        cols = free.nonzero()[0]
-        g_rows = _kept(self.h.shape[0], np.concatenate([dropped, implied]))
-        eq_rows = _kept(self.b.shape[0], ra[~live_a])
+        live_g[implied] = False  # the pairs' equalities imply their rows
+        cols, g_rows, eq_rows = free.nonzero()[0], live_g.nonzero()[0], live_a.nonzero()[0]
         a_rows, b = eq_rows, b[eq_rows]
         if pairs.size:  # the first row of each zero-width pair joins the equalities
             a_rows = np.concatenate([eq_rows, self.b.shape[0] + pairs[:, 0]])
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
-        if not self.sparse:
-            g = _take(self.g, g_rows, cols, None)
-            return _Reduced(
-                x, cols, _take(self.p, cols, cols, None), self.q[cols] + (self.p @ x)[cols],
-                g, g.T, h[g_rows], _take(self._ag, a_rows, cols, None), b, lo[cols], hi[cols],
-                g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], None,
-            )
-        nf = cols.size
-        col_map = np.full(self.n, -1)
-        col_map[cols] = np.arange(nf)
-        row_map = np.full(self.h.shape[0], -1)
-        row_map[g_rows] = np.arange(g_rows.size)
-        p_row, p_col, p_val = self._p_entries
-        p_row, p_col = col_map[p_row], col_map[p_col]
-        keep = (p_row >= 0) & (p_col >= 0)
-        p = np.zeros((nf, nf))  # as ``toarray`` builds it: each entry added in order
-        np.add.at(p, (p_row[keep], p_col[keep]), p_val[keep])
-        g, g_t, scatter = self._slice_g(g_rows, cols, row_map, col_map)
+        if self.sparse:
+            p, g, g_t, scatter, col_map = self._slice_csr(g_rows, cols)
+        else:
+            g, scatter, col_map = _take(self.g, g_rows, cols, None), None, None
+            p, g_t = _take(self.p, cols, cols, None), g.T
         return _Reduced(
             x, cols, p, self.q[cols] + (self.p @ x)[cols],
             g, g_t, h[g_rows], _take(self._ag, a_rows, cols, col_map), b, lo[cols], hi[cols],
             g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
-    def _slice_g(self, g_rows, cols, row_map, col_map) -> tuple:
-        """The call's G, its transpose and the entry pairs of its G_all.
+    def _slice_csr(self, g_rows, cols) -> tuple:
+        """The call's P, G, its transpose, the entry pairs of its G_all and the column map.
 
-        One mask marks the workspace's G entries in kept rows and free
-        columns. G keeps them in entry order, as ``_take`` does, and G' in
-        column then row order, as ``.T.tocsr()`` does. An entry pair
-        survives when both its entries do; each free column then adds one
-        pair, a product of 1.0 on the diagonal, for each of its bound rows.
-        The pairs keep the workspace's order and their flat index addresses
-        the reduced Newton block.
+        P's entries in free columns are scattered into a dense array in
+        entry order, as ``toarray`` adds them. One mask marks the
+        workspace's G entries in kept rows and free columns. G keeps them in
+        entry order, as ``_take`` does, and G' in column then row order, as
+        ``.T.tocsr()`` does. An entry pair survives when both its entries
+        do; each free column then adds one pair, a product of 1.0 on the
+        diagonal, for each of its bound rows. The pairs keep the
+        workspace's order and their flat index addresses the reduced Newton
+        block. The column map gives each column's position in ``cols``, or
+        -1, for ``_take``.
         """
         g, k, nf = self.g, g_rows.size, cols.size
+        col_map = np.full(self.n, -1)
+        col_map[cols] = np.arange(nf)
+        row_map = np.full(self.h.shape[0], -1)
+        row_map[g_rows] = np.arange(k)
+        p_row, p_col, p_val = self._p_entries
+        p_row, p_col = col_map[p_row], col_map[p_col]
+        keep = (p_row >= 0) & (p_col >= 0)
+        p = np.zeros((nf, nf))
+        np.add.at(p, (p_row[keep], p_col[keep]), p_val[keep])
         row_of, col_of = self._g_entries
         row, col = row_map[row_of], col_map[col_of]
         on = (row >= 0) & (col >= 0)
-        out = []
+        out = [p]
         for order, ends, index, shape in (
             (None, g.indptr[g_rows + 1], col, (k, nf)),
             (self._g_t[0], self._g_t[1][cols], row, (nf, k)),
@@ -680,13 +639,13 @@ class BoxQp:
             np.concatenate([row[a], k + diag, k + nf + diag]),
             np.concatenate([prod[keep], np.ones(2 * nf)]),
         ))
-        return out
+        return (*out, col_map)
 
-    def _zero_width_pairs(self, rhs, free, dropped):
+    def _zero_width_pairs(self, rhs, free, kept):
         """Find opposite row pairs whose right-hand sides cancel.
 
-        ``rhs`` is h - Gx, ``free`` the free-column mask and ``dropped`` the
-        rows the presolve dropped. A pair is live when the presolve kept both
+        ``rhs`` is h - Gx, ``free`` the free-column mask and ``kept`` marks
+        the rows the presolve kept. A pair is live when the presolve kept both
         rows and fixed all their pinnable columns, so that their free parts
         are exact negatives. Returns ``(pairs, implied)``: one pair per
         group, whose first row becomes an equality, and the rows of every
@@ -696,8 +655,7 @@ class BoxQp:
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
             return none, none[:, 0]
-        ready = self._nz_g @ (free & self._pinnable) == 0.0
-        ready[dropped] = False
+        ready = (self._nz_g @ (free & self._pinnable) == 0.0) & kept
         live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
         if not live.any():
             return none, none[:, 0]

@@ -102,7 +102,9 @@ class TestPlanFile:
 
     def test_mistyped_chunk_value_names_its_path(self, planned):
         scn, result = planned
-        mistyped = (("chunks", "gap", "wide"), ("steps", "leg", 1.9), ("steps", "x", "0.1"))
+        mistyped = (
+            ("chunks", "gap", "wide"), ("steps", "leg", 1.9), ("steps", "x", "0.1"), ("steps", "region", ["a"]),
+        )
         for where, key, value in mistyped:
             doc = plan_to_dict(result, scn)
             doc[where][0][key] = value

@@ -538,22 +538,7 @@ class TestCsrTake:
 
 
 class TestShrinkableRows:
-    @staticmethod
-    def free_entries(ws, red):
-        """Free entries of every inequality and equality row after the presolve."""
-        free = np.zeros(ws.n)
-        free[red.cols] = 1.0
-        return ws._nz_g @ free, ws._nz_a @ free
-
-    def check(self, ws, fixings):
-        rg, ra = ws._shrink[0], ws._shrink[3]
-        for fixing in fixings:
-            red = ws._presolve(fixing)
-            if red is None:
-                continue
-            g_count, a_count = self.free_entries(ws, red)
-            assert np.all(np.delete(g_count, rg) >= 2.0)
-            assert np.all(np.delete(a_count, ra) >= 2.0)
+    """The workspace flag that makes the presolve test every row or none."""
 
     @staticmethod
     def random_fixings(rng, bins, count=20):
@@ -565,38 +550,61 @@ class TestShrinkableRows:
 
     @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
     @pytest.mark.parametrize("chunks", [1, 4])
-    def test_rows_outside_keep_two_free_entries_on_presets(self, name, chunks):
+    def test_every_preset_workspace_tests_rows(self, name, chunks):
         from stepplan.formulation import assemble
         from stepplan.scenario_io import load_scenario
 
         scenario = load_scenario(SCENARIOS / f"{name}.json")
         prob = assemble(dataclasses.replace(scenario, max_steps=chunks * scenario.robot.n_legs))
-        rng = np.random.default_rng(chunks)
-        self.check(BoxQp.from_miqp(prob), self.random_fixings(rng, prob.binary_indices))
+        assert BoxQp.from_miqp(prob)._tests_rows is True
 
-    def test_the_set_grows_through_the_rows_it_marks(self):
+    def test_random_miqps_test_no_row_and_keep_two_free_entries(self):
+        from test_acceptance import random_miqp
+
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            prob = random_miqp(rng)
+            ws = BoxQp.from_miqp(prob)
+            assert ws._tests_rows is False
+            for fixing in self.random_fixings(rng, prob.binary_indices, count=5):
+                red = ws._presolve(fixing)
+                free = np.zeros(ws.n)
+                free[red.cols] = 1.0
+                assert np.all(ws._nz_g @ free >= 2.0) and np.all(ws._nz_a @ free >= 2.0)
+                assert red.g_rows.size == ws.h.size
+
+    def test_a_collapsed_column_sets_the_flag(self):
+        # x1 is collapsed at 0.25, so row 0 has one free entry, x0, and sets
+        # its upper bound to 0.75; row 1 keeps x0 and x2
+        prob = make_problem(np.eye(4), np.full(4, -1.0), lb=[0.0, 0.25, 0.0, 0.0], ub=[1.0, 0.25, 1.0, 1.0],
+                            bins=[3], a_in=[[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]], b_in=[1.0, 2.0])
+        ws = BoxQp.from_miqp(prob)
+        assert ws._tests_rows is True
+        red = ws._presolve(None)
+        assert red.cols.tolist() == [0, 2, 3] and red.g_rows.tolist() == [1]
+        assert red.hi[0] == 0.75 and red.bound_rows[:, 0].tolist() == [-1, 0]
+
+    def test_rows_shrink_through_a_row_a_singleton_pins(self):
         # row 0 pins x0 once b0 = 1 (x0 <= 0 = lo); with b1 fixed too, row 1
-        # then has one free entry, x1, so it can shrink although two of its
-        # entries are continuous; row 2 keeps x2 and x3
+        # then has one free entry, x1, although two of its entries are
+        # continuous; row 2 keeps x2 and x3
         prob = make_problem(np.eye(6), np.full(6, -0.1), lb=np.zeros(6), ub=np.ones(6), bins=[4, 5],
                             a_in=[[1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
                                   [1.0, 1.0, 0.0, 0.0, 0.0, 1.0],
                                   [0.0, 0.0, 1.0, 1.0, 0.0, 1.0]],
                             b_in=[1.0, 3.0, 3.0])
         ws = BoxQp.from_miqp(prob)
-        assert ws._shrink[0].tolist() == [0, 1]
+        assert ws._tests_rows is True
         red = ws._presolve({4: 1.0, 5: 0.0})
         assert red.cols.tolist() == [1, 2, 3] and red.g_rows.tolist() == [2]
-        rng = np.random.default_rng(3)
-        self.check(ws, [{4: 1.0, 5: 0.0}] + self.random_fixings(rng, np.array([4, 5])))
 
-    def test_fixing_a_continuous_column_widens_the_set(self):
+    def test_fixing_a_continuous_column_tests_rows(self):
         # no binaries, so no row can shrink under pinnable fixings; pinning
         # x0 makes row 0 a singleton that sets x1's upper bound
         prob = make_problem(np.eye(2), [-4.0, -4.0], lb=[-1.0, -1.0], ub=[3.0, 3.0],
                             a_in=[[1.0, 1.0]], b_in=[2.5])
         ws = BoxQp.from_miqp(prob)
-        assert ws._shrink[0].size == 0
+        assert ws._tests_rows is False
         red = ws._presolve({0: 1.0})
         assert red.cols.tolist() == [1] and red.g_rows.size == 0
         assert red.bound_rows[:, 0].tolist() == [-1, 0] and red.hi[0] == 1.5

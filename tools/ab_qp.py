@@ -8,18 +8,21 @@ problem and the call's fixings). It then replays them through the ``qp``
 module of PARENT_DIR and through this checkout's, over ``--rounds`` rounds:
 first ``BoxQp.from_miqp`` workspace by workspace, then the solves call by
 call, with the first of the two alternating. The two checkouts' workspaces
-must find the same opposite row pairs, pair groups and shrinkable rows of G
-and A, and every field of every ``QpSolution``, with its lazily computed
-``y``, ``prim_res`` and ``dual_res`` (read after the timed replay), must be
-bit-identical. The tool prints the median over rounds of this checkout's
-set-up time and solve time over the parent's. Both modules run in one
-process, so a drift in host speed between processes does not enter the
-ratios:
+must find the same opposite row pairs and pair groups and agree on whether
+their presolve tests rows (a checkout that lists the rows it tests does so
+when the list is not empty), and every field of every ``QpSolution``, with
+its lazily computed ``y``, ``prim_res`` and ``dual_res`` (read after the
+timed replay), must be bit-identical. The tool prints the median over
+rounds of this checkout's set-up time and solve time over the parent's.
+Both modules run in one process, so a drift in host speed between
+processes does not enter the ratios:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
     python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain hexapod_rotation
 
-The tree workspaces are all dense; a preset's are all CSR.
+The tree workspaces are all dense and test no row; a preset's are all CSR
+and test every row. The tool prints how many workspaces test rows in each
+checkout.
 
 Exits 1 if any workspace structure or solution differs.
 """
@@ -124,9 +127,19 @@ def replay(modules, spaces, calls, first: int):
     return setup, workspaces, seconds, sols
 
 
+def tests_rows(ws) -> bool:
+    """Whether a workspace's presolve tests rows.
+
+    A checkout without the flag keeps the rows it tests of G and of A in
+    ``_shrink``; it tests rows when either list is not empty."""
+    if hasattr(ws, "_tests_rows"):
+        return ws._tests_rows
+    return bool(ws._shrink[0].size or ws._shrink[3].size)
+
+
 def structure(ws) -> list[np.ndarray]:
-    """A workspace's opposite pairs, their groups and its shrinkable rows of G and A."""
-    return [ws._pairs, ws._pair_groups, ws._shrink[0], ws._shrink[3]]
+    """A workspace's opposite pairs, their groups and whether it tests rows."""
+    return [ws._pairs, ws._pair_groups, np.array(tests_rows(ws))]
 
 
 def same_arrays(u: np.ndarray, v: np.ndarray) -> bool:
@@ -159,6 +172,11 @@ def compare(label: str, run, parent, rounds: int) -> bool:
         if r == 0:
             structures = sum(
                 not all(map(same_arrays, structure(a), structure(b))) for a, b in zip(ws_old, ws_new)
+            )
+            print(
+                f"workspaces testing rows: parent {sum(map(tests_rows, ws_old))}, "
+                f"this {sum(map(tests_rows, ws_new))} of {len(spaces)}",
+                flush=True,
             )
         differ = max(differ, sum(not same(a, b) for a, b in zip(old, new)))
         setup_ratios.append(s_new / s_parent)
