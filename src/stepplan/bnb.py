@@ -50,6 +50,17 @@ class MiqpLimits:
     max_nodes: int | None = None
     time_limit: float | None = None
 
+    def __post_init__(self):
+        # a negative or NaN limit would plan silently with no meaning
+        if not (self.gap >= 0.0 and math.isfinite(self.gap)):
+            raise ContractViolation(f"gap must be a finite number >= 0, got {self.gap!r}")
+        if self.max_nodes is not None and not self.max_nodes >= 0:
+            raise ContractViolation(f"max_nodes must be >= 0 or None, got {self.max_nodes!r}")
+        if self.time_limit is not None and not (self.time_limit > 0.0 and math.isfinite(self.time_limit)):
+            raise ContractViolation(
+                f"time_limit must be a finite number > 0 or None, got {self.time_limit!r}"
+            )
+
 
 @dataclass
 class MiqpSolution:

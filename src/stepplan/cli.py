@@ -47,13 +47,21 @@ def _load(path: str):
         raise SystemExit(EXIT_PARSE)
 
 
+def _limits(args) -> MiqpLimits:
+    """The limits the flags set; a meaningless one exits EXIT_PARSE, naming its flag."""
+    values = {"gap": args.gap, "max_nodes": args.node_limit, "time_limit": args.time_limit}
+    for (field, value), flag in zip(values.items(), ("--gap", "--node-limit", "--time-limit")):
+        try:
+            MiqpLimits(**{field: value})
+        except ContractViolation as exc:
+            print(f"error: {flag}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_PARSE)
+    return MiqpLimits(**values)
+
+
 def cmd_plan(args) -> int:
+    limits = _limits(args)
     scenario = _load(args.scenario)
-    limits = MiqpLimits(
-        gap=args.gap,
-        max_nodes=args.node_limit,
-        time_limit=args.time_limit,
-    )
     try:
         result = plan(scenario, chunk_multiplier=args.chunk, limits=limits)
     except PlanningError as exc:
@@ -85,6 +93,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    limits = _limits(args)
     scenario = _load(args.scenario)
     try:
         horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
@@ -108,7 +117,6 @@ def cmd_bench(args) -> int:
         problem = assemble(scn)
         n_bin = len(problem.binary_indices)
         n_cont = problem.n_vars - n_bin
-        limits = MiqpLimits(gap=args.gap, max_nodes=args.node_limit, time_limit=args.time_limit)
         t0 = time.perf_counter()
         sol = solve_miqp(problem, limits=limits, rounding=make_rounding_heuristic(scn, problem))
         elapsed = time.perf_counter() - t0

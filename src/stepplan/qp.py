@@ -46,8 +46,12 @@ structure alone is found once per workspace:
   have two continuous entries. A call that fixes a column that is not
   pinnable tests every row;
 - the free-column mask of the workspace bounds;
-- for CSR workspaces: every pair of G entries that share a row, G's entries
-  in transpose order, P's entries and the stacked rows [A; G].
+- for CSR workspaces: one order of every pair of G entries that share a
+  row, with the Newton-block bin (i, j), i <= j, that each adds to; G's
+  entries in transpose order, from scipy's CSR-to-CSC kernel; P's entries
+  and the stacked rows [A; G]. A workspace holds G in canonical CSR form
+  (sorted, no duplicate entries), so one order of each pair gives both
+  mirrored entries of the block.
 
 Each matrix is sliced once per call; a CSR slice is built from the CSR
 arrays with the free-column map, as scipy's ``m[rows][:, cols]`` builds
@@ -55,21 +59,24 @@ it, entry order included. One mask over G's entries gives the call's G and
 its transpose, A and the zero-width pairs' rows come from one slice of
 [A; G], P is scattered straight into a dense array, and the Newton block's
 entry pairs are the workspace's G pairs that survive plus one diagonal pair
-per bound row. A call's ``QpSolution`` keeps the reduced
-multipliers and their index maps and maps them back to the full problem,
-with the residuals, only when ``y``, ``prim_res`` or ``dual_res`` is first
-read; branch-and-bound reads none of them.
+per bound row, with the bins on free columns numbered anew. A call's
+``QpSolution`` keeps the reduced multipliers and their index maps and maps
+them back to the full problem, with the residuals, only when ``y``,
+``prim_res`` or ``dual_res`` is first read; branch-and-bound reads none of
+them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
 plus the bound diagonal. A dense workspace converts each of P, G and A once
 from its input. Large ones keep their rows in CSR form and only the
-Newton matrix is dense: the workspace lists once every pair of stored
-entries that share a row of G_all, and each Newton block is one
-``np.bincount`` over the pairs that survive the call's presolve, with no
-sparse object built inside the iteration loop. Variable bounds must be
-finite (the assembled problems always are), and so must every fixing; a
-fixing outside its variable's bounds makes the call infeasible.
+Newton matrix is dense: each Newton block is one ``np.bincount`` over the
+entry pairs that survive the call's presolve, whose bin sums are added to P
+at each bin's entry and its mirror, with no sparse object built inside the
+iteration loop. Each CSR product in the loop zeroes its output buffer and
+calls scipy's own ``csr_matvec`` kernel on it, as ``m @ v`` does after
+allocating zeros. Variable bounds must be finite (the assembled problems
+always are), and so must every fixing; a fixing outside its variable's
+bounds makes the call infeasible.
 
 On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
@@ -81,6 +88,14 @@ same order, so every iterate and result is bit for bit what the plain
 formulas give (``tools/ab_qp.py`` checks this against another checkout).
 For the same reason dense matrices stay C-ordered: a product sums in
 another order on an F-ordered copy, such as ``m[rows][:, cols]`` makes.
+The Newton matrix [[P + G_all' W G_all, A'], [A, -EQ_REG I]] is the
+exception: LAPACK reads it column by column, so a call allocates it once
+F-ordered, and each iteration copies in a template of the parts no
+iteration changes, writes the block and factors the buffer in place. LAPACK
+then sees the matrix that its wrapper's F-ordered copy of a C-ordered one
+gave, without the copy. A' lives in its own array, since the factors
+overwrite the buffer; a dense workspace without equality rows writes every
+entry itself and needs no template.
 """
 
 from __future__ import annotations
@@ -93,6 +108,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import _sparsetools
 
 from .errors import ContractViolation
 from .formulation import MiqpProblem
@@ -184,11 +200,39 @@ class _Reduced:
     pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
     bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
     bound_coefs: np.ndarray  # (2, nf) that row's coefficient
-    scatter: tuple | None  # CSR only: block index, G_all row and product of each entry pair
+    # CSR only: the bin, G_all row and product of each entry pair, and each
+    # bin's position in the F-ordered Newton matrix, then each off-diagonal
+    # bin's mirror
+    scatter: tuple | None
 
-    def newton_block(self, w: np.ndarray) -> np.ndarray:
-        """P + G_all' diag(w) G_all as a dense array."""
+    def kkt_template(self) -> np.ndarray | None:
+        """The F-ordered Newton matrix without its w terms: [[P, A'], [A, -EQ_REG I]].
+
+        None for a dense workspace with no equality row: its
+        ``newton_block`` writes every entry. A dense workspace leaves the P
+        block zero, since it writes the whole block."""
+        nf, me = self.c.size, self.b.size
+        if self.scatter is None and not me:
+            return None
+        kkt = np.zeros((nf + me, nf + me), order="F")
+        if self.scatter is not None:
+            kkt[:nf, :nf] = self.p
+        kkt[nf:, :nf] = self.a.toarray() if sp.issparse(self.a) else self.a
+        kkt[:nf, nf:] = kkt[nf:, :nf].T
+        kkt[nf:, nf:] = -EQ_REG * np.eye(me)
+        return kkt
+
+    def newton_block(self, w: np.ndarray, kkt: np.ndarray, template: np.ndarray | None) -> None:
+        """Write the Newton matrix for the weights ``w`` into the F-ordered ``kkt``.
+
+        That is the ``template`` with P + G_all' diag(w) G_all as its
+        top-left block. A CSR workspace adds each bin's sum of ``w[row] *
+        product``, one np.bincount over the entry pairs, to P at the bin's
+        entry and at its mirror; bincount sums each bin in pair order, so
+        every entry is the sum a bincount over every ordered pair gives it."""
         nf = self.c.size
+        if template is not None:
+            np.copyto(kkt, template)
         if self.scatter is None:
             # the bound diagonal goes in after the G product: one product over
             # G_all sums in another order, and a criterion-1 relaxation whose
@@ -196,9 +240,13 @@ class _Reduced:
             k = self.h.size
             block = self.p + (self.g.T * w[:k]) @ self.g
             block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
-            return block
-        flat, rows, prod = self.scatter
-        return self.p + np.bincount(flat, prod * w[rows], nf * nf).reshape(nf, nf)
+            kkt[:nf, :nf] = block  # not bitwise symmetric: every entry is written
+            return
+        bins, rows, prod, at, mirror = self.scatter
+        sums = np.bincount(bins, prod * w[rows], at.size)
+        flat = kkt.ravel(order="F")  # a view: kkt is F-ordered
+        flat[at] += sums
+        flat[mirror] += sums[nf:]  # the diagonal bins come first
 
 
 def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
@@ -226,14 +274,16 @@ def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
 
 
 def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
-    """``m`` without explicitly stored zeros.
+    """``m`` in canonical form (sorted indices, no duplicates) without explicitly stored zeros.
 
     ``sp.csr_matrix`` of a float CSR input shares the input's arrays, and
-    ``eliminate_zeros`` compacts them in place, so a matrix that stores a
-    zero is copied first: the caller's matrix stays as it was."""
-    if m.data.all():
+    ``sum_duplicates`` and ``eliminate_zeros`` compact them in place, so a
+    matrix that needs either is copied first: the caller's matrix stays as
+    it was."""
+    if m.has_canonical_format and m.data.all():
         return m
     m = m.copy()
+    m.sum_duplicates()
     m.eliminate_zeros()
     return m
 
@@ -384,20 +434,38 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
-    """Every ordered pair of stored entries that share a row of ``m``.
+    """The pairs of stored entries that share a row of a canonical CSR ``m``, one order of each.
 
-    Returns ``(a, b, product)`` with one element per pair: the two entries'
-    positions in ``m.data`` and the product of their values, so that
-    ``m' diag(w) m`` is the sum of ``w[row] * product`` at the two entries'
-    columns. Pairs run by row, then by ``a``, then by ``b``.
+    Returns ``(a, b, product, bin, (i, j))``: per pair the two entries'
+    positions ``a <= b`` in ``m.data``, the product of their values and the
+    pair's bin; per bin its columns ``i <= j``. Bin c < n is the diagonal
+    (c, c), whether or not a pair reaches it; the off-diagonal bins follow
+    in (i, j) order. ``m' diag(w) m`` at (i, j) and at (j, i) is the sum of
+    ``w[row] * product`` over the bin's pairs, which run by row, then by
+    ``a``, then by ``b``. With no two entries of a row in one column, a list
+    of every ordered pair gives (i, j) and (j, i) the same products in the
+    same order.
     """
+    n = m.shape[1]
     count = np.diff(m.indptr)
     row_of = np.repeat(np.arange(m.shape[0]), count)  # row of each entry
-    per_entry = count[row_of]
-    a = np.repeat(np.arange(m.nnz), per_entry)
-    first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
-    b = m.indptr[row_of[a]] + np.arange(a.size) - first
-    return a, b, m.data[a] * m.data[b]
+    entry = np.arange(m.nnz)
+    later = m.indptr[1:][row_of] - entry  # entries from each one to its row's end
+    a = np.repeat(entry, later)
+    b = np.arange(a.size) - np.repeat(np.cumsum(later) - later - entry, later)
+    col = m.indices.astype(np.intp)
+    key = (col * n)[a] + col[b]  # (i, j) in a flat n x n table
+    # the table numbers the bins in key order without sorting the pairs
+    used = np.zeros(n * n, dtype=bool)
+    used[key] = True
+    used[:: n + 1] = False
+    off = np.flatnonzero(used)
+    table = np.empty(n * n, dtype=np.intp)
+    table[:: n + 1] = np.arange(n)
+    table[off] = np.arange(n, n + off.size)
+    diag = np.arange(n)
+    bins = np.concatenate([diag, off // n]), np.concatenate([diag, off % n])
+    return a, b, m.data[a] * m.data[b], table[key], bins
 
 
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -415,8 +483,13 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _copy_product(m, v: np.ndarray, out: np.ndarray) -> None:
-    """``out = m @ v`` for a CSR ``m``, whose product cannot write in place."""
-    out[:] = m @ v
+    """``out = m @ v`` for a CSR ``m``, written in place.
+
+    scipy's ``m @ v`` allocates zeros and has ``csr_matvec`` add each row's
+    products into them; zeroing ``out`` and calling that kernel gives the
+    same bits without the dispatch and the allocation."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(*m.shape, m.indptr, m.indices, m.data, v, out)
 
 
 def _max_step(sz: np.ndarray, dsz: np.ndarray) -> float:
@@ -460,11 +533,16 @@ class BoxQp:
         )
         self.g, self.a, self.p = g, a, p
         if self.sparse:
-            # computed once: the G entry pairs, G', the entries of P and [A; G]
+            # computed once: the G entry pairs and their bins, G', the entries of P and [A; G]
             self._scatter = _entry_pairs(g)
             self._g_entries = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices.astype(np.intp)
-            # G' in CSR form lists each column's entries in row order
-            self._g_t = np.argsort(g.indices, kind="stable"), np.cumsum(np.bincount(g.indices, minlength=n))
+            # G' in CSR form lists each column's entries in row order: scipy's
+            # CSR-to-CSC kernel carries each entry's position there
+            ends, g_t = np.empty(n + 1, dtype=g.indptr.dtype), np.empty(g.nnz, dtype=np.intp)
+            _sparsetools.csr_tocsc(
+                *g.shape, g.indptr, g.indices, np.arange(g.nnz), ends, np.empty_like(g.indices), g_t
+            )
+            self._g_t = g_t, ends[1:]
             self._p_entries = np.repeat(np.arange(n), np.diff(p.indptr)), p.indices, p.data
             self._ag = sp.vstack([a, g], format="csr")
         else:
@@ -580,7 +658,7 @@ class BoxQp:
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         if self.sparse:
-            p, g, g_t, scatter, col_map = self._slice_csr(g_rows, cols)
+            p, g, g_t, scatter, col_map = self._slice_csr(g_rows, cols, a_rows.size)
         else:
             g, scatter, col_map = _take(self.g, g_rows, cols, None), None, None
             p, g_t = _take(self.p, cols, cols, None), g.T
@@ -590,19 +668,20 @@ class BoxQp:
             g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
-    def _slice_csr(self, g_rows, cols) -> tuple:
-        """The call's P, G, its transpose, the entry pairs of its G_all and the column map.
+    def _slice_csr(self, g_rows, cols, n_eq) -> tuple:
+        """The call's P, G, its transpose, the Newton block's scatter and the column map.
 
         P's entries in free columns are scattered into a dense array in
         entry order, as ``toarray`` adds them. One mask marks the
         workspace's G entries in kept rows and free columns. G keeps them in
         entry order, as ``_take`` does, and G' in column then row order, as
         ``.T.tocsr()`` does. An entry pair survives when both its entries
-        do; each free column then adds one pair, a product of 1.0 on the
-        diagonal, for each of its bound rows. The pairs keep the
-        workspace's order and their flat index addresses the reduced Newton
-        block. The column map gives each column's position in ``cols``, or
-        -1, for ``_take``.
+        do; each free column then adds one pair, a product of 1.0 on its
+        diagonal bin, for each of its bound rows, lower side first. The
+        pairs keep the workspace's order. The workspace's bins on free
+        columns are numbered anew, diagonals first, and addressed in the
+        F-ordered Newton matrix of ``n_eq`` equality rows. The column map
+        gives each column's position in ``cols``, or -1, for ``_take``.
         """
         g, k, nf = self.g, g_rows.size, cols.size
         col_map = np.full(self.n, -1)
@@ -630,14 +709,19 @@ class BoxQp:
             indptr[1:] = kept[ends]
             index = index[entry].astype(g.indices.dtype)
             out.append(sp.csr_matrix((g.data[entry], index, indptr), shape=shape))
-        a, b, prod = self._scatter
+        a, b, prod, bins, (i, j) = self._scatter
         keep = on[a] & on[b]
-        a, b = a[keep], b[keep]
+        i, j = col_map[i], col_map[j]
+        live = (i >= 0) & (j >= 0)
+        renumber = np.cumsum(live) - 1  # a free column's diagonal bin becomes its position
+        i, j, n_kkt = i[live], j[live], nf + n_eq
         diag = np.arange(nf)
         out.append((
-            np.concatenate([col[a] * nf + col[b], diag * (nf + 1), diag * (nf + 1)]),
-            np.concatenate([row[a], k + diag, k + nf + diag]),
+            np.concatenate([renumber[bins[keep]], diag, diag]),
+            np.concatenate([row[a[keep]], k + diag, k + nf + diag]),
             np.concatenate([prod[keep], np.ones(2 * nf)]),
+            i + j * n_kkt,
+            (j + i * n_kkt)[nf:],
         ))
         return (*out, col_map)
 
@@ -805,11 +889,13 @@ def _interior_point(red: _Reduced):
     gx_b, z_b, t_b, ds_b, neg_rp_b = map(blocks, (gx, z, t, ds, neg_rp))
     stack(x, gx_b)
     np.maximum(h_all - gx, 1.0, out=s)
-    kkt = np.zeros((nf + me, nf + me))
-    kkt[nf:, :nf] = a.toarray() if sp.issparse(a) else a
-    kkt[:nf, nf:] = kkt[nf:, :nf].T
-    kkt[nf:, nf:] = -EQ_REG * np.eye(me)
-    a_t = kkt[:nf, nf:]
+    # each iteration writes the Newton matrix into one F-ordered buffer and
+    # factors it in place: LAPACK sees the column-major matrix that a copy of
+    # a C-ordered one gives it, without the copy
+    template = red.kkt_template()
+    kkt = np.empty((nf + me, nf + me), order="F")
+    # A' in its own array: the LU overwrites kkt
+    a_t = np.empty((nf, 0)) if template is None else template[:nf, nf:].copy()
     norm_hb, norm_c = _norm(hb), _norm(c)  # loop invariants
     feasible = None  # the LP's verdict, once it has run
     history = []  # relative primal residual and largest multiplier per iteration
@@ -847,8 +933,8 @@ def _interior_point(red: _Reduced):
                 feasible = _feasible(red)
                 if not feasible:
                     return x, y, z, it - 1, "infeasible"
-        kkt[:nf, :nf] = red.newton_block(z / s)
-        lu, piv, info = _getrf(kkt)
+        red.newton_block(z / s, kkt, template)
+        lu, piv, info = _getrf(kkt, 1)  # overwrite_a: factored in place
         if info != 0:
             break
         # the parts of the Newton right-hand side both solves share

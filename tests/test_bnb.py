@@ -244,3 +244,19 @@ class TestRelaxationMemo:
         assert sol.status == brute.status == "optimal"
         assert sol.objective == pytest.approx(brute.objective, abs=1e-5)
         assert np.allclose(sol.x, brute.x, atol=1e-5)
+
+
+class TestMiqpLimits:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"gap": -1.0}, {"gap": float("nan")}, {"gap": float("inf")}, {"max_nodes": -3}, {"time_limit": -1.0},
+         {"time_limit": 0.0}, {"time_limit": float("nan")}, {"time_limit": float("inf")}],
+    )
+    def test_meaningless_limit_is_rejected(self, kwargs):
+        with pytest.raises(ContractViolation, match=next(iter(kwargs))):
+            MiqpLimits(**kwargs)
+
+    def test_boundary_limits_are_accepted(self):
+        limits = MiqpLimits(gap=0.0, max_nodes=0, time_limit=1e-3)
+        assert (limits.gap, limits.max_nodes, limits.time_limit) == (0.0, 0, 1e-3)
+        assert MiqpLimits() == MiqpLimits(gap=1e-4, max_nodes=None, time_limit=None)

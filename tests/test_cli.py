@@ -152,6 +152,27 @@ class TestBenchCommand:
         assert code == EXIT_PARSE
 
 
+class TestLimitFlags:
+    @pytest.mark.parametrize("command", [["plan"], ["bench", "--horizons", "4"]])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gap", "-1"), ("--gap", "nan"), ("--gap", "inf"), ("--node-limit", "-3"),
+         ("--time-limit", "-1"), ("--time-limit", "0"), ("--time-limit", "nan")],
+    )
+    def test_meaningless_limit_is_a_parse_error(self, scenario_file, capsys, command, flag, value):
+        code = main([command[0], str(scenario_file), *command[1:], flag, value])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert f"error: {flag}:" in captured.err
+        assert captured.out == ""  # nothing was planned
+
+    def test_boundary_limits_plan(self, scenario_file, capsys):
+        code = main(["plan", str(scenario_file), "--chunk", "2", "--gap", "0", "--node-limit", "0",
+                     "--time-limit", "60"])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert "chunk 0" in capsys.readouterr().out
+
+
 class TestExportCommand:
     def test_export_lp(self, scenario_file, tmp_path, capsys):
         out_path = tmp_path / "model.lp"

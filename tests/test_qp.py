@@ -401,8 +401,145 @@ class TestNewtonBlock:
             + g_red.T @ sp.diags(w[:k]) @ g_red
             + sp.diags(w[k : k + nf] + w[k + nf :])
         ).toarray()
-        block = red.newton_block(w)
-        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+        kkt = np.empty((nf, nf), order="F")  # no equality rows
+        red.newton_block(w, kkt, red.kkt_template())
+        assert np.max(np.abs(kkt - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def ordered_pair_kkt(red, w) -> np.ndarray:
+    """The Newton matrix as a C-ordered array, built as a plain formula.
+
+    A CSR workspace sums its block with one np.bincount over every ordered
+    pair of G entries that share a row, by row, then by first and second
+    entry, followed by each free column's lower and upper bound term; a
+    dense one takes one product plus the bound diagonal. A, A' and
+    -EQ_REG I fill the other blocks."""
+    nf, me, k = red.c.size, red.b.size, red.h.size
+    if red.scatter is None:
+        block = red.p + (red.g.T * w[:k]) @ red.g
+        block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
+    else:
+        g = red.g
+        count = np.diff(g.indptr)
+        row_of = np.repeat(np.arange(k), count)
+        per_entry = count[row_of]
+        a = np.repeat(np.arange(g.nnz), per_entry)
+        b = g.indptr[row_of[a]] + np.arange(a.size) - np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+        diag = np.arange(nf)
+        flat = np.concatenate([g.indices[a] * nf + g.indices[b], diag * (nf + 1), diag * (nf + 1)])
+        rows = np.concatenate([row_of[a], k + diag, k + nf + diag])
+        prod = np.concatenate([g.data[a] * g.data[b], np.ones(2 * nf)])
+        block = red.p + np.bincount(flat, prod * w[rows], nf * nf).reshape(nf, nf)
+    kkt = np.zeros((nf + me, nf + me))
+    kkt[:nf, :nf] = block
+    kkt[nf:, :nf] = red.a.toarray() if sp.issparse(red.a) else red.a
+    kkt[:nf, nf:] = kkt[nf:, :nf].T
+    kkt[nf:, nf:] = -qp_module.EQ_REG * np.eye(me)
+    return kkt
+
+
+class TestKktBuffer:
+    """The buffer each iteration factors in place is the plain Newton matrix, byte for byte."""
+
+    @staticmethod
+    def check_solves(monkeypatch, ws, fixings_list) -> tuple[int, int]:
+        """Solve under each fixing set, checking every matrix handed to LAPACK.
+
+        Returns how many matrices and how many optimal solves were checked."""
+        seen = []
+        real_block, real_getrf = qp_module._Reduced.newton_block, qp_module._getrf
+
+        def block(red, w, kkt, template):
+            seen.append([red, w.copy()])
+            real_block(red, w, kkt, template)
+
+        def getrf(kkt, *args, **kwargs):
+            seen[-1].append(kkt.copy(order="K"))
+            return real_getrf(kkt, *args, **kwargs)
+
+        monkeypatch.setattr(qp_module._Reduced, "newton_block", block)
+        monkeypatch.setattr(qp_module, "_getrf", getrf)
+        checked = optimal = 0
+        for fixings in fixings_list:
+            seen.clear()
+            sol = ws.solve(fixings)
+            for red, w, kkt in seen:
+                assert kkt.flags.f_contiguous
+                assert kkt.tobytes(order="C") == ordered_pair_kkt(red, w).tobytes()
+            checked += len(seen)
+            if sol.status == "optimal":
+                # the right-hand sides read A' from its own array, not the factors
+                assert sol.prim_res <= 1e-6 and sol.dual_res <= 1e-6 * (1.0 + np.abs(sol.y).max())
+                optimal += 1
+        return checked, optimal
+
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
+    def test_preset_chunk_workspaces(self, monkeypatch, name):
+        from stepplan.formulation import assemble
+        from stepplan.scenario_io import load_scenario
+
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        prob = assemble(dataclasses.replace(scenario, max_steps=4 * scenario.robot.n_legs))
+        ws = BoxQp.from_miqp(prob)
+        assert ws.sparse and ws.b.size
+        # binaries pinned near the root relaxation, as branch-and-bound pins them
+        rng = np.random.default_rng(len(name))
+        bins, root = prob.binary_indices, np.round(ws.solve().x)
+        fixings = []
+        for _ in range(20):
+            pick = rng.choice(bins, size=int(rng.integers(1, bins.size // 8)), replace=False)
+            flip = rng.random(pick.size) < 0.05
+            fixings.append({int(i): float(abs(root[i] - f)) for i, f in zip(pick, flip)})
+        checked, optimal = self.check_solves(monkeypatch, ws, fixings)
+        assert checked > 100 and optimal >= 10
+
+    @pytest.mark.parametrize("n, m, n_eq", [(14, 12, 0), (14, 12, 3), (120, 200, 0), (120, 200, 4)])
+    def test_random_workspaces(self, monkeypatch, n, m, n_eq):
+        rng = np.random.default_rng(n + n_eq)
+        ws, g, p = TestNewtonBlock.workspace(rng, n, m)
+        if n_eq:  # equality rows through a feasible point
+            a = sp.random(n_eq, n, density=0.3, random_state=np.random.RandomState(3), format="csr")
+            b = a @ rng.uniform(-0.5, 0.5, size=n)
+            ws = BoxQp(p, ws.q, g, ws.h, a, b, ws.lo, ws.hi)
+        assert ws.sparse == (n > 100)
+        fixings = [{}] + [
+            {int(j): float(rng.uniform(-1, 1)) for j in rng.choice(n, size=n // 4, replace=False)}
+            for _ in range(5)
+        ]
+        checked, optimal = self.check_solves(monkeypatch, ws, fixings)
+        assert checked > 20 and optimal >= 3
+
+
+class TestCopyProduct:
+    @staticmethod
+    def matrices(rng):
+        """CSR matrices with empty rows, one with no entry and one with no row."""
+        yield sp.csr_matrix((0, 5))
+        yield sp.csr_matrix((4, 3))
+        for trial in range(40):
+            m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            g = sp.random(m, n, density=rng.uniform(0.05, 0.5), random_state=np.random.RandomState(trial),
+                          format="csr")
+            g.data = rng.normal(size=g.nnz) * 10.0 ** rng.integers(-8, 8, size=g.nnz)
+            yield sp.csr_matrix(g.multiply((rng.random(m) < 0.7)[:, None]))  # empty a few rows
+
+    def test_matches_scipy_product_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        empty_rows = 0
+        for g in self.matrices(rng):
+            empty_rows += g.shape[0] - np.count_nonzero(np.diff(g.indptr))
+            v = rng.normal(size=g.shape[1])
+            for index in (np.int32, np.int64):
+                m = g.copy()
+                m.indices, m.indptr = m.indices.astype(index), m.indptr.astype(index)
+                assert m.indices.dtype == m.indptr.dtype == index
+                buf = np.full(m.shape[0] + 7, np.nan)  # out is a slice of a larger buffer
+                out = buf[3 : 3 + m.shape[0]]
+                qp_module._copy_product(m, v, out)
+                ref = m @ v
+                assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+                assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + m.shape[0] :]).all()
+        assert empty_rows > 40
 
 
 class TestInfeasibleHandOff:

@@ -13,9 +13,13 @@ their presolve tests rows (a checkout that lists the rows it tests does so
 when the list is not empty), and every field of every ``QpSolution``, with
 its lazily computed ``y``, ``prim_res`` and ``dual_res`` (read after the
 timed replay), must be bit-identical. The tool prints the median over
-rounds of this checkout's set-up time and solve time over the parent's.
-Both modules run in one process, so a drift in host speed between
-processes does not enter the ratios:
+rounds of this checkout's set-up time and solve time over the parent's,
+and, for each checkout, the sum over workspaces and over calls of each
+one's minimum time across rounds, with the ratio of those sums: a
+per-round ratio moves by several percent with the host, while a call's
+minimum keeps only the noise that slows every round of that call. Both
+modules run in one process, so a drift in host speed between processes
+does not enter the ratios:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
     python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain hexapod_rotation
@@ -110,20 +114,20 @@ def replay(modules, spaces, calls, first: int):
     """Build every workspace and solve every call through both modules,
     alternating which goes first.
 
-    Returns each module's total set-up time, workspaces, total solve time
-    and solutions."""
-    setup, workspaces = [0.0, 0.0], [[], []]
+    Returns each module's set-up time per workspace, workspaces, time per
+    solve and solutions, the times as arrays."""
+    setup, workspaces = np.zeros((2, len(spaces))), [[], []]
     for i, problem in enumerate(spaces):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
             t0 = time.perf_counter()
             workspaces[j].append(modules[j].BoxQp.from_miqp(problem))
-            setup[j] += time.perf_counter() - t0
-    seconds, sols = [0.0, 0.0], [[], []]
+            setup[j, i] = time.perf_counter() - t0
+    seconds, sols = np.zeros((2, len(calls))), [[], []]
     for i, (k, fixings) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
             t0 = time.perf_counter()
             sols[j].append(workspaces[j][k].solve(fixings=fixings))
-            seconds[j] += time.perf_counter() - t0
+            seconds[j, i] = time.perf_counter() - t0
     return setup, workspaces, seconds, sols
 
 
@@ -165,10 +169,12 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     spaces, calls = record_calls(run)
     print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
     setup_ratios, ratios, differ, structures = [], [], 0, 0
+    least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        (s_parent, s_new), (ws_old, ws_new), (t_parent, t_new), (old, new) = replay(
-            (parent, qp), spaces, calls, r
-        )
+        setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
+        np.minimum(least_setup, setup, out=least_setup)
+        np.minimum(least, seconds, out=least)
+        (s_parent, s_new), (t_parent, t_new) = setup.sum(axis=1), seconds.sum(axis=1)
         if r == 0:
             structures = sum(
                 not all(map(same_arrays, structure(a), structure(b))) for a, b in zip(ws_old, ws_new)
@@ -187,6 +193,12 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             f"solves parent {t_parent:.3f} s, this {t_new:.3f} s, ratio {ratios[-1]:.3f}",
             flush=True,
         )
+    (s_parent, s_new), (t_parent, t_new) = least_setup.sum(axis=1), least.sum(axis=1)
+    print(
+        f"sum of per-call minima: set-up parent {s_parent:.4f} s, this {s_new:.4f} s, "
+        f"ratio {s_new / s_parent:.3f}; solves parent {t_parent:.3f} s, this {t_new:.3f} s, "
+        f"ratio {t_new / t_parent:.3f}"
+    )
     print(
         f"median set-up ratio {statistics.median(setup_ratios):.3f}, median solve ratio "
         f"{statistics.median(ratios):.3f}; workspace structures differing: {structures} of {len(spaces)}; "
