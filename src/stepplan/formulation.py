@@ -16,6 +16,20 @@ largest  a.x - rhs  over the bounds (interval arithmetic). A row switched by
 a region, trig-segment or trim binary b becomes  a.x + M b <= rhs + M,  with
 M its box excess, so it binds when b = 1 and holds across the whole box when
 b = 0. Every row the bounds already imply is dropped.
+
+Rows are collected as blocks of entry arrays (row, column, value), and each
+constraint family is one array pass: the region rows, hull rows and choice
+equalities of every (step, region) pair at once, each chord table's rows
+for one configuration tiled over all of them by column offset, and every
+step's trim pins and monotone row. The box rule writes the CSR matrix
+straight from the entries: one ``np.bincount`` gives every row's excess,
+the M of an indicator row is its last entry (binary columns follow every
+continuous column), and the kept rows are cut by their row pointers. The
+objective's terms are generated as arrays in the order of the term-by-term
+sum and summed in that order. The step-box walk and the reference and reach
+row pairs keep their sequential ``_LinExpr`` arithmetic. Every problem is
+bit-identical to the one built row by row and term by term
+(``tools/ab_assemble.py``; the tests keep row-by-row references).
 """
 
 from __future__ import annotations
@@ -23,12 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ContractViolation, InfeasibleScenarioError
-from .model import Scenario, coc, derive_leg_goals, leg_of, nominal_position, wrap_angle
+from .model import Scenario, coc, derive_leg_goals, nominal_position, wrap_angle
 from .pwl import PwlTable, build_table
 
 _COMP = {"x": 0, "y": 1, "z": 2}
@@ -223,19 +238,15 @@ class _LinExpr:
         return self
 
     def add_expr(self, other: "_LinExpr", scale: float = 1.0) -> "_LinExpr":
+        coefs = self.coefs
         for col, coef in other.coefs.items():
-            self.add(col, scale * coef)
+            coef *= scale
+            if coef != 0.0:
+                coefs[col] = coefs.get(col, 0.0) + coef
         self.const += scale * other.const
         return self
 
-    def scaled(self, scale: float) -> "_LinExpr":
-        return _LinExpr({c: v * scale for c, v in self.coefs.items()}, self.const * scale)
-
-    def minus(self, other: "_LinExpr") -> "_LinExpr":
-        out = _LinExpr(self.coefs, self.const)
-        return out.add_expr(other, -1.0)
-
-    def bounds(self, lower: np.ndarray, upper: np.ndarray) -> tuple[float, float]:
+    def bounds(self, lower, upper) -> tuple[float, float]:
         """Least and largest value across the box [lower, upper], by the
         interval arithmetic of ``_box_excess``."""
         lo = hi = self.const
@@ -247,34 +258,64 @@ class _LinExpr:
 
 
 class _RowBag:
-    """Accumulates sparse constraint rows with family/label metadata."""
+    """Accumulates constraint rows in blocks of entry arrays.
+
+    The bag keeps each block's nonzero entries (row, column, value) row by
+    row, each row's columns ascending, next to each row's rhs, indicator
+    binary (-1 for none), family and label.
+    """
 
     def __init__(self):
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.rhs: list[float] = []
+        self.rows: list[np.ndarray] = []
+        self.cols: list[np.ndarray] = []
+        self.vals: list[np.ndarray] = []
+        self.rhs: list[np.ndarray] = []
+        self.binaries: list[np.ndarray] = []
         self.families: list[str] = []
         self.labels: list[str] = []
-        self.binaries: list[int] = []
+        self.n_rows = 0
 
-    def add(self, expr: _LinExpr, rhs: float, family: str, label: str, binary: int = -1) -> None:
-        """Append the row  expr <= rhs  (or == rhs for equality bags); an
-        inequality with an indicator ``binary`` is enforced only when it is 1."""
-        r = len(self.rhs)
-        for col, coef in sorted(expr.coefs.items()):
-            if coef != 0.0:
-                self.rows.append(r)
-                self.cols.append(col)
-                self.vals.append(coef)
-        self.rhs.append(rhs - expr.const)
-        self.families.append(family)
-        self.labels.append(label)
-        self.binaries.append(binary)
+    def add_entries(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs, family: str,
+                    labels: list[str], binaries: np.ndarray | None = None) -> None:
+        """Append the rows  a.x <= rhs  (or == rhs for equality bags) whose
+        entries (row within the block, column, value) come row by row, each
+        row's columns ascending; zero values are dropped. A row whose
+        indicator ``binaries[r]`` is not -1 is enforced only when that
+        binary is 1."""
+        nz = vals != 0.0
+        self.rows.append(rows[nz] + self.n_rows)
+        self.cols.append(cols[nz])
+        self.vals.append(vals[nz])
+        self.rhs.append(np.asarray(rhs, dtype=float))
+        self.binaries.append(np.full(len(labels), -1) if binaries is None else binaries)
+        self.families += [family] * len(labels)
+        self.labels += labels
+        self.n_rows += len(labels)
+
+    def add(self, cols: np.ndarray, vals: np.ndarray, rhs, family: str, labels: list[str],
+            binaries: np.ndarray | None = None) -> None:
+        """``add_entries`` of rows given as equal-width arrays of columns and
+        values, each row's columns ascending and zero values padding."""
+        rows, slots = np.nonzero(vals)
+        self.add_entries(rows, cols[rows, slots], vals[rows, slots], rhs, family, labels, binaries)
+
+    def add_pairs(self, exprs: list[_LinExpr], lims: list[float], family: str, labels: list[str]) -> None:
+        """Append the rows  e <= lim  and  -e <= lim  of each linear expression e."""
+        rows = np.array([r for r, e in enumerate(exprs) for _ in e.coefs], dtype=int)
+        cols = np.array([col for e in exprs for col in e.coefs], dtype=int)
+        vals = np.array([coef for e in exprs for coef in e.coefs.values()], dtype=float)
+        rows, cols, vals = np.concatenate([2 * rows, 2 * rows + 1]), np.concatenate([cols, cols]), np.concatenate([vals, -vals])
+        order = np.lexsort((cols, rows))
+        const, lims = np.array([e.const for e in exprs]), np.asarray(lims)
+        rhs = np.array([lims - const, lims - (-const)]).T.ravel()
+        self.add_entries(rows[order], cols[order], vals[order], rhs, family, labels)
+
+    def _entries(self):
+        return tuple(np.concatenate(part) for part in (self.rows, self.cols, self.vals, self.rhs))
 
     def matrix(self, n_vars: int) -> tuple[sp.csr_matrix, np.ndarray]:
-        a = sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(len(self.rhs), n_vars))
-        return a, np.asarray(self.rhs, dtype=float)
+        rows, cols, vals, rhs = self._entries()
+        return _csr(vals, cols, _indptr(np.bincount(rows, minlength=self.n_rows)), n_vars), rhs
 
     def box_rule(self, lower: np.ndarray, upper: np.ndarray):
         """Matrix, rhs, families and labels of the rows kept by the big-M box rule.
@@ -282,33 +323,58 @@ class _RowBag:
         A row's box excess e is the M of its indicator b: the row becomes
         a.x + e b <= rhs + e.  Rows with e <= 1e-12 (e times the upper bound
         of b, so a binary pinned at 0 drops its rows) are implied and dropped.
+        Binary columns follow every continuous column, so M is the last
+        entry of its row.
         """
-        a, rhs = self.matrix(lower.shape[0])
-        excess = _box_excess(a, rhs, lower, upper)
-        binaries = np.asarray(self.binaries)
-        ind = np.flatnonzero(binaries >= 0)
-        binary = binaries[ind]
-        rhs[ind] += excess[ind]
-        a = a + sp.csr_matrix((excess[ind], (ind, binary)), shape=a.shape)
-        excess[ind] *= upper[binary]
-        keep = np.flatnonzero(excess > 1e-12)
-        families = tuple(self.families[k] for k in keep)
-        return a[keep], rhs[keep], families, tuple(self.labels[k] for k in keep)
+        rows, cols, vals, rhs = self._entries()
+        binaries = np.concatenate(self.binaries)
+        excess = _box_excess(rows, cols, vals, rhs, lower, upper)
+        ind = binaries >= 0
+        if ind.any() and cols[ind[rows]].max(initial=-1) >= binaries[ind].min():
+            raise AssemblyError("an indicator row holds a column at or past its binary's")
+        rhs = np.where(ind, rhs + excess, rhs)
+        keep = np.where(ind, excess * upper[binaries], excess) > 1e-12
+        indptr = _indptr((np.bincount(rows, minlength=self.n_rows) + ind)[keep])
+        last = np.zeros(indptr[-1], dtype=bool)
+        last[indptr[1:][ind[keep]] - 1] = True
+        entry = keep[rows]
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=int)
+        data[last], indices[last] = excess[keep & ind], binaries[keep & ind]
+        data[~last], indices[~last] = vals[entry], cols[entry]
+        kept = keep.tolist()
+        return (
+            _csr(data, indices, indptr, lower.shape[0]),
+            rhs[keep],
+            tuple(compress(self.families, kept)),
+            tuple(compress(self.labels, kept)),
+        )
 
 
-def _box_excess(a: sp.spmatrix, rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """Per row of  a.x <= rhs,  the largest  a.x - rhs  across the box [lower, upper].
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows holding ``counts`` entries each."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with 32-bit index arrays, as scipy builds one this size."""
+    return sp.csr_matrix(
+        (data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(len(indptr) - 1, n_cols)
+    )
+
+
+def _box_excess(rows, cols, vals, rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Per row of  a.x <= rhs,  the largest  a.x - rhs  across the box [lower, upper],
+    for the entries (``rows``, ``cols``, ``vals``) of ``a`` in row order.
 
     Computed by interval arithmetic, which for a linear functional equals
     the maximum over the box corners.
     """
-    a = a.tocoo()
-    lo, hi = lower[a.col], upper[a.col]
+    lo, hi = lower[cols], upper[cols]
     unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
     if unbounded.any():
-        raise AssemblyError(f"variable {a.col[unbounded][0]} in a row has unbounded range")
-    top = np.maximum(a.data * lo, a.data * hi)
-    return np.bincount(a.row, weights=top, minlength=a.shape[0]) - rhs
+        raise AssemblyError(f"variable {cols[unbounded][0]} in a row has unbounded range")
+    top = np.maximum(vals * lo, vals * hi)
+    return np.bincount(rows, weights=top, minlength=rhs.shape[0]) - rhs
 
 
 def scenario_tables(scenario: Scenario) -> tuple[PwlTable, PwlTable]:
@@ -358,6 +424,87 @@ def _graph_hull_edges(knots: list[tuple[float, float]]) -> list[tuple[float, flo
     return edges
 
 
+def _chord_rows(table: PwlTable, tag: str, th: int, val: int, seg0: int):
+    """The trig rows of the first configuration for one chord table.
+
+    ``th``, ``val`` and ``seg0`` are the columns of that configuration's
+    yaw, the table's value and its first segment binary. Per segment: the
+    rows  theta <= hi,  -theta <= -lo  and the chord pair, enforced by the
+    segment's binary; then the envelope rows over the one-hot segment
+    choice, implied for integral selections, and the rows of the chord
+    graph's hull, which couple the value to theta for fractional choices as
+    well. Configuration c repeats them on columns  column + c * stride.
+    Returns the rows' columns, strides and values (padded to 1 + segments
+    entries), rhs and binaries (-1 for none), then their names.
+    """
+    k = table.n_segments
+    t, m, n = table.breakpoints, table.slopes, table.intercepts
+    v = table.eval(t)
+    hull = np.array(_graph_hull_edges(list(zip(t.tolist(), v.tolist())))).reshape(-1, 3)
+    n_rows = 4 * k + 4 + len(hull)
+    cols = np.zeros((n_rows, 1 + k), dtype=int)
+    strides = np.zeros((n_rows, 1 + k), dtype=int)
+    vals = np.zeros((n_rows, 1 + k))
+    rhs = np.zeros(n_rows)
+    binaries = np.zeros(n_rows, dtype=int)
+    cols[:, 0], cols[:, 1] = th, val
+    strides[:, :2] = 1
+    # per segment: theta hi, theta lo, chord +, chord -
+    seg_vals, seg_rhs = vals[: 4 * k].reshape(k, 4, -1), rhs[: 4 * k].reshape(k, 4)
+    seg_vals[:, 0, 0], seg_vals[:, 1, 0], seg_vals[:, 2, 0], seg_vals[:, 3, 0] = 1.0, -1.0, -m, m
+    seg_vals[:, 2, 1], seg_vals[:, 3, 1] = 1.0, -1.0
+    seg_rhs[:, 0], seg_rhs[:, 1], seg_rhs[:, 2], seg_rhs[:, 3] = t[1:], -t[:-1], n, -n
+    binaries[: 4 * k].reshape(k, 4)[:] = (seg0 + np.arange(k))[:, None]
+    binaries[4 * k :] = -1
+    env = slice(4 * k, 4 * k + 4)  # theta hi, theta lo, value hi, value lo
+    cols[env, 0] = th, th, val, val
+    vals[env, 0] = 1.0, -1.0, 1.0, -1.0
+    cols[env, 1:] = seg0 + np.arange(k)
+    strides[env, 1:] = k
+    vals[env, 1:] = -t[1:], t[:-1], -np.maximum(v[:-1], v[1:]), np.minimum(v[:-1], v[1:])
+    is_upper = hull[:, 2] > 0
+    sign = 2.0 * is_upper - 1.0
+    vals[4 * k + 4 :, 0], vals[4 * k + 4 :, 1] = -sign * hull[:, 0], sign
+    rhs[4 * k + 4 :] = sign * hull[:, 1]
+    names = [
+        f"{tag} seg {s} {part}" for s in range(1, k + 1)
+        for part in ("theta hi", "theta lo", "chord +", "chord -")
+    ]
+    names += [f"{tag} envelope {side}" for side in ("theta hi", "theta lo", "value hi", "value lo")]
+    names += [f"{tag} hull {'upper' if up else 'lower'} {e}" for e, up in enumerate(is_upper.tolist())]
+    return (cols, strides, vals, rhs, binaries), names
+
+
+def _quadratic_terms(cols: np.ndarray, vals: np.ndarray, consts: np.ndarray, weight: np.ndarray):
+    """The terms of  e' W e  for each item of a batch of stacked expressions
+    e = vals . x[cols] + consts.
+
+    ``cols`` and ``vals`` are (items, k, width), zero values padding, and
+    ``consts`` is (items, k). The terms come in the order of the loop over
+    items, then the nonzero weights w = W[a, b] in row-major order, then the
+    coefficients (ca, va) of e_a and (cb, vb) of e_b: Q gets (w va) vb at
+    (ca, cb); c gets (w va) const_b at each ca, then (w const_a) vb at each
+    cb; the constant gets (w const_a) const_b. Returns the Q terms' rows,
+    columns and values, the c terms' columns and values, and the constant's
+    terms.
+    """
+    a, b = np.nonzero(weight)
+    w = weight[a, b]
+    va, vb, ca, cb = vals[:, a], vals[:, b], cols[:, a], cols[:, b]
+    wa, wc = w[:, None] * va, w * consts[:, a]
+    q_vals = wa[..., :, None] * vb[..., None, :]
+    q_in = (va[..., :, None] != 0.0) & (vb[..., None, :] != 0.0)
+    c_in = np.concatenate([va, vb], axis=2) != 0.0
+    return (
+        np.broadcast_to(ca[..., :, None], q_vals.shape)[q_in],
+        np.broadcast_to(cb[..., None, :], q_vals.shape)[q_in],
+        q_vals[q_in],
+        np.concatenate([ca, cb], axis=2)[c_in],
+        np.concatenate([wa * consts[:, b, None], wc[..., None] * vb], axis=2)[c_in],
+        (wc * consts[:, b]).ravel(),
+    )
+
+
 def assemble(scenario: Scenario) -> MiqpProblem:
     """Build the complete mixed-integer quadratic program for ``scenario``."""
     robot = scenario.robot
@@ -378,16 +525,17 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # Chord values interpolate the function at the knots, so each trig
     # variable lives between the extreme knot values; footstep coordinates
     # start at the workspace box and are clipped by their own rows below.
-    s_rng = (float(np.min(np.sin(sin_table.breakpoints))), float(np.max(np.sin(sin_table.breakpoints))))
-    c_rng = (float(np.min(np.cos(cos_table.breakpoints))), float(np.max(np.cos(cos_table.breakpoints))))
+    s_knots, c_knots = np.sin(sin_table.breakpoints), np.cos(cos_table.breakpoints)
+    s_rng = (float(s_knots.min()), float(s_knots.max()))
+    c_rng = (float(c_knots.min()), float(c_knots.max()))
     box_lo, box_hi = scenario.workspace_box
     # in layout order: feet, then yaw / sine / cosine blocks, then binaries
     lower = np.concatenate([
-        np.tile(box_lo, n_steps), np.repeat([lo_t, s_rng[0], c_rng[0]], layout.n_configs),
+        np.concatenate([box_lo] * n_steps), np.repeat([lo_t, s_rng[0], c_rng[0]], layout.n_configs),
         np.zeros(layout.binary_count),
     ])
     upper = np.concatenate([
-        np.tile(box_hi, n_steps), np.repeat([hi_t, s_rng[1], c_rng[1]], layout.n_configs),
+        np.concatenate([box_hi] * n_steps), np.repeat([hi_t, s_rng[1], c_rng[1]], layout.n_configs),
         np.ones(layout.binary_count),
     ])
 
@@ -398,32 +546,43 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         [nominal_position(start_coc, scenario.start_yaw, j + 1, robot) for j in range(n)]
     )
 
+    # per leg, the coefficients of the cosine and sine variables in its
+    # linearized nominal offset
+    l_cos = [robot.l_leg * math.cos(phi) for phi in robot.leg_offsets]
+    l_sin = [robot.l_leg * math.sin(phi) for phi in robot.leg_offsets]
+
+    start_xyz = start.tolist()
+
     def foot_expr(step: int, comp: int) -> _LinExpr:
         """Coordinate of a (possibly virtual, step <= 0) footstep."""
         if step >= 1:
-            return _LinExpr({layout.foot(step, comp): 1.0})
-        leg = (step - 1) % n + 1
-        return _LinExpr(const=start[leg - 1][comp])
+            return _LinExpr({3 * (step - 1) + comp: 1.0})
+        return _LinExpr(const=start_xyz[(step - 1) % n][comp])
 
     def coc_expr(step: int, comp: int) -> _LinExpr:
+        """The window's mean: each footstep's coordinate over the divisor,
+        the start footholds of virtual steps summed in window order."""
         window, divisor = _coc_window(step, n, scenario.coc_convention)
+        scale = 1.0 / divisor
         out = _LinExpr()
         for k in window:
-            out.add_expr(foot_expr(k, comp), 1.0 / divisor)
+            if k >= 1:
+                out.coefs[3 * (k - 1) + comp] = scale
+            else:
+                out.const += scale * start_xyz[(k - 1) % n][comp]
         return out
 
     def nominal_expr(step: int, comp: int) -> _LinExpr:
         """Linearized nominal foothold using the shared per-configuration trig vars."""
-        cfg = (step - 1) // n + 1
-        phi = robot.leg_offsets[leg_of(step, n) - 1]
+        leg, cfg = (step - 1) % n, (step - 1) // n
         out = coc_expr(step, comp)
-        s_idx, c_idx = layout.sin(cfg), layout.cos(cfg)
+        s_idx, c_idx = layout._sin0 + cfg, layout._cos0 + cfg
         if comp == 0:  # cos(theta + phi) = c*cos(phi) - s*sin(phi)
-            out.add(c_idx, robot.l_leg * math.cos(phi))
-            out.add(s_idx, -robot.l_leg * math.sin(phi))
+            out.add(c_idx, l_cos[leg])
+            out.add(s_idx, -l_sin[leg])
         else:  # sin(theta + phi) = s*cos(phi) + c*sin(phi)
-            out.add(s_idx, robot.l_leg * math.cos(phi))
-            out.add(c_idx, robot.l_leg * math.sin(phi))
+            out.add(s_idx, l_cos[leg])
+            out.add(c_idx, l_sin[leg])
         return out
 
     # ---- (a) geometric and (b) reachability rows, and the footstep boxes --
@@ -436,33 +595,40 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # Every feasible footstep satisfies these rows (trimming keeps them
     # active), so the clipped boxes are valid bounds; they keep every big-M
     # derived from them small, and an empty one proves the step unplaceable.
+    # The walk reads and writes the bounds as Python floats.
+    lo, hi = lower.tolist(), upper.tolist()
     nominal = {}
-    pairs = []  # (family, label, tag, step, comp, e, lim)
+    # per family, each pair's  foot(i, c) - e,  its limit and its rows' labels
+    pair_rows = {"geometric": ([], [], []), "reachability": ([], [], [])}
     for i in range(1, n_steps + 1):
         prev = i - n
-        first = len(pairs)
+        pairs = []  # (family, label, tag, comp, e, lim)
         for comp, tag in ((0, "x"), (1, "y")):
             nominal[i, comp] = nominal_expr(i, comp)
-            pairs.append(("geometric", f"step {i} ref box", tag, i, comp, nominal[i, comp], robot.l_bnd))
+            pairs.append(("geometric", f"step {i} ref box", tag, comp, nominal[i, comp], robot.l_bnd))
         for comp, tag in ((0, "x"), (1, "y")):
             if prev >= 1:
                 anchor = nominal[prev, comp]
             else:
-                anchor = _LinExpr(const=start_nominal[leg_of(i, n) - 1][comp])
-            pairs.append(("reachability", f"step {i} reach", tag, i, comp, anchor, robot.d_lim))
-        pairs.append(("reachability", f"step {i} dz", "", i, 2, foot_expr(prev, 2), robot.dz_max))
-        for *_, comp, e, lim in pairs[first:]:
-            col = layout.foot(i, comp)
+                anchor = _LinExpr(const=start_nominal[(i - 1) % n][comp])
+            pairs.append(("reachability", f"step {i} reach", tag, comp, anchor, robot.d_lim))
+        pairs.append(("reachability", f"step {i} dz", "", 2, foot_expr(prev, 2), robot.dz_max))
+        for family, label, tag, comp, e, lim in pairs:
+            col = 3 * (i - 1) + comp
             # under include-current the reference box's own nominal holds the foot
             if col not in e.coefs:
-                e_lo, e_hi = e.bounds(lower, upper)
-                lower[col] = max(lower[col], e_lo - lim)
-                upper[col] = min(upper[col], e_hi + lim)
-        feet = slice(layout.foot(i, 0), layout.foot(i, 2) + 1)
-        if np.any(lower[feet] > upper[feet]):
+                e_lo, e_hi = e.bounds(lo, hi)
+                lo[col] = max(lo[col], e_lo - lim)
+                hi[col] = min(hi[col], e_hi + lim)
+            diffs, lims, labels = pair_rows[family]
+            diffs.append(_LinExpr({col: 1.0}).add_expr(e, -1.0))
+            lims.append(lim)
+            labels += [f"{label} +{tag}", f"{label} -{tag}"]
+        if any(lo[col] > hi[col] for col in range(3 * i - 3, 3 * i)):
             raise InfeasibleScenarioError(
                 f"step {i} has no reachable position inside the workspace box"
             )
+    lower, upper = np.array(lo), np.array(hi)
 
     # ---- goal footholds (trim targets / goal cost), region membership gate -
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
@@ -473,115 +639,101 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             )
 
     # every inequality goes into one bag; ``ineq.box_rule`` sets the big-M
-    # of each indicator row and drops the implied rows from the final
-    # bounds, so a bound changed below (region and trim pins) must be set
-    # before any row on its column is added
+    # of each indicator row and drops the implied rows over the final
+    # bounds, so the region and trim pins below reach every row
     ineq = _RowBag()
     eq = _RowBag()
     # all reference-box rows first, then each step's reach and dz rows
-    for family in ("geometric", "reachability"):
-        for fam, label, tag, i, comp, e, lim in pairs:
-            if fam == family:
-                diff = foot_expr(i, comp).minus(e)
-                ineq.add(diff, lim, family, f"{label} +{tag}")
-                ineq.add(diff.scaled(-1.0), lim, family, f"{label} -{tag}")
+    for family, (diffs, lims, labels) in pair_rows.items():
+        ineq.add_pairs(diffs, lims, family, labels)
 
     # ---- (c) safe-region assignment with per-row big-M ---------------------
-    # when every region carries a bounding box, hull rows confine each
-    # footstep to the H-weighted mix of region boxes, tightening the
-    # relaxation without cutting any integral point
-    region_boxes = [reg.bbox for reg in scenario.regions]
-    add_hull = all(b is not None for b in region_boxes)
     # a region some halfspace  a.x <= b  of which excludes a step's whole box
     # (its negation  -a.x <= -b  has a negative box excess) can never host
     # that step: its binary is pinned to 0 and its big-M rows are omitted
+    steps = np.arange(n_steps)
+    feet = 3 * steps[:, None] + np.arange(3)
     halfspaces = np.vstack([reg.a_matrix for reg in scenario.regions])
-    outside = sp.kron(sp.identity(n_steps), -halfspaces, format="coo")
-    outside_rhs = np.tile(-np.concatenate([reg.b_vector for reg in scenario.regions]), n_steps)
+    b_all = np.concatenate([reg.b_vector for reg in scenario.regions])
+    n_half = b_all.shape[0]
+    region_of = np.repeat(np.arange(n_regions), [reg.n_rows for reg in scenario.regions])
+    outside = _box_excess(
+        np.arange(n_steps * n_half).repeat(3),
+        feet.repeat(n_half, axis=0).ravel(),
+        np.concatenate([-halfspaces.ravel()] * n_steps),
+        np.concatenate([-b_all] * n_steps), lower, upper,
+    ).reshape(n_steps, n_half)
     first_rows = np.cumsum([0] + [reg.n_rows for reg in scenario.regions[:-1]])
-    excess = _box_excess(outside, outside_rhs, lower, upper).reshape(n_steps, -1)
-    excluded = np.minimum.reduceat(excess, first_rows, axis=1) < -1e-12
-    upper[layout.region(1, 1) + np.flatnonzero(excluded)] = 0.0
-    for i in range(1, n_steps + 1):
-        choice = _LinExpr({layout.region(i, r): 1.0 for r in range(1, n_regions + 1)})
-        eq.add(choice, 1.0, "region", f"step {i} region choice")
-        if excluded[i - 1].all():
-            raise InfeasibleScenarioError(
-                f"step {i} cannot reach any safe region inside its bounds"
-            )
-        for r in np.flatnonzero(~excluded[i - 1]):
-            reg = scenario.regions[r]
-            for row, (a_row, b) in enumerate(zip(reg.a_matrix, reg.b_vector)):
-                coefs = {layout.foot(i, comp): a_row[comp] for comp in range(3)}
-                label = f"step {i} in {reg.name} row {row}"
-                ineq.add(_LinExpr(coefs), b, "region", label, layout.region(i, r + 1))
-        if add_hull:
-            for comp, tag in ((0, "x"), (1, "y"), (2, "z")):
-                hi_expr = _LinExpr({layout.foot(i, comp): 1.0})
-                lo_expr = _LinExpr({layout.foot(i, comp): -1.0})
-                for r in range(1, n_regions + 1):
-                    lo_r, hi_r = region_boxes[r - 1]
-                    hi_expr.add(layout.region(i, r), -float(hi_r[comp]))
-                    lo_expr.add(layout.region(i, r), float(lo_r[comp]))
-                ineq.add(hi_expr, 0.0, "region", f"step {i} region hull +{tag}")
-                ineq.add(lo_expr, 0.0, "region", f"step {i} region hull -{tag}")
+    excluded = np.minimum.reduceat(outside, first_rows, axis=1) < -1e-12
+    region_cols = layout._region0 + n_regions * steps[:, None] + np.arange(n_regions)
+    upper[region_cols[excluded]] = 0.0
+    eq.add(region_cols, np.ones(region_cols.shape), np.ones(n_steps), "region",
+           [f"step {i} region choice" for i in range(1, n_steps + 1)])
+    stuck = np.flatnonzero(excluded.all(axis=1))
+    if stuck.size:
+        raise InfeasibleScenarioError(
+            f"step {stuck[0] + 1} cannot reach any safe region inside its bounds"
+        )
+    # each step's candidate rows: every region halfspace, live where its
+    # region can host the step, then, when every region carries a bounding
+    # box, hull rows (+x, -x, +y, -y, +z, -z) confining the footstep to the
+    # H-weighted mix of region boxes, which tighten the relaxation without
+    # cutting any integral point
+    add_hull = all(reg.bbox is not None for reg in scenario.regions)
+    n_cand = n_half + 6 * add_hull
+    cols = np.zeros((n_steps, n_cand, max(3, 1 + n_regions) if add_hull else 3), dtype=int)
+    vals = np.zeros(cols.shape)
+    rhs = np.zeros(n_cand)
+    binaries = np.full((n_steps, n_cand), -1)
+    live = np.ones((n_steps, n_cand), dtype=bool)
+    cols[:, :n_half, :3] = feet[:, None]
+    vals[:, :n_half, :3] = halfspaces
+    rhs[:n_half] = b_all
+    binaries[:, :n_half] = region_cols[:, region_of]
+    live[:, :n_half] = ~excluded[:, region_of]
+    names = [f"in {reg.name} row {row}" for reg in scenario.regions for row in range(reg.n_rows)]
+    if add_hull:
+        box_lo, box_hi = (np.array([reg.bbox[side] for reg in scenario.regions]) for side in (0, 1))
+        cols[:, n_half:, 0] = feet.repeat(2, axis=1)
+        cols[:, n_half:, 1 : 1 + n_regions] = region_cols[:, None]
+        vals[:, n_half:, 0] = 1.0, -1.0, 1.0, -1.0, 1.0, -1.0
+        vals[:, n_half:, 1 : 1 + n_regions] = np.concatenate([-box_hi.T, box_lo.T], axis=1).reshape(6, -1)
+        names += [f"region hull {sign}{tag}" for tag in "xyz" for sign in "+-"]
+    step_of, cand = np.nonzero(live)
+    ineq.add(
+        cols[live], vals[live], rhs[cand], "region",
+        [f"step {i} {names[k]}" for i, k in zip((step_of + 1).tolist(), cand.tolist())],
+        binaries[live],
+    )
 
     # ---- (d) piecewise-linear trig segment selection ------------------------
-    # per table: each segment's knots, chord and value range, and the hull
-    # edges of the whole chord graph; every configuration shares them
-    chords = []
-    for table, tag, val_of, seg_of in (
-        (sin_table, "sin", layout.sin, layout.sin_segment),
-        (cos_table, "cos", layout.cos, layout.cos_segment),
-    ):
-        knots = [(float(t), table.eval(float(t))) for t in table.breakpoints]
-        segments = [
-            (t0, t1, float(m_k), float(n_k), min(v0, v1), max(v0, v1))
-            for (t0, v0), (t1, v1), m_k, n_k in zip(knots, knots[1:], table.slopes, table.intercepts)
-        ]
-        chords.append((tag, val_of, seg_of, segments, _graph_hull_edges(knots)))
-    for cfg in range(1, layout.n_configs + 1):
-        th = layout.theta(cfg)
-        for tag, val_of, seg_of, segments, hull in chords:
-            val_idx = val_of(cfg)
-            choice = _LinExpr({seg_of(cfg, k): 1.0 for k in range(1, len(segments) + 1)})
-            eq.add(choice, 1.0, "trig", f"config {cfg} {tag} segment choice")
-            # aggregated envelope rows over the one-hot segment choice; they
-            # are implied for integral selections and tighten the relaxation
-            theta_hi = _LinExpr({th: 1.0})
-            theta_lo = _LinExpr({th: -1.0})
-            val_hi = _LinExpr({val_idx: 1.0})
-            val_lo = _LinExpr({val_idx: -1.0})
-            for k, (bp_lo, bp_hi, m_k, n_k, v_lo, v_hi) in enumerate(segments, start=1):
-                b_idx = seg_of(cfg, k)
-                name = f"config {cfg} {tag} seg {k}"
-                ineq.add(_LinExpr({th: 1.0}), bp_hi, "trig", f"{name} theta hi", b_idx)
-                ineq.add(_LinExpr({th: -1.0}), -bp_lo, "trig", f"{name} theta lo", b_idx)
-                ineq.add(_LinExpr({val_idx: 1.0, th: -m_k}), n_k, "trig", f"{name} chord +", b_idx)
-                ineq.add(_LinExpr({val_idx: -1.0, th: m_k}), -n_k, "trig", f"{name} chord -", b_idx)
-                theta_hi.add(b_idx, -bp_hi)
-                theta_lo.add(b_idx, bp_lo)
-                val_hi.add(b_idx, -v_hi)
-                val_lo.add(b_idx, v_lo)
-            ineq.add(theta_hi, 0.0, "trig", f"config {cfg} {tag} envelope theta hi")
-            ineq.add(theta_lo, 0.0, "trig", f"config {cfg} {tag} envelope theta lo")
-            ineq.add(val_hi, 0.0, "trig", f"config {cfg} {tag} envelope value hi")
-            ineq.add(val_lo, 0.0, "trig", f"config {cfg} {tag} envelope value lo")
-            # hull of the chord graph couples the value variable to theta for
-            # fractional segment choices as well
-            for e, (m_e, b_e, is_up) in enumerate(hull):
-                sign = 1.0 if is_up else -1.0
-                ineq.add(
-                    _LinExpr({val_idx: sign, th: -sign * m_e}), sign * b_e,
-                    "trig", f"config {cfg} {tag} hull {'upper' if is_up else 'lower'} {e}",
-                )
+    # one configuration's rows per table; configuration c repeats them on
+    # columns  column + c * stride
+    n_seg, n_cfg, th = scenario.n_segments, layout.n_configs, layout._theta0
+    (sin_rows, sin_names), (cos_rows, cos_names) = (
+        _chord_rows(sin_table, "sin", th, layout._sin0, layout._sinseg0),
+        _chord_rows(cos_table, "cos", th, layout._cos0, layout._cosseg0),
+    )
+    cols, strides, vals, rhs, binaries = map(np.concatenate, zip(sin_rows, cos_rows))
+    cfgs = np.arange(n_cfg)[:, None, None]
+    ineq.add(
+        (cols + strides * cfgs).reshape(-1, 1 + n_seg),
+        np.concatenate([vals] * n_cfg), np.concatenate([rhs] * n_cfg), "trig",
+        [f"config {c} {name}" for c in range(1, n_cfg + 1) for name in sin_names + cos_names],
+        np.where(binaries >= 0, binaries + n_seg * cfgs[:, :, 0], -1).ravel(),
+    )
+    choice = (
+        np.array([layout._sinseg0, layout._cosseg0])[:, None] + n_seg * cfgs + np.arange(n_seg)
+    ).reshape(-1, n_seg)
+    eq.add(choice, np.ones(choice.shape), np.ones(len(choice)), "trig",
+           [f"config {c} {tag} segment choice" for c in range(1, n_cfg + 1) for tag in ("sin", "cos")])
 
     # ---- (e) trimming: pin trimmed steps to leg goals, monotone per leg ----
     # a step whose goal foothold lies outside its reachable box (or whose
     # configuration cannot take the goal yaw) can never be trimmed; fixing
     # those binaries up front removes their reward from the relaxation
     yaw_ok = lo_t - 1e-9 <= scenario.goal_yaw <= hi_t + 1e-9
-    step_goals = np.tile(goals, (layout.n_configs, 1))
+    step_goals = np.concatenate([goals] * n_cfg)
     foot_lo = lower[: 3 * n_steps].reshape(-1, 3)
     foot_hi = upper[: 3 * n_steps].reshape(-1, 3)
     inside = (foot_lo - 1e-9 <= step_goals) & (step_goals <= foot_hi + 1e-9)
@@ -589,84 +741,81 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # trims are monotone per leg, so a step can be trimmed only if every
     # later step of its leg can
     later = np.logical_and.accumulate(can_trim.reshape(-1, n)[::-1], axis=0)[::-1]
-    upper[layout.trim(1) + np.flatnonzero(~later.ravel())] = 0.0
+    trims = layout._trim0 + steps
+    upper[trims[~later.ravel()]] = 0.0
+    # each step's rows: pins of its foot to its leg's goal and of its
+    # configuration's yaw to the goal yaw, enforced by its trim binary,
+    # then the monotone row  t_i <= t_{i+n}  while step i + n exists
+    pins = ("+x", "+y", "+z", "-x", "-y", "-z", "+yaw", "-yaw")
+    cols = np.zeros((n_steps, 9, 2), dtype=int)
+    vals = np.zeros((n_steps, 9, 2))
+    rhs = np.zeros((n_steps, 9))
+    binaries = np.zeros((n_steps, 9), dtype=int)
+    cols[:, 0:3, 0] = cols[:, 3:6, 0] = feet
+    cols[:, 6:8, 0] = (th + steps // n)[:, None]
+    vals[:, :8, 0] = 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0
+    cols[:, 8, 0], cols[:, 8, 1] = trims, trims + n
+    vals[:, 8] = 1.0, -1.0
+    goal_yaw = float(scenario.goal_yaw)
+    rhs[:, 0:3], rhs[:, 3:6], rhs[:, 6], rhs[:, 7] = step_goals, -step_goals, goal_yaw, -goal_yaw
+    binaries[:, :8], binaries[:, 8] = trims[:, None], -1
+    live = np.ones((n_steps, 9), dtype=bool)
+    live[n_steps - n :, 8] = False
+    labels = []
     for i in range(1, n_steps + 1):
-        t_idx = layout.trim(i)
-        target = goals[leg_of(i, n) - 1]
-        feet = [(layout.foot(i, comp), target[comp], "xyz"[comp]) for comp in range(3)]
-        yaw = [(layout.theta((i - 1) // n + 1), scenario.goal_yaw, "yaw")]
-        for pins in (feet, yaw):
-            for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                for col, value, name in pins:
-                    label = f"step {i} trim pin {tag}{name}"
-                    ineq.add(_LinExpr({col: sign}), sign * value, "trim", label, t_idx)
+        labels += [f"step {i} trim pin {pin}" for pin in pins]
         if i + n <= n_steps:
-            mono = _LinExpr({t_idx: 1.0, layout.trim(i + n): -1.0})
-            ineq.add(mono, 0.0, "trim", f"trim monotone {i} <= {i + n}")
+            labels.append(f"trim monotone {i} <= {i + n}")
+    ineq.add(cols[live], vals[live], rhs[live], "trim", labels, binaries[live])
 
     # ---- objective ---------------------------------------------------------
-    q_entries: dict[tuple[int, int], float] = {}
-    c_vec = np.zeros(n_vars)
-    constant = 0.0
-
-    def add_quadratic(exprs: list[_LinExpr], weight: np.ndarray) -> None:
-        """Accumulate  e' W e  for the stacked expression vector e."""
-        nonlocal constant
-        k = len(exprs)
-        for a in range(k):
-            for b in range(k):
-                w = weight[a, b]
-                if w == 0.0:
-                    continue
-                ea, eb = exprs[a], exprs[b]
-                for ca, va in ea.coefs.items():
-                    for cb, vb in eb.coefs.items():
-                        key = (ca, cb)
-                        q_entries[key] = q_entries.get(key, 0.0) + w * va * vb
-                    c_vec[ca] += w * va * eb.const
-                for cb, vb in eb.coefs.items():
-                    c_vec[cb] += w * ea.const * vb
-                constant += w * ea.const * eb.const
-
-    # final-configuration goal cost over (x, y, z, yaw)
-    last_cfg = layout.n_configs
-    for i in range(n_steps - n + 1, n_steps + 1):
-        g = goals[leg_of(i, n) - 1]
-        exprs = [
-            _LinExpr({layout.foot(i, 0): 1.0}, -g[0]),
-            _LinExpr({layout.foot(i, 1): 1.0}, -g[1]),
-            _LinExpr({layout.foot(i, 2): 1.0}, -g[2]),
-            _LinExpr({layout.theta(last_cfg): 1.0}, -scenario.goal_yaw),
-        ]
-        add_quadratic(exprs, scenario.q_goal)
-
-    # trim reward
-    for i in range(1, n_steps + 1):
-        c_vec[layout.trim(i)] += scenario.q_t
-
-    # CoC drift between consecutive configurations (xy)
-    def config_coc_expr(cfg: int, comp: int) -> _LinExpr:
-        out = _LinExpr()
-        first = (cfg - 1) * n + 1
-        for i in range(first, first + n):
-            out.add(layout.foot(i, comp), 1.0 / n)
-        return out
-
-    prev_coc = [_LinExpr(const=start_coc[0]), _LinExpr(const=start_coc[1])]
-    for cfg in range(1, layout.n_configs + 1):
-        cur = [config_coc_expr(cfg, 0), config_coc_expr(cfg, 1)]
-        add_quadratic([cur[0].minus(prev_coc[0]), cur[1].minus(prev_coc[1])], scenario.q_r)
-        prev_coc = cur
-
-    rows, cols = np.array(list(q_entries), dtype=int).reshape(-1, 2).T
-    q = sp.coo_matrix((list(q_entries.values()), (rows, cols)), shape=(n_vars, n_vars)).tocsr()
-    q_matrix = (0.5 * (q + q.T)).tocsr()
+    # final-configuration goal cost over (x, y, z, yaw), one item per step:
+    # each of its coordinates and the last yaw minus their goals
+    last = np.arange(n_steps - n, n_steps)
+    goal_cols = np.empty((n, 4, 1), dtype=int)
+    goal_cols[:, :3, 0], goal_cols[:, 3, 0] = feet[last], th + n_cfg - 1
+    goal_consts = np.empty((n, 4))
+    goal_consts[:, :3], goal_consts[:, 3] = -step_goals[last], -goal_yaw
+    goal = _quadratic_terms(goal_cols, np.ones((n, 4, 1)), goal_consts, scenario.q_goal)
+    # CoC drift between consecutive configurations (xy), one item per
+    # configuration: its mean footstep minus the previous one's; the first
+    # configuration's previous CoC is the start's, a constant
+    cfg_feet = feet[:, :2].reshape(n_cfg, n, 2).transpose(0, 2, 1)
+    drift_vals = np.empty((n_cfg, 2, 2 * n))
+    drift_vals[:, :, :n], drift_vals[:, :, n:] = 1.0 / n, -(1.0 / n)
+    drift_vals[0, :, n:] = 0.0  # padding
+    drift_consts = np.zeros((n_cfg, 2))
+    drift_consts[0] = 0.0 + -start_coc
+    drift = _quadratic_terms(
+        np.concatenate([cfg_feet, cfg_feet[np.arange(n_cfg) - 1]], axis=2),
+        drift_vals, drift_consts, scenario.q_r,
+    )
+    # every term summed in the loop's order; the trim reward goes to c too
+    c_vector = np.bincount(
+        np.concatenate([goal[3], trims, drift[3]]),
+        np.concatenate([goal[4], np.full(n_steps, float(scenario.q_t)), drift[4]]),
+        minlength=n_vars,
+    )
+    constant = float(np.cumsum(np.concatenate([[0.0], goal[5], drift[5]]))[-1])
+    keys, at = np.unique(np.concatenate([goal[0], drift[0]]) * n_vars + np.concatenate([goal[1], drift[1]]),
+                         return_inverse=True)
+    q_vals = np.bincount(at, np.concatenate([goal[2], drift[2]]), minlength=keys.size)
+    # Q = (q + q') / 2: each key (i, j), and the key (j, i) of its mirror,
+    # sums q_ij + q_ji; keys in row-major order are CSR order, and a zero
+    # sum is dropped
+    rows, cols = np.divmod(keys, n_vars)
+    keys, at = np.unique(np.concatenate([keys, cols * n_vars + rows]), return_inverse=True)
+    q_sym = np.bincount(at, weights=np.concatenate([q_vals, q_vals]), minlength=keys.size)
+    nz = q_sym != 0.0
+    q_matrix = _csr(
+        0.5 * q_sym[nz], keys[nz] % n_vars, _indptr(np.bincount(keys[nz] // n_vars, minlength=n_vars)), n_vars
+    )
 
     a_ineq, b_ineq, ineq_families, ineq_labels = ineq.box_rule(lower, upper)
     a_eq, b_eq = eq.matrix(n_vars)
     return MiqpProblem(
         q_matrix=q_matrix,
-        c_vector=c_vec,
+        c_vector=c_vector,
         objective_constant=constant,
         a_ineq=a_ineq,
         b_ineq=b_ineq,
@@ -882,16 +1031,21 @@ def validate_assignment(problem: MiqpProblem, x, tol: float = 1e-6) -> Assignmen
     eq_resid = np.abs(problem.a_eq @ x - problem.b_eq)
     for i in np.nonzero(eq_resid > 0)[0]:
         note(problem.eq_families[i], "eq", int(i), float(eq_resid[i]), problem.eq_labels[i])
+    # NaN fails every comparison below, so each non-finite entry is
+    # reported here, once, as outside its (finite) bounds
+    finite = np.isfinite(x)
+    for i in np.flatnonzero(~finite):
+        note("bounds", "bound", int(i), math.inf, f"{problem.layout.var_name(int(i))} not finite")
     low = problem.lower - x
     high = x - problem.upper
-    for i in np.nonzero(low > 0)[0]:
+    for i in np.flatnonzero((low > 0) & finite):
         note("bounds", "bound", int(i), float(low[i]), f"{problem.layout.var_name(int(i))} below lower")
-    for i in np.nonzero(high > 0)[0]:
+    for i in np.flatnonzero((high > 0) & finite):
         note("bounds", "bound", int(i), float(high[i]), f"{problem.layout.var_name(int(i))} above upper")
     worst.setdefault("bounds", 0.0)
     frac = np.minimum(np.abs(x[problem.binary_indices]), np.abs(x[problem.binary_indices] - 1.0))
     for pos, i in enumerate(problem.binary_indices):
-        if frac[pos] > 0:
+        if frac[pos] > 0 and finite[i]:
             note(
                 "integrality",
                 "integrality",

@@ -842,7 +842,8 @@ def _interior_point(red: _Reduced):
     The inequality rows and both sides of the variable bounds form one
     stacked system  G_all x + s = h_all, that is  Gx + s = h,  -x + s_l = -lo
     and  x + s_u = hi,  with slacks s >= 0 and multipliers z >= 0. The
-    buffers ([x; y], [s; z], [ds; dz], the products and residuals) are
+    buffers ([x; y], [s; z], [ds; dz], the products, residuals, Newton
+    weights and complementarity targets) are allocated once per call and
     written in place, so the views into them made before the loop stay
     valid. Infeasibility is left to the HiGHS LP, run once: at a stall, or
     when the iterates do not converge. Returns ``(x, y, z, iterations,
@@ -884,6 +885,11 @@ def _interior_point(red: _Reduced):
     terms = np.empty(3 * nf)  # [Px; G_all'z; A'y]: the terms of r_d
     px, gz, ay = terms[:nf], terms[nf : 2 * nf], terms[2 * nf :]
     neg_rp, t = np.empty(n_cone), np.empty(n_cone)
+    r_d, neg_rd = np.empty(nf), np.empty(nf)
+    # s * z, z * r_p, z / s, the corrector's r_c and -r_c of the current target
+    sz_prod, z_rp, weights = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
+    r_corr, neg_rc = np.empty(n_cone), np.empty(n_cone)
+    shifted = np.empty(2 * n_cone)  # sz + alpha * dsz
     rhs = np.empty(nf + me)
     rhs_x, rhs_y = rhs[:nf], rhs[nf:]
     gx_b, z_b, t_b, ds_b, neg_rp_b = map(blocks, (gx, z, t, ds, neg_rp))
@@ -905,7 +911,9 @@ def _interior_point(red: _Reduced):
         np.dot(p, x, out=px)
         stack_t(z_b, gz)
         np.dot(a_t, y, out=ay)
-        r_d = px + c + gz + ay
+        np.add(px, c, out=r_d)
+        np.add(r_d, gz, out=r_d)
+        np.add(r_d, ay, out=r_d)
         stack(x, gx_b)
         times(a, x, ax)
         np.add(gx, s, out=r_p)
@@ -933,12 +941,14 @@ def _interior_point(red: _Reduced):
                 feasible = _feasible(red)
                 if not feasible:
                     return x, y, z, it - 1, "infeasible"
-        red.newton_block(z / s, kkt, template)
+        red.newton_block(np.divide(z, s, out=weights), kkt, template)
         lu, piv, info = _getrf(kkt, 1)  # overwrite_a: factored in place
         if info != 0:
             break
         # the parts of the Newton right-hand side both solves share
-        neg_rd, sz_prod, z_rp = -r_d, s * z, z * r_p
+        np.negative(r_d, out=neg_rd)
+        np.multiply(s, z, out=sz_prod)
+        np.multiply(z, r_p, out=z_rp)
         np.negative(r_p, out=neg_rp)
         np.negative(r_e, out=rhs_y)
 
@@ -956,18 +966,20 @@ def _interior_point(red: _Reduced):
             np.add(neg_rp_b[1], dx, out=ds_b[1])
             np.subtract(neg_rp_b[2], dx, out=ds_b[2])
             np.multiply(z, ds, out=dz)
-            np.subtract(-r_c, dz, out=dz)
+            np.subtract(np.negative(r_c, out=neg_rc), dz, out=dz)
             np.divide(dz, s, out=dz)
             return d
 
         # predictor: the affine-scaling direction sets Mehrotra's centering
         newton(sz_prod)
         alpha = min(1.0, _max_step(sz, dsz))
-        shifted = sz + alpha * dsz
+        np.add(sz, np.multiply(alpha, dsz, out=shifted), out=shifted)
         mu_aff = float(shifted[:n_cone] @ shifted[n_cone:]) / n_cone
         sigma = (mu_aff / mu) ** 3
         # corrector: second-order term plus centering
-        d = newton(sz_prod + ds * dz - sigma * mu)
+        np.multiply(ds, dz, out=r_corr)
+        np.add(sz_prod, r_corr, out=r_corr)
+        d = newton(np.subtract(r_corr, sigma * mu, out=r_corr))
         # a fixed fraction to the boundary can cycle at small mu
         tau = min(max(0.9, 1.0 - 10.0 * mu), TAU_MAX)
         alpha = min(1.0, tau * _max_step(sz, dsz))

@@ -13,6 +13,7 @@ from stepplan.errors import AssemblyError, ContractViolation, InfeasibleScenario
 from stepplan.formulation import (
     VariableLayout,
     _box_excess,
+    _graph_hull_edges,
     assemble,
     make_rounding_heuristic,
     scenario_tables,
@@ -168,7 +169,9 @@ class TestVariableLayout:
 def box_excess(a, rhs, lower, upper):
     """``_box_excess`` of the dense rows ``a`` (one row may be given as a vector)."""
     a = sp.coo_matrix(np.atleast_2d(np.asarray(a, dtype=float)))
-    return _box_excess(a, np.atleast_1d(rhs), np.asarray(lower, float), np.asarray(upper, float))
+    return _box_excess(
+        a.row, a.col, a.data, np.atleast_1d(rhs), np.asarray(lower, float), np.asarray(upper, float)
+    )
 
 
 class TestBigM:
@@ -609,6 +612,209 @@ class TestStepBoxes:
             assemble(scn)
 
 
+def reference_family_rows(scn, prob):
+    """The region, trig and trim rows of ``scn``, written one at a time.
+
+    Returns the inequalities by family, each as (family, label,
+    {column: coefficient}, rhs, indicator binary or None), and the
+    equalities as (family, label, {column: coefficient}, rhs), in assembly
+    order: per step its region
+    rows (every region, every halfspace) and hull rows; per configuration,
+    sine then cosine, each segment's theta hi / lo and chord +/- rows, the
+    four envelope rows and the chord-graph hull rows; per step its trim pins,
+    then its monotone row. Region rows of a region pinned out of a step are
+    listed too: the box rule drops them.
+    """
+    layout, n = prob.layout, scn.robot.n_legs
+    steps, configs = range(1, layout.n_steps + 1), range(1, layout.n_configs + 1)
+    regions = range(1, layout.n_regions + 1)
+    ineq = {"region": [], "trig": [], "trim": []}
+    eq = []
+    for i in steps:
+        eq.append(("region", f"step {i} region choice", {layout.region(i, r): 1.0 for r in regions}, 1.0))
+        for r, reg in zip(regions, scn.regions):
+            for row in range(reg.n_rows):
+                coefs = {layout.foot(i, c): float(reg.a_matrix[row, c]) for c in range(3)}
+                label = f"step {i} in {reg.name} row {row}"
+                ineq["region"].append(("region", label, coefs, float(reg.b_vector[row]), layout.region(i, r)))
+        if all(reg.bbox is not None for reg in scn.regions):
+            for c, tag in enumerate("xyz"):
+                upper = {layout.foot(i, c): 1.0}
+                lower = {layout.foot(i, c): -1.0}
+                for r, reg in zip(regions, scn.regions):
+                    upper[layout.region(i, r)] = -float(reg.bbox[1][c])
+                    lower[layout.region(i, r)] = float(reg.bbox[0][c])
+                ineq["region"].append(("region", f"step {i} region hull +{tag}", upper, 0.0, None))
+                ineq["region"].append(("region", f"step {i} region hull -{tag}", lower, 0.0, None))
+    sin_t, cos_t = scenario_tables(scn)
+    for cfg in configs:
+        th = layout.theta(cfg)
+        for table, tag, val, seg_of in (
+            (sin_t, "sin", layout.sin(cfg), layout.sin_segment),
+            (cos_t, "cos", layout.cos(cfg), layout.cos_segment),
+        ):
+            segs = range(1, layout.n_segments + 1)
+            eq.append(("trig", f"config {cfg} {tag} segment choice", {seg_of(cfg, k): 1.0 for k in segs}, 1.0))
+            knots = [(float(t), table.eval(float(t))) for t in table.breakpoints]
+            envelope = [{th: 1.0}, {th: -1.0}, {val: 1.0}, {val: -1.0}]
+            for k in segs:
+                (t0, v0), (t1, v1) = knots[k - 1], knots[k]
+                m, c = float(table.slopes[k - 1]), float(table.intercepts[k - 1])
+                b, name = seg_of(cfg, k), f"config {cfg} {tag} seg {k}"
+                ineq["trig"] += [
+                    ("trig", f"{name} theta hi", {th: 1.0}, t1, b),
+                    ("trig", f"{name} theta lo", {th: -1.0}, -t0, b),
+                    ("trig", f"{name} chord +", {th: -m, val: 1.0}, c, b),
+                    ("trig", f"{name} chord -", {th: m, val: -1.0}, -c, b),
+                ]
+                for row, coef in zip(envelope, (-t1, t0, -max(v0, v1), min(v0, v1))):
+                    row[b] = coef
+            for row, side in zip(envelope, ("theta hi", "theta lo", "value hi", "value lo")):
+                ineq["trig"].append(("trig", f"config {cfg} {tag} envelope {side}", row, 0.0, None))
+            for e, (m_e, b_e, is_up) in enumerate(_graph_hull_edges(knots)):
+                sign = 1.0 if is_up else -1.0
+                label = f"config {cfg} {tag} hull {'upper' if is_up else 'lower'} {e}"
+                ineq["trig"].append(("trig", label, {th: -sign * m_e, val: sign}, sign * b_e, None))
+    goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
+    for i in steps:
+        goal = goals[leg_of(i, n) - 1]
+        yaw = layout.theta((i - 1) // n + 1)
+        for sign, tag in ((1.0, "+"), (-1.0, "-")):
+            for c, name in enumerate("xyz"):
+                ineq["trim"].append((
+                    "trim", f"step {i} trim pin {tag}{name}", {layout.foot(i, c): sign},
+                    sign * float(goal[c]), layout.trim(i),
+                ))
+        for sign, tag in ((1.0, "+"), (-1.0, "-")):
+            ineq["trim"].append((
+                "trim", f"step {i} trim pin {tag}yaw", {yaw: sign}, sign * float(scn.goal_yaw), layout.trim(i),
+            ))
+        if i + n <= layout.n_steps:
+            mono = {layout.trim(i): 1.0, layout.trim(i + n): -1.0}
+            ineq["trim"].append(("trim", f"trim monotone {i} <= {i + n}", mono, 0.0, None))
+    return ineq, eq
+
+
+def kept_by_box_rule(rows, lower, upper):
+    """(label, columns, coefficients, rhs) of the rows the big-M box rule keeps.
+
+    A row's box excess (its largest a.x - rhs over the bounds, summed in
+    column order) is the M of its indicator b, added as the last entry and
+    to the rhs; a row is kept when that excess, times the upper bound of b,
+    exceeds 1e-12."""
+    kept = []
+    for _, label, coefs, rhs, binary in rows:
+        cols = sorted(col for col, coef in coefs.items() if coef != 0.0)
+        vals = [coefs[col] for col in cols]
+        excess = 0.0
+        for col, coef in zip(cols, vals):
+            excess += max(coef * lower[col], coef * upper[col])
+        excess -= rhs
+        if binary is None:
+            if excess > 1e-12:
+                kept.append((label, cols, vals, rhs))
+        elif excess * upper[binary] > 1e-12:
+            kept.append((label, cols + [binary], vals + [excess], rhs + excess))
+    return kept
+
+
+def problem_rows(matrix, rhs, labels, families, family):
+    """(label, columns, coefficients, rhs) of the rows of ``family``."""
+    return [
+        (labels[r], matrix.indices[matrix.indptr[r] : matrix.indptr[r + 1]].tolist(),
+         matrix.data[matrix.indptr[r] : matrix.indptr[r + 1]].tolist(), float(rhs[r]))
+        for r in range(len(labels)) if families[r] == family
+    ]
+
+
+class TestFamilyRows:
+    @pytest.mark.parametrize("convention", ["exclude-current", "include-current"])
+    @pytest.mark.parametrize("n_configs", [1, 2, 4])
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_region_trig_and_trim_rows_match_row_by_row_reference(self, preset, n_configs, convention):
+        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
+        scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, coc_convention=convention)
+        prob = assemble(scn)
+        ineq, eq = reference_family_rows(scn, prob)
+        lower, upper = prob.lower.tolist(), prob.upper.tolist()
+        for family, rows in ineq.items():
+            got = problem_rows(prob.a_ineq, prob.b_ineq, prob.ineq_labels, prob.ineq_families, family)
+            assert got == kept_by_box_rule(rows, lower, upper), family
+        want = [
+            (label, sorted(coefs), [coefs[col] for col in sorted(coefs)], rhs)
+            for family in ("region", "trig") for fam, label, coefs, rhs in eq if fam == family
+        ]
+        got = [row for family in ("region", "trig")
+               for row in problem_rows(prob.a_eq, prob.b_eq, prob.eq_labels, prob.eq_families, family)]
+        assert got == want
+        assert prob.eq_families == tuple(fam for fam, *_ in eq)
+
+
+def reference_objective(scn, prob):
+    """Q, c and the constant of the goal cost, trim reward and CoC drift,
+    summed term by term: each weight w = W[a, b] adds (w va) vb to Q at
+    (ca, cb), (w va) const_b to c at ca, then (w const_a) vb at cb, and
+    (w const_a) const_b to the constant; Q is then (q + q') / 2."""
+    layout, n = prob.layout, scn.robot.n_legs
+    q, c, constant = {}, [0.0] * prob.n_vars, 0.0
+
+    def add(exprs, weight):
+        nonlocal constant
+        for (coefs_a, const_a), row in zip(exprs, weight.tolist()):
+            for (coefs_b, const_b), w in zip(exprs, row):
+                if w == 0.0:
+                    continue
+                for ca, va in coefs_a:
+                    for cb, vb in coefs_b:
+                        q[ca, cb] = q.get((ca, cb), 0.0) + w * va * vb
+                    c[ca] += w * va * const_b
+                for cb, vb in coefs_b:
+                    c[cb] += w * const_a * vb
+                constant += w * const_a * const_b
+
+    goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
+    for i in range(layout.n_steps - n + 1, layout.n_steps + 1):
+        g = goals[leg_of(i, n) - 1]
+        cols = [layout.foot(i, 0), layout.foot(i, 1), layout.foot(i, 2), layout.theta(layout.n_configs)]
+        add([([(col, 1.0)], -float(v)) for col, v in zip(cols, [*g, scn.goal_yaw])], scn.q_goal)
+    for i in range(1, layout.n_steps + 1):
+        c[layout.trim(i)] += scn.q_t
+    start = coc(scn.start_footholds)
+    for cfg in range(1, layout.n_configs + 1):
+        exprs = []
+        for comp in range(2):
+            coefs = [(layout.foot(i, comp), 1.0 / n) for i in range((cfg - 1) * n + 1, cfg * n + 1)]
+            if cfg == 1:
+                exprs.append((coefs, 0.0 + -float(start[comp])))
+            else:
+                prev = [(layout.foot(i, comp), -(1.0 / n)) for i in range((cfg - 2) * n + 1, (cfg - 1) * n + 1)]
+                exprs.append((coefs + prev, 0.0))
+        add(exprs, scn.q_r)
+    sym = {}
+    for (i, j), v in q.items():
+        sym[i, j] = sym.get((i, j), 0.0) + v
+        sym[j, i] = sym.get((j, i), 0.0) + v
+    keys = sorted(key for key, v in sym.items() if v != 0.0)
+    return [(i, j, 0.5 * sym[i, j]) for i, j in keys], c, constant
+
+
+class TestObjective:
+    @pytest.mark.parametrize("n_configs", [1, 2, 4])
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_matches_term_by_term_sum(self, preset, n_configs):
+        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
+        rng = np.random.default_rng(n_configs)
+        m_goal, m_r = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))
+        for q_goal, q_r in ((base.q_goal, base.q_r), (m_goal @ m_goal.T, m_r @ m_r.T)):
+            scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, q_goal=q_goal, q_r=q_r)
+            prob = assemble(scn)
+            q, c, constant = reference_objective(scn, prob)
+            got = prob.q_matrix.tocoo()
+            assert list(zip(got.row.tolist(), got.col.tolist(), got.data.tolist())) == q
+            assert prob.c_vector.tolist() == c
+            assert prob.objective_constant == constant
+
+
 class TestValidateAssignment:
     def test_flags_region_choice_row(self):
         scn = small_scenario()
@@ -655,6 +861,20 @@ class TestValidateAssignment:
         x[prob.layout.region(1, 1)] = 0.4
         report = validate_assignment(prob, x, 1e-6)
         assert any(v.family == "integrality" for v in report.violations)
+
+    def test_non_finite_entries_are_violations(self):
+        scn = load_scenario(SCENARIO_DIR / "quadruped_tilted_terrain.json").with_overrides(max_steps=4)
+        prob = assemble(scn)
+        for value in (np.nan, np.inf, -np.inf):
+            report = validate_assignment(prob, np.full(prob.n_vars, value), 1e-6)
+            assert not report.ok
+            flagged = [v for v in report.violations if v.label.endswith(" not finite")]
+            assert [v.index for v in flagged] == list(range(prob.n_vars))
+            assert all(v.family == "bounds" and v.kind == "bound" for v in flagged)
+        x = 0.5 * (prob.lower + prob.upper)  # within every bound
+        x[prob.layout.foot(2, 1)] = np.nan
+        report = validate_assignment(prob, x, 1e-6)
+        assert [v.label for v in report.violations if v.family == "bounds"] == ["f2y not finite"]
 
     def test_wrong_length_rejected(self):
         prob = assemble(small_scenario())

@@ -56,8 +56,8 @@ sys.path.insert(0, str(ROOT))
 from stepplan import bnb, qp  # noqa: E402
 
 
-def load_qp(root: Path, alias: str):
-    """The ``qp`` module of the ``stepplan`` package under ``root``, imported as ``alias``."""
+def load_module(root: Path, alias: str, name: str):
+    """Module ``name`` of the ``stepplan`` package under ``root``, the package imported as ``alias``."""
     pkg_dir = root / "src" / "stepplan"
     spec = importlib.util.spec_from_file_location(
         alias, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
@@ -65,7 +65,7 @@ def load_qp(root: Path, alias: str):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
-    return importlib.import_module(f"{alias}.qp")
+    return importlib.import_module(f"{alias}.{name}")
 
 
 def tree_batch(seed: int):
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
         help="replay the solves of plan() on these bundled presets instead of the tree batch",
     )
     args = parser.parse_args(argv)
-    parent = load_qp(args.parent.resolve(), "parent_stepplan")
+    parent = load_module(args.parent.resolve(), "parent_stepplan", "qp")
     if args.preset:
         runs = [(name, preset_plan(name)) for name in args.preset]
     else:

@@ -5,10 +5,13 @@ For each bundled preset, planned at default ``plan()`` limits, it prints the
 chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
 calls, each chunk's objective (``%.9g``) and the sha256 of the plan JSON
 followed by the plan SVG. A change that moves only the last bits of a plan
-keeps the statuses, nodes and objectives and shows a new sha256. One more line
-gives the sha256 of every preset's region boxes (``lo`` then ``hi`` bytes,
-presets and regions in order), so a change to the load path that moves a box
-shows even when no plan moves. For each seed
+keeps the statuses, nodes and objectives and shows a new sha256. A second
+line per preset gives the sha256 of every field of the problems ``assemble``
+builds from it at 1, 2 and 4 configurations under each CoC convention (see
+``problem_fields``), so a change to ``assemble`` that moves one bit shows even
+when no plan moves. One more line gives the sha256 of every preset's region
+boxes (``lo`` then ``hi`` bytes, presets and regions in order), so a change to
+the load path that moves a box shows even when no plan moves. For each seed
 given to ``--tree-seed`` it runs the ``tree_random_miqp`` benchmark workload
 on the batch of that seed and prints the total node count and the sha256 of
 every solution ``x`` (bytes in batch order). Run it from the repository root
@@ -21,6 +24,7 @@ between two commits that keep every plan:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from contextlib import contextmanager
@@ -30,13 +34,45 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+
 from stepplan import bnb, qp  # noqa: E402
+from stepplan.formulation import assemble  # noqa: E402
+from stepplan.model import COC_CONVENTIONS  # noqa: E402
 from stepplan.plan_io import plan_to_json  # noqa: E402
 from stepplan.planner import plan  # noqa: E402
 from stepplan.scenario_io import load_scenario  # noqa: E402
 from stepplan.svg import render_plan_svg  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
+
+
+def _array_bytes(a: np.ndarray) -> bytes:
+    return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+
+
+def problem_fields(problem) -> list[tuple[str, bytes]]:
+    """(name, bytes) of every field of an ``MiqpProblem``: an array's dtype,
+    shape and bytes; a sparse matrix's type and shape, then its ``data``,
+    ``indices`` and ``indptr`` as arrays; the objective constant's float64
+    bytes; the layout's field values and each tuple of families or labels."""
+    out = []
+    for field in dataclasses.fields(problem):
+        value = getattr(problem, field.name)
+        if sp.issparse(value):
+            out.append((field.name, f"{type(value).__name__}{value.shape}".encode()))
+            out += [(f"{field.name}.{part}", _array_bytes(getattr(value, part)))
+                    for part in ("data", "indices", "indptr")]
+        elif isinstance(value, np.ndarray):
+            out.append((field.name, _array_bytes(value)))
+        elif dataclasses.is_dataclass(value):
+            out.append((field.name, repr(dataclasses.astuple(value)).encode()))
+        elif isinstance(value, float):
+            out.append((field.name, np.float64(value).tobytes()))
+        else:
+            out.append((field.name, repr(value).encode()))
+    return out
 
 
 @contextmanager
@@ -69,6 +105,19 @@ def preset_digest(path: Path) -> str:
         f"{path.stem}: status={chunk_statuses} nodes={nodes} solves={len(statuses)} "
         f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
+
+
+def problem_digest(path: Path) -> str:
+    scenario = load_scenario(path)
+    digest = hashlib.sha256()
+    for n_configs in (1, 2, 4):
+        for convention in COC_CONVENTIONS:
+            problem = assemble(scenario.with_overrides(
+                max_steps=n_configs * scenario.robot.n_legs, coc_convention=convention
+            ))
+            for name, data in problem_fields(problem):
+                digest.update(name.encode() + data)
+    return f"{path.stem} problems: configs=1,2,4 conventions=2 sha256={digest.hexdigest()}"
 
 
 def box_digest(paths: list[Path]) -> str:
@@ -106,6 +155,7 @@ def main(argv=None) -> int:
     paths = sorted(SCENARIOS.glob("*.json"))
     for path in paths:
         print(preset_digest(path), flush=True)
+        print(problem_digest(path), flush=True)
     print(box_digest(paths), flush=True)
     for seed in args.tree_seed:
         print(tree_digest(seed), flush=True)
