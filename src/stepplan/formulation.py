@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ContractViolation, InfeasibleScenarioError
-from .model import Scenario, coc, derive_leg_goals, nominal_position, wrap_angle
+from .model import CONTAINS_TOL, Scenario, coc, derive_leg_goals, nominal_position, wrap_angle
 from .pwl import PwlTable, build_table
 
 _COMP = {"x": 0, "y": 1, "z": 2}
@@ -632,11 +632,18 @@ def assemble(scenario: Scenario) -> MiqpProblem:
 
     # ---- goal footholds (trim targets / goal cost), region membership gate -
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
-    for j in range(n):
-        if not any(reg.contains(goals[j]) for reg in scenario.regions):
-            raise InfeasibleScenarioError(
-                f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
-            )
+    halfspaces = np.vstack([reg.a_matrix for reg in scenario.regions])
+    b_all = np.concatenate([reg.b_vector for reg in scenario.regions])
+    first_rows = np.cumsum([0] + [reg.n_rows for reg in scenario.regions[:-1]])
+    # each foothold's largest violation of each region (SafeRegion.violation)
+    # from one product over every region's rows
+    worst = np.maximum.reduceat(goals @ halfspaces.T - b_all, first_rows, axis=1)
+    inside = (worst <= CONTAINS_TOL).any(axis=1)
+    if not inside.all():
+        j = int(np.argmin(inside))  # the first leg outside every region
+        raise InfeasibleScenarioError(
+            f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
+        )
 
     # every inequality goes into one bag; ``ineq.box_rule`` sets the big-M
     # of each indicator row and drops the implied rows over the final
@@ -653,8 +660,6 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # that step: its binary is pinned to 0 and its big-M rows are omitted
     steps = np.arange(n_steps)
     feet = 3 * steps[:, None] + np.arange(3)
-    halfspaces = np.vstack([reg.a_matrix for reg in scenario.regions])
-    b_all = np.concatenate([reg.b_vector for reg in scenario.regions])
     n_half = b_all.shape[0]
     region_of = np.repeat(np.arange(n_regions), [reg.n_rows for reg in scenario.regions])
     outside = _box_excess(
@@ -663,7 +668,6 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         np.concatenate([-halfspaces.ravel()] * n_steps),
         np.concatenate([-b_all] * n_steps), lower, upper,
     ).reshape(n_steps, n_half)
-    first_rows = np.cumsum([0] + [reg.n_rows for reg in scenario.regions[:-1]])
     excluded = np.minimum.reduceat(outside, first_rows, axis=1) < -1e-12
     region_cols = layout._region0 + n_regions * steps[:, None] + np.arange(n_regions)
     upper[region_cols[excluded]] = 0.0

@@ -21,7 +21,7 @@ COC_CONVENTIONS = ("exclude-current", "include-current")
 #: how far (m) start footholds and the goal may sit outside the workspace box
 _WORKSPACE_TOL = 1e-6
 #: how far (m) a point may violate a region's halfspaces and still lie in it
-_CONTAINS_TOL = 1e-9
+CONTAINS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class SafeRegion:
         return float(np.max(self.a_matrix @ p - self.b_vector))
 
     def contains(self, point) -> bool:
-        return self.violation(point) <= _CONTAINS_TOL
+        return self.violation(point) <= CONTAINS_TOL
 
 
 @dataclass(frozen=True)

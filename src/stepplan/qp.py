@@ -84,18 +84,27 @@ iteration into them: [x; y], [s; z] and [ds; dz] are one buffer each (one
 ratio test, one update), and so are [G_all x; A x], [r_p; r_e] and
 [Px; G_all'z; A'y] (one max-abs reduction per norm). Every such rewrite is
 exact: each element comes from the same floating point operations in the
-same order, so every iterate and result is bit for bit what the plain
-formulas give (``tools/ab_qp.py`` checks this against another checkout).
-For the same reason dense matrices stay C-ordered: a product sums in
-another order on an F-ordered copy, such as ``m[rows][:, cols]`` makes.
-The Newton matrix [[P + G_all' W G_all, A'], [A, -EQ_REG I]] is the
-exception: LAPACK reads it column by column, so a call allocates it once
-F-ordered, and each iteration copies in a template of the parts no
-iteration changes, writes the block and factors the buffer in place. LAPACK
-then sees the matrix that its wrapper's F-ordered copy of a C-ordered one
-gave, without the copy. A' lives in its own array, since the factors
-overwrite the buffer; a dense workspace without equality rows writes every
-entry itself and needs no template.
+same order. For the same reason dense matrices stay C-ordered: a product
+sums in another order on an F-ordered copy, such as ``m[rows][:, cols]``
+makes.
+
+The Newton system [[H, A'], [A, -EQ_REG I]], H = P + G_all' W G_all, is
+factored in a buffer allocated once per call, F-ordered because LAPACK
+reads it column by column; each iteration copies in a template of the
+parts no iteration changes, writes the block and factors the buffer in
+place, with A' kept in its own array. A dense workspace factors the whole
+matrix by LU, as the plain formulas do, so with the exact rewrites above
+its every iterate and result is bit for bit what those formulas give
+(``tools/ab_qp.py`` checks this against another checkout); without
+equality rows it writes every entry itself and needs no template. A CSR
+workspace factors H alone, which is symmetric positive definite (P is PSD
+and both bound sides put a positive weight on its diagonal), by Cholesky,
+H = LL', with P as the template; the equality rows go through their Schur
+complement S = Y'Y + EQ_REG I, Y = L^-1 A', also by Cholesky. On the
+bundled presets this is cheaper than an LU of the whole matrix and keeps
+every status, iteration count and objective to nine digits, but not every
+last bit. A Cholesky breakdown ends the call as a singular LU does: the LP
+decides its status.
 """
 
 from __future__ import annotations
@@ -136,8 +145,12 @@ MU_FLOOR = 1e-32
 #: the fraction to the boundary stays below 1, so no slack lands on zero
 TAU_MAX = 1.0 - 1e-14
 
-# LAPACK's LU directly: the checking wrappers cost more than a tiny solve
-_getrf, _getrs = la.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# LAPACK directly: the checking wrappers cost more than a tiny solve. LU for
+# the full Newton matrix of a dense workspace, Cholesky and triangular solves
+# for the block and the Schur complement of a CSR one
+_getrf, _getrs, _potrf, _trtrs = la.get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "trtrs"), dtype=np.float64
+)
 
 
 @dataclass
@@ -201,24 +214,24 @@ class _Reduced:
     bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
     bound_coefs: np.ndarray  # (2, nf) that row's coefficient
     # CSR only: the bin, G_all row and product of each entry pair, and each
-    # bin's position in the F-ordered Newton matrix, then each off-diagonal
+    # bin's position in the F-ordered nf x nf block, then each off-diagonal
     # bin's mirror
     scatter: tuple | None
 
     def kkt_template(self) -> np.ndarray | None:
-        """The F-ordered Newton matrix without its w terms: [[P, A'], [A, -EQ_REG I]].
+        """The F-ordered parts of the Newton matrix that no iteration changes.
 
-        None for a dense workspace with no equality row: its
-        ``newton_block`` writes every entry. A dense workspace leaves the P
-        block zero, since it writes the whole block."""
+        For a CSR workspace, whose factored matrix is the block alone, that
+        is P. For a dense one it is [[0, A'], [A, -EQ_REG I]], or None with
+        no equality row, since its ``newton_block`` writes the whole block."""
+        if self.scatter is not None:
+            return np.asfortranarray(self.p)
         nf, me = self.c.size, self.b.size
-        if self.scatter is None and not me:
+        if not me:
             return None
         kkt = np.zeros((nf + me, nf + me), order="F")
-        if self.scatter is not None:
-            kkt[:nf, :nf] = self.p
-        kkt[nf:, :nf] = self.a.toarray() if sp.issparse(self.a) else self.a
-        kkt[:nf, nf:] = kkt[nf:, :nf].T
+        kkt[nf:, :nf] = self.a
+        kkt[:nf, nf:] = self.a.T
         kkt[nf:, nf:] = -EQ_REG * np.eye(me)
         return kkt
 
@@ -226,10 +239,11 @@ class _Reduced:
         """Write the Newton matrix for the weights ``w`` into the F-ordered ``kkt``.
 
         That is the ``template`` with P + G_all' diag(w) G_all as its
-        top-left block. A CSR workspace adds each bin's sum of ``w[row] *
-        product``, one np.bincount over the entry pairs, to P at the bin's
-        entry and at its mirror; bincount sums each bin in pair order, so
-        every entry is the sum a bincount over every ordered pair gives it."""
+        top-left block; for a CSR workspace ``kkt`` is that block alone. A
+        CSR workspace adds each bin's sum of ``w[row] * product``, one
+        np.bincount over the entry pairs, to P at the bin's entry and at its
+        mirror; bincount sums each bin in pair order, so every entry is the
+        sum a bincount over every ordered pair gives it."""
         nf = self.c.size
         if template is not None:
             np.copyto(kkt, template)
@@ -658,7 +672,7 @@ class BoxQp:
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         if self.sparse:
-            p, g, g_t, scatter, col_map = self._slice_csr(g_rows, cols, a_rows.size)
+            p, g, g_t, scatter, col_map = self._slice_csr(g_rows, cols)
         else:
             g, scatter, col_map = _take(self.g, g_rows, cols, None), None, None
             p, g_t = _take(self.p, cols, cols, None), g.T
@@ -668,7 +682,7 @@ class BoxQp:
             g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
-    def _slice_csr(self, g_rows, cols, n_eq) -> tuple:
+    def _slice_csr(self, g_rows, cols) -> tuple:
         """The call's P, G, its transpose, the Newton block's scatter and the column map.
 
         P's entries in free columns are scattered into a dense array in
@@ -680,8 +694,8 @@ class BoxQp:
         diagonal bin, for each of its bound rows, lower side first. The
         pairs keep the workspace's order. The workspace's bins on free
         columns are numbered anew, diagonals first, and addressed in the
-        F-ordered Newton matrix of ``n_eq`` equality rows. The column map
-        gives each column's position in ``cols``, or -1, for ``_take``.
+        F-ordered nf x nf block. The column map gives each column's
+        position in ``cols``, or -1, for ``_take``.
         """
         g, k, nf = self.g, g_rows.size, cols.size
         col_map = np.full(self.n, -1)
@@ -714,14 +728,14 @@ class BoxQp:
         i, j = col_map[i], col_map[j]
         live = (i >= 0) & (j >= 0)
         renumber = np.cumsum(live) - 1  # a free column's diagonal bin becomes its position
-        i, j, n_kkt = i[live], j[live], nf + n_eq
+        i, j = i[live], j[live]
         diag = np.arange(nf)
         out.append((
             np.concatenate([renumber[bins[keep]], diag, diag]),
             np.concatenate([row[a[keep]], k + diag, k + nf + diag]),
             np.concatenate([prod[keep], np.ones(2 * nf)]),
-            i + j * n_kkt,
-            (j + i * n_kkt)[nf:],
+            i + j * nf,
+            (j + i * nf)[nf:],
         ))
         return (*out, col_map)
 
@@ -836,6 +850,85 @@ class BoxQp:
         return _norm(self._gradient(x, y) + y[self.h.shape[0] + self.b.shape[0] :])
 
 
+class _LuNewton:
+    """The Newton system of a dense workspace, factored whole by LU.
+
+    The F-ordered buffer holds [[P + G_all' W G_all, A'], [A, -EQ_REG I]];
+    ``factor`` writes it and has LAPACK factor it in place."""
+
+    def __init__(self, red: _Reduced):
+        nf, me = red.c.size, red.b.size
+        self.red, self.template = red, red.kkt_template()
+        self.kkt = np.empty((nf + me, nf + me), order="F")
+        # A' in its own array: the LU overwrites kkt
+        self.a_t = np.empty((nf, 0)) if self.template is None else self.template[:nf, nf:].copy()
+
+    def factor(self, w: np.ndarray) -> bool:
+        """Factor the Newton matrix for the weights ``w``; False if it is singular."""
+        self.red.newton_block(w, self.kkt, self.template)
+        self.lu, self.piv, info = _getrf(self.kkt, 1)  # overwrite_a: factored in place
+        return info == 0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """[dx; dy] for the right-hand side [r_x; r_y], in a new array."""
+        return _getrs(self.lu, self.piv, rhs)[0]
+
+
+class _CholeskyNewton:
+    """The Newton system of a CSR workspace: the block by Cholesky, the
+    equality rows through their Schur complement.
+
+    The block H = P + G_all' W G_all is symmetric positive definite (P is
+    PSD and both bound sides put a positive weight on its diagonal), so
+    ``factor`` writes it into an F-ordered nf x nf buffer and factors it in
+    place, H = LL'. With Y = L^-1 A' (over the buffer ``y``) the equality
+    rows' Schur complement S = Y'Y + EQ_REG I = L_s L_s' is factored in
+    ``s``. A solve is then v = L^-1 r_x, dy = S^-1 (Y'v - r_y) and dx =
+    L^-T (v - Y dy), written into one [dx; dy] buffer, each inverse a pair
+    of triangular solves: for one vector, two ``trtrs`` calls take about
+    half the time of one ``potrs`` at nf = 170. Every buffer is allocated
+    once per call."""
+
+    def __init__(self, red: _Reduced):
+        nf, me = red.c.size, red.b.size
+        self.red, self.template, self.nf, self.me = red, red.kkt_template(), nf, me
+        self.h = np.empty((nf, nf), order="F")
+        # C-ordered A', as a dense workspace's; the Cholesky factor overwrites h
+        self.a_t = red.a.toarray().T.copy()
+        self.y, self.s = np.empty((nf, me), order="F"), np.empty((me, me), order="F")
+        self.d, self.ty, self.tx = np.empty(nf + me), np.empty(me), np.empty(nf)
+
+    def factor(self, w: np.ndarray) -> bool:
+        """Factor the block for the weights ``w`` and, with equality rows, S;
+        False if either is not numerically positive definite."""
+        h, y, s = self.h, self.y, self.s
+        self.red.newton_block(w, h, self.template)
+        if _potrf(h, lower=1, clean=0, overwrite_a=1)[1]:
+            return False
+        if not self.me:
+            return True
+        np.copyto(y, self.a_t)
+        _trtrs(h, y, lower=1, overwrite_b=1)
+        np.dot(y.T, y, out=s.T)  # S is symmetric: its transpose is the C-ordered view
+        s.ravel(order="F")[:: self.me + 1] += EQ_REG
+        return not _potrf(s, lower=1, clean=0, overwrite_a=1)[1]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """[dx; dy] for the right-hand side [r_x; r_y], in the call's buffer."""
+        h, s, y, d = self.h, self.s, self.y, self.d
+        np.copyto(d, rhs)
+        dx, dy = d[: self.nf], d[self.nf :]
+        # each triangular solve runs in place: every vector is a contiguous float64 view
+        _trtrs(h, dx, lower=1, overwrite_b=1)  # v
+        if self.me:
+            np.subtract(np.dot(y.T, dx, out=self.ty), dy, out=dy)
+            _trtrs(s, dy, lower=1, overwrite_b=1)
+            _trtrs(s, dy, lower=1, trans=1, overwrite_b=1)
+            np.subtract(dx, np.dot(y, dy, out=self.tx), out=dx)
+        _trtrs(h, dx, lower=1, trans=1, overwrite_b=1)
+        return d
+
+
 def _interior_point(red: _Reduced):
     """Mehrotra predictor-corrector on the reduced problem.
 
@@ -898,10 +991,8 @@ def _interior_point(red: _Reduced):
     # each iteration writes the Newton matrix into one F-ordered buffer and
     # factors it in place: LAPACK sees the column-major matrix that a copy of
     # a C-ordered one gives it, without the copy
-    template = red.kkt_template()
-    kkt = np.empty((nf + me, nf + me), order="F")
-    # A' in its own array: the LU overwrites kkt
-    a_t = np.empty((nf, 0)) if template is None else template[:nf, nf:].copy()
+    system = (_LuNewton if red.scatter is None else _CholeskyNewton)(red)
+    a_t = system.a_t
     norm_hb, norm_c = _norm(hb), _norm(c)  # loop invariants
     feasible = None  # the LP's verdict, once it has run
     history = []  # relative primal residual and largest multiplier per iteration
@@ -941,9 +1032,7 @@ def _interior_point(red: _Reduced):
                 feasible = _feasible(red)
                 if not feasible:
                     return x, y, z, it - 1, "infeasible"
-        red.newton_block(np.divide(z, s, out=weights), kkt, template)
-        lu, piv, info = _getrf(kkt, 1)  # overwrite_a: factored in place
-        if info != 0:
+        if not system.factor(np.divide(z, s, out=weights)):
             break
         # the parts of the Newton right-hand side both solves share
         np.negative(r_d, out=neg_rd)
@@ -958,7 +1047,7 @@ def _interior_point(red: _Reduced):
             np.divide(t, s, out=t)
             stack_t(t_b, rhs_x)
             np.subtract(neg_rd, rhs_x, out=rhs_x)
-            d = _getrs(lu, piv, rhs)[0]
+            d = system.solve(rhs)
             dx = d[:nf]
             # ds = -r_p - G_all dx, block by block (-r_p - (-dx) is -r_p + dx)
             times(g, dx, ds_b[0])

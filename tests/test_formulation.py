@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -269,6 +270,22 @@ class TestAssemble:
     def test_goal_outside_regions_rejected(self):
         with pytest.raises(InfeasibleScenarioError):
             assemble(small_scenario(goal_position=np.array([1.55, 0.6, 0.0])))
+
+    @pytest.mark.parametrize("goal", [(0.5, 0.0), (1.3, 0.3), (1.55, 0.6), (0.7, -0.3)])
+    def test_goal_gate_names_the_first_leg_outside_every_region(self, goal):
+        # the legs of (1.3, 0.3) stand in the second region only; (0.7, -0.3)
+        # leaves leg 4 alone outside both
+        regions = (box_region("left", -0.7, 0.8, -0.7, 0.7), box_region("right", 0.6, 1.6, -0.2, 0.7))
+        scn = small_scenario(regions=regions, goal_position=np.array([*goal, 0.0]))
+        goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
+        outside = [j for j in range(4) if not any(reg.contains(goals[j]) for reg in regions)]
+        if not outside:
+            assemble(scn)
+            return
+        j = outside[0]
+        message = f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
+        with pytest.raises(InfeasibleScenarioError, match=f"^{re.escape(message)}$"):
+            assemble(scn)
 
     def test_all_trimmed_solution_when_start_equals_goal(self):
         robot = quadruped()

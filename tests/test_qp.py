@@ -370,29 +370,46 @@ class TestPresolveCascade:
         assert abs(y_in[1]) <= 1e-9 and np.max(np.abs(y_b[[0, 2]])) <= 1e-9  # inactive
 
 
-class TestNewtonBlock:
-    @staticmethod
-    def workspace(rng, n, m):
-        # sparse rows with slack right-hand sides: fixing columns leaves some
-        # rows empty or with one entry, which the presolve drops
-        g = sp.random(m, n, density=4.0 / n, random_state=np.random.RandomState(1), format="csr")
-        g.data = rng.normal(size=g.nnz)
-        p = sp.random(n, n, density=3.0 / n, random_state=np.random.RandomState(2), format="csr")
-        p = p @ p.T + sp.identity(n)
-        h = np.asarray(abs(g).sum(axis=1)).ravel() + 1.0
-        ws = BoxQp(p, rng.normal(size=n), g, h, sp.csr_matrix((0, n)), np.zeros(0),
-                   np.full(n, -1.0), np.full(n, 1.0))
-        return ws, g, p
+def preset_chunk(name):
+    """The 4-configuration chunk problem of a bundled preset."""
+    from stepplan.formulation import assemble
+    from stepplan.scenario_io import load_scenario
 
-    @pytest.mark.parametrize("n, m, sparse", [(120, 200, True), (14, 12, False)])
-    def test_matches_direct_sparse_product(self, n, m, sparse):
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    return assemble(dataclasses.replace(scenario, max_steps=4 * scenario.robot.n_legs))
+
+
+def random_workspace(rng, n, m, n_eq=0):
+    """A workspace of sparse rows with slack right-hand sides and ``n_eq``
+    equality rows through a feasible point, with its G and P.
+
+    Fixing columns leaves some rows empty or with one entry, which the
+    presolve drops."""
+    g = sp.random(m, n, density=4.0 / n, random_state=np.random.RandomState(1), format="csr")
+    g.data = rng.normal(size=g.nnz)
+    p = sp.random(n, n, density=3.0 / n, random_state=np.random.RandomState(2), format="csr")
+    p = p @ p.T + sp.identity(n)
+    h = np.asarray(abs(g).sum(axis=1)).ravel() + 1.0
+    q = rng.normal(size=n)
+    a, b = sp.csr_matrix((0, n)), np.zeros(0)
+    if n_eq:
+        a = sp.random(n_eq, n, density=0.3, random_state=np.random.RandomState(3), format="csr")
+        b = a @ rng.uniform(-0.5, 0.5, size=n)
+    ws = BoxQp(p, q, g, h, a, b, np.full(n, -1.0), np.full(n, 1.0))
+    return ws, g, p
+
+
+class TestNewtonBlock:
+    @pytest.mark.parametrize("n, m, n_eq, sparse", [(120, 200, 0, True), (120, 200, 3, True),
+                                                    (14, 12, 0, False), (14, 12, 3, False)])
+    def test_matches_direct_sparse_product(self, n, m, n_eq, sparse):
         rng = np.random.default_rng(n)
-        ws, g, p = self.workspace(rng, n, m)
+        ws, g, p = random_workspace(rng, n, m, n_eq)
         assert ws.sparse == sparse
         fixed = rng.choice(n, size=n // 3, replace=False)
         red = ws._presolve({int(j): float(rng.uniform(-1, 1)) for j in fixed})
-        k, nf = red.g_rows.size, red.cols.size
-        assert 0 < k < m and nf == n - fixed.size
+        k, nf, me = red.g_rows.size, red.cols.size, red.b.size
+        assert 0 < k < m and nf == n - fixed.size and me == n_eq
         assert (red.scatter is not None) == sparse
         w = rng.uniform(0.1, 10.0, size=k + 2 * nf)
         g_red = g[red.g_rows][:, red.cols]
@@ -401,9 +418,18 @@ class TestNewtonBlock:
             + g_red.T @ sp.diags(w[:k]) @ g_red
             + sp.diags(w[k : k + nf] + w[k + nf :])
         ).toarray()
-        kkt = np.empty((nf, nf), order="F")  # no equality rows
-        red.newton_block(w, kkt, red.kkt_template())
-        assert np.max(np.abs(kkt - ref)) <= 1e-12 * np.max(np.abs(ref))
+        template = red.kkt_template()
+        # a CSR workspace factors the block alone; a dense one the whole matrix
+        size = nf if sparse else nf + me
+        if sparse or me:
+            assert template.shape == (size, size) and template.flags.f_contiguous
+        else:
+            assert template is None
+        kkt = np.empty((size, size), order="F")
+        red.newton_block(w, kkt, template)
+        assert np.max(np.abs(kkt[:nf, :nf] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if not sparse:
+            assert np.array_equal(kkt[nf:, :nf], red.a) and np.array_equal(kkt[:nf, nf:], red.a.T)
 
 
 def ordered_pair_kkt(red, w) -> np.ndarray:
@@ -438,34 +464,72 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     return kkt
 
 
+def recorded_weights(monkeypatch, ws, fixings_list, factor_name=None):
+    """Solve under each fixing set; per solve, the (reduced problem, weights)
+    of every Newton matrix, with the first matrix handed to
+    ``qp.<factor_name>`` after it (the Newton matrix, not a Schur complement)."""
+    seen, per_solve = [], []
+    real_block = qp_module._Reduced.newton_block
+
+    def block(red, w, kkt, template):
+        seen.append([red, w.copy()])
+        real_block(red, w, kkt, template)
+
+    monkeypatch.setattr(qp_module._Reduced, "newton_block", block)
+    if factor_name:
+        real_factor = getattr(qp_module, factor_name)
+
+        def factor(a, *args, **kwargs):
+            if len(seen[-1]) == 2:
+                seen[-1].append(a.copy(order="K"))
+            return real_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(qp_module, factor_name, factor)
+    for fixings in fixings_list:
+        seen.clear()
+        sol = ws.solve(fixings)
+        per_solve.append((sol, list(seen)))
+    return per_solve
+
+
+def preset_fixings(prob, ws, name, count=20):
+    """Fixing sets of binaries pinned near the root relaxation, as branch-and-bound pins them."""
+    rng = np.random.default_rng(len(name))
+    bins, root = prob.binary_indices, np.round(ws.solve().x)
+    fixings = []
+    for _ in range(count):
+        pick = rng.choice(bins, size=int(rng.integers(1, bins.size // 8)), replace=False)
+        flip = rng.random(pick.size) < 0.05
+        fixings.append({int(i): float(abs(root[i] - f)) for i, f in zip(pick, flip)})
+    return fixings
+
+
+def random_fixings(rng, n, count=5):
+    return [{}] + [
+        {int(j): float(rng.uniform(-1, 1)) for j in rng.choice(n, size=n // 4, replace=False)}
+        for _ in range(count)
+    ]
+
+
 class TestKktBuffer:
-    """The buffer each iteration factors in place is the plain Newton matrix, byte for byte."""
+    """The buffer each iteration factors in place is the plain Newton matrix,
+    byte for byte: a dense workspace's whole matrix at ``_getrf``, a CSR
+    workspace's top-left block at ``_potrf``."""
 
     @staticmethod
     def check_solves(monkeypatch, ws, fixings_list) -> tuple[int, int]:
         """Solve under each fixing set, checking every matrix handed to LAPACK.
 
         Returns how many matrices and how many optimal solves were checked."""
-        seen = []
-        real_block, real_getrf = qp_module._Reduced.newton_block, qp_module._getrf
-
-        def block(red, w, kkt, template):
-            seen.append([red, w.copy()])
-            real_block(red, w, kkt, template)
-
-        def getrf(kkt, *args, **kwargs):
-            seen[-1].append(kkt.copy(order="K"))
-            return real_getrf(kkt, *args, **kwargs)
-
-        monkeypatch.setattr(qp_module._Reduced, "newton_block", block)
-        monkeypatch.setattr(qp_module, "_getrf", getrf)
         checked = optimal = 0
-        for fixings in fixings_list:
-            seen.clear()
-            sol = ws.solve(fixings)
+        per_solve = recorded_weights(monkeypatch, ws, fixings_list, "_potrf" if ws.sparse else "_getrf")
+        for sol, seen in per_solve:
             for red, w, kkt in seen:
-                assert kkt.flags.f_contiguous
-                assert kkt.tobytes(order="C") == ordered_pair_kkt(red, w).tobytes()
+                ref = ordered_pair_kkt(red, w)
+                if ws.sparse:
+                    ref = ref[: red.c.size, : red.c.size]
+                assert kkt.flags.f_contiguous and kkt.shape == ref.shape
+                assert kkt.tobytes(order="C") == ref.tobytes()
             checked += len(seen)
             if sol.status == "optimal":
                 # the right-hand sides read A' from its own array, not the factors
@@ -475,39 +539,86 @@ class TestKktBuffer:
 
     @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
     def test_preset_chunk_workspaces(self, monkeypatch, name):
-        from stepplan.formulation import assemble
-        from stepplan.scenario_io import load_scenario
-
-        scenario = load_scenario(SCENARIOS / f"{name}.json")
-        prob = assemble(dataclasses.replace(scenario, max_steps=4 * scenario.robot.n_legs))
+        prob = preset_chunk(name)
         ws = BoxQp.from_miqp(prob)
         assert ws.sparse and ws.b.size
-        # binaries pinned near the root relaxation, as branch-and-bound pins them
-        rng = np.random.default_rng(len(name))
-        bins, root = prob.binary_indices, np.round(ws.solve().x)
-        fixings = []
-        for _ in range(20):
-            pick = rng.choice(bins, size=int(rng.integers(1, bins.size // 8)), replace=False)
-            flip = rng.random(pick.size) < 0.05
-            fixings.append({int(i): float(abs(root[i] - f)) for i, f in zip(pick, flip)})
-        checked, optimal = self.check_solves(monkeypatch, ws, fixings)
+        checked, optimal = self.check_solves(monkeypatch, ws, preset_fixings(prob, ws, name))
         assert checked > 100 and optimal >= 10
 
     @pytest.mark.parametrize("n, m, n_eq", [(14, 12, 0), (14, 12, 3), (120, 200, 0), (120, 200, 4)])
     def test_random_workspaces(self, monkeypatch, n, m, n_eq):
         rng = np.random.default_rng(n + n_eq)
-        ws, g, p = TestNewtonBlock.workspace(rng, n, m)
-        if n_eq:  # equality rows through a feasible point
-            a = sp.random(n_eq, n, density=0.3, random_state=np.random.RandomState(3), format="csr")
-            b = a @ rng.uniform(-0.5, 0.5, size=n)
-            ws = BoxQp(p, ws.q, g, ws.h, a, b, ws.lo, ws.hi)
+        ws, _, _ = random_workspace(rng, n, m, n_eq)
         assert ws.sparse == (n > 100)
-        fixings = [{}] + [
-            {int(j): float(rng.uniform(-1, 1)) for j in rng.choice(n, size=n // 4, replace=False)}
-            for _ in range(5)
-        ]
-        checked, optimal = self.check_solves(monkeypatch, ws, fixings)
+        checked, optimal = self.check_solves(monkeypatch, ws, random_fixings(rng, n))
         assert checked > 20 and optimal >= 3
+
+
+class TestCholeskyNewton:
+    """A CSR workspace's Cholesky and Schur complement solve gives the
+    direction of the full Newton system."""
+
+    @staticmethod
+    def check_directions(monkeypatch, ws, fixings_list) -> int:
+        """Re-solve every Newton system of the solves for a random right-hand
+        side r; the direction d's residual against the full matrix K, built
+        with numpy, is within 1e-10 of |K| |d| + |r| in the max norm.
+        Returns how many systems were checked."""
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _, seen in recorded_weights(monkeypatch, ws, fixings_list):
+            for red, w in seen:
+                system = qp_module._CholeskyNewton(red)
+                assert system.factor(w)
+                rhs = rng.normal(size=red.c.size + red.b.size)
+                d = system.solve(rhs).copy()
+                kkt = ordered_pair_kkt(red, w)
+                scale = np.abs(kkt).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
+                assert np.abs(kkt @ d - rhs).max() <= 1e-10 * scale
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("n_eq", [0, 4])
+    def test_random_workspaces(self, monkeypatch, n_eq):
+        rng = np.random.default_rng(120 + n_eq)
+        ws, _, _ = random_workspace(rng, 120, 200, n_eq)
+        assert ws.sparse and ws.b.size == n_eq
+        assert self.check_directions(monkeypatch, ws, random_fixings(rng, 120)) > 20
+
+    def test_preset_chunk_workspace(self, monkeypatch):
+        name = "quadruped_tilted_terrain"
+        prob = preset_chunk(name)
+        ws = BoxQp.from_miqp(prob)
+        assert ws.sparse and ws.b.size
+        assert self.check_directions(monkeypatch, ws, preset_fixings(prob, ws, name, count=6)) > 40
+
+    def test_breakdown_ends_the_solve(self, monkeypatch):
+        from stepplan import bnb
+
+        # the relaxed binaries sit at 0.5, so the root branches
+        monkeypatch.setattr(qp_module, "SPARSE_MIN_ENTRIES", 0)
+        prob = make_problem(np.eye(4), [0.0, 0.0, -1.0, -1.0], lb=[-5.0, -5.0, 0.0, 0.0],
+                            ub=[5.0, 5.0, 1.0, 1.0], bins=[2, 3], a_in=[[1.0, 1.0, 0.0, 0.0]], b_in=[3.0])
+        ws = BoxQp.from_miqp(prob)
+        assert ws.sparse
+        root = ws.solve()
+        assert root.status == "optimal" and np.allclose(root.x[2:], 0.5)
+        # every Newton matrix smaller than the root's breaks down: each solve
+        # that fixes a binary
+        real = qp_module._potrf
+        monkeypatch.setattr(
+            qp_module, "_potrf", lambda a, **kw: (a, 1) if a.shape[0] < 4 else real(a, **kw)
+        )
+        sol = ws.solve({2: 1.0})
+        assert sol.status == "max-iterations" and sol.iterations == 1
+        tree = bnb._Tree(prob, bnb.MiqpLimits(max_nodes=3))
+        result = tree.run()
+        assert result.status == "node-limit" and result.nodes == 3 and not result.feasible
+        children = [s for key, s in tree.relaxations.items() if len(key) == 1]
+        assert len(children) == 2 and all(s.status == "max-iterations" for s in children)
+        # each child keeps its parent's bound, the root relaxation's objective
+        assert [entry[0] for entry in tree.heap] == [root.objective] * 2
+        assert result.best_bound == root.objective
 
 
 class TestCopyProduct:

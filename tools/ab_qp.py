@@ -26,7 +26,11 @@ does not enter the ratios:
 
 The tree workspaces are all dense and test no row; a preset's are all CSR
 and test every row. The tool prints how many workspaces test rows in each
-checkout.
+checkout. When solutions differ, it also prints how many changed status and
+how many changed iteration count, and, over the solutions whose status is
+unchanged, the largest relative objective difference and the largest
+entry of |x - x_parent|: a change that moves only last bits shows 0 status
+and 0 iteration changes and differences near rounding.
 
 Exits 1 if any workspace structure or solution differs.
 """
@@ -164,11 +168,30 @@ def same(a, b) -> bool:
     return True
 
 
+def differences(old, new) -> str:
+    """How the differing solutions differ: status and iteration changes, and
+    over unchanged statuses the largest relative objective difference and
+    the largest |x - x_parent| entry (infeasible solutions have neither)."""
+    status = sum(a.status != b.status for a, b in zip(old, new))
+    iterations = sum(a.iterations != b.iterations for a, b in zip(old, new))
+    rel_obj = max_dx = 0.0
+    for a, b in zip(old, new):
+        if a.status != b.status or a.status == "infeasible":
+            continue
+        if a.objective != b.objective:
+            rel_obj = max(rel_obj, abs(b.objective - a.objective) / max(abs(a.objective), abs(b.objective)))
+        max_dx = max(max_dx, float(np.max(np.abs(b.x - a.x), initial=0.0)))
+    return (
+        f"status changed: {status}; iterations changed: {iterations}; "
+        f"largest relative objective difference: {rel_obj:.3g}; largest |dx|: {max_dx:.3g}"
+    )
+
+
 def compare(label: str, run, parent, rounds: int) -> bool:
     """Record ``run()``, replay it through both modules; whether all agree."""
     spaces, calls = record_calls(run)
     print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
-    setup_ratios, ratios, differ, structures = [], [], 0, 0
+    setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
         setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
@@ -184,7 +207,9 @@ def compare(label: str, run, parent, rounds: int) -> bool:
                 f"this {sum(map(tests_rows, ws_new))} of {len(spaces)}",
                 flush=True,
             )
-        differ = max(differ, sum(not same(a, b) for a, b in zip(old, new)))
+        differing = sum(not same(a, b) for a, b in zip(old, new))
+        if differing > differ:
+            differ, how = differing, differences(old, new)
         setup_ratios.append(s_new / s_parent)
         ratios.append(t_new / t_parent)
         print(
@@ -204,6 +229,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
         f"{statistics.median(ratios):.3f}; workspace structures differing: {structures} of {len(spaces)}; "
         f"solutions differing: {differ} of {len(calls)}"
     )
+    if differ:
+        print(f"differing solutions: {how}")
     return not (differ or structures)
 
 

@@ -3,9 +3,10 @@
 
 For each bundled preset, planned at default ``plan()`` limits, it prints the
 chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
-calls, each chunk's objective (``%.9g``) and the sha256 of the plan JSON
-followed by the plan SVG. A change that moves only the last bits of a plan
-keeps the statuses, nodes and objectives and shows a new sha256. A second
+calls and their total interior-point iterations, each chunk's objective
+(``%.9g``) and the sha256 of the plan JSON followed by the plan SVG. A
+change that moves only the last bits of a plan keeps the statuses, nodes,
+iterations and objectives and shows a new sha256. A second
 line per preset gives the sha256 of every field of the problems ``assemble``
 builds from it at 1, 2 and 4 configurations under each CoC convention (see
 ``problem_fields``), so a change to ``assemble`` that moves one bit shows even
@@ -77,33 +78,33 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 
 @contextmanager
 def recorded_solves():
-    """Yield a list that gets the status of each ``BoxQp.solve`` call made inside."""
-    statuses = []
+    """Yield a list that gets the ``QpSolution`` of each ``BoxQp.solve`` call made inside."""
+    solutions = []
     real = qp.BoxQp.solve
 
     def recording(ws, *args, **kwargs):
         sol = real(ws, *args, **kwargs)
-        statuses.append(sol.status)
+        solutions.append(sol)
         return sol
 
     qp.BoxQp.solve = recording
     try:
-        yield statuses
+        yield solutions
     finally:
         qp.BoxQp.solve = real
 
 
 def preset_digest(path: Path) -> str:
     scenario = load_scenario(path)
-    with recorded_solves() as statuses:
+    with recorded_solves() as solves:
         result = plan(scenario)
     text = plan_to_json(result, scenario) + render_plan_svg(result, scenario)
     chunk_statuses = ",".join(c.solution.status for c in result.chunks)
     nodes = ",".join(str(c.solution.nodes) for c in result.chunks)
     objectives = ",".join("%.9g" % c.solution.objective for c in result.chunks)
     return (
-        f"{path.stem}: status={chunk_statuses} nodes={nodes} solves={len(statuses)} "
-        f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
+        f"{path.stem}: status={chunk_statuses} nodes={nodes} solves={len(solves)} "
+        f"iterations={sum(sol.iterations for sol in solves)} objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
 
@@ -136,14 +137,14 @@ def tree_digest(seed: int) -> str:
 
     workload = TreeRandomMiqp(ROOT, seed, False)
     problems = workload.setup(bnb)
-    with recorded_solves() as statuses:
+    with recorded_solves() as solves:
         sols = workload.run(bnb, problems).payload
     digest = hashlib.sha256()
     for sol in sols:
         digest.update(sol.x.tobytes() if sol.x is not None else b"infeasible")
     return (
         f"tree_random_miqp seed {seed}: problems={len(problems)} "
-        f"nodes={sum(s.nodes for s in sols)} solves={len(statuses)} "
+        f"nodes={sum(s.nodes for s in sols)} solves={len(solves)} "
         f"sha256={digest.hexdigest()}"
     )
 
