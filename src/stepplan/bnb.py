@@ -7,11 +7,15 @@ the node's binaries pinned; it starts from the same interior point whatever
 the node, so a relaxation depends on its fixings alone. Each tree therefore
 keeps a memo of its relaxations keyed by the fixing set: a tree node or a
 rounding candidate that asks for fixings solved before gets the stored
-result instead of a new solve. Incumbents come from rounding the root
-relaxation, integral relaxations, and rounding a popped node's relaxation
-every HEURISTIC_INTERVAL pops. Everything is deterministic:
-identical problems and limits reproduce identical node counts and solutions
-(time limits excepted). A brute-force enumerator over all binary patterns
+result instead of a new solve. A node is pruned when its bound reaches the
+incumbent less PRUNE_EPS. Every relaxation is asked for with that value as
+its cutoff, so one whose certified lower bound reaches it ends early with
+status "cutoff": a child that ends so is pruned like an infeasible one, and
+a rounding candidate that ends so cannot beat the incumbent. Incumbents come
+from rounding the root relaxation, integral relaxations, and rounding a
+popped node's relaxation every HEURISTIC_INTERVAL pops. Everything is
+deterministic: identical problems and limits reproduce identical node
+counts and solutions (time limits excepted). A brute-force enumerator over all binary patterns
 serves as the testing oracle for small instances.
 """
 
@@ -64,7 +68,11 @@ class MiqpLimits:
 
 @dataclass
 class MiqpSolution:
-    """Incumbent (exactly integral binaries) plus solve statistics."""
+    """Incumbent (exactly integral binaries) plus solve statistics.
+
+    ``refix_solves`` counts the relaxations that integral snaps and the
+    rounding heuristic asked for, memo hits included; ``cutoff_solves`` the
+    relaxation solves that ended at the incumbent cutoff."""
 
     x: np.ndarray | None
     objective: float
@@ -74,6 +82,7 @@ class MiqpSolution:
     wall_time: float
     best_bound: float
     refix_solves: int = 0
+    cutoff_solves: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -117,17 +126,25 @@ class _Tree:
         # relaxations asked for, memo hits included
         self.nodes = 0  # by tree nodes
         self.refix_solves = 0  # by integral snaps and heuristics
+        self.cutoff_solves = 0  # solves that ended at the incumbent cutoff
         # open subtrees: (bound, -tick, fixings, branching variable, relaxed x)
         self.heap: list[tuple[float, int, dict[int, float], int, np.ndarray]] = []
         self.tick = 0
         self.relaxations: dict[frozenset, QpSolution] = {}
 
     def relax(self, fixings: dict[int, float]) -> QpSolution:
-        """The relaxation with ``fixings`` pinned, solved once per fixing set."""
+        """The relaxation with ``fixings`` pinned, solved once per fixing set.
+
+        A solve ends with status "cutoff" once a certified lower bound
+        reaches the incumbent less PRUNE_EPS: such a node or candidate is
+        pruned whatever the solve would have ended with. The incumbent only
+        falls, so a stored cutoff stays one."""
         key = frozenset(fixings.items())
         sol = self.relaxations.get(key)
         if sol is None:
-            sol = self.relaxations[key] = self.ws.solve(fixings=fixings)
+            sol = self.ws.solve(fixings=fixings, cutoff=self.incumbent_obj - PRUNE_EPS)
+            self.relaxations[key] = sol
+            self.cutoff_solves += sol.status == "cutoff"
         return sol
 
     def node_solve(self, fixings: dict[int, float]) -> QpSolution:
@@ -206,14 +223,14 @@ class _Tree:
             status = status or "infeasible"
             return MiqpSolution(
                 None, math.inf, status, math.inf, self.nodes, wall,
-                best_bound if self.heap else math.inf, self.refix_solves,
+                best_bound if self.heap else math.inf, self.refix_solves, self.cutoff_solves,
             )
         gap = max(_relative_gap(self.incumbent_obj, best_bound), 0.0)
         if status is None:
             status = "optimal" if gap <= OPTIMAL_GAP else "gap-limit"
         return MiqpSolution(
             self.incumbent_x, self.incumbent_obj, status, gap,
-            self.nodes, wall, best_bound, self.refix_solves,
+            self.nodes, wall, best_bound, self.refix_solves, self.cutoff_solves,
         )
 
     def run(self) -> MiqpSolution:
@@ -259,7 +276,7 @@ class _Tree:
                 child_fix = dict(fixings)
                 child_fix[var] = val
                 sol = self.node_solve(child_fix)
-                if sol.status == "infeasible":
+                if sol.status in ("infeasible", "cutoff"):
                     continue
                 if sol.status == "max-iterations":
                     # unresolved relaxation: inherit the parent bound (still valid)

@@ -14,7 +14,21 @@ When the iterates stall (the primal residual stops falling while the
 multipliers grow) or the interior point does not converge, an exact HiGHS
 feasibility LP (through ``scipy.optimize.milp``, a lighter wrapper than
 ``linprog``) decides whether the reduced problem is infeasible; it runs at
-most once per call.
+most once per call, and not at all in a call that ends at its cutoff.
+
+A call may be given a cutoff (branch-and-bound passes its incumbent): it
+then ends with status "cutoff" as soon as a certified lower bound on its
+optimum reaches the cutoff, since the caller discards such a relaxation
+whatever its optimum. The bound is the Lagrangian at the iterate's
+multipliers, with the quadratic replaced by its tangent at the iterate,
+minimized over the box, less an allowance for rounding (Fletcher and
+Leyffer, "Numerical experience with lower bounds for MIQP branch-and-bound",
+SIAM J. Optim. 8, 1998; Neumaier and Shcherbina, Math. Prog. 99, 2004).
+It is valid at any iterate, converged or not, and an infeasible problem's
+growing multipliers drive it up. It is taken after the convergence test,
+on iterations whose objective has reached the cutoff and before each LP,
+so a call that does not end at the cutoff returns bit for bit what it
+returns without one.
 
 The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
@@ -160,8 +174,10 @@ class QpSolution:
     ``objective`` includes the problem's constant term, so it is directly
     comparable with integral incumbents. For an optimal status it is a lower
     bound (up to solver tolerance) for every completion of the fixings the
-    solve was given. ``polished`` is always False: the interior point has no
-    polish step.
+    solve was given. A solve that ended at its cutoff has NaN ``x`` and a
+    certified lower bound, at or above the cutoff, as ``objective``; an
+    infeasible one has NaN ``x`` and an infinite ``objective``.
+    ``polished`` is always False: the interior point has no polish step.
 
     ``y``, ``prim_res`` and ``dual_res`` are computed from the reduced
     multipliers the first time they are read, since branch-and-bound never
@@ -173,7 +189,7 @@ class QpSolution:
 
     x: np.ndarray
     objective: float
-    status: str  # "optimal" | "infeasible" | "max-iterations"
+    status: str  # "optimal" | "infeasible" | "max-iterations" | "cutoff"
     iterations: int
     polished: bool = False
     # the workspace and the reduced multipliers with their maps back to it
@@ -506,6 +522,16 @@ def _copy_product(m, v: np.ndarray, out: np.ndarray) -> None:
     _sparsetools.csr_matvec(*m.shape, m.indptr, m.indices, m.data, v, out)
 
 
+def _rounding(terms: int, magnitude: float) -> float:
+    """Rounding allowance of a sum of at most ``terms`` products whose magnitudes add up to ``magnitude``.
+
+    A float sum of k terms errs by at most (k - 1) u times the sum of their
+    magnitudes (u = 2^-53, half of ``np.finfo(float).eps``); a product
+    adds u of its own. Counting 8 more terms at 2u each covers the few
+    additions that combine the sums."""
+    return float((terms + 8) * np.finfo(float).eps * magnitude)
+
+
 def _max_step(sz: np.ndarray, dsz: np.ndarray) -> float:
     """Largest step along ``dsz`` keeping the positive vector ``sz`` nonnegative."""
     worst = np.minimum.reduce(dsz / sz)
@@ -570,6 +596,12 @@ class BoxQp:
         # entries off the pinnable columns, so only such entries are compared
         self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
         self._free = _wide(self.lo, self.hi)
+        # a cutoff's rounding allowance for the objective's fixed part and
+        # the reduced linear term, which sum the same products, at any
+        # fixings within the presolve tolerance of the bounds
+        width = np.maximum(np.abs(self.lo), np.abs(self.hi)) + 1.0
+        magnitude = width @ (abs(p) @ width) + np.abs(self.q) @ width + abs(self.constant)
+        self._fixed_slack = 2.0 * _rounding(n, magnitude)
         self._crossed = _crossed(self.lo, self.hi)
         # with two entries off the pinnable and collapsed columns in every
         # row, no fixing of pinnable columns leaves a row empty or singleton,
@@ -767,27 +799,42 @@ class BoxQp:
         return pairs[zero][first], pairs[zero].ravel()
 
     # ------------------------------------------------------------------ solve
-    def solve(self, fixings: dict[int, float] | None = None) -> QpSolution:
+    def solve(self, fixings: dict[int, float] | None = None, cutoff: float = math.inf) -> QpSolution:
         """Solve the relaxation with the variables in ``fixings`` pinned.
 
         Every call starts from the same interior point, so a result is a
-        function of the fixings alone. A fixing outside its variable's bounds
-        (beyond the presolve tolerance) makes the call infeasible; a
-        non-finite value or an index outside the variables is a
-        ContractViolation.
+        function of the fixings and the cutoff alone. A fixing outside its
+        variable's bounds (beyond the presolve tolerance) makes the call
+        infeasible; a non-finite value or an index outside the variables is
+        a ContractViolation.
+
+        With a finite ``cutoff``, a call whose certified lower bound reaches
+        it before the iterates converge stops there with status "cutoff"
+        and that bound as its objective; its ``x`` is NaN. Any other call
+        returns what it returns without a cutoff, bit for bit.
         """
         red = self._presolve(fixings)
         if red is None:
-            return self._infeasible(0)
+            return self._unsolved(0)
         if red.cols.size == 0:
             return self._result(red, np.zeros(0), np.zeros(0), np.zeros(0), "optimal", 0)
-        xr, y, z, it, status = _interior_point(red)
+        base = slack = 0.0
+        if cutoff < math.inf:  # the objective's fixed part and its rounding allowance
+            x = red.x
+            base, slack = float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant), self._fixed_slack
+        xr, y, z, it, status, bound = _interior_point(red, cutoff - base + slack)
         if status == "infeasible":
-            return self._infeasible(it)
+            return self._unsolved(it)
+        if status == "cutoff":
+            # the reduced bound reached cutoff - base + slack, so the sum can
+            # fall below the cutoff only by its own rounding, which the
+            # allowances exceed: the cutoff is a bound as well
+            return self._unsolved(it, "cutoff", max(cutoff, base - slack + bound))
         return self._result(red, xr, y, z, status, it)
 
-    def _infeasible(self, iterations: int) -> QpSolution:
-        sol = QpSolution(np.full(self.n, np.nan), math.inf, "infeasible", iterations)
+    def _unsolved(self, iterations: int, status="infeasible", objective=math.inf) -> QpSolution:
+        """A solution with no primal point: infeasible, or ended at the cutoff with a certified bound."""
+        sol = QpSolution(np.full(self.n, np.nan), objective, status, iterations)
         # nothing to map back: the lazy fields are set now
         m = self.h.shape[0] + self.b.shape[0] + self.n
         vars(sol).update(y=np.zeros(m), prim_res=math.inf, dual_res=math.inf)
@@ -929,7 +976,7 @@ class _CholeskyNewton:
         return d
 
 
-def _interior_point(red: _Reduced):
+def _interior_point(red: _Reduced, cutoff: float):
     """Mehrotra predictor-corrector on the reduced problem.
 
     The inequality rows and both sides of the variable bounds form one
@@ -938,9 +985,12 @@ def _interior_point(red: _Reduced):
     buffers ([x; y], [s; z], [ds; dz], the products, residuals, Newton
     weights and complementarity targets) are allocated once per call and
     written in place, so the views into them made before the loop stay
-    valid. Infeasibility is left to the HiGHS LP, run once: at a stall, or
-    when the iterates do not converge. Returns ``(x, y, z, iterations,
-    status)``.
+    valid. Infeasibility is left to the HiGHS LP, run at most once: at a
+    stall, or when the iterates do not converge. Before either, and on each
+    iteration whose objective has reached ``cutoff``, the call ends with
+    status "cutoff" if the certified lower bound (``cutoff_bound``) has
+    reached it too. Returns ``(x, y, z, iterations, status, bound)``, with
+    that bound for a cutoff and -inf otherwise.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
@@ -994,6 +1044,38 @@ def _interior_point(red: _Reduced):
     system = (_LuNewton if red.scatter is None else _CholeskyNewton)(red)
     a_t = system.a_t
     norm_hb, norm_c = _norm(hb), _norm(c)  # loop invariants
+    r, gz_g = np.empty(nf), np.empty(nf)  # the bound's dual residual and G'z_G
+
+    def cutoff_bound():
+        """The certified lower bound on the reduced problem's objective, as
+        the presolve built that problem, at the current iterate if it
+        reaches ``cutoff``, else None; ``px`` and ``ay`` must hold Px and A'y.
+
+        For z_G >= 0 and any y, the Lagrangian 0.5 x'Px + c'x + z_G'(Gx - h)
+        + y'(Ax - b) bounds the objective from below on the feasible set,
+        and so does its minimum over the box. The quadratic lies above its
+        tangent at the iterate x, so that minimum is at least -0.5 x'Px -
+        z_G'h - y'b + sum_i min(r_i lo_i, r_i hi_i), r = Px + c + G'z_G +
+        A'y: the bound multipliers are not used, the box absorbs the dual
+        residual whole (Neumaier and Shcherbina, Math. Prog. 99, 2004). An
+        allowance for rounding, taken only when the bound reaches the
+        cutoff without it, is subtracted."""
+        z_g = z[:mi]
+        times(g_t, z_g, gz_g)
+        np.add(px, c, out=r)
+        np.add(r, gz_g, out=r)
+        np.add(r, ay, out=r)
+        box = np.add.reduce(np.minimum(r * red.lo, r * red.hi, out=r))
+        bound = float(box) - float(x @ px) * 0.5 - float(z_g @ red.h) - float(y @ b)
+        if not bound >= cutoff:
+            return None
+        abs_p, abs_x, abs_y = np.abs(p), np.abs(x), np.abs(y)
+        r_abs = abs_p @ abs_x + np.abs(c) + abs(g_t) @ z_g + np.abs(a_t) @ abs_y
+        width = np.maximum(np.abs(red.lo), np.abs(red.hi))
+        magnitude = abs_x @ (abs_p @ abs_x) + z_g @ np.abs(red.h) + abs_y @ np.abs(b) + 2.0 * (r_abs @ width)
+        bound -= _rounding(nf + mi + me, float(magnitude))
+        return bound if bound >= cutoff else None
+
     feasible = None  # the LP's verdict, once it has run
     history = []  # relative primal residual and largest multiplier per iteration
     eps = EPS_ABS
@@ -1021,7 +1103,9 @@ def _interior_point(red: _Reduced):
             and _norm(r_d) <= eps * scale_d
             and mu * n_cone <= eps * (1.0 + abs(obj))
         ):
-            return x, y, z, it - 1, "optimal"
+            return x, y, z, it - 1, "optimal", -math.inf
+        if obj >= cutoff and (bound := cutoff_bound()) is not None:
+            return x, y, z, it - 1, "cutoff", bound
         if mu * n_cone <= MU_FLOOR * (1.0 + abs(obj)):
             break
         res_p, z_max = prim / scale_p, float(np.maximum.reduce(z))
@@ -1029,9 +1113,11 @@ def _interior_point(red: _Reduced):
         if feasible is None and len(history) > STALL_ITERS:
             old_res, old_z = history[-1 - STALL_ITERS]
             if res_p > STALL_RATIO * old_res and z_max > STALL_GROWTH * old_z:
+                if cutoff < math.inf and (bound := cutoff_bound()) is not None:
+                    return x, y, z, it - 1, "cutoff", bound
                 feasible = _feasible(red)
                 if not feasible:
-                    return x, y, z, it - 1, "infeasible"
+                    return x, y, z, it - 1, "infeasible", -math.inf
         if not system.factor(np.divide(z, s, out=weights)):
             break
         # the parts of the Newton right-hand side both solves share
@@ -1076,9 +1162,15 @@ def _interior_point(red: _Reduced):
             break
         xy += alpha * d
         sz += alpha * dsz
+    if cutoff < math.inf:
+        # a loop that ran out took Px and A'y before its last step
+        np.dot(p, x, out=px)
+        np.dot(a_t, y, out=ay)
+        if (bound := cutoff_bound()) is not None:
+            return x, y, z, it, "cutoff", bound
     if feasible is None:
         feasible = _feasible(red)
-    return x, y, z, it, "max-iterations" if feasible else "infeasible"
+    return x, y, z, it, "max-iterations" if feasible else "infeasible", -math.inf
 
 
 def _feasible(red: _Reduced) -> bool:

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from stepplan import bnb
+from stepplan import bnb, qp
 from stepplan.bnb import (
     BRUTE_FORCE_MAX_BINARIES,
     MiqpLimits,
@@ -38,9 +40,10 @@ def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=Non
     )
 
 
-def random_instance(rng):
-    n_c = int(rng.integers(2, 7))
-    n_b = int(rng.integers(1, 7))
+def random_instance(rng, max_c=6, max_b=6, max_rows=6):
+    """A random MIQP; ``random_instance(rng, 10, 8, 8)`` draws criterion 1's problems."""
+    n_c = int(rng.integers(2, max_c + 1))
+    n_b = int(rng.integers(1, max_b + 1))
     n = n_c + n_b
     G = rng.normal(size=(n, n)) * 0.6
     Q = G.T @ G / n + 0.02 * np.eye(n)
@@ -51,7 +54,7 @@ def random_instance(rng):
     x0 = np.concatenate(
         [rng.uniform(lb[:n_c], ub[:n_c]), rng.integers(0, 2, n_b).astype(float)]
     )
-    m = int(rng.integers(2, 7))
+    m = int(rng.integers(2, max_rows + 1))
     A = rng.normal(size=(m, n))
     b = A @ x0 + rng.uniform(0.05, 1.0, m)
     return make_problem(Q, c, 0.3, lb, ub, bins, a_in=A, b_in=b)
@@ -244,6 +247,31 @@ class TestRelaxationMemo:
         assert sol.status == brute.status == "optimal"
         assert sol.objective == pytest.approx(brute.objective, abs=1e-5)
         assert np.allclose(sol.x, brute.x, atol=1e-5)
+
+
+class TestCutoffPruning:
+    def test_unconverged_trees_prune_on_certified_bounds(self, monkeypatch):
+        # 8 iterations leave many relaxations unconverged and still find
+        # incumbents, so relaxations end at the cutoff from unconverged iterates
+        rng = np.random.default_rng(2024)
+        problems = [random_instance(rng, 10, 8, 8) for _ in range(30)]
+        with monkeypatch.context() as m:
+            m.setattr(qp, "MAX_ITER", 8)
+            trees = [bnb._Tree(prob, MiqpLimits()) for prob in problems]
+            sols = [tree.run() for tree in trees]
+        statuses = [s.status for tree in trees for s in tree.relaxations.values()]
+        assert statuses.count("max-iterations") > 50 and statuses.count("cutoff") > 20
+        for prob, tree, sol in zip(problems, trees, sols):
+            cut = [(key, s) for key, s in tree.relaxations.items() if s.status == "cutoff"]
+            assert sol.cutoff_solves == len(cut)
+            for key, s in cut:
+                # every completion of the fixing set, at full iterations
+                fixed = dict(key)
+                rest = [int(i) for i in prob.binary_indices if int(i) not in fixed]
+                for pattern in itertools.product((0.0, 1.0), repeat=len(rest)):
+                    done = tree.ws.solve(fixings={**fixed, **dict(zip(rest, pattern))})
+                    assert done.status in ("optimal", "infeasible")
+                    assert done.objective >= s.objective - 1e-9 * (1.0 + abs(s.objective))
 
 
 class TestMiqpLimits:

@@ -1032,3 +1032,69 @@ class TestSingletonRows:
         ws = self.workspace([[1.0, 1.0]], [10.0], a_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.5, 0.6])
         assert ws._presolve(None) is None
         assert ws.solve().status == "infeasible"
+
+
+def criterion_1_problem(rng):
+    """A random MIQP drawn as criterion 1 draws its oracle problems: 2-10
+    continuous variables, 1-8 binaries and 2-8 rows with slack around a
+    random integral point."""
+    n_c, n_b = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+    n = n_c + n_b
+    g = rng.normal(size=(n, n)) * 0.6
+    lb = np.concatenate([rng.uniform(-3, -0.5, n_c), np.zeros(n_b)])
+    ub = np.concatenate([rng.uniform(0.5, 3, n_c), np.ones(n_b)])
+    x0 = np.concatenate([rng.uniform(lb[:n_c], ub[:n_c]), rng.integers(0, 2, n_b).astype(float)])
+    a = rng.normal(size=(int(rng.integers(2, 9)), n))
+    return make_problem(g.T @ g / n + 0.02 * np.eye(n), rng.normal(size=n), 0.3, lb, ub,
+                        range(n_c, n), a_in=a, b_in=a @ x0 + rng.uniform(0.05, 1.0, a.shape[0]))
+
+
+def same_solution(a, b) -> bool:
+    """Whether two solutions agree bit for bit in status, iterations, objective, x and y."""
+    return (a.status, a.iterations) == (b.status, b.iterations) and all(
+        np.asarray(u).tobytes() == np.asarray(v).tobytes()
+        for u, v in ((a.objective, b.objective), (a.x, b.x), (a.y, b.y))
+    )
+
+
+class TestCutoff:
+    """A solve given a cutoff returns what it returns without one, bit for
+    bit, or ends with status "cutoff" and a certified lower bound at or above
+    the cutoff as its objective."""
+
+    def test_bound_is_certified_or_solve_is_unchanged(self):
+        rng = np.random.default_rng(21)
+        ended, ended_infeasible, unchanged = 0, 0, 0
+        for _ in range(40):
+            prob = criterion_1_problem(rng)
+            ws = BoxQp.from_miqp(prob)
+            root = ws.solve().objective
+            bins = prob.binary_indices
+            for _ in range(4):
+                pick = rng.choice(bins, size=int(rng.integers(1, bins.size + 1)), replace=False)
+                fixings = {int(i): float(rng.integers(0, 2)) for i in pick}
+                full = ws.solve(fixings)
+                ref = full.objective if full.status != "infeasible" else root
+                for spread in 10.0 ** rng.uniform(-8, 0, size=6):
+                    cutoff = ref + (1.0 + abs(ref)) * spread * rng.normal()
+                    sol = ws.solve(fixings, cutoff=cutoff)
+                    if sol.status != "cutoff":
+                        assert same_solution(sol, full)
+                        unchanged += 1
+                        continue
+                    assert cutoff <= sol.objective and np.isnan(sol.x).all()
+                    assert sol.iterations <= full.iterations
+                    if full.status == "infeasible":
+                        ended_infeasible += 1
+                    else:
+                        assert sol.objective <= full.objective + 1e-9 * (1.0 + abs(full.objective))
+                        ended += 1
+        assert ended > 100 and ended_infeasible > 10 and unchanged > 100
+
+    def test_cutoff_fields_are_set_at_once(self):
+        prob = criterion_1_problem(np.random.default_rng(3))
+        ws = BoxQp.from_miqp(prob)
+        sol = ws.solve(cutoff=ws.solve().objective - 0.1)
+        assert sol.status == "cutoff" and math.isfinite(sol.objective)
+        assert np.array_equal(sol.y, np.zeros(prob.n_ineq + prob.n_eq + prob.n_vars))
+        assert sol.prim_res == sol.dual_res == math.inf

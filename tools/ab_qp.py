@@ -4,15 +4,22 @@
 Records every workspace and every ``BoxQp.solve`` call of the
 ``tree_random_miqp`` benchmark workload on the batch of one seed, or of
 ``plan()`` on each bundled preset named with ``--preset`` (the workspace's
-problem and the call's fixings). It then replays them through the ``qp``
-module of PARENT_DIR and through this checkout's, over ``--rounds`` rounds:
-first ``BoxQp.from_miqp`` workspace by workspace, then the solves call by
-call, with the first of the two alternating. The two checkouts' workspaces
-must find the same opposite row pairs and pair groups and agree on whether
-their presolve tests rows (a checkout that lists the rows it tests does so
-when the list is not empty), and every field of every ``QpSolution``, with
-its lazily computed ``y``, ``prim_res`` and ``dual_res`` (read after the
-timed replay), must be bit-identical. The tool prints the median over
+problem and the call's fixings and cutoff). It then replays them through the
+``qp`` module of PARENT_DIR and through this checkout's, over ``--rounds``
+rounds: first ``BoxQp.from_miqp`` workspace by workspace, then the solves
+call by call, with the first of the two alternating. This checkout replays
+each call with its cutoff, the parent without one. The two checkouts'
+workspaces must find the same opposite row pairs and pair groups and agree
+on whether their presolve tests rows (a checkout that lists the rows it
+tests does so when the list is not empty). Every ``QpSolution`` of this
+checkout that did not end at the cutoff must equal the parent's bit for bit
+in every field, with its lazily computed ``y``, ``prim_res`` and
+``dual_res`` (read after the timed replay). One that ended at the cutoff
+(status "cutoff") holds a certified lower bound as its objective: unless the
+parent's solve is infeasible, the parent's objective must not lie below that
+bound by more than ``BOUND_TOL`` relative. The tool prints the number of
+cutoff solves, the unsound ones and the smallest relative margin of a
+parent objective over its bound. It also prints the median over
 rounds of this checkout's set-up time and solve time over the parent's,
 and, for each checkout, the sum over workspaces and over calls of each
 one's minimum time across rounds, with the ratio of those sums: a
@@ -32,7 +39,8 @@ unchanged, the largest relative objective difference and the largest
 entry of |x - x_parent|: a change that moves only last bits shows 0 status
 and 0 iteration changes and differences near rounding.
 
-Exits 1 if any workspace structure or solution differs.
+Exits 1 if any workspace structure or solution differs, or any cutoff bound
+is unsound.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -58,6 +67,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from stepplan import bnb, qp  # noqa: E402
+
+#: how far, relative to max(1, |bound|), a parent objective may lie below a
+#: cutoff bound: the parent's converged objective is itself inexact
+BOUND_TOL = 1e-7
 
 
 def load_module(root: Path, alias: str, name: str):
@@ -91,7 +104,7 @@ def preset_plan(name: str):
 
 
 def record_calls(run):
-    """The problems of the workspaces ``run()`` builds and each solve as (workspace, fixings)."""
+    """The problems of the workspaces ``run()`` builds and each solve as (workspace, fixings, cutoff)."""
     spaces, calls, index = [], [], {}
     from_miqp, solve = qp.BoxQp.from_miqp, qp.BoxQp.solve
 
@@ -101,9 +114,9 @@ def record_calls(run):
         spaces.append(problem)
         return ws
 
-    def recording_solve(ws, fixings=None):
-        calls.append((index[id(ws)], dict(fixings or {})))
-        return solve(ws, fixings)
+    def recording_solve(ws, fixings=None, cutoff=math.inf):
+        calls.append((index[id(ws)], dict(fixings or {}), cutoff))
+        return solve(ws, fixings, cutoff)
 
     qp.BoxQp.from_miqp = classmethod(recording_from_miqp)
     qp.BoxQp.solve = recording_solve
@@ -116,7 +129,7 @@ def record_calls(run):
 
 def replay(modules, spaces, calls, first: int):
     """Build every workspace and solve every call through both modules,
-    alternating which goes first.
+    alternating which goes first; the second module gets each call's cutoff.
 
     Returns each module's set-up time per workspace, workspaces, time per
     solve and solutions, the times as arrays."""
@@ -127,10 +140,11 @@ def replay(modules, spaces, calls, first: int):
             workspaces[j].append(modules[j].BoxQp.from_miqp(problem))
             setup[j, i] = time.perf_counter() - t0
     seconds, sols = np.zeros((2, len(calls))), [[], []]
-    for i, (k, fixings) in enumerate(calls):
+    for i, (k, fixings, cutoff) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
+            kwargs = {"cutoff": cutoff} if j else {}
             t0 = time.perf_counter()
-            sols[j].append(workspaces[j][k].solve(fixings=fixings))
+            sols[j].append(workspaces[j][k].solve(fixings=fixings, **kwargs))
             seconds[j, i] = time.perf_counter() - t0
     return setup, workspaces, seconds, sols
 
@@ -187,11 +201,22 @@ def differences(old, new) -> str:
     )
 
 
+def bound_margins(old, new) -> list[float]:
+    """Per cutoff solve of ``new`` whose parent solve is not infeasible, how
+    far the parent's objective lies above the bound, relative to max(1, |bound|)."""
+    return [
+        (a.objective - b.objective) / max(1.0, abs(b.objective))
+        for a, b in zip(old, new)
+        if b.status == "cutoff" and a.status != "infeasible"
+    ]
+
+
 def compare(label: str, run, parent, rounds: int) -> bool:
     """Record ``run()``, replay it through both modules; whether all agree."""
     spaces, calls = record_calls(run)
     print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
     setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
+    cutoffs, unsound, margin = 0, 0, math.inf
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
         setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
@@ -207,9 +232,15 @@ def compare(label: str, run, parent, rounds: int) -> bool:
                 f"this {sum(map(tests_rows, ws_new))} of {len(spaces)}",
                 flush=True,
             )
-        differing = sum(not same(a, b) for a, b in zip(old, new))
+        cut = [b.status == "cutoff" for b in new]
+        cutoffs = max(cutoffs, sum(cut))
+        margins = bound_margins(old, new)
+        unsound = max(unsound, sum(m < -BOUND_TOL for m in margins))
+        margin = min([margin, *margins])
+        solved = [(a, b) for a, b, c in zip(old, new, cut) if not c]
+        differing = sum(not same(a, b) for a, b in solved)
         if differing > differ:
-            differ, how = differing, differences(old, new)
+            differ, how = differing, differences(*zip(*solved))
         setup_ratios.append(s_new / s_parent)
         ratios.append(t_new / t_parent)
         print(
@@ -227,11 +258,15 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(
         f"median set-up ratio {statistics.median(setup_ratios):.3f}, median solve ratio "
         f"{statistics.median(ratios):.3f}; workspace structures differing: {structures} of {len(spaces)}; "
-        f"solutions differing: {differ} of {len(calls)}"
+        f"solutions differing: {differ} of {len(calls) - cutoffs}"
+    )
+    print(
+        f"cutoff solves: {cutoffs} of {len(calls)}; unsound bounds: {unsound}; "
+        f"smallest relative margin of a parent objective over its bound: {margin:.3g}"
     )
     if differ:
         print(f"differing solutions: {how}")
-    return not (differ or structures)
+    return not (differ or structures or unsound)
 
 
 def main(argv=None) -> int:
