@@ -61,19 +61,19 @@ structure alone is found once per workspace:
   pinnable tests every row;
 - the free-column mask of the workspace bounds;
 - for CSR workspaces: one order of every pair of G entries that share a
-  row, with the Newton-block bin (i, j), i <= j, that each adds to; G's
-  entries in transpose order, from scipy's CSR-to-CSC kernel; P's entries
-  and the stacked rows [A; G]. A workspace holds G in canonical CSR form
-  (sorted, no duplicate entries), so one order of each pair gives both
-  mirrored entries of the block.
+  row, with the Newton-block bin (i, j), i <= j, that each adds to; P's
+  entries and the stacked rows [A; G]. A workspace holds G in canonical CSR
+  form (sorted, no duplicate entries), so one order of each pair gives the
+  block's lower triangle, the only one its Cholesky factorization reads.
 
 Each matrix is sliced once per call; a CSR slice is built from the CSR
 arrays with the free-column map, as scipy's ``m[rows][:, cols]`` builds
-it, entry order included. One mask over G's entries gives the call's G and
-its transpose, A and the zero-width pairs' rows come from one slice of
-[A; G], P is scattered straight into a dense array, and the Newton block's
-entry pairs are the workspace's G pairs that survive plus one diagonal pair
-per bound row, with the bins on free columns numbered anew. A call's
+it, entry order included. One mask over G's entries gives the call's G;
+A and the zero-width pairs' rows come from one slice of [A; G]; P is
+scattered straight into a dense array; and the Newton block's entry pairs
+are the workspace's G pairs that survive plus one diagonal pair per bound
+row, with the bins on free columns numbered anew. No call builds G': a CSR
+G's arrays, read as CSC, are G', and a dense G' is a view. A call's
 ``QpSolution`` keeps the reduced multipliers and their index maps and maps
 them back to the full problem, with the residuals, only when ``y``,
 ``prim_res`` or ``dual_res`` is first read; branch-and-bound reads none of
@@ -85,12 +85,13 @@ plus the bound diagonal. A dense workspace converts each of P, G and A once
 from its input. Large ones keep their rows in CSR form and only the
 Newton matrix is dense: each Newton block is one ``np.bincount`` over the
 entry pairs that survive the call's presolve, whose bin sums are added to P
-at each bin's entry and its mirror, with no sparse object built inside the
-iteration loop. Each CSR product in the loop zeroes its output buffer and
-calls scipy's own ``csr_matvec`` kernel on it, as ``m @ v`` does after
-allocating zeros. Variable bounds must be finite (the assembled problems
-always are), and so must every fixing; a fixing outside its variable's
-bounds makes the call infeasible.
+in the lower triangle, with no sparse object built inside the iteration
+loop. Each CSR product in the loop zeroes its output buffer and calls
+scipy's own ``csr_matvec`` kernel on it, as ``m @ v`` does after allocating
+zeros; a G' product calls ``csc_matvec`` on G's arrays, as ``g.T @ v``
+does. Variable bounds must be finite (the assembled problems always are),
+and so must every fixing; a fixing outside its variable's bounds makes the
+call infeasible.
 
 On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
@@ -104,16 +105,17 @@ makes.
 
 The Newton system [[H, A'], [A, -EQ_REG I]], H = P + G_all' W G_all, is
 factored in a buffer allocated once per call, F-ordered because LAPACK
-reads it column by column; each iteration copies in a template of the
-parts no iteration changes, writes the block and factors the buffer in
-place, with A' kept in its own array. A dense workspace factors the whole
-matrix by LU, as the plain formulas do, so with the exact rewrites above
-its every iterate and result is bit for bit what those formulas give
-(``tools/ab_qp.py`` checks this against another checkout); without
-equality rows it writes every entry itself and needs no template. A CSR
-workspace factors H alone, which is symmetric positive definite (P is PSD
-and both bound sides put a positive weight on its diagonal), by Cholesky,
-H = LL', with P as the template; the equality rows go through their Schur
+reads it column by column; each iteration writes there what the
+factorization reads and factors the buffer in place, with A' kept in its
+own array. A dense workspace factors the whole matrix by LU, as the plain
+formulas do: it writes the block, then A, A' and -EQ_REG I, so with the
+exact rewrites above its every iterate and result is bit for bit what
+those formulas give (``tools/ab_qp.py`` checks this against another
+checkout). A CSR workspace factors H alone, which is symmetric positive
+definite (P is PSD and both bound sides put a positive weight on its
+diagonal), by Cholesky, H = LL': it copies P in and adds each bin's sum at
+the bin's lower-triangle entry, the only triangle that the factorization
+and the triangular solves read. The equality rows go through their Schur
 complement S = Y'Y + EQ_REG I, Y = L^-1 A', also by Cholesky. On the
 bundled presets this is cheaper than an LU of the whole matrix and keeps
 every status, iteration count and objective to nine digits, but not every
@@ -218,7 +220,6 @@ class _Reduced:
     p: np.ndarray  # dense
     c: np.ndarray
     g: np.ndarray | sp.csr_matrix
-    g_t: np.ndarray | sp.csr_matrix  # g's transpose
     h: np.ndarray
     a: np.ndarray | sp.csr_matrix
     b: np.ndarray
@@ -230,53 +231,8 @@ class _Reduced:
     bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
     bound_coefs: np.ndarray  # (2, nf) that row's coefficient
     # CSR only: the bin, G_all row and product of each entry pair, and each
-    # bin's position in the F-ordered nf x nf block, then each off-diagonal
-    # bin's mirror
+    # bin's lower-triangle position in the F-ordered nf x nf block
     scatter: tuple | None
-
-    def kkt_template(self) -> np.ndarray | None:
-        """The F-ordered parts of the Newton matrix that no iteration changes.
-
-        For a CSR workspace, whose factored matrix is the block alone, that
-        is P. For a dense one it is [[0, A'], [A, -EQ_REG I]], or None with
-        no equality row, since its ``newton_block`` writes the whole block."""
-        if self.scatter is not None:
-            return np.asfortranarray(self.p)
-        nf, me = self.c.size, self.b.size
-        if not me:
-            return None
-        kkt = np.zeros((nf + me, nf + me), order="F")
-        kkt[nf:, :nf] = self.a
-        kkt[:nf, nf:] = self.a.T
-        kkt[nf:, nf:] = -EQ_REG * np.eye(me)
-        return kkt
-
-    def newton_block(self, w: np.ndarray, kkt: np.ndarray, template: np.ndarray | None) -> None:
-        """Write the Newton matrix for the weights ``w`` into the F-ordered ``kkt``.
-
-        That is the ``template`` with P + G_all' diag(w) G_all as its
-        top-left block; for a CSR workspace ``kkt`` is that block alone. A
-        CSR workspace adds each bin's sum of ``w[row] * product``, one
-        np.bincount over the entry pairs, to P at the bin's entry and at its
-        mirror; bincount sums each bin in pair order, so every entry is the
-        sum a bincount over every ordered pair gives it."""
-        nf = self.c.size
-        if template is not None:
-            np.copyto(kkt, template)
-        if self.scatter is None:
-            # the bound diagonal goes in after the G product: one product over
-            # G_all sums in another order, and a criterion-1 relaxation whose
-            # complementarity sits within rounding of the tolerance then fails
-            k = self.h.size
-            block = self.p + (self.g.T * w[:k]) @ self.g
-            block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
-            kkt[:nf, :nf] = block  # not bitwise symmetric: every entry is written
-            return
-        bins, rows, prod, at, mirror = self.scatter
-        sums = np.bincount(bins, prod * w[rows], at.size)
-        flat = kkt.ravel(order="F")  # a view: kkt is F-ordered
-        flat[at] += sums
-        flat[mirror] += sums[nf:]  # the diagonal bins come first
 
 
 def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
@@ -522,6 +478,17 @@ def _copy_product(m, v: np.ndarray, out: np.ndarray) -> None:
     _sparsetools.csr_matvec(*m.shape, m.indptr, m.indices, m.data, v, out)
 
 
+def _copy_product_t(m, v: np.ndarray, out: np.ndarray) -> None:
+    """``out = m' @ v`` for a CSR ``m``, written in place from ``m``'s own arrays.
+
+    A CSR matrix's arrays, read as CSC, are its transpose, and scipy's
+    ``m.T @ v`` has ``csc_matvec`` add the products into zeros. Each entry
+    of ``out`` sums its column's products in row order, as ``csr_matvec``
+    sums a row of m' in CSR form, so the bits are those of either."""
+    out.fill(0.0)
+    _sparsetools.csc_matvec(m.shape[1], m.shape[0], m.indptr, m.indices, m.data, v, out)
+
+
 def _rounding(terms: int, magnitude: float) -> float:
     """Rounding allowance of a sum of at most ``terms`` products whose magnitudes add up to ``magnitude``.
 
@@ -573,16 +540,9 @@ class BoxQp:
         )
         self.g, self.a, self.p = g, a, p
         if self.sparse:
-            # computed once: the G entry pairs and their bins, G', the entries of P and [A; G]
+            # computed once: the G entry pairs and their bins, the entries of P and [A; G]
             self._scatter = _entry_pairs(g)
             self._g_entries = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices.astype(np.intp)
-            # G' in CSR form lists each column's entries in row order: scipy's
-            # CSR-to-CSC kernel carries each entry's position there
-            ends, g_t = np.empty(n + 1, dtype=g.indptr.dtype), np.empty(g.nnz, dtype=np.intp)
-            _sparsetools.csr_tocsc(
-                *g.shape, g.indptr, g.indices, np.arange(g.nnz), ends, np.empty_like(g.indices), g_t
-            )
-            self._g_t = g_t, ends[1:]
             self._p_entries = np.repeat(np.arange(n), np.diff(p.indptr)), p.indices, p.data
             self._ag = sp.vstack([a, g], format="csr")
         else:
@@ -704,30 +664,30 @@ class BoxQp:
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         if self.sparse:
-            p, g, g_t, scatter, col_map = self._slice_csr(g_rows, cols)
+            p, g, scatter, col_map = self._slice_csr(g_rows, cols)
         else:
-            g, scatter, col_map = _take(self.g, g_rows, cols, None), None, None
-            p, g_t = _take(self.p, cols, cols, None), g.T
+            p, g = _take(self.p, cols, cols, None), _take(self.g, g_rows, cols, None)
+            scatter = col_map = None
         return _Reduced(
             x, cols, p, self.q[cols] + (self.p @ x)[cols],
-            g, g_t, h[g_rows], _take(self._ag, a_rows, cols, col_map), b, lo[cols], hi[cols],
+            g, h[g_rows], _take(self._ag, a_rows, cols, col_map), b, lo[cols], hi[cols],
             g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
     def _slice_csr(self, g_rows, cols) -> tuple:
-        """The call's P, G, its transpose, the Newton block's scatter and the column map.
+        """The call's P, G, the Newton block's scatter and the column map.
 
         P's entries in free columns are scattered into a dense array in
         entry order, as ``toarray`` adds them. One mask marks the
-        workspace's G entries in kept rows and free columns. G keeps them in
-        entry order, as ``_take`` does, and G' in column then row order, as
-        ``.T.tocsr()`` does. An entry pair survives when both its entries
-        do; each free column then adds one pair, a product of 1.0 on its
-        diagonal bin, for each of its bound rows, lower side first. The
-        pairs keep the workspace's order. The workspace's bins on free
-        columns are numbered anew, diagonals first, and addressed in the
-        F-ordered nf x nf block. The column map gives each column's
-        position in ``cols``, or -1, for ``_take``.
+        workspace's G entries in kept rows and free columns, which G keeps
+        in entry order, as ``_take`` does. An entry pair survives when both
+        its entries do; each free column then adds one pair, a product of
+        1.0 on its diagonal bin, for each of its bound rows, lower side
+        first. The pairs keep the workspace's order. The workspace's bins on
+        free columns are numbered anew, diagonals first, and addressed at
+        their lower-triangle entry (j, i), i <= j, of the F-ordered nf x nf
+        block. The column map gives each column's position in ``cols``, or
+        -1, for ``_take``.
         """
         g, k, nf = self.g, g_rows.size, cols.size
         col_map = np.full(self.n, -1)
@@ -742,34 +702,25 @@ class BoxQp:
         row_of, col_of = self._g_entries
         row, col = row_map[row_of], col_map[col_of]
         on = (row >= 0) & (col >= 0)
-        out = [p]
-        for order, ends, index, shape in (
-            (None, g.indptr[g_rows + 1], col, (k, nf)),
-            (self._g_t[0], self._g_t[1][cols], row, (nf, k)),
-        ):
-            keep = on if order is None else on[order]
-            entry = keep.nonzero()[0] if order is None else order[keep]
-            kept = np.zeros(keep.size + 1, dtype=g.indptr.dtype)  # kept entries before each one
-            np.cumsum(keep, out=kept[1:])
-            indptr = np.zeros(shape[0] + 1, dtype=g.indptr.dtype)
-            indptr[1:] = kept[ends]
-            index = index[entry].astype(g.indices.dtype)
-            out.append(sp.csr_matrix((g.data[entry], index, indptr), shape=shape))
+        entry = on.nonzero()[0]
+        kept = np.zeros(on.size + 1, dtype=g.indptr.dtype)  # kept entries before each one
+        np.cumsum(on, out=kept[1:])
+        indptr = np.zeros(k + 1, dtype=g.indptr.dtype)
+        indptr[1:] = kept[g.indptr[g_rows + 1]]
+        g_red = sp.csr_matrix((g.data[entry], col[entry].astype(g.indices.dtype), indptr), shape=(k, nf))
         a, b, prod, bins, (i, j) = self._scatter
         keep = on[a] & on[b]
         i, j = col_map[i], col_map[j]
         live = (i >= 0) & (j >= 0)
         renumber = np.cumsum(live) - 1  # a free column's diagonal bin becomes its position
-        i, j = i[live], j[live]
         diag = np.arange(nf)
-        out.append((
+        scatter = (
             np.concatenate([renumber[bins[keep]], diag, diag]),
             np.concatenate([row[a[keep]], k + diag, k + nf + diag]),
             np.concatenate([prod[keep], np.ones(2 * nf)]),
-            i + j * nf,
-            (j + i * nf)[nf:],
-        ))
-        return (*out, col_map)
+            j[live] + i[live] * nf,
+        )
+        return p, g_red, scatter, col_map
 
     def _zero_width_pairs(self, rhs, free, kept):
         """Find opposite row pairs whose right-hand sides cancel.
@@ -905,15 +856,26 @@ class _LuNewton:
 
     def __init__(self, red: _Reduced):
         nf, me = red.c.size, red.b.size
-        self.red, self.template = red, red.kkt_template()
+        self.red, self.nf, self.me = red, nf, me
         self.kkt = np.empty((nf + me, nf + me), order="F")
-        # A' in its own array: the LU overwrites kkt
-        self.a_t = np.empty((nf, 0)) if self.template is None else self.template[:nf, nf:].copy()
+        # A' in its own array, as the right-hand sides read it: the LU overwrites kkt
+        self.a_t, self.reg = red.a.T.copy(), -EQ_REG * np.eye(me)
 
     def factor(self, w: np.ndarray) -> bool:
         """Factor the Newton matrix for the weights ``w``; False if it is singular."""
-        self.red.newton_block(w, self.kkt, self.template)
-        self.lu, self.piv, info = _getrf(self.kkt, 1)  # overwrite_a: factored in place
+        red, kkt, nf = self.red, self.kkt, self.nf
+        k = red.h.size
+        # the bound diagonal goes in after the G product: one product over
+        # G_all sums in another order, and a criterion-1 relaxation whose
+        # complementarity sits within rounding of the tolerance then fails
+        block = red.p + (red.g.T * w[:k]) @ red.g
+        block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
+        kkt[:nf, :nf] = block  # not bitwise symmetric: every entry is written
+        if self.me:
+            kkt[nf:, :nf] = red.a
+            kkt[:nf, nf:] = self.a_t
+            kkt[nf:, nf:] = self.reg
+        self.lu, self.piv, info = _getrf(kkt, 1)  # overwrite_a: factored in place
         return info == 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -927,8 +889,8 @@ class _CholeskyNewton:
 
     The block H = P + G_all' W G_all is symmetric positive definite (P is
     PSD and both bound sides put a positive weight on its diagonal), so
-    ``factor`` writes it into an F-ordered nf x nf buffer and factors it in
-    place, H = LL'. With Y = L^-1 A' (over the buffer ``y``) the equality
+    ``factor`` writes its lower triangle, with P in the upper one, into an
+    F-ordered nf x nf buffer and factors it in place, H = LL'. With Y = L^-1 A' (over the buffer ``y``) the equality
     rows' Schur complement S = Y'Y + EQ_REG I = L_s L_s' is factored in
     ``s``. A solve is then v = L^-1 r_x, dy = S^-1 (Y'v - r_y) and dx =
     L^-T (v - Y dy), written into one [dx; dy] buffer, each inverse a pair
@@ -938,7 +900,7 @@ class _CholeskyNewton:
 
     def __init__(self, red: _Reduced):
         nf, me = red.c.size, red.b.size
-        self.red, self.template, self.nf, self.me = red, red.kkt_template(), nf, me
+        self.red, self.nf, self.me = red, nf, me
         self.h = np.empty((nf, nf), order="F")
         # C-ordered A', as a dense workspace's; the Cholesky factor overwrites h
         self.a_t = red.a.toarray().T.copy()
@@ -949,7 +911,11 @@ class _CholeskyNewton:
         """Factor the block for the weights ``w`` and, with equality rows, S;
         False if either is not numerically positive definite."""
         h, y, s = self.h, self.y, self.s
-        self.red.newton_block(w, h, self.template)
+        bins, rows, prod, at = self.red.scatter
+        # bincount sums each bin in pair order, so every lower entry is the
+        # sum a bincount over every ordered pair gives it
+        np.copyto(h, self.red.p)
+        h.ravel(order="F")[at] += np.bincount(bins, prod * w[rows], at.size)  # a view: h is F-ordered
         if _potrf(h, lower=1, clean=0, overwrite_a=1)[1]:
             return False
         if not self.me:
@@ -995,9 +961,12 @@ def _interior_point(red: _Reduced, cutoff: float):
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
     n_cone = mi + 2 * nf
-    g_t = red.g_t
-    # dense products write into their buffer; a CSR product is copied there
-    times = _copy_product if sp.issparse(g) else np.dot
+    # dense products write into their buffer; a CSR product is copied there.
+    # times_t(g_t, v, out) writes G'v: from a view of a dense G, from a CSR G's own arrays
+    if sp.issparse(g):
+        times, times_t, g_t = _copy_product, _copy_product_t, g
+    else:
+        times, times_t, g_t = np.dot, np.dot, g.T
 
     def blocks(v):  # the blocks of a G_all-row vector: G rows, lower, upper
         return v[:mi], v[mi : mi + nf], v[mi + nf :]
@@ -1008,7 +977,7 @@ def _interior_point(red: _Reduced, cutoff: float):
         np.copyto(out[2], v)
 
     def stack_t(w, out):  # out = [G; -I; I]' w, w given as its blocks
-        times(g_t, w[0], out)
+        times_t(g_t, w[0], out)
         np.subtract(out, w[1], out=out)
         np.add(out, w[2], out=out)
 
@@ -1061,7 +1030,7 @@ def _interior_point(red: _Reduced, cutoff: float):
         allowance for rounding, taken only when the bound reaches the
         cutoff without it, is subtracted."""
         z_g = z[:mi]
-        times(g_t, z_g, gz_g)
+        times_t(g_t, z_g, gz_g)
         np.add(px, c, out=r)
         np.add(r, gz_g, out=r)
         np.add(r, ay, out=r)
@@ -1070,7 +1039,7 @@ def _interior_point(red: _Reduced, cutoff: float):
         if not bound >= cutoff:
             return None
         abs_p, abs_x, abs_y = np.abs(p), np.abs(x), np.abs(y)
-        r_abs = abs_p @ abs_x + np.abs(c) + abs(g_t) @ z_g + np.abs(a_t) @ abs_y
+        r_abs = abs_p @ abs_x + np.abs(c) + abs(g).T @ z_g + np.abs(a_t) @ abs_y
         width = np.maximum(np.abs(red.lo), np.abs(red.hi))
         magnitude = abs_x @ (abs_p @ abs_x) + z_g @ np.abs(red.h) + abs_y @ np.abs(b) + 2.0 * (r_abs @ width)
         bound -= _rounding(nf + mi + me, float(magnitude))

@@ -399,10 +399,31 @@ def random_workspace(rng, n, m, n_eq=0):
     return ws, g, p
 
 
+def factored_matrix(monkeypatch, red, w) -> np.ndarray:
+    """The matrix the Newton class of ``red`` hands to LAPACK for the
+    weights ``w``, copied before it is factored."""
+    if red.scatter is None:
+        name, newton = "_getrf", qp_module._LuNewton
+    else:
+        name, newton = "_potrf", qp_module._CholeskyNewton
+    seen = []
+    with monkeypatch.context() as m:
+        real = getattr(qp_module, name)
+
+        def factor(a, *args, **kwargs):
+            if not seen:  # the Newton matrix, not a Schur complement
+                seen.append(a.copy(order="K"))
+            return real(a, *args, **kwargs)
+
+        m.setattr(qp_module, name, factor)
+        newton(red).factor(w)
+    return seen[0]
+
+
 class TestNewtonBlock:
     @pytest.mark.parametrize("n, m, n_eq, sparse", [(120, 200, 0, True), (120, 200, 3, True),
                                                     (14, 12, 0, False), (14, 12, 3, False)])
-    def test_matches_direct_sparse_product(self, n, m, n_eq, sparse):
+    def test_matches_direct_sparse_product(self, monkeypatch, n, m, n_eq, sparse):
         rng = np.random.default_rng(n)
         ws, g, p = random_workspace(rng, n, m, n_eq)
         assert ws.sparse == sparse
@@ -418,18 +439,17 @@ class TestNewtonBlock:
             + g_red.T @ sp.diags(w[:k]) @ g_red
             + sp.diags(w[k : k + nf] + w[k + nf :])
         ).toarray()
-        template = red.kkt_template()
-        # a CSR workspace factors the block alone; a dense one the whole matrix
+        kkt = factored_matrix(monkeypatch, red, w)
+        # a CSR workspace factors the block alone and reads its lower
+        # triangle; a dense one factors the whole matrix
         size = nf if sparse else nf + me
-        if sparse or me:
-            assert template.shape == (size, size) and template.flags.f_contiguous
-        else:
-            assert template is None
-        kkt = np.empty((size, size), order="F")
-        red.newton_block(w, kkt, template)
-        assert np.max(np.abs(kkt[:nf, :nf] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert kkt.shape == (size, size) and kkt.flags.f_contiguous
+        block = np.tril(kkt) if sparse else kkt[:nf, :nf]
+        ref = np.tril(ref) if sparse else ref
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
         if not sparse:
             assert np.array_equal(kkt[nf:, :nf], red.a) and np.array_equal(kkt[:nf, nf:], red.a.T)
+            assert np.array_equal(kkt[nf:, nf:], -qp_module.EQ_REG * np.eye(me))
 
 
 def ordered_pair_kkt(red, w) -> np.ndarray:
@@ -464,31 +484,33 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     return kkt
 
 
-def recorded_weights(monkeypatch, ws, fixings_list, factor_name=None):
+def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
     """Solve under each fixing set; per solve, the (reduced problem, weights)
-    of every Newton matrix, with the first matrix handed to
-    ``qp.<factor_name>`` after it (the Newton matrix, not a Schur complement)."""
+    of every Newton matrix, recorded at its class's ``factor``, and with
+    ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf`` (the
+    Newton matrix, not a Schur complement), copied before it is factored."""
     seen, per_solve = [], []
-    real_block = qp_module._Reduced.newton_block
+    with monkeypatch.context() as m:
+        for cls in (qp_module._LuNewton, qp_module._CholeskyNewton):
 
-    def block(red, w, kkt, template):
-        seen.append([red, w.copy()])
-        real_block(red, w, kkt, template)
+            def record(system, w, real=cls.factor):
+                seen.append([system.red, w.copy()])
+                return real(system, w)
 
-    monkeypatch.setattr(qp_module._Reduced, "newton_block", block)
-    if factor_name:
-        real_factor = getattr(qp_module, factor_name)
+            m.setattr(cls, "factor", record)
+        if lapack:
+            for name in ("_getrf", "_potrf"):
 
-        def factor(a, *args, **kwargs):
-            if len(seen[-1]) == 2:
-                seen[-1].append(a.copy(order="K"))
-            return real_factor(a, *args, **kwargs)
+                def factor(a, *args, real=getattr(qp_module, name), **kwargs):
+                    if len(seen[-1]) == 2:
+                        seen[-1].append(a.copy(order="K"))
+                    return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(qp_module, factor_name, factor)
-    for fixings in fixings_list:
-        seen.clear()
-        sol = ws.solve(fixings)
-        per_solve.append((sol, list(seen)))
+                m.setattr(qp_module, name, factor)
+        for fixings in fixings_list:
+            seen.clear()
+            sol = ws.solve(fixings)
+            per_solve.append((sol, list(seen)))
     return per_solve
 
 
@@ -513,29 +535,40 @@ def random_fixings(rng, n, count=5):
 
 class TestKktBuffer:
     """The buffer each iteration factors in place is the plain Newton matrix,
-    byte for byte: a dense workspace's whole matrix at ``_getrf``, a CSR
-    workspace's top-left block at ``_potrf``."""
+    byte for byte where LAPACK reads it: a dense workspace's whole matrix at
+    ``_getrf``, the lower triangle of a CSR workspace's top-left block at
+    ``_potrf``, the only triangle the Cholesky factorization and the
+    triangular solves read."""
 
     @staticmethod
-    def check_solves(monkeypatch, ws, fixings_list) -> tuple[int, int]:
+    def mismatches(per_solve) -> int:
+        """How many recorded LAPACK matrices differ from ``ordered_pair_kkt`` where LAPACK reads them."""
+        differ = 0
+        for _, seen in per_solve:
+            for red, w, kkt in seen:
+                ref = ordered_pair_kkt(red, w)
+                assert kkt.flags.f_contiguous
+                if red.scatter is not None:
+                    nf = red.c.size
+                    kkt, ref = np.tril(kkt), np.tril(ref[:nf, :nf])
+                assert kkt.shape == ref.shape
+                differ += kkt.tobytes(order="C") != ref.tobytes(order="C")
+        return differ
+
+    @classmethod
+    def check_solves(cls, monkeypatch, ws, fixings_list) -> tuple[int, int]:
         """Solve under each fixing set, checking every matrix handed to LAPACK.
 
         Returns how many matrices and how many optimal solves were checked."""
-        checked = optimal = 0
-        per_solve = recorded_weights(monkeypatch, ws, fixings_list, "_potrf" if ws.sparse else "_getrf")
-        for sol, seen in per_solve:
-            for red, w, kkt in seen:
-                ref = ordered_pair_kkt(red, w)
-                if ws.sparse:
-                    ref = ref[: red.c.size, : red.c.size]
-                assert kkt.flags.f_contiguous and kkt.shape == ref.shape
-                assert kkt.tobytes(order="C") == ref.tobytes()
-            checked += len(seen)
+        per_solve = recorded_weights(monkeypatch, ws, fixings_list, lapack=True)
+        assert cls.mismatches(per_solve) == 0
+        optimal = 0
+        for sol, _ in per_solve:
             if sol.status == "optimal":
                 # the right-hand sides read A' from its own array, not the factors
                 assert sol.prim_res <= 1e-6 and sol.dual_res <= 1e-6 * (1.0 + np.abs(sol.y).max())
                 optimal += 1
-        return checked, optimal
+        return sum(len(seen) for _, seen in per_solve), optimal
 
     @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
     def test_preset_chunk_workspaces(self, monkeypatch, name):
@@ -552,6 +585,24 @@ class TestKktBuffer:
         assert ws.sparse == (n > 100)
         checked, optimal = self.check_solves(monkeypatch, ws, random_fixings(rng, n))
         assert checked > 20 and optimal >= 3
+
+    def test_upper_triangle_scatter_fails_the_check(self, monkeypatch):
+        """Bins written at (i, j), i <= j, instead of (j, i) leave the lower
+        triangle at P, and the check sees it on every matrix with an
+        off-diagonal bin."""
+        name = "quadruped_tilted_terrain"
+        prob = preset_chunk(name)
+        ws = BoxQp.from_miqp(prob)
+        real = BoxQp._slice_csr
+
+        def upper(self, g_rows, cols):
+            p, g, (bins, rows, prod, at), col_map = real(self, g_rows, cols)
+            nf = cols.size
+            return p, g, (bins, rows, prod, at // nf + at % nf * nf), col_map
+
+        monkeypatch.setattr(BoxQp, "_slice_csr", upper)
+        per_solve = recorded_weights(monkeypatch, ws, preset_fixings(prob, ws, name, count=3), lapack=True)
+        assert self.mismatches(per_solve) == sum(len(seen) for _, seen in per_solve) > 0
 
 
 class TestCholeskyNewton:
@@ -651,6 +702,29 @@ class TestCopyProduct:
                 assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
                 assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + m.shape[0] :]).all()
         assert empty_rows > 40
+
+    def test_transpose_product_matches_scipy_bit_for_bit(self):
+        """``_copy_product_t`` reads G' from G's own CSR arrays and gives the
+        bits of ``g.T @ v`` and of the product with G' built in CSR form, on
+        random matrices and on reduced preset G's."""
+        rng = np.random.default_rng(10)
+        reduced = []
+        for name in ("quadruped_tilted_terrain", "hexapod_rotation"):
+            prob = preset_chunk(name)
+            ws = BoxQp.from_miqp(prob)
+            reduced += [ws._presolve(f).g for f in preset_fixings(prob, ws, name, count=3)]
+        assert all(sp.issparse(g) and g.nnz > 100 for g in reduced)
+        for g in [*self.matrices(rng), *reduced]:
+            v = rng.normal(size=g.shape[0]) * 10.0 ** rng.integers(-4, 4, size=g.shape[0])
+            for index in (np.int32, np.int64):
+                m = g.copy()
+                m.indices, m.indptr = m.indices.astype(index), m.indptr.astype(index)
+                buf = np.full(m.shape[1] + 7, np.nan)  # out is a slice of a larger buffer
+                out = buf[3 : 3 + m.shape[1]]
+                qp_module._copy_product_t(m, v, out)
+                for ref in (m.T @ v, m.T.tocsr() @ v):
+                    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+                assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + m.shape[1] :]).all()
 
 
 class TestInfeasibleHandOff:

@@ -7,22 +7,27 @@ Records every workspace and every ``BoxQp.solve`` call of the
 problem and the call's fixings and cutoff). It then replays them through the
 ``qp`` module of PARENT_DIR and through this checkout's, over ``--rounds``
 rounds: first ``BoxQp.from_miqp`` workspace by workspace, then the solves
-call by call, with the first of the two alternating. This checkout replays
-each call with its cutoff, the parent without one. The two checkouts'
-workspaces must find the same opposite row pairs and pair groups and agree
-on whether their presolve tests rows (a checkout that lists the rows it
-tests does so when the list is not empty). Every ``QpSolution`` of this
-checkout that did not end at the cutoff must equal the parent's bit for bit
-in every field, with its lazily computed ``y``, ``prim_res`` and
-``dual_res`` (read after the timed replay). One that ended at the cutoff
-(status "cutoff") holds a certified lower bound as its objective: unless the
-parent's solve is infeasible, the parent's objective must not lie below that
-bound by more than ``BOUND_TOL`` relative. The tool prints the number of
-cutoff solves, the unsound ones and the smallest relative margin of a
-parent objective over its bound. It also prints the median over
-rounds of this checkout's set-up time and solve time over the parent's,
-and, for each checkout, the sum over workspaces and over calls of each
-one's minimum time across rounds, with the ratio of those sums: a
+call by call, with the first of the two alternating. Both checkouts
+replay each call with its cutoff when the parent's ``BoxQp.solve`` takes
+one; a parent without cutoffs replays each call without it, so its solves
+run to convergence and the timings favour this checkout. The two
+checkouts' workspaces must find the same opposite row pairs and pair
+groups and agree on whether their presolve tests rows (a checkout that
+lists the rows it tests does so when the list is not empty). Every
+``QpSolution`` of this checkout must equal the parent's bit for bit in
+every field, with its lazily computed ``y``, ``prim_res`` and ``dual_res``
+(read after the timed replay); against a parent without cutoffs, only the
+solutions that did not end at the cutoff are compared. One that ended at
+the cutoff (status "cutoff") holds a certified lower bound as its
+objective: unless the parent's solve of that call without a cutoff is
+infeasible, the parent's objective must not lie below that bound by more
+than ``BOUND_TOL`` relative. A parent that takes cutoffs solves those calls
+once more without one for this, on the first round and untimed. The tool
+prints the number of cutoff solves, the unsound ones and the smallest
+relative margin of a parent objective over its bound. It also prints the
+median over rounds of this checkout's set-up time and solve time over the
+parent's, and, for each checkout, the sum over workspaces and over calls
+of each one's minimum time across rounds, with the ratio of those sums: a
 per-round ratio moves by several percent with the host, while a call's
 minimum keeps only the noise that slows every round of that call. Both
 modules run in one process, so a drift in host speed between processes
@@ -49,6 +54,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import math
 import os
 import statistics
@@ -127,9 +133,10 @@ def record_calls(run):
     return spaces, calls
 
 
-def replay(modules, spaces, calls, first: int):
+def replay(modules, spaces, calls, first: int, cut: tuple[bool, bool]):
     """Build every workspace and solve every call through both modules,
-    alternating which goes first; the second module gets each call's cutoff.
+    alternating which goes first; module j gets each call's cutoff when
+    ``cut[j]``.
 
     Returns each module's set-up time per workspace, workspaces, time per
     solve and solutions, the times as arrays."""
@@ -142,7 +149,7 @@ def replay(modules, spaces, calls, first: int):
     seconds, sols = np.zeros((2, len(calls))), [[], []]
     for i, (k, fixings, cutoff) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
-            kwargs = {"cutoff": cutoff} if j else {}
+            kwargs = {"cutoff": cutoff} if cut[j] else {}
             t0 = time.perf_counter()
             sols[j].append(workspaces[j][k].solve(fixings=fixings, **kwargs))
             seconds[j, i] = time.perf_counter() - t0
@@ -185,12 +192,13 @@ def same(a, b) -> bool:
 def differences(old, new) -> str:
     """How the differing solutions differ: status and iteration changes, and
     over unchanged statuses the largest relative objective difference and
-    the largest |x - x_parent| entry (infeasible solutions have neither)."""
+    the largest |x - x_parent| entry (infeasible solutions have neither,
+    cutoff solutions no x)."""
     status = sum(a.status != b.status for a, b in zip(old, new))
     iterations = sum(a.iterations != b.iterations for a, b in zip(old, new))
     rel_obj = max_dx = 0.0
     for a, b in zip(old, new):
-        if a.status != b.status or a.status == "infeasible":
+        if a.status != b.status or a.status in ("infeasible", "cutoff"):
             continue
         if a.objective != b.objective:
             rel_obj = max(rel_obj, abs(b.objective - a.objective) / max(abs(a.objective), abs(b.objective)))
@@ -201,25 +209,31 @@ def differences(old, new) -> str:
     )
 
 
-def bound_margins(old, new) -> list[float]:
-    """Per cutoff solve of ``new`` whose parent solve is not infeasible, how
-    far the parent's objective lies above the bound, relative to max(1, |bound|)."""
+def bound_margins(uncut, new) -> list[float]:
+    """Per cutoff solve of ``new`` whose parent solve without a cutoff (in
+    ``uncut``, by call index) is not infeasible, how far the parent's
+    objective lies above the bound, relative to max(1, |bound|)."""
     return [
-        (a.objective - b.objective) / max(1.0, abs(b.objective))
-        for a, b in zip(old, new)
-        if b.status == "cutoff" and a.status != "infeasible"
+        (uncut[i].objective - b.objective) / max(1.0, abs(b.objective))
+        for i, b in enumerate(new)
+        if b.status == "cutoff" and uncut[i].status != "infeasible"
     ]
 
 
 def compare(label: str, run, parent, rounds: int) -> bool:
     """Record ``run()``, replay it through both modules; whether all agree."""
     spaces, calls = record_calls(run)
-    print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
+    both = "cutoff" in inspect.signature(parent.BoxQp.solve).parameters
+    print(
+        f"{label}: {len(spaces)} workspaces, {len(calls)} solves, "
+        f"replayed with cutoffs by {'both checkouts' if both else 'this checkout alone'}",
+        flush=True,
+    )
     setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
     cutoffs, unsound, margin = 0, 0, math.inf
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
+        setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r, (both, True))
         np.minimum(least_setup, setup, out=least_setup)
         np.minimum(least, seconds, out=least)
         (s_parent, s_new), (t_parent, t_new) = setup.sum(axis=1), seconds.sum(axis=1)
@@ -234,10 +248,16 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             )
         cut = [b.status == "cutoff" for b in new]
         cutoffs = max(cutoffs, sum(cut))
-        margins = bound_margins(old, new)
+        if not both:
+            margins = bound_margins(old, new)
+        elif r == 0:  # a solve is a function of its fixings and cutoff: one check does
+            uncut = {
+                i: ws_old[calls[i][0]].solve(fixings=calls[i][1]) for i, c in enumerate(cut) if c
+            }
+            margins = bound_margins(uncut, new)
         unsound = max(unsound, sum(m < -BOUND_TOL for m in margins))
         margin = min([margin, *margins])
-        solved = [(a, b) for a, b, c in zip(old, new, cut) if not c]
+        solved = list(zip(old, new)) if both else [(a, b) for a, b, c in zip(old, new, cut) if not c]
         differing = sum(not same(a, b) for a, b in solved)
         if differing > differ:
             differ, how = differing, differences(*zip(*solved))
@@ -258,7 +278,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(
         f"median set-up ratio {statistics.median(setup_ratios):.3f}, median solve ratio "
         f"{statistics.median(ratios):.3f}; workspace structures differing: {structures} of {len(spaces)}; "
-        f"solutions differing: {differ} of {len(calls) - cutoffs}"
+        f"solutions differing: {differ} of {len(calls) if both else len(calls) - cutoffs}"
     )
     print(
         f"cutoff solves: {cutoffs} of {len(calls)}; unsound bounds: {unsound}; "
