@@ -8,7 +8,10 @@ reachability, region, trig, trim) so violations can be reported per family.
 Footstep bounds are boxes read from each step's own rows: walked in step
 order, every reference-box, reach and height-change row pair
 |foot - e| <= lim  clips its foot to the range of  e  over the bounds fixed
-so far, widened by lim. The reachability model is thus stated once, as rows.
+so far, widened by lim. The reachability model is thus stated once, as rows:
+each step's five expressions e (reference x and y, reach x and y, dz) are
+one padded table of columns, values and constants, which both the walk and
+the row pairs read.
 
 All inequalities are collected first, then one pass over the final
 variable bounds applies the big-M box rule. A row's box excess is its
@@ -20,14 +23,15 @@ b = 0. Every row the bounds already imply is dropped.
 Rows are collected as blocks of entry arrays (row, column, value), and each
 constraint family is one array pass: the region rows, hull rows and choice
 equalities of every (step, region) pair at once, each chord table's rows
-for one configuration tiled over all of them by column offset, and every
-step's trim pins and monotone row. The box rule writes the CSR matrix
+for one configuration tiled over all of them by column offset, every
+step's trim pins and monotone row, and the row pairs of the expression
+table, each row's columns sorted. The box rule writes the CSR matrix
 straight from the entries: one ``np.bincount`` gives every row's excess,
 the M of an indicator row is its last entry (binary columns follow every
 continuous column), and the kept rows are cut by their row pointers. The
 objective's terms are generated as arrays in the order of the term-by-term
-sum and summed in that order. The step-box walk and the reference and reach
-row pairs keep their sequential ``_LinExpr`` arithmetic. Every problem is
+sum and summed in that order; the walk sums each expression's range from
+its constant in table order, as Python floats. Every problem is
 bit-identical to the one built row by row and term by term
 (``tools/ab_assemble.py``; the tests keep row-by-row references).
 """
@@ -223,40 +227,6 @@ class MiqpProblem:
         return float(x @ (self.q_matrix @ x) + self.c_vector @ x + self.objective_constant)
 
 
-class _LinExpr:
-    """Sparse linear expression  sum(coef * x[col]) + const."""
-
-    __slots__ = ("coefs", "const")
-
-    def __init__(self, coefs: dict[int, float] | None = None, const: float = 0.0):
-        self.coefs = dict(coefs) if coefs else {}
-        self.const = float(const)
-
-    def add(self, col: int, coef: float) -> "_LinExpr":
-        if coef != 0.0:
-            self.coefs[col] = self.coefs.get(col, 0.0) + coef
-        return self
-
-    def add_expr(self, other: "_LinExpr", scale: float = 1.0) -> "_LinExpr":
-        coefs = self.coefs
-        for col, coef in other.coefs.items():
-            coef *= scale
-            if coef != 0.0:
-                coefs[col] = coefs.get(col, 0.0) + coef
-        self.const += scale * other.const
-        return self
-
-    def bounds(self, lower, upper) -> tuple[float, float]:
-        """Least and largest value across the box [lower, upper], by the
-        interval arithmetic of ``_box_excess``."""
-        lo = hi = self.const
-        for col, coef in self.coefs.items():
-            a, b = coef * lower[col], coef * upper[col]
-            lo += min(a, b)
-            hi += max(a, b)
-        return lo, hi
-
-
 class _RowBag:
     """Accumulates constraint rows in blocks of entry arrays.
 
@@ -275,40 +245,21 @@ class _RowBag:
         self.labels: list[str] = []
         self.n_rows = 0
 
-    def add_entries(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs, family: str,
-                    labels: list[str], binaries: np.ndarray | None = None) -> None:
-        """Append the rows  a.x <= rhs  (or == rhs for equality bags) whose
-        entries (row within the block, column, value) come row by row, each
-        row's columns ascending; zero values are dropped. A row whose
-        indicator ``binaries[r]`` is not -1 is enforced only when that
-        binary is 1."""
-        nz = vals != 0.0
-        self.rows.append(rows[nz] + self.n_rows)
-        self.cols.append(cols[nz])
-        self.vals.append(vals[nz])
+    def add(self, cols: np.ndarray, vals: np.ndarray, rhs, family: str, labels: list[str],
+            binaries: np.ndarray | None = None) -> None:
+        """Append the rows  a.x <= rhs  (or == rhs for equality bags) given as
+        equal-width arrays of columns and values, each row's columns
+        ascending and zero values padding. A row whose indicator
+        ``binaries[r]`` is not -1 is enforced only when that binary is 1."""
+        rows, slots = np.nonzero(vals)
+        self.rows.append(rows + self.n_rows)
+        self.cols.append(cols[rows, slots])
+        self.vals.append(vals[rows, slots])
         self.rhs.append(np.asarray(rhs, dtype=float))
         self.binaries.append(np.full(len(labels), -1) if binaries is None else binaries)
         self.families += [family] * len(labels)
         self.labels += labels
         self.n_rows += len(labels)
-
-    def add(self, cols: np.ndarray, vals: np.ndarray, rhs, family: str, labels: list[str],
-            binaries: np.ndarray | None = None) -> None:
-        """``add_entries`` of rows given as equal-width arrays of columns and
-        values, each row's columns ascending and zero values padding."""
-        rows, slots = np.nonzero(vals)
-        self.add_entries(rows, cols[rows, slots], vals[rows, slots], rhs, family, labels, binaries)
-
-    def add_pairs(self, exprs: list[_LinExpr], lims: list[float], family: str, labels: list[str]) -> None:
-        """Append the rows  e <= lim  and  -e <= lim  of each linear expression e."""
-        rows = np.array([r for r, e in enumerate(exprs) for _ in e.coefs], dtype=int)
-        cols = np.array([col for e in exprs for col in e.coefs], dtype=int)
-        vals = np.array([coef for e in exprs for coef in e.coefs.values()], dtype=float)
-        rows, cols, vals = np.concatenate([2 * rows, 2 * rows + 1]), np.concatenate([cols, cols]), np.concatenate([vals, -vals])
-        order = np.lexsort((cols, rows))
-        const, lims = np.array([e.const for e in exprs]), np.asarray(lims)
-        rhs = np.array([lims - const, lims - (-const)]).T.ravel()
-        self.add_entries(rows[order], cols[order], vals[order], rhs, family, labels)
 
     def _entries(self):
         return tuple(np.concatenate(part) for part in (self.rows, self.cols, self.vals, self.rhs))
@@ -383,13 +334,6 @@ def scenario_tables(scenario: Scenario) -> tuple[PwlTable, PwlTable]:
         build_table("sin", scenario.theta_range, scenario.n_segments),
         build_table("cos", scenario.theta_range, scenario.n_segments),
     )
-
-
-def _coc_window(step: int, n_legs: int, convention: str) -> tuple[range, int]:
-    """Step indices (possibly <= 0, meaning start footholds) averaged for the CoC."""
-    if convention == "include-current":
-        return range(step - n_legs + 1, step + 1), n_legs
-    return range(step - n_legs + 1, step), n_legs - 1
 
 
 def _graph_hull_edges(knots: list[tuple[float, float]]) -> list[tuple[float, float, bool]]:
@@ -546,45 +490,6 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         [nominal_position(start_coc, scenario.start_yaw, j + 1, robot) for j in range(n)]
     )
 
-    # per leg, the coefficients of the cosine and sine variables in its
-    # linearized nominal offset
-    l_cos = [robot.l_leg * math.cos(phi) for phi in robot.leg_offsets]
-    l_sin = [robot.l_leg * math.sin(phi) for phi in robot.leg_offsets]
-
-    start_xyz = start.tolist()
-
-    def foot_expr(step: int, comp: int) -> _LinExpr:
-        """Coordinate of a (possibly virtual, step <= 0) footstep."""
-        if step >= 1:
-            return _LinExpr({3 * (step - 1) + comp: 1.0})
-        return _LinExpr(const=start_xyz[(step - 1) % n][comp])
-
-    def coc_expr(step: int, comp: int) -> _LinExpr:
-        """The window's mean: each footstep's coordinate over the divisor,
-        the start footholds of virtual steps summed in window order."""
-        window, divisor = _coc_window(step, n, scenario.coc_convention)
-        scale = 1.0 / divisor
-        out = _LinExpr()
-        for k in window:
-            if k >= 1:
-                out.coefs[3 * (k - 1) + comp] = scale
-            else:
-                out.const += scale * start_xyz[(k - 1) % n][comp]
-        return out
-
-    def nominal_expr(step: int, comp: int) -> _LinExpr:
-        """Linearized nominal foothold using the shared per-configuration trig vars."""
-        leg, cfg = (step - 1) % n, (step - 1) // n
-        out = coc_expr(step, comp)
-        s_idx, c_idx = layout._sin0 + cfg, layout._cos0 + cfg
-        if comp == 0:  # cos(theta + phi) = c*cos(phi) - s*sin(phi)
-            out.add(c_idx, l_cos[leg])
-            out.add(s_idx, -l_sin[leg])
-        else:  # sin(theta + phi) = s*cos(phi) + c*sin(phi)
-            out.add(s_idx, l_cos[leg])
-            out.add(c_idx, l_sin[leg])
-        return out
-
     # ---- (a) geometric and (b) reachability rows, and the footstep boxes --
     # Each step has row pairs  |foot(i, c) - e| <= lim:  (a) the reference
     # box around its own nominal foothold (l_bnd), (b) the reach box around
@@ -595,40 +500,88 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # Every feasible footstep satisfies these rows (trimming keeps them
     # active), so the clipped boxes are valid bounds; they keep every big-M
     # derived from them small, and an empty one proves the step unplaceable.
-    # The walk reads and writes the bounds as Python floats.
+    steps = np.arange(n_steps)
+    feet = 3 * steps[:, None] + np.arange(3)
+    # each step's five e (reference x, y, reach x, y, dz) as one table of
+    # columns, values (zero padding) and constants. A linearized nominal
+    # foothold holds its CoC window's feet, each over the window size, then
+    # its leg's cosine and sine terms:  cos(theta + phi) = c cos(phi) -
+    # s sin(phi)  and  sin(theta + phi) = s cos(phi) + c sin(phi);  the
+    # window's start feet are summed into the constant in window order
+    size = n if scenario.coc_convention == "include-current" else n - 1
+    scale = 1.0 / size
+    window = steps[:, None] - n + 1 + np.arange(size)  # steps below 0 are start feet
+    real = window >= 0
+    e_cols = np.zeros((n_steps, 5, size + 2), dtype=int)
+    e_vals = np.zeros(e_cols.shape)
+    e_consts = np.zeros((n_steps, 5))
+    e_cols[:, :2, :size] = np.where(real[:, None], 3 * window[:, None] + np.arange(2)[:, None], 0)
+    e_vals[:, :2, :size] = np.where(real, scale, 0.0)[:, None]
+    # (a sum from 0.0 never reaches -0.0, so the real feet's 0.0 terms leave it as is)
+    start_terms = np.where(real[:, None], 0.0, scale * start[window % n, :2].transpose(0, 2, 1))
+    e_consts[:, :2] = np.cumsum(
+        np.concatenate([np.zeros((n_steps, 2, 1)), start_terms], axis=2), axis=2
+    )[..., -1]
+    legs = steps % n
+    l_cos = robot.l_leg * np.array([math.cos(phi) for phi in robot.leg_offsets])[legs]
+    l_sin = robot.l_leg * np.array([math.sin(phi) for phi in robot.leg_offsets])[legs]
+    # x: the cosine, then the sine column; y: the sine, then the cosine
+    e_cols[:, :2, size:] = layout._sin0 + steps[:, None, None] // n + layout.n_configs * np.eye(2, dtype=int)
+    e_vals[:, 0, size:] = np.column_stack([l_cos, -l_sin])
+    e_vals[:, 1, size:] = np.column_stack([l_cos, l_sin])
+    # the reach box is the reference box of the leg's previous step, or its start stance
+    e_cols[n:, 2:4], e_vals[n:, 2:4], e_consts[n:, 2:4] = e_cols[:-n, :2], e_vals[:-n, :2], e_consts[:-n, :2]
+    e_consts[:n, 2:4] = start_nominal
+    e_cols[n:, 4, 0], e_vals[n:, 4, 0], e_consts[:n, 4] = feet[:-n, 2], 1.0, start[:, 2]
+    e_feet = feet[:, [0, 1, 0, 1, 2]]
+    lims = np.array([robot.l_bnd, robot.l_bnd, robot.d_lim, robot.d_lim, robot.dz_max], dtype=float)
+    # under include-current the reference box's own nominal holds the foot
+    own = (e_cols == e_feet[..., None]) & (e_vals != 0.0)
+    walk = ~own.any(axis=2)
+    # the walk reads and writes the bounds as Python floats, each e's range
+    # summed from its constant in table order
     lo, hi = lower.tolist(), upper.tolist()
-    nominal = {}
-    # per family, each pair's  foot(i, c) - e,  its limit and its rows' labels
-    pair_rows = {"geometric": ([], [], []), "reachability": ([], [], [])}
-    for i in range(1, n_steps + 1):
-        prev = i - n
-        pairs = []  # (family, label, tag, comp, e, lim)
-        for comp, tag in ((0, "x"), (1, "y")):
-            nominal[i, comp] = nominal_expr(i, comp)
-            pairs.append(("geometric", f"step {i} ref box", tag, comp, nominal[i, comp], robot.l_bnd))
-        for comp, tag in ((0, "x"), (1, "y")):
-            if prev >= 1:
-                anchor = nominal[prev, comp]
-            else:
-                anchor = _LinExpr(const=start_nominal[(i - 1) % n][comp])
-            pairs.append(("reachability", f"step {i} reach", tag, comp, anchor, robot.d_lim))
-        pairs.append(("reachability", f"step {i} dz", "", 2, foot_expr(prev, 2), robot.dz_max))
-        for family, label, tag, comp, e, lim in pairs:
-            col = 3 * (i - 1) + comp
-            # under include-current the reference box's own nominal holds the foot
-            if col not in e.coefs:
-                e_lo, e_hi = e.bounds(lo, hi)
-                lo[col] = max(lo[col], e_lo - lim)
-                hi[col] = min(hi[col], e_hi + lim)
-            diffs, lims, labels = pair_rows[family]
-            diffs.append(_LinExpr({col: 1.0}).add_expr(e, -1.0))
-            lims.append(lim)
-            labels += [f"{label} +{tag}", f"{label} -{tag}"]
-        if any(lo[col] > hi[col] for col in range(3 * i - 3, 3 * i)):
-            raise InfeasibleScenarioError(
-                f"step {i} has no reachable position inside the workspace box"
-            )
+    for cols, vals, e_lo, col, lim in zip(
+        *(a[walk].tolist() for a in (e_cols, e_vals, e_consts, e_feet, np.broadcast_to(lims, walk.shape)))
+    ):
+        e_hi = e_lo
+        for c, v in zip(cols, vals):
+            if v != 0.0:
+                a, b = v * lo[c], v * hi[c]
+                e_lo, e_hi = e_lo + min(a, b), e_hi + max(a, b)
+        lo[col] = max(lo[col], e_lo - lim)
+        hi[col] = min(hi[col], e_hi + lim)
     lower, upper = np.array(lo), np.array(hi)
+    empty = (lower[feet] > upper[feet]).any(axis=1)
+    if empty.any():
+        raise InfeasibleScenarioError(
+            f"step {np.argmax(empty) + 1} has no reachable position inside the workspace box"
+        )
+    # every inequality goes into one bag; ``ineq.box_rule`` sets the big-M
+    # of each indicator row and drops the implied rows over the final
+    # bounds, so the region and trim pins below reach every row
+    ineq = _RowBag()
+    eq = _RowBag()
+    # the rows  foot - e <= lim  and  e - foot <= lim  of each e: the foot's
+    # entry (merged into the window's under include-current) and -e, in
+    # column order; all reference-box rows first, then each step's reach
+    # and dz rows
+    cols = np.concatenate([e_cols, e_feet[..., None]], axis=2)
+    vals = np.concatenate([-e_vals, walk[..., None] * 1.0], axis=2)
+    vals[..., :-1][own] += 1.0
+    order = np.argsort(cols, axis=2)
+    cols = np.take_along_axis(cols, order, axis=2).repeat(2, axis=1)
+    vals = np.take_along_axis(vals, order, axis=2)
+    vals = np.stack([vals, -vals], axis=2).reshape(cols.shape)
+    rhs = np.stack([lims + e_consts, lims - e_consts], axis=2).reshape(n_steps, 10)
+    for family, part, names in (
+        ("geometric", slice(0, 4), ("ref box +x", "ref box -x", "ref box +y", "ref box -y")),
+        ("reachability", slice(4, 10), ("reach +x", "reach -x", "reach +y", "reach -y", "dz +", "dz -")),
+    ):
+        ineq.add(
+            cols[:, part].reshape(-1, size + 3), vals[:, part].reshape(-1, size + 3), rhs[:, part].ravel(),
+            family, [f"step {i} {name}" for i in range(1, n_steps + 1) for name in names],
+        )
 
     # ---- goal footholds (trim targets / goal cost), region membership gate -
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
@@ -645,21 +598,10 @@ def assemble(scenario: Scenario) -> MiqpProblem:
             f"goal foothold of leg {j + 1} at {goals[j].tolist()} lies outside every safe region"
         )
 
-    # every inequality goes into one bag; ``ineq.box_rule`` sets the big-M
-    # of each indicator row and drops the implied rows over the final
-    # bounds, so the region and trim pins below reach every row
-    ineq = _RowBag()
-    eq = _RowBag()
-    # all reference-box rows first, then each step's reach and dz rows
-    for family, (diffs, lims, labels) in pair_rows.items():
-        ineq.add_pairs(diffs, lims, family, labels)
-
     # ---- (c) safe-region assignment with per-row big-M ---------------------
     # a region some halfspace  a.x <= b  of which excludes a step's whole box
     # (its negation  -a.x <= -b  has a negative box excess) can never host
     # that step: its binary is pinned to 0 and its big-M rows are omitted
-    steps = np.arange(n_steps)
-    feet = 3 * steps[:, None] + np.arange(3)
     n_half = b_all.shape[0]
     region_of = np.repeat(np.arange(n_regions), [reg.n_rows for reg in scenario.regions])
     outside = _box_excess(

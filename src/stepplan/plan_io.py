@@ -106,11 +106,14 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
     if _field(doc, "version", source) != PLAN_VERSION:
         raise ScenarioParseError(f"unsupported plan version {doc['version']!r}", source)
     rb = _field(doc, "robot", source)
+    at = f"{where}robot"
     robot = scenario.robot
-    same = isinstance(rb, dict) and (
-        rb.get("n_legs") == robot.n_legs
-        and np.allclose(rb.get("leg_offsets", []), robot.leg_offsets)
-        and np.isclose(rb.get("l_leg", -1), robot.l_leg)
+    offsets = _field(rb, "leg_offsets", at, lambda v, p: _as_floats(v, None, p))
+    same = (
+        _field(rb, "n_legs", at, _as_int) == robot.n_legs
+        and len(offsets) == robot.n_legs
+        and np.allclose(offsets, robot.leg_offsets)
+        and np.isclose(_field(rb, "l_leg", at, _as_float), robot.l_leg)
     )
     if not same:
         raise ScenarioParseError("plan robot block does not match the scenario robot", source)

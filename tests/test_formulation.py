@@ -712,6 +712,65 @@ def reference_family_rows(scn, prob):
     return ineq, eq
 
 
+def reference_pair_rows(scn, prob):
+    """The reference-box, reach and dz row pairs of ``scn``, written one at a time.
+
+    Each step's linearized nominal foothold per xy component is the mean of
+    its CoC window's feet (start feet, summed in window order, as a
+    constant), plus the leg offset turned by the configuration's cosine and
+    sine variables. A pair  |foot - e| <= lim  is the row  foot - e <= lim
+    and its negation. Returns (family, label, {column: coefficient}, rhs,
+    None) in assembly order: every step's reference-box pairs (x, then y),
+    then every step's reach pairs (x, then y) and its dz pair.
+    """
+    layout, robot = prob.layout, scn.robot
+    n, start = robot.n_legs, scn.start_footholds.tolist()
+    start_coc = coc(scn.start_footholds)
+    include_current = scn.coc_convention == "include-current"
+
+    def nominal(i, comp):
+        window = range(i - n + 1, i + 1 if include_current else i)
+        coefs, const = {}, 0.0
+        for k in window:
+            if k >= 1:
+                coefs[layout.foot(k, comp)] = 1.0 / len(window)
+            else:
+                const += 1.0 / len(window) * start[(k - 1) % n][comp]
+        phi, cfg = robot.leg_offsets[(i - 1) % n], (i - 1) // n + 1
+        c, s = robot.l_leg * math.cos(phi), robot.l_leg * math.sin(phi)
+        if comp == 0:
+            coefs[layout.cos(cfg)], coefs[layout.sin(cfg)] = c, -s
+        else:
+            coefs[layout.sin(cfg)], coefs[layout.cos(cfg)] = c, s
+        return coefs, const
+
+    def pair(family, label, i, comp, e, lim):
+        coefs, const = e
+        row = {layout.foot(i, comp): 1.0}
+        for col, v in coefs.items():
+            row[col] = row.get(col, 0.0) - v
+        tag = ("x", "y", "")[comp]
+        return [
+            (family, f"{label} +{tag}", row, lim + const, None),
+            (family, f"{label} -{tag}", {col: -v for col, v in row.items()}, lim - const, None),
+        ]
+
+    geometric, reachability = [], []
+    for i in range(1, layout.n_steps + 1):
+        leg = (i - 1) % n + 1
+        for comp in range(2):
+            geometric += pair("geometric", f"step {i} ref box", i, comp, nominal(i, comp), robot.l_bnd)
+        for comp in range(2):
+            if i > n:
+                e = nominal(i - n, comp)
+            else:
+                e = {}, float(nominal_position(start_coc, scn.start_yaw, leg, robot)[comp])
+            reachability += pair("reachability", f"step {i} reach", i, comp, e, robot.d_lim)
+        e = ({layout.foot(i - n, 2): 1.0}, 0.0) if i > n else ({}, start[leg - 1][2])
+        reachability += pair("reachability", f"step {i} dz", i, 2, e, robot.dz_max)
+    return geometric + reachability
+
+
 def kept_by_box_rule(rows, lower, upper):
     """(label, columns, coefficients, rhs) of the rows the big-M box rule keeps.
 
@@ -742,6 +801,25 @@ def problem_rows(matrix, rhs, labels, families, family):
          matrix.data[matrix.indptr[r] : matrix.indptr[r + 1]].tolist(), float(rhs[r]))
         for r in range(len(labels)) if families[r] == family
     ]
+
+
+class TestPairRows:
+    @pytest.mark.parametrize("convention", ["exclude-current", "include-current"])
+    @pytest.mark.parametrize("n_configs", [1, 2, 4])
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_geometric_and_reachability_rows_match_row_by_row_reference(self, preset, n_configs, convention):
+        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
+        scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, coc_convention=convention)
+        prob = assemble(scn)
+        rows = reference_pair_rows(scn, prob)
+        lower, upper = prob.lower.tolist(), prob.upper.tolist()
+        for family in ("geometric", "reachability"):
+            got = problem_rows(prob.a_ineq, prob.b_ineq, prob.ineq_labels, prob.ineq_families, family)
+            want = kept_by_box_rule([row for row in rows if row[0] == family], lower, upper)
+            assert got == want, family
+        # every geometric row, then every reachability row, before the others
+        families = [fam for fam in prob.ineq_families if fam in ("geometric", "reachability")]
+        assert list(prob.ineq_families[: len(families)]) == sorted(families)
 
 
 class TestFamilyRows:

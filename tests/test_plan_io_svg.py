@@ -86,9 +86,19 @@ class TestPlanFile:
 
     def test_robot_mismatch_rejected(self, planned):
         scn, result = planned
+        malformed = (
+            ("n_legs", 6), ("n_legs", "4"), ("leg_offsets", [0.0, 1.0]), ("leg_offsets", "0 1 2 3"),
+            ("leg_offsets", [None] * scn.robot.n_legs), ("leg_offsets", None),
+            ("l_leg", "long"), ("l_leg", None),
+        )
+        for key, value in malformed:
+            doc = plan_to_dict(result, scn)
+            doc["robot"][key] = value
+            with pytest.raises(ScenarioParseError):
+                plan_from_dict(doc, scn)
         doc = plan_to_dict(result, scn)
-        doc["robot"]["n_legs"] = 6
-        with pytest.raises(ScenarioParseError):
+        del doc["robot"]["l_leg"]
+        with pytest.raises(ScenarioParseError, match="robot"):
             plan_from_dict(doc, scn)
 
     def test_inconsistent_step_count_rejected(self, planned):

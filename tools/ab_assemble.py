@@ -2,10 +2,10 @@
 """In-process A/B of ``assemble`` between another checkout and this one.
 
 Records every chunk scenario that ``plan()`` assembles on each bundled
-preset (or on the presets named with ``--preset``), then assembles each one
-through the ``formulation`` module of PARENT_DIR and through this
-checkout's, over ``--rounds`` rounds, with the first of the two alternating
-call by call. Every field of the two ``MiqpProblem`` results must be
+preset (or on the presets named with ``--preset``), then assembles each
+one under both CoC conventions through the ``formulation`` module of
+PARENT_DIR and through this checkout's, over ``--rounds`` rounds, with the
+first of the two alternating call by call. Every field of the two ``MiqpProblem`` results must be
 bit-identical: each array's dtype, shape and bytes, each CSR matrix's type,
 shape, ``data``, ``indices`` and ``indptr``, the objective constant, the
 layout, and every family and label. The tool prints, per round, each
@@ -42,6 +42,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 from ab_qp import load_module  # noqa: E402
 from plan_digest import problem_fields  # noqa: E402
 from stepplan import formulation, planner  # noqa: E402
+from stepplan.model import COC_CONVENTIONS  # noqa: E402
 from stepplan.scenario_io import load_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
@@ -93,8 +94,9 @@ def main(argv=None) -> int:
     labels, scenarios = [], []
     for name in args.preset:
         chunks = record_chunks(name)
-        labels += [f"{name} chunk {k}" for k in range(len(chunks))]
-        scenarios += chunks
+        for convention in COC_CONVENTIONS:
+            labels += [f"{name} chunk {k} {convention}" for k in range(len(chunks))]
+            scenarios += [chunk.with_overrides(coc_convention=convention) for chunk in chunks]
     print(f"{len(args.preset)} presets, {len(scenarios)} chunk scenarios", flush=True)
     ratios, differ = [], {}
     least = np.full((2, len(scenarios)), np.inf)

@@ -8,21 +8,16 @@ problem and the call's fixings and cutoff). It then replays them through the
 ``qp`` module of PARENT_DIR and through this checkout's, over ``--rounds``
 rounds: first ``BoxQp.from_miqp`` workspace by workspace, then the solves
 call by call, with the first of the two alternating. Both checkouts
-replay each call with its cutoff when the parent's ``BoxQp.solve`` takes
-one; a parent without cutoffs replays each call without it, so its solves
-run to convergence and the timings favour this checkout. The two
-checkouts' workspaces must find the same opposite row pairs and pair
-groups and agree on whether their presolve tests rows (a checkout that
-lists the rows it tests does so when the list is not empty). Every
-``QpSolution`` of this checkout must equal the parent's bit for bit in
-every field, with its lazily computed ``y``, ``prim_res`` and ``dual_res``
-(read after the timed replay); against a parent without cutoffs, only the
-solutions that did not end at the cutoff are compared. One that ended at
-the cutoff (status "cutoff") holds a certified lower bound as its
+replay each call with its cutoff. The two checkouts' workspaces must find
+the same opposite row pairs and pair groups and agree on whether their
+presolve tests rows. Every ``QpSolution`` of this checkout must equal the
+parent's bit for bit in every field, with its lazily computed ``y``,
+``prim_res`` and ``dual_res`` (read after the timed replay). One that
+ended at the cutoff (status "cutoff") holds a certified lower bound as its
 objective: unless the parent's solve of that call without a cutoff is
 infeasible, the parent's objective must not lie below that bound by more
-than ``BOUND_TOL`` relative. A parent that takes cutoffs solves those calls
-once more without one for this, on the first round and untimed. The tool
+than ``BOUND_TOL`` relative. The parent solves those calls once more
+without a cutoff for this, on the first round and untimed. The tool
 prints the number of cutoff solves, the unsound ones and the smallest
 relative margin of a parent objective over its bound. It also prints the
 median over rounds of this checkout's set-up time and solve time over the
@@ -54,7 +49,6 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
-import inspect
 import math
 import os
 import statistics
@@ -133,10 +127,9 @@ def record_calls(run):
     return spaces, calls
 
 
-def replay(modules, spaces, calls, first: int, cut: tuple[bool, bool]):
-    """Build every workspace and solve every call through both modules,
-    alternating which goes first; module j gets each call's cutoff when
-    ``cut[j]``.
+def replay(modules, spaces, calls, first: int):
+    """Build every workspace and solve every call, with its cutoff, through
+    both modules, alternating which goes first.
 
     Returns each module's set-up time per workspace, workspaces, time per
     solve and solutions, the times as arrays."""
@@ -149,26 +142,15 @@ def replay(modules, spaces, calls, first: int, cut: tuple[bool, bool]):
     seconds, sols = np.zeros((2, len(calls))), [[], []]
     for i, (k, fixings, cutoff) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
-            kwargs = {"cutoff": cutoff} if cut[j] else {}
             t0 = time.perf_counter()
-            sols[j].append(workspaces[j][k].solve(fixings=fixings, **kwargs))
+            sols[j].append(workspaces[j][k].solve(fixings=fixings, cutoff=cutoff))
             seconds[j, i] = time.perf_counter() - t0
     return setup, workspaces, seconds, sols
 
 
-def tests_rows(ws) -> bool:
-    """Whether a workspace's presolve tests rows.
-
-    A checkout without the flag keeps the rows it tests of G and of A in
-    ``_shrink``; it tests rows when either list is not empty."""
-    if hasattr(ws, "_tests_rows"):
-        return ws._tests_rows
-    return bool(ws._shrink[0].size or ws._shrink[3].size)
-
-
 def structure(ws) -> list[np.ndarray]:
     """A workspace's opposite pairs, their groups and whether it tests rows."""
-    return [ws._pairs, ws._pair_groups, np.array(tests_rows(ws))]
+    return [ws._pairs, ws._pair_groups, np.array(ws._tests_rows)]
 
 
 def same_arrays(u: np.ndarray, v: np.ndarray) -> bool:
@@ -223,44 +205,35 @@ def bound_margins(uncut, new) -> list[float]:
 def compare(label: str, run, parent, rounds: int) -> bool:
     """Record ``run()``, replay it through both modules; whether all agree."""
     spaces, calls = record_calls(run)
-    both = "cutoff" in inspect.signature(parent.BoxQp.solve).parameters
-    print(
-        f"{label}: {len(spaces)} workspaces, {len(calls)} solves, "
-        f"replayed with cutoffs by {'both checkouts' if both else 'this checkout alone'}",
-        flush=True,
-    )
+    print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
     setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
     cutoffs, unsound, margin = 0, 0, math.inf
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r, (both, True))
+        setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
         np.minimum(least_setup, setup, out=least_setup)
         np.minimum(least, seconds, out=least)
         (s_parent, s_new), (t_parent, t_new) = setup.sum(axis=1), seconds.sum(axis=1)
-        if r == 0:
+        if r == 0:  # a workspace is a function of its problem, a solve of its fixings and cutoff
             structures = sum(
                 not all(map(same_arrays, structure(a), structure(b))) for a, b in zip(ws_old, ws_new)
             )
             print(
-                f"workspaces testing rows: parent {sum(map(tests_rows, ws_old))}, "
-                f"this {sum(map(tests_rows, ws_new))} of {len(spaces)}",
+                f"workspaces testing rows: parent {sum(ws._tests_rows for ws in ws_old)}, "
+                f"this {sum(ws._tests_rows for ws in ws_new)} of {len(spaces)}",
                 flush=True,
             )
-        cut = [b.status == "cutoff" for b in new]
-        cutoffs = max(cutoffs, sum(cut))
-        if not both:
-            margins = bound_margins(old, new)
-        elif r == 0:  # a solve is a function of its fixings and cutoff: one check does
+            cut = [b.status == "cutoff" for b in new]
+            cutoffs = sum(cut)
             uncut = {
                 i: ws_old[calls[i][0]].solve(fixings=calls[i][1]) for i, c in enumerate(cut) if c
             }
             margins = bound_margins(uncut, new)
-        unsound = max(unsound, sum(m < -BOUND_TOL for m in margins))
-        margin = min([margin, *margins])
-        solved = list(zip(old, new)) if both else [(a, b) for a, b, c in zip(old, new, cut) if not c]
-        differing = sum(not same(a, b) for a, b in solved)
+            unsound = sum(m < -BOUND_TOL for m in margins)
+            margin = min(margins, default=math.inf)
+        differing = sum(not same(a, b) for a, b in zip(old, new))
         if differing > differ:
-            differ, how = differing, differences(*zip(*solved))
+            differ, how = differing, differences(old, new)
         setup_ratios.append(s_new / s_parent)
         ratios.append(t_new / t_parent)
         print(
@@ -278,7 +251,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(
         f"median set-up ratio {statistics.median(setup_ratios):.3f}, median solve ratio "
         f"{statistics.median(ratios):.3f}; workspace structures differing: {structures} of {len(spaces)}; "
-        f"solutions differing: {differ} of {len(calls) if both else len(calls) - cutoffs}"
+        f"solutions differing: {differ} of {len(calls)}"
     )
     print(
         f"cutoff solves: {cutoffs} of {len(calls)}; unsound bounds: {unsound}; "
