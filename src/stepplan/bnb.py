@@ -1,10 +1,12 @@
 """Best-first branch-and-bound over the binary set of a MIQP.
 
-Nodes are ordered by their convex relaxation bound; branching picks the most
-fractional binary (|v - 0.5| minimal, ties to the lowest index). Each
-relaxation is one interior-point solve in a shared ``BoxQp`` workspace with
-the node's binaries pinned; it starts from the same interior point whatever
-the node, so a relaxation depends on its fixings alone. Each tree therefore
+Nodes are ordered by their convex relaxation bound. A node's heap entry
+keeps the fixings each of its children adds, as ``branch`` gives them: the
+most fractional binary (|v - 0.5| minimal, ties to the lowest index) at 0,
+then at 1; its pop solves the children in that order. Each relaxation is
+one interior-point solve in a shared ``BoxQp`` workspace with the node's
+binaries pinned; it starts from the same interior point whatever the node,
+so a relaxation depends on its fixings alone. Each tree therefore
 keeps a memo of its relaxations keyed by the fixing set: a tree node or a
 rounding candidate that asks for fixings solved before gets the stored
 result instead of a new solve. A node is pruned when its bound reaches the
@@ -12,11 +14,16 @@ incumbent less PRUNE_EPS. Every relaxation is asked for with that value as
 its cutoff, so one whose certified lower bound reaches it ends early with
 status "cutoff": a child that ends so is pruned like an infeasible one, and
 a rounding candidate that ends so cannot beat the incumbent. Incumbents come
-from rounding the root relaxation, integral relaxations, and rounding a
-popped node's relaxation every HEURISTIC_INTERVAL pops. Everything is
-deterministic: identical problems and limits reproduce identical node
-counts and solutions (time limits excepted). A brute-force enumerator over all binary patterns
-serves as the testing oracle for small instances.
+from one path: a rounding hook turns a relaxed ``x`` under a node's fixings
+into complete candidates (every free binary fixed), and each is relaxed,
+snapped to exact 0/1 binaries and kept if it beats the incumbent. A
+model-aware hook may be given; the generic rule (argmax within choice
+groups, threshold elsewhere) is the default. The path rounds the root
+relaxation, integral relaxations, and a popped node's relaxation every
+HEURISTIC_INTERVAL pops. Everything is deterministic: identical problems and
+limits reproduce identical node counts and solutions (time limits excepted).
+A brute-force enumerator over all binary patterns serves as the testing
+oracle for small instances.
 """
 
 from __future__ import annotations
@@ -70,8 +77,8 @@ class MiqpLimits:
 class MiqpSolution:
     """Incumbent (exactly integral binaries) plus solve statistics.
 
-    ``refix_solves`` counts the relaxations that integral snaps and the
-    rounding heuristic asked for, memo hits included; ``cutoff_solves`` the
+    ``refix_solves`` counts the relaxations the incumbent path asked for,
+    one per rounding candidate, memo hits included; ``cutoff_solves`` the
     relaxation solves that ended at the incumbent cutoff."""
 
     x: np.ndarray | None
@@ -110,25 +117,30 @@ def _choice_groups(problem: MiqpProblem) -> list[np.ndarray]:
     return groups
 
 
+def _snap(problem: MiqpProblem, x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with its binaries rounded to exactly 0 or 1."""
+    x = x.copy()
+    x[problem.binary_indices] = np.round(x[problem.binary_indices])
+    return x
+
+
 class _Tree:
     def __init__(self, problem: MiqpProblem, limits: MiqpLimits, rounding=None):
         self.problem = problem
         self.limits = limits
-        self.rounding = rounding
+        self.rounding = rounding or self.generic_rounding
         self.ws = BoxQp.from_miqp(problem)
         lb, ub = problem.lower, problem.upper
-        self.free_bins = np.array(
-            [i for i in problem.binary_indices if lb[i] < ub[i]], dtype=int
-        )
+        self.free_bins = [int(i) for i in problem.binary_indices if lb[i] < ub[i]]
         self.groups = _choice_groups(problem)
         self.incumbent_x: np.ndarray | None = None
         self.incumbent_obj = math.inf
         # relaxations asked for, memo hits included
         self.nodes = 0  # by tree nodes
-        self.refix_solves = 0  # by integral snaps and heuristics
+        self.refix_solves = 0  # by the incumbent path
         self.cutoff_solves = 0  # solves that ended at the incumbent cutoff
-        # open subtrees: (bound, -tick, fixings, branching variable, relaxed x)
-        self.heap: list[tuple[float, int, dict[int, float], int, np.ndarray]] = []
+        # open subtrees: (bound, -tick, fixings, children's added fixings, relaxed x)
+        self.heap: list[tuple[float, int, dict[int, float], tuple[dict[int, float], ...], np.ndarray]] = []
         self.tick = 0
         self.relaxations: dict[frozenset, QpSolution] = {}
 
@@ -147,54 +159,20 @@ class _Tree:
             self.cutoff_solves += sol.status == "cutoff"
         return sol
 
-    def node_solve(self, fixings: dict[int, float]) -> QpSolution:
-        self.nodes += 1
-        return self.relax(fixings)
-
-    def fractional_var(self, x: np.ndarray, fixings: dict[int, float]) -> int | None:
+    def branch(self, x: np.ndarray, fixings: dict[int, float]) -> tuple[dict[int, float], ...] | None:
+        """The fixings each child adds, or None when ``x`` is integral: the
+        most fractional free binary at 0, then at 1."""
         best_i, best_d = None, math.inf
         for i in self.free_bins:
-            i = int(i)
-            if i in fixings:
+            if i in fixings or min(abs(x[i]), abs(x[i] - 1.0)) <= INT_TOL:
                 continue
-            v = x[i]
-            if min(abs(v), abs(v - 1.0)) <= INT_TOL:
-                continue
-            d = abs(v - 0.5)
+            d = abs(x[i] - 0.5)
             if d < best_d - 1e-15:
                 best_d, best_i = d, i
-        return best_i
+        return None if best_i is None else ({best_i: 0.0}, {best_i: 1.0})
 
-    def try_incumbent(self, fixings: dict[int, float]) -> None:
-        """Fix every free binary per ``fixings``, resolve, snap and maybe update."""
-        sol = self.relax(fixings)
-        self.refix_solves += 1
-        if sol.status != "optimal":
-            return
-        x = sol.x.copy()
-        x[self.problem.binary_indices] = np.round(x[self.problem.binary_indices])
-        obj = self.problem.objective_value(x)
-        if obj < self.incumbent_obj - 1e-12:
-            self.incumbent_obj = obj
-            self.incumbent_x = x
-
-    def rounding_candidates(self, x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
-        """Deterministic integral completions to try as incumbents.
-
-        A model-aware ``rounding`` hook replaces the generic rule when given;
-        it may propose several candidates."""
-        if self.rounding is not None:
-            cands = []
-            for cand in self.rounding(x, fixings):
-                out = dict(cand)
-                for i in self.free_bins:
-                    out.setdefault(int(i), 1.0 if x[int(i)] > 0.5 else 0.0)
-                cands.append(out)
-            return cands
-        return [self._generic_rounding(x, fixings)]
-
-    def _generic_rounding(self, x: np.ndarray, fixings: dict[int, float]) -> dict[int, float]:
-        """Argmax within choice groups, threshold elsewhere."""
+    def generic_rounding(self, x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
+        """The default rounding hook: argmax within choice groups, threshold elsewhere."""
         out = dict(fixings)
         for g in self.groups:
             free = [int(i) for i in g if int(i) not in fixings]
@@ -208,58 +186,61 @@ class _Tree:
             for i in free:
                 out[i] = 1.0 if i == pick else 0.0
         for i in self.free_bins:
-            i = int(i)
             if i not in out:
                 out[i] = 1.0 if x[i] > 0.5 else 0.0
-        return out
+        return [out]
+
+    def incumbent(self, x: np.ndarray, fixings: dict[int, float]) -> None:
+        """Relax each candidate the rounding hook gives for ``x`` under
+        ``fixings``, snap it and keep it if it beats the incumbent."""
+        for cand in self.rounding(x, fixings):
+            sol = self.relax(cand)
+            self.refix_solves += 1
+            if sol.status != "optimal":
+                continue
+            snapped = _snap(self.problem, sol.x)
+            obj = self.problem.objective_value(snapped)
+            if obj < self.incumbent_obj - 1e-12:
+                self.incumbent_obj, self.incumbent_x = obj, snapped
+
+    def push(self, bound: float, fixings: dict[int, float], x: np.ndarray) -> None:
+        """Open a node at ``fixings``, or round ``x`` when it is integral."""
+        children = self.branch(x, fixings)
+        if children is None:
+            self.incumbent(x, fixings)
+            return
+        # ties on the bound pop newest-first: equal-bound plateaus are
+        # traversed depth-first instead of exhaustively breadth-first
+        heapq.heappush(self.heap, (bound, -self.tick, fixings, children, x))
+        self.tick += 1
 
     def result(self, status: str | None, t0: float) -> MiqpSolution:
-        wall = time.perf_counter() - t0
-        if self.heap:
-            best_bound = min(self.heap[0][0], self.incumbent_obj)
-        else:
-            best_bound = self.incumbent_obj
+        best_bound = min(self.heap[0][0], self.incumbent_obj) if self.heap else self.incumbent_obj
+        gap = max(_relative_gap(self.incumbent_obj, best_bound), 0.0)
         if self.incumbent_x is None:
             status = status or "infeasible"
-            return MiqpSolution(
-                None, math.inf, status, math.inf, self.nodes, wall,
-                best_bound if self.heap else math.inf, self.refix_solves, self.cutoff_solves,
-            )
-        gap = max(_relative_gap(self.incumbent_obj, best_bound), 0.0)
-        if status is None:
+        elif status is None:
             status = "optimal" if gap <= OPTIMAL_GAP else "gap-limit"
         return MiqpSolution(
-            self.incumbent_x, self.incumbent_obj, status, gap,
-            self.nodes, wall, best_bound, self.refix_solves, self.cutoff_solves,
+            self.incumbent_x, self.incumbent_obj, status, gap, self.nodes,
+            time.perf_counter() - t0, best_bound, self.refix_solves, self.cutoff_solves,
         )
 
     def run(self) -> MiqpSolution:
         t0 = time.perf_counter()
         limits = self.limits
-        root = self.node_solve({})
+        self.nodes += 1
+        root = self.relax({})
         if root.status == "infeasible":
-            return self.result("infeasible", t0)
-        if self.free_bins.size == 0:
-            x = root.x.copy()
-            x[self.problem.binary_indices] = np.round(x[self.problem.binary_indices])
-            self.incumbent_x = x
-            self.incumbent_obj = self.problem.objective_value(x)
             return self.result(None, t0)
-        for cand in self.rounding_candidates(root.x, {}):
-            self.try_incumbent(cand)
-        var = self.fractional_var(root.x, {})
-        if var is not None:
-            # ties on the bound pop newest-first: equal-bound plateaus are
-            # traversed depth-first instead of exhaustively breadth-first
-            heapq.heappush(self.heap, (root.objective, -self.tick, {}, var, root.x))
-            self.tick += 1
+        self.push(root.objective, {}, root.x)
+        if self.heap:  # push rounds an integral root; a fractional one is rounded here
+            self.incumbent(root.x, {})
 
         status = None
         pops = 0
         while self.heap:
-            gap = _relative_gap(self.incumbent_obj, self.heap[0][0])
-            if gap <= limits.gap:
-                status = "optimal" if gap <= OPTIMAL_GAP else "gap-limit"
+            if _relative_gap(self.incumbent_obj, self.heap[0][0]) <= limits.gap:
                 break
             if limits.max_nodes is not None and self.nodes >= limits.max_nodes:
                 status = "node-limit"
@@ -267,34 +248,24 @@ class _Tree:
             if limits.time_limit is not None and time.perf_counter() - t0 > limits.time_limit:
                 status = "time-limit"
                 break
-            bound, _, fixings, var, x = heapq.heappop(self.heap)
+            bound, _, fixings, children, x = heapq.heappop(self.heap)
             if bound >= self.incumbent_obj - PRUNE_EPS:
                 self.heap.clear()  # best-first: all remaining nodes are prunable
                 break
             pops += 1
-            for val in (0.0, 1.0):
-                child_fix = dict(fixings)
-                child_fix[var] = val
-                sol = self.node_solve(child_fix)
+            for child in children:
+                child_fix = {**fixings, **child}
+                self.nodes += 1
+                sol = self.relax(child_fix)
                 if sol.status in ("infeasible", "cutoff"):
                     continue
-                if sol.status == "max-iterations":
-                    # unresolved relaxation: inherit the parent bound (still valid)
-                    child_bound = bound
-                else:
-                    child_bound = max(sol.objective, bound)
+                # an unresolved relaxation inherits the parent bound (still valid)
+                child_bound = bound if sol.status == "max-iterations" else max(sol.objective, bound)
                 if child_bound >= self.incumbent_obj - PRUNE_EPS:
                     continue
-                child_var = self.fractional_var(sol.x, child_fix)
-                if child_var is None:
-                    for cand in self.rounding_candidates(sol.x, child_fix):
-                        self.try_incumbent(cand)
-                    continue
-                heapq.heappush(self.heap, (child_bound, -self.tick, child_fix, child_var, sol.x))
-                self.tick += 1
+                self.push(child_bound, child_fix, sol.x)
             if pops % HEURISTIC_INTERVAL == 0:
-                for cand in self.rounding_candidates(x, fixings):
-                    self.try_incumbent(cand)
+                self.incumbent(x, fixings)
         return self.result(status, t0)
 
 
@@ -305,10 +276,10 @@ def solve_miqp(
 ) -> MiqpSolution:
     """Solve a MIQP by best-first branch-and-bound over its binary variables.
 
-    ``rounding`` is an optional model-aware completion hook
-    ``fn(x, fixings) -> list of fixings`` used by the incumbent heuristic in
-    place of the generic argmax rounding; each candidate it returns is
-    completed and tried as an incumbent.
+    ``rounding`` is an optional model-aware hook ``fn(x, fixings) -> list of
+    fixings``; each candidate it returns must fix every free binary, and is
+    relaxed, snapped and tried as an incumbent. The generic rule (argmax
+    within choice groups, threshold elsewhere) is the default hook.
     """
     return _Tree(problem, limits or MiqpLimits(), rounding=rounding).run()
 
@@ -327,26 +298,18 @@ def brute_force_solve(problem: MiqpProblem) -> MiqpSolution:
             f"brute force refused: {len(free)} free binaries exceeds {BRUTE_FORCE_MAX_BINARIES}"
         )
     ws = BoxQp.from_miqp(problem)
-    best_x = None
-    best_obj = math.inf
-    solves = 0
+    best_x, best_obj = None, math.inf
     for pattern in itertools.product((0.0, 1.0), repeat=len(free)):
-        fixings = dict(zip(free, pattern))
-        sol = ws.solve(fixings=fixings)
-        solves += 1
+        sol = ws.solve(fixings=dict(zip(free, pattern)))
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":
             raise StepPlanError(
                 f"brute force relaxation did not converge for pattern {pattern}"
             )
-        x = sol.x.copy()
-        x[problem.binary_indices] = np.round(x[problem.binary_indices])
+        x = _snap(problem, sol.x)
         obj = problem.objective_value(x)
         if obj < best_obj - 1e-12:
-            best_obj = obj
-            best_x = x
-    wall = time.perf_counter() - t0
-    if best_x is None:
-        return MiqpSolution(None, math.inf, "infeasible", math.inf, solves, wall, math.inf)
-    return MiqpSolution(best_x, best_obj, "optimal", 0.0, solves, wall, best_obj)
+            best_obj, best_x = obj, x
+    status, gap = ("infeasible", math.inf) if best_x is None else ("optimal", 0.0)
+    return MiqpSolution(best_x, best_obj, status, gap, 2 ** len(free), time.perf_counter() - t0, best_obj)

@@ -204,7 +204,7 @@ class MiqpProblem:
     lower: np.ndarray
     upper: np.ndarray
     binary_indices: np.ndarray
-    layout: VariableLayout
+    layout: VariableLayout | None  # None for problems not built by ``assemble``
     ineq_families: tuple[str, ...]
     ineq_labels: tuple[str, ...]
     eq_families: tuple[str, ...]
@@ -225,6 +225,10 @@ class MiqpProblem:
     def objective_value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(x @ (self.q_matrix @ x) + self.c_vector @ x + self.objective_constant)
+
+    def var_name(self, index: int) -> str:
+        """The layout's name of a flat index, or ``x<index>`` without a layout."""
+        return f"x{index}" if self.layout is None else self.layout.var_name(index)
 
 
 class _RowBag:
@@ -980,24 +984,19 @@ def validate_assignment(problem: MiqpProblem, x, tol: float = 1e-6) -> Assignmen
     # NaN fails every comparison below, so each non-finite entry is
     # reported here, once, as outside its (finite) bounds
     finite = np.isfinite(x)
+    name = problem.var_name
     for i in np.flatnonzero(~finite):
-        note("bounds", "bound", int(i), math.inf, f"{problem.layout.var_name(int(i))} not finite")
+        note("bounds", "bound", int(i), math.inf, f"{name(int(i))} not finite")
     low = problem.lower - x
     high = x - problem.upper
     for i in np.flatnonzero((low > 0) & finite):
-        note("bounds", "bound", int(i), float(low[i]), f"{problem.layout.var_name(int(i))} below lower")
+        note("bounds", "bound", int(i), float(low[i]), f"{name(int(i))} below lower")
     for i in np.flatnonzero((high > 0) & finite):
-        note("bounds", "bound", int(i), float(high[i]), f"{problem.layout.var_name(int(i))} above upper")
+        note("bounds", "bound", int(i), float(high[i]), f"{name(int(i))} above upper")
     worst.setdefault("bounds", 0.0)
     frac = np.minimum(np.abs(x[problem.binary_indices]), np.abs(x[problem.binary_indices] - 1.0))
     for pos, i in enumerate(problem.binary_indices):
         if frac[pos] > 0 and finite[i]:
-            note(
-                "integrality",
-                "integrality",
-                int(i),
-                float(frac[pos]),
-                f"{problem.layout.var_name(int(i))} not 0/1",
-            )
+            note("integrality", "integrality", int(i), float(frac[pos]), f"{name(int(i))} not 0/1")
     worst.setdefault("integrality", 0.0)
     return AssignmentReport(tuple(violations), tol, worst)

@@ -32,8 +32,7 @@ def _row_text(names, a_csr, row: int, wrap: list[str]) -> None:
 
 
 def problem_to_lp(problem: MiqpProblem, name: str = "footstep_miqp") -> str:
-    layout = problem.layout
-    names = [layout.var_name(i) for i in range(problem.n_vars)]
+    names = [problem.var_name(i) for i in range(problem.n_vars)]
     out = [f"\\ {name}", "Minimize", " obj:"]
     line = "   "
     first = True

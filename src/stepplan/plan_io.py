@@ -100,6 +100,16 @@ def _points(v, path: str) -> np.ndarray:
     return np.array([_as_floats(p, 3, f"{path}[{k}]") for k, p in enumerate(_array(v, path))])
 
 
+def _yaw_range(v, path: str) -> tuple[float, float]:
+    lo, hi = _as_floats(v, 2, path)
+    return (lo, hi) if lo < hi else _fail(f"expected a nonempty interval, got {v!r}", path)
+
+
+def _segment_count(v, path: str) -> int:
+    n = _as_int(v, path)
+    return n if n >= 2 else _fail(f"expected an integer >= 2, got {v!r}", path)
+
+
 def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepPlan:
     """Rebuild a FootstepPlan (without solver state) and cross-check the robot block."""
     where = f"{source}: " if source else ""
@@ -136,8 +146,8 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
                 index=_field(c, "index", at, _as_int),
                 start_footholds=_field(c, "start_footholds", at, _points),
                 start_yaw=_field(c, "start_yaw", at, _as_float),
-                theta_range=_field(c, "theta_range", at, lambda v, p: tuple(_as_floats(v, 2, p))),
-                n_segments=_field(c, "n_segments", at, _as_int),
+                theta_range=_field(c, "theta_range", at, _yaw_range),
+                n_segments=_field(c, "n_segments", at, _segment_count),
                 chunk_steps=_field(c, "chunk_steps", at, _as_int),
                 kept_count=_field(c, "kept", at, _as_int),
                 n_variables=_field(c, "variables", at, _as_int),

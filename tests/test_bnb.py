@@ -13,7 +13,8 @@ from stepplan.bnb import (
     solve_miqp,
 )
 from stepplan.errors import ContractViolation
-from stepplan.formulation import MiqpProblem
+from stepplan.formulation import MiqpProblem, validate_assignment
+from stepplan.lp_export import problem_to_lp
 from stepplan.qp import BoxQp
 
 
@@ -104,6 +105,17 @@ class TestSolveMiqp:
         # the cap is checked before each pop, and a pop solves both children
         assert sol.nodes <= max_nodes + 1
 
+    def test_time_limit_status(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        prob = random_instance(rng)
+        assert solve_miqp(prob).nodes > 1  # the unlimited tree pops
+        ticks = itertools.count()
+        monkeypatch.setattr(bnb.time, "perf_counter", lambda: float(next(ticks)))  # 1 s per call
+        sol = solve_miqp(prob, limits=MiqpLimits(time_limit=0.5))
+        assert sol.status == "time-limit" and sol.nodes == 1
+        if sol.feasible:
+            assert sol.best_bound <= sol.objective
+
     def test_incumbent_binaries_exactly_integral(self):
         rng = np.random.default_rng(123)
         prob = random_instance(rng)
@@ -120,6 +132,43 @@ class TestSolveMiqp:
         assert a.nodes == b.nodes
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
+
+
+class TestBranch:
+    def test_children_split_the_most_fractional_free_binary(self):
+        # 0 is continuous, 1 a binary pinned by its bounds, 2-6 free binaries
+        prob = make_problem(np.eye(7), np.zeros(7), lb=[-1.0, 1.0] + [0.0] * 5, ub=[1.0] * 7, bins=range(1, 7))
+        tree = bnb._Tree(prob, MiqpLimits())
+        x = np.array([0.5, 0.5, 0.3, 0.6, 0.6 - 1e-16, 1.0 - 0.5 * bnb.INT_TOL, 0.5])
+        assert tree.branch(x, {}) == ({6: 0.0}, {6: 1.0})
+        # 3 and 4 tie within 1e-15: the lower index wins
+        assert tree.branch(x, {6: 1.0}) == ({3: 0.0}, {3: 1.0})
+        assert tree.branch(x, {6: 1.0, 3: 0.0}) == ({4: 0.0}, {4: 1.0})
+        assert tree.branch(x, {6: 1.0, 3: 0.0, 4: 1.0}) == ({2: 0.0}, {2: 1.0})
+        # 5 lies within INT_TOL of 1
+        assert tree.branch(x, {6: 1.0, 3: 0.0, 4: 1.0, 2: 0.0}) is None
+        assert tree.branch(np.array([0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 1.0]), {}) is None
+
+
+class TestProblemsWithoutLayout:
+    @staticmethod
+    def problem():
+        return make_problem(np.eye(3), [0.0, 0.0, -1.0], lb=[-1.0, -1.0, 0.0], ub=[1.0, 1.0, 1.0], bins=[2],
+                            a_in=[[1.0, 1.0, 0.0]], b_in=[1.5])
+
+    def test_violations_name_variables_by_index(self):
+        prob = self.problem()
+        for x, label in (([-2.0, 0.0, 1.0], "x0 below lower"), ([0.0, np.nan, 0.0], "x1 not finite"),
+                         ([0.0, 0.0, 0.25], "x2 not 0/1")):
+            report = validate_assignment(prob, np.array(x), 1e-6)
+            assert [v.label for v in report.violations] == [label]
+
+    def test_lp_export_names_variables_by_index(self):
+        lines = problem_to_lp(self.problem()).splitlines()
+        assert lines[lines.index("Subject To") + 1:] == [
+            " c1:", "  1 x0 + 1 x1 <= 1.5", "Bounds", " -1 <= x0 <= 1", " -1 <= x1 <= 1", "Binaries", " x2 ",
+            "End",
+        ]
 
 
 class TestBruteForce:

@@ -124,6 +124,17 @@ class TestValidateCommand:
         assert code == EXIT_PARSE
         assert "steps[0]" in err and "'x'" in err
 
+    def test_bad_segment_count_is_parse_error(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"])
+        doc = json.loads(plan_path.read_text())
+        doc["chunks"][0]["n_segments"] = 0
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["validate", str(plan_path), str(scenario_file)])
+        assert code == EXIT_PARSE
+        assert "chunks[0].n_segments" in capsys.readouterr().err
+
     def test_malformed_robot_block_is_parse_error(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"])

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepplan.bnb import MiqpLimits, _Tree
 from stepplan.errors import AssemblyError, ContractViolation, InfeasibleScenarioError
 from stepplan.formulation import (
     VariableLayout,
@@ -451,6 +452,23 @@ class TestRoundingHeuristic:
             ref = reference_candidates(scn, prob, x, fixings)
             assert [list(c.items()) for c in got] == [list(c.items()) for c in ref]
 
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_candidates_fix_every_binary(self, preset_plans, preset):
+        # the tree relaxes each candidate as the hook returns it
+        for chunk in preset_plans[preset].result.chunks:
+            prob = assemble(chunk.scenario)
+            root = BoxQp.from_miqp(prob).solve()
+            tree = _Tree(prob, MiqpLimits())
+            hook = make_rounding_heuristic(chunk.scenario, prob)
+            binaries = set(prob.binary_indices.tolist())
+            fixings = level = [{}]
+            for _ in range(3):  # the child fixing sets of three branchings
+                level = [{**f, **child} for f in level for child in tree.branch(root.x, f) or ()]
+                fixings = fixings + level
+            assert len(fixings) == 15
+            for f in fixings:
+                cands = hook(root.x, f)
+                assert cands and all(binaries <= c.keys() for c in cands)
 
 
 def reference_candidates(scn, prob, x, fixings):

@@ -121,6 +121,18 @@ class TestPlanFile:
             with pytest.raises(ScenarioParseError, match=rf"{where}\[0\]\.{key}"):
                 plan_from_dict(doc, scn)
 
+    def test_bad_yaw_table_names_its_path(self, planned):
+        scn, result = planned
+        bad = (
+            ("n_segments", 0), ("n_segments", 1), ("n_segments", -2),
+            ("theta_range", [0.8, -0.8]), ("theta_range", [0.5, 0.5]), ("theta_range", [float("nan"), 0.8]),
+        )
+        for key, value in bad:
+            doc = plan_to_dict(result, scn)
+            doc["chunks"][0][key] = value
+            with pytest.raises(ScenarioParseError, match=rf"chunks\[0\]\.{key}"):
+                plan_from_dict(doc, scn)
+
     def test_byte_identical_output(self, planned):
         scn, result = planned
         assert plan_to_json(result, scn) == plan_to_json(result, scn)

@@ -4,23 +4,24 @@
 For each bundled preset, planned at default ``plan()`` limits, it prints the
 chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
 calls, their total interior-point iterations and how many ended at the
-incumbent cutoff (status "cutoff"), each chunk's objective
-(``%.9g``) and the sha256 of the plan JSON followed by the plan SVG. A
-change that moves only the last bits of a plan keeps the statuses, nodes,
-iterations and objectives and shows a new sha256; one that only ends more
-relaxations at the cutoff changes the iterations and cutoffs alone. A second
-line per preset gives the sha256 of every field of the problems ``assemble``
-builds from it at 1, 2 and 4 configurations under each CoC convention (see
-``problem_fields``), so a change to ``assemble`` that moves one bit shows even
-when no plan moves. One more line gives the sha256 of every preset's region
-boxes (``lo`` then ``hi`` bytes, presets and regions in order), so a change to
-the load path that moves a box shows even when no plan moves. For each seed
-given to ``--tree-seed`` it runs the ``tree_random_miqp`` benchmark workload
-on the batch of that seed and prints the total node count, the solve,
-iteration and cutoff counts and the sha256 of every solution ``x`` (bytes in
-batch order). Run it from the repository root on two commits and compare the
-outputs; only the solve, iteration and cutoff counts may differ between two
-commits that keep every plan:
+incumbent cutoff (status "cutoff"), the total ``MiqpSolution.refix_solves``
+of its chunks (the relaxations the incumbent path asked for), each chunk's
+objective (``%.9g``) and the sha256 of the plan JSON followed by the plan
+SVG. A change that moves only the last bits of a plan keeps the statuses,
+nodes, iterations and objectives and shows a new sha256; one that only ends
+more relaxations at the cutoff changes the iterations and cutoffs alone. A
+second line per preset gives the sha256 of every field of the problems
+``assemble`` builds from it at 1, 2 and 4 configurations under each CoC
+convention (see ``problem_fields``), so a change to ``assemble`` that moves
+one bit shows even when no plan moves. One more line gives the sha256 of
+every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
+order), so a change to the load path that moves a box shows even when no plan
+moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
+benchmark workload on the batch of that seed and prints the total node
+count, the solve, iteration, cutoff and refix counts and the sha256 of every
+solution ``x`` (bytes in batch order). Run it from the repository root on two
+commits and compare the outputs; only the solve, iteration, cutoff and refix
+counts may differ between two commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
 """
@@ -97,10 +98,14 @@ def recorded_solves():
         qp.BoxQp.solve = real
 
 
-def solve_counts(solves) -> str:
-    """The number of solves, their total iterations and how many ended at the cutoff."""
+def solve_counts(solves, results) -> str:
+    """The number of solves, their total iterations, how many ended at the
+    cutoff and the total ``refix_solves`` of the ``MiqpSolution`` results."""
     cutoffs = sum(sol.status == "cutoff" for sol in solves)
-    return f"solves={len(solves)} iterations={sum(sol.iterations for sol in solves)} cutoffs={cutoffs}"
+    return (
+        f"solves={len(solves)} iterations={sum(sol.iterations for sol in solves)} cutoffs={cutoffs} "
+        f"refix={sum(r.refix_solves for r in results)}"
+    )
 
 
 def preset_digest(path: Path) -> str:
@@ -112,7 +117,8 @@ def preset_digest(path: Path) -> str:
     nodes = ",".join(str(c.solution.nodes) for c in result.chunks)
     objectives = ",".join("%.9g" % c.solution.objective for c in result.chunks)
     return (
-        f"{path.stem}: status={chunk_statuses} nodes={nodes} {solve_counts(solves)} "
+        f"{path.stem}: status={chunk_statuses} nodes={nodes} "
+        f"{solve_counts(solves, [c.solution for c in result.chunks])} "
         f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
@@ -153,7 +159,7 @@ def tree_digest(seed: int) -> str:
         digest.update(sol.x.tobytes() if sol.x is not None else b"infeasible")
     return (
         f"tree_random_miqp seed {seed}: problems={len(problems)} "
-        f"nodes={sum(s.nodes for s in sols)} {solve_counts(solves)} "
+        f"nodes={sum(s.nodes for s in sols)} {solve_counts(solves, sols)} "
         f"sha256={digest.hexdigest()}"
     )
 
