@@ -5,6 +5,11 @@ inequalities, linear equalities, variable bounds and integrality of the
 binary index set. Constraint rows carry a family tag (geometric,
 reachability, region, trig, trim) so violations can be reported per family.
 
+``VariableLayout`` alone knows where each block of variables sits: it keeps
+every block (feet, yaws, sines, cosines, region binaries, the two segment
+blocks, trims) as an array of positions in the vector, and ``assemble``, the
+rounding heuristic and the planner's step extraction index with those arrays.
+
 Footstep bounds are boxes read from each step's own rows: walked in step
 order, every reference-box, reach and height-change row pair
 |foot - e| <= lim  clips its foot to the range of  e  over the bounds fixed
@@ -23,8 +28,9 @@ b = 0. Every row the bounds already imply is dropped.
 Rows are collected as blocks of entry arrays (row, column, value), and each
 constraint family is one array pass: the region rows, hull rows and choice
 equalities of every (step, region) pair at once, each chord table's rows
-for one configuration tiled over all of them by column offset, every
-step's trim pins and monotone row, and the row pairs of the expression
+for one configuration, which every configuration takes from its own row of
+the layout's yaw, sine, cosine and segment columns, every step's trim pins
+and monotone row, and the row pairs of the expression
 table, each row's columns sorted. The box rule writes the CSR matrix
 straight from the entries: one ``np.bincount`` gives every row's excess,
 the M of an indicator row is its last entry (binary columns follow every
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -57,11 +62,21 @@ _COMP = {"x": 0, "y": 1, "z": 2}
 class VariableLayout:
     """Index map of the flat decision vector.
 
-    Order: footstep coordinates (x, y, z per step), yaw / sine / cosine per
-    configuration, region binaries (step-major), sine segment binaries
-    (configuration-major), cosine segment binaries, trim binaries. Steps,
-    configurations, regions, segments and legs are all 1-based here, matching
-    the planning domain; returned indices are 0-based positions in the vector.
+    The layout is the one owner of where each block sits: it lays the blocks
+    out once, in order, and keeps each as a read-only array of 0-based
+    positions in the vector:
+
+    - ``feet`` (n_steps, 3): footstep coordinates x, y, z per step;
+    - ``thetas``, ``sines``, ``cosines`` (n_configs,): yaw, sine, cosine per
+      configuration;
+    - ``regions`` (n_steps, n_regions): region binaries, step-major;
+    - ``sin_segments``, ``cos_segments`` (n_configs, n_segments): sine, then
+      cosine segment binaries, configuration-major;
+    - ``trims`` (n_steps,): trim binaries.
+
+    Callers index the vector with these arrays. The scalar accessors take
+    steps, configurations, regions and segments 1-based, matching the
+    planning domain, and read the same arrays.
     """
 
     n_steps: int
@@ -74,120 +89,85 @@ class VariableLayout:
             raise ContractViolation(
                 f"step count {self.n_steps} is not a multiple of n_legs {self.n_legs}"
             )
-
-    @cached_property
-    def n_configs(self) -> int:
-        return self.n_steps // self.n_legs
-
-    # block starts
-    @cached_property
-    def _theta0(self) -> int:
-        return 3 * self.n_steps
-
-    @cached_property
-    def _sin0(self) -> int:
-        return self._theta0 + self.n_configs
-
-    @cached_property
-    def _cos0(self) -> int:
-        return self._sin0 + self.n_configs
-
-    @cached_property
-    def _region0(self) -> int:
-        return self._cos0 + self.n_configs
-
-    @cached_property
-    def _sinseg0(self) -> int:
-        return self._region0 + self.n_steps * self.n_regions
-
-    @cached_property
-    def _cosseg0(self) -> int:
-        return self._sinseg0 + self.n_configs * self.n_segments
-
-    @cached_property
-    def _trim0(self) -> int:
-        return self._cosseg0 + self.n_configs * self.n_segments
-
-    @cached_property
-    def size(self) -> int:
-        return self._trim0 + self.n_steps
+        steps, configs = self.n_steps, self.n_steps // self.n_legs
+        size, named = 0, []
+        # in layout order, each block with the prefix of its variable names
+        for name, prefix, shape in (
+            ("feet", "f", (steps, 3)), ("thetas", "th", (configs,)), ("sines", "s", (configs,)),
+            ("cosines", "c", (configs,)), ("regions", "H", (steps, self.n_regions)),
+            ("sin_segments", "S", (configs, self.n_segments)), ("cos_segments", "C", (configs, self.n_segments)),
+            ("trims", "t", (steps,)),
+        ):
+            block = np.arange(size, size + math.prod(shape)).reshape(shape)
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
+            named.append((prefix, block))
+            size += block.size
+        object.__setattr__(self, "n_configs", configs)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_named_blocks", tuple(named))
 
     @property
     def continuous_count(self) -> int:
-        return self._region0
+        return self.feet.size + self.thetas.size + self.sines.size + self.cosines.size
 
     @property
     def binary_count(self) -> int:
-        return self.size - self._region0
+        return self.size - self.continuous_count
 
     def foot(self, step: int, comp) -> int:
-        c = _COMP[comp] if isinstance(comp, str) else int(comp)
-        self._check(step, self.n_steps, "step")
-        return 3 * (step - 1) + c
+        c = _COMP.get(comp, -1) if isinstance(comp, str) else int(comp)
+        if not 0 <= c < 3:
+            raise ContractViolation(f"component {comp!r} is not one of x, y, z or 0..2")
+        return int(self.feet[self._check(step, self.n_steps, "step"), c])
 
     def theta(self, config: int) -> int:
-        self._check(config, self.n_configs, "config")
-        return self._theta0 + config - 1
+        return int(self.thetas[self._check(config, self.n_configs, "config")])
 
     def sin(self, config: int) -> int:
-        self._check(config, self.n_configs, "config")
-        return self._sin0 + config - 1
+        return int(self.sines[self._check(config, self.n_configs, "config")])
 
     def cos(self, config: int) -> int:
-        self._check(config, self.n_configs, "config")
-        return self._cos0 + config - 1
+        return int(self.cosines[self._check(config, self.n_configs, "config")])
 
     def region(self, step: int, region: int) -> int:
-        self._check(step, self.n_steps, "step")
-        self._check(region, self.n_regions, "region")
-        return self._region0 + (step - 1) * self.n_regions + region - 1
+        return int(self.regions[
+            self._check(step, self.n_steps, "step"), self._check(region, self.n_regions, "region")
+        ])
 
     def sin_segment(self, config: int, segment: int) -> int:
-        self._check(config, self.n_configs, "config")
-        self._check(segment, self.n_segments, "segment")
-        return self._sinseg0 + (config - 1) * self.n_segments + segment - 1
+        return int(self.sin_segments[
+            self._check(config, self.n_configs, "config"), self._check(segment, self.n_segments, "segment")
+        ])
 
     def cos_segment(self, config: int, segment: int) -> int:
-        self._check(config, self.n_configs, "config")
-        self._check(segment, self.n_segments, "segment")
-        return self._cosseg0 + (config - 1) * self.n_segments + segment - 1
+        return int(self.cos_segments[
+            self._check(config, self.n_configs, "config"), self._check(segment, self.n_segments, "segment")
+        ])
 
     def trim(self, step: int) -> int:
-        self._check(step, self.n_steps, "step")
-        return self._trim0 + step - 1
+        return int(self.trims[self._check(step, self.n_steps, "step")])
 
     def binary_indices(self) -> np.ndarray:
         """All binary variable positions: the blocks from the region binaries on."""
-        return np.arange(self._region0, self.size)
+        return np.arange(self.continuous_count, self.size)
 
     def var_name(self, index: int) -> str:
         """Stable human-readable name of a flat index (used by the MIP export)."""
-        if index < self._theta0:
-            step, c = divmod(index, 3)
-            return f"f{step + 1}{'xyz'[c]}"
-        if index < self._sin0:
-            return f"th{index - self._theta0 + 1}"
-        if index < self._cos0:
-            return f"s{index - self._sin0 + 1}"
-        if index < self._region0:
-            return f"c{index - self._cos0 + 1}"
-        if index < self._sinseg0:
-            step, r = divmod(index - self._region0, self.n_regions)
-            return f"H{step + 1}_{r + 1}"
-        if index < self._cosseg0:
-            cfg, k = divmod(index - self._sinseg0, self.n_segments)
-            return f"S{cfg + 1}_{k + 1}"
-        if index < self._trim0:
-            cfg, k = divmod(index - self._cosseg0, self.n_segments)
-            return f"C{cfg + 1}_{k + 1}"
-        if index < self.size:
-            return f"t{index - self._trim0 + 1}"
+        for prefix, block in self._named_blocks:
+            if block.size and block.flat[0] <= index <= block.flat[-1]:
+                at = [int(k) + 1 for k in np.unravel_index(index - block.flat[0], block.shape)]
+                if prefix == "f":
+                    return f"f{at[0]}{'xyz'[at[1] - 1]}"
+                return prefix + "_".join(map(str, at))
         raise ContractViolation(f"index {index} outside layout of size {self.size}")
 
     @staticmethod
-    def _check(value: int, limit: int, what: str) -> None:
+    def _check(value: int, limit: int, what: str) -> int:
+        """The 0-based position of the 1-based ``value`` in 1..``limit``."""
         if not 1 <= value <= limit:
             raise ContractViolation(f"{what} {value} outside 1..{limit}")
+        return value - 1
 
 
 @dataclass(frozen=True)
@@ -373,17 +353,18 @@ def _graph_hull_edges(knots: list[tuple[float, float]]) -> list[tuple[float, flo
 
 
 def _chord_rows(table: PwlTable, tag: str, th: int, val: int, seg0: int):
-    """The trig rows of the first configuration for one chord table.
+    """The trig rows of one configuration for one chord table.
 
-    ``th``, ``val`` and ``seg0`` are the columns of that configuration's
-    yaw, the table's value and its first segment binary. Per segment: the
-    rows  theta <= hi,  -theta <= -lo  and the chord pair, enforced by the
-    segment's binary; then the envelope rows over the one-hot segment
-    choice, implied for integral selections, and the rows of the chord
-    graph's hull, which couple the value to theta for fractional choices as
-    well. Configuration c repeats them on columns  column + c * stride.
-    Returns the rows' columns, strides and values (padded to 1 + segments
-    entries), rhs and binaries (-1 for none), then their names.
+    ``th``, ``val`` and ``seg0`` are the positions of the configuration's
+    yaw, the table's value and its first segment binary in a row that lists
+    the configuration's columns, the segments' positions following ``seg0``.
+    Per segment: the rows  theta <= hi,  -theta <= -lo  and the chord pair,
+    enforced by the segment's binary; then the envelope rows over the
+    one-hot segment choice, implied for integral selections, and the rows of
+    the chord graph's hull, which couple the value to theta for fractional
+    choices as well. Returns the rows' positions and values (padded to
+    1 + segments entries), rhs and binary positions (-1 for none), then
+    their names.
     """
     k = table.n_segments
     t, m, n = table.breakpoints, table.slopes, table.intercepts
@@ -391,12 +372,10 @@ def _chord_rows(table: PwlTable, tag: str, th: int, val: int, seg0: int):
     hull = np.array(_graph_hull_edges(list(zip(t.tolist(), v.tolist())))).reshape(-1, 3)
     n_rows = 4 * k + 4 + len(hull)
     cols = np.zeros((n_rows, 1 + k), dtype=int)
-    strides = np.zeros((n_rows, 1 + k), dtype=int)
     vals = np.zeros((n_rows, 1 + k))
     rhs = np.zeros(n_rows)
     binaries = np.zeros(n_rows, dtype=int)
     cols[:, 0], cols[:, 1] = th, val
-    strides[:, :2] = 1
     # per segment: theta hi, theta lo, chord +, chord -
     seg_vals, seg_rhs = vals[: 4 * k].reshape(k, 4, -1), rhs[: 4 * k].reshape(k, 4)
     seg_vals[:, 0, 0], seg_vals[:, 1, 0], seg_vals[:, 2, 0], seg_vals[:, 3, 0] = 1.0, -1.0, -m, m
@@ -408,7 +387,6 @@ def _chord_rows(table: PwlTable, tag: str, th: int, val: int, seg0: int):
     cols[env, 0] = th, th, val, val
     vals[env, 0] = 1.0, -1.0, 1.0, -1.0
     cols[env, 1:] = seg0 + np.arange(k)
-    strides[env, 1:] = k
     vals[env, 1:] = -t[1:], t[:-1], -np.maximum(v[:-1], v[1:]), np.minimum(v[:-1], v[1:])
     is_upper = hull[:, 2] > 0
     sign = 2.0 * is_upper - 1.0
@@ -420,7 +398,7 @@ def _chord_rows(table: PwlTable, tag: str, th: int, val: int, seg0: int):
     ]
     names += [f"{tag} envelope {side}" for side in ("theta hi", "theta lo", "value hi", "value lo")]
     names += [f"{tag} hull {'upper' if up else 'lower'} {e}" for e, up in enumerate(is_upper.tolist())]
-    return (cols, strides, vals, rhs, binaries), names
+    return (cols, vals, rhs, binaries), names
 
 
 def _quadratic_terms(cols: np.ndarray, vals: np.ndarray, consts: np.ndarray, weight: np.ndarray):
@@ -458,8 +436,6 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     robot = scenario.robot
     n = robot.n_legs
     n_steps = scenario.max_steps
-    if n_steps % n != 0:
-        raise ContractViolation("max_steps must be a multiple of n_legs")
     n_regions = len(scenario.regions)
     if n_regions == 0:
         raise AssemblyError("scenario has no safe regions")
@@ -476,16 +452,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     s_knots, c_knots = np.sin(sin_table.breakpoints), np.cos(cos_table.breakpoints)
     s_rng = (float(s_knots.min()), float(s_knots.max()))
     c_rng = (float(c_knots.min()), float(c_knots.max()))
-    box_lo, box_hi = scenario.workspace_box
-    # in layout order: feet, then yaw / sine / cosine blocks, then binaries
-    lower = np.concatenate([
-        np.concatenate([box_lo] * n_steps), np.repeat([lo_t, s_rng[0], c_rng[0]], layout.n_configs),
-        np.zeros(layout.binary_count),
-    ])
-    upper = np.concatenate([
-        np.concatenate([box_hi] * n_steps), np.repeat([hi_t, s_rng[1], c_rng[1]], layout.n_configs),
-        np.ones(layout.binary_count),
-    ])
+    lower, upper = np.zeros(n_vars), np.ones(n_vars)  # the binaries' bounds
+    for block, lo, hi in (
+        (layout.feet, *scenario.workspace_box), (layout.thetas, lo_t, hi_t),
+        (layout.sines, *s_rng), (layout.cosines, *c_rng),
+    ):
+        lower[block], upper[block] = lo, hi
 
     # ---- start configuration constants ------------------------------------
     start = scenario.start_footholds
@@ -505,7 +477,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # active), so the clipped boxes are valid bounds; they keep every big-M
     # derived from them small, and an empty one proves the step unplaceable.
     steps = np.arange(n_steps)
-    feet = 3 * steps[:, None] + np.arange(3)
+    feet = layout.feet
     # each step's five e (reference x, y, reach x, y, dz) as one table of
     # columns, values (zero padding) and constants. A linearized nominal
     # foothold holds its CoC window's feet, each over the window size, then
@@ -519,7 +491,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     e_cols = np.zeros((n_steps, 5, size + 2), dtype=int)
     e_vals = np.zeros(e_cols.shape)
     e_consts = np.zeros((n_steps, 5))
-    e_cols[:, :2, :size] = np.where(real[:, None], 3 * window[:, None] + np.arange(2)[:, None], 0)
+    e_cols[:, :2, :size] = np.where(real[:, None], feet[window, :2].transpose(0, 2, 1), 0)
     e_vals[:, :2, :size] = np.where(real, scale, 0.0)[:, None]
     # (a sum from 0.0 never reaches -0.0, so the real feet's 0.0 terms leave it as is)
     start_terms = np.where(real[:, None], 0.0, scale * start[window % n, :2].transpose(0, 2, 1))
@@ -530,7 +502,8 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     l_cos = robot.l_leg * np.array([math.cos(phi) for phi in robot.leg_offsets])[legs]
     l_sin = robot.l_leg * np.array([math.sin(phi) for phi in robot.leg_offsets])[legs]
     # x: the cosine, then the sine column; y: the sine, then the cosine
-    e_cols[:, :2, size:] = layout._sin0 + steps[:, None, None] // n + layout.n_configs * np.eye(2, dtype=int)
+    trig = np.column_stack([layout.cosines, layout.sines])[steps // n]
+    e_cols[:, 0, size:], e_cols[:, 1, size:] = trig, trig[:, ::-1]
     e_vals[:, 0, size:] = np.column_stack([l_cos, -l_sin])
     e_vals[:, 1, size:] = np.column_stack([l_cos, l_sin])
     # the reach box is the reference box of the leg's previous step, or its start stance
@@ -615,9 +588,8 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         np.concatenate([-b_all] * n_steps), lower, upper,
     ).reshape(n_steps, n_half)
     excluded = np.minimum.reduceat(outside, first_rows, axis=1) < -1e-12
-    region_cols = layout._region0 + n_regions * steps[:, None] + np.arange(n_regions)
-    upper[region_cols[excluded]] = 0.0
-    eq.add(region_cols, np.ones(region_cols.shape), np.ones(n_steps), "region",
+    upper[layout.regions[excluded]] = 0.0
+    eq.add(layout.regions, np.ones(layout.regions.shape), np.ones(n_steps), "region",
            [f"step {i} region choice" for i in range(1, n_steps + 1)])
     stuck = np.flatnonzero(excluded.all(axis=1))
     if stuck.size:
@@ -639,13 +611,13 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     cols[:, :n_half, :3] = feet[:, None]
     vals[:, :n_half, :3] = halfspaces
     rhs[:n_half] = b_all
-    binaries[:, :n_half] = region_cols[:, region_of]
+    binaries[:, :n_half] = layout.regions[:, region_of]
     live[:, :n_half] = ~excluded[:, region_of]
     names = [f"in {reg.name} row {row}" for reg in scenario.regions for row in range(reg.n_rows)]
     if add_hull:
         box_lo, box_hi = (np.array([reg.bbox[side] for reg in scenario.regions]) for side in (0, 1))
         cols[:, n_half:, 0] = feet.repeat(2, axis=1)
-        cols[:, n_half:, 1 : 1 + n_regions] = region_cols[:, None]
+        cols[:, n_half:, 1 : 1 + n_regions] = layout.regions[:, None]
         vals[:, n_half:, 0] = 1.0, -1.0, 1.0, -1.0, 1.0, -1.0
         vals[:, n_half:, 1 : 1 + n_regions] = np.concatenate([-box_hi.T, box_lo.T], axis=1).reshape(6, -1)
         names += [f"region hull {sign}{tag}" for tag in "xyz" for sign in "+-"]
@@ -657,24 +629,23 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     )
 
     # ---- (d) piecewise-linear trig segment selection ------------------------
-    # one configuration's rows per table; configuration c repeats them on
-    # columns  column + c * stride
-    n_seg, n_cfg, th = scenario.n_segments, layout.n_configs, layout._theta0
+    # one configuration's rows per table, on positions in a row of
+    # ``local``, which lists each configuration's yaw, sine, cosine and
+    # segment columns; every configuration takes them from its own row
+    n_seg, n_cfg = scenario.n_segments, layout.n_configs
+    local = np.column_stack([layout.thetas, layout.sines, layout.cosines, layout.sin_segments, layout.cos_segments])
     (sin_rows, sin_names), (cos_rows, cos_names) = (
-        _chord_rows(sin_table, "sin", th, layout._sin0, layout._sinseg0),
-        _chord_rows(cos_table, "cos", th, layout._cos0, layout._cosseg0),
+        _chord_rows(sin_table, "sin", 0, 1, 3),
+        _chord_rows(cos_table, "cos", 0, 2, 3 + n_seg),
     )
-    cols, strides, vals, rhs, binaries = map(np.concatenate, zip(sin_rows, cos_rows))
-    cfgs = np.arange(n_cfg)[:, None, None]
+    cols, vals, rhs, binaries = map(np.concatenate, zip(sin_rows, cos_rows))
     ineq.add(
-        (cols + strides * cfgs).reshape(-1, 1 + n_seg),
+        local[:, cols].reshape(-1, 1 + n_seg),
         np.concatenate([vals] * n_cfg), np.concatenate([rhs] * n_cfg), "trig",
         [f"config {c} {name}" for c in range(1, n_cfg + 1) for name in sin_names + cos_names],
-        np.where(binaries >= 0, binaries + n_seg * cfgs[:, :, 0], -1).ravel(),
+        np.where(binaries >= 0, local[:, binaries], -1).ravel(),
     )
-    choice = (
-        np.array([layout._sinseg0, layout._cosseg0])[:, None] + n_seg * cfgs + np.arange(n_seg)
-    ).reshape(-1, n_seg)
+    choice = np.stack([layout.sin_segments, layout.cos_segments], axis=1).reshape(-1, n_seg)
     eq.add(choice, np.ones(choice.shape), np.ones(len(choice)), "trig",
            [f"config {c} {tag} segment choice" for c in range(1, n_cfg + 1) for tag in ("sin", "cos")])
 
@@ -684,14 +655,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # those binaries up front removes their reward from the relaxation
     yaw_ok = lo_t - 1e-9 <= scenario.goal_yaw <= hi_t + 1e-9
     step_goals = np.concatenate([goals] * n_cfg)
-    foot_lo = lower[: 3 * n_steps].reshape(-1, 3)
-    foot_hi = upper[: 3 * n_steps].reshape(-1, 3)
-    inside = (foot_lo - 1e-9 <= step_goals) & (step_goals <= foot_hi + 1e-9)
+    inside = (lower[feet] - 1e-9 <= step_goals) & (step_goals <= upper[feet] + 1e-9)
     can_trim = yaw_ok & inside.all(axis=1)
     # trims are monotone per leg, so a step can be trimmed only if every
     # later step of its leg can
     later = np.logical_and.accumulate(can_trim.reshape(-1, n)[::-1], axis=0)[::-1]
-    trims = layout._trim0 + steps
+    trims = layout.trims
     upper[trims[~later.ravel()]] = 0.0
     # each step's rows: pins of its foot to its leg's goal and of its
     # configuration's yaw to the goal yaw, enforced by its trim binary,
@@ -702,9 +671,9 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     rhs = np.zeros((n_steps, 9))
     binaries = np.zeros((n_steps, 9), dtype=int)
     cols[:, 0:3, 0] = cols[:, 3:6, 0] = feet
-    cols[:, 6:8, 0] = (th + steps // n)[:, None]
+    cols[:, 6:8, 0] = layout.thetas[steps // n, None]
     vals[:, :8, 0] = 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0
-    cols[:, 8, 0], cols[:, 8, 1] = trims, trims + n
+    cols[:, 8, 0], cols[:-n, 8, 1] = trims, trims[n:]
     vals[:, 8] = 1.0, -1.0
     goal_yaw = float(scenario.goal_yaw)
     rhs[:, 0:3], rhs[:, 3:6], rhs[:, 6], rhs[:, 7] = step_goals, -step_goals, goal_yaw, -goal_yaw
@@ -723,7 +692,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # each of its coordinates and the last yaw minus their goals
     last = np.arange(n_steps - n, n_steps)
     goal_cols = np.empty((n, 4, 1), dtype=int)
-    goal_cols[:, :3, 0], goal_cols[:, 3, 0] = feet[last], th + n_cfg - 1
+    goal_cols[:, :3, 0], goal_cols[:, 3, 0] = feet[last], layout.thetas[-1]
     goal_consts = np.empty((n, 4))
     goal_consts[:, :3], goal_consts[:, 3] = -step_goals[last], -goal_yaw
     goal = _quadratic_terms(goal_cols, np.ones((n, 4, 1)), goal_consts, scenario.q_goal)
@@ -794,7 +763,7 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     goal. Node fixings are respected; infeasible completions are simply
     rejected by the re-fix solve.
 
-    Each completion is a few array passes over index blocks laid out once:
+    Each completion is a few array passes over the layout's index blocks:
     one product over every region's rows gives the step-by-region violation
     matrix, and the picks are array reductions with the tie rules above.
     """
@@ -804,17 +773,11 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     n_steps, n_configs = layout.n_steps, layout.n_configs
     lo_t, hi_t = scenario.theta_range
     goal_yaw = float(scenario.goal_yaw)
-    steps, configs = range(1, n_steps + 1), range(1, n_configs + 1)
-    segments, regions = range(1, layout.n_segments + 1), range(1, layout.n_regions + 1)
     # each leg's chain of steps from the tail inward, legs in order (0-based)
-    chains = np.array([i - 1 for leg in range(1, n + 1) for i in range(n_steps - n + leg, 0, -n)])
-    trim_idx = np.array([layout.trim(i) for i in steps])
-    theta_idx = np.array([layout.theta(cfg) for cfg in configs])
+    chains = np.arange(n_steps).reshape(n_configs, n)[::-1].T.ravel()
+    trim_idx, theta_idx, region_idx, foot_idx = layout.trims, layout.thetas, layout.regions, layout.feet
     # [configuration, sin or cos, segment]
-    tables = (layout.sin_segment, layout.cos_segment)
-    seg_idx = np.array([[[seg_of(cfg, k) for k in segments] for seg_of in tables] for cfg in configs])
-    region_idx = np.array([[layout.region(i, r) for r in regions] for i in steps])
-    foot_idx = np.array([[layout.foot(i, comp) for comp in range(3)] for i in steps])
+    seg_idx = np.stack([layout.sin_segments, layout.cos_segments], axis=1)
     a_all = np.vstack([region.a_matrix for region in scenario.regions])
     b_all = np.concatenate([region.b_vector for region in scenario.regions])
     first_row = np.cumsum([0] + [region.n_rows for region in scenario.regions])[:-1]
@@ -847,7 +810,7 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
         segment = np.zeros(taken.shape, dtype=int)
         for t, table in enumerate((sin_table, cos_table)):
             segment[~taken[:, t], t] = table.segment_of(theta[~taken[:, t]])
-        k = np.arange(len(segments))
+        k = np.arange(layout.n_segments)
         nearest = np.where(allowed_s, np.abs(k - segment[..., None]), k.size).argmin(axis=2)
         at = np.take_along_axis(seg_idx, segment[..., None], axis=2)[..., 0]
         moved = (fixed[at] == 0.0) & allowed_s.any(axis=2)
@@ -869,7 +832,7 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
 
         out = dict(fixings)
         out.update(zip(trim_idx[chains].tolist(), np.where(trimmed.ravel()[chains], 1.0, 0.0).tolist()))
-        seg_on, region_on = k == segment[..., None], np.arange(len(regions)) == region[:, None]
+        seg_on, region_on = k == segment[..., None], np.arange(layout.n_regions) == region[:, None]
         for idx, on in ((seg_idx, seg_on), (region_idx, region_on)):
             unfixed = ~is_fixed[idx]
             out.update(zip(idx[unfixed].tolist(), np.where(on[unfixed], 1.0, 0.0).tolist()))
@@ -890,11 +853,11 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
         want_turn = wrap_angle(goal_yaw - scenario.start_yaw)
         turn_rate = min(
             0.3 * speed_budget / robot.l_leg,
-            abs(want_turn) / max(layout.n_configs - 1, 1),
+            abs(want_turn) / max(n_configs - 1, 1),
         )
         travels, thetas = [], []
         travel = 0.0
-        for cfg in configs:
+        for cfg in range(1, n_configs + 1):
             stride = max(stride_factor * speed_budget - robot.l_leg * turn_rate, 0.15 * speed_budget)
             travel = min(travel + stride, dist)
             turn = min(max(want_turn, -turn_rate * cfg), turn_rate * cfg)

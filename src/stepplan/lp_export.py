@@ -17,72 +17,48 @@ def _term(coef: float, name: str, first: bool) -> str:
     return f"{sign} {abs(coef):.17g} {name} "
 
 
-def _row_text(names, a_csr, row: int, wrap: list[str]) -> None:
-    start, end = a_csr.indptr[row], a_csr.indptr[row + 1]
-    line = " "
-    first = True
-    for pos in range(start, end):
-        t = _term(a_csr.data[pos], names[a_csr.indices[pos]], first)
-        first = False
-        if len(line) + len(t) > 76:
-            wrap.append(line)
-            line = "   "
+def _wrap(terms: list[str], first: str, indent: str, width: int = 76) -> list[str]:
+    """Lines holding ``terms`` in order: the first starts with ``first``, and a
+    term that would take a line past ``width`` columns starts a new line at
+    ``indent``."""
+    lines, line = [], first
+    for t in terms:
+        if len(line) + len(t) > width:
+            lines.append(line)
+            line = indent
         line += t
-    wrap.append(line)
+    lines.append(line)
+    return lines
 
 
 def problem_to_lp(problem: MiqpProblem, name: str = "footstep_miqp") -> str:
     names = [problem.var_name(i) for i in range(problem.n_vars)]
     out = [f"\\ {name}", "Minimize", " obj:"]
-    line = "   "
-    first = True
-    for i, c in enumerate(problem.c_vector):
-        if c == 0.0:
-            continue
-        t = _term(float(c), names[i], first)
-        first = False
-        if len(line) + len(t) > 76:
-            out.append(line)
-            line = "   "
-        line += t
+    linear = [(float(c), names[i]) for i, c in enumerate(problem.c_vector) if c != 0.0]
+    lines = _wrap([_term(c, var, k == 0) for k, (c, var) in enumerate(linear)], "   ", "   ")
     if problem.objective_constant != 0.0:
-        t = _term(float(problem.objective_constant), "", first)
-        first = False
-        line += t
-    out.append(line)
+        lines[-1] += _term(float(problem.objective_constant), "", not linear)
+    out += lines
     q = problem.q_matrix.tocoo()
     if q.nnz:
-        out.append("   + [")
-        line = "     "
-        for r, cc, v in sorted(zip(q.row, q.col, q.data)):
-            if v == 0.0 or r > cc:
-                continue
-            # bracket convention: objective adds [...]/2, so diagonal entries
-            # carry 2q and off-diagonal pairs 4q
-            coef = 2.0 * v if r == cc else 4.0 * v
-            term_name = f"{names[r]} ^2" if r == cc else f"{names[r]} * {names[cc]}"
-            t = _term(float(coef), term_name, False)
-            if len(line) + len(t) > 74:
-                out.append(line)
-                line = "     "
-            line += t
-        out.append(line)
-        out.append("   ] / 2")
+        # bracket convention: objective adds [...]/2, so diagonal entries
+        # carry 2q and off-diagonal pairs 4q
+        terms = [
+            _term(float(2.0 * v), f"{names[r]} ^2", False) if r == cc
+            else _term(float(4.0 * v), f"{names[r]} * {names[cc]}", False)
+            for r, cc, v in sorted(zip(q.row, q.col, q.data)) if v != 0.0 and r <= cc
+        ]
+        out += ["   + [", *_wrap(terms, "     ", "     ", 74), "   ] / 2"]
     out.append("Subject To")
-    a_in = problem.a_ineq.tocsr()
-    for r in range(problem.n_ineq):
-        out.append(f" c{r + 1}:")
-        wrap: list[str] = []
-        _row_text(names, a_in, r, wrap)
-        out.extend(wrap)
-        out[-1] += f"<= {problem.b_ineq[r]:.17g}"
-    a_eq = problem.a_eq.tocsr()
-    for r in range(problem.n_eq):
-        out.append(f" e{r + 1}:")
-        wrap = []
-        _row_text(names, a_eq, r, wrap)
-        out.extend(wrap)
-        out[-1] += f"= {problem.b_eq[r]:.17g}"
+    for tag, a, b, sense in (("c", problem.a_ineq, problem.b_ineq, "<="), ("e", problem.a_eq, problem.b_eq, "=")):
+        a = a.tocsr()
+        for r in range(b.shape[0]):
+            start, end = a.indptr[r], a.indptr[r + 1]
+            lines = _wrap(
+                [_term(a.data[pos], names[a.indices[pos]], pos == start) for pos in range(start, end)], " ", "   "
+            )
+            lines[-1] += f"{sense} {b[r]:.17g}"
+            out += [f" {tag}{r + 1}:", *lines]
     out.append("Bounds")
     binaries = set(problem.binary_indices.tolist())
     for i in range(problem.n_vars):
@@ -93,14 +69,7 @@ def problem_to_lp(problem: MiqpProblem, name: str = "footstep_miqp") -> str:
             continue
         out.append(f" {problem.lower[i]:.17g} <= {names[i]} <= {problem.upper[i]:.17g}")
     out.append("Binaries")
-    line = " "
-    for i in sorted(binaries):
-        t = names[i] + " "
-        if len(line) + len(t) > 76:
-            out.append(line)
-            line = " "
-        line += t
-    out.append(line)
+    out += _wrap([names[i] + " " for i in sorted(binaries)], " ", " ")
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -60,6 +60,9 @@ class RobotModel:
         for j, a in enumerate(self.leg_offsets):
             if not (-math.pi <= a < math.pi):
                 raise ConfigurationError(f"leg offset {j} = {a} outside [-pi, pi)")
+        for name in ("l_leg", "l_bnd", "d_lim", "dz_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.l_leg <= 0:
             raise ConfigurationError("l_leg must be positive")
         if self.l_bnd <= 0:
@@ -109,6 +112,9 @@ class SafeRegion:
             raise ConfigurationError(
                 f"region {self.name!r}: A has {a.shape[0]} rows but b has {b.shape[0]}"
             )
+        for label, arr in (("A", a), ("b", b)):
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(f"region {self.name!r}: {label} has a non-finite entry")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)
@@ -167,6 +173,15 @@ class Scenario:
 
     def validate(self) -> None:
         n = self.robot.n_legs
+        # a NaN passes every check below written as  x <= bound
+        for label, value in (
+            ("start_footholds", self.start_footholds), ("start_yaw", self.start_yaw),
+            ("goal_position", self.goal_position), ("goal_yaw", self.goal_yaw),
+            ("theta_range", self.theta_range), ("workspace_box", np.concatenate(self.workspace_box)),
+            ("q_goal", self.q_goal), ("q_r", self.q_r), ("q_t", self.q_t),
+        ):
+            if not np.isfinite(value).all():
+                raise ConfigurationError(f"{label} must be finite")
         if self.start_footholds.shape != (n, 3):
             raise ConfigurationError(
                 f"start_footholds must be ({n}, 3), got {self.start_footholds.shape}"

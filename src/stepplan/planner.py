@@ -70,28 +70,19 @@ class FootstepPlan:
 
 
 def _extract_chunk_steps(problem: MiqpProblem, x: np.ndarray, scenario: Scenario) -> list[Footstep]:
+    """Each step of a chunk's solution: its foot, its configuration's yaw,
+    its trim, and the first region whose binary is above 0.5 (or None)."""
     layout = problem.layout
-    n = scenario.robot.n_legs
-    steps = []
-    for i in range(1, scenario.max_steps + 1):
-        cfg = config_of(i, n)
-        region_name = None
-        for r in range(1, len(scenario.regions) + 1):
-            if x[layout.region(i, r)] > 0.5:
-                region_name = scenario.regions[r - 1].name
-                break
-        steps.append(
-            Footstep(
-                x=float(x[layout.foot(i, 0)]),
-                y=float(x[layout.foot(i, 1)]),
-                z=float(x[layout.foot(i, 2)]),
-                theta=float(x[layout.theta(cfg)]),
-                leg=leg_of(i, n),
-                trimmed=bool(x[layout.trim(i)] > 0.5),
-                region=region_name,
-            )
-        )
-    return steps
+    n = layout.n_legs
+    on = x[layout.regions] > 0.5
+    first = np.where(on.any(axis=1), on.argmax(axis=1), -1).tolist()
+    thetas = x[layout.thetas].tolist()
+    steps = zip(x[layout.feet].tolist(), (x[layout.trims] > 0.5).tolist(), first)
+    return [
+        Footstep(x=fx, y=fy, z=fz, theta=thetas[i // n], leg=leg_of(i + 1, n), trimmed=trimmed,
+                 region=scenario.regions[r].name if r >= 0 else None)
+        for i, ((fx, fy, fz), trimmed, r) in enumerate(steps)
+    ]
 
 
 def _drop_standing_tail(

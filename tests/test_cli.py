@@ -70,6 +70,16 @@ class TestPlanCommand:
         assert code == EXIT_PARSE
         assert "robot" in err
 
+    def test_non_finite_scenario_number_is_parse_error(self, scenario_file, tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["robot"]["l_bnd"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code = main(["plan", str(path), "--chunk", "2"])
+        assert code == EXIT_PARSE
+        assert "l_bnd must be finite" in capsys.readouterr().err
+
     def test_unreachable_goal_not_converged(self, scenario_file, tmp_path, capsys):
         doc = json.loads(scenario_file.read_text())
         doc["goal"]["position"] = [1.2, 0.0, 0.0]  # beyond the step budget

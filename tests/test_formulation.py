@@ -117,19 +117,24 @@ class TestVariableLayout:
 
     def test_index_ranges_disjoint_and_contiguous(self):
         layout = VariableLayout(8, 4, 3, 4)
-        seen = set()
+        blocks = [
+            layout.feet, layout.thetas, layout.sines, layout.cosines, layout.regions,
+            layout.sin_segments, layout.cos_segments, layout.trims,
+        ]
+        # the blocks in layout order, each row-major, count 0..size-1
+        assert [b.shape for b in blocks] == [(8, 3), (2,), (2,), (2,), (8, 3), (2, 4), (2, 4), (8,)]
+        assert np.concatenate([b.ravel() for b in blocks]).tolist() == list(range(layout.size))
+        assert not any(b.flags.writeable for b in blocks)
         for i in range(1, 9):
-            for comp in range(3):
-                seen.add(layout.foot(i, comp))
+            assert [layout.foot(i, c) for c in range(3)] == [layout.foot(i, c) for c in "xyz"] == layout.feet[i - 1].tolist()
+            assert [layout.region(i, r) for r in range(1, 4)] == layout.regions[i - 1].tolist()
+            assert layout.trim(i) == layout.trims[i - 1]
         for c in range(1, 3):
-            seen.update({layout.theta(c), layout.sin(c), layout.cos(c)})
-            for k in range(1, 5):
-                seen.update({layout.sin_segment(c, k), layout.cos_segment(c, k)})
-        for i in range(1, 9):
-            seen.add(layout.trim(i))
-            for r in range(1, 4):
-                seen.add(layout.region(i, r))
-        assert seen == set(range(layout.size))
+            assert (layout.theta(c), layout.sin(c), layout.cos(c)) == (
+                layout.thetas[c - 1], layout.sines[c - 1], layout.cosines[c - 1]
+            )
+            assert [layout.sin_segment(c, k) for k in range(1, 5)] == layout.sin_segments[c - 1].tolist()
+            assert [layout.cos_segment(c, k) for k in range(1, 5)] == layout.cos_segments[c - 1].tolist()
 
     def test_var_names_roundtrip_blocks(self):
         layout = VariableLayout(8, 4, 3, 4)
@@ -144,6 +149,13 @@ class TestVariableLayout:
             layout.foot(9, 0)
         with pytest.raises(ContractViolation):
             layout.region(1, 4)
+        # a negative index or comp must not wrap to another variable, nor comp 3 run into the next step
+        for index in (-1, -3 * 8, layout.size, layout.size + 1):
+            with pytest.raises(ContractViolation):
+                layout.var_name(index)
+        for comp in (3, -1, "w"):
+            with pytest.raises(ContractViolation):
+                layout.foot(1, comp)
 
     def test_steps_must_be_configuration_multiple(self):
         with pytest.raises(ContractViolation):

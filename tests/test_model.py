@@ -62,6 +62,14 @@ class TestRobotModel:
             with pytest.raises(ConfigurationError):
                 RobotModel(**kw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["l_leg", "l_bnd", "d_lim", "dz_max"])
+    def test_rejects_non_finite_dimensions(self, field, value):
+        kw = dict(n_legs=2, leg_offsets=(0.0, -math.pi), l_leg=0.3, l_bnd=0.1, d_lim=0.2, dz_max=0.1)
+        kw[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            RobotModel(**kw)
+
 
 class TestCoc:
     def test_square_is_centered(self):
@@ -196,6 +204,14 @@ class TestSafeRegion:
         with pytest.raises(ConfigurationError):
             SafeRegion(np.array([[1.0, 0.0]]), np.array([1.0]), "bad")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["A", "b"])
+    def test_rejects_non_finite_halfspaces(self, field, value):
+        a, b = np.eye(3), np.ones(3)
+        (a if field == "A" else b)[1, ...] = value
+        with pytest.raises(ConfigurationError, match=f"'bad': {field} has a non-finite"):
+            SafeRegion(a, b, "bad")
+
 
 class TestScenario:
     def make(self, **overrides):
@@ -254,6 +270,24 @@ class TestScenario:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ConfigurationError):
             self.make(coc_convention="sideways")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["start_footholds", "start_yaw", "goal_position", "goal_yaw", "workspace_box", "q_goal", "q_r", "q_t"]
+    )
+    def test_rejects_non_finite_numbers(self, field, value):
+        # one entry of the field is replaced; a NaN there would pass every
+        # check written as  x <= bound
+        scn = self.make()
+        if field in ("start_yaw", "goal_yaw", "q_t"):
+            override = value
+        elif field == "workspace_box":
+            override = (scn.workspace_box[0], np.array([2.0, value, 0.1]))
+        else:
+            override = getattr(scn, field).copy()
+            override[(0,) * override.ndim] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            self.make(**{field: override})
 
 
 def test_wrap_angle():

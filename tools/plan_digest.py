@@ -13,7 +13,9 @@ more relaxations at the cutoff changes the iterations and cutoffs alone. A
 second line per preset gives the sha256 of every field of the problems
 ``assemble`` builds from it at 1, 2 and 4 configurations under each CoC
 convention (see ``problem_fields``), so a change to ``assemble`` that moves
-one bit shows even when no plan moves. One more line gives the sha256 of
+one bit shows even when no plan moves, then the sha256 of the
+``problem_to_lp`` text of those problems, so a change to the variable names
+or the LP writer shows too. One more line gives the sha256 of
 every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
 order), so a change to the load path that moves a box shows even when no plan
 moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
@@ -44,6 +46,7 @@ import scipy.sparse as sp  # noqa: E402
 
 from stepplan import bnb, qp  # noqa: E402
 from stepplan.formulation import assemble  # noqa: E402
+from stepplan.lp_export import problem_to_lp  # noqa: E402
 from stepplan.model import COC_CONVENTIONS  # noqa: E402
 from stepplan.plan_io import plan_to_json  # noqa: E402
 from stepplan.planner import plan  # noqa: E402
@@ -125,7 +128,7 @@ def preset_digest(path: Path) -> str:
 
 def problem_digest(path: Path) -> str:
     scenario = load_scenario(path)
-    digest = hashlib.sha256()
+    digest, lp_digest = hashlib.sha256(), hashlib.sha256()
     for n_configs in (1, 2, 4):
         for convention in COC_CONVENTIONS:
             problem = assemble(scenario.with_overrides(
@@ -133,7 +136,11 @@ def problem_digest(path: Path) -> str:
             ))
             for name, data in problem_fields(problem):
                 digest.update(name.encode() + data)
-    return f"{path.stem} problems: configs=1,2,4 conventions=2 sha256={digest.hexdigest()}"
+            lp_digest.update(problem_to_lp(problem).encode())
+    return (
+        f"{path.stem} problems: configs=1,2,4 conventions=2 sha256={digest.hexdigest()} "
+        f"lp_sha256={lp_digest.hexdigest()}"
+    )
 
 
 def box_digest(paths: list[Path]) -> str:
