@@ -5,25 +5,25 @@ keeps the fixings each of its children adds, as ``branch`` gives them: the
 most fractional binary (|v - 0.5| minimal, ties to the lowest index) at 0,
 then at 1; its pop solves the children in that order. Each relaxation is
 one interior-point solve in a shared ``BoxQp`` workspace with the node's
-binaries pinned; it starts from the same interior point whatever the node,
-so a relaxation depends on its fixings alone. Each tree therefore
-keeps a memo of its relaxations keyed by the fixing set: a tree node or a
-rounding candidate that asks for fixings solved before gets the stored
-result instead of a new solve. A node is pruned when its bound reaches the
-incumbent less PRUNE_EPS. Every relaxation is asked for with that value as
-its cutoff, so one whose certified lower bound reaches it ends early with
-status "cutoff": a child that ends so is pruned like an infeasible one, and
-a rounding candidate that ends so cannot beat the incumbent. Incumbents come
-from one path: a rounding hook turns a relaxed ``x`` under a node's fixings
-into complete candidates (every free binary fixed), and each is relaxed,
-snapped to exact 0/1 binaries and kept if it beats the incumbent. A
-model-aware hook may be given; the generic rule (argmax within choice
-groups, threshold elsewhere) is the default. The path rounds the root
-relaxation, integral relaxations, and a popped node's relaxation every
-HEURISTIC_INTERVAL pops. Everything is deterministic: identical problems and
-limits reproduce identical node counts and solutions (time limits excepted).
-A brute-force enumerator over all binary patterns serves as the testing
-oracle for small instances.
+binaries pinned. The root starts cold; every other relaxation starts from
+the root's final iterate (a warm start), whatever the node, so once the
+root is solved a relaxation depends on its fixings alone. Each tree
+therefore keeps a memo of its relaxations keyed by the fixing set: a tree
+node or a rounding candidate that asks for fixings solved before gets the
+stored result instead of a new solve. A node is pruned when its bound
+reaches the incumbent less PRUNE_EPS. Every relaxation is asked for with
+that value as its cutoff, so one whose certified lower bound reaches it
+ends early with status "cutoff": a child that ends so is pruned like an
+infeasible one, and a rounding candidate that ends so cannot beat the
+incumbent. Incumbents come from one path: a rounding hook turns a relaxed
+``x`` under a node's fixings into complete candidates (every free binary
+fixed), and each is relaxed, snapped to exact 0/1 binaries and kept if it
+beats the incumbent. A model-aware hook may be given; the generic rule
+(argmax within choice groups, threshold elsewhere) is the default. The path
+rounds the root relaxation and integral relaxations. Everything is
+deterministic: identical problems and limits reproduce identical node
+counts and solutions (time limits excepted). A brute-force enumerator over
+all binary patterns serves as the testing oracle for small instances.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ INT_TOL = 1e-5
 PRUNE_EPS = 1e-9
 OPTIMAL_GAP = 1e-4
 BRUTE_FORCE_MAX_BINARIES = 20
-#: the rounding heuristic runs on every k-th popped node
-HEURISTIC_INTERVAL = 8
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,11 @@ class _Tree:
         self.nodes = 0  # by tree nodes
         self.refix_solves = 0  # by the incumbent path
         self.cutoff_solves = 0  # solves that ended at the incumbent cutoff
-        # open subtrees: (bound, -tick, fixings, children's added fixings, relaxed x)
-        self.heap: list[tuple[float, int, dict[int, float], tuple[dict[int, float], ...], np.ndarray]] = []
+        # open subtrees: (bound, -tick, fixings, children's added fixings)
+        self.heap: list[tuple[float, int, dict[int, float], tuple[dict[int, float], ...]]] = []
         self.tick = 0
         self.relaxations: dict[frozenset, QpSolution] = {}
+        self.root: QpSolution | None = None  # the warm start of every later relaxation
 
     def relax(self, fixings: dict[int, float]) -> QpSolution:
         """The relaxation with ``fixings`` pinned, solved once per fixing set.
@@ -150,11 +149,12 @@ class _Tree:
         A solve ends with status "cutoff" once a certified lower bound
         reaches the incumbent less PRUNE_EPS: such a node or candidate is
         pruned whatever the solve would have ended with. The incumbent only
-        falls, so a stored cutoff stays one."""
+        falls, so a stored cutoff stays one. Every solve after the root's
+        starts from the root's final iterate."""
         key = frozenset(fixings.items())
         sol = self.relaxations.get(key)
         if sol is None:
-            sol = self.ws.solve(fixings=fixings, cutoff=self.incumbent_obj - PRUNE_EPS)
+            sol = self.ws.solve(fixings=fixings, cutoff=self.incumbent_obj - PRUNE_EPS, start=self.root)
             self.relaxations[key] = sol
             self.cutoff_solves += sol.status == "cutoff"
         return sol
@@ -211,7 +211,7 @@ class _Tree:
             return
         # ties on the bound pop newest-first: equal-bound plateaus are
         # traversed depth-first instead of exhaustively breadth-first
-        heapq.heappush(self.heap, (bound, -self.tick, fixings, children, x))
+        heapq.heappush(self.heap, (bound, -self.tick, fixings, children))
         self.tick += 1
 
     def result(self, status: str | None, t0: float) -> MiqpSolution:
@@ -233,12 +233,12 @@ class _Tree:
         root = self.relax({})
         if root.status == "infeasible":
             return self.result(None, t0)
+        self.root = root
         self.push(root.objective, {}, root.x)
         if self.heap:  # push rounds an integral root; a fractional one is rounded here
             self.incumbent(root.x, {})
 
         status = None
-        pops = 0
         while self.heap:
             if _relative_gap(self.incumbent_obj, self.heap[0][0]) <= limits.gap:
                 break
@@ -248,11 +248,10 @@ class _Tree:
             if limits.time_limit is not None and time.perf_counter() - t0 > limits.time_limit:
                 status = "time-limit"
                 break
-            bound, _, fixings, children, x = heapq.heappop(self.heap)
+            bound, _, fixings, children = heapq.heappop(self.heap)
             if bound >= self.incumbent_obj - PRUNE_EPS:
                 self.heap.clear()  # best-first: all remaining nodes are prunable
                 break
-            pops += 1
             for child in children:
                 child_fix = {**fixings, **child}
                 self.nodes += 1
@@ -264,8 +263,6 @@ class _Tree:
                 if child_bound >= self.incumbent_obj - PRUNE_EPS:
                     continue
                 self.push(child_bound, child_fix, sol.x)
-            if pops % HEURISTIC_INTERVAL == 0:
-                self.incumbent(x, fixings)
         return self.result(status, t0)
 
 

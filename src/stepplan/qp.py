@@ -4,8 +4,21 @@ Solves  minimize 0.5 x'Px + q'x + const  subject to  Gx <= h,  Ax = b  and
 lo <= x <= hi  by Mehrotra's predictor-corrector method. A workspace holds
 one constraint structure. Each call pins a set of variables (the
 branch-and-bound fixings), substitutes them out, presolves the rows that
-remain and solves the reduced problem from a fixed interior starting point,
-so a result depends on the fixings alone.
+remain and solves the reduced problem. A call starts from a fixed interior
+point, or, when given one, from another call's final iterate (a warm
+start), so a result depends on the fixings and that start alone.
+
+A warm start is a ``QpSolution`` of the same workspace: its x, and the
+slack and multiplier of each of its G rows and bound sides, by original row
+and column. A call restricts it to its own free columns and kept rows,
+clips x into its box and raises every slack and multiplier to at least
+WARM_FLOOR, so that the iterate is well inside the cone; an entry the start
+does not have (a row or column its call's presolve removed) keeps the cold
+value, and the equality multipliers start at 0 (Yildirim and Wright, SIAM J.
+Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim. 13, 2002). Only
+"max-iterations" can be worse from a warm start than from the cold one (an
+infeasible verdict comes from HiGHS, a cutoff from a certified bound), so a
+warm call that ends there is solved once more, cold.
 
 The inequality rows and both sides of the variable bounds form one stacked
 operator  G_all = [G; -I; I]  with one slack and one multiplier per row, so
@@ -160,6 +173,8 @@ STALL_GROWTH = 10.0
 MU_FLOOR = 1e-32
 #: the fraction to the boundary stays below 1, so no slack lands on zero
 TAU_MAX = 1.0 - 1e-14
+#: a warm start's slacks and multipliers are raised to at least this
+WARM_FLOOR = 0.1
 
 # LAPACK directly: the checking wrappers cost more than a tiny solve. LU for
 # the full Newton matrix of a dense workspace, Cholesky and triangular solves
@@ -183,10 +198,10 @@ class QpSolution:
 
     ``y``, ``prim_res`` and ``dual_res`` are computed from the reduced
     multipliers the first time they are read, since branch-and-bound never
-    reads them. ``y`` stacks the multipliers of the inequality rows, the
-    equality rows and the variable bounds (positive on an upper side,
-    negative on a lower side); with ``x`` it satisfies stationarity to
-    ``dual_res``.
+    reads them, and so is the warm start another call may take from this
+    one. ``y`` stacks the multipliers of the inequality rows, the equality
+    rows and the variable bounds (positive on an upper side, negative on a
+    lower side); with ``x`` it satisfies stationarity to ``dual_res``.
     """
 
     x: np.ndarray
@@ -194,9 +209,10 @@ class QpSolution:
     status: str  # "optimal" | "infeasible" | "max-iterations" | "cutoff"
     iterations: int
     polished: bool = False
-    # the workspace and the reduced multipliers with their maps back to it
+    # the workspace, the reduced multipliers with their maps back to it and the reduced slacks
     _ws: BoxQp | None = field(default=None, repr=False, compare=False)
     _duals: tuple = field(default=(), repr=False, compare=False)
+    _slacks: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -209,6 +225,20 @@ class QpSolution:
     @cached_property
     def dual_res(self) -> float:
         return self._ws._dual_res(self.x, self.y)
+
+    @cached_property
+    def _start(self) -> tuple:
+        """The final iterate as a warm start: ``x``, then [s; z] of each
+        workspace G row, lower and upper bound side, NaN where the call
+        that made it had none."""
+        _, z, cols, g_rows = self._duals[:4]
+        k, nf = g_rows.size, cols.size
+        sz = np.stack([self._slacks, z])
+        rows = np.full((2, self._ws.h.shape[0]), np.nan)
+        lower, upper = np.full((2, 2, self.x.size), np.nan)
+        rows[:, g_rows] = sz[:, :k]
+        lower[:, cols], upper[:, cols] = sz[:, k : k + nf], sz[:, k + nf :]
+        return self.x, rows, lower, upper
 
 
 @dataclass
@@ -750,30 +780,46 @@ class BoxQp:
         return pairs[zero][first], pairs[zero].ravel()
 
     # ------------------------------------------------------------------ solve
-    def solve(self, fixings: dict[int, float] | None = None, cutoff: float = math.inf) -> QpSolution:
+    def solve(
+        self,
+        fixings: dict[int, float] | None = None,
+        cutoff: float = math.inf,
+        start: QpSolution | None = None,
+    ) -> QpSolution:
         """Solve the relaxation with the variables in ``fixings`` pinned.
 
-        Every call starts from the same interior point, so a result is a
-        function of the fixings and the cutoff alone. A fixing outside its
-        variable's bounds (beyond the presolve tolerance) makes the call
-        infeasible; a non-finite value or an index outside the variables is
-        a ContractViolation.
+        Without ``start``, every call starts from the same interior point.
+        With it, a solution of this workspace that has an iterate (not an
+        infeasible or cutoff one), the call starts from that solution's
+        final iterate, restricted to the call's free columns and kept rows
+        (see the module docstring); if it then ends "max-iterations", it is
+        solved once more without the start, and ``iterations`` counts both.
+        A result is a function of the fixings, the cutoff and the start
+        alone. A fixing outside its variable's bounds (beyond the presolve
+        tolerance) makes the call infeasible; a non-finite value or an
+        index outside the variables is a ContractViolation.
 
         With a finite ``cutoff``, a call whose certified lower bound reaches
         it before the iterates converge stops there with status "cutoff"
         and that bound as its objective; its ``x`` is NaN. Any other call
         returns what it returns without a cutoff, bit for bit.
         """
+        if start is not None and start._ws is not self:
+            raise ContractViolation("a warm start must be a solution with an iterate from this workspace")
         red = self._presolve(fixings)
         if red is None:
             return self._unsolved(0)
         if red.cols.size == 0:
-            return self._result(red, np.zeros(0), np.zeros(0), np.zeros(0), "optimal", 0)
+            return self._result(red, np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), "optimal", 0)
         base = slack = 0.0
         if cutoff < math.inf:  # the objective's fixed part and its rounding allowance
             x = red.x
             base, slack = float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant), self._fixed_slack
-        xr, y, z, it, status, bound = _interior_point(red, cutoff - base + slack)
+        warm = None if start is None else start._start
+        xr, y, s, z, it, status, bound = _interior_point(red, cutoff - base + slack, warm)
+        if status == "max-iterations" and warm is not None:  # the one status a start can worsen
+            xr, y, s, z, cold, status, bound = _interior_point(red, cutoff - base + slack)
+            it += cold
         if status == "infeasible":
             return self._unsolved(it)
         if status == "cutoff":
@@ -781,7 +827,7 @@ class BoxQp:
             # fall below the cutoff only by its own rounding, which the
             # allowances exceed: the cutoff is a bound as well
             return self._unsolved(it, "cutoff", max(cutoff, base - slack + bound))
-        return self._result(red, xr, y, z, status, it)
+        return self._result(red, xr, y, s, z, status, it)
 
     def _unsolved(self, iterations: int, status="infeasible", objective=math.inf) -> QpSolution:
         """A solution with no primal point: infeasible, or ended at the cutoff with a certified bound."""
@@ -791,7 +837,7 @@ class BoxQp:
         vars(sol).update(y=np.zeros(m), prim_res=math.inf, dual_res=math.inf)
         return sol
 
-    def _result(self, red: _Reduced, xr, y_red, z, status, iterations) -> QpSolution:
+    def _result(self, red: _Reduced, xr, y_red, s, z, status, iterations) -> QpSolution:
         """The full primal and objective; the multipliers are mapped on read.
 
         The solution keeps the reduced multipliers and the small index maps,
@@ -803,6 +849,7 @@ class BoxQp:
             _ws=self,
             _duals=(y_red, z, red.cols, red.g_rows, red.eq_rows, red.pair_rows,
                     red.bound_rows, red.bound_coefs),
+            _slacks=s,
         )
 
     def _multipliers(self, x, y_red, z, cols, g_rows, eq_rows, pair_rows, bound_rows, bound_coefs):
@@ -942,8 +989,9 @@ class _CholeskyNewton:
         return d
 
 
-def _interior_point(red: _Reduced, cutoff: float):
-    """Mehrotra predictor-corrector on the reduced problem.
+def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
+    """Mehrotra predictor-corrector on the reduced problem, from a fixed
+    interior point or from the warm ``start`` (``QpSolution._start``).
 
     The inequality rows and both sides of the variable bounds form one
     stacked system  G_all x + s = h_all, that is  Gx + s = h,  -x + s_l = -lo
@@ -955,8 +1003,8 @@ def _interior_point(red: _Reduced, cutoff: float):
     stall, or when the iterates do not converge. Before either, and on each
     iteration whose objective has reached ``cutoff``, the call ends with
     status "cutoff" if the certified lower bound (``cutoff_bound``) has
-    reached it too. Returns ``(x, y, z, iterations, status, bound)``, with
-    that bound for a cutoff and -inf otherwise.
+    reached it too. Returns ``(x, y, s, z, iterations, status, bound)``,
+    with that bound for a cutoff and -inf otherwise.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
@@ -986,6 +1034,8 @@ def _interior_point(red: _Reduced, cutoff: float):
     xy = np.zeros(nf + me)
     x, y = xy[:nf], xy[nf:]
     np.multiply(0.5, red.lo + red.hi, out=x)
+    if start is not None:
+        np.clip(start[0][red.cols], red.lo, red.hi, out=x)
     sz = np.ones(2 * n_cone)
     s, z = sz[:n_cone], sz[n_cone:]
     dsz = np.empty(2 * n_cone)
@@ -1007,6 +1057,10 @@ def _interior_point(red: _Reduced, cutoff: float):
     gx_b, z_b, t_b, ds_b, neg_rp_b = map(blocks, (gx, z, t, ds, neg_rp))
     stack(x, gx_b)
     np.maximum(h_all - gx, 1.0, out=s)
+    if start is not None:  # [s; z] of the start's rows and bound sides; NaN keeps the cold value
+        _, rows, lower, upper = start
+        warm = np.concatenate([rows[:, red.g_rows], lower[:, red.cols], upper[:, red.cols]], axis=1)
+        np.copyto(sz.reshape(2, n_cone), np.maximum(warm, WARM_FLOOR), where=~np.isnan(warm))
     # each iteration writes the Newton matrix into one F-ordered buffer and
     # factors it in place: LAPACK sees the column-major matrix that a copy of
     # a C-ordered one gives it, without the copy
@@ -1072,9 +1126,9 @@ def _interior_point(red: _Reduced, cutoff: float):
             and _norm(r_d) <= eps * scale_d
             and mu * n_cone <= eps * (1.0 + abs(obj))
         ):
-            return x, y, z, it - 1, "optimal", -math.inf
+            return x, y, s, z, it - 1, "optimal", -math.inf
         if obj >= cutoff and (bound := cutoff_bound()) is not None:
-            return x, y, z, it - 1, "cutoff", bound
+            return x, y, s, z, it - 1, "cutoff", bound
         if mu * n_cone <= MU_FLOOR * (1.0 + abs(obj)):
             break
         res_p, z_max = prim / scale_p, float(np.maximum.reduce(z))
@@ -1083,10 +1137,10 @@ def _interior_point(red: _Reduced, cutoff: float):
             old_res, old_z = history[-1 - STALL_ITERS]
             if res_p > STALL_RATIO * old_res and z_max > STALL_GROWTH * old_z:
                 if cutoff < math.inf and (bound := cutoff_bound()) is not None:
-                    return x, y, z, it - 1, "cutoff", bound
+                    return x, y, s, z, it - 1, "cutoff", bound
                 feasible = _feasible(red)
                 if not feasible:
-                    return x, y, z, it - 1, "infeasible", -math.inf
+                    return x, y, s, z, it - 1, "infeasible", -math.inf
         if not system.factor(np.divide(z, s, out=weights)):
             break
         # the parts of the Newton right-hand side both solves share
@@ -1136,10 +1190,10 @@ def _interior_point(red: _Reduced, cutoff: float):
         np.dot(p, x, out=px)
         np.dot(a_t, y, out=ay)
         if (bound := cutoff_bound()) is not None:
-            return x, y, z, it, "cutoff", bound
+            return x, y, s, z, it, "cutoff", bound
     if feasible is None:
         feasible = _feasible(red)
-    return x, y, z, it, "max-iterations" if feasible else "infeasible", -math.inf
+    return x, y, s, z, it, "max-iterations" if feasible else "infeasible", -math.inf
 
 
 def _feasible(red: _Reduced) -> bool:

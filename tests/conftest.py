@@ -1,14 +1,21 @@
 """Shared fixtures: the bundled presets, planned once per session."""
 
-from pathlib import Path
-from typing import NamedTuple
+import os
 
-import pytest
+# one BLAS thread, as in the benchmark: set before numpy is first imported.
+# The suite's products are tiny, and threads only contend for the cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from stepplan import qp
-from stepplan.model import Scenario
-from stepplan.planner import FootstepPlan, plan
-from stepplan.scenario_io import load_scenario
+from pathlib import Path  # noqa: E402
+from typing import NamedTuple  # noqa: E402
+
+import pytest  # noqa: E402
+
+from stepplan import qp  # noqa: E402
+from stepplan.model import Scenario  # noqa: E402
+from stepplan.planner import FootstepPlan, plan  # noqa: E402
+from stepplan.scenario_io import load_scenario  # noqa: E402
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
 

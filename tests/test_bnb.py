@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from stepplan.bnb import (
     solve_miqp,
 )
 from stepplan.errors import ContractViolation
-from stepplan.formulation import MiqpProblem, validate_assignment
+from stepplan.formulation import MiqpProblem, assemble, make_rounding_heuristic, validate_assignment
 from stepplan.lp_export import problem_to_lp
 from stepplan.qp import BoxQp
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
 
 
 def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=None):
@@ -287,7 +290,10 @@ class TestRelaxationMemo:
         assert len(calls) == len(set(calls))
         memo_calls = len(calls)
         calls.clear()
-        monkeypatch.setattr(bnb._Tree, "relax", lambda self, fixings: self.ws.solve(fixings=fixings))
+        # no memo, the same warm start: every solve after the root's starts from the root's iterate
+        monkeypatch.setattr(
+            bnb._Tree, "relax", lambda self, fixings: self.ws.solve(fixings=fixings, start=self.root)
+        )
         plain = solve_miqp(prob)
         assert len(calls) > memo_calls
         assert (sol.status, sol.nodes, sol.objective) == (plain.status, plain.nodes, plain.objective)
@@ -298,14 +304,42 @@ class TestRelaxationMemo:
         assert np.allclose(sol.x, brute.x, atol=1e-5)
 
 
+class TestWarmStartedRelaxations:
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_warm_matches_cold_on_chunk_problems(self, preset_plans, preset):
+        # the children of the root and the rounding candidates at the root
+        # and at each child, each relaxed cold and from the root's iterate
+        its = np.zeros(2, dtype=int)  # cold, warm
+        for chunk in preset_plans[preset].result.chunks:
+            prob = assemble(chunk.scenario)
+            tree = bnb._Tree(prob, MiqpLimits())
+            root = tree.ws.solve()
+            hook = make_rounding_heuristic(chunk.scenario, prob)
+            children = list(tree.branch(root.x, {}))
+            for fixings in children + [c for f in [{}] + children for c in hook(root.x, f)]:
+                cold, warm = tree.ws.solve(fixings), tree.ws.solve(fixings, start=root)
+                assert warm.status == cold.status
+                if cold.status == "infeasible":
+                    continue
+                its += cold.iterations, warm.iterations
+                # x is not unique (Q has rank 19-25), so only the objective
+                # and feasibility are compared. Both objectives are inexact:
+                # on the worst case, solved again to EPS_ABS = 1e-14, the
+                # cold one lay 1.6e-8 and the warm one 7.0e-8 above the optimum
+                assert abs(warm.objective - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
+                assert warm.prim_res <= 1e-9
+        assert its[1] < its[0]
+
+
 class TestCutoffPruning:
     def test_unconverged_trees_prune_on_certified_bounds(self, monkeypatch):
-        # 8 iterations leave many relaxations unconverged and still find
-        # incumbents, so relaxations end at the cutoff from unconverged iterates
+        # 7 iterations leave many relaxations unconverged, warm-started ones
+        # included, and still find incumbents, so relaxations end at the
+        # cutoff from unconverged iterates
         rng = np.random.default_rng(2024)
         problems = [random_instance(rng, 10, 8, 8) for _ in range(30)]
         with monkeypatch.context() as m:
-            m.setattr(qp, "MAX_ITER", 8)
+            m.setattr(qp, "MAX_ITER", 7)
             trees = [bnb._Tree(prob, MiqpLimits()) for prob in problems]
             sols = [tree.run() for tree in trees]
         statuses = [s.status for tree in trees for s in tree.relaxations.values()]

@@ -1172,3 +1172,63 @@ class TestCutoff:
         assert sol.status == "cutoff" and math.isfinite(sol.objective)
         assert np.array_equal(sol.y, np.zeros(prob.n_ineq + prob.n_eq + prob.n_vars))
         assert sol.prim_res == sol.dual_res == math.inf
+
+
+class TestWarmStart:
+    """A solve started from the root's final iterate ends as the cold solve
+    does: the same status, the same objective to the interior point's
+    accuracy and, where x is unique, the same x to what that accuracy allows."""
+
+    def test_warm_matches_cold_on_criterion_1_problems(self):
+        rng = np.random.default_rng(26)
+        its = np.zeros(2, dtype=int)  # cold, warm
+        for _ in range(60):
+            prob = criterion_1_problem(rng)
+            ws = BoxQp.from_miqp(prob)
+            root = ws.solve()
+            assert root.status == "optimal"
+            bins = prob.binary_indices.tolist()
+            rounded = {i: float(root.x[i] > 0.5) for i in bins}
+            children = [{i: v} for i in bins for v in (0.0, 1.0)]
+            candidates = [rounded] + [{**rounded, i: 1.0 - rounded[i]} for i in bins]
+            for fixings in children + candidates:
+                cold, warm = ws.solve(fixings), ws.solve(fixings, start=root)
+                assert warm.status == cold.status
+                if cold.status == "infeasible":
+                    continue
+                its += cold.iterations, warm.iterations
+                assert abs(warm.objective - cold.objective) <= 1e-8 * max(1.0, abs(cold.objective))
+                # the Hessian is at least 0.04 I, so x is unique, but an
+                # objective within d of the optimum only puts x within
+                # sqrt(2 d / 0.04) of it
+                assert np.max(np.abs(warm.x - cold.x)) <= 1e-4
+        assert its[1] < 0.85 * its[0]
+
+    def test_warm_max_iterations_is_solved_again_cold(self, monkeypatch):
+        prob = criterion_1_problem(np.random.default_rng(5))
+        ws = BoxQp.from_miqp(prob)
+        root = ws.solve()
+        fixings = {int(prob.binary_indices[0]): 1.0 - round(root.x[prob.binary_indices[0]])}
+        cold, warm = ws.solve(fixings), ws.solve(fixings, start=root)
+        assert cold.status == warm.status == "optimal"
+        real = qp_module._interior_point
+
+        def warm_fails(red, cutoff, start=None):
+            out = real(red, cutoff, start)
+            return out if start is None else (*out[:5], "max-iterations", out[6])
+
+        monkeypatch.setattr(qp_module, "_interior_point", warm_fails)
+        retried = ws.solve(fixings, start=root)
+        assert retried.iterations == warm.iterations + cold.iterations
+        assert same_solution(dataclasses.replace(retried, iterations=cold.iterations), cold)
+
+    def test_start_must_be_an_iterate_of_this_workspace(self):
+        prob = criterion_1_problem(np.random.default_rng(7))
+        ws, other = BoxQp.from_miqp(prob), BoxQp.from_miqp(prob)
+        root = ws.solve()
+        with pytest.raises(ContractViolation, match="warm start"):
+            other.solve(start=root)
+        no_iterate = ws.solve(cutoff=root.objective - 0.1)
+        assert no_iterate.status == "cutoff"
+        with pytest.raises(ContractViolation, match="warm start"):
+            ws.solve(start=no_iterate)

@@ -4,22 +4,35 @@
 Records every workspace and every ``BoxQp.solve`` call of the
 ``tree_random_miqp`` benchmark workload on the batch of one seed, or of
 ``plan()`` on each bundled preset named with ``--preset`` (the workspace's
-problem and the call's fixings and cutoff). It then replays them through the
-``qp`` module of PARENT_DIR and through this checkout's, over ``--rounds``
-rounds: first ``BoxQp.from_miqp`` workspace by workspace, then the solves
-call by call, with the first of the two alternating. Both checkouts
-replay each call with its cutoff. The two checkouts' workspaces must find
-the same opposite row pairs and pair groups and agree on whether their
+problem and the call's fixings, cutoff and warm start, the latter as the
+earlier call whose solution it is). It then replays them through the ``qp``
+module of PARENT_DIR and through this checkout's, over ``--rounds`` rounds:
+first ``BoxQp.from_miqp`` workspace by workspace, then the solves call by
+call, with the first of the two alternating. Both checkouts replay each call
+with its cutoff; a warm call starts from its start call's replayed solution
+in this checkout, and in the parent when the parent's ``BoxQp.solve`` takes
+a start, else the parent solves it cold. The two checkouts' workspaces must
+find the same opposite row pairs and pair groups and agree on whether their
 presolve tests rows. Every ``QpSolution`` of this checkout must equal the
 parent's bit for bit in every field, with its lazily computed ``y``,
-``prim_res`` and ``dual_res`` (read after the timed replay). One that
+``prim_res`` and ``dual_res`` (read after the timed replay), except a warm
+call that the parent solved cold. That one must end with the same status
+and, unless infeasible or ended at the cutoff, an objective within
+``WARM_TOL`` relative (to max(1, |objective|)) of the parent's; or one of
+the two ends at the cutoff and the other is infeasible or converges
+("optimal") to an objective no more than ``WARM_TOL`` below the cutoff,
+which a certified bound at the cutoff allows: two iterate paths can reach
+the bound, or the LP's verdict, at different times. One that
 ended at the cutoff (status "cutoff") holds a certified lower bound as its
 objective: unless the parent's solve of that call without a cutoff is
 infeasible, the parent's objective must not lie below that bound by more
 than ``BOUND_TOL`` relative. The parent solves those calls once more
 without a cutoff for this, on the first round and untimed. The tool
 prints the number of cutoff solves, the unsound ones and the smallest
-relative margin of a parent objective over its bound. It also prints the
+relative margin of a parent objective over its bound, the number of warm
+calls, the largest relative objective difference of those the parent solved
+cold, and the ratio of this checkout's total interior-point iterations to
+the parent's (a warm call's cold retry included). It also prints the
 median over rounds of this checkout's set-up time and solve time over the
 parent's, and, for each checkout, the sum over workspaces and over calls
 of each one's minimum time across rounds, with the ratio of those sums: a
@@ -49,6 +62,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import math
 import os
 import statistics
@@ -71,6 +85,9 @@ from stepplan import bnb, qp  # noqa: E402
 #: how far, relative to max(1, |bound|), a parent objective may lie below a
 #: cutoff bound: the parent's converged objective is itself inexact
 BOUND_TOL = 1e-7
+#: how far, relative to max(1, |objective|), a warm solve's objective may lie
+#: from the parent's cold one: both stop at the interior point's tolerance
+WARM_TOL = 1e-7
 
 
 def load_module(root: Path, alias: str, name: str):
@@ -104,8 +121,11 @@ def preset_plan(name: str):
 
 
 def record_calls(run):
-    """The problems of the workspaces ``run()`` builds and each solve as (workspace, fixings, cutoff)."""
+    """The problems of the workspaces ``run()`` builds and each solve as
+    (workspace, fixings, cutoff, start), the start as the index of the call
+    that returned it, or None."""
     spaces, calls, index = [], [], {}
+    made, kept = {}, []  # the call of each solution, which is kept so that its id stays its own
     from_miqp, solve = qp.BoxQp.from_miqp, qp.BoxQp.solve
 
     def recording_from_miqp(cls, problem):
@@ -114,9 +134,12 @@ def record_calls(run):
         spaces.append(problem)
         return ws
 
-    def recording_solve(ws, fixings=None, cutoff=math.inf):
-        calls.append((index[id(ws)], dict(fixings or {}), cutoff))
-        return solve(ws, fixings, cutoff)
+    def recording_solve(ws, fixings=None, cutoff=math.inf, start=None):
+        calls.append((index[id(ws)], dict(fixings or {}), cutoff, None if start is None else made[id(start)]))
+        sol = solve(ws, fixings, cutoff, start)
+        made[id(sol)] = len(calls) - 1
+        kept.append(sol)
+        return sol
 
     qp.BoxQp.from_miqp = classmethod(recording_from_miqp)
     qp.BoxQp.solve = recording_solve
@@ -127,12 +150,19 @@ def record_calls(run):
     return spaces, calls
 
 
+def takes_start(module) -> bool:
+    """Whether the module's ``BoxQp.solve`` takes a warm start."""
+    return "start" in inspect.signature(module.BoxQp.solve).parameters
+
+
 def replay(modules, spaces, calls, first: int):
     """Build every workspace and solve every call, with its cutoff, through
-    both modules, alternating which goes first.
+    both modules, alternating which goes first. A warm call starts from its
+    start call's solution in each module that takes a start.
 
     Returns each module's set-up time per workspace, workspaces, time per
     solve and solutions, the times as arrays."""
+    warm = [takes_start(m) for m in modules]
     setup, workspaces = np.zeros((2, len(spaces))), [[], []]
     for i, problem in enumerate(spaces):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
@@ -140,10 +170,11 @@ def replay(modules, spaces, calls, first: int):
             workspaces[j].append(modules[j].BoxQp.from_miqp(problem))
             setup[j, i] = time.perf_counter() - t0
     seconds, sols = np.zeros((2, len(calls))), [[], []]
-    for i, (k, fixings, cutoff) in enumerate(calls):
+    for i, (k, fixings, cutoff, start) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
+            kwargs = {} if start is None or not warm[j] else {"start": sols[j][start]}
             t0 = time.perf_counter()
-            sols[j].append(workspaces[j][k].solve(fixings=fixings, cutoff=cutoff))
+            sols[j].append(workspaces[j][k].solve(fixings=fixings, cutoff=cutoff, **kwargs))
             seconds[j, i] = time.perf_counter() - t0
     return setup, workspaces, seconds, sols
 
@@ -191,6 +222,25 @@ def differences(old, new) -> str:
     )
 
 
+def warm_difference(a, b, cutoff: float) -> float:
+    """How far a warm solve ``b`` lies from the parent's cold ``a`` of a
+    call with ``cutoff``, relative to max(1, |objective|): with equal
+    statuses, the objectives' difference (0 when infeasible or at the
+    cutoff); when one ended at the cutoff, 0 if the other is infeasible and,
+    if it converged, how far its objective lies below the cutoff (0 when at
+    or above it); inf for any other pair of statuses."""
+    if a.status == b.status:
+        if a.status in ("infeasible", "cutoff"):
+            return 0.0
+        return abs(b.objective - a.objective) / max(1.0, abs(a.objective))
+    if {a.status, b.status} == {"cutoff", "infeasible"}:
+        return 0.0
+    if {a.status, b.status} == {"cutoff", "optimal"}:
+        converged = a if a.status == "optimal" else b
+        return max(cutoff - converged.objective, 0.0) / max(1.0, abs(cutoff))
+    return math.inf
+
+
 def bound_margins(uncut, new) -> list[float]:
     """Per cutoff solve of ``new`` whose parent solve without a cutoff (in
     ``uncut``, by call index) is not infeasible, how far the parent's
@@ -208,6 +258,10 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
     setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
     cutoffs, unsound, margin = 0, 0, math.inf
+    # the calls compared bit for bit: all, unless the parent solves the warm ones cold
+    parent_warm = takes_start(parent)
+    exact = [parent_warm or c[3] is None for c in calls]
+    warm_worst = 0.0
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
         setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
@@ -231,7 +285,10 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             margins = bound_margins(uncut, new)
             unsound = sum(m < -BOUND_TOL for m in margins)
             margin = min(margins, default=math.inf)
-        differing = sum(not same(a, b) for a, b in zip(old, new))
+            iterations = [sum(sol.iterations for sol in sols) for sols in (old, new)]
+        warm = [warm_difference(a, b, call[2]) for a, b, call, e in zip(old, new, calls, exact) if not e]
+        warm_worst = max(warm, default=0.0)
+        differing = sum(not same(a, b) for a, b, e in zip(old, new, exact) if e) + sum(d > WARM_TOL for d in warm)
         if differing > differ:
             differ, how = differing, differences(old, new)
         setup_ratios.append(s_new / s_parent)
@@ -256,6 +313,12 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(
         f"cutoff solves: {cutoffs} of {len(calls)}; unsound bounds: {unsound}; "
         f"smallest relative margin of a parent objective over its bound: {margin:.3g}"
+    )
+    print(
+        f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}, "
+        f"{exact.count(False)} solved cold by the parent, "
+        f"largest relative difference {warm_worst:.3g}; iterations parent {iterations[0]}, "
+        f"this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}"
     )
     if differ:
         print(f"differing solutions: {how}")

@@ -5,7 +5,9 @@ For each bundled preset, planned at default ``plan()`` limits, it prints the
 chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
 calls, their total interior-point iterations and how many ended at the
 incumbent cutoff (status "cutoff"), the total ``MiqpSolution.refix_solves``
-of its chunks (the relaxations the incumbent path asked for), each chunk's
+of its chunks (the relaxations the incumbent path asked for), how many
+calls were warm-started and how many of those were solved again cold
+(their warm interior point ended "max-iterations"), each chunk's
 objective (``%.9g``) and the sha256 of the plan JSON followed by the plan
 SVG. A change that moves only the last bits of a plan keeps the statuses,
 nodes, iterations and objectives and shows a new sha256; one that only ends
@@ -20,10 +22,11 @@ every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
 order), so a change to the load path that moves a box shows even when no plan
 moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
 benchmark workload on the batch of that seed and prints the total node
-count, the solve, iteration, cutoff and refix counts and the sha256 of every
-solution ``x`` (bytes in batch order). Run it from the repository root on two
-commits and compare the outputs; only the solve, iteration, cutoff and refix
-counts may differ between two commits that keep every plan:
+count, the solve, iteration, cutoff, refix, warm and retry counts and the
+sha256 of every solution ``x`` (bytes in batch order). Run it from the
+repository root on two commits and compare the outputs; only the solve,
+iteration, cutoff, refix, warm and retry counts may differ between two
+commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
 """
@@ -33,9 +36,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+# one BLAS thread, as in the benchmark: set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -83,31 +91,50 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
     return out
 
 
+@dataclasses.dataclass
+class Solves:
+    """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
+    warm start and how many warm interior points ended "max-iterations", so
+    that their call was solved again cold."""
+
+    solutions: list = dataclasses.field(default_factory=list)
+    warm: int = 0
+    retries: int = 0
+
+
 @contextmanager
 def recorded_solves():
-    """Yield a list that gets the ``QpSolution`` of each ``BoxQp.solve`` call made inside."""
-    solutions = []
-    real = qp.BoxQp.solve
+    """Yield a ``Solves`` that records the ``BoxQp.solve`` calls made inside."""
+    solves = Solves()
+    real_solve, real_interior_point = qp.BoxQp.solve, qp._interior_point
 
     def recording(ws, *args, **kwargs):
-        sol = real(ws, *args, **kwargs)
-        solutions.append(sol)
+        sol = real_solve(ws, *args, **kwargs)
+        solves.solutions.append(sol)
+        solves.warm += kwargs.get("start") is not None
         return sol
 
-    qp.BoxQp.solve = recording
+    def interior_point(red, cutoff, start=None):
+        out = real_interior_point(red, cutoff, start)
+        solves.retries += start is not None and out[5] == "max-iterations"
+        return out
+
+    qp.BoxQp.solve, qp._interior_point = recording, interior_point
     try:
-        yield solutions
+        yield solves
     finally:
-        qp.BoxQp.solve = real
+        qp.BoxQp.solve, qp._interior_point = real_solve, real_interior_point
 
 
-def solve_counts(solves, results) -> str:
+def solve_counts(solves: Solves, results) -> str:
     """The number of solves, their total iterations, how many ended at the
-    cutoff and the total ``refix_solves`` of the ``MiqpSolution`` results."""
-    cutoffs = sum(sol.status == "cutoff" for sol in solves)
+    cutoff, the total ``refix_solves`` of the ``MiqpSolution`` results, and
+    the warm-started solves and cold retries."""
+    sols = solves.solutions
+    cutoffs = sum(sol.status == "cutoff" for sol in sols)
     return (
-        f"solves={len(solves)} iterations={sum(sol.iterations for sol in solves)} cutoffs={cutoffs} "
-        f"refix={sum(r.refix_solves for r in results)}"
+        f"solves={len(sols)} iterations={sum(sol.iterations for sol in sols)} cutoffs={cutoffs} "
+        f"refix={sum(r.refix_solves for r in results)} warm={solves.warm} retries={solves.retries}"
     )
 
 
