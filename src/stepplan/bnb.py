@@ -128,9 +128,10 @@ class _Tree:
         self.limits = limits
         self.rounding = rounding or self.generic_rounding
         self.ws = BoxQp.from_miqp(problem)
-        lb, ub = problem.lower, problem.upper
-        self.free_bins = [int(i) for i in problem.binary_indices if lb[i] < ub[i]]
-        self.groups = _choice_groups(problem)
+        bins = problem.binary_indices
+        self.free_bins = bins[problem.lower[bins] < problem.upper[bins]].tolist()
+        # only the generic rounding hook reads the choice groups
+        self.groups = _choice_groups(problem) if rounding is None else []
         self.incumbent_x: np.ndarray | None = None
         self.incumbent_obj = math.inf
         # relaxations asked for, memo hits included

@@ -84,9 +84,10 @@ arrays with the free-column map, as scipy's ``m[rows][:, cols]`` builds
 it, entry order included. One mask over G's entries gives the call's G;
 A and the zero-width pairs' rows come from one slice of [A; G]; P is
 scattered straight into a dense array; and the Newton block's entry pairs
-are the workspace's G pairs that survive plus one diagonal pair per bound
-row, with the bins on free columns numbered anew. No call builds G': a CSR
-G's arrays, read as CSC, are G', and a dense G' is a view. A call's
+are the workspace's G pairs that survive, with the bins on free columns
+numbered anew, to which the bound rows add their weights on the diagonal.
+No call builds G': a CSR G's arrays, read as CSC, are G', and a dense G'
+is a view. A call's
 ``QpSolution`` keeps the reduced multipliers and their index maps and maps
 them back to the full problem, with the residuals, only when ``y``,
 ``prim_res`` or ``dual_res`` is first read; branch-and-bound reads none of
@@ -96,13 +97,14 @@ Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
 plus the bound diagonal. A dense workspace converts each of P, G and A once
 from its input. Large ones keep their rows in CSR form and only the
-Newton matrix is dense: each Newton block is one ``np.bincount`` over the
-entry pairs that survive the call's presolve, whose bin sums are added to P
-in the lower triangle, with no sparse object built inside the iteration
-loop. Each CSR product in the loop zeroes its output buffer and calls
-scipy's own ``csr_matvec`` kernel on it, as ``m @ v`` does after allocating
-zeros; a G' product calls ``csc_matvec`` on G's arrays, as ``g.T @ v``
-does. Variable bounds must be finite (the assembled problems always are),
+Newton matrix is dense: each Newton block sums the entry pairs that survive
+the call's presolve bin by bin, one ``csr_matvec`` over a CSR matrix whose
+rows are the bins, adds the sums to P, and carries the pivot rows through
+the elimination (below) with one more, with no sparse object built inside
+the iteration loop. Each CSR product in the loop zeroes its output buffer
+and calls scipy's own ``csr_matvec`` kernel on it, as ``m @ v`` does after
+allocating zeros; a G' product calls ``csc_matvec`` on G's arrays, as
+``g.T @ v`` does. Variable bounds must be finite (the assembled problems always are),
 and so must every fixing; a fixing outside its variable's bounds makes the
 call infeasible.
 
@@ -124,16 +126,33 @@ own array. A dense workspace factors the whole matrix by LU, as the plain
 formulas do: it writes the block, then A, A' and -EQ_REG I, so with the
 exact rewrites above its every iterate and result is bit for bit what
 those formulas give (``tools/ab_qp.py`` checks this against another
-checkout). A CSR workspace factors H alone, which is symmetric positive
-definite (P is PSD and both bound sides put a positive weight on its
-diagonal), by Cholesky, H = LL': it copies P in and adds each bin's sum at
-the bin's lower-triangle entry, the only triangle that the factorization
-and the triangular solves read. The equality rows go through their Schur
-complement S = Y'Y + EQ_REG I, Y = L^-1 A', also by Cholesky. On the
-bundled presets this is cheaper than an LU of the whole matrix and keeps
-every status, iteration count and objective to nine digits, but not every
-last bit. A Cholesky breakdown ends the call as a singular LU does: the LP
-decides its status.
+checkout). A CSR workspace eliminates each equality row that has a private
+pivot, a column no other equality row touches (the null-space method:
+Nocedal and Wright, Numerical Optimization, 2nd ed., 16.2; Benzi, Golub
+and Liesen, Acta Numerica 14, 2005): row r fixes its pivot's step, dx_p =
+(r_y,r - sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other
+columns. It factors the reduced block Z'HZ, which is symmetric positive
+definite (P is PSD and both bound sides put a positive weight on H's
+diagonal), by Cholesky: it writes P in, adds each bin's sum at its
+lower-triangle entry, the only triangle that the factorization and the
+triangular solves read, or to H's pivot rows, and carries those rows
+through Z. Each eliminated row's multiplier is read from its pivot's row of
+the first block row. Rows without a private pivot (none on the bundled
+presets, whose equality rows are the region and segment choice rows and
+the zero-width pair rows) go through their Schur complement S = Y'Y + EQ_REG
+I, Y = L^-1 A_l', also by Cholesky. On the bundled presets this is cheaper
+than an LU of the whole matrix or a Schur complement of every row, and
+keeps every status, iteration count and objective to nine digits, but not
+every last bit. A Cholesky breakdown ends the call as a singular LU does:
+the LP decides its status.
+
+A call whose iterates stop unconverged (at MU_FLOOR, on a collapsed step, a
+failed factorization or MAX_ITER) at their accuracy floor ends optimal at
+its best iterate: the one whose worst relative residual or complementarity
+measure is smallest among those whose primal residual and complementarity
+lie within 10 EPS_ABS, if that measure is within 10 EPS_ABS too. The
+residuals of such iterates sit at their rounding floor while the gap keeps
+falling, and further steps only make the multipliers grow.
 """
 
 from __future__ import annotations
@@ -141,6 +160,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -159,6 +179,9 @@ MAX_ITER = 100
 FEAS_TOL = 1e-9
 #: regularization of the equality block of the Newton matrix
 EQ_REG = 1e-12
+#: a CSR call eliminates an equality row through a pivot at least this
+#: fraction of the row's largest coefficient, so Z's entries stay below its inverse
+PIVOT_RATIO = 0.1
 #: workspaces whose constraint matrix has more entries than this (rows times
 #: variables) hold it in CSR form
 SPARSE_MIN_ENTRIES = 20_000
@@ -260,9 +283,7 @@ class _Reduced:
     pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
     bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
     bound_coefs: np.ndarray  # (2, nf) that row's coefficient
-    # CSR only: the bin, G_all row and product of each entry pair, and each
-    # bin's lower-triangle position in the F-ordered nf x nf block
-    scatter: tuple | None
+    scatter: _Substitution | None  # CSR only: the Newton system's elimination of the equality rows
 
 
 def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
@@ -457,10 +478,11 @@ def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
     pair's bin; per bin its columns ``i <= j``. Bin c < n is the diagonal
     (c, c), whether or not a pair reaches it; the off-diagonal bins follow
     in (i, j) order. ``m' diag(w) m`` at (i, j) and at (j, i) is the sum of
-    ``w[row] * product`` over the bin's pairs, which run by row, then by
-    ``a``, then by ``b``. With no two entries of a row in one column, a list
-    of every ordered pair gives (i, j) and (j, i) the same products in the
-    same order.
+    ``w[row] * product`` over the bin's pairs. The pairs run by bin, and
+    within a bin by row, as a list by row, then by ``a``, then by ``b``
+    orders them. With no two entries of a row in one column, a list of every
+    ordered pair gives (i, j) and (j, i) the same products in the same
+    order.
     """
     n = m.shape[1]
     count = np.diff(m.indptr)
@@ -481,7 +503,184 @@ def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
     table[off] = np.arange(n, n + off.size)
     diag = np.arange(n)
     bins = np.concatenate([diag, off // n]), np.concatenate([diag, off % n])
-    return a, b, m.data[a] * m.data[b], table[key], bins
+    pair_bin = table[key]
+    # a stable sort by bin; a key of 16 bits or fewer sorts by radix
+    order = np.argsort(pair_bin.astype(np.min_scalar_type(n + off.size)), kind="stable")
+    a, b = a[order], b[order]
+    return a, b, m.data[a] * m.data[b], pair_bin[order], bins
+
+
+def _pivots(a: sp.csr_matrix, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a canonical CSR ``a`` that have a private pivot, ascending, and the pivot entry of each.
+
+    ``row_of`` is each entry's row. A private entry is one whose column
+    has no entry in another row. A row's pivot is its private entry of
+    largest magnitude, ties to the last, if that is at least PIVOT_RATIO
+    times the row's largest magnitude."""
+    mag = np.abs(a.data)
+    largest = np.zeros(a.shape[0])
+    np.maximum.at(largest, row_of, mag)
+    private = np.bincount(a.indices, minlength=a.shape[1])[a.indices] == 1
+    eligible = private & (mag >= PIVOT_RATIO * largest[row_of])
+    # a stable sort by row, then eligibility, then magnitude ends each row
+    # that has an entry at its pivot, if any
+    ends = a.indptr[1:][np.diff(a.indptr) > 0] - 1
+    best = np.lexsort((mag, eligible, row_of))[ends]
+    best = best[eligible[best]]
+    return row_of[best], best
+
+
+def _through(i, j, ptr, col, coef) -> tuple[np.ndarray, ...]:
+    """The terms of ``Z' e_i e_j' Z`` on the lower triangle, for each ordered column pair (i[k], j[k]).
+
+    Row c of Z is given as CSR arrays: its entries ``col[ptr[c]:ptr[c+1]]``
+    with values ``coef[...]``. Returns, per term, the pair k, the entry
+    (u, v), u >= v, and Z[i, u] Z[j, v], pair by pair."""
+    size = np.diff(ptr)
+    n_j = size[j]
+    count = size[i] * n_j
+    pair = np.repeat(np.arange(i.size), count)
+    step_i, step_j = np.divmod(np.arange(pair.size) - (np.cumsum(count) - count)[pair], n_j[pair])
+    at_i, at_j = ptr[i][pair] + step_i, ptr[j][pair] + step_j
+    u, v = col[at_i], col[at_j]
+    low = np.flatnonzero(u >= v)
+    at_i, at_j = at_i[low], at_j[low]
+    return pair[low], u[low], v[low], coef[at_i] * coef[at_j]
+
+
+class _Csr(NamedTuple):
+    """The arrays of a CSR matrix, for ``_copy_product`` without the checks of a scipy matrix."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+@dataclass
+class _Substitution:
+    """How a CSR call's Newton system eliminates its equality rows (see ``_CholeskyNewton``).
+
+    Equality row ``eliminated[e]`` is solved for its pivot column
+    ``pivots[e]``, whose coefficient is ``coefs[e]``; the rows ``left`` have
+    no pivot. The system is solved in a permuted order, ``order``: the other
+    columns ``others``, the pivots, the eliminated rows, the rows left. In
+    it dx = Z du + x_e, with du on the other columns and Z's pivot rows
+    ``subst``. The Newton block is summed in one flat buffer: K = Z'HZ over
+    the other columns, F-ordered (only its lower triangle is read), then H's
+    pivot rows, C-ordered, with their columns in the permuted order. Each
+    iteration zeroes it and writes P's entries over the other columns and in
+    the pivot rows, ``p_val`` at ``p_at``. It then sums the entry pairs by
+    bin, ``pairs @ w``, and adds bin ``which[k]`` at ``at[k]`` (H on the
+    other columns, and H's pivot rows); then it carries the pivot rows
+    through Z, ``routes @ block``, and adds bin k at ``route_at[k]``. Each
+    row of ``pairs`` and ``routes`` holds one bin's terms in summation
+    order, so ``csr_matvec`` sums each bin as a ``np.bincount`` of the terms
+    would."""
+
+    eliminated: np.ndarray
+    pivots: np.ndarray
+    coefs: np.ndarray
+    left: np.ndarray
+    others: np.ndarray
+    order: np.ndarray
+    subst: np.ndarray
+    p_at: np.ndarray
+    p_val: np.ndarray
+    pairs: _Csr
+    which: np.ndarray
+    at: np.ndarray
+    routes: _Csr
+    route_at: np.ndarray
+
+    @classmethod
+    def build(cls, nf: int, p_entries: tuple, a: sp.csr_matrix, pairs: _Csr, bin_cols: tuple) -> _Substitution:
+        """The substitution for a call of ``nf`` free columns, with P's
+        entries ``(row, col, value)``, its CSR A, the Newton block's entry
+        pairs (row k of ``pairs`` holds bin k's products by G_all row, in
+        summation order) and each bin's columns ``(i, j)``, i <= j.
+
+        Bin c < nf is the diagonal (c, c), to which each iteration adds
+        the bound rows' weights after the pairs. A bin on no pivot is added
+        to K at (j, i), one on a pivot to that pivot's row of H, and one on
+        two pivots to both rows. With no pivot, K is H and gets H's bits.
+        Z'HZ is H on the other columns plus, for each entry (p, j) of a
+        pivot row and its mirror (j, p) when j is not a pivot, Z[p, u]
+        Z[j, v] times it at (u, v), u >= v."""
+        me = a.shape[0]
+        row_of = np.repeat(np.arange(me), np.diff(a.indptr))
+        eliminated, entry = _pivots(a, row_of)
+        pivots, coefs, ne = a.indices[entry], a.data[entry], entry.size
+        is_pivot = np.zeros(nf, dtype=bool)
+        is_pivot[pivots] = True
+        others = np.flatnonzero(~is_pivot)
+        nr, square = others.size, others.size**2
+        perm = np.concatenate([others, pivots])
+        place = np.empty(nf, dtype=np.intp)  # each column's position in the permuted order
+        place[perm] = np.arange(nf)
+        left = np.ones(me, dtype=bool)
+        left[eliminated] = False
+        left = np.flatnonzero(left)
+
+        # where the block sums H at permuted (r, c): K at (r, c), or row r - nr of H's pivot rows
+        start, stride = np.arange(nf), np.full(nf, nr)
+        start[nr:], stride[nr:] = square + nf * np.arange(ne), 1
+
+        def key(r, c):
+            return start[r] + stride[r] * c
+
+        # Z's pivot rows: x_p = (b_r - sum_{j != p} a_rj x_j) / a_rp. A
+        # pivot is private, so the only pivot in its row is its own. The
+        # members come by row, so by pivot
+        e = np.full(me, -1)
+        e[eliminated] = np.arange(ne)
+        e = e[row_of]
+        member = (e >= 0) & ~is_pivot[a.indices]
+        e, u = e[member], place[a.indices[member]]
+        z_vals = -a.data[member] / coefs[e]
+        subst = np.zeros((ne, nr))
+        subst[e, u] = z_vals
+        # Z by permuted rows, as CSR arrays: a 1.0 on each other column, then the pivots' members
+        ptr = np.zeros(nf + 1, dtype=np.intp)
+        ptr[1 : nr + 1] = 1
+        ptr[nr + 1 :] = np.bincount(e, minlength=ne)
+        np.cumsum(ptr, out=ptr)
+        z = ptr, np.concatenate([np.arange(nr), u]), np.concatenate([np.ones(nr), z_vals])
+        # P on the other columns and in the pivot rows; P[j, p] is P[p, j]
+        p_row, p_col, p_val = p_entries
+        p_row, p_col = place[p_row], place[p_col]
+        p_in = (p_row >= nr) | (p_col < nr)
+        p_at, p_val = key(p_row[p_in], p_col[p_in]), p_val[p_in]
+        i, j = place[bin_cols[0]], place[bin_cols[1]]  # (j, i) is a lower entry unless a pivot is involved
+        r = np.where((i >= nr) & (j < nr), i, j)
+        twice = np.flatnonzero((i >= nr) & (j >= nr) & (i != j))
+        bin_at = key(np.concatenate([r, i[twice]]), np.concatenate([i + j - r, j[twice]]))
+        # H's pivot rows through Z: each entry a bin or P can make nonzero, and its mirror
+        nonzero = np.zeros(ne * nf, dtype=bool)
+        hp_at = np.concatenate([p_at, bin_at])
+        nonzero[hp_at[hp_at >= square] - square] = True
+        src = np.flatnonzero(nonzero)
+        e, col = np.divmod(src, nf)
+        mirror = np.flatnonzero(col < nr)
+        first, second = np.concatenate([nr + e, col[mirror]]), np.concatenate([col, nr + e[mirror]])
+        term, s, t, coef = _through(first, second, *z)
+        # the terms by position in K, in term order within each
+        route = s + t * nr
+        by = np.argsort(route, kind="stable")
+        route = route[by]
+        new = np.ones(route.size, dtype=bool)
+        new[1:] = route[1:] != route[:-1]
+        starts = np.flatnonzero(new)
+        routes = _Csr(
+            (starts.size, square + ne * nf), np.append(starts, route.size),
+            square + np.concatenate([src, src[mirror]])[term[by]], coef[by],
+        )
+        order = np.concatenate([perm, nf + eliminated, nf + left])
+        which = np.concatenate([np.arange(i.size), twice])
+        return cls(
+            eliminated, pivots, coefs, left, others, order, subst, p_at, p_val,
+            pairs, which, bin_at, routes, route[starts],
+        )
 
 
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -694,30 +893,26 @@ class BoxQp:
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         if self.sparse:
-            p, g, scatter, col_map = self._slice_csr(g_rows, cols)
+            p, g, a, scatter = self._slice_csr(g_rows, a_rows, cols)
         else:
             p, g = _take(self.p, cols, cols, None), _take(self.g, g_rows, cols, None)
-            scatter = col_map = None
+            a, scatter = _take(self._ag, a_rows, cols, None), None
         return _Reduced(
-            x, cols, p, self.q[cols] + (self.p @ x)[cols],
-            g, h[g_rows], _take(self._ag, a_rows, cols, col_map), b, lo[cols], hi[cols],
+            x, cols, p, self.q[cols] + (self.p @ x)[cols], g, h[g_rows], a, b, lo[cols], hi[cols],
             g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
-    def _slice_csr(self, g_rows, cols) -> tuple:
-        """The call's P, G, the Newton block's scatter and the column map.
+    def _slice_csr(self, g_rows, a_rows, cols) -> tuple:
+        """The call's P, G, A and its Newton system's ``_Substitution``.
 
         P's entries in free columns are scattered into a dense array in
         entry order, as ``toarray`` adds them. One mask marks the
         workspace's G entries in kept rows and free columns, which G keeps
-        in entry order, as ``_take`` does. An entry pair survives when both
-        its entries do; each free column then adds one pair, a product of
-        1.0 on its diagonal bin, for each of its bound rows, lower side
-        first. The pairs keep the workspace's order. The workspace's bins on
-        free columns are numbered anew, diagonals first, and addressed at
-        their lower-triangle entry (j, i), i <= j, of the F-ordered nf x nf
-        block. The column map gives each column's position in ``cols``, or
-        -1, for ``_take``.
+        in entry order, as ``_take`` does; A is taken from [A; G] with the
+        column map, which gives each column's position in ``cols``, or -1.
+        An entry pair survives when both its entries do. The pairs keep the
+        workspace's order, bin by bin, and the workspace's bins on free
+        columns are numbered anew, diagonals first.
         """
         g, k, nf = self.g, g_rows.size, cols.size
         col_map = np.full(self.n, -1)
@@ -727,8 +922,9 @@ class BoxQp:
         p_row, p_col, p_val = self._p_entries
         p_row, p_col = col_map[p_row], col_map[p_col]
         keep = (p_row >= 0) & (p_col >= 0)
+        p_entries = p_row[keep], p_col[keep], p_val[keep]
         p = np.zeros((nf, nf))
-        np.add.at(p, (p_row[keep], p_col[keep]), p_val[keep])
+        np.add.at(p, p_entries[:2], p_entries[2])
         row_of, col_of = self._g_entries
         row, col = row_map[row_of], col_map[col_of]
         on = (row >= 0) & (col >= 0)
@@ -738,19 +934,17 @@ class BoxQp:
         indptr = np.zeros(k + 1, dtype=g.indptr.dtype)
         indptr[1:] = kept[g.indptr[g_rows + 1]]
         g_red = sp.csr_matrix((g.data[entry], col[entry].astype(g.indices.dtype), indptr), shape=(k, nf))
+        a_red = _take(self._ag, a_rows, cols, col_map)
         a, b, prod, bins, (i, j) = self._scatter
         keep = on[a] & on[b]
         i, j = col_map[i], col_map[j]
         live = (i >= 0) & (j >= 0)
         renumber = np.cumsum(live) - 1  # a free column's diagonal bin becomes its position
-        diag = np.arange(nf)
-        scatter = (
-            np.concatenate([renumber[bins[keep]], diag, diag]),
-            np.concatenate([row[a[keep]], k + diag, k + nf + diag]),
-            np.concatenate([prod[keep], np.ones(2 * nf)]),
-            j[live] + i[live] * nf,
-        )
-        return p, g_red, scatter, col_map
+        n_bins = int(renumber[-1]) + 1
+        # the pairs bin by bin (the workspace orders them so): the rows of a CSR matrix
+        indptr = np.searchsorted(renumber[bins[keep]], np.arange(n_bins + 1))
+        pairs = _Csr((n_bins, k + 2 * nf), indptr, row[a[keep]], prod[keep])
+        return p, g_red, a_red, _Substitution.build(nf, p_entries, a_red, pairs, (i[live], j[live]))
 
     def _zero_width_pairs(self, rhs, free, kept):
         """Find opposite row pairs whose right-hand sides cancel.
@@ -931,62 +1125,89 @@ class _LuNewton:
 
 
 class _CholeskyNewton:
-    """The Newton system of a CSR workspace: the block by Cholesky, the
+    """The Newton system of a CSR workspace: each equality row with a
+    private pivot eliminated, the reduced block by Cholesky, the other
     equality rows through their Schur complement.
 
-    The block H = P + G_all' W G_all is symmetric positive definite (P is
-    PSD and both bound sides put a positive weight on its diagonal), so
-    ``factor`` writes its lower triangle, with P in the upper one, into an
-    F-ordered nf x nf buffer and factors it in place, H = LL'. With Y = L^-1 A' (over the buffer ``y``) the equality
-    rows' Schur complement S = Y'Y + EQ_REG I = L_s L_s' is factored in
-    ``s``. A solve is then v = L^-1 r_x, dy = S^-1 (Y'v - r_y) and dx =
-    L^-T (v - Y dy), written into one [dx; dy] buffer, each inverse a pair
-    of triangular solves: for one vector, two ``trtrs`` calls take about
-    half the time of one ``potrs`` at nf = 170. Every buffer is allocated
-    once per call."""
+    Row r, eliminated through its pivot column p, fixes dx_p = (r_y,r -
+    sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other nr
+    columns, with x_e = r_y,r / a_rp on each pivot (see ``_Substitution``,
+    whose permuted order the solve works in). The reduced block K = Z'HZ, H
+    = P + G_all' W G_all, is symmetric positive definite (P is PSD, both
+    bound sides put a positive weight on each diagonal entry of H, and Z
+    has full column rank), so ``factor`` writes its lower triangle into an
+    F-ordered nr x nr buffer, with H's pivot rows after it, and factors it
+    in place, K = LL'. With rows left over, Y = L^-1 A_l' (over the buffer
+    ``y``; A_l has no entry on a pivot) and their Schur complement S = Y'Y
+    + EQ_REG I = L_s L_s' is factored in ``s``. A solve takes v = L^-1
+    Z'(r_x - H x_e), dy_l = S^-1 (Y'v - r_y,l) and du = L^-T (v - Y dy_l),
+    each inverse a pair of triangular solves: for one vector, two ``trtrs``
+    calls take about half the time of one ``potrs`` at nf = 170. Each
+    eliminated row's multiplier then comes from its pivot's row of the
+    first block row, dy_r = (r_x - H dx)_p / a_rp. Every buffer is
+    allocated once per call."""
 
     def __init__(self, red: _Reduced):
         nf, me = red.c.size, red.b.size
-        self.red, self.nf, self.me = red, nf, me
-        self.h = np.empty((nf, nf), order="F")
-        # C-ordered A', as a dense workspace's; the Cholesky factor overwrites h
-        self.a_t = red.a.toarray().T.copy()
-        self.y, self.s = np.empty((nf, me), order="F"), np.empty((me, me), order="F")
-        self.d, self.ty, self.tx = np.empty(nf + me), np.empty(me), np.empty(nf)
+        sub = red.scatter
+        nr, ne, ml = sub.others.size, sub.pivots.size, sub.left.size
+        self.red, self.sub, self.nf, self.nr, self.ne, self.ml = red, sub, nf, nr, ne, ml
+        self.block = np.empty(nr * nr + ne * nf)
+        self.h = self.block[: nr * nr].reshape((nr, nr), order="F")  # views: factored in place
+        self.hp = self.block[nr * nr :].reshape((ne, nf))
+        # C-ordered A', as a dense workspace's; the Schur complement reads A_l' on the other columns
+        a = red.a.toarray()
+        self.a_t, self.a_l = a.T.copy(), a[sub.left][:, sub.others].T.copy()
+        self.y, self.s = np.empty((nr, ml), order="F"), np.empty((ml, ml), order="F")
+        # the right-hand side and the step in the permuted order, and the step
+        self.r, self.dp, self.d = np.empty(nf + me), np.empty(nf + me), np.empty(nf + me)
+        self.t, self.x_e, self.tv = np.empty(nf), np.empty(ne), np.empty(nr)
+        self.sums, self.routed = np.empty(sub.pairs.shape[0]), np.empty(sub.route_at.size)
 
     def factor(self, w: np.ndarray) -> bool:
-        """Factor the block for the weights ``w`` and, with equality rows, S;
-        False if either is not numerically positive definite."""
-        h, y, s = self.h, self.y, self.s
-        bins, rows, prod, at = self.red.scatter
-        # bincount sums each bin in pair order, so every lower entry is the
-        # sum a bincount over every ordered pair gives it
-        np.copyto(h, self.red.p)
-        h.ravel(order="F")[at] += np.bincount(bins, prod * w[rows], at.size)  # a view: h is F-ordered
+        """Factor the reduced block for the weights ``w`` and, with rows
+        left over, S; False if either is not numerically positive definite."""
+        sub, h, y, s, block = self.sub, self.h, self.y, self.s, self.block
+        block.fill(0.0)
+        block[sub.p_at] = sub.p_val
+        sums, nf, k = self.sums, self.nf, self.red.h.size
+        _copy_product(sub.pairs, w, sums)
+        sums[:nf] += w[k : k + nf]  # the bound rows, lower side first, after the pairs
+        sums[:nf] += w[k + nf :]
+        block[sub.at] += sums[sub.which]
+        _copy_product(sub.routes, block, self.routed)
+        block[sub.route_at] += self.routed
         if _potrf(h, lower=1, clean=0, overwrite_a=1)[1]:
             return False
-        if not self.me:
+        if not self.ml:
             return True
-        np.copyto(y, self.a_t)
+        np.copyto(y, self.a_l)
         _trtrs(h, y, lower=1, overwrite_b=1)
         np.dot(y.T, y, out=s.T)  # S is symmetric: its transpose is the C-ordered view
-        s.ravel(order="F")[:: self.me + 1] += EQ_REG
+        s.ravel(order="F")[:: self.ml + 1] += EQ_REG
         return not _potrf(s, lower=1, clean=0, overwrite_a=1)[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[dx; dy] for the right-hand side [r_x; r_y], in the call's buffer."""
-        h, s, y, d = self.h, self.s, self.y, self.d
-        np.copyto(d, rhs)
-        dx, dy = d[: self.nf], d[self.nf :]
+        sub, h, nr, nf, ne, dp = self.sub, self.h, self.nr, self.nf, self.ne, self.dp
+        r = np.take(rhs, sub.order, out=self.r)
+        x_e = np.divide(r[nf : nf + ne], sub.coefs, out=self.x_e)
+        t = np.subtract(r[:nf], np.dot(x_e, self.hp, out=self.t), out=self.t)  # r_x - H x_e: H is symmetric
         # each triangular solve runs in place: every vector is a contiguous float64 view
-        _trtrs(h, dx, lower=1, overwrite_b=1)  # v
-        if self.me:
-            np.subtract(np.dot(y.T, dx, out=self.ty), dy, out=dy)
-            _trtrs(s, dy, lower=1, overwrite_b=1)
-            _trtrs(s, dy, lower=1, trans=1, overwrite_b=1)
-            np.subtract(dx, np.dot(y, dy, out=self.tx), out=dx)
-        _trtrs(h, dx, lower=1, trans=1, overwrite_b=1)
-        return d
+        du = np.dot(t[nr:], sub.subst, out=dp[:nr])
+        du += t[:nr]  # Z't
+        _trtrs(h, du, lower=1, overwrite_b=1)
+        if self.ml:
+            dy_l = np.subtract(np.dot(self.y.T, du, out=dp[nf + ne :]), r[nf + ne :], out=dp[nf + ne :])
+            _trtrs(self.s, dy_l, lower=1, overwrite_b=1)
+            _trtrs(self.s, dy_l, lower=1, trans=1, overwrite_b=1)
+            du -= np.dot(self.y, dy_l, out=self.tv)
+        _trtrs(h, du, lower=1, trans=1, overwrite_b=1)
+        np.add(np.dot(sub.subst, du, out=dp[nr:nf]), x_e, out=dp[nr:nf])
+        dy_e = np.subtract(r[nr:nf], np.dot(self.hp, dp[:nf], out=dp[nf : nf + ne]), out=dp[nf : nf + ne])
+        dy_e /= sub.coefs
+        self.d[sub.order] = dp
+        return self.d
 
 
 def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
@@ -1003,8 +1224,10 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     stall, or when the iterates do not converge. Before either, and on each
     iteration whose objective has reached ``cutoff``, the call ends with
     status "cutoff" if the certified lower bound (``cutoff_bound``) has
-    reached it too. Returns ``(x, y, s, z, iterations, status, bound)``,
-    with that bound for a cutoff and -inf otherwise.
+    reached it too. Iterates that do not converge end "optimal" at their
+    best iterate, before the LP, when it lies within their accuracy floor
+    (see the module docstring). Returns ``(x, y, s, z, iterations, status,
+    bound)``, with that bound for a cutoff and -inf otherwise.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
@@ -1100,8 +1323,13 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         return bound if bound >= cutoff else None
 
     feasible = None  # the LP's verdict, once it has run
+    # the iterate nearest convergence among those whose primal residual and
+    # complementarity are within 10 times the tolerance: its worst relative
+    # measure, [x; y] and [s; z]
+    best = (math.inf, None, None)
     history = []  # relative primal residual and largest multiplier per iteration
     eps = EPS_ABS
+    floor = 10.0 * eps
     it = 0
     for it in range(1, MAX_ITER + 1):
         np.dot(p, x, out=px)
@@ -1120,16 +1348,17 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         # residuals relative to the terms that make them up
         scale_p = 1.0 + max(_norm(gax), norm_hb)
         scale_d = 1.0 + max(_norm(terms), norm_c)
-        prim = _norm(res)
-        if (
-            prim <= eps * scale_p
-            and _norm(r_d) <= eps * scale_d
-            and mu * n_cone <= eps * (1.0 + abs(obj))
-        ):
-            return x, y, s, z, it - 1, "optimal", -math.inf
+        prim, gap, scale_c = _norm(res), mu * n_cone, 1.0 + abs(obj)
+        if prim <= floor * scale_p and gap <= floor * scale_c:
+            dual = _norm(r_d)
+            if prim <= eps * scale_p and dual <= eps * scale_d and gap <= eps * scale_c:
+                return x, y, s, z, it - 1, "optimal", -math.inf
+            worst = max(prim / scale_p, dual / scale_d, gap / scale_c)
+            if worst < best[0]:
+                best = worst, xy.copy(), sz.copy()
         if obj >= cutoff and (bound := cutoff_bound()) is not None:
             return x, y, s, z, it - 1, "cutoff", bound
-        if mu * n_cone <= MU_FLOOR * (1.0 + abs(obj)):
+        if gap <= MU_FLOOR * scale_c:
             break
         res_p, z_max = prim / scale_p, float(np.maximum.reduce(z))
         history.append((res_p, z_max))
@@ -1191,6 +1420,11 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         np.dot(a_t, y, out=ay)
         if (bound := cutoff_bound()) is not None:
             return x, y, s, z, it, "cutoff", bound
+    # iterates that stop unconverged at their accuracy floor, where further
+    # steps only degrade the residuals, return the best one
+    if best[0] <= floor:
+        _, xy, sz = best
+        return xy[:nf], xy[nf:], sz[:n_cone], sz[n_cone:], it, "optimal", -math.inf
     if feasible is None:
         feasible = _feasible(red)
     return x, y, s, z, it, "max-iterations" if feasible else "infeasible", -math.inf

@@ -144,6 +144,29 @@ class TestSolveQp:
             assert sol.objective == pytest.approx(oracle_obj, abs=1e-5)
 
 
+class TestAccuracyFloor:
+    def test_iterates_stalled_at_their_floor_end_optimal(self, monkeypatch):
+        # criterion 1's draw 69 with its free binaries at (1,1,0,1,0,1,0)
+        # converges at EPS_ABS = 1e-9. Below that, its relative dual residual
+        # stays at its floor (about 1e-9) while the gap falls toward 1e-27,
+        # and then the multipliers blow up: the best iterate is returned
+        from test_acceptance import random_miqp
+
+        rng = np.random.default_rng(2024)
+        for _ in range(70):
+            prob = random_miqp(rng)
+        free = [int(i) for i in prob.binary_indices if prob.lower[i] < prob.upper[i]]
+        fixings = dict(zip(free, (1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)))
+        ws = BoxQp.from_miqp(prob)
+        default = ws.solve(fixings)
+        assert default.status == "optimal"
+        monkeypatch.setattr(qp_module, "EPS_ABS", 5e-10)
+        floor = ws.solve(fixings)
+        assert floor.status == "optimal" and floor.iterations > default.iterations
+        assert abs(floor.objective - default.objective) <= 1e-9 * abs(default.objective)
+        assert floor.prim_res <= 1e-8 and floor.dual_res <= 1e-7
+
+
 class TestWorkspaceReuse:
     def test_fixings_pin_variables(self):
         prob = make_problem(np.eye(2), [0.0, 0.0], lb=[-1, -1], ub=[1, 1])
@@ -379,9 +402,11 @@ def preset_chunk(name):
     return assemble(dataclasses.replace(scenario, max_steps=4 * scenario.robot.n_legs))
 
 
-def random_workspace(rng, n, m, n_eq=0):
+def random_workspace(rng, n, m, n_eq=0, shared=0):
     """A workspace of sparse rows with slack right-hand sides and ``n_eq``
-    equality rows through a feasible point, with its G and P.
+    equality rows through a feasible point, with its G and P. The first
+    ``shared`` equality rows have entries on the same 12 columns alone, so
+    none of them has a column to itself.
 
     Fixing columns leaves some rows empty or with one entry, which the
     presolve drops."""
@@ -393,10 +418,33 @@ def random_workspace(rng, n, m, n_eq=0):
     q = rng.normal(size=n)
     a, b = sp.csr_matrix((0, n)), np.zeros(0)
     if n_eq:
-        a = sp.random(n_eq, n, density=0.3, random_state=np.random.RandomState(3), format="csr")
+        a = sp.random(n_eq, n, density=0.3, random_state=np.random.RandomState(3), format="lil")
+        if shared:
+            a[:shared] = 0.0
+            a[:shared, rng.choice(n, size=12, replace=False)] = rng.normal(size=(shared, 12))
+        a = a.tocsr()
         b = a @ rng.uniform(-0.5, 0.5, size=n)
     ws = BoxQp(p, q, g, h, a, b, np.full(n, -1.0), np.full(n, 1.0))
     return ws, g, p
+
+
+def null_space(red) -> np.ndarray:
+    """Z of a CSR call, built with numpy from its A and the pivots of its
+    eliminated rows: the identity on the other columns and, on the pivot p
+    of row r, -A[r, j] / A[r, p] at each other column j."""
+    sub, a = red.scatter, red.a.toarray()
+    z = np.zeros((red.c.size, sub.others.size))
+    z[sub.others, np.arange(sub.others.size)] = 1.0
+    for r, p in zip(sub.eliminated, sub.pivots):
+        z[p] = -a[r, sub.others] / a[r, p]
+    return z
+
+
+def reduced_block_error(k, block, red) -> float:
+    """The largest entry of |tril(K - Z' block Z)| relative to the largest of |Z' block Z|."""
+    z = null_space(red)
+    ref = z.T @ block @ z
+    return float(np.max(np.abs(np.tril(k) - np.tril(ref))) / np.max(np.abs(ref)))
 
 
 def factored_matrix(monkeypatch, red, w) -> np.ndarray:
@@ -440,16 +488,55 @@ class TestNewtonBlock:
             + sp.diags(w[k : k + nf] + w[k + nf :])
         ).toarray()
         kkt = factored_matrix(monkeypatch, red, w)
-        # a CSR workspace factors the block alone and reads its lower
-        # triangle; a dense one factors the whole matrix
-        size = nf if sparse else nf + me
+        # a CSR workspace eliminates its equality rows and factors Z'HZ,
+        # reading its lower triangle; a dense one factors the whole matrix
+        size = nf - me if sparse else nf + me
         assert kkt.shape == (size, size) and kkt.flags.f_contiguous
-        block = np.tril(kkt) if sparse else kkt[:nf, :nf]
-        ref = np.tril(ref) if sparse else ref
-        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
-        if not sparse:
+        if sparse:
+            assert red.scatter.pivots.size == me
+            assert reduced_block_error(kkt, ref, red) <= 1e-12
+        else:
+            assert np.max(np.abs(kkt[:nf, :nf] - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.array_equal(kkt[nf:, :nf], red.a) and np.array_equal(kkt[:nf, nf:], red.a.T)
             assert np.array_equal(kkt[nf:, nf:], -qp_module.EQ_REG * np.eye(me))
+
+
+class TestPivots:
+    @staticmethod
+    def row_by_row(a):
+        """Each row's last private entry of largest magnitude, if that is at
+        least PIVOT_RATIO of the row's largest: (rows, entries)."""
+        rows, entries = [], []
+        count = np.bincount(a.indices, minlength=a.shape[1])
+        for r in range(a.shape[0]):
+            span = range(a.indptr[r], a.indptr[r + 1])
+            largest = max((abs(a.data[k]) for k in span), default=0.0)
+            best = None
+            for k in span:
+                size = abs(a.data[k])
+                if count[a.indices[k]] == 1 and size >= qp_module.PIVOT_RATIO * largest:
+                    if best is None or size >= abs(a.data[best]):
+                        best = k
+            if best is not None:
+                rows.append(r)
+                entries.append(best)
+        return rows, entries
+
+    def test_matches_the_row_by_row_choice(self):
+        # repeated magnitudes test the ties, 0.05 against 2.0 the ratio, and
+        # some rows are empty
+        rng = np.random.default_rng(28)
+        eliminated = left = empty = 0
+        for _ in range(300):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            dense = rng.choice([1.0, -1.0, 0.05, 2.0], size=(m, n)) * (rng.random((m, n)) < 0.4)
+            a = sp.csr_matrix(dense)
+            rows, entries = qp_module._pivots(a, np.repeat(np.arange(m), np.diff(a.indptr)))
+            assert (rows.tolist(), entries.tolist()) == self.row_by_row(a)
+            eliminated += rows.size
+            left += m - rows.size
+            empty += int((np.diff(a.indptr) == 0).sum())
+        assert eliminated > 100 and left > 100 and empty > 20
 
 
 def ordered_pair_kkt(red, w) -> np.ndarray:
@@ -488,14 +575,19 @@ def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
     """Solve under each fixing set; per solve, the (reduced problem, weights)
     of every Newton matrix, recorded at its class's ``factor``, and with
     ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf`` (the
-    Newton matrix, not a Schur complement), copied before it is factored."""
+    Newton matrix, not a Schur complement), copied before it is factored,
+    and the rows of H that a CSR call keeps for its pivots (None for a
+    dense call)."""
     seen, per_solve = [], []
     with monkeypatch.context() as m:
         for cls in (qp_module._LuNewton, qp_module._CholeskyNewton):
 
             def record(system, w, real=cls.factor):
                 seen.append([system.red, w.copy()])
-                return real(system, w)
+                ok = real(system, w)
+                if lapack:
+                    seen[-1].append(None if system.red.scatter is None else system.hp.copy())
+                return ok
 
             m.setattr(cls, "factor", record)
         if lapack:
@@ -534,25 +626,36 @@ def random_fixings(rng, n, count=5):
 
 
 class TestKktBuffer:
-    """The buffer each iteration factors in place is the plain Newton matrix,
-    byte for byte where LAPACK reads it: a dense workspace's whole matrix at
-    ``_getrf``, the lower triangle of a CSR workspace's top-left block at
-    ``_potrf``, the only triangle the Cholesky factorization and the
-    triangular solves read."""
+    """The buffer each iteration factors in place is the plain Newton matrix
+    where LAPACK reads it. A dense workspace's whole matrix at ``_getrf`` is
+    that matrix byte for byte. A CSR workspace hands ``_potrf`` the reduced
+    block Z'HZ (H = P + G_all' W G_all, the top-left block), whose lower
+    triangle, the only one the Cholesky factorization and the triangular
+    solves read, is within 1e-12 of Z'HZ built with numpy; with no
+    eliminated row it is H's lower triangle byte for byte. The rows of H it
+    keeps for its pivots are H's byte for byte."""
 
     @staticmethod
     def mismatches(per_solve) -> int:
-        """How many recorded LAPACK matrices differ from ``ordered_pair_kkt`` where LAPACK reads them."""
+        """How many recorded LAPACK matrices differ from ``ordered_pair_kkt`` where LAPACK reads them,
+        or, for a CSR call, whose kept pivot rows of H differ from it."""
         differ = 0
         for _, seen in per_solve:
-            for red, w, kkt in seen:
+            for red, w, kkt, rows in seen:
                 ref = ordered_pair_kkt(red, w)
                 assert kkt.flags.f_contiguous
-                if red.scatter is not None:
-                    nf = red.c.size
-                    kkt, ref = np.tril(kkt), np.tril(ref[:nf, :nf])
-                assert kkt.shape == ref.shape
-                differ += kkt.tobytes(order="C") != ref.tobytes(order="C")
+                if red.scatter is None:
+                    assert kkt.shape == ref.shape
+                    differ += kkt.tobytes(order="C") != ref.tobytes(order="C")
+                    continue
+                nf, sub = red.c.size, red.scatter
+                block = ref[:nf, :nf]
+                assert kkt.shape == (sub.others.size,) * 2
+                differ += rows.tobytes() != block[sub.pivots][:, sub.order[:nf]].tobytes()
+                if sub.pivots.size:
+                    differ += reduced_block_error(kkt, block, red) > 1e-12
+                else:
+                    differ += np.tril(kkt).tobytes(order="C") != np.tril(block).tobytes(order="C")
         return differ
 
     @classmethod
@@ -587,18 +690,20 @@ class TestKktBuffer:
         assert checked > 20 and optimal >= 3
 
     def test_upper_triangle_scatter_fails_the_check(self, monkeypatch):
-        """Bins written at (i, j), i <= j, instead of (j, i) leave the lower
-        triangle at P, and the check sees it on every matrix with an
-        off-diagonal bin."""
+        """Bins written at (u, v), u <= v, of the reduced block instead of
+        (v, u) leave its lower triangle at P, and the check sees it on every
+        matrix with an off-diagonal bin."""
         name = "quadruped_tilted_terrain"
         prob = preset_chunk(name)
         ws = BoxQp.from_miqp(prob)
         real = BoxQp._slice_csr
 
-        def upper(self, g_rows, cols):
-            p, g, (bins, rows, prod, at), col_map = real(self, g_rows, cols)
-            nf = cols.size
-            return p, g, (bins, rows, prod, at // nf + at % nf * nf), col_map
+        def upper(self, g_rows, a_rows, cols):
+            p, g, a, sub = real(self, g_rows, a_rows, cols)
+            nr = sub.others.size
+            flip = lambda at: np.where(at < nr * nr, at // nr + at % nr * nr, at)  # noqa: E731
+            sub.at, sub.route_at = flip(sub.at), flip(sub.route_at)
+            return p, g, a, sub
 
         monkeypatch.setattr(BoxQp, "_slice_csr", upper)
         per_solve = recorded_weights(monkeypatch, ws, preset_fixings(prob, ws, name, count=3), lapack=True)
@@ -606,17 +711,19 @@ class TestKktBuffer:
 
 
 class TestCholeskyNewton:
-    """A CSR workspace's Cholesky and Schur complement solve gives the
-    direction of the full Newton system."""
+    """A CSR workspace's elimination of its equality rows, with the Schur
+    complement of the rows left over, gives the direction of the full
+    Newton system."""
 
     @staticmethod
-    def check_directions(monkeypatch, ws, fixings_list) -> int:
+    def check_directions(monkeypatch, ws, fixings_list) -> tuple[int, int, int]:
         """Re-solve every Newton system of the solves for a random right-hand
         side r; the direction d's residual against the full matrix K, built
         with numpy, is within 1e-10 of |K| |d| + |r| in the max norm.
-        Returns how many systems were checked."""
+        Returns how many systems were checked, and how many of them
+        eliminated rows and left rows to the Schur complement."""
         rng = np.random.default_rng(0)
-        checked = 0
+        checked = eliminating = leaving = 0
         for _, seen in recorded_weights(monkeypatch, ws, fixings_list):
             for red, w in seen:
                 system = qp_module._CholeskyNewton(red)
@@ -627,21 +734,47 @@ class TestCholeskyNewton:
                 scale = np.abs(kkt).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
                 assert np.abs(kkt @ d - rhs).max() <= 1e-10 * scale
                 checked += 1
-        return checked
+                eliminating += red.scatter.pivots.size > 0
+                leaving += red.scatter.left.size > 0
+        return checked, eliminating, leaving
 
     @pytest.mark.parametrize("n_eq", [0, 4])
     def test_random_workspaces(self, monkeypatch, n_eq):
         rng = np.random.default_rng(120 + n_eq)
         ws, _, _ = random_workspace(rng, 120, 200, n_eq)
         assert ws.sparse and ws.b.size == n_eq
-        assert self.check_directions(monkeypatch, ws, random_fixings(rng, 120)) > 20
+        checked, eliminating, _ = self.check_directions(monkeypatch, ws, random_fixings(rng, 120))
+        assert checked > 20 and (eliminating == checked if n_eq else eliminating == 0)
 
-    def test_preset_chunk_workspace(self, monkeypatch):
-        name = "quadruped_tilted_terrain"
-        prob = preset_chunk(name)
-        ws = BoxQp.from_miqp(prob)
-        assert ws.sparse and ws.b.size
-        assert self.check_directions(monkeypatch, ws, preset_fixings(prob, ws, name, count=6)) > 40
+    @pytest.mark.parametrize("shared", [2, 4])
+    def test_rows_left_to_the_schur_complement(self, monkeypatch, shared):
+        # rows on the same columns have no pivot, and go through the Schur
+        # complement over the other columns; with shared = 2 the other two
+        # rows are eliminated in the same systems
+        rng = np.random.default_rng(7 + shared)
+        ws, _, _ = random_workspace(rng, 120, 200, 4, shared=shared)
+        checked, eliminating, leaving = self.check_directions(monkeypatch, ws, random_fixings(rng, 120))
+        assert checked > 20 and leaving == checked
+        assert eliminating == (checked if shared == 2 else 0)
+
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
+    def test_preset_relaxations(self, monkeypatch, name):
+        """The root, its children and the rounding candidates at each: every
+        equality row of every one has a pivot."""
+        from stepplan import bnb
+        from stepplan.formulation import assemble, make_rounding_heuristic
+        from stepplan.scenario_io import load_scenario
+
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        scenario = dataclasses.replace(scenario, max_steps=4 * scenario.robot.n_legs)
+        prob = assemble(scenario)
+        tree = bnb._Tree(prob, bnb.MiqpLimits())
+        root = tree.ws.solve()
+        hook = make_rounding_heuristic(scenario, prob)
+        children = list(tree.branch(root.x, {}))
+        fixings = [{}] + children + [c for f in [{}] + children for c in hook(root.x, f)]
+        checked, eliminating, leaving = self.check_directions(monkeypatch, tree.ws, fixings)
+        assert checked > 40 and eliminating == checked and leaving == 0
 
     def test_breakdown_ends_the_solve(self, monkeypatch):
         from stepplan import bnb

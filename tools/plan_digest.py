@@ -7,7 +7,9 @@ calls, their total interior-point iterations and how many ended at the
 incumbent cutoff (status "cutoff"), the total ``MiqpSolution.refix_solves``
 of its chunks (the relaxations the incumbent path asked for), how many
 calls were warm-started and how many of those were solved again cold
-(their warm interior point ended "max-iterations"), each chunk's
+(their warm interior point ended "max-iterations"), the equality rows the
+CSR Newton systems eliminated through a pivot column and the rows they left
+to the Schur complement, summed over calls, each chunk's
 objective (``%.9g``) and the sha256 of the plan JSON followed by the plan
 SVG. A change that moves only the last bits of a plan keeps the statuses,
 nodes, iterations and objectives and shows a new sha256; one that only ends
@@ -25,8 +27,8 @@ benchmark workload on the batch of that seed and prints the total node
 count, the solve, iteration, cutoff, refix, warm and retry counts and the
 sha256 of every solution ``x`` (bytes in batch order). Run it from the
 repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, refix, warm and retry counts may differ between two
-commits that keep every plan:
+iteration, cutoff, refix, warm, retry, eliminated and Schur counts may
+differ between two commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
 """
@@ -94,19 +96,22 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 @dataclasses.dataclass
 class Solves:
     """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
-    warm start and how many warm interior points ended "max-iterations", so
-    that their call was solved again cold."""
+    warm start, how many warm interior points ended "max-iterations", so
+    that their call was solved again cold, and the equality rows of the
+    calls' CSR Newton systems, eliminated and left to the Schur complement."""
 
     solutions: list = dataclasses.field(default_factory=list)
     warm: int = 0
     retries: int = 0
+    eliminated: int = 0
+    schur: int = 0
 
 
 @contextmanager
 def recorded_solves():
     """Yield a ``Solves`` that records the ``BoxQp.solve`` calls made inside."""
     solves = Solves()
-    real_solve, real_interior_point = qp.BoxQp.solve, qp._interior_point
+    real_solve, real_interior_point, real_presolve = qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve
 
     def recording(ws, *args, **kwargs):
         sol = real_solve(ws, *args, **kwargs)
@@ -119,11 +124,18 @@ def recorded_solves():
         solves.retries += start is not None and out[5] == "max-iterations"
         return out
 
-    qp.BoxQp.solve, qp._interior_point = recording, interior_point
+    def presolve(ws, fixings):
+        red = real_presolve(ws, fixings)
+        if red is not None and red.scatter is not None:
+            solves.eliminated += red.scatter.pivots.size
+            solves.schur += red.scatter.left.size
+        return red
+
+    qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
     try:
         yield solves
     finally:
-        qp.BoxQp.solve, qp._interior_point = real_solve, real_interior_point
+        qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = real_solve, real_interior_point, real_presolve
 
 
 def solve_counts(solves: Solves, results) -> str:
@@ -149,6 +161,7 @@ def preset_digest(path: Path) -> str:
     return (
         f"{path.stem}: status={chunk_statuses} nodes={nodes} "
         f"{solve_counts(solves, [c.solution for c in result.chunks])} "
+        f"eliminated={solves.eliminated} schur={solves.schur} "
         f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
