@@ -127,6 +127,12 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
     )
     if not same:
         raise ScenarioParseError("plan robot block does not match the scenario robot", source)
+    n = robot.n_legs
+
+    def footholds(v, path: str) -> np.ndarray:
+        holds = _points(v, path)
+        return holds if len(holds) == n else _fail(f"expected {n} footholds, one per leg, got {len(holds)}", path)
+
     steps = []
     for i, s in enumerate(_field(doc, "steps", source, _array)):
         at = f"{where}steps[{i}]"
@@ -144,7 +150,7 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
         chunks.append(
             ChunkRecord(
                 index=_field(c, "index", at, _as_int),
-                start_footholds=_field(c, "start_footholds", at, _points),
+                start_footholds=_field(c, "start_footholds", at, footholds),
                 start_yaw=_field(c, "start_yaw", at, _as_float),
                 theta_range=_field(c, "theta_range", at, _yaw_range),
                 n_segments=_field(c, "n_segments", at, _segment_count),
@@ -159,12 +165,15 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
                 solve_time=_field(c, "time_s", at, _as_float) if c.get("time_s") is not None else 0.0,
             )
         )
+        size, kept = chunks[-1].chunk_steps, chunks[-1].kept_count
+        if size <= 0 or size % n or size < kept:
+            _fail(f"expected a positive multiple of {n} steps, at least kept ({kept}), got {size}", f"{at}.chunk_steps")
     if sum(c.kept_count for c in chunks) != len(steps):
         raise ScenarioParseError("chunk kept counts do not match the step list", source)
-    if len(steps) % robot.n_legs != 0:
+    if len(steps) % n != 0:
         raise ScenarioParseError("steps are not grouped in complete configurations", source)
     for i, s in enumerate(steps):
-        if s.leg != i % robot.n_legs + 1:
+        if s.leg != i % n + 1:
             raise ScenarioParseError(f"step {i + 1} breaks the cyclic leg order", source)
     conv = _field(doc, "convergence", source)
     at = f"{where}convergence"

@@ -79,19 +79,27 @@ structure alone is found once per workspace:
   form (sorted, no duplicate entries), so one order of each pair gives the
   block's lower triangle, the only one its Cholesky factorization reads.
 
-Each matrix is sliced once per call; a CSR slice is built from the CSR
-arrays with the free-column map, as scipy's ``m[rows][:, cols]`` builds
-it, entry order included. One mask over G's entries gives the call's G;
-A and the zero-width pairs' rows come from one slice of [A; G]; P is
-scattered straight into a dense array; and the Newton block's entry pairs
-are the workspace's G pairs that survive, with the bins on free columns
-numbered anew, to which the bound rows add their weights on the diagonal.
-No call builds G': a CSR G's arrays, read as CSC, are G', and a dense G'
-is a view. A call's
-``QpSolution`` keeps the reduced multipliers and their index maps and maps
-them back to the full problem, with the residuals, only when ``y``,
-``prim_res`` or ``dual_res`` is first read; branch-and-bound reads none of
-them.
+Each matrix is sliced once per call. A CSR call builds no scipy sparse
+object and dispatches no scipy product: its G and A are the ``_Csr`` arrays
+of scipy's ``m[rows][:, cols]``, entry order included, built with the
+free-column map, and every product of a CSR matrix, in the presolve or in
+the iterations, calls scipy's ``csr_matvec`` kernel on zeros, as ``m @ v``
+does; only the HiGHS feasibility LP, run at most once per call, builds scipy
+matrices. One mask over G's entries gives the call's G; A and the
+zero-width pairs' rows come from one slice of [A; G]; P is scattered
+straight into a dense array; and the Newton block's entry pairs are the
+workspace's G pairs that survive, with the bins on free columns numbered
+anew, to which the bound rows add their weights on the diagonal. The
+reduced system (P, G, A and the elimination of the equality rows) depends
+only on the call's free columns, G rows and A rows, so a CSR workspace
+keeps the last one with that key, and a call with the same key takes it
+without slicing: the second child of a branch-and-bound node, since both
+children fix the same binary, and rounding candidates that leave the same
+variables free. No call builds G': a CSR G's arrays, read as CSC, are G',
+and a dense G' is a view. A call's ``QpSolution`` keeps the reduced
+multipliers and their index maps and maps them back to the full problem,
+with the residuals, only when ``y``, ``prim_res`` or ``dual_res`` is first
+read; branch-and-bound reads none of them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
@@ -112,11 +120,13 @@ On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
 iteration into them: [x; y], [s; z] and [ds; dz] are one buffer each (one
 ratio test, one update), and so are [G_all x; A x], [r_p; r_e] and
-[Px; G_all'z; A'y] (one max-abs reduction per norm). Every such rewrite is
-exact: each element comes from the same floating point operations in the
-same order. For the same reason dense matrices stay C-ordered: a product
-sums in another order on an F-ordered copy, such as ``m[rows][:, cols]``
-makes.
+[Px; G_all'z; A'y] (one max-abs reduction per norm). A call without
+equality rows, as every call on a small random MIQP, skips A'y, Ax and
+their residual: A'y stays 0, and adding it to the dual residual changes no
+bit. Every such rewrite is exact: each element comes from the same floating
+point operations in the same order. For the same reason dense matrices
+stay C-ordered: a product sums in another order on an F-ordered copy, such
+as ``m[rows][:, cols]`` makes.
 
 The Newton system [[H, A'], [A, -EQ_REG I]], H = P + G_all' W G_all, is
 factored in a buffer allocated once per call, F-ordered because LAPACK
@@ -272,9 +282,9 @@ class _Reduced:
     cols: np.ndarray  # free original columns
     p: np.ndarray  # dense
     c: np.ndarray
-    g: np.ndarray | sp.csr_matrix
+    g: np.ndarray | _Csr
     h: np.ndarray
-    a: np.ndarray | sp.csr_matrix
+    a: np.ndarray | _Csr
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -290,24 +300,21 @@ def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
     """The rows ``rows`` and ascending columns ``cols`` of ``m``.
 
     For a CSR ``m``, ``col_map`` gives each column's position in ``cols``,
-    or -1, and the result is built from the CSR arrays; it equals
-    ``m[rows][:, cols]``, entry order included. A dense result is C-ordered,
-    unlike ``m[rows][:, cols]`` (see the module docstring)."""
+    or -1, and the result is the ``_Csr`` arrays of ``m[rows][:, cols]``,
+    entry order included. A dense result is C-ordered, unlike
+    ``m[rows][:, cols]`` (see the module docstring)."""
     if isinstance(m, np.ndarray):
         return m.take(rows, 0).take(cols, 1)
     start = m.indptr[rows]
     count = m.indptr[rows + 1] - start
     ends = np.zeros(rows.size + 1, dtype=m.indptr.dtype)  # each row's span among the picked entries
-    np.cumsum(count, out=ends[1:])
-    entry = np.arange(ends[-1]) + np.repeat(start - ends[:-1], count)
+    count.cumsum(out=ends[1:])
+    entry = np.arange(ends[-1]) + (start - ends[:-1]).repeat(count)
     col = col_map[m.indices[entry]]
     keep = col >= 0
     kept = np.zeros(entry.size + 1, dtype=m.indptr.dtype)  # kept entries before each picked one
-    np.cumsum(keep, out=kept[1:])
-    return sp.csr_matrix(
-        (m.data[entry[keep]], col[keep].astype(m.indices.dtype), kept[ends]),
-        shape=(rows.size, cols.size),
-    )
+    keep.cumsum(out=kept[1:])
+    return _Csr((rows.size, cols.size), kept[ends], col[keep].astype(m.indices.dtype), m.data[entry[keep]])
 
 
 def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
@@ -346,10 +353,10 @@ def _dense(m, shape: tuple) -> np.ndarray:
 
 
 def _nonzero(m):
-    """1.0 at each nonzero entry of ``m`` and 0.0 elsewhere, in ``m``'s form."""
+    """1.0 at each nonzero entry of ``m`` and 0.0 elsewhere: an array for a dense ``m``, else ``_Csr`` arrays."""
     if isinstance(m, np.ndarray):
         return (np.abs(m) > 0.0).astype(float)
-    return sp.csr_matrix(((np.abs(m.data) > 0.0).astype(float), m.indices, m.indptr), shape=m.shape)
+    return _Csr(m.shape, m.indptr, m.indices, (np.abs(m.data) > 0.0).astype(float))
 
 
 def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
@@ -357,8 +364,8 @@ def _singletons(nz, m, f: np.ndarray, rows: np.ndarray):
 
     ``nz`` marks the entries of ``m`` and ``f`` the free columns; both
     products are exact, since every other term is zero."""
-    cols = (nz @ (f * np.arange(f.size)))[rows].astype(int)
-    return cols, (m @ f)[rows]
+    cols = _times(nz, f * np.arange(f.size))[rows].astype(int)
+    return cols, _times(m, f)[rows]
 
 
 def _tighten(rows, cols, coefs, rhs, lo, hi, bound_rows, bound_coefs) -> None:
@@ -371,14 +378,16 @@ def _tighten(rows, cols, coefs, rhs, lo, hi, bound_rows, bound_coefs) -> None:
     bound = rhs[rows] / coefs
     upper = coefs > 0.0
     key = np.where(upper, bound, -bound)  # smaller is tighter on either side
-    order = np.lexsort((key, cols, upper))  # stable: the first row wins a tie
-    side, col = upper[order], cols[order]
+    # only a row strictly tighter than its bound can move it, and the
+    # tightest row of a bound is one of those if any is
+    tighter = (key < np.where(upper, hi[cols], -lo[cols])).nonzero()[0]
+    target = 2 * cols[tighter] + upper[tighter]  # each bound a row can move: its column and side
+    order = np.lexsort((key[tighter], target))  # stable: the first row wins a tie
     first = np.ones(order.size, dtype=bool)
-    first[1:] = (col[1:] != col[:-1]) | (side[1:] != side[:-1])
-    win = order[first]
+    target = target[order]
+    first[1:] = target[1:] != target[:-1]
+    win = tighter[order[first]]
     side, col = upper[win], cols[win]
-    tighter = key[win] < np.where(side, hi[col], -lo[col])
-    win, side, col = win[tighter], side[tighter], col[tighter]
     hi[col[side]] = bound[win[side]]
     lo[col[~side]] = bound[win[~side]]
     at = side.astype(int), col
@@ -392,7 +401,7 @@ def _fix(rows, cols, coefs, rhs, lo, hi) -> bool:
     tolerance of the bounds already set (an earlier row on its column set
     both to its own value), and the last row on a column fixes it."""
     val = rhs[rows] / coefs
-    order = np.argsort(cols, kind="stable")
+    order = cols.argsort(kind="stable")
     col, val = cols[order], val[order]
     same = col[1:] == col[:-1]  # the row before is on the same column
     ref_lo, ref_hi = lo[col], hi[col]
@@ -510,7 +519,7 @@ def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
     return a, b, m.data[a] * m.data[b], pair_bin[order], bins
 
 
-def _pivots(a: sp.csr_matrix, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivots(a: _Csr, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a canonical CSR ``a`` that have a private pivot, ascending, and the pivot entry of each.
 
     ``row_of`` is each entry's row. A private entry is one whose column
@@ -518,14 +527,14 @@ def _pivots(a: sp.csr_matrix, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarra
     largest magnitude, ties to the last, if that is at least PIVOT_RATIO
     times the row's largest magnitude."""
     mag = np.abs(a.data)
+    rows = (a.indptr[1:] > a.indptr[:-1]).nonzero()[0]  # the rows with entries
     largest = np.zeros(a.shape[0])
-    np.maximum.at(largest, row_of, mag)
+    largest[rows] = np.maximum.reduceat(mag, a.indptr[rows])
     private = np.bincount(a.indices, minlength=a.shape[1])[a.indices] == 1
     eligible = private & (mag >= PIVOT_RATIO * largest[row_of])
     # a stable sort by row, then eligibility, then magnitude ends each row
     # that has an entry at its pivot, if any
-    ends = a.indptr[1:][np.diff(a.indptr) > 0] - 1
-    best = np.lexsort((mag, eligible, row_of))[ends]
+    best = np.lexsort((mag, eligible, row_of))[a.indptr[rows + 1] - 1]
     best = best[eligible[best]]
     return row_of[best], best
 
@@ -536,14 +545,14 @@ def _through(i, j, ptr, col, coef) -> tuple[np.ndarray, ...]:
     Row c of Z is given as CSR arrays: its entries ``col[ptr[c]:ptr[c+1]]``
     with values ``coef[...]``. Returns, per term, the pair k, the entry
     (u, v), u >= v, and Z[i, u] Z[j, v], pair by pair."""
-    size = np.diff(ptr)
+    size = ptr[1:] - ptr[:-1]
     n_j = size[j]
     count = size[i] * n_j
-    pair = np.repeat(np.arange(i.size), count)
-    step_i, step_j = np.divmod(np.arange(pair.size) - (np.cumsum(count) - count)[pair], n_j[pair])
+    pair = np.arange(i.size).repeat(count)
+    step_i, step_j = np.divmod(np.arange(pair.size) - (count.cumsum() - count)[pair], n_j[pair])
     at_i, at_j = ptr[i][pair] + step_i, ptr[j][pair] + step_j
     u, v = col[at_i], col[at_j]
-    low = np.flatnonzero(u >= v)
+    low = (u >= v).nonzero()[0]
     at_i, at_j = at_i[low], at_j[low]
     return pair[low], u[low], v[low], coef[at_i] * coef[at_j]
 
@@ -576,7 +585,9 @@ class _Substitution:
     through Z, ``routes @ block``, and adds bin k at ``route_at[k]``. Each
     row of ``pairs`` and ``routes`` holds one bin's terms in summation
     order, so ``csr_matvec`` sums each bin as a ``np.bincount`` of the terms
-    would."""
+    would. ``a_t`` is A' as a C-ordered array, as a dense workspace holds
+    it, and ``a_l`` is A_l' on the other columns, the rows left, which the
+    Schur complement reads."""
 
     eliminated: np.ndarray
     pivots: np.ndarray
@@ -592,9 +603,11 @@ class _Substitution:
     at: np.ndarray
     routes: _Csr
     route_at: np.ndarray
+    a_t: np.ndarray
+    a_l: np.ndarray
 
     @classmethod
-    def build(cls, nf: int, p_entries: tuple, a: sp.csr_matrix, pairs: _Csr, bin_cols: tuple) -> _Substitution:
+    def build(cls, nf: int, p_entries: tuple, a: _Csr, pairs: _Csr, bin_cols: tuple) -> _Substitution:
         """The substitution for a call of ``nf`` free columns, with P's
         entries ``(row, col, value)``, its CSR A, the Newton block's entry
         pairs (row k of ``pairs`` holds bin k's products by G_all row, in
@@ -608,34 +621,29 @@ class _Substitution:
         pivot row and its mirror (j, p) when j is not a pivot, Z[p, u]
         Z[j, v] times it at (u, v), u >= v."""
         me = a.shape[0]
-        row_of = np.repeat(np.arange(me), np.diff(a.indptr))
+        row_of = np.arange(me).repeat(a.indptr[1:] - a.indptr[:-1])
         eliminated, entry = _pivots(a, row_of)
         pivots, coefs, ne = a.indices[entry], a.data[entry], entry.size
         is_pivot = np.zeros(nf, dtype=bool)
         is_pivot[pivots] = True
-        others = np.flatnonzero(~is_pivot)
+        others = (~is_pivot).nonzero()[0]
         nr, square = others.size, others.size**2
         perm = np.concatenate([others, pivots])
         place = np.empty(nf, dtype=np.intp)  # each column's position in the permuted order
         place[perm] = np.arange(nf)
-        left = np.ones(me, dtype=bool)
-        left[eliminated] = False
-        left = np.flatnonzero(left)
+        e = np.full(me, -1)  # each row's position among the eliminated ones, or -1
+        e[eliminated] = np.arange(ne)
+        left = (e < 0).nonzero()[0]
 
         # where the block sums H at permuted (r, c): K at (r, c), or row r - nr of H's pivot rows
         start, stride = np.arange(nf), np.full(nf, nr)
         start[nr:], stride[nr:] = square + nf * np.arange(ne), 1
-
-        def key(r, c):
-            return start[r] + stride[r] * c
-
         # Z's pivot rows: x_p = (b_r - sum_{j != p} a_rj x_j) / a_rp. A
-        # pivot is private, so the only pivot in its row is its own. The
-        # members come by row, so by pivot
-        e = np.full(me, -1)
-        e[eliminated] = np.arange(ne)
+        # pivot is private, so the only pivot entry in its row is its own.
+        # The members come by row, so by pivot
         e = e[row_of]
-        member = (e >= 0) & ~is_pivot[a.indices]
+        member = e >= 0
+        member[entry] = False
         e, u = e[member], place[a.indices[member]]
         z_vals = -a.data[member] / coefs[e]
         subst = np.zeros((ne, nr))
@@ -644,42 +652,47 @@ class _Substitution:
         ptr = np.zeros(nf + 1, dtype=np.intp)
         ptr[1 : nr + 1] = 1
         ptr[nr + 1 :] = np.bincount(e, minlength=ne)
-        np.cumsum(ptr, out=ptr)
+        ptr.cumsum(out=ptr)
         z = ptr, np.concatenate([np.arange(nr), u]), np.concatenate([np.ones(nr), z_vals])
-        # P on the other columns and in the pivot rows; P[j, p] is P[p, j]
+        # P on the other columns and in the pivot rows (P[j, p] is P[p, j]),
+        # then the bins: (j, i) is a lower entry unless a pivot is involved
         p_row, p_col, p_val = p_entries
         p_row, p_col = place[p_row], place[p_col]
         p_in = (p_row >= nr) | (p_col < nr)
-        p_at, p_val = key(p_row[p_in], p_col[p_in]), p_val[p_in]
-        i, j = place[bin_cols[0]], place[bin_cols[1]]  # (j, i) is a lower entry unless a pivot is involved
-        r = np.where((i >= nr) & (j < nr), i, j)
-        twice = np.flatnonzero((i >= nr) & (j >= nr) & (i != j))
-        bin_at = key(np.concatenate([r, i[twice]]), np.concatenate([i + j - r, j[twice]]))
+        i, j = place[bin_cols[0]], place[bin_cols[1]]
+        on_pivots = i >= nr, j >= nr
+        r = np.where(on_pivots[0] > on_pivots[1], i, j)
+        twice = (on_pivots[0] & on_pivots[1] & (i != j)).nonzero()[0]
+        rows = np.concatenate([p_row[p_in], r, i[twice]])
+        hp_at = start[rows] + stride[rows] * np.concatenate([p_col[p_in], i + j - r, j[twice]])
+        p_val = p_val[p_in]
+        p_at, bin_at = hp_at[: p_val.size], hp_at[p_val.size :]
         # H's pivot rows through Z: each entry a bin or P can make nonzero, and its mirror
         nonzero = np.zeros(ne * nf, dtype=bool)
-        hp_at = np.concatenate([p_at, bin_at])
         nonzero[hp_at[hp_at >= square] - square] = True
-        src = np.flatnonzero(nonzero)
+        src = nonzero.nonzero()[0]
         e, col = np.divmod(src, nf)
-        mirror = np.flatnonzero(col < nr)
-        first, second = np.concatenate([nr + e, col[mirror]]), np.concatenate([col, nr + e[mirror]])
-        term, s, t, coef = _through(first, second, *z)
+        e += nr  # the pivot rows' permuted positions
+        mirror = (col < nr).nonzero()[0]
+        term, s, t, coef = _through(np.concatenate([e, col[mirror]]), np.concatenate([col, e[mirror]]), *z)
         # the terms by position in K, in term order within each
         route = s + t * nr
-        by = np.argsort(route, kind="stable")
+        by = route.astype(np.min_scalar_type(square)).argsort(kind="stable")  # radix for 16 bits or fewer
         route = route[by]
-        new = np.ones(route.size, dtype=bool)
-        new[1:] = route[1:] != route[:-1]
-        starts = np.flatnonzero(new)
+        new = np.ones(route.size + 1, dtype=bool)  # where each position's terms start, and the end
+        new[1:-1] = route[1:] != route[:-1]
+        indptr = new.nonzero()[0]
         routes = _Csr(
-            (starts.size, square + ne * nf), np.append(starts, route.size),
+            (indptr.size - 1, square + ne * nf), indptr,
             square + np.concatenate([src, src[mirror]])[term[by]], coef[by],
         )
         order = np.concatenate([perm, nf + eliminated, nf + left])
         which = np.concatenate([np.arange(i.size), twice])
+        dense = np.zeros((me, nf))
+        dense[row_of, a.indices] = a.data
         return cls(
             eliminated, pivots, coefs, left, others, order, subst, p_at, p_val,
-            pairs, which, bin_at, routes, route[starts],
+            pairs, which, bin_at, routes, route[indptr[:-1]], dense.T.copy(), dense[left][:, others].T.copy(),
         )
 
 
@@ -716,6 +729,17 @@ def _copy_product_t(m, v: np.ndarray, out: np.ndarray) -> None:
     sums a row of m' in CSR form, so the bits are those of either."""
     out.fill(0.0)
     _sparsetools.csc_matvec(m.shape[1], m.shape[0], m.indptr, m.indices, m.data, v, out)
+
+
+def _times(m, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` in a new array: numpy's product for a dense ``m``; for a CSR
+    one (a scipy matrix or ``_Csr`` arrays) scipy's kernel adds the products
+    into zeros, as ``m @ v`` does after its dispatch."""
+    if isinstance(m, np.ndarray):
+        return m @ v
+    out = np.zeros(m.shape[0])
+    _sparsetools.csr_matvec(*m.shape, m.indptr, m.indices, m.data, v, out)
+    return out
 
 
 def _rounding(terms: int, magnitude: float) -> float:
@@ -774,13 +798,16 @@ class BoxQp:
             self._g_entries = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices.astype(np.intp)
             self._p_entries = np.repeat(np.arange(n), np.diff(p.indptr)), p.indices, p.data
             self._ag = sp.vstack([a, g], format="csr")
+            # the last call's key (free columns, G rows, A rows) and its
+            # ``_slice_csr``: a node's second child takes the first's
+            self._slot = None
         else:
             self._ag = np.vstack([self.a, self.g])
         pinnable = np.zeros(n, dtype=bool)
         pinnable[np.asarray(integer_columns, dtype=int)] = True
         self._pinnable = pinnable
         # 1.0 at each nonzero entry: a product with the free mask counts free entries
-        self._nz_g, self._nz_a = _nonzero(g), _nonzero(a)
+        self._nz_ag = _nonzero(self._ag)
         # a pair can only become an equality when both rows keep two free
         # entries off the pinnable columns, so only such entries are compared
         self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
@@ -796,7 +823,7 @@ class BoxQp:
         # row, no fixing of pinnable columns leaves a row empty or singleton,
         # so no bound moves and the presolve tests no row
         kept = (~pinnable & self._free).astype(float)
-        self._tests_rows = bool((self._nz_g @ kept < 2.0).any() or (self._nz_a @ kept < 2.0).any())
+        self._tests_rows = bool((_times(self._nz_ag, kept) < 2.0).any())
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
@@ -845,42 +872,44 @@ class BoxQp:
         # only the workspace's own bounds can cross here: a fixing sets lo = hi
         if self._crossed and _crossed(lo, hi):
             return None
-        nz_g, nz_a = self._nz_g, self._nz_a
+        me = self.b.shape[0]
         bound_rows = np.full((2, self.n), -1)
         bound_coefs = np.zeros((2, self.n))
-        live_g = np.ones(self.h.shape[0], dtype=bool)
-        live_a = np.ones(self.b.shape[0], dtype=bool)
+        live = np.ones(me + self.h.shape[0], dtype=bool)  # the rows of [A; G] still tested
         while True:
             x = np.where(free, 0.0, 0.5 * (lo + hi))
-            h = self.h - self.g @ x
-            b = self.b - self.a @ x
+            h = self.h - _times(self.g, x)
+            b = self.b - _times(self.a, x)
             if not tests_rows:
                 break  # every row keeps two free entries
             f = free.astype(float)
-            g_nnz = nz_g @ f
-            a_nnz = nz_a @ f
-            empty = np.flatnonzero(live_g & (g_nnz == 0.0))
-            if empty.size and np.any(h[empty] < -FEAS_TOL * (1.0 + np.abs(self.h[empty]))):
-                return None
-            empty = np.flatnonzero(live_a & (a_nnz == 0.0))
-            if empty.size and np.any(np.abs(b[empty]) > FEAS_TOL * (1.0 + np.abs(self.b[empty]))):
-                return None
+            nnz = _times(self._nz_ag, f)
+            empty = (live & (nnz == 0.0)).nonzero()[0]
+            if empty.size:
+                eq, ineq = empty[empty < me], empty[empty >= me] - me
+                if (np.abs(b[eq]) > FEAS_TOL * (1.0 + np.abs(self.b[eq]))).any() or (
+                    h[ineq] < -FEAS_TOL * (1.0 + np.abs(self.h[ineq]))
+                ).any():
+                    return None
+            single = (live & (nnz == 1.0)).nonzero()[0]
+            live &= nnz >= 2.0
+            if not single.size:
+                break  # no bound moved, so no variable is pinned
+            cols, coefs = _singletons(self._nz_ag, self._ag, f, single)
+            eq = single.searchsorted(me)  # the equality rows come first
             # a singleton inequality row tightens one bound of its variable
-            single = np.flatnonzero(live_g & (g_nnz == 1.0))
-            if single.size:
-                _tighten(single, *_singletons(nz_g, self.g, f, single), h, lo, hi, bound_rows, bound_coefs)
+            if eq < single.size:
+                _tighten(single[eq:] - me, cols[eq:], coefs[eq:], h, lo, hi, bound_rows, bound_coefs)
             # a singleton equality row fixes its variable
-            single = np.flatnonzero(live_a & (a_nnz == 1.0))
-            if single.size and not _fix(single, *_singletons(nz_a, self.a, f, single), b, lo, hi):
+            if eq and not _fix(single[:eq], cols[:eq], coefs[:eq], b, lo, hi):
                 return None
             if _crossed(lo, hi):  # a tightened bound crossed the other
                 return None
-            live_g &= g_nnz >= 2.0
-            live_a &= a_nnz >= 2.0
             still_free = _wide(lo, hi)
             if np.array_equal(still_free, free):
                 break
             free = still_free  # a row pinned a variable: substitute again
+        live_a, live_g = live[:me], live[me:]
         found = self._zero_width_pairs(h, free, live_g)
         if found is None:
             return None
@@ -889,30 +918,33 @@ class BoxQp:
         cols, g_rows, eq_rows = free.nonzero()[0], live_g.nonzero()[0], live_a.nonzero()[0]
         a_rows, b = eq_rows, b[eq_rows]
         if pairs.size:  # the first row of each zero-width pair joins the equalities
-            a_rows = np.concatenate([eq_rows, self.b.shape[0] + pairs[:, 0]])
+            a_rows = np.concatenate([eq_rows, me + pairs[:, 0]])
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         if self.sparse:
-            p, g, a, scatter = self._slice_csr(g_rows, a_rows, cols)
+            key = cols, g_rows, a_rows
+            if not (self._slot and all(map(np.array_equal, key, self._slot[0]))):
+                self._slot = key, self._slice_csr(g_rows, a_rows, cols)
+            p, g, a, scatter = self._slot[1]
         else:
             p, g = _take(self.p, cols, cols, None), _take(self.g, g_rows, cols, None)
             a, scatter = _take(self._ag, a_rows, cols, None), None
         return _Reduced(
-            x, cols, p, self.q[cols] + (self.p @ x)[cols], g, h[g_rows], a, b, lo[cols], hi[cols],
+            x, cols, p, self.q[cols] + _times(self.p, x)[cols], g, h[g_rows], a, b, lo[cols], hi[cols],
             g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
         )
 
     def _slice_csr(self, g_rows, a_rows, cols) -> tuple:
-        """The call's P, G, A and its Newton system's ``_Substitution``.
+        """The call's P, G and A, the latter two as ``_Csr`` arrays, and its Newton system's ``_Substitution``.
 
-        P's entries in free columns are scattered into a dense array in
-        entry order, as ``toarray`` adds them. One mask marks the
-        workspace's G entries in kept rows and free columns, which G keeps
-        in entry order, as ``_take`` does; A is taken from [A; G] with the
-        column map, which gives each column's position in ``cols``, or -1.
-        An entry pair survives when both its entries do. The pairs keep the
-        workspace's order, bin by bin, and the workspace's bins on free
-        columns are numbered anew, diagonals first.
+        P's entries in free columns are scattered into a dense array, as
+        ``toarray`` adds them into zeros. One mask marks the workspace's G
+        entries in kept rows and free columns, which G keeps in entry order,
+        as ``_take`` does; A is taken from [A; G] with the column map, which
+        gives each column's position in ``cols``, or -1. An entry pair
+        survives when both its entries do. The pairs keep the workspace's
+        order, bin by bin; a surviving pair's bin is on free columns, and
+        those bins keep their order, diagonals first.
         """
         g, k, nf = self.g, g_rows.size, cols.size
         col_map = np.full(self.n, -1)
@@ -921,29 +953,27 @@ class BoxQp:
         row_map[g_rows] = np.arange(k)
         p_row, p_col, p_val = self._p_entries
         p_row, p_col = col_map[p_row], col_map[p_col]
-        keep = (p_row >= 0) & (p_col >= 0)
+        keep = (p_row | p_col) >= 0  # both are: an OR of integers is negative when either is
         p_entries = p_row[keep], p_col[keep], p_val[keep]
         p = np.zeros((nf, nf))
-        np.add.at(p, p_entries[:2], p_entries[2])
+        p[p_entries[:2]] = p_entries[2]  # P has one entry per position: adding it to 0.0 is writing it
         row_of, col_of = self._g_entries
         row, col = row_map[row_of], col_map[col_of]
-        on = (row >= 0) & (col >= 0)
+        on = (row | col) >= 0
         entry = on.nonzero()[0]
-        kept = np.zeros(on.size + 1, dtype=g.indptr.dtype)  # kept entries before each one
-        np.cumsum(on, out=kept[1:])
-        indptr = np.zeros(k + 1, dtype=g.indptr.dtype)
-        indptr[1:] = kept[g.indptr[g_rows + 1]]
-        g_red = sp.csr_matrix((g.data[entry], col[entry].astype(g.indices.dtype), indptr), shape=(k, nf))
+        indptr = np.zeros(k + 1, dtype=np.intp)
+        np.bincount(row[entry], minlength=k).cumsum(out=indptr[1:])
+        g_red = _Csr((k, nf), indptr, col[entry], g.data[entry])
         a_red = _take(self._ag, a_rows, cols, col_map)
         a, b, prod, bins, (i, j) = self._scatter
         keep = on[a] & on[b]
         i, j = col_map[i], col_map[j]
-        live = (i >= 0) & (j >= 0)
-        renumber = np.cumsum(live) - 1  # a free column's diagonal bin becomes its position
-        n_bins = int(renumber[-1]) + 1
+        live = (i | j) >= 0
         # the pairs bin by bin (the workspace orders them so): the rows of a CSR matrix
-        indptr = np.searchsorted(renumber[bins[keep]], np.arange(n_bins + 1))
-        pairs = _Csr((n_bins, k + 2 * nf), indptr, row[a[keep]], prod[keep])
+        count = np.bincount(bins[keep], minlength=live.size)[live]
+        indptr = np.zeros(count.size + 1, dtype=np.intp)
+        count.cumsum(out=indptr[1:])
+        pairs = _Csr((count.size, k + 2 * nf), indptr, row[a[keep]], prod[keep])
         return p, g_red, a_red, _Substitution.build(nf, p_entries, a_red, pairs, (i[live], j[live]))
 
     def _zero_width_pairs(self, rhs, free, kept):
@@ -960,14 +990,15 @@ class BoxQp:
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
             return none, none[:, 0]
-        ready = (self._nz_g @ (free & self._pinnable) == 0.0) & kept
+        pinnable = _times(self._nz_ag, (free & self._pinnable).astype(float))[self.b.shape[0] :]
+        ready = (pinnable == 0.0) & kept
         live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
         if not live.any():
             return none, none[:, 0]
         pairs, groups = self._pairs[live], self._pair_groups[live]
         h_i = rhs[pairs[:, 0]]
         width = h_i + rhs[pairs[:, 1]]
-        if np.any(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
+        if (width < -FEAS_TOL * (1.0 + np.abs(h_i))).any():
             return None
         zero = width <= FEAS_TOL * (1.0 + np.abs(h_i))
         _, first = np.unique(groups[zero], return_index=True)
@@ -1008,7 +1039,7 @@ class BoxQp:
         base = slack = 0.0
         if cutoff < math.inf:  # the objective's fixed part and its rounding allowance
             x = red.x
-            base, slack = float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant), self._fixed_slack
+            base, slack = float(0.5 * x @ _times(self.p, x) + self.q @ x + self.constant), self._fixed_slack
         warm = None if start is None else start._start
         xr, y, s, z, it, status, bound = _interior_point(red, cutoff - base + slack, warm)
         if status == "max-iterations" and warm is not None:  # the one status a start can worsen
@@ -1039,7 +1070,7 @@ class BoxQp:
         x = red.x.copy()
         x[red.cols] = xr
         return QpSolution(
-            x, float(0.5 * x @ (self.p @ x) + self.q @ x + self.constant), status, iterations,
+            x, float(0.5 * x @ _times(self.p, x) + self.q @ x + self.constant), status, iterations,
             _ws=self,
             _duals=(y_red, z, red.cols, red.g_rows, red.eq_rows, red.pair_rows,
                     red.bound_rows, red.bound_coefs),
@@ -1155,9 +1186,7 @@ class _CholeskyNewton:
         self.block = np.empty(nr * nr + ne * nf)
         self.h = self.block[: nr * nr].reshape((nr, nr), order="F")  # views: factored in place
         self.hp = self.block[nr * nr :].reshape((ne, nf))
-        # C-ordered A', as a dense workspace's; the Schur complement reads A_l' on the other columns
-        a = red.a.toarray()
-        self.a_t, self.a_l = a.T.copy(), a[sub.left][:, sub.others].T.copy()
+        self.a_t, self.a_l = sub.a_t, sub.a_l
         self.y, self.s = np.empty((nr, ml), order="F"), np.empty((ml, ml), order="F")
         # the right-hand side and the step in the permuted order, and the step
         self.r, self.dp, self.d = np.empty(nf + me), np.empty(nf + me), np.empty(nf + me)
@@ -1234,10 +1263,10 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     n_cone = mi + 2 * nf
     # dense products write into their buffer; a CSR product is copied there.
     # times_t(g_t, v, out) writes G'v: from a view of a dense G, from a CSR G's own arrays
-    if sp.issparse(g):
-        times, times_t, g_t = _copy_product, _copy_product_t, g
-    else:
+    if isinstance(g, np.ndarray):
         times, times_t, g_t = np.dot, np.dot, g.T
+    else:
+        times, times_t, g_t = _copy_product, _copy_product_t, g
 
     def blocks(v):  # the blocks of a G_all-row vector: G rows, lower, upper
         return v[:mi], v[mi : mi + nf], v[mi + nf :]
@@ -1269,6 +1298,8 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     r_p, r_e = res[:n_cone], res[n_cone:]
     terms = np.empty(3 * nf)  # [Px; G_all'z; A'y]: the terms of r_d
     px, gz, ay = terms[:nf], terms[nf : 2 * nf], terms[2 * nf :]
+    if not me:  # A'y of no rows; a call without them skips all equality-row work
+        ay.fill(0.0)
     neg_rp, t = np.empty(n_cone), np.empty(n_cone)
     r_d, neg_rd = np.empty(nf), np.empty(nf)
     # s * z, z * r_p, z / s, the corrector's r_c and -r_c of the current target
@@ -1316,7 +1347,12 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         if not bound >= cutoff:
             return None
         abs_p, abs_x, abs_y = np.abs(p), np.abs(x), np.abs(y)
-        r_abs = abs_p @ abs_x + np.abs(c) + abs(g).T @ z_g + np.abs(a_t) @ abs_y
+        if isinstance(g, np.ndarray):
+            abs_gz = abs(g).T @ z_g
+        else:  # |G|'z_G from G's arrays, as |g|.T @ z_G of its scipy matrix sums it
+            abs_gz = np.empty(nf)
+            _copy_product_t(g._replace(data=np.abs(g.data)), z_g, abs_gz)
+        r_abs = abs_p @ abs_x + np.abs(c) + abs_gz + np.abs(a_t) @ abs_y
         width = np.maximum(np.abs(red.lo), np.abs(red.hi))
         magnitude = abs_x @ (abs_p @ abs_x) + z_g @ np.abs(red.h) + abs_y @ np.abs(b) + 2.0 * (r_abs @ width)
         bound -= _rounding(nf + mi + me, float(magnitude))
@@ -1334,15 +1370,17 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     for it in range(1, MAX_ITER + 1):
         np.dot(p, x, out=px)
         stack_t(z_b, gz)
-        np.dot(a_t, y, out=ay)
         np.add(px, c, out=r_d)
         np.add(r_d, gz, out=r_d)
-        np.add(r_d, ay, out=r_d)
+        if me:  # r_d is never -0.0 (gz ends with + z_u, z_u > 0), so adding 0.0 would change no bit
+            np.dot(a_t, y, out=ay)
+            np.add(r_d, ay, out=r_d)
         stack(x, gx_b)
-        times(a, x, ax)
         np.add(gx, s, out=r_p)
         np.subtract(r_p, h_all, out=r_p)
-        np.subtract(ax, b, out=r_e)
+        if me:
+            times(a, x, ax)
+            np.subtract(ax, b, out=r_e)
         mu = float(s @ z) / n_cone
         obj = float(0.5 * x @ px + c @ x)
         # residuals relative to the terms that make them up
@@ -1377,7 +1415,8 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         np.multiply(s, z, out=sz_prod)
         np.multiply(z, r_p, out=z_rp)
         np.negative(r_p, out=neg_rp)
-        np.negative(r_e, out=rhs_y)
+        if me:
+            np.negative(r_e, out=rhs_y)
 
         def newton(r_c):
             """[dx; dy] for the complementarity target ``r_c``; fills [ds; dz]."""
@@ -1417,7 +1456,8 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     if cutoff < math.inf:
         # a loop that ran out took Px and A'y before its last step
         np.dot(p, x, out=px)
-        np.dot(a_t, y, out=ay)
+        if me:
+            np.dot(a_t, y, out=ay)
         if (bound := cutoff_bound()) is not None:
             return x, y, s, z, it, "cutoff", bound
     # iterates that stop unconverged at their accuracy floor, where further
@@ -1431,11 +1471,16 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
 
 
 def _feasible(red: _Reduced) -> bool:
-    """Exact feasibility of the reduced constraints, decided by HiGHS."""
+    """Exact feasibility of the reduced constraints, decided by HiGHS.
+
+    The only scipy matrices a CSR call builds are the two made here."""
     # one stacked constraint: milp stacks a list of them as sparse matrices
-    stack = sp.vstack if sp.issparse(red.g) else np.vstack
+    if isinstance(red.g, np.ndarray):
+        matrix = np.vstack([red.g, red.a])
+    else:
+        matrix = sp.vstack([sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) for m in (red.g, red.a)])
     rows = LinearConstraint(
-        stack([red.g, red.a]),
+        matrix,
         np.concatenate([np.full(red.h.size, -np.inf), red.b]),
         np.concatenate([red.h, red.b]),
     )

@@ -98,6 +98,16 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert "0 issue" in out
 
+    @pytest.mark.parametrize("key, value", [("start_footholds", [[0.2, 0.2, 0.0]]), ("chunk_steps", -4)])
+    def test_malformed_chunk_record_is_a_parse_error(self, scenario_file, tmp_path, capsys, key, value):
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"]) == EXIT_OK
+        doc = json.loads(plan_path.read_text())
+        doc["chunks"][0][key] = value
+        plan_path.write_text(json.dumps(doc))
+        assert main(["validate", str(plan_path), str(scenario_file)]) == EXIT_PARSE
+        assert f"chunks[0].{key}" in capsys.readouterr().err
+
     def test_tampered_plan_fails(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         main(["plan", str(scenario_file), "-o", str(plan_path), "--chunk", "2"])

@@ -133,6 +133,32 @@ class TestPlanFile:
             with pytest.raises(ScenarioParseError, match=rf"chunks\[0\]\.{key}"):
                 plan_from_dict(doc, scn)
 
+    def test_malformed_chunk_record_names_its_path(self, planned):
+        # each of these once reached validate_plan: one start foothold raised
+        # an IndexError there, none emptied a CoC window, and a negative
+        # chunk size validated clean
+        scn, result = planned
+        n = scn.robot.n_legs
+        first = plan_to_dict(result, scn)["chunks"][0]
+        bad = (
+            ("start_footholds", first["start_footholds"][:1]), ("start_footholds", []),
+            ("start_footholds", first["start_footholds"] * 2),
+            ("chunk_steps", -n), ("chunk_steps", 0), ("chunk_steps", first["chunk_steps"] + 1),
+        )
+        for key, value in bad:
+            doc = plan_to_dict(result, scn)
+            doc["chunks"][0][key] = value
+            with pytest.raises(ScenarioParseError, match=rf"chunks\[0\]\.{key}"):
+                plan_from_dict(doc, scn)
+
+    def test_chunk_smaller_than_its_kept_steps_rejected(self, planned):
+        scn, result = planned
+        doc = plan_to_dict(result, scn)
+        chunk = doc["chunks"][0]
+        chunk["kept"] = chunk["chunk_steps"] + scn.robot.n_legs
+        with pytest.raises(ScenarioParseError, match=r"chunks\[0\]\.chunk_steps"):
+            plan_from_dict(doc, scn)
+
     def test_byte_identical_output(self, planned):
         scn, result = planned
         assert plan_to_json(result, scn) == plan_to_json(result, scn)

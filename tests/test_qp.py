@@ -428,11 +428,18 @@ def random_workspace(rng, n, m, n_eq=0, shared=0):
     return ws, g, p
 
 
+def as_scipy(m):
+    """A reduced G or A as a scipy CSR matrix over its ``_Csr`` arrays; a dense one as it is."""
+    if isinstance(m, qp_module._Csr):
+        return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    return m
+
+
 def null_space(red) -> np.ndarray:
     """Z of a CSR call, built with numpy from its A and the pivots of its
     eliminated rows: the identity on the other columns and, on the pivot p
     of row r, -A[r, j] / A[r, p] at each other column j."""
-    sub, a = red.scatter, red.a.toarray()
+    sub, a = red.scatter, as_scipy(red.a).toarray()
     z = np.zeros((red.c.size, sub.others.size))
     z[sub.others, np.arange(sub.others.size)] = 1.0
     for r, p in zip(sub.eliminated, sub.pivots):
@@ -548,11 +555,11 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     dense one takes one product plus the bound diagonal. A, A' and
     -EQ_REG I fill the other blocks."""
     nf, me, k = red.c.size, red.b.size, red.h.size
+    g, eq = as_scipy(red.g), as_scipy(red.a)
     if red.scatter is None:
-        block = red.p + (red.g.T * w[:k]) @ red.g
+        block = red.p + (g.T * w[:k]) @ g
         block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
     else:
-        g = red.g
         count = np.diff(g.indptr)
         row_of = np.repeat(np.arange(k), count)
         per_entry = count[row_of]
@@ -565,7 +572,7 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
         block = red.p + np.bincount(flat, prod * w[rows], nf * nf).reshape(nf, nf)
     kkt = np.zeros((nf + me, nf + me))
     kkt[:nf, :nf] = block
-    kkt[nf:, :nf] = red.a.toarray() if sp.issparse(red.a) else red.a
+    kkt[nf:, :nf] = eq.toarray() if sp.issparse(eq) else eq
     kkt[:nf, nf:] = kkt[nf:, :nf].T
     kkt[nf:, nf:] = -qp_module.EQ_REG * np.eye(me)
     return kkt
@@ -845,7 +852,7 @@ class TestCopyProduct:
         for name in ("quadruped_tilted_terrain", "hexapod_rotation"):
             prob = preset_chunk(name)
             ws = BoxQp.from_miqp(prob)
-            reduced += [ws._presolve(f).g for f in preset_fixings(prob, ws, name, count=3)]
+            reduced += [as_scipy(ws._presolve(f).g) for f in preset_fixings(prob, ws, name, count=3)]
         assert all(sp.issparse(g) and g.nnz > 100 for g in reduced)
         for g in [*self.matrices(rng), *reduced]:
             v = rng.normal(size=g.shape[0]) * 10.0 ** rng.integers(-4, 4, size=g.shape[0])
@@ -858,6 +865,94 @@ class TestCopyProduct:
                 for ref in (m.T @ v, m.T.tocsr() @ v):
                     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
                 assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + m.shape[1] :]).all()
+
+
+class TestSliceSlot:
+    """A CSR workspace keeps the last call's reduced system with its key
+    (free columns, G rows, A rows), and a call with the same key, such as a
+    node's second child, takes it without slicing."""
+
+    @staticmethod
+    def every_field(a, b) -> bool:
+        """Whether two solutions agree bit for bit in every field, ``y``, ``prim_res`` and ``dual_res`` included."""
+        names = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
+        return all(
+            np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+            for name in names + ["y", "prim_res", "dual_res"]
+        )
+
+    @pytest.fixture(scope="class")
+    def children(self):
+        """The quadruped chunk problem, and child fixing pairs of its most
+        fractional binaries: those whose two children share a key, and
+        those whose children do not."""
+        prob = preset_chunk("quadruped_tilted_terrain")
+        ws = BoxQp.from_miqp(prob)
+        root = ws.solve()
+        bins = prob.binary_indices[np.argsort(np.abs(root.x[prob.binary_indices] - 0.5), kind="stable")]
+        same, other = [], []
+        for j in bins[:40].tolist():
+            kids = {j: 0.0}, {j: 1.0}
+            # a call's key, read off its reduced problem: the A rows are the
+            # equality rows and the first row of each zero-width pair
+            keys = [(red.cols, red.g_rows, red.eq_rows, red.pair_rows) for red in map(ws._presolve, kids)]
+            (same if all(map(np.array_equal, *keys)) else other).append(kids)
+        assert same and other
+        return prob, same, other
+
+    def test_second_child_takes_the_slot_and_matches_a_fresh_workspace(self, children):
+        prob, same, _ = children
+        for first, second in same[:3]:
+            ws = BoxQp.from_miqp(prob)
+            ws.solve(first)
+            slot = ws._slot
+            sol = ws.solve(second)
+            assert ws._slot is slot  # taken, not sliced again
+            assert self.every_field(sol, BoxQp.from_miqp(prob).solve(second))
+
+    def test_slot_is_not_taken_across_keys(self, children):
+        prob, _, other = children
+        first, second = other[0]
+        ws = BoxQp.from_miqp(prob)
+        before = ws.solve(first)
+        slot = ws._slot
+        ws.solve(second)
+        assert ws._slot is not slot
+        slot = ws._slot
+        again = ws.solve(first)
+        assert ws._slot is not slot  # the key changed back, so the call slices anew
+        assert self.every_field(again, before)
+
+    def test_csr_solves_build_no_scipy_matrix(self, monkeypatch, children):
+        """Cold, warm and cutoff calls of a CSR workspace: no scipy sparse
+        matrix is constructed and no scipy product is dispatched."""
+        from scipy.sparse import _base
+
+        prob, same, other = children
+        ws = BoxQp.from_miqp(prob)
+        root = ws.solve()
+        counts = {"constructed": 0, "products": 0}
+        init, dispatch = _base._spbase.__init__, _base._spbase._matmul_dispatch
+
+        def counted_init(self, *args, **kwargs):
+            counts["constructed"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_dispatch(self, other):
+            counts["products"] += 1
+            return dispatch(self, other)
+
+        monkeypatch.setattr(_base._spbase, "__init__", counted_init)
+        monkeypatch.setattr(_base._spbase, "_matmul_dispatch", counted_dispatch)
+        statuses = set()
+        for fixings in [f for kids in same[:2] + other[:2] for f in kids]:
+            statuses.add(ws.solve(fixings).status)
+            statuses.add(ws.solve(fixings, start=root).status)
+            statuses.add(ws.solve(fixings, cutoff=root.objective + 1e-9).status)
+        assert {"optimal", "cutoff"} <= statuses
+        assert counts == {"constructed": 0, "products": 0}
+        sp.csr_matrix((2, 2)) @ np.ones(2)  # the counters see a construction and a product
+        assert counts == {"constructed": 1, "products": 1}
 
 
 class TestInfeasibleHandOff:
@@ -1025,7 +1120,7 @@ class TestShrinkableRows:
                 red = ws._presolve(fixing)
                 free = np.zeros(ws.n)
                 free[red.cols] = 1.0
-                assert np.all(ws._nz_g @ free >= 2.0) and np.all(ws._nz_a @ free >= 2.0)
+                assert np.all(ws._nz_ag @ free >= 2.0)  # the rows of [A; G]
                 assert red.g_rows.size == ws.h.size
 
     def test_a_collapsed_column_sets_the_flag(self):

@@ -9,7 +9,8 @@ of its chunks (the relaxations the incumbent path asked for), how many
 calls were warm-started and how many of those were solved again cold
 (their warm interior point ended "max-iterations"), the equality rows the
 CSR Newton systems eliminated through a pivot column and the rows they left
-to the Schur complement, summed over calls, each chunk's
+to the Schur complement, summed over calls, how many CSR calls took the
+reduced system of the call before them (a node's second child), each chunk's
 objective (``%.9g``) and the sha256 of the plan JSON followed by the plan
 SVG. A change that moves only the last bits of a plan keeps the statuses,
 nodes, iterations and objectives and shows a new sha256; one that only ends
@@ -27,8 +28,8 @@ benchmark workload on the batch of that seed and prints the total node
 count, the solve, iteration, cutoff, refix, warm and retry counts and the
 sha256 of every solution ``x`` (bytes in batch order). Run it from the
 repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, refix, warm, retry, eliminated and Schur counts may
-differ between two commits that keep every plan:
+iteration, cutoff, refix, warm, retry, eliminated, Schur and reused counts
+may differ between two commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
 """
@@ -97,14 +98,17 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 class Solves:
     """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
     warm start, how many warm interior points ended "max-iterations", so
-    that their call was solved again cold, and the equality rows of the
-    calls' CSR Newton systems, eliminated and left to the Schur complement."""
+    that their call was solved again cold, the equality rows of the calls'
+    CSR Newton systems, eliminated and left to the Schur complement, and the
+    CSR calls whose reduced system is the last one sliced before them."""
 
     solutions: list = dataclasses.field(default_factory=list)
     warm: int = 0
     retries: int = 0
     eliminated: int = 0
     schur: int = 0
+    reused: int = 0
+    last: object = None
 
 
 @contextmanager
@@ -129,6 +133,8 @@ def recorded_solves():
         if red is not None and red.scatter is not None:
             solves.eliminated += red.scatter.pivots.size
             solves.schur += red.scatter.left.size
+            solves.reused += red.scatter is solves.last
+            solves.last = red.scatter
         return red
 
     qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
@@ -161,7 +167,7 @@ def preset_digest(path: Path) -> str:
     return (
         f"{path.stem}: status={chunk_statuses} nodes={nodes} "
         f"{solve_counts(solves, [c.solution for c in result.chunks])} "
-        f"eliminated={solves.eliminated} schur={solves.schur} "
+        f"eliminated={solves.eliminated} schur={solves.schur} reused={solves.reused} "
         f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
