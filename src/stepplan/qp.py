@@ -80,26 +80,27 @@ structure alone is found once per workspace:
   block's lower triangle, the only one its Cholesky factorization reads.
 
 Each matrix is sliced once per call. A CSR call builds no scipy sparse
-object and dispatches no scipy product: its G and A are the ``_Csr`` arrays
-of scipy's ``m[rows][:, cols]``, entry order included, built with the
-free-column map, and every product of a CSR matrix, in the presolve or in
-the iterations, calls scipy's ``csr_matvec`` kernel on zeros, as ``m @ v``
-does; only the HiGHS feasibility LP, run at most once per call, builds scipy
-matrices. One mask over G's entries gives the call's G; A and the
-zero-width pairs' rows come from one slice of [A; G]; P is scattered
-straight into a dense array; and the Newton block's entry pairs are the
-workspace's G pairs that survive, with the bins on free columns numbered
-anew, to which the bound rows add their weights on the diagonal. The
-reduced system (P, G, A and the elimination of the equality rows) depends
-only on the call's free columns, G rows and A rows, so a CSR workspace
-keeps the last one with that key, and a call with the same key takes it
-without slicing: the second child of a branch-and-bound node, since both
-children fix the same binary, and rounding candidates that leave the same
-variables free. No call builds G': a CSR G's arrays, read as CSC, are G',
-and a dense G' is a view. A call's ``QpSolution`` keeps the reduced
-multipliers and their index maps and maps them back to the full problem,
-with the residuals, only when ``y``, ``prim_res`` or ``dual_res`` is first
-read; branch-and-bound reads none of them.
+object and dispatches no scipy product, unless it runs on the dense LU path
+(below): its G and A are the ``_Csr`` arrays of scipy's ``m[rows][:,
+cols]``, entry order included, built with the free-column map, and every
+product of a CSR matrix, in the presolve or in the iterations, calls
+scipy's ``csr_matvec`` kernel on zeros, as ``m @ v`` does; only the HiGHS
+feasibility LP, run at most once per call, builds scipy matrices. One mask
+over G's entries gives the call's G; A and the zero-width pairs' rows come
+from one slice of [A; G]; P is scattered straight into a dense array; and
+the Newton block's entry pairs are the workspace's G pairs that survive,
+with the bins on free columns numbered anew, to which the bound rows add
+their weights on the diagonal. The reduced system (P, G, A and the
+elimination of the equality rows) depends only on the call's free columns,
+G rows and A rows, so a CSR workspace keeps the last one with that key, and
+a call with the same key takes it without slicing: the second child of a
+branch-and-bound node, since both children fix the same binary, and
+rounding candidates that leave the same variables free. No call builds G':
+a CSR G's arrays, read as CSC, are G', and a dense G' is a view. A call's
+``QpSolution`` keeps the reduced multipliers and their index maps and maps
+them back to the full problem, with the residuals, only when ``y``,
+``prim_res`` or ``dual_res`` is first read; branch-and-bound reads none of
+them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
@@ -134,26 +135,25 @@ reads it column by column; each iteration writes there what the
 factorization reads and factors the buffer in place, with A' kept in its
 own array. A dense workspace factors the whole matrix by LU, as the plain
 formulas do: it writes the block, then A, A' and -EQ_REG I, so with the
-exact rewrites above its every iterate and result is bit for bit what
-those formulas give (``tools/ab_qp.py`` checks this against another
-checkout). A CSR workspace eliminates each equality row that has a private
-pivot, a column no other equality row touches (the null-space method:
-Nocedal and Wright, Numerical Optimization, 2nd ed., 16.2; Benzi, Golub
-and Liesen, Acta Numerica 14, 2005): row r fixes its pivot's step, dx_p =
-(r_y,r - sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other
-columns. It factors the reduced block Z'HZ, which is symmetric positive
-definite (P is PSD and both bound sides put a positive weight on H's
-diagonal), by Cholesky: it writes P in, adds each bin's sum at its
-lower-triangle entry, the only triangle that the factorization and the
-triangular solves read, or to H's pivot rows, and carries those rows
-through Z. Each eliminated row's multiplier is read from its pivot's row of
-the first block row. Rows without a private pivot (none on the bundled
-presets, whose equality rows are the region and segment choice rows and
-the zero-width pair rows) go through their Schur complement S = Y'Y + EQ_REG
-I, Y = L^-1 A_l', also by Cholesky. On the bundled presets this is cheaper
-than an LU of the whole matrix or a Schur complement of every row, and
-keeps every status, iteration count and objective to nine digits, but not
-every last bit. A Cholesky breakdown ends the call as a singular LU does:
+exact rewrites above its every iterate and result is bit for bit what those
+formulas give (``tools/ab_qp.py`` checks this against another checkout). A
+CSR call whose equality rows each have a private pivot, a column no other
+equality row touches, eliminates them (the null-space method: Nocedal and
+Wright, Numerical Optimization, 2nd ed., 16.2; Benzi, Golub and Liesen,
+Acta Numerica 14, 2005): row r fixes its pivot's step, dx_p = (r_y,r -
+sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other columns.
+It factors the reduced block Z'HZ, which is symmetric positive definite (P
+is PSD and both bound sides put a positive weight on H's diagonal), by
+Cholesky: it writes P in, adds each bin's sum at its lower-triangle entry,
+the only triangle that the factorization and the triangular solves read, or
+to H's pivot rows, and carries those rows through Z. Each row's multiplier
+is read from its pivot's row of the first block row. On the bundled presets
+this is cheaper than an LU of the whole matrix, and keeps every status,
+iteration count and objective to nine digits, but not every last bit. A CSR
+call with an equality row that has no private pivot (none on the bundled
+presets, whose equality rows are the region and segment choice rows and the
+zero-width pair rows) slices G and A dense and runs on the LU path of a
+dense workspace. A Cholesky breakdown ends the call as a singular LU does:
 the LP decides its status.
 
 A call whose iterates stop unconverged (at MU_FLOOR, on a collapsed step, a
@@ -210,8 +210,8 @@ TAU_MAX = 1.0 - 1e-14
 WARM_FLOOR = 0.1
 
 # LAPACK directly: the checking wrappers cost more than a tiny solve. LU for
-# the full Newton matrix of a dense workspace, Cholesky and triangular solves
-# for the block and the Schur complement of a CSR one
+# the full Newton matrix of a dense call, Cholesky and triangular solves for
+# the reduced block of a CSR one
 _getrf, _getrs, _potrf, _trtrs = la.get_lapack_funcs(
     ("getrf", "getrs", "potrf", "trtrs"), dtype=np.float64
 )
@@ -293,7 +293,7 @@ class _Reduced:
     pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
     bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
     bound_coefs: np.ndarray  # (2, nf) that row's coefficient
-    scatter: _Substitution | None  # CSR only: the Newton system's elimination of the equality rows
+    scatter: _Substitution | None  # the Newton system's elimination of the equality rows; None on the LU path
 
 
 def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
@@ -418,18 +418,16 @@ def _fix(rows, cols, coefs, rhs, lo, hi) -> bool:
 def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs (i < j) of ``g`` that are exact negatives on the ``kept`` columns.
 
-    ``g`` is dense or a CSR matrix without stored zeros. Only rows with at
-    least two entries on those columns take part. Also returns a group id
-    per pair: pairs of the same two opposite patterns share it, so their
-    zero-width equalities coincide.
+    ``g`` is dense or a canonical CSR matrix without stored zeros. Only
+    rows with at least two entries on those columns take part. Also returns
+    a group id per pair: pairs of the same two opposite patterns share it,
+    so their zero-width equalities coincide.
     """
     none = np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int)
     if isinstance(g, np.ndarray):
         row_of, col_of = g.nonzero()  # row by row, columns ascending
         data = g[row_of, col_of]
     else:
-        if not g.has_sorted_indices:
-            g = g.sorted_indices()
         row_of, col_of, data = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices, g.data
     on = kept[col_of]
     row_of, col_of = row_of[on], col_of[on]
@@ -570,11 +568,10 @@ class _Csr(NamedTuple):
 class _Substitution:
     """How a CSR call's Newton system eliminates its equality rows (see ``_CholeskyNewton``).
 
-    Equality row ``eliminated[e]`` is solved for its pivot column
-    ``pivots[e]``, whose coefficient is ``coefs[e]``; the rows ``left`` have
-    no pivot. The system is solved in a permuted order, ``order``: the other
-    columns ``others``, the pivots, the eliminated rows, the rows left. In
-    it dx = Z du + x_e, with du on the other columns and Z's pivot rows
+    Equality row r is solved for its pivot column ``pivots[r]``, whose
+    coefficient is ``coefs[r]``. The system is solved in a permuted order,
+    ``order``: the other columns ``others``, the pivots, the equality rows.
+    In it dx = Z du + x_e, with du on the other columns and Z's pivot rows
     ``subst``. The Newton block is summed in one flat buffer: K = Z'HZ over
     the other columns, F-ordered (only its lower triangle is read), then H's
     pivot rows, C-ordered, with their columns in the permuted order. Each
@@ -586,13 +583,10 @@ class _Substitution:
     row of ``pairs`` and ``routes`` holds one bin's terms in summation
     order, so ``csr_matvec`` sums each bin as a ``np.bincount`` of the terms
     would. ``a_t`` is A' as a C-ordered array, as a dense workspace holds
-    it, and ``a_l`` is A_l' on the other columns, the rows left, which the
-    Schur complement reads."""
+    it."""
 
-    eliminated: np.ndarray
     pivots: np.ndarray
     coefs: np.ndarray
-    left: np.ndarray
     others: np.ndarray
     order: np.ndarray
     subst: np.ndarray
@@ -604,14 +598,14 @@ class _Substitution:
     routes: _Csr
     route_at: np.ndarray
     a_t: np.ndarray
-    a_l: np.ndarray
 
     @classmethod
-    def build(cls, nf: int, p_entries: tuple, a: _Csr, pairs: _Csr, bin_cols: tuple) -> _Substitution:
+    def build(cls, nf: int, p_entries: tuple, a: _Csr, pairs: _Csr, bin_cols: tuple) -> _Substitution | None:
         """The substitution for a call of ``nf`` free columns, with P's
         entries ``(row, col, value)``, its CSR A, the Newton block's entry
         pairs (row k of ``pairs`` holds bin k's products by G_all row, in
-        summation order) and each bin's columns ``(i, j)``, i <= j.
+        summation order) and each bin's columns ``(i, j)``, i <= j; None
+        when an equality row has no private pivot.
 
         Bin c < nf is the diagonal (c, c), to which each iteration adds
         the bound rows' weights after the pairs. A bin on no pivot is added
@@ -622,8 +616,10 @@ class _Substitution:
         Z[j, v] times it at (u, v), u >= v."""
         me = a.shape[0]
         row_of = np.arange(me).repeat(a.indptr[1:] - a.indptr[:-1])
-        eliminated, entry = _pivots(a, row_of)
-        pivots, coefs, ne = a.indices[entry], a.data[entry], entry.size
+        pivoted, entry = _pivots(a, row_of)
+        if pivoted.size < me:
+            return None
+        pivots, coefs = a.indices[entry], a.data[entry]
         is_pivot = np.zeros(nf, dtype=bool)
         is_pivot[pivots] = True
         others = (~is_pivot).nonzero()[0]
@@ -631,27 +627,23 @@ class _Substitution:
         perm = np.concatenate([others, pivots])
         place = np.empty(nf, dtype=np.intp)  # each column's position in the permuted order
         place[perm] = np.arange(nf)
-        e = np.full(me, -1)  # each row's position among the eliminated ones, or -1
-        e[eliminated] = np.arange(ne)
-        left = (e < 0).nonzero()[0]
 
         # where the block sums H at permuted (r, c): K at (r, c), or row r - nr of H's pivot rows
         start, stride = np.arange(nf), np.full(nf, nr)
-        start[nr:], stride[nr:] = square + nf * np.arange(ne), 1
+        start[nr:], stride[nr:] = square + nf * np.arange(me), 1
         # Z's pivot rows: x_p = (b_r - sum_{j != p} a_rj x_j) / a_rp. A
         # pivot is private, so the only pivot entry in its row is its own.
         # The members come by row, so by pivot
-        e = e[row_of]
-        member = e >= 0
+        member = np.ones(row_of.size, dtype=bool)
         member[entry] = False
-        e, u = e[member], place[a.indices[member]]
+        e, u = row_of[member], place[a.indices[member]]
         z_vals = -a.data[member] / coefs[e]
-        subst = np.zeros((ne, nr))
+        subst = np.zeros((me, nr))
         subst[e, u] = z_vals
         # Z by permuted rows, as CSR arrays: a 1.0 on each other column, then the pivots' members
         ptr = np.zeros(nf + 1, dtype=np.intp)
         ptr[1 : nr + 1] = 1
-        ptr[nr + 1 :] = np.bincount(e, minlength=ne)
+        ptr[nr + 1 :] = np.bincount(e, minlength=me)
         ptr.cumsum(out=ptr)
         z = ptr, np.concatenate([np.arange(nr), u]), np.concatenate([np.ones(nr), z_vals])
         # P on the other columns and in the pivot rows (P[j, p] is P[p, j]),
@@ -668,7 +660,7 @@ class _Substitution:
         p_val = p_val[p_in]
         p_at, bin_at = hp_at[: p_val.size], hp_at[p_val.size :]
         # H's pivot rows through Z: each entry a bin or P can make nonzero, and its mirror
-        nonzero = np.zeros(ne * nf, dtype=bool)
+        nonzero = np.zeros(me * nf, dtype=bool)
         nonzero[hp_at[hp_at >= square] - square] = True
         src = nonzero.nonzero()[0]
         e, col = np.divmod(src, nf)
@@ -683,17 +675,15 @@ class _Substitution:
         new[1:-1] = route[1:] != route[:-1]
         indptr = new.nonzero()[0]
         routes = _Csr(
-            (indptr.size - 1, square + ne * nf), indptr,
+            (indptr.size - 1, square + me * nf), indptr,
             square + np.concatenate([src, src[mirror]])[term[by]], coef[by],
         )
-        order = np.concatenate([perm, nf + eliminated, nf + left])
+        order = np.concatenate([perm, np.arange(nf, nf + me)])
         which = np.concatenate([np.arange(i.size), twice])
-        dense = np.zeros((me, nf))
-        dense[row_of, a.indices] = a.data
-        return cls(
-            eliminated, pivots, coefs, left, others, order, subst, p_at, p_val,
-            pairs, which, bin_at, routes, route[indptr[:-1]], dense.T.copy(), dense[left][:, others].T.copy(),
-        )
+        a_t = np.zeros((nf, me))
+        a_t[a.indices, row_of] = a.data
+        return cls(pivots, coefs, others, order, subst, p_at, p_val,
+                   pairs, which, bin_at, routes, route[indptr[:-1]], a_t)
 
 
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -935,7 +925,8 @@ class BoxQp:
         )
 
     def _slice_csr(self, g_rows, a_rows, cols) -> tuple:
-        """The call's P, G and A, the latter two as ``_Csr`` arrays, and its Newton system's ``_Substitution``.
+        """The call's P, G and A, the latter two as ``_Csr`` arrays, and its Newton system's ``_Substitution``;
+        or, when an equality row has no private pivot, P, G and A dense and None, for the LU path.
 
         P's entries in free columns are scattered into a dense array, as
         ``toarray`` adds them into zeros. One mask marks the workspace's G
@@ -974,7 +965,10 @@ class BoxQp:
         indptr = np.zeros(count.size + 1, dtype=np.intp)
         count.cumsum(out=indptr[1:])
         pairs = _Csr((count.size, k + 2 * nf), indptr, row[a[keep]], prod[keep])
-        return p, g_red, a_red, _Substitution.build(nf, p_entries, a_red, pairs, (i[live], j[live]))
+        sub = _Substitution.build(nf, p_entries, a_red, pairs, (i[live], j[live]))
+        if sub is None:  # an equality row without a private pivot: the call runs on the dense LU path
+            return p, g[g_rows][:, cols].toarray(), self._ag[a_rows][:, cols].toarray(), None
+        return p, g_red, a_red, sub
 
     def _zero_width_pairs(self, rhs, free, kept):
         """Find opposite row pairs whose right-hand sides cancel.
@@ -1156,9 +1150,9 @@ class _LuNewton:
 
 
 class _CholeskyNewton:
-    """The Newton system of a CSR workspace: each equality row with a
-    private pivot eliminated, the reduced block by Cholesky, the other
-    equality rows through their Schur complement.
+    """The Newton system of a CSR call whose equality rows all have a
+    private pivot: each row eliminated through its pivot, the reduced block
+    by Cholesky. A call with a row that has none runs on ``_LuNewton``.
 
     Row r, eliminated through its pivot column p, fixes dx_p = (r_y,r -
     sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other nr
@@ -1168,73 +1162,52 @@ class _CholeskyNewton:
     bound sides put a positive weight on each diagonal entry of H, and Z
     has full column rank), so ``factor`` writes its lower triangle into an
     F-ordered nr x nr buffer, with H's pivot rows after it, and factors it
-    in place, K = LL'. With rows left over, Y = L^-1 A_l' (over the buffer
-    ``y``; A_l has no entry on a pivot) and their Schur complement S = Y'Y
-    + EQ_REG I = L_s L_s' is factored in ``s``. A solve takes v = L^-1
-    Z'(r_x - H x_e), dy_l = S^-1 (Y'v - r_y,l) and du = L^-T (v - Y dy_l),
-    each inverse a pair of triangular solves: for one vector, two ``trtrs``
-    calls take about half the time of one ``potrs`` at nf = 170. Each
-    eliminated row's multiplier then comes from its pivot's row of the
-    first block row, dy_r = (r_x - H dx)_p / a_rp. Every buffer is
-    allocated once per call."""
+    in place, K = LL'. A solve takes du = L^-T L^-1 Z'(r_x - H x_e), two
+    triangular solves: for one vector, two ``trtrs`` calls take about half
+    the time of one ``potrs`` at nf = 170. Each row's multiplier then comes
+    from its pivot's row of the first block row, dy_r = (r_x - H dx)_p /
+    a_rp. Every buffer is allocated once per call."""
 
     def __init__(self, red: _Reduced):
-        nf, me = red.c.size, red.b.size
-        sub = red.scatter
-        nr, ne, ml = sub.others.size, sub.pivots.size, sub.left.size
-        self.red, self.sub, self.nf, self.nr, self.ne, self.ml = red, sub, nf, nr, ne, ml
-        self.block = np.empty(nr * nr + ne * nf)
+        sub, nf, me = red.scatter, red.c.size, red.b.size
+        nr = sub.others.size
+        self.red, self.sub, self.nf, self.nr = red, sub, nf, nr
+        self.block = np.empty(nr * nr + me * nf)
         self.h = self.block[: nr * nr].reshape((nr, nr), order="F")  # views: factored in place
-        self.hp = self.block[nr * nr :].reshape((ne, nf))
-        self.a_t, self.a_l = sub.a_t, sub.a_l
-        self.y, self.s = np.empty((nr, ml), order="F"), np.empty((ml, ml), order="F")
+        self.hp = self.block[nr * nr :].reshape((me, nf))
+        self.a_t = sub.a_t
         # the right-hand side and the step in the permuted order, and the step
         self.r, self.dp, self.d = np.empty(nf + me), np.empty(nf + me), np.empty(nf + me)
-        self.t, self.x_e, self.tv = np.empty(nf), np.empty(ne), np.empty(nr)
+        self.t, self.x_e = np.empty(nf), np.empty(me)
         self.sums, self.routed = np.empty(sub.pairs.shape[0]), np.empty(sub.route_at.size)
 
     def factor(self, w: np.ndarray) -> bool:
-        """Factor the reduced block for the weights ``w`` and, with rows
-        left over, S; False if either is not numerically positive definite."""
-        sub, h, y, s, block = self.sub, self.h, self.y, self.s, self.block
+        """Factor the reduced block for the weights ``w``; False if it is not numerically positive definite."""
+        sub, block, sums, nf, k = self.sub, self.block, self.sums, self.nf, self.red.h.size
         block.fill(0.0)
         block[sub.p_at] = sub.p_val
-        sums, nf, k = self.sums, self.nf, self.red.h.size
         _copy_product(sub.pairs, w, sums)
         sums[:nf] += w[k : k + nf]  # the bound rows, lower side first, after the pairs
         sums[:nf] += w[k + nf :]
         block[sub.at] += sums[sub.which]
         _copy_product(sub.routes, block, self.routed)
         block[sub.route_at] += self.routed
-        if _potrf(h, lower=1, clean=0, overwrite_a=1)[1]:
-            return False
-        if not self.ml:
-            return True
-        np.copyto(y, self.a_l)
-        _trtrs(h, y, lower=1, overwrite_b=1)
-        np.dot(y.T, y, out=s.T)  # S is symmetric: its transpose is the C-ordered view
-        s.ravel(order="F")[:: self.ml + 1] += EQ_REG
-        return not _potrf(s, lower=1, clean=0, overwrite_a=1)[1]
+        return not _potrf(self.h, lower=1, clean=0, overwrite_a=1)[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[dx; dy] for the right-hand side [r_x; r_y], in the call's buffer."""
-        sub, h, nr, nf, ne, dp = self.sub, self.h, self.nr, self.nf, self.ne, self.dp
+        sub, h, nr, nf, dp = self.sub, self.h, self.nr, self.nf, self.dp
         r = np.take(rhs, sub.order, out=self.r)
-        x_e = np.divide(r[nf : nf + ne], sub.coefs, out=self.x_e)
+        x_e = np.divide(r[nf:], sub.coefs, out=self.x_e)
         t = np.subtract(r[:nf], np.dot(x_e, self.hp, out=self.t), out=self.t)  # r_x - H x_e: H is symmetric
         # each triangular solve runs in place: every vector is a contiguous float64 view
         du = np.dot(t[nr:], sub.subst, out=dp[:nr])
         du += t[:nr]  # Z't
         _trtrs(h, du, lower=1, overwrite_b=1)
-        if self.ml:
-            dy_l = np.subtract(np.dot(self.y.T, du, out=dp[nf + ne :]), r[nf + ne :], out=dp[nf + ne :])
-            _trtrs(self.s, dy_l, lower=1, overwrite_b=1)
-            _trtrs(self.s, dy_l, lower=1, trans=1, overwrite_b=1)
-            du -= np.dot(self.y, dy_l, out=self.tv)
         _trtrs(h, du, lower=1, trans=1, overwrite_b=1)
         np.add(np.dot(sub.subst, du, out=dp[nr:nf]), x_e, out=dp[nr:nf])
-        dy_e = np.subtract(r[nr:nf], np.dot(self.hp, dp[:nf], out=dp[nf : nf + ne]), out=dp[nf : nf + ne])
-        dy_e /= sub.coefs
+        dy = np.subtract(r[nr:nf], np.dot(self.hp, dp[:nf], out=dp[nf:]), out=dp[nf:])
+        dy /= sub.coefs
         self.d[sub.order] = dp
         return self.d
 

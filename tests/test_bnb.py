@@ -1,10 +1,11 @@
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from stepplan import bnb, qp
 from stepplan.bnb import (
@@ -234,10 +235,11 @@ class TestOracleAgreement:
             assert sol.gap >= 0.0
 
 
-def slsqp_reference(prob, fixings):
-    """Relaxation optimum with ``fixings`` pinned, by scipy's SLSQP."""
+def slsqp_reference(prob, fixings, start=None):
+    """Relaxation optimum with ``fixings`` pinned, by scipy's SLSQP with
+    analytic jacobians, from ``start`` (a full-length point) or from 0."""
     free = [i for i in range(prob.n_vars) if i not in fixings]
-    a = prob.a_ineq.toarray()
+    a, q = prob.a_ineq.toarray(), prob.q_matrix.toarray()
 
     def full(v):
         x = np.zeros(prob.n_vars)
@@ -248,14 +250,53 @@ def slsqp_reference(prob, fixings):
 
     res = minimize(
         lambda v: prob.objective_value(full(v)),
-        np.zeros(len(free)),
+        np.zeros(len(free)) if start is None else start[free],
+        jac=lambda v: ((q + q.T) @ full(v) + prob.c_vector)[free],
         method="SLSQP",
         bounds=list(zip(prob.lower[free], prob.upper[free])),
-        constraints=[{"type": "ineq", "fun": lambda v: prob.b_ineq - a @ full(v)}],
+        constraints=[{"type": "ineq", "fun": lambda v: prob.b_ineq - a @ full(v), "jac": lambda v: -a[:, free]}],
         options={"ftol": 1e-14, "maxiter": 1000},
     )
     assert res.success
     return res.fun
+
+
+def enumerated_optimum(prob) -> float:
+    """The MIQP's optimum by enumeration, with no BoxQp: for each binary
+    pattern HiGHS decides whether the pattern is feasible, and SLSQP solves
+    its QP from the LP's point; inf if no pattern is."""
+    a, bins = prob.a_ineq.toarray(), prob.binary_indices.tolist()
+    best = math.inf
+    for pattern in itertools.product((0.0, 1.0), repeat=len(bins)):
+        fixings = dict(zip(bins, pattern))
+        lo, hi = prob.lower.copy(), prob.upper.copy()
+        lo[bins] = hi[bins] = pattern
+        lp = linprog(np.zeros(prob.n_vars), A_ub=a, b_ub=prob.b_ineq, bounds=list(zip(lo, hi)), method="highs")
+        assert lp.status in (0, 2)  # solved, or infeasible
+        if lp.status == 0:
+            best = min(best, slsqp_reference(prob, fixings, lp.x))
+    return best
+
+
+class TestEngineFreeOracle:
+    def test_criterion_1_problems(self, monkeypatch):
+        """Branch-and-bound and brute force agree within 1e-7 with
+        ``enumerated_optimum`` on 20 of criterion 1's random problems with
+        at most 5 binaries."""
+        rng = np.random.default_rng(1)
+        checked = 0
+        while checked < 20:
+            prob = random_instance(rng, 10, 8, 8)
+            if prob.binary_indices.size > 5:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(BoxQp, "solve", None)  # the oracle must not reach the engine
+                oracle = enumerated_optimum(prob)
+            for sol in (solve_miqp(prob), brute_force_solve(prob)):
+                assert sol.feasible == (oracle < math.inf)
+                if sol.feasible:
+                    assert sol.objective == pytest.approx(oracle, rel=0.0, abs=1e-7)
+            checked += 1
 
 
 class TestRelaxationRegressions:

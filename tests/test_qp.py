@@ -437,12 +437,12 @@ def as_scipy(m):
 
 def null_space(red) -> np.ndarray:
     """Z of a CSR call, built with numpy from its A and the pivots of its
-    eliminated rows: the identity on the other columns and, on the pivot p
-    of row r, -A[r, j] / A[r, p] at each other column j."""
+    rows: the identity on the other columns and, on the pivot p of row r,
+    -A[r, j] / A[r, p] at each other column j."""
     sub, a = red.scatter, as_scipy(red.a).toarray()
     z = np.zeros((red.c.size, sub.others.size))
     z[sub.others, np.arange(sub.others.size)] = 1.0
-    for r, p in zip(sub.eliminated, sub.pivots):
+    for r, p in enumerate(sub.pivots):
         z[p] = -a[r, sub.others] / a[r, p]
     return z
 
@@ -466,8 +466,7 @@ def factored_matrix(monkeypatch, red, w) -> np.ndarray:
         real = getattr(qp_module, name)
 
         def factor(a, *args, **kwargs):
-            if not seen:  # the Newton matrix, not a Schur complement
-                seen.append(a.copy(order="K"))
+            seen.append(a.copy(order="K"))
             return real(a, *args, **kwargs)
 
         m.setattr(qp_module, name, factor)
@@ -533,17 +532,17 @@ class TestPivots:
         # repeated magnitudes test the ties, 0.05 against 2.0 the ratio, and
         # some rows are empty
         rng = np.random.default_rng(28)
-        eliminated = left = empty = 0
+        pivoted = without = empty = 0
         for _ in range(300):
             m, n = int(rng.integers(1, 6)), int(rng.integers(2, 12))
             dense = rng.choice([1.0, -1.0, 0.05, 2.0], size=(m, n)) * (rng.random((m, n)) < 0.4)
             a = sp.csr_matrix(dense)
             rows, entries = qp_module._pivots(a, np.repeat(np.arange(m), np.diff(a.indptr)))
             assert (rows.tolist(), entries.tolist()) == self.row_by_row(a)
-            eliminated += rows.size
-            left += m - rows.size
+            pivoted += rows.size
+            without += m - rows.size
             empty += int((np.diff(a.indptr) == 0).sum())
-        assert eliminated > 100 and left > 100 and empty > 20
+        assert pivoted > 100 and without > 100 and empty > 20
 
 
 def ordered_pair_kkt(red, w) -> np.ndarray:
@@ -579,12 +578,11 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
 
 
 def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
-    """Solve under each fixing set; per solve, the (reduced problem, weights)
-    of every Newton matrix, recorded at its class's ``factor``, and with
-    ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf`` (the
-    Newton matrix, not a Schur complement), copied before it is factored,
-    and the rows of H that a CSR call keeps for its pivots (None for a
-    dense call)."""
+    """Solve under each fixing set; per solve, the (reduced problem, weights) of
+    every Newton matrix, recorded at its class's ``factor``, and with
+    ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf``, copied
+    before it is factored, and the rows of H that a CSR call keeps for its
+    pivots (None for a dense call)."""
     seen, per_solve = [], []
     with monkeypatch.context() as m:
         for cls in (qp_module._LuNewton, qp_module._CholeskyNewton):
@@ -718,21 +716,22 @@ class TestKktBuffer:
 
 
 class TestCholeskyNewton:
-    """A CSR workspace's elimination of its equality rows, with the Schur
-    complement of the rows left over, gives the direction of the full
-    Newton system."""
+    """A CSR workspace's elimination of its equality rows gives the
+    direction of the full Newton system; a call with a row that has no
+    private pivot is solved as a dense workspace solves it."""
 
     @staticmethod
-    def check_directions(monkeypatch, ws, fixings_list) -> tuple[int, int, int]:
-        """Re-solve every Newton system of the solves for a random right-hand
-        side r; the direction d's residual against the full matrix K, built
-        with numpy, is within 1e-10 of |K| |d| + |r| in the max norm.
-        Returns how many systems were checked, and how many of them
-        eliminated rows and left rows to the Schur complement."""
+    def check_directions(monkeypatch, ws, fixings_list) -> tuple[int, int]:
+        """Re-solve every Newton system of the solves, each on the
+        elimination path, for a random right-hand side r; the direction d's
+        residual against the full matrix K, built with numpy, is within
+        1e-10 of |K| |d| + |r| in the max norm. Returns how many systems
+        were checked, and how many of them eliminated rows."""
         rng = np.random.default_rng(0)
-        checked = eliminating = leaving = 0
+        checked = eliminating = 0
         for _, seen in recorded_weights(monkeypatch, ws, fixings_list):
             for red, w in seen:
+                assert red.scatter is not None  # not the dense LU path
                 system = qp_module._CholeskyNewton(red)
                 assert system.factor(w)
                 rhs = rng.normal(size=red.c.size + red.b.size)
@@ -742,32 +741,44 @@ class TestCholeskyNewton:
                 assert np.abs(kkt @ d - rhs).max() <= 1e-10 * scale
                 checked += 1
                 eliminating += red.scatter.pivots.size > 0
-                leaving += red.scatter.left.size > 0
-        return checked, eliminating, leaving
+        return checked, eliminating
 
     @pytest.mark.parametrize("n_eq", [0, 4])
     def test_random_workspaces(self, monkeypatch, n_eq):
         rng = np.random.default_rng(120 + n_eq)
         ws, _, _ = random_workspace(rng, 120, 200, n_eq)
         assert ws.sparse and ws.b.size == n_eq
-        checked, eliminating, _ = self.check_directions(monkeypatch, ws, random_fixings(rng, 120))
+        checked, eliminating = self.check_directions(monkeypatch, ws, random_fixings(rng, 120))
         assert checked > 20 and (eliminating == checked if n_eq else eliminating == 0)
 
     @pytest.mark.parametrize("shared", [2, 4])
-    def test_rows_left_to_the_schur_complement(self, monkeypatch, shared):
-        # rows on the same columns have no pivot, and go through the Schur
-        # complement over the other columns; with shared = 2 the other two
-        # rows are eliminated in the same systems
+    def test_rows_without_a_pivot_solve_dense(self, monkeypatch, shared):
+        # rows on the same columns have no pivot, so each call is sliced
+        # dense and runs on the LU path; with shared = 2 the other two rows
+        # have pivots in the same calls
         rng = np.random.default_rng(7 + shared)
         ws, _, _ = random_workspace(rng, 120, 200, 4, shared=shared)
-        checked, eliminating, leaving = self.check_directions(monkeypatch, ws, random_fixings(rng, 120))
-        assert checked > 20 and leaving == checked
-        assert eliminating == (checked if shared == 2 else 0)
+        monkeypatch.setattr(qp_module, "SPARSE_MIN_ENTRIES", 120 * 200)
+        held_dense, _, _ = random_workspace(np.random.default_rng(7 + shared), 120, 200, 4, shared=shared)
+        assert ws.sparse and not held_dense.sparse
+        optimal = 0
+        for fixings in random_fixings(rng, 120):
+            red = ws._presolve(fixings)
+            assert red.scatter is None and isinstance(red.g, np.ndarray) and isinstance(red.a, np.ndarray)
+            sol, ref = ws.solve(fixings), held_dense.solve(fixings)
+            assert sol.status == ref.status
+            if sol.status == "optimal":
+                assert abs(sol.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+                for s in (sol, ref):
+                    assert s.prim_res <= 1e-6 and s.dual_res <= 1e-6 * (1.0 + np.abs(s.y).max())
+                optimal += 1
+        assert optimal >= 3
 
     @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
     def test_preset_relaxations(self, monkeypatch, name):
         """The root, its children and the rounding candidates at each: every
-        equality row of every one has a pivot."""
+        equality row of every one has a pivot, so no call takes the dense
+        LU path."""
         from stepplan import bnb
         from stepplan.formulation import assemble, make_rounding_heuristic
         from stepplan.scenario_io import load_scenario
@@ -780,8 +791,8 @@ class TestCholeskyNewton:
         hook = make_rounding_heuristic(scenario, prob)
         children = list(tree.branch(root.x, {}))
         fixings = [{}] + children + [c for f in [{}] + children for c in hook(root.x, f)]
-        checked, eliminating, leaving = self.check_directions(monkeypatch, tree.ws, fixings)
-        assert checked > 40 and eliminating == checked and leaving == 0
+        checked, eliminating = self.check_directions(monkeypatch, tree.ws, fixings)
+        assert checked > 40 and eliminating == checked
 
     def test_breakdown_ends_the_solve(self, monkeypatch):
         from stepplan import bnb

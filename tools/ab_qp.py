@@ -9,37 +9,27 @@ earlier call whose solution it is). It then replays them through the ``qp``
 module of PARENT_DIR and through this checkout's, over ``--rounds`` rounds:
 first ``BoxQp.from_miqp`` workspace by workspace, then the solves call by
 call, with the first of the two alternating. Both checkouts replay each call
-with its cutoff; a warm call starts from its start call's replayed solution
-in this checkout, and in the parent when the parent's ``BoxQp.solve`` takes
-a start, else the parent solves it cold. The two checkouts' workspaces must
-find the same opposite row pairs and pair groups and agree on whether their
-presolve tests rows. Every ``QpSolution`` of this checkout must equal the
-parent's bit for bit in every field, with its lazily computed ``y``,
-``prim_res`` and ``dual_res`` (read after the timed replay), except a warm
-call that the parent solved cold. That one must end with the same status
-and, unless infeasible or ended at the cutoff, an objective within
-``WARM_TOL`` relative (to max(1, |objective|)) of the parent's; or one of
-the two ends at the cutoff and the other is infeasible or converges
-("optimal") to an objective no more than ``WARM_TOL`` below the cutoff,
-which a certified bound at the cutoff allows: two iterate paths can reach
-the bound, or the LP's verdict, at different times. One that
-ended at the cutoff (status "cutoff") holds a certified lower bound as its
-objective: unless the parent's solve of that call without a cutoff is
-infeasible, the parent's objective must not lie below that bound by more
-than ``BOUND_TOL`` relative. The parent solves those calls once more
-without a cutoff for this, on the first round and untimed. The tool
-prints the number of cutoff solves, the unsound ones and the smallest
-relative margin of a parent objective over its bound, the number of warm
-calls, the largest relative objective difference of those the parent solved
-cold, and the ratio of this checkout's total interior-point iterations to
-the parent's (a warm call's cold retry included). It also prints the
-median over rounds of this checkout's set-up time and solve time over the
-parent's, and, for each checkout, the sum over workspaces and over calls
-of each one's minimum time across rounds, with the ratio of those sums: a
-per-round ratio moves by several percent with the host, while a call's
-minimum keeps only the noise that slows every round of that call. Both
-modules run in one process, so a drift in host speed between processes
-does not enter the ratios:
+with its cutoff, and a warm call starts from its start call's replayed
+solution in each. The two checkouts' workspaces must find the same opposite
+row pairs and pair groups and agree on whether their presolve tests rows.
+Every ``QpSolution`` of this checkout must equal the parent's bit for bit in
+every field, with its lazily computed ``y``, ``prim_res`` and ``dual_res``
+(read after the timed replay). One that ended at the cutoff (status
+"cutoff") holds a certified lower bound as its objective: unless the
+parent's solve of that call without a cutoff is infeasible, the parent's
+objective must not lie below that bound by more than ``BOUND_TOL`` relative.
+The parent solves those calls once more without a cutoff for this, on the
+first round and untimed. The tool prints the number of cutoff solves, the
+unsound ones and the smallest relative margin of a parent objective over its
+bound, the number of warm calls, and the ratio of this checkout's total
+interior-point iterations to the parent's (a warm call's cold retry
+included). It also prints the median over rounds of this checkout's set-up
+time and solve time over the parent's, and, for each checkout, the sum over
+workspaces and over calls of each one's minimum time across rounds, with the
+ratio of those sums: a per-round ratio moves by several percent with the
+host, while a call's minimum keeps only the noise that slows every round of
+that call. Both modules run in one process, so a drift in host speed between
+processes does not enter the ratios:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
     python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain hexapod_rotation
@@ -62,7 +52,6 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
-import inspect
 import math
 import os
 import statistics
@@ -85,9 +74,6 @@ from stepplan import bnb, qp  # noqa: E402
 #: how far, relative to max(1, |bound|), a parent objective may lie below a
 #: cutoff bound: the parent's converged objective is itself inexact
 BOUND_TOL = 1e-7
-#: how far, relative to max(1, |objective|), a warm solve's objective may lie
-#: from the parent's cold one: both stop at the interior point's tolerance
-WARM_TOL = 1e-7
 
 
 def load_module(root: Path, alias: str, name: str):
@@ -150,19 +136,13 @@ def record_calls(run):
     return spaces, calls
 
 
-def takes_start(module) -> bool:
-    """Whether the module's ``BoxQp.solve`` takes a warm start."""
-    return "start" in inspect.signature(module.BoxQp.solve).parameters
-
-
 def replay(modules, spaces, calls, first: int):
     """Build every workspace and solve every call, with its cutoff, through
     both modules, alternating which goes first. A warm call starts from its
-    start call's solution in each module that takes a start.
+    start call's solution in each module.
 
     Returns each module's set-up time per workspace, workspaces, time per
     solve and solutions, the times as arrays."""
-    warm = [takes_start(m) for m in modules]
     setup, workspaces = np.zeros((2, len(spaces))), [[], []]
     for i, problem in enumerate(spaces):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
@@ -172,9 +152,9 @@ def replay(modules, spaces, calls, first: int):
     seconds, sols = np.zeros((2, len(calls))), [[], []]
     for i, (k, fixings, cutoff, start) in enumerate(calls):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
-            kwargs = {} if start is None or not warm[j] else {"start": sols[j][start]}
+            warm = None if start is None else sols[j][start]
             t0 = time.perf_counter()
-            sols[j].append(workspaces[j][k].solve(fixings=fixings, cutoff=cutoff, **kwargs))
+            sols[j].append(workspaces[j][k].solve(fixings=fixings, cutoff=cutoff, start=warm))
             seconds[j, i] = time.perf_counter() - t0
     return setup, workspaces, seconds, sols
 
@@ -222,25 +202,6 @@ def differences(old, new) -> str:
     )
 
 
-def warm_difference(a, b, cutoff: float) -> float:
-    """How far a warm solve ``b`` lies from the parent's cold ``a`` of a
-    call with ``cutoff``, relative to max(1, |objective|): with equal
-    statuses, the objectives' difference (0 when infeasible or at the
-    cutoff); when one ended at the cutoff, 0 if the other is infeasible and,
-    if it converged, how far its objective lies below the cutoff (0 when at
-    or above it); inf for any other pair of statuses."""
-    if a.status == b.status:
-        if a.status in ("infeasible", "cutoff"):
-            return 0.0
-        return abs(b.objective - a.objective) / max(1.0, abs(a.objective))
-    if {a.status, b.status} == {"cutoff", "infeasible"}:
-        return 0.0
-    if {a.status, b.status} == {"cutoff", "optimal"}:
-        converged = a if a.status == "optimal" else b
-        return max(cutoff - converged.objective, 0.0) / max(1.0, abs(cutoff))
-    return math.inf
-
-
 def bound_margins(uncut, new) -> list[float]:
     """Per cutoff solve of ``new`` whose parent solve without a cutoff (in
     ``uncut``, by call index) is not infeasible, how far the parent's
@@ -258,10 +219,6 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(f"{label}: {len(spaces)} workspaces, {len(calls)} solves", flush=True)
     setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
     cutoffs, unsound, margin = 0, 0, math.inf
-    # the calls compared bit for bit: all, unless the parent solves the warm ones cold
-    parent_warm = takes_start(parent)
-    exact = [parent_warm or c[3] is None for c in calls]
-    warm_worst = 0.0
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     for r in range(rounds):
         setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
@@ -286,9 +243,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             unsound = sum(m < -BOUND_TOL for m in margins)
             margin = min(margins, default=math.inf)
             iterations = [sum(sol.iterations for sol in sols) for sols in (old, new)]
-        warm = [warm_difference(a, b, call[2]) for a, b, call, e in zip(old, new, calls, exact) if not e]
-        warm_worst = max(warm, default=0.0)
-        differing = sum(not same(a, b) for a, b, e in zip(old, new, exact) if e) + sum(d > WARM_TOL for d in warm)
+        differing = sum(not same(a, b) for a, b in zip(old, new))
         if differing > differ:
             differ, how = differing, differences(old, new)
         setup_ratios.append(s_new / s_parent)
@@ -315,10 +270,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
         f"smallest relative margin of a parent objective over its bound: {margin:.3g}"
     )
     print(
-        f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}, "
-        f"{exact.count(False)} solved cold by the parent, "
-        f"largest relative difference {warm_worst:.3g}; iterations parent {iterations[0]}, "
-        f"this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}"
+        f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}; "
+        f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}"
     )
     if differ:
         print(f"differing solutions: {how}")

@@ -8,11 +8,12 @@ incumbent cutoff (status "cutoff"), the total ``MiqpSolution.refix_solves``
 of its chunks (the relaxations the incumbent path asked for), how many
 calls were warm-started and how many of those were solved again cold
 (their warm interior point ended "max-iterations"), the equality rows the
-CSR Newton systems eliminated through a pivot column and the rows they left
-to the Schur complement, summed over calls, how many CSR calls took the
-reduced system of the call before them (a node's second child), each chunk's
-objective (``%.9g``) and the sha256 of the plan JSON followed by the plan
-SVG. A change that moves only the last bits of a plan keeps the statuses,
+CSR Newton systems eliminated through a pivot column, summed over calls,
+how many CSR calls had a row without one and ran on the dense LU path
+instead, how many CSR calls took the reduced system of the call before them
+(a node's second child), each chunk's objective (``%.9g``) and the sha256
+of the plan JSON followed by the plan SVG. A change that moves only the
+last bits of a plan keeps the statuses,
 nodes, iterations and objectives and shows a new sha256; one that only ends
 more relaxations at the cutoff changes the iterations and cutoffs alone. A
 second line per preset gives the sha256 of every field of the problems
@@ -28,7 +29,7 @@ benchmark workload on the batch of that seed and prints the total node
 count, the solve, iteration, cutoff, refix, warm and retry counts and the
 sha256 of every solution ``x`` (bytes in batch order). Run it from the
 repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, refix, warm, retry, eliminated, Schur and reused counts
+iteration, cutoff, refix, warm, retry, eliminated, dense and reused counts
 may differ between two commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
@@ -98,15 +99,16 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 class Solves:
     """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
     warm start, how many warm interior points ended "max-iterations", so
-    that their call was solved again cold, the equality rows of the calls'
-    CSR Newton systems, eliminated and left to the Schur complement, and the
-    CSR calls whose reduced system is the last one sliced before them."""
+    that their call was solved again cold, the equality rows the calls' CSR
+    Newton systems eliminated, the CSR calls that ran on the dense LU path,
+    and the CSR calls whose reduced system is the last one sliced before
+    them."""
 
     solutions: list = dataclasses.field(default_factory=list)
     warm: int = 0
     retries: int = 0
     eliminated: int = 0
-    schur: int = 0
+    dense: int = 0
     reused: int = 0
     last: object = None
 
@@ -130,11 +132,13 @@ def recorded_solves():
 
     def presolve(ws, fixings):
         red = real_presolve(ws, fixings)
-        if red is not None and red.scatter is not None:
-            solves.eliminated += red.scatter.pivots.size
-            solves.schur += red.scatter.left.size
-            solves.reused += red.scatter is solves.last
-            solves.last = red.scatter
+        if red is not None and ws.sparse:
+            if red.scatter is None:
+                solves.dense += 1
+            else:
+                solves.eliminated += red.scatter.pivots.size
+                solves.reused += red.scatter is solves.last
+                solves.last = red.scatter
         return red
 
     qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
@@ -167,7 +171,7 @@ def preset_digest(path: Path) -> str:
     return (
         f"{path.stem}: status={chunk_statuses} nodes={nodes} "
         f"{solve_counts(solves, [c.solution for c in result.chunks])} "
-        f"eliminated={solves.eliminated} schur={solves.schur} reused={solves.reused} "
+        f"eliminated={solves.eliminated} dense={solves.dense} reused={solves.reused} "
         f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
