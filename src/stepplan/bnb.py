@@ -2,8 +2,10 @@
 
 Nodes are ordered by their convex relaxation bound. A node's heap entry
 keeps the fixings each of its children adds, as ``branch`` gives them: the
-most fractional binary (|v - 0.5| minimal, ties to the lowest index) at 0,
-then at 1; its pop solves the children in that order. Each relaxation is
+most fractional free trim (|v - 0.5| minimal, ties to the lowest index) at
+0, then at 1, while any trim of the problem's layout is fractional, else the
+most fractional free binary, with the same ties. A problem without a layout
+has no trims. Its pop solves the children in that order. Each relaxation is
 one interior-point solve in a shared ``BoxQp`` workspace with the node's
 binaries pinned. The root starts cold; every other relaxation starts from
 the root's final iterate (a warm start), whatever the node, so once the
@@ -20,7 +22,8 @@ incumbent. Incumbents come from one path: a rounding hook turns a relaxed
 fixed), and each is relaxed, snapped to exact 0/1 binaries and kept if it
 beats the incumbent. A model-aware hook may be given; the generic rule
 (argmax within choice groups, threshold elsewhere) is the default. The path
-rounds the root relaxation and integral relaxations. Everything is
+rounds every relaxation the tree pushes: the root's and each child's that
+is not pruned, fractional or integral. Everything is
 deterministic: identical problems and limits reproduce identical node
 counts and solutions (time limits excepted). A brute-force enumerator over
 all binary patterns serves as the testing oracle for small instances.
@@ -52,7 +55,7 @@ class MiqpLimits:
 
     ``max_nodes`` is checked before each pop, and a pop solves both children,
     so a solve can report up to ``max_nodes + 1`` nodes: the root plus two per
-    pop (the chunk default of 4 gives 5).
+    pop (the chunk default of 2 gives 3).
     """
 
     gap: float = 1e-4
@@ -129,7 +132,12 @@ class _Tree:
         self.rounding = rounding or self.generic_rounding
         self.ws = BoxQp.from_miqp(problem)
         bins = problem.binary_indices
-        self.free_bins = bins[problem.lower[bins] < problem.upper[bins]].tolist()
+        free = problem.lower < problem.upper
+        self.free_bins = bins[free[bins]].tolist()
+        # branched on first while any is fractional; a problem without a
+        # layout has no trims
+        trims = problem.layout.trims if problem.layout is not None else bins[:0]
+        self.free_trims = trims[free[trims]].tolist()
         # only the generic rounding hook reads the choice groups
         self.groups = _choice_groups(problem) if rounding is None else []
         self.incumbent_x: np.ndarray | None = None
@@ -162,15 +170,19 @@ class _Tree:
 
     def branch(self, x: np.ndarray, fixings: dict[int, float]) -> tuple[dict[int, float], ...] | None:
         """The fixings each child adds, or None when ``x`` is integral: the
-        most fractional free binary at 0, then at 1."""
-        best_i, best_d = None, math.inf
-        for i in self.free_bins:
-            if i in fixings or min(abs(x[i]), abs(x[i] - 1.0)) <= INT_TOL:
-                continue
-            d = abs(x[i] - 0.5)
-            if d < best_d - 1e-15:
-                best_d, best_i = d, i
-        return None if best_i is None else ({best_i: 0.0}, {best_i: 1.0})
+        most fractional free trim at 0, then at 1, while any trim is
+        fractional, else the most fractional free binary."""
+        for candidates in (self.free_trims, self.free_bins):
+            best_i, best_d = None, math.inf
+            for i in candidates:
+                if i in fixings or min(abs(x[i]), abs(x[i] - 1.0)) <= INT_TOL:
+                    continue
+                d = abs(x[i] - 0.5)
+                if d < best_d - 1e-15:
+                    best_d, best_i = d, i
+            if best_i is not None:
+                return {best_i: 0.0}, {best_i: 1.0}
+        return None
 
     def generic_rounding(self, x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
         """The default rounding hook: argmax within choice groups, threshold elsewhere."""
@@ -205,10 +217,11 @@ class _Tree:
                 self.incumbent_obj, self.incumbent_x = obj, snapped
 
     def push(self, bound: float, fixings: dict[int, float], x: np.ndarray) -> None:
-        """Open a node at ``fixings``, or round ``x`` when it is integral."""
+        """Round ``x`` under ``fixings``, and open a node there unless ``x``
+        is integral."""
+        self.incumbent(x, fixings)
         children = self.branch(x, fixings)
         if children is None:
-            self.incumbent(x, fixings)
             return
         # ties on the bound pop newest-first: equal-bound plateaus are
         # traversed depth-first instead of exhaustively breadth-first
@@ -236,8 +249,6 @@ class _Tree:
             return self.result(None, t0)
         self.root = root
         self.push(root.objective, {}, root.x)
-        if self.heap:  # push rounds an integral root; a fractional one is rounded here
-            self.incumbent(root.x, {})
 
         status = None
         while self.heap:

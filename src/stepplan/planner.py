@@ -108,9 +108,13 @@ def _drop_standing_tail(
 
 #: Chunks are solved to this relative optimality gap by default, with a node
 #: cap as a deterministic stop for the big-M bound tail. Plan feasibility is
-#: always exact; these limits only affect step placement quality.
+#: always exact; these limits only affect step placement quality. The cap of
+#: 2 allows one pop: the root and its two children, each rounded to a plan.
+#: On the bundled presets a cap of 4 finds one better incumbent in about a
+#: third more time, and a cap of 8 plans 278 steps instead of 286 in about
+#: 1.8 times the time.
 DEFAULT_CHUNK_GAP = 0.01
-DEFAULT_CHUNK_NODES = 4
+DEFAULT_CHUNK_NODES = 2
 #: the goal is reached when the CoC is within GOAL_TOL of it and the yaw
 #: within YAW_TOL; planning stops when a chunk brings the CoC less than
 #: PROGRESS_TOL closer

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -152,6 +153,80 @@ class TestBranch:
         # 5 lies within INT_TOL of 1
         assert tree.branch(x, {6: 1.0, 3: 0.0, 4: 1.0, 2: 0.0}) is None
         assert tree.branch(np.array([0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 1.0]), {}) is None
+
+
+def most_fractional(x, candidates):
+    """The candidate farthest from 0 and 1, ties to the lowest index; None if all are integral."""
+    frac = [int(i) for i in candidates if min(abs(x[i]), abs(x[i] - 1.0)) > bnb.INT_TOL]
+    return min(frac, key=lambda i: (abs(x[i] - 0.5), i)) if frac else None
+
+
+class TestTrimsFirst:
+    @staticmethod
+    def chunk(preset_plans, preset, index):
+        """A chunk problem and its rounding hook, as ``plan`` builds them."""
+        scenario = preset_plans[preset].result.chunks[index].scenario
+        prob = assemble(scenario)
+        return prob, make_rounding_heuristic(scenario, prob)
+
+    def test_trims_are_branched_while_any_is_fractional(self, preset_plans):
+        # dive from the root through the cheaper feasible child: each node
+        # branches on its most fractional trim until every trim is
+        # integral, and the next on its most fractional binary
+        prob, hook = self.chunk(preset_plans, "quadruped_tilted_terrain", 1)
+        tree = bnb._Tree(prob, MiqpLimits(), rounding=hook)
+        fixings, sol = {}, tree.relax({})
+        trim_nodes = 0
+        while (trim := most_fractional(sol.x, [i for i in prob.layout.trims if i not in fixings])) is not None:
+            children = tree.branch(sol.x, fixings)
+            assert children == ({trim: 0.0}, {trim: 1.0})
+            trim_nodes += 1
+            sols = [(tree.relax({**fixings, **c}), c) for c in children]
+            sol, child = min(((s, c) for s, c in sols if s.status == "optimal"), key=lambda sc: sc[0].objective)
+            fixings = {**fixings, **child}
+        any_bin = most_fractional(sol.x, [i for i in prob.binary_indices if i not in fixings])
+        assert trim_nodes == 7 and any_bin is not None
+        assert tree.branch(sol.x, fixings) == ({any_bin: 0.0}, {any_bin: 1.0})
+
+    def test_problem_without_layout_branches_on_most_fractional_binary(self, preset_plans):
+        prob, _ = self.chunk(preset_plans, "quadruped_tilted_terrain", 2)
+        root = BoxQp.from_miqp(prob).solve()
+        trim = most_fractional(root.x, prob.layout.trims)
+        any_bin = most_fractional(root.x, prob.binary_indices)
+        assert trim is not None and any_bin not in prob.layout.trims
+        assert bnb._Tree(prob, MiqpLimits()).branch(root.x, {}) == ({trim: 0.0}, {trim: 1.0})
+        plain = dataclasses.replace(prob, layout=None)
+        assert bnb._Tree(plain, MiqpLimits()).branch(root.x, {}) == ({any_bin: 0.0}, {any_bin: 1.0})
+
+
+class TestNodeRounding:
+    @pytest.mark.parametrize("source", ["chunk", "random"])
+    def test_every_opened_node_is_rounded(self, preset_plans, source):
+        if source == "chunk":
+            prob, hook = TestTrimsFirst.chunk(preset_plans, "quadruped_tilted_terrain", 1)
+            limits = MiqpLimits(gap=0.01, max_nodes=6)
+        else:  # no layout, the generic hook: the 12th draw of seed 5 pops several times
+            rng = np.random.default_rng(5)
+            for _ in range(12):
+                prob = random_instance(rng)
+            hook, limits = None, MiqpLimits()
+        tree = bnb._Tree(prob, limits, rounding=hook)
+        rounded, pushed = [], []
+        real_hook, real_push = tree.rounding, tree.push
+
+        def recording_hook(x, fixings):
+            rounded.append(dict(fixings))
+            return real_hook(x, fixings)
+
+        def recording_push(bound, fixings, x):
+            pushed.append(dict(fixings))
+            real_push(bound, fixings, x)
+
+        tree.rounding, tree.push = recording_hook, recording_push
+        tree.run()
+        children = [f for f in pushed if f]
+        assert len(children) >= 2
+        assert rounded[0] == {} and rounded[1:] == children
 
 
 class TestProblemsWithoutLayout:

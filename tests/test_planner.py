@@ -233,3 +233,32 @@ class TestPresetRelaxations:
             assert run.result.converged, path.stem
             statuses.extend(run.statuses)
         assert statuses and "max-iterations" not in statuses
+
+
+#: plan steps and chunk objectives at default ``plan()`` limits, as trims-first
+#: branching with node rounding at a cap of 2 nodes gives them; a change may
+#: improve on them but not fall behind
+PRESET_FLOOR = {
+    "hexapod_rotation": (48, (24.90611892498015, 0.0034866142434850644)),
+    "hexapod_stepping_stones": (
+        78, (82.84387695348171, 30.68658255259055, 0.29425850024426836, -3.5997858244890324)
+    ),
+    "hexapod_tilted_terrain": (72, (46.83197463787077, 3.1457280971448824, 0.0007620373278030002)),
+    "quadruped_stepping_stones": (48, (21.70732936426343, 3.4783507123601822, 0.001356542086512036)),
+    "quadruped_tilted_terrain": (40, (19.5713356096699, 0.7604234676043973, -2.249430610796921)),
+}
+
+
+class TestPresetQualityFloor:
+    @pytest.mark.parametrize("preset", sorted(PRESET_FLOOR))
+    def test_plans_are_no_worse(self, preset_plans, preset):
+        result = preset_plans[preset].result
+        steps, objectives = PRESET_FLOOR[preset]
+        assert result.n_steps <= steps
+        assert len(result.chunks) <= len(objectives)
+        for chunk, floor in zip(result.chunks, objectives):
+            assert chunk.objective <= floor + 1e-6 * max(1.0, abs(floor)), chunk.index
+
+    def test_quadruped_tilted_terrain_closes_its_last_chunk(self, preset_plans):
+        chunk = preset_plans["quadruped_tilted_terrain"].result.chunks[2]
+        assert chunk.status == "optimal"

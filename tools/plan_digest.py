@@ -2,20 +2,21 @@
 """Print digests that show whether a change altered any plan or solution.
 
 For each bundled preset, planned at default ``plan()`` limits, it prints the
-chunk statuses, the node count of each chunk, the number of ``BoxQp.solve``
-calls, their total interior-point iterations and how many ended at the
-incumbent cutoff (status "cutoff"), the total ``MiqpSolution.refix_solves``
-of its chunks (the relaxations the incumbent path asked for), how many
-calls were warm-started and how many of those were solved again cold
+number of plan steps, the chunk statuses, the node count of each chunk, the
+number of ``BoxQp.solve`` calls, their total interior-point iterations and
+how many ended at the incumbent cutoff (status "cutoff"), the total
+``MiqpSolution.refix_solves`` of its chunks (the relaxations the incumbent
+path asked for), how many calls were warm-started and how many of those were solved again cold
 (their warm interior point ended "max-iterations"), the equality rows the
 CSR Newton systems eliminated through a pivot column, summed over calls,
 how many CSR calls had a row without one and ran on the dense LU path
 instead, how many CSR calls took the reduced system of the call before them
-(a node's second child), each chunk's objective (``%.9g``) and the sha256
-of the plan JSON followed by the plan SVG. A change that moves only the
-last bits of a plan keeps the statuses,
-nodes, iterations and objectives and shows a new sha256; one that only ends
-more relaxations at the cutoff changes the iterations and cutoffs alone. A
+(a node's second child), each chunk's objective and ``best_bound`` (both
+``%.9g``) and the sha256 of the plan JSON followed by the plan SVG, so a
+change that moves a plan shows its quality delta. A change that moves only
+the last bits of a plan keeps the steps, statuses, nodes, iterations,
+objectives and bounds and shows a new sha256; one that only ends more
+relaxations at the cutoff changes the iterations and cutoffs alone. A
 second line per preset gives the sha256 of every field of the problems
 ``assemble`` builds from it at 1, 2 and 4 configurations under each CoC
 convention (see ``problem_fields``), so a change to ``assemble`` that moves
@@ -168,11 +169,12 @@ def preset_digest(path: Path) -> str:
     chunk_statuses = ",".join(c.solution.status for c in result.chunks)
     nodes = ",".join(str(c.solution.nodes) for c in result.chunks)
     objectives = ",".join("%.9g" % c.solution.objective for c in result.chunks)
+    bounds = ",".join("%.9g" % c.solution.best_bound for c in result.chunks)
     return (
-        f"{path.stem}: status={chunk_statuses} nodes={nodes} "
+        f"{path.stem}: steps={result.n_steps} status={chunk_statuses} nodes={nodes} "
         f"{solve_counts(solves, [c.solution for c in result.chunks])} "
         f"eliminated={solves.eliminated} dense={solves.dense} reused={solves.reused} "
-        f"objectives={objectives} sha256={hashlib.sha256(text.encode()).hexdigest()}"
+        f"objectives={objectives} bounds={bounds} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
 
