@@ -248,7 +248,8 @@ class _Tree:
         if root.status == "infeasible":
             return self.result(None, t0)
         self.root = root
-        self.push(root.objective, {}, root.x)
+        # an unresolved root's objective is no lower bound
+        self.push(-math.inf if root.status == "max-iterations" else root.objective, {}, root.x)
 
         status = None
         while self.heap:

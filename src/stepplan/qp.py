@@ -90,17 +90,11 @@ over G's entries gives the call's G; A and the zero-width pairs' rows come
 from one slice of [A; G]; P is scattered straight into a dense array; and
 the Newton block's entry pairs are the workspace's G pairs that survive,
 with the bins on free columns numbered anew, to which the bound rows add
-their weights on the diagonal. The reduced system (P, G, A and the
-elimination of the equality rows) depends only on the call's free columns,
-G rows and A rows, so a CSR workspace keeps the last one with that key, and
-a call with the same key takes it without slicing: the second child of a
-branch-and-bound node, since both children fix the same binary, and
-rounding candidates that leave the same variables free. No call builds G':
-a CSR G's arrays, read as CSC, are G', and a dense G' is a view. A call's
-``QpSolution`` keeps the reduced multipliers and their index maps and maps
-them back to the full problem, with the residuals, only when ``y``,
-``prim_res`` or ``dual_res`` is first read; branch-and-bound reads none of
-them.
+their weights on the diagonal. No call builds G': a CSR G's arrays, read
+as CSC, are G', and a dense G' is a view. A call's ``QpSolution`` keeps
+the reduced multipliers and their index maps and maps them back to the full
+problem, with the residuals, only when ``y``, ``prim_res`` or ``dual_res``
+is first read; branch-and-bound reads none of them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
@@ -749,7 +743,8 @@ def _max_step(sz: np.ndarray, dsz: np.ndarray) -> float:
 
 
 class BoxQp:
-    """Reusable workspace for one constraint structure with varying fixings."""
+    """Reusable workspace for one constraint structure with varying fixings.
+    A solve never modifies it: a call's result depends only on its own arguments."""
 
     def __init__(
         self,
@@ -788,9 +783,6 @@ class BoxQp:
             self._g_entries = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices.astype(np.intp)
             self._p_entries = np.repeat(np.arange(n), np.diff(p.indptr)), p.indices, p.data
             self._ag = sp.vstack([a, g], format="csr")
-            # the last call's key (free columns, G rows, A rows) and its
-            # ``_slice_csr``: a node's second child takes the first's
-            self._slot = None
         else:
             self._ag = np.vstack([self.a, self.g])
         pinnable = np.zeros(n, dtype=bool)
@@ -912,10 +904,7 @@ class BoxQp:
             b = np.concatenate([b, h[pairs[:, 0]]])
             eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
         if self.sparse:
-            key = cols, g_rows, a_rows
-            if not (self._slot and all(map(np.array_equal, key, self._slot[0]))):
-                self._slot = key, self._slice_csr(g_rows, a_rows, cols)
-            p, g, a, scatter = self._slot[1]
+            p, g, a, scatter = self._slice_csr(g_rows, a_rows, cols)
         else:
             p, g = _take(self.p, cols, cols, None), _take(self.g, g_rows, cols, None)
             a, scatter = _take(self._ag, a_rows, cols, None), None

@@ -473,6 +473,37 @@ class TestCutoffPruning:
                     assert done.objective >= s.objective - 1e-9 * (1.0 + abs(s.objective))
 
 
+class TestUnconvergedRoot:
+    def test_root_at_max_iterations_is_pushed_without_a_bound(self, monkeypatch):
+        # 3 iterations leave every root unconverged. Its objective is that of
+        # an inexact iterate, not a bound: pushed on it, the 24th draw's root
+        # closed its tree 0.037 above the optimum
+        rng = np.random.default_rng(1)
+        problems = [random_instance(rng, 10, 8, 8) for _ in range(24)]
+        optima = [brute_force_solve(prob) for prob in problems]
+        real = BoxQp.solve
+        first = []
+
+        def capped_first_call(self, *args, **kwargs):
+            if first:
+                return real(self, *args, **kwargs)
+            first.append(1)
+            with monkeypatch.context() as m:
+                m.setattr(qp, "MAX_ITER", 3)
+                return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoxQp, "solve", capped_first_call)
+        for prob, brute in zip(problems, optima):
+            first.clear()
+            tree = bnb._Tree(prob, MiqpLimits())
+            sol = tree.run()
+            assert tree.root.status == "max-iterations"
+            assert brute.status == "optimal"
+            if sol.status == "optimal":
+                assert abs(sol.objective - brute.objective) <= 1e-6 * abs(brute.objective)
+            assert sol.best_bound <= brute.objective + 1e-7
+
+
 class TestMiqpLimits:
     @pytest.mark.parametrize(
         "kwargs",

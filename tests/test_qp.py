@@ -878,10 +878,19 @@ class TestCopyProduct:
                 assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + m.shape[1] :]).all()
 
 
-class TestSliceSlot:
-    """A CSR workspace keeps the last call's reduced system with its key
-    (free columns, G rows, A rows), and a call with the same key, such as a
-    node's second child, takes it without slicing."""
+class TestCsrWorkspace:
+    """Calls of a CSR workspace on the quadruped chunk: a solve leaves the
+    workspace as it found it, and builds no scipy matrix."""
+
+    @staticmethod
+    def solve_each(ws, root, pairs) -> set:
+        """The statuses of cold, warm and cutoff calls with each fixing of ``pairs``."""
+        statuses = set()
+        for fixings in [f for kids in pairs for f in kids]:
+            statuses.add(ws.solve(fixings).status)
+            statuses.add(ws.solve(fixings, start=root).status)
+            statuses.add(ws.solve(fixings, cutoff=root.objective + 1e-9).status)
+        return statuses
 
     @staticmethod
     def every_field(a, b) -> bool:
@@ -892,11 +901,24 @@ class TestSliceSlot:
             for name in names + ["y", "prim_res", "dual_res"]
         )
 
+    @classmethod
+    def state(cls, value):
+        """``value`` as nested tuples of scalars, object identities and array bytes."""
+        if value is None or isinstance(value, (bool, int, float)):
+            return value
+        if isinstance(value, np.ndarray):
+            return id(value), value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, dict):
+            return tuple((key, cls.state(item)) for key, item in value.items())
+        if isinstance(value, tuple):
+            return id(value), tuple(map(cls.state, value))
+        return id(value), type(value).__name__, cls.state(vars(value))
+
     @pytest.fixture(scope="class")
     def children(self):
         """The quadruped chunk problem, and child fixing pairs of its most
-        fractional binaries: those whose two children share a key, and
-        those whose children do not."""
+        fractional binaries: those whose two children share a presolve key
+        (free columns, G rows, A rows), and those whose children do not."""
         prob = preset_chunk("quadruped_tilted_terrain")
         ws = BoxQp.from_miqp(prob)
         root = ws.solve()
@@ -911,28 +933,21 @@ class TestSliceSlot:
         assert same and other
         return prob, same, other
 
-    def test_second_child_takes_the_slot_and_matches_a_fresh_workspace(self, children):
-        prob, same, _ = children
-        for first, second in same[:3]:
-            ws = BoxQp.from_miqp(prob)
-            ws.solve(first)
-            slot = ws._slot
-            sol = ws.solve(second)
-            assert ws._slot is slot  # taken, not sliced again
-            assert self.every_field(sol, BoxQp.from_miqp(prob).solve(second))
-
-    def test_slot_is_not_taken_across_keys(self, children):
-        prob, _, other = children
-        first, second = other[0]
+    def test_solves_leave_the_workspace_unchanged(self, children):
+        prob, same, other = children
         ws = BoxQp.from_miqp(prob)
-        before = ws.solve(first)
-        slot = ws._slot
-        ws.solve(second)
-        assert ws._slot is not slot
-        slot = ws._slot
-        again = ws.solve(first)
-        assert ws._slot is not slot  # the key changed back, so the call slices anew
-        assert self.every_field(again, before)
+        before = self.state(vars(ws))
+        root = ws.solve()
+        assert {"optimal", "cutoff"} <= self.solve_each(ws, root, same[:2] + other[:2])
+        assert self.state(vars(ws)) == before
+
+    def test_second_child_matches_a_fresh_workspace(self, children):
+        prob, same, _ = children
+        for kids in same[:3]:
+            for first, second in (kids, kids[::-1]):
+                ws = BoxQp.from_miqp(prob)
+                ws.solve(first)
+                assert self.every_field(ws.solve(second), BoxQp.from_miqp(prob).solve(second))
 
     def test_csr_solves_build_no_scipy_matrix(self, monkeypatch, children):
         """Cold, warm and cutoff calls of a CSR workspace: no scipy sparse
@@ -955,12 +970,7 @@ class TestSliceSlot:
 
         monkeypatch.setattr(_base._spbase, "__init__", counted_init)
         monkeypatch.setattr(_base._spbase, "_matmul_dispatch", counted_dispatch)
-        statuses = set()
-        for fixings in [f for kids in same[:2] + other[:2] for f in kids]:
-            statuses.add(ws.solve(fixings).status)
-            statuses.add(ws.solve(fixings, start=root).status)
-            statuses.add(ws.solve(fixings, cutoff=root.objective + 1e-9).status)
-        assert {"optimal", "cutoff"} <= statuses
+        assert {"optimal", "cutoff"} <= self.solve_each(ws, root, same[:2] + other[:2])
         assert counts == {"constructed": 0, "products": 0}
         sp.csr_matrix((2, 2)) @ np.ones(2)  # the counters see a construction and a product
         assert counts == {"constructed": 1, "products": 1}

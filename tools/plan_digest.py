@@ -10,10 +10,9 @@ path asked for), how many calls were warm-started and how many of those were sol
 (their warm interior point ended "max-iterations"), the equality rows the
 CSR Newton systems eliminated through a pivot column, summed over calls,
 how many CSR calls had a row without one and ran on the dense LU path
-instead, how many CSR calls took the reduced system of the call before them
-(a node's second child), each chunk's objective and ``best_bound`` (both
-``%.9g``) and the sha256 of the plan JSON followed by the plan SVG, so a
-change that moves a plan shows its quality delta. A change that moves only
+instead, each chunk's objective and ``best_bound`` (both ``%.9g``) and the
+sha256 of the plan JSON followed by the plan SVG, so a change that moves a
+plan shows its quality delta. A change that moves only
 the last bits of a plan keeps the steps, statuses, nodes, iterations,
 objectives and bounds and shows a new sha256; one that only ends more
 relaxations at the cutoff changes the iterations and cutoffs alone. A
@@ -30,8 +29,8 @@ benchmark workload on the batch of that seed and prints the total node
 count, the solve, iteration, cutoff, refix, warm and retry counts and the
 sha256 of every solution ``x`` (bytes in batch order). Run it from the
 repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, refix, warm, retry, eliminated, dense and reused counts
-may differ between two commits that keep every plan:
+iteration, cutoff, refix, warm, retry, eliminated and dense counts may
+differ between two commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
 """
@@ -101,17 +100,14 @@ class Solves:
     """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
     warm start, how many warm interior points ended "max-iterations", so
     that their call was solved again cold, the equality rows the calls' CSR
-    Newton systems eliminated, the CSR calls that ran on the dense LU path,
-    and the CSR calls whose reduced system is the last one sliced before
-    them."""
+    Newton systems eliminated and the CSR calls that ran on the dense LU
+    path."""
 
     solutions: list = dataclasses.field(default_factory=list)
     warm: int = 0
     retries: int = 0
     eliminated: int = 0
     dense: int = 0
-    reused: int = 0
-    last: object = None
 
 
 @contextmanager
@@ -138,8 +134,6 @@ def recorded_solves():
                 solves.dense += 1
             else:
                 solves.eliminated += red.scatter.pivots.size
-                solves.reused += red.scatter is solves.last
-                solves.last = red.scatter
         return red
 
     qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
@@ -173,7 +167,7 @@ def preset_digest(path: Path) -> str:
     return (
         f"{path.stem}: steps={result.n_steps} status={chunk_statuses} nodes={nodes} "
         f"{solve_counts(solves, [c.solution for c in result.chunks])} "
-        f"eliminated={solves.eliminated} dense={solves.dense} reused={solves.reused} "
+        f"eliminated={solves.eliminated} dense={solves.dense} "
         f"objectives={objectives} bounds={bounds} sha256={hashlib.sha256(text.encode()).hexdigest()}"
     )
 
