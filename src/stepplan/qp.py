@@ -114,28 +114,32 @@ call infeasible.
 On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
 iteration into them: [x; y], [s; z] and [ds; dz] are one buffer each (one
-ratio test, one update), and so are [G_all x; A x], [r_p; r_e] and
-[Px; G_all'z; A'y] (one max-abs reduction per norm). A call without
-equality rows, as every call on a small random MIQP, skips A'y, Ax and
-their residual: A'y stays 0, and adding it to the dual residual changes no
-bit. Every such rewrite is exact: each element comes from the same floating
-point operations in the same order. For the same reason dense matrices
-stay C-ordered: a product sums in another order on an F-ordered copy, such
-as ``m[rows][:, cols]`` makes.
+ratio test, one update), and [G_all x; A x], [Px; G_all'z; A'y] and [r_p;
+r_e] are three views of one buffer (one ``np.abs`` and one
+``np.maximum.reduceat`` give the three norms). Each G_all product is one
+call on the operator ``_stacked`` builds. A call without equality rows, as
+every call on a small random MIQP, skips A'y, Ax and their residual: A'y
+stays 0, and adding it to the dual residual changes no bit. Every such
+rewrite is exact, each element coming from the same floating point
+operations in the same order, but one: a dense G_all product sums the
+stacked rows in BLAS's order, so a dense call's iterates move in their last
+bits. Dense matrices stay C-ordered: a product sums in another order on an
+F-ordered copy, such as ``m[rows][:, cols]`` makes.
 
 The Newton system [[H, A'], [A, -EQ_REG I]], H = P + G_all' W G_all, is
 factored in a buffer allocated once per call, F-ordered because LAPACK
 reads it column by column; each iteration writes there what the
 factorization reads and factors the buffer in place, with A' kept in its
 own array. A dense workspace factors the whole matrix by LU, as the plain
-formulas do: it writes the block, then A, A' and -EQ_REG I, so with the
-exact rewrites above its every iterate and result is bit for bit what those
-formulas give (``tools/ab_qp.py`` checks this against another checkout). A
-CSR call whose equality rows each have a private pivot, a column no other
-equality row touches, eliminates them (the null-space method: Nocedal and
-Wright, Numerical Optimization, 2nd ed., 16.2; Benzi, Golub and Liesen,
-Acta Numerica 14, 2005): row r fixes its pivot's step, dx_p = (r_y,r -
-sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other columns.
+formulas do: it writes the block (G's product, then the bound diagonal),
+then A, A' and -EQ_REG I, so the matrix it factors is the plain formulas'
+bit for bit for the weights it is given (``tools/ab_qp.py`` compares every
+solution with another checkout's). A CSR call whose equality rows each
+have a private pivot, a column no other equality row touches, eliminates
+them (the null-space method: Nocedal and Wright, Numerical Optimization,
+2nd ed., 16.2; Benzi, Golub and Liesen, Acta Numerica 14, 2005): row r
+fixes its pivot's step, dx_p = (r_y,r - sum_{j != p} a_rj dx_j) / a_rp, so
+dx = Z du + x_e over the other columns.
 It factors the reduced block Z'HZ, which is symmetric positive definite (P
 is PSD and both bound sides put a positive weight on H's diagonal), by
 Cholesky: it writes P in, adds each bin's sum at its lower-triangle entry,
@@ -736,10 +740,27 @@ def _rounding(terms: int, magnitude: float) -> float:
     return float((terms + 8) * np.finfo(float).eps * magnitude)
 
 
-def _max_step(sz: np.ndarray, dsz: np.ndarray) -> float:
-    """Largest step along ``dsz`` keeping the positive vector ``sz`` nonnegative."""
-    worst = np.minimum.reduce(dsz / sz)
-    return -1.0 / worst if worst < 0.0 else math.inf
+def _max_step(sz: np.ndarray, dsz: np.ndarray, ratio: np.ndarray | None = None) -> float:
+    """Largest step along ``dsz`` keeping the positive vector ``sz``
+    nonnegative, with the ratios dsz / sz written to ``ratio``; NaN when a
+    ratio is NaN, as a direction that is not finite makes it."""
+    worst = np.minimum.reduce(np.divide(dsz, sz, out=ratio))
+    return -1.0 / worst if not worst >= 0.0 else math.inf
+
+
+def _stacked(g, nf: int):
+    """G_all = [G; -I; I] for a call's G of ``nf`` columns: a C-ordered array
+    for a dense G; for a CSR one, ``_Csr`` arrays with 2 nf unit rows after
+    G's. ``csr_matvec`` sums a unit row as 0 + (-1) v_i, and ``csc_matvec``
+    adds the unit rows' terms after G's, so a CSR product gives the bits of G's
+    product and the bound blocks taken apart, but for the sign of a zero."""
+    if isinstance(g, np.ndarray):
+        eye = np.eye(nf)
+        return np.concatenate([g, -eye, eye])
+    cols, unit = np.arange(nf, dtype=g.indices.dtype), np.arange(1, 2 * nf + 1, dtype=g.indptr.dtype)
+    data = np.concatenate([g.data, np.full(nf, -1.0), np.ones(nf)])
+    return _Csr((g.shape[0] + 2 * nf, nf), np.concatenate([g.indptr, g.indptr[-1] + unit]),
+                np.concatenate([g.indices, cols, cols]), data)
 
 
 class BoxQp:
@@ -1107,7 +1128,8 @@ class _LuNewton:
     """The Newton system of a dense workspace, factored whole by LU.
 
     The F-ordered buffer holds [[P + G_all' W G_all, A'], [A, -EQ_REG I]];
-    ``factor`` writes it and has LAPACK factor it in place."""
+    ``factor`` writes it, from the block's terms in buffers of their own,
+    and has LAPACK factor it in place."""
 
     def __init__(self, red: _Reduced):
         nf, me = red.c.size, red.b.size
@@ -1115,16 +1137,22 @@ class _LuNewton:
         self.kkt = np.empty((nf + me, nf + me), order="F")
         # A' in its own array, as the right-hand sides read it: the LU overwrites kkt
         self.a_t, self.reg = red.a.T.copy(), -EQ_REG * np.eye(me)
+        # G' W_G, F-ordered as g.T * w makes it (a product of another layout
+        # sums in another order), the block, its diagonal and the bound weights
+        self.gw = np.empty((nf, red.h.size), order="F")
+        self.block, self.bounds = np.empty((nf, nf)), np.empty(nf)
+        self.diag = self.block.ravel()[:: nf + 1]
 
     def factor(self, w: np.ndarray) -> bool:
         """Factor the Newton matrix for the weights ``w``; False if it is singular."""
-        red, kkt, nf = self.red, self.kkt, self.nf
+        red, kkt, nf, block = self.red, self.kkt, self.nf, self.block
         k = red.h.size
         # the bound diagonal goes in after the G product: one product over
         # G_all sums in another order, and a criterion-1 relaxation whose
         # complementarity sits within rounding of the tolerance then fails
-        block = red.p + (red.g.T * w[:k]) @ red.g
-        block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
+        np.dot(np.multiply(red.g.T, w[:k], out=self.gw), red.g, out=block)
+        np.add(red.p, block, out=block)
+        np.add(self.diag, np.add(w[k : k + nf], w[k + nf :], out=self.bounds), out=self.diag)
         kkt[:nf, :nf] = block  # not bitwise symmetric: every entry is written
         if self.me:
             kkt[nf:, :nf] = red.a
@@ -1223,26 +1251,13 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
     n_cone = mi + 2 * nf
+    g_all = _stacked(g, nf)
     # dense products write into their buffer; a CSR product is copied there.
-    # times_t(g_t, v, out) writes G'v: from a view of a dense G, from a CSR G's own arrays
+    # times_t(m_t, v, out) writes m'v: from a view of a dense m, from a CSR m's own arrays
     if isinstance(g, np.ndarray):
-        times, times_t, g_t = np.dot, np.dot, g.T
+        times, times_t, g_t, g_all_t = np.dot, np.dot, g.T, g_all.T
     else:
-        times, times_t, g_t = _copy_product, _copy_product_t, g
-
-    def blocks(v):  # the blocks of a G_all-row vector: G rows, lower, upper
-        return v[:mi], v[mi : mi + nf], v[mi + nf :]
-
-    def stack(v, out):  # out = [G; -I; I] v, given as its blocks
-        times(g, v, out[0])
-        np.negative(v, out=out[1])
-        np.copyto(out[2], v)
-
-    def stack_t(w, out):  # out = [G; -I; I]' w, w given as its blocks
-        times_t(g_t, w[0], out)
-        np.subtract(out, w[1], out=out)
-        np.add(out, w[2], out=out)
-
+        times, times_t, g_t, g_all_t = _copy_product, _copy_product_t, g, g_all
     hb = np.concatenate([red.h, -red.lo, red.hi, b])  # [h_all; b]
     h_all = hb[:n_cone]
     xy = np.zeros(nf + me)
@@ -1254,24 +1269,25 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     s, z = sz[:n_cone], sz[n_cone:]
     dsz = np.empty(2 * n_cone)
     ds, dz = dsz[:n_cone], dsz[n_cone:]
-    gax = np.empty(n_cone + me)  # [G_all x; A x]
-    gx, ax = gax[:n_cone], gax[n_cone:]
-    res = np.empty(n_cone + me)  # [r_p; r_e]
+    # [G_all x; A x], [Px; G_all'z; A'y] (the terms of r_d) and [r_p; r_e]
+    # in one buffer: one max-abs reduction gives the three norms
+    n_p = n_cone + me
+    sums = np.empty(2 * n_p + 3 * nf)
+    abs_sums, starts = np.empty_like(sums), np.array([0, n_p, n_p + 3 * nf])
+    gx, ax, res = sums[:n_cone], sums[n_cone:n_p], sums[n_p + 3 * nf :]
+    px, gz, ay = sums[n_p : n_p + nf], sums[n_p + nf : n_p + 2 * nf], sums[n_p + 2 * nf : n_p + 3 * nf]
     r_p, r_e = res[:n_cone], res[n_cone:]
-    terms = np.empty(3 * nf)  # [Px; G_all'z; A'y]: the terms of r_d
-    px, gz, ay = terms[:nf], terms[nf : 2 * nf], terms[2 * nf :]
     if not me:  # A'y of no rows; a call without them skips all equality-row work
         ay.fill(0.0)
-    neg_rp, t = np.empty(n_cone), np.empty(n_cone)
+    neg_rp, neg_s, t = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
     r_d, neg_rd = np.empty(nf), np.empty(nf)
-    # s * z, z * r_p, z / s, the corrector's r_c and -r_c of the current target
-    sz_prod, z_rp, weights = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
-    r_corr, neg_rc = np.empty(n_cone), np.empty(n_cone)
-    shifted = np.empty(2 * n_cone)  # sz + alpha * dsz
+    # s * z, z * r_p, z / s and the corrector's r_c
+    sz_prod, z_rp, weights, r_corr = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
+    shifted, ratio = np.empty(2 * n_cone), np.empty(2 * n_cone)  # sz + alpha * dsz, dsz / sz
+    shifted_s, shifted_z = shifted[:n_cone], shifted[n_cone:]
     rhs = np.empty(nf + me)
     rhs_x, rhs_y = rhs[:nf], rhs[nf:]
-    gx_b, z_b, t_b, ds_b, neg_rp_b = map(blocks, (gx, z, t, ds, neg_rp))
-    stack(x, gx_b)
+    times(g_all, x, gx)
     np.maximum(h_all - gx, 1.0, out=s)
     if start is not None:  # [s; z] of the start's rows and bound sides; NaN keeps the cold value
         _, rows, lower, upper = start
@@ -1331,13 +1347,13 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     it = 0
     for it in range(1, MAX_ITER + 1):
         np.dot(p, x, out=px)
-        stack_t(z_b, gz)
+        times_t(g_all_t, z, gz)
         np.add(px, c, out=r_d)
         np.add(r_d, gz, out=r_d)
-        if me:  # r_d is never -0.0 (gz ends with + z_u, z_u > 0), so adding 0.0 would change no bit
+        if me:  # r_d is never -0.0 (gz sums + z_u, z_u > 0), so adding 0.0 would change no bit
             np.dot(a_t, y, out=ay)
             np.add(r_d, ay, out=r_d)
-        stack(x, gx_b)
+        times(g_all, x, gx)
         np.add(gx, s, out=r_p)
         np.subtract(r_p, h_all, out=r_p)
         if me:
@@ -1346,9 +1362,9 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         mu = float(s @ z) / n_cone
         obj = float(0.5 * x @ px + c @ x)
         # residuals relative to the terms that make them up
-        scale_p = 1.0 + max(_norm(gax), norm_hb)
-        scale_d = 1.0 + max(_norm(terms), norm_c)
-        prim, gap, scale_c = _norm(res), mu * n_cone, 1.0 + abs(obj)
+        norm_gax, norm_terms, prim = np.maximum.reduceat(np.abs(sums, out=abs_sums), starts).tolist()
+        scale_p, scale_d = 1.0 + max(norm_gax, norm_hb), 1.0 + max(norm_terms, norm_c)
+        gap, scale_c = mu * n_cone, 1.0 + abs(obj)
         if prim <= floor * scale_p and gap <= floor * scale_c:
             dual = _norm(r_d)
             if prim <= eps * scale_p and dual <= eps * scale_d and gap <= eps * scale_c:
@@ -1377,6 +1393,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         np.multiply(s, z, out=sz_prod)
         np.multiply(z, r_p, out=z_rp)
         np.negative(r_p, out=neg_rp)
+        np.negative(s, out=neg_s)
         if me:
             np.negative(r_e, out=rhs_y)
 
@@ -1384,25 +1401,21 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
             """[dx; dy] for the complementarity target ``r_c``; fills [ds; dz]."""
             np.subtract(z_rp, r_c, out=t)
             np.divide(t, s, out=t)
-            stack_t(t_b, rhs_x)
+            times_t(g_all_t, t, rhs_x)
             np.subtract(neg_rd, rhs_x, out=rhs_x)
             d = system.solve(rhs)
-            dx = d[:nf]
-            # ds = -r_p - G_all dx, block by block (-r_p - (-dx) is -r_p + dx)
-            times(g, dx, ds_b[0])
-            np.subtract(neg_rp_b[0], ds_b[0], out=ds_b[0])
-            np.add(neg_rp_b[1], dx, out=ds_b[1])
-            np.subtract(neg_rp_b[2], dx, out=ds_b[2])
-            np.multiply(z, ds, out=dz)
-            np.subtract(np.negative(r_c, out=neg_rc), dz, out=dz)
-            np.divide(dz, s, out=dz)
+            times(g_all, d[:nf], ds)  # ds = -r_p - G_all dx
+            np.subtract(neg_rp, ds, out=ds)
+            np.multiply(z, ds, out=dz)  # dz = (r_c + z ds) / (-s): the bits of (-r_c - z ds) / s
+            np.add(r_c, dz, out=dz)
+            np.divide(dz, neg_s, out=dz)
             return d
 
         # predictor: the affine-scaling direction sets Mehrotra's centering
         newton(sz_prod)
-        alpha = min(1.0, _max_step(sz, dsz))
+        alpha = min(1.0, _max_step(sz, dsz, ratio))
         np.add(sz, np.multiply(alpha, dsz, out=shifted), out=shifted)
-        mu_aff = float(shifted[:n_cone] @ shifted[n_cone:]) / n_cone
+        mu_aff = float(shifted_s @ shifted_z) / n_cone
         sigma = (mu_aff / mu) ** 3
         # corrector: second-order term plus centering
         np.multiply(ds, dz, out=r_corr)
@@ -1410,8 +1423,10 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         d = newton(np.subtract(r_corr, sigma * mu, out=r_corr))
         # a fixed fraction to the boundary can cycle at small mu
         tau = min(max(0.9, 1.0 - 10.0 * mu), TAU_MAX)
-        alpha = min(1.0, tau * _max_step(sz, dsz))
-        if not (alpha > 1e-12 and np.isfinite(d[:nf]).all()):
+        step = _max_step(sz, dsz, ratio)
+        alpha = min(1.0, tau * step)
+        # a dx that is not finite makes a ratio NaN, or -inf and the step 0
+        if not (alpha > 1e-12 and not math.isnan(step)):
             break
         xy += alpha * d
         sz += alpha * dsz

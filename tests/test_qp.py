@@ -343,6 +343,14 @@ class TestMaxStep:
         sz, dsz = np.array([1.0, 2.0, 0.5, 3.0]), np.array([0.0, 1.0, 2.0, 0.0])
         assert qp_module._max_step(sz, dsz) == math.inf
 
+    def test_writes_the_ratios_and_reports_a_nan_one(self):
+        sz, dsz = np.array([1.0, 2.0, 0.5, 3.0]), np.array([0.0, -1.0, 2.0, -6.0])
+        ratio = np.empty(4)
+        assert qp_module._max_step(sz, dsz, ratio) == 0.5
+        assert ratio.tobytes() == (dsz / sz).tobytes()
+        assert math.isnan(qp_module._max_step(sz, np.array([0.0, -1.0, np.nan, -6.0]), ratio))
+        assert qp_module._max_step(sz, np.array([0.0, -np.inf, 1.0, -6.0])) == 0.0
+
 
 class TestPresolveCascade:
     # with x3 = 1 the equality x1 + x3 = 1 is a singleton that pins x1 = 0;
@@ -876,6 +884,119 @@ class TestCopyProduct:
                 for ref in (m.T @ v, m.T.tocsr() @ v):
                     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
                 assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + m.shape[1] :]).all()
+
+
+def stacked_calls():
+    """(reduced problem, whether it is CSR) of a random dense workspace's
+    calls, a random CSR one's and a preset chunk's."""
+    rng = np.random.default_rng(31)
+    for n, m, n_eq in ((14, 12, 3), (120, 200, 4)):
+        ws, _, _ = random_workspace(rng, n, m, n_eq)
+        for fixings in random_fixings(rng, n, count=3):
+            yield ws._presolve(fixings), ws.sparse
+    name = "quadruped_tilted_terrain"
+    prob = preset_chunk(name)
+    ws = BoxQp.from_miqp(prob)
+    for fixings in [{}, *preset_fixings(prob, ws, name, count=3)]:
+        yield ws._presolve(fixings), ws.sparse
+
+
+class TestStackedOperator:
+    """One product with G_all = [G; -I; I] (``_stacked``) gives what G's
+    product and the bound blocks give taken apart: bit for bit on a CSR
+    call, but for the sign of a zero (a unit row writes 0 + (-1) v_i), and
+    within 1e-12 relative on a dense one, whose products sum the stacked
+    rows in BLAS's order."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        calls = list(stacked_calls())
+        assert [sparse for _, sparse in calls] == [False] * 4 + [True] * 8
+        return calls
+
+    def test_products_match_the_blocks(self, calls):
+        rng = np.random.default_rng(32)
+        for red, sparse in calls:
+            g, nf, mi = red.g, red.c.size, red.h.size
+            g_all = qp_module._stacked(g, nf)
+            v, w = rng.normal(size=nf), rng.uniform(0.1, 10.0, size=mi + 2 * nf)
+            v[::3] = 0.0  # zeros whose sign a unit row may flip
+            w_g, w_l, w_u = w[:mi], w[mi : mi + nf], w[mi + nf :]
+            gv, gw = np.empty(mi + 2 * nf), np.empty(nf)
+            if sparse:
+                assert isinstance(g_all, qp_module._Csr) and g_all.shape == (mi + 2 * nf, nf)
+                qp_module._copy_product(g_all, v, gv)
+                qp_module._copy_product_t(g_all, w, gw)
+                ref_w = np.empty(nf)
+                qp_module._copy_product_t(g, w_g, ref_w)
+                ref_v, ref_w = np.concatenate([qp_module._times(g, v), -v, v]), ref_w - w_l + w_u
+                assert (gv + 0.0).tobytes() == (ref_v + 0.0).tobytes()
+                assert (gw + 0.0).tobytes() == (ref_w + 0.0).tobytes()
+            else:
+                assert g_all.flags.c_contiguous and g_all.shape == (mi + 2 * nf, nf)
+                np.dot(g_all, v, out=gv)
+                np.dot(g_all.T, w, out=gw)
+                ref_v, ref_w = np.concatenate([g @ v, -v, v]), g.T @ w_g - w_l + w_u
+                assert np.abs(gv - ref_v).max() <= 1e-12 * np.abs(ref_v).max()
+                assert np.abs(gw - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
+
+    def test_fused_norms_match_each_norm(self, calls):
+        """The loop's one reduction over [G_all x; A x], [Px; G_all'z; A'y]
+        and [r_p; r_e] gives each block's ``_norm`` bit for bit, with the
+        largest entry in any block, signed zeros and A'y zero without rows."""
+        rng = np.random.default_rng(33)
+        for red, _ in calls:
+            nf, me = red.c.size, red.b.size
+            n_p = red.h.size + 2 * nf + me
+            starts = np.array([0, n_p, n_p + 3 * nf])
+            for trial in range(6):
+                sums = rng.normal(size=2 * n_p + 3 * nf) * 10.0 ** rng.integers(-8, 8, size=2 * n_p + 3 * nf)
+                sums[rng.integers(sums.size)] *= -1e20
+                sums[rng.random(sums.size) < 0.2] = -0.0
+                if trial % 2:
+                    sums[n_p + 2 * nf : n_p + 3 * nf] = 0.0
+                fused = np.maximum.reduceat(np.abs(sums, out=np.empty(sums.size)), starts).tolist()
+                parts = np.split(sums, starts[1:])
+                assert [np.float64(f).tobytes() for f in fused] == [
+                    np.float64(qp_module._norm(part)).tobytes() for part in parts
+                ]
+
+
+class TestNonFiniteDirection:
+    """A corrector direction whose dx is not finite ends the loop in the
+    iteration it appears, before the step: a NaN entry makes a ratio of the
+    step test NaN, an infinite one a ratio -inf and the step 0. The status
+    and iteration count are those the loop gave when it tested dx with
+    ``np.isfinite``: the iterations before it, then the LP's verdict."""
+
+    @staticmethod
+    def spoiled(monkeypatch, cls, call, value):
+        """Make the ``call``-th Newton solve (the corrector of iteration
+        call / 2) return ``value`` in dx's first entry."""
+        count, real = [0], cls.solve
+
+        def solve(system, rhs):
+            count[0] += 1
+            d = real(system, rhs)
+            if count[0] == call:
+                d = d.copy()
+                d[0] = value
+            return d
+
+        monkeypatch.setattr(cls, "solve", solve)
+
+    @pytest.mark.parametrize("n, m, cls", [(14, 12, qp_module._LuNewton), (120, 200, qp_module._CholeskyNewton)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("iteration", [1, 2])
+    def test_ends_where_the_isfinite_test_ended(self, monkeypatch, n, m, cls, value, iteration):
+        ws, _, _ = random_workspace(np.random.default_rng(5), n, m, n_eq=3)
+        assert ws.sparse == (cls is qp_module._CholeskyNewton)
+        assert ws.solve().iterations > 2
+        with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
+            self.spoiled(patch, cls, 2 * iteration, value)
+            sol = ws.solve()
+        assert (sol.status, sol.iterations) == ("max-iterations", iteration)
+        assert np.isfinite(sol.x).all()
 
 
 class TestCsrWorkspace:
