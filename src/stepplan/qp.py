@@ -9,16 +9,19 @@ point, or, when given one, from another call's final iterate (a warm
 start), so a result depends on the fixings and that start alone.
 
 A warm start is a ``QpSolution`` of the same workspace: its x, and the
-slack and multiplier of each of its G rows and bound sides, by original row
-and column. A call restricts it to its own free columns and kept rows,
-clips x into its box and raises every slack and multiplier to at least
-WARM_FLOOR, so that the iterate is well inside the cone; an entry the start
-does not have (a row or column its call's presolve removed) keeps the cold
-value, and the equality multipliers start at 0 (Yildirim and Wright, SIAM J.
-Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim. 13, 2002). Only
-"max-iterations" can be worse from a warm start than from the cold one (an
-infeasible verdict comes from HiGHS, a cutoff from a certified bound), so a
-warm call that ends there is solved once more, cold.
+slack and multiplier of each of its G rows and bound sides, stored once in
+the workspace's stacked row order [G rows; lower sides; upper sides],
+raised to at least WARM_FLOOR, so that the iterate is well inside the
+cone, and NaN where its call had no such row or column. A call clips x
+into its box and restricts [s; z] to its own rows of G_all with one
+``take``. An entry the start does not have (a row or column its call's
+presolve removed) keeps the cold value, which only a call whose start
+lacks entries computes; the equality multipliers start at 0 (Yildirim
+and Wright, SIAM J. Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim.
+13, 2002). Only "max-iterations" can be worse from a warm start than from
+the cold one (an infeasible verdict comes from HiGHS, a cutoff from a
+certified bound), so a warm call that ends there is solved once more,
+cold.
 
 The inequality rows and both sides of the variable bounds form one stacked
 operator  G_all = [G; -I; I]  with one slack and one multiplier per row, so
@@ -70,8 +73,11 @@ structure alone is found once per workspace:
   every row, as on every chunk relaxation. When no row has, no fixing of
   pinnable columns leaves a row empty or singleton, so a call substitutes
   the fixings once and drops no row, as in small problems whose rows all
-  have two continuous entries. A call that fixes a column that is not
-  pinnable tests every row;
+  have two continuous entries. Such a call allocates no live-row mask and
+  no map of the rows that set bounds, keeps h - Gx and b - Ax whole and,
+  unless a zero-width pair turns rows into an equality, takes a dense G
+  and A by columns alone. A call that fixes a column that is not pinnable
+  tests every row;
 - the free-column mask of the workspace bounds;
 - for CSR workspaces: one order of every pair of G entries that share a
   row, with the Newton-block bin (i, j), i <= j, that each adds to; P's
@@ -131,9 +137,11 @@ factored in a buffer allocated once per call, F-ordered because LAPACK
 reads it column by column; each iteration writes there what the
 factorization reads and factors the buffer in place, with A' kept in its
 own array. A dense workspace factors the whole matrix by LU, as the plain
-formulas do: it writes the block (G's product, then the bound diagonal),
-then A, A' and -EQ_REG I, so the matrix it factors is the plain formulas'
-bit for bit for the weights it is given (``tools/ab_qp.py`` compares every
+formulas do: it writes P plus G's product into the buffer's leading block,
+adds the bound diagonal there, then writes A, A' and -EQ_REG I (a call
+without equality rows builds neither A' nor the regularization), so the
+matrix it factors is the plain formulas' bit for bit for the weights it is
+given (``tools/ab_qp.py`` compares every
 solution with another checkout's). A CSR call whose equality rows each
 have a private pivot, a column no other equality row touches, eliminates
 them (the null-space method: Nocedal and Wright, Numerical Optimization,
@@ -259,17 +267,18 @@ class QpSolution:
 
     @cached_property
     def _start(self) -> tuple:
-        """The final iterate as a warm start: ``x``, then [s; z] of each
-        workspace G row, lower and upper bound side, NaN where the call
-        that made it had none."""
+        """The final iterate as a warm start: ``x``; [s; z] of each
+        workspace G row, lower and upper bound side, in that stacked order,
+        raised to at least WARM_FLOOR and NaN where the call that made it
+        had none; and whether it has every entry."""
         _, z, cols, g_rows = self._duals[:4]
-        k, nf = g_rows.size, cols.size
-        sz = np.stack([self._slacks, z])
-        rows = np.full((2, self._ws.h.shape[0]), np.nan)
-        lower, upper = np.full((2, 2, self.x.size), np.nan)
-        rows[:, g_rows] = sz[:, :k]
-        lower[:, cols], upper[:, cols] = sz[:, k : k + nf], sz[:, k + nf :]
-        return self.x, rows, lower, upper
+        mi, n = self._ws.h.shape[0], self.x.size
+        sz = np.maximum(np.stack([self._slacks, z]), WARM_FLOOR)
+        if g_rows.size == mi and cols.size == n:  # the call's stacked rows are the workspace's
+            return self.x, sz, True
+        stored = np.full((2, mi + 2 * n), np.nan)
+        stored[:, _stacked_rows(g_rows, cols, mi, n)] = sz
+        return self.x, stored, False
 
 
 @dataclass
@@ -277,6 +286,7 @@ class _Reduced:
     """A call's problem after substitution and presolve, with the maps back."""
 
     x: np.ndarray  # full-length primal, fixed entries filled in
+    px: np.ndarray  # P x, full length
     cols: np.ndarray  # free original columns
     p: np.ndarray  # dense
     c: np.ndarray
@@ -289,8 +299,8 @@ class _Reduced:
     g_rows: np.ndarray  # original inequality row of each reduced one
     eq_rows: np.ndarray  # original equality row, or -1 for a zero-width pair
     pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
-    bound_rows: np.ndarray  # (2, nf) singleton row that set each lower/upper bound, or -1
-    bound_coefs: np.ndarray  # (2, nf) that row's coefficient
+    bound_rows: np.ndarray | None  # (2, nf) singleton row that set each lower/upper bound, or -1; None: no row tested
+    bound_coefs: np.ndarray | None  # (2, nf) that row's coefficient
     scatter: _Substitution | None  # the Newton system's elimination of the equality rows; None on the LU path
 
 
@@ -755,12 +765,33 @@ def _stacked(g, nf: int):
     adds the unit rows' terms after G's, so a CSR product gives the bits of G's
     product and the bound blocks taken apart, but for the sign of a zero."""
     if isinstance(g, np.ndarray):
-        eye = np.eye(nf)
+        eye = np.zeros((nf, nf))
+        eye.reshape(-1)[:: nf + 1] = 1.0  # np.eye(nf), without its slower flat iterator
         return np.concatenate([g, -eye, eye])
     cols, unit = np.arange(nf, dtype=g.indices.dtype), np.arange(1, 2 * nf + 1, dtype=g.indptr.dtype)
     data = np.concatenate([g.data, np.full(nf, -1.0), np.ones(nf)])
     return _Csr((g.shape[0] + 2 * nf, nf), np.concatenate([g.indptr, g.indptr[-1] + unit]),
                 np.concatenate([g.indices, cols, cols]), data)
+
+
+def _stacked_rows(g_rows: np.ndarray, cols: np.ndarray, mi: int, n: int) -> np.ndarray:
+    """The position of each row of a call's G_all in a workspace's stacked
+    rows [G; -I; I] of ``mi`` G rows and ``n`` columns."""
+    return np.concatenate([g_rows, cols + mi, cols + (mi + n)])
+
+
+def _restrict(start: tuple, red: _Reduced, sz: np.ndarray) -> None:
+    """Write a warm start's [s; z] (``QpSolution._start``) at the call's
+    G_all rows into ``sz``, of shape (2, n_cone); an entry that the start
+    lacks keeps the value ``sz`` has."""
+    _, stored, complete = start
+    n = red.x.size
+    rows = _stacked_rows(red.g_rows, red.cols, stored.shape[1] - 2 * n, n)
+    if complete:
+        stored.take(rows, 1, out=sz, mode="clip")  # the rows are in range: no checked copy
+    else:
+        warm = stored.take(rows, 1)
+        np.copyto(sz, warm, where=~np.isnan(warm))
 
 
 class BoxQp:
@@ -798,6 +829,7 @@ class BoxQp:
             for m, shape in zip((g_matrix, a_matrix, p_matrix), shapes)
         )
         self.g, self.a, self.p = g, a, p
+        self._all_rows = np.arange(self.h.shape[0]), np.arange(self.b.shape[0])  # of a call that keeps every row
         if self.sparse:
             # computed once: the G entry pairs and their bins, the entries of P and [A; G]
             self._scatter = _entry_pairs(g)
@@ -855,7 +887,10 @@ class BoxQp:
         pins a variable starts another. Rows are tested only when the
         workspace tests them or a fixing is off the pinnable columns; then
         every row is. The reduced problem is sliced from the workspace once,
-        after the last round.
+        after the last round. A call that tests no row and finds no
+        zero-width pair keeps every row: it builds no live set, no map of
+        the rows that set bounds (``bound_rows`` is None) and no row index,
+        and its h and b are h - Gx and b - Ax whole.
         """
         lo = self.lo.copy()
         hi = self.hi.copy()
@@ -876,9 +911,12 @@ class BoxQp:
         if self._crossed and _crossed(lo, hi):
             return None
         me = self.b.shape[0]
-        bound_rows = np.full((2, self.n), -1)
-        bound_coefs = np.zeros((2, self.n))
-        live = np.ones(me + self.h.shape[0], dtype=bool)  # the rows of [A; G] still tested
+        # the rows of [A; G] still tested and the singleton row that set each
+        # bound; a call that tests no row keeps every row and sets no bound by one
+        live = bound_rows = bound_coefs = None
+        if tests_rows:
+            live = np.ones(me + self.h.shape[0], dtype=bool)
+            bound_rows, bound_coefs = np.full((2, self.n), -1), np.zeros((2, self.n))
         while True:
             x = np.where(free, 0.0, 0.5 * (lo + hi))
             h = self.h - _times(self.g, x)
@@ -912,26 +950,39 @@ class BoxQp:
             if np.array_equal(still_free, free):
                 break
             free = still_free  # a row pinned a variable: substitute again
-        live_a, live_g = live[:me], live[me:]
-        found = self._zero_width_pairs(h, free, live_g)
+        found = self._zero_width_pairs(h, free, None if live is None else live[me:])
         if found is None:
             return None
         pairs, implied = found
-        live_g[implied] = False  # the pairs' equalities imply their rows
-        cols, g_rows, eq_rows = free.nonzero()[0], live_g.nonzero()[0], live_a.nonzero()[0]
-        a_rows, b = eq_rows, b[eq_rows]
-        if pairs.size:  # the first row of each zero-width pair joins the equalities
-            a_rows = np.concatenate([eq_rows, me + pairs[:, 0]])
-            b = np.concatenate([b, h[pairs[:, 0]]])
-            eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
+        cols = free.nonzero()[0]
+        px = _times(self.p, x)
+        whole = live is None and not pairs.size  # every row kept: G, h, A and b are whole
+        if whole:
+            g_rows, eq_rows = self._all_rows
+            a_rows = eq_rows
+        else:
+            if live is None:
+                live = np.ones(me + self.h.shape[0], dtype=bool)
+            live_a, live_g = live[:me], live[me:]
+            live_g[implied] = False  # the pairs' equalities imply their rows
+            g_rows, eq_rows = live_g.nonzero()[0], live_a.nonzero()[0]
+            a_rows, b = eq_rows, b[eq_rows]
+            if pairs.size:  # the first row of each zero-width pair joins the equalities
+                a_rows = np.concatenate([eq_rows, me + pairs[:, 0]])
+                b = np.concatenate([b, h[pairs[:, 0]]])
+                eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
+            h = h[g_rows]
         if self.sparse:
             p, g, a, scatter = self._slice_csr(g_rows, a_rows, cols)
-        else:
-            p, g = _take(self.p, cols, cols, None), _take(self.g, g_rows, cols, None)
-            a, scatter = _take(self._ag, a_rows, cols, None), None
+        else:  # a call that keeps every row takes G and A by columns alone
+            p, scatter = _take(self.p, cols, cols, None), None
+            g = self.g.take(cols, 1) if whole else _take(self.g, g_rows, cols, None)
+            a = self.a.take(cols, 1) if whole else _take(self._ag, a_rows, cols, None)
+        if bound_rows is not None:
+            bound_rows, bound_coefs = bound_rows[:, cols], bound_coefs[:, cols]
         return _Reduced(
-            x, cols, p, self.q[cols] + _times(self.p, x)[cols], g, h[g_rows], a, b, lo[cols], hi[cols],
-            g_rows, eq_rows, pairs, bound_rows[:, cols], bound_coefs[:, cols], scatter,
+            x, px, cols, p, self.q[cols] + px[cols], g, h, a, b, lo[cols], hi[cols],
+            g_rows, eq_rows, pairs, bound_rows, bound_coefs, scatter,
         )
 
     def _slice_csr(self, g_rows, a_rows, cols) -> tuple:
@@ -984,18 +1035,21 @@ class BoxQp:
         """Find opposite row pairs whose right-hand sides cancel.
 
         ``rhs`` is h - Gx, ``free`` the free-column mask and ``kept`` marks
-        the rows the presolve kept. A pair is live when the presolve kept both
-        rows and fixed all their pinnable columns, so that their free parts
-        are exact negatives. Returns ``(pairs, implied)``: one pair per
-        group, whose first row becomes an equality, and the rows of every
-        zero-width pair (repeats allowed), which those equalities imply.
-        Returns None if a live pair has negative width.
+        the rows the presolve kept, or is None when it kept every row. A
+        pair is live when the presolve kept both rows and fixed all their
+        pinnable columns, so that their free parts are exact negatives.
+        Returns ``(pairs, implied)``: one pair per group, whose first row
+        becomes an equality, and the rows of every zero-width pair (repeats
+        allowed), which those equalities imply. Returns None if a live pair
+        has negative width.
         """
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
             return none, none[:, 0]
         pinnable = _times(self._nz_ag, (free & self._pinnable).astype(float))[self.b.shape[0] :]
-        ready = (pinnable == 0.0) & kept
+        ready = pinnable == 0.0
+        if kept is not None:
+            ready &= kept
         live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
         if not live.any():
             return none, none[:, 0]
@@ -1043,7 +1097,7 @@ class BoxQp:
         base = slack = 0.0
         if cutoff < math.inf:  # the objective's fixed part and its rounding allowance
             x = red.x
-            base, slack = float(0.5 * x @ _times(self.p, x) + self.q @ x + self.constant), self._fixed_slack
+            base, slack = float(0.5 * x @ red.px + self.q @ x + self.constant), self._fixed_slack
         warm = None if start is None else start._start
         xr, y, s, z, it, status, bound = _interior_point(red, cutoff - base + slack, warm)
         if status == "max-iterations" and warm is not None:  # the one status a start can worsen
@@ -1097,10 +1151,9 @@ class BoxQp:
             np.add.at(y_in, pair_rows[:, 1], np.maximum(-lam, 0.0))
         # a bound set by a singleton row hands its multiplier to that row
         for side, mult in ((0, -z[k : k + nf]), (1, z[k + nf :])):
-            rows = bound_rows[side]
-            by_row = rows >= 0
+            by_row = np.zeros(nf, dtype=bool) if bound_rows is None else bound_rows[side] >= 0
             if by_row.any():
-                np.add.at(y_in, rows[by_row], mult[by_row] / bound_coefs[side, by_row])
+                np.add.at(y_in, bound_rows[side, by_row], mult[by_row] / bound_coefs[side, by_row])
             y_bnd[cols[~by_row]] += mult[~by_row]
         fixed = np.ones(self.n, dtype=bool)
         fixed[cols] = False
@@ -1135,13 +1188,18 @@ class _LuNewton:
         nf, me = red.c.size, red.b.size
         self.red, self.nf, self.me = red, nf, me
         self.kkt = np.empty((nf + me, nf + me), order="F")
-        # A' in its own array, as the right-hand sides read it: the LU overwrites kkt
-        self.a_t, self.reg = red.a.T.copy(), -EQ_REG * np.eye(me)
+        # views of the leading block and its diagonal: the block's sum is
+        # written straight into the buffer (a ufunc writes any layout); it is
+        # not bitwise symmetric, so every entry is written
+        self.top = self.kkt[:nf, :nf]
+        self.diag = self.kkt.reshape(-1, order="F")[:: nf + me + 1][:nf]
+        # A' in its own array, as the right-hand sides read it: the LU
+        # overwrites kkt. A call without equality rows builds neither
+        self.a_t, self.reg = (red.a.T.copy(), -EQ_REG * np.eye(me)) if me else (red.a.T, None)
         # G' W_G, F-ordered as g.T * w makes it (a product of another layout
-        # sums in another order), the block, its diagonal and the bound weights
+        # sums in another order), G' W_G G and the bound weights
         self.gw = np.empty((nf, red.h.size), order="F")
         self.block, self.bounds = np.empty((nf, nf)), np.empty(nf)
-        self.diag = self.block.ravel()[:: nf + 1]
 
     def factor(self, w: np.ndarray) -> bool:
         """Factor the Newton matrix for the weights ``w``; False if it is singular."""
@@ -1151,9 +1209,8 @@ class _LuNewton:
         # G_all sums in another order, and a criterion-1 relaxation whose
         # complementarity sits within rounding of the tolerance then fails
         np.dot(np.multiply(red.g.T, w[:k], out=self.gw), red.g, out=block)
-        np.add(red.p, block, out=block)
+        np.add(red.p, block, out=self.top)
         np.add(self.diag, np.add(w[k : k + nf], w[k + nf :], out=self.bounds), out=self.diag)
-        kkt[:nf, :nf] = block  # not bitwise symmetric: every entry is written
         if self.me:
             kkt[nf:, :nf] = red.a
             kkt[:nf, nf:] = self.a_t
@@ -1258,20 +1315,19 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         times, times_t, g_t, g_all_t = np.dot, np.dot, g.T, g_all.T
     else:
         times, times_t, g_t, g_all_t = _copy_product, _copy_product_t, g, g_all
-    hb = np.concatenate([red.h, -red.lo, red.hi, b])  # [h_all; b]
-    h_all = hb[:n_cone]
+    # [h_all; b; c]: one max-abs reduction gives both loop-invariant norms
+    hbc = np.concatenate([red.h, -red.lo, red.hi, b, c])
+    n_p = n_cone + me
+    h_all = hbc[:n_cone]
+    norm_hb, norm_c = np.maximum.reduceat(np.abs(hbc), [0, n_p]).tolist()
     xy = np.zeros(nf + me)
     x, y = xy[:nf], xy[nf:]
-    np.multiply(0.5, red.lo + red.hi, out=x)
-    if start is not None:
-        np.clip(start[0][red.cols], red.lo, red.hi, out=x)
-    sz = np.ones(2 * n_cone)
+    sz = np.empty(2 * n_cone)
     s, z = sz[:n_cone], sz[n_cone:]
     dsz = np.empty(2 * n_cone)
     ds, dz = dsz[:n_cone], dsz[n_cone:]
     # [G_all x; A x], [Px; G_all'z; A'y] (the terms of r_d) and [r_p; r_e]
     # in one buffer: one max-abs reduction gives the three norms
-    n_p = n_cone + me
     sums = np.empty(2 * n_p + 3 * nf)
     abs_sums, starts = np.empty_like(sums), np.array([0, n_p, n_p + 3 * nf])
     gx, ax, res = sums[:n_cone], sums[n_cone:n_p], sums[n_p + 3 * nf :]
@@ -1287,18 +1343,21 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     shifted_s, shifted_z = shifted[:n_cone], shifted[n_cone:]
     rhs = np.empty(nf + me)
     rhs_x, rhs_y = rhs[:nf], rhs[nf:]
-    times(g_all, x, gx)
-    np.maximum(h_all - gx, 1.0, out=s)
-    if start is not None:  # [s; z] of the start's rows and bound sides; NaN keeps the cold value
-        _, rows, lower, upper = start
-        warm = np.concatenate([rows[:, red.g_rows], lower[:, red.cols], upper[:, red.cols]], axis=1)
-        np.copyto(sz.reshape(2, n_cone), np.maximum(warm, WARM_FLOOR), where=~np.isnan(warm))
+    if start is None:
+        np.multiply(0.5, red.lo + red.hi, out=x)
+    else:
+        start[0][red.cols].clip(red.lo, red.hi, out=x)  # np.clip's result, without its dispatch
+    if start is None or not start[2]:  # the cold [s; z] at x, kept where the start lacks an entry
+        z.fill(1.0)
+        times(g_all, x, gx)
+        np.maximum(h_all - gx, 1.0, out=s)
+    if start is not None:
+        _restrict(start, red, sz.reshape(2, n_cone))
     # each iteration writes the Newton matrix into one F-ordered buffer and
     # factors it in place: LAPACK sees the column-major matrix that a copy of
     # a C-ordered one gives it, without the copy
     system = (_LuNewton if red.scatter is None else _CholeskyNewton)(red)
     a_t = system.a_t
-    norm_hb, norm_c = _norm(hb), _norm(c)  # loop invariants
     r, gz_g = np.empty(nf), np.empty(nf)  # the bound's dual residual and G'z_G
 
     def cutoff_bound():
@@ -1359,8 +1418,8 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         if me:
             times(a, x, ax)
             np.subtract(ax, b, out=r_e)
-        mu = float(s @ z) / n_cone
-        obj = float(0.5 * x @ px + c @ x)
+        mu = float(np.dot(s, z)) / n_cone
+        obj = 0.5 * float(np.dot(x, px)) + float(np.dot(c, x))  # scaling by 0.5 is exact
         # residuals relative to the terms that make them up
         norm_gax, norm_terms, prim = np.maximum.reduceat(np.abs(sums, out=abs_sums), starts).tolist()
         scale_p, scale_d = 1.0 + max(norm_gax, norm_hb), 1.0 + max(norm_terms, norm_c)
@@ -1415,7 +1474,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         newton(sz_prod)
         alpha = min(1.0, _max_step(sz, dsz, ratio))
         np.add(sz, np.multiply(alpha, dsz, out=shifted), out=shifted)
-        mu_aff = float(shifted_s @ shifted_z) / n_cone
+        mu_aff = float(np.dot(shifted_s, shifted_z)) / n_cone
         sigma = (mu_aff / mu) ** 3
         # corrector: second-order term plus centering
         np.multiply(ds, dz, out=r_corr)

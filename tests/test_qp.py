@@ -1301,6 +1301,31 @@ class TestShrinkableRows:
         assert red.cols.tolist() == [1] and red.g_rows.size == 0
         assert red.bound_rows[:, 0].tolist() == [-1, 0] and red.hi[0] == 1.5
 
+    def test_a_call_that_tests_no_row_matches_one_that_tests_every_row(self):
+        """Cold, warm and cutoff calls on criterion-1 problems, which test no
+        row, return what the same calls return on a twin workspace made to
+        test every row before any solve, bit for bit, ``y`` included."""
+        rng = np.random.default_rng(37)
+        statuses = set()
+        for _ in range(30):
+            prob = criterion_1_problem(rng)
+            ws, twin = BoxQp.from_miqp(prob), BoxQp.from_miqp(prob)
+            assert ws._tests_rows is False
+            twin._tests_rows = True
+            roots = ws.solve(), twin.solve()
+            assert TestCsrWorkspace.every_field(*roots)
+            for fixings in self.random_fixings(rng, prob.binary_indices, count=4):
+                assert ws._presolve(fixings).bound_rows is None
+                assert twin._presolve(fixings).bound_rows is not None
+                cold = ws.solve(fixings), twin.solve(fixings)
+                warm = ws.solve(fixings, start=roots[0]), twin.solve(fixings, start=roots[1])
+                cutoff = roots[0].objective + 0.5 * abs(roots[0].objective) * rng.random()
+                cut = ws.solve(fixings, cutoff=cutoff), twin.solve(fixings, cutoff=cutoff)
+                for pair in (cold, warm, cut):
+                    assert TestCsrWorkspace.every_field(*pair)
+                    statuses.add(pair[0].status)
+        assert {"optimal", "infeasible", "cutoff"} <= statuses
+
 
 def reference_pairs(g, kept):
     """Opposite row pairs by comparing every two rows of ``g``.
@@ -1591,6 +1616,72 @@ class TestWarmStart:
         retried = ws.solve(fixings, start=root)
         assert retried.iterations == warm.iterations + cold.iterations
         assert same_solution(dataclasses.replace(retried, iterations=cold.iterations), cold)
+
+    @staticmethod
+    def stored_by_row(sol) -> np.ndarray:
+        """[s; z] of a solution's final iterate by workspace G row, lower and
+        upper bound side, NaN where its call had none, as the start of a
+        call kept them before they were stacked."""
+        _, z, cols, g_rows = sol._duals[:4]
+        k, nf = g_rows.size, cols.size
+        sz = np.stack([sol._slacks, z])
+        rows = np.full((2, sol._ws.h.shape[0]), np.nan)
+        lower, upper = np.full((2, 2, sol.x.size), np.nan)
+        rows[:, g_rows] = sz[:, :k]
+        lower[:, cols], upper[:, cols] = sz[:, k : k + nf], sz[:, k + nf :]
+        return rows, lower, upper
+
+    @classmethod
+    def restricted_by_rule(cls, sol, red, cold) -> tuple[np.ndarray, np.ndarray]:
+        """A call's initial [s; z] by the rule of the stored rows: restrict
+        the start to the call's G rows and free columns, raise it to
+        WARM_FLOOR, and keep the cold value where the start has NaN. Also
+        returns where it has NaN."""
+        rows, lower, upper = cls.stored_by_row(sol)
+        warm = np.concatenate([rows[:, red.g_rows], lower[:, red.cols], upper[:, red.cols]], axis=1)
+        out = cold.copy()
+        np.copyto(out, np.maximum(warm, qp_module.WARM_FLOOR), where=~np.isnan(warm))
+        return out, np.isnan(warm)
+
+    def test_stacked_restriction_matches_the_row_rule(self):
+        """The stacked warm start, restricted with one take, gives every
+        call the [s; z] that restricting the start's rows and bound sides
+        one by one gives: from complete starts, from a preset root whose
+        presolve dropped rows, and from starts of calls with fixings, which
+        lack entries that the calls restricted here keep."""
+        rng = np.random.default_rng(41)
+        cases = []
+        prob = preset_chunk("quadruped_tilted_terrain")
+        ws = BoxQp.from_miqp(prob)
+        root = ws.solve()
+        assert root._duals[3].size < ws.h.shape[0]  # the root's presolve dropped rows
+        bins = prob.binary_indices[np.argsort(np.abs(root.x[prob.binary_indices] - 0.5), kind="stable")][:3]
+        child = ws.solve({int(bins[0]): 1.0})
+        cases += [(ws, root, {int(j): v}) for j in bins for v in (0.0, 1.0)]
+        cases += [(ws, child, fixings) for fixings in (None, {int(bins[1]): 0.0}, {int(bins[2]): 1.0})]
+        for _ in range(10):
+            prob = criterion_1_problem(rng)
+            ws = BoxQp.from_miqp(prob)
+            bins = prob.binary_indices.tolist()
+            root, fixed = ws.solve(), ws.solve({bins[0]: 1.0})
+            cases += [(ws, root, {j: 0.0}) for j in bins]
+            if fixed.status == "optimal":
+                cases += [(ws, fixed, None)] + [(ws, fixed, {j: 1.0}) for j in bins[1:]]
+        lacking = 0
+        for ws, start, fixings in cases:
+            assert start.status in ("optimal", "max-iterations")
+            red = ws._presolve(fixings)
+            if red is None:
+                continue
+            cold = rng.uniform(1.0, 2.0, size=(2, red.h.size + 2 * red.cols.size))
+            got = cold.copy()
+            qp_module._restrict(start._start, red, got)
+            expected, lacked = self.restricted_by_rule(start, red, cold)
+            assert got.tobytes() == expected.tobytes()
+            assert np.array_equal(got[lacked], cold[lacked])
+            assert start._start[2] is not np.isnan(start._start[1]).any()
+            lacking += lacked.any()
+        assert lacking >= 10
 
     def test_start_must_be_an_iterate_of_this_workspace(self):
         prob = criterion_1_problem(np.random.default_rng(7))

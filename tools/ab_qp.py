@@ -28,7 +28,10 @@ time and solve time over the parent's, and, for each checkout, the sum over
 workspaces and over calls of each one's minimum time across rounds, with the
 ratio of those sums: a per-round ratio moves by several percent with the
 host, while a call's minimum keeps only the noise that slows every round of
-that call. Both modules run in one process, so a drift in host speed between
+that call. The same sums are printed for each call's presolve
+(``BoxQp._presolve``, the part of a solve before its interior point), run
+alone after each round's solves, to show which part of a solve a
+difference comes from. Both modules run in one process, so a drift in host speed between
 processes does not enter the ratios:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
@@ -139,10 +142,12 @@ def record_calls(run):
 def replay(modules, spaces, calls, first: int):
     """Build every workspace and solve every call, with its cutoff, through
     both modules, alternating which goes first. A warm call starts from its
-    start call's solution in each module.
+    start call's solution in each module. Then run each call's presolve
+    (``BoxQp._presolve``) alone, the part of a solve before its interior
+    point, again alternating.
 
     Returns each module's set-up time per workspace, workspaces, time per
-    solve and solutions, the times as arrays."""
+    solve, solutions and time per presolve, the times as arrays."""
     setup, workspaces = np.zeros((2, len(spaces))), [[], []]
     for i, problem in enumerate(spaces):
         for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
@@ -156,7 +161,13 @@ def replay(modules, spaces, calls, first: int):
             t0 = time.perf_counter()
             sols[j].append(workspaces[j][k].solve(fixings=fixings, cutoff=cutoff, start=warm))
             seconds[j, i] = time.perf_counter() - t0
-    return setup, workspaces, seconds, sols
+    presolve = np.zeros((2, len(calls)))
+    for i, (k, fixings, _, _) in enumerate(calls):
+        for j in (0, 1) if (i + first) % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            workspaces[j][k]._presolve(fixings)
+            presolve[j, i] = time.perf_counter() - t0
+    return setup, workspaces, seconds, sols, presolve
 
 
 def structure(ws) -> list[np.ndarray]:
@@ -220,10 +231,12 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     setup_ratios, ratios, differ, structures, how = [], [], 0, 0, ""
     cutoffs, unsound, margin = 0, 0, math.inf
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
+    least_presolve = np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        setup, (ws_old, ws_new), seconds, (old, new) = replay((parent, qp), spaces, calls, r)
+        setup, (ws_old, ws_new), seconds, (old, new), presolve = replay((parent, qp), spaces, calls, r)
         np.minimum(least_setup, setup, out=least_setup)
         np.minimum(least, seconds, out=least)
+        np.minimum(least_presolve, presolve, out=least_presolve)
         (s_parent, s_new), (t_parent, t_new) = setup.sum(axis=1), seconds.sum(axis=1)
         if r == 0:  # a workspace is a function of its problem, a solve of its fixings and cutoff
             structures = sum(
@@ -255,10 +268,12 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             flush=True,
         )
     (s_parent, s_new), (t_parent, t_new) = least_setup.sum(axis=1), least.sum(axis=1)
+    p_parent, p_new = least_presolve.sum(axis=1)
     print(
         f"sum of per-call minima: set-up parent {s_parent:.4f} s, this {s_new:.4f} s, "
         f"ratio {s_new / s_parent:.3f}; solves parent {t_parent:.3f} s, this {t_new:.3f} s, "
-        f"ratio {t_new / t_parent:.3f}"
+        f"ratio {t_new / t_parent:.3f}; presolves parent {p_parent:.3f} s, this {p_new:.3f} s, "
+        f"ratio {p_new / p_parent:.3f}"
     )
     print(
         f"median set-up ratio {statistics.median(setup_ratios):.3f}, median solve ratio "
