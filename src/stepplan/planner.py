@@ -12,6 +12,7 @@ moving) is kept.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +136,16 @@ def plan(
     Terminates when the CoC and yaw reach the goal within GOAL_TOL and
     YAW_TOL, when a chunk fails to make PROGRESS_TOL of progress, or when the
     scenario's step budget is exhausted. Raises PlanningError if a chunk is
-    infeasible or hits solver limits without any feasible incumbent.
+    infeasible or hits solver limits without any feasible incumbent, and
+    ContractViolation if ``chunk_multiplier`` is not an integer of at least
+    1 or its chunk does not fit ``max_steps``.
     """
+    if isinstance(chunk_multiplier, bool) or not isinstance(chunk_multiplier, numbers.Integral) or chunk_multiplier < 1:
+        raise ContractViolation(f"chunk_multiplier must be an integer of at least 1, got {chunk_multiplier!r}")
     robot = scenario.robot
     n = robot.n_legs
     chunk_steps = chunk_multiplier * n
-    if chunk_steps <= 0 or chunk_steps > scenario.max_steps:
+    if chunk_steps > scenario.max_steps:
         raise ContractViolation(
             f"chunk of {chunk_steps} steps does not fit max_steps {scenario.max_steps}"
         )

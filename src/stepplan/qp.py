@@ -86,36 +86,28 @@ structure alone is found once per workspace:
   block's lower triangle, the only one its Cholesky factorization reads.
 
 Each matrix is sliced once per call. A CSR call builds no scipy sparse
-object and dispatches no scipy product, unless it runs on the dense LU path
-(below): its G and A are the ``_Csr`` arrays of scipy's ``m[rows][:,
-cols]``, entry order included, built with the free-column map, and every
-product of a CSR matrix, in the presolve or in the iterations, calls
-scipy's ``csr_matvec`` kernel on zeros, as ``m @ v`` does; only the HiGHS
-feasibility LP, run at most once per call, builds scipy matrices. One mask
-over G's entries gives the call's G; A and the zero-width pairs' rows come
-from one slice of [A; G]; P is scattered straight into a dense array; and
-the Newton block's entry pairs are the workspace's G pairs that survive,
-with the bins on free columns numbered anew, to which the bound rows add
-their weights on the diagonal. No call builds G': a CSR G's arrays, read
-as CSC, are G', and a dense G' is a view. A call's ``QpSolution`` keeps
-the reduced multipliers and their index maps and maps them back to the full
-problem, with the residuals, only when ``y``, ``prim_res`` or ``dual_res``
-is first read; branch-and-bound reads none of them.
+object and dispatches no scipy product; only the HiGHS feasibility LP, run
+at most once per call, builds scipy matrices. Its G and A are the ``_Csr``
+arrays of scipy's ``m[rows][:, cols]``, entry order included: one mask over
+G's entries gives G, and one slice of [A; G] gives A and the zero-width
+pairs' rows. Every product of a CSR matrix, in the presolve or in the
+iterations, calls scipy's ``csr_matvec`` kernel on zeros, as ``m @ v``
+does, and a G' product calls ``csc_matvec`` on G's arrays, as ``g.T @ v``
+does: no call builds G', and a dense G' is a view. P is scattered into a
+dense array, and the call's Newton system (below) is built from the
+workspace's G entry pairs that survive, with the bins on free columns
+numbered anew. A call's ``QpSolution`` keeps the reduced multipliers and
+their index maps and maps them back to the full problem, with the
+residuals, only when ``y``, ``prim_res`` or ``dual_res`` is first read;
+branch-and-bound reads none of them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
 plus the bound diagonal. A dense workspace converts each of P, G and A once
-from its input. Large ones keep their rows in CSR form and only the
-Newton matrix is dense: each Newton block sums the entry pairs that survive
-the call's presolve bin by bin, one ``csr_matvec`` over a CSR matrix whose
-rows are the bins, adds the sums to P, and carries the pivot rows through
-the elimination (below) with one more, with no sparse object built inside
-the iteration loop. Each CSR product in the loop zeroes its output buffer
-and calls scipy's own ``csr_matvec`` kernel on it, as ``m @ v`` does after
-allocating zeros; a G' product calls ``csc_matvec`` on G's arrays, as
-``g.T @ v`` does. Variable bounds must be finite (the assembled problems always are),
-and so must every fixing; a fixing outside its variable's bounds makes the
-call infeasible.
+from its input. Large ones keep their rows in CSR form, and only the Newton
+matrix is dense. Variable bounds must be finite (the assembled problems
+always are), and so must every fixing; a fixing outside its variable's
+bounds makes the call infeasible.
 
 On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
@@ -145,22 +137,16 @@ given (``tools/ab_qp.py`` compares every
 solution with another checkout's). A CSR call whose equality rows each
 have a private pivot, a column no other equality row touches, eliminates
 them (the null-space method: Nocedal and Wright, Numerical Optimization,
-2nd ed., 16.2; Benzi, Golub and Liesen, Acta Numerica 14, 2005): row r
-fixes its pivot's step, dx_p = (r_y,r - sum_{j != p} a_rj dx_j) / a_rp, so
-dx = Z du + x_e over the other columns.
-It factors the reduced block Z'HZ, which is symmetric positive definite (P
-is PSD and both bound sides put a positive weight on H's diagonal), by
-Cholesky: it writes P in, adds each bin's sum at its lower-triangle entry,
-the only triangle that the factorization and the triangular solves read, or
-to H's pivot rows, and carries those rows through Z. Each row's multiplier
-is read from its pivot's row of the first block row. On the bundled presets
-this is cheaper than an LU of the whole matrix, and keeps every status,
-iteration count and objective to nine digits, but not every last bit. A CSR
-call with an equality row that has no private pivot (none on the bundled
-presets, whose equality rows are the region and segment choice rows and the
-zero-width pair rows) slices G and A dense and runs on the LU path of a
-dense workspace. A Cholesky breakdown ends the call as a singular LU does:
-the LP decides its status.
+2nd ed., 16.2; Benzi, Golub and Liesen, Acta Numerica 14, 2005) and factors
+the reduced block by Cholesky, in the ``_CholeskyNewton`` its presolve
+builds. On the bundled presets this is cheaper than an LU of the whole
+matrix, and keeps every status, iteration count and objective to nine
+digits, but not every last bit. A CSR call with an equality row that has no
+private pivot (none on the bundled presets, whose equality rows are the
+region and segment choice rows and the zero-width pair rows) writes its
+sliced G and A into dense arrays, the bits of scipy's ``toarray``, and runs
+on the LU path of a dense workspace. A Cholesky breakdown ends the call as
+a singular LU does: the LP decides its status.
 
 A call whose iterates stop unconverged (at MU_FLOOR, on a collapsed step, a
 failed factorization or MAX_ITER) at their accuracy floor ends optimal at
@@ -283,7 +269,11 @@ class QpSolution:
 
 @dataclass
 class _Reduced:
-    """A call's problem after substitution and presolve, with the maps back."""
+    """A call's problem after substitution and presolve, with the maps back.
+
+    A CSR call whose equality rows all have a private pivot holds G and A
+    as ``_Csr`` arrays and its Newton system in ``newton``; any other call
+    holds them dense, and its interior point factors a ``_LuNewton``."""
 
     x: np.ndarray  # full-length primal, fixed entries filled in
     px: np.ndarray  # P x, full length
@@ -301,7 +291,7 @@ class _Reduced:
     pair_rows: np.ndarray  # (k, 2) original rows of each zero-width pair
     bound_rows: np.ndarray | None  # (2, nf) singleton row that set each lower/upper bound, or -1; None: no row tested
     bound_coefs: np.ndarray | None  # (2, nf) that row's coefficient
-    scatter: _Substitution | None  # the Newton system's elimination of the equality rows; None on the LU path
+    newton: _CholeskyNewton | None  # a CSR call's Newton system; None on the LU path
 
 
 def _take(m, rows: np.ndarray, cols: np.ndarray, col_map: np.ndarray | None):
@@ -571,127 +561,15 @@ class _Csr(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
 
+    def dense(self) -> np.ndarray:
+        """The matrix as a C-ordered array, each entry written into zeros.
 
-@dataclass
-class _Substitution:
-    """How a CSR call's Newton system eliminates its equality rows (see ``_CholeskyNewton``).
-
-    Equality row r is solved for its pivot column ``pivots[r]``, whose
-    coefficient is ``coefs[r]``. The system is solved in a permuted order,
-    ``order``: the other columns ``others``, the pivots, the equality rows.
-    In it dx = Z du + x_e, with du on the other columns and Z's pivot rows
-    ``subst``. The Newton block is summed in one flat buffer: K = Z'HZ over
-    the other columns, F-ordered (only its lower triangle is read), then H's
-    pivot rows, C-ordered, with their columns in the permuted order. Each
-    iteration zeroes it and writes P's entries over the other columns and in
-    the pivot rows, ``p_val`` at ``p_at``. It then sums the entry pairs by
-    bin, ``pairs @ w``, and adds bin ``which[k]`` at ``at[k]`` (H on the
-    other columns, and H's pivot rows); then it carries the pivot rows
-    through Z, ``routes @ block``, and adds bin k at ``route_at[k]``. Each
-    row of ``pairs`` and ``routes`` holds one bin's terms in summation
-    order, so ``csr_matvec`` sums each bin as a ``np.bincount`` of the terms
-    would. ``a_t`` is A' as a C-ordered array, as a dense workspace holds
-    it."""
-
-    pivots: np.ndarray
-    coefs: np.ndarray
-    others: np.ndarray
-    order: np.ndarray
-    subst: np.ndarray
-    p_at: np.ndarray
-    p_val: np.ndarray
-    pairs: _Csr
-    which: np.ndarray
-    at: np.ndarray
-    routes: _Csr
-    route_at: np.ndarray
-    a_t: np.ndarray
-
-    @classmethod
-    def build(cls, nf: int, p_entries: tuple, a: _Csr, pairs: _Csr, bin_cols: tuple) -> _Substitution | None:
-        """The substitution for a call of ``nf`` free columns, with P's
-        entries ``(row, col, value)``, its CSR A, the Newton block's entry
-        pairs (row k of ``pairs`` holds bin k's products by G_all row, in
-        summation order) and each bin's columns ``(i, j)``, i <= j; None
-        when an equality row has no private pivot.
-
-        Bin c < nf is the diagonal (c, c), to which each iteration adds
-        the bound rows' weights after the pairs. A bin on no pivot is added
-        to K at (j, i), one on a pivot to that pivot's row of H, and one on
-        two pivots to both rows. With no pivot, K is H and gets H's bits.
-        Z'HZ is H on the other columns plus, for each entry (p, j) of a
-        pivot row and its mirror (j, p) when j is not a pivot, Z[p, u]
-        Z[j, v] times it at (u, v), u >= v."""
-        me = a.shape[0]
-        row_of = np.arange(me).repeat(a.indptr[1:] - a.indptr[:-1])
-        pivoted, entry = _pivots(a, row_of)
-        if pivoted.size < me:
-            return None
-        pivots, coefs = a.indices[entry], a.data[entry]
-        is_pivot = np.zeros(nf, dtype=bool)
-        is_pivot[pivots] = True
-        others = (~is_pivot).nonzero()[0]
-        nr, square = others.size, others.size**2
-        perm = np.concatenate([others, pivots])
-        place = np.empty(nf, dtype=np.intp)  # each column's position in the permuted order
-        place[perm] = np.arange(nf)
-
-        # where the block sums H at permuted (r, c): K at (r, c), or row r - nr of H's pivot rows
-        start, stride = np.arange(nf), np.full(nf, nr)
-        start[nr:], stride[nr:] = square + nf * np.arange(me), 1
-        # Z's pivot rows: x_p = (b_r - sum_{j != p} a_rj x_j) / a_rp. A
-        # pivot is private, so the only pivot entry in its row is its own.
-        # The members come by row, so by pivot
-        member = np.ones(row_of.size, dtype=bool)
-        member[entry] = False
-        e, u = row_of[member], place[a.indices[member]]
-        z_vals = -a.data[member] / coefs[e]
-        subst = np.zeros((me, nr))
-        subst[e, u] = z_vals
-        # Z by permuted rows, as CSR arrays: a 1.0 on each other column, then the pivots' members
-        ptr = np.zeros(nf + 1, dtype=np.intp)
-        ptr[1 : nr + 1] = 1
-        ptr[nr + 1 :] = np.bincount(e, minlength=me)
-        ptr.cumsum(out=ptr)
-        z = ptr, np.concatenate([np.arange(nr), u]), np.concatenate([np.ones(nr), z_vals])
-        # P on the other columns and in the pivot rows (P[j, p] is P[p, j]),
-        # then the bins: (j, i) is a lower entry unless a pivot is involved
-        p_row, p_col, p_val = p_entries
-        p_row, p_col = place[p_row], place[p_col]
-        p_in = (p_row >= nr) | (p_col < nr)
-        i, j = place[bin_cols[0]], place[bin_cols[1]]
-        on_pivots = i >= nr, j >= nr
-        r = np.where(on_pivots[0] > on_pivots[1], i, j)
-        twice = (on_pivots[0] & on_pivots[1] & (i != j)).nonzero()[0]
-        rows = np.concatenate([p_row[p_in], r, i[twice]])
-        hp_at = start[rows] + stride[rows] * np.concatenate([p_col[p_in], i + j - r, j[twice]])
-        p_val = p_val[p_in]
-        p_at, bin_at = hp_at[: p_val.size], hp_at[p_val.size :]
-        # H's pivot rows through Z: each entry a bin or P can make nonzero, and its mirror
-        nonzero = np.zeros(me * nf, dtype=bool)
-        nonzero[hp_at[hp_at >= square] - square] = True
-        src = nonzero.nonzero()[0]
-        e, col = np.divmod(src, nf)
-        e += nr  # the pivot rows' permuted positions
-        mirror = (col < nr).nonzero()[0]
-        term, s, t, coef = _through(np.concatenate([e, col[mirror]]), np.concatenate([col, e[mirror]]), *z)
-        # the terms by position in K, in term order within each
-        route = s + t * nr
-        by = route.astype(np.min_scalar_type(square)).argsort(kind="stable")  # radix for 16 bits or fewer
-        route = route[by]
-        new = np.ones(route.size + 1, dtype=bool)  # where each position's terms start, and the end
-        new[1:-1] = route[1:] != route[:-1]
-        indptr = new.nonzero()[0]
-        routes = _Csr(
-            (indptr.size - 1, square + me * nf), indptr,
-            square + np.concatenate([src, src[mirror]])[term[by]], coef[by],
-        )
-        order = np.concatenate([perm, np.arange(nf, nf + me)])
-        which = np.concatenate([np.arange(i.size), twice])
-        a_t = np.zeros((nf, me))
-        a_t[a.indices, row_of] = a.data
-        return cls(pivots, coefs, others, order, subst, p_at, p_val,
-                   pairs, which, bin_at, routes, route[indptr[:-1]], a_t)
+        A workspace's entries and its slices' are canonical without stored
+        zeros, one per position, so this gives the bits of scipy's
+        ``toarray``, which adds each entry into zeros."""
+        out = np.zeros(self.shape)
+        out[np.arange(self.shape[0]).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.data
+        return out
 
 
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -750,7 +628,7 @@ def _rounding(terms: int, magnitude: float) -> float:
     return float((terms + 8) * np.finfo(float).eps * magnitude)
 
 
-def _max_step(sz: np.ndarray, dsz: np.ndarray, ratio: np.ndarray | None = None) -> float:
+def _max_step(sz: np.ndarray, dsz: np.ndarray, ratio: np.ndarray) -> float:
     """Largest step along ``dsz`` keeping the positive vector ``sz``
     nonnegative, with the ratios dsz / sz written to ``ratio``; NaN when a
     ratio is NaN, as a direction that is not finite makes it."""
@@ -973,20 +851,20 @@ class BoxQp:
                 eq_rows = np.concatenate([eq_rows, np.full(len(pairs), -1)])
             h = h[g_rows]
         if self.sparse:
-            p, g, a, scatter = self._slice_csr(g_rows, a_rows, cols)
+            p, g, a, newton = self._slice_csr(g_rows, a_rows, cols)
         else:  # a call that keeps every row takes G and A by columns alone
-            p, scatter = _take(self.p, cols, cols, None), None
+            p, newton = _take(self.p, cols, cols, None), None
             g = self.g.take(cols, 1) if whole else _take(self.g, g_rows, cols, None)
             a = self.a.take(cols, 1) if whole else _take(self._ag, a_rows, cols, None)
         if bound_rows is not None:
             bound_rows, bound_coefs = bound_rows[:, cols], bound_coefs[:, cols]
         return _Reduced(
             x, px, cols, p, self.q[cols] + px[cols], g, h, a, b, lo[cols], hi[cols],
-            g_rows, eq_rows, pairs, bound_rows, bound_coefs, scatter,
+            g_rows, eq_rows, pairs, bound_rows, bound_coefs, newton,
         )
 
     def _slice_csr(self, g_rows, a_rows, cols) -> tuple:
-        """The call's P, G and A, the latter two as ``_Csr`` arrays, and its Newton system's ``_Substitution``;
+        """The call's P, G and A, the latter two as ``_Csr`` arrays, and its ``_CholeskyNewton``;
         or, when an equality row has no private pivot, P, G and A dense and None, for the LU path.
 
         P's entries in free columns are scattered into a dense array, as
@@ -1026,10 +904,10 @@ class BoxQp:
         indptr = np.zeros(count.size + 1, dtype=np.intp)
         count.cumsum(out=indptr[1:])
         pairs = _Csr((count.size, k + 2 * nf), indptr, row[a[keep]], prod[keep])
-        sub = _Substitution.build(nf, p_entries, a_red, pairs, (i[live], j[live]))
-        if sub is None:  # an equality row without a private pivot: the call runs on the dense LU path
-            return p, g[g_rows][:, cols].toarray(), self._ag[a_rows][:, cols].toarray(), None
-        return p, g_red, a_red, sub
+        newton = _CholeskyNewton.build(nf, p_entries, a_red, pairs, (i[live], j[live]))
+        if newton is None:  # an equality row without a private pivot: the call runs on the dense LU path
+            return p, g_red.dense(), a_red.dense(), None
+        return p, g_red, a_red, newton
 
     def _zero_width_pairs(self, rhs, free, kept):
         """Find opposite row pairs whose right-hand sides cancel.
@@ -1124,7 +1002,7 @@ class BoxQp:
         """The full primal and objective; the multipliers are mapped on read.
 
         The solution keeps the reduced multipliers and the small index maps,
-        not ``red``, whose dense ``p`` and scatter arrays are large."""
+        not ``red``, whose dense ``p`` and Newton system are large."""
         x = red.x.copy()
         x[red.cols] = xr
         return QpSolution(
@@ -1226,63 +1104,152 @@ class _LuNewton:
 class _CholeskyNewton:
     """The Newton system of a CSR call whose equality rows all have a
     private pivot: each row eliminated through its pivot, the reduced block
-    by Cholesky. A call with a row that has none runs on ``_LuNewton``.
+    by Cholesky. ``build`` makes it from the call's slices, or finds a row
+    without a pivot, and the call then runs on ``_LuNewton``.
 
     Row r, eliminated through its pivot column p, fixes dx_p = (r_y,r -
     sum_{j != p} a_rj dx_j) / a_rp, so dx = Z du + x_e over the other nr
-    columns, with x_e = r_y,r / a_rp on each pivot (see ``_Substitution``,
-    whose permuted order the solve works in). The reduced block K = Z'HZ, H
-    = P + G_all' W G_all, is symmetric positive definite (P is PSD, both
-    bound sides put a positive weight on each diagonal entry of H, and Z
-    has full column rank), so ``factor`` writes its lower triangle into an
-    F-ordered nr x nr buffer, with H's pivot rows after it, and factors it
-    in place, K = LL'. A solve takes du = L^-T L^-1 Z'(r_x - H x_e), two
-    triangular solves: for one vector, two ``trtrs`` calls take about half
-    the time of one ``potrs`` at nf = 170. Each row's multiplier then comes
-    from its pivot's row of the first block row, dy_r = (r_x - H dx)_p /
-    a_rp. Every buffer is allocated once per call."""
+    columns, with x_e = r_y,r / a_rp on each pivot. The system works in a
+    permuted order, ``order``: the other columns, the pivots, the equality
+    rows; ``subst`` holds Z's pivot rows. The reduced block K = Z'HZ, H = P
+    + G_all' W G_all, is symmetric positive definite (P is PSD, both bound
+    sides put a positive weight on each diagonal entry of H, and Z has full
+    column rank). ``factor`` sums it in one flat buffer, K's lower triangle
+    F-ordered, then H's pivot rows C-ordered in the permuted order: P's
+    entries, then the entry pairs' sums by bin, then the pivot rows carried
+    through Z. Each row of ``pairs`` and ``routes`` holds one bin's terms in
+    summation order, so ``csr_matvec`` sums each bin as a ``np.bincount`` of
+    the terms would. It then factors K in place, K = LL'. A solve takes du
+    = L^-T L^-1 Z'(r_x - H x_e), two triangular solves: for one vector, two
+    ``trtrs`` calls take about half the time of one ``potrs`` at nf = 170.
+    Each row's multiplier then comes from its pivot's row of the first
+    block row, dy_r = (r_x - H dx)_p / a_rp. ``a_t`` is A' as a C-ordered
+    array, as a dense workspace holds it. Every buffer is allocated once
+    per call."""
 
-    def __init__(self, red: _Reduced):
-        sub, nf, me = red.scatter, red.c.size, red.b.size
-        nr = sub.others.size
-        self.red, self.sub, self.nf, self.nr = red, sub, nf, nr
-        self.block = np.empty(nr * nr + me * nf)
-        self.h = self.block[: nr * nr].reshape((nr, nr), order="F")  # views: factored in place
-        self.hp = self.block[nr * nr :].reshape((me, nf))
-        self.a_t = sub.a_t
+    @classmethod
+    def build(cls, nf: int, p_entries: tuple, a: _Csr, pairs: _Csr, bin_cols: tuple) -> _CholeskyNewton | None:
+        """The system of a call of ``nf`` free columns, with P's entries
+        ``(row, col, value)``, its CSR A, the Newton block's entry pairs (row
+        k of ``pairs`` holds bin k's products by G_all row, in summation
+        order) and each bin's columns ``(i, j)``, i <= j; None when an
+        equality row has no private pivot."""
+        row_of = np.arange(a.shape[0]).repeat(a.indptr[1:] - a.indptr[:-1])
+        pivoted, entry = _pivots(a, row_of)
+        return cls(nf, p_entries, a, row_of, entry, pairs, bin_cols) if pivoted.size == a.shape[0] else None
+
+    def __init__(self, nf, p_entries, a, row_of, entry, pairs, bin_cols):
+        """The system for the pivot entries ``entry`` of A, one per row.
+
+        Bin c < nf is the diagonal (c, c), to which each iteration adds the
+        bound rows' weights after the pairs. A bin on no pivot is added to K
+        at (j, i), one on a pivot to that pivot's row of H, and one on two
+        pivots to both rows. With no pivot, K is H and gets H's bits. Z'HZ
+        is H on the other columns plus, for each entry (p, j) of a pivot row
+        and its mirror (j, p) when j is not a pivot, Z[p, u] Z[j, v] times
+        it at (u, v), u >= v."""
+        me = a.shape[0]
+        pivots, self.coefs = a.indices[entry], a.data[entry]
+        is_pivot = np.zeros(nf, dtype=bool)
+        is_pivot[pivots] = True
+        others = (~is_pivot).nonzero()[0]
+        nr, square = others.size, others.size**2
+        perm = np.concatenate([others, pivots])
+        place = np.empty(nf, dtype=np.intp)  # each column's position in the permuted order
+        place[perm] = np.arange(nf)
+
+        # where the block sums H at permuted (r, c): K at (r, c), or row r - nr of H's pivot rows
+        start, stride = np.arange(nf), np.full(nf, nr)
+        start[nr:], stride[nr:] = square + nf * np.arange(me), 1
+        # Z's pivot rows: x_p = (b_r - sum_{j != p} a_rj x_j) / a_rp. A
+        # pivot is private, so the only pivot entry in its row is its own.
+        # The members come by row, so by pivot
+        member = np.ones(row_of.size, dtype=bool)
+        member[entry] = False
+        e, u = row_of[member], place[a.indices[member]]
+        z_vals = -a.data[member] / self.coefs[e]
+        self.subst = np.zeros((me, nr))
+        self.subst[e, u] = z_vals
+        # Z by permuted rows, as CSR arrays: a 1.0 on each other column, then the pivots' members
+        ptr = np.zeros(nf + 1, dtype=np.intp)
+        ptr[1 : nr + 1] = 1
+        ptr[nr + 1 :] = np.bincount(e, minlength=me)
+        ptr.cumsum(out=ptr)
+        z = ptr, np.concatenate([np.arange(nr), u]), np.concatenate([np.ones(nr), z_vals])
+        # P on the other columns and in the pivot rows (P[j, p] is P[p, j]),
+        # then the bins: (j, i) is a lower entry unless a pivot is involved
+        p_row, p_col, p_val = p_entries
+        p_row, p_col = place[p_row], place[p_col]
+        p_in = (p_row >= nr) | (p_col < nr)
+        i, j = place[bin_cols[0]], place[bin_cols[1]]
+        on_pivots = i >= nr, j >= nr
+        r = np.where(on_pivots[0] > on_pivots[1], i, j)
+        twice = (on_pivots[0] & on_pivots[1] & (i != j)).nonzero()[0]
+        rows = np.concatenate([p_row[p_in], r, i[twice]])
+        hp_at = start[rows] + stride[rows] * np.concatenate([p_col[p_in], i + j - r, j[twice]])
+        self.p_val = p_val[p_in]
+        self.p_at, self.at = hp_at[: self.p_val.size], hp_at[self.p_val.size :]
+        # H's pivot rows through Z: each entry a bin or P can make nonzero, and its mirror
+        nonzero = np.zeros(me * nf, dtype=bool)
+        nonzero[hp_at[hp_at >= square] - square] = True
+        src = nonzero.nonzero()[0]
+        e, col = np.divmod(src, nf)
+        e += nr  # the pivot rows' permuted positions
+        mirror = (col < nr).nonzero()[0]
+        term, s, t, coef = _through(np.concatenate([e, col[mirror]]), np.concatenate([col, e[mirror]]), *z)
+        # the terms by position in K, in term order within each
+        route = s + t * nr
+        by = route.astype(np.min_scalar_type(square)).argsort(kind="stable")  # radix for 16 bits or fewer
+        route = route[by]
+        new = np.ones(route.size + 1, dtype=bool)  # where each position's terms start, and the end
+        new[1:-1] = route[1:] != route[:-1]
+        indptr = new.nonzero()[0]
+        self.routes = _Csr(
+            (indptr.size - 1, square + me * nf), indptr,
+            square + np.concatenate([src, src[mirror]])[term[by]], coef[by],
+        )
+        self.route_at = route[indptr[:-1]]
+        self.order = np.concatenate([perm, np.arange(nf, nf + me)])
+        self.pairs, self.which = pairs, np.concatenate([np.arange(i.size), twice])
+        self.a_t = np.zeros((nf, me))
+        self.a_t[a.indices, row_of] = a.data
+        self.nf, self.nr, self.mi = nf, nr, pairs.shape[1] - 2 * nf  # pairs' columns are G_all's rows
+        self.block = np.empty(square + me * nf)
+        self.k = self.block[:square].reshape((nr, nr), order="F")  # views: factored in place
+        self.hp = self.block[square:].reshape((me, nf))
         # the right-hand side and the step in the permuted order, and the step
         self.r, self.dp, self.d = np.empty(nf + me), np.empty(nf + me), np.empty(nf + me)
         self.t, self.x_e = np.empty(nf), np.empty(me)
-        self.sums, self.routed = np.empty(sub.pairs.shape[0]), np.empty(sub.route_at.size)
+        self.sums, self.routed = np.empty(pairs.shape[0]), np.empty(self.route_at.size)
 
     def factor(self, w: np.ndarray) -> bool:
         """Factor the reduced block for the weights ``w``; False if it is not numerically positive definite."""
-        sub, block, sums, nf, k = self.sub, self.block, self.sums, self.nf, self.red.h.size
+        block, sums, nf, mi = self.block, self.sums, self.nf, self.mi
         block.fill(0.0)
-        block[sub.p_at] = sub.p_val
-        _copy_product(sub.pairs, w, sums)
-        sums[:nf] += w[k : k + nf]  # the bound rows, lower side first, after the pairs
-        sums[:nf] += w[k + nf :]
-        block[sub.at] += sums[sub.which]
-        _copy_product(sub.routes, block, self.routed)
-        block[sub.route_at] += self.routed
-        return not _potrf(self.h, lower=1, clean=0, overwrite_a=1)[1]
+        block[self.p_at] = self.p_val
+        _copy_product(self.pairs, w, sums)
+        sums[:nf] += w[mi : mi + nf]  # the bound rows, lower side first, after the pairs
+        sums[:nf] += w[mi + nf :]
+        block[self.at] += sums[self.which]
+        _copy_product(self.routes, block, self.routed)
+        block[self.route_at] += self.routed
+        return not _potrf(self.k, lower=1, clean=0, overwrite_a=1)[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[dx; dy] for the right-hand side [r_x; r_y], in the call's buffer."""
-        sub, h, nr, nf, dp = self.sub, self.h, self.nr, self.nf, self.dp
-        r = np.take(rhs, sub.order, out=self.r)
-        x_e = np.divide(r[nf:], sub.coefs, out=self.x_e)
+        k, nr, nf, dp, subst, coefs = self.k, self.nr, self.nf, self.dp, self.subst, self.coefs
+        r = np.take(rhs, self.order, out=self.r)
+        x_e = np.divide(r[nf:], coefs, out=self.x_e)
         t = np.subtract(r[:nf], np.dot(x_e, self.hp, out=self.t), out=self.t)  # r_x - H x_e: H is symmetric
         # each triangular solve runs in place: every vector is a contiguous float64 view
-        du = np.dot(t[nr:], sub.subst, out=dp[:nr])
+        du = np.dot(t[nr:], subst, out=dp[:nr])
         du += t[:nr]  # Z't
-        _trtrs(h, du, lower=1, overwrite_b=1)
-        _trtrs(h, du, lower=1, trans=1, overwrite_b=1)
-        np.add(np.dot(sub.subst, du, out=dp[nr:nf]), x_e, out=dp[nr:nf])
+        _trtrs(k, du, lower=1, overwrite_b=1)
+        _trtrs(k, du, lower=1, trans=1, overwrite_b=1)
+        np.add(np.dot(subst, du, out=dp[nr:nf]), x_e, out=dp[nr:nf])
         dy = np.subtract(r[nr:nf], np.dot(self.hp, dp[:nf], out=dp[nf:]), out=dp[nf:])
-        dy /= sub.coefs
-        self.d[sub.order] = dp
+        dy /= coefs
+        self.d[self.order] = dp
         return self.d
 
 
@@ -1356,7 +1323,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     # each iteration writes the Newton matrix into one F-ordered buffer and
     # factors it in place: LAPACK sees the column-major matrix that a copy of
     # a C-ordered one gives it, without the copy
-    system = (_LuNewton if red.scatter is None else _CholeskyNewton)(red)
+    system = _LuNewton(red) if red.newton is None else red.newton
     a_t = system.a_t
     r, gz_g = np.empty(nf), np.empty(nf)  # the bound's dual residual and G'z_G
 

@@ -95,6 +95,17 @@ class TestPlan:
         with pytest.raises(ContractViolation):
             plan(scn, chunk_multiplier=4)
 
+    @pytest.mark.parametrize("multiplier", [2.0, 0, -1, True, "2", None])
+    def test_chunk_multiplier_must_be_a_positive_integer(self, multiplier):
+        scn = simple_scenario(max_steps=16)
+        with pytest.raises(ContractViolation, match="chunk_multiplier"):
+            plan(scn, chunk_multiplier=multiplier)
+
+    def test_numpy_integer_chunk_multiplier_plans_as_an_int(self):
+        scn = simple_scenario(goal_x=0.3, max_steps=16)
+        result, ref = plan(scn, chunk_multiplier=np.int64(2)), plan(scn, chunk_multiplier=2)
+        assert result.steps == ref.steps and [c.chunk_steps for c in result.chunks] == [8] * len(ref.chunks)
+
     def test_handoff_is_bitwise(self):
         scn = simple_scenario(goal_x=0.8, max_steps=24)
         result = plan(scn, chunk_multiplier=2)

@@ -336,12 +336,12 @@ class TestMaxStep:
             ds, dz = rng.normal(size=n), rng.normal(size=n)
             if trial % 4 == 0:
                 ds, dz = np.abs(ds), np.abs(dz)
-            step = qp_module._max_step(np.concatenate([s, z]), np.concatenate([ds, dz]))
+            step = qp_module._max_step(np.concatenate([s, z]), np.concatenate([ds, dz]), np.empty(2 * n))
             assert step == self.separate(s, ds, z, dz)
 
     def test_no_negative_direction_is_unbounded(self):
         sz, dsz = np.array([1.0, 2.0, 0.5, 3.0]), np.array([0.0, 1.0, 2.0, 0.0])
-        assert qp_module._max_step(sz, dsz) == math.inf
+        assert qp_module._max_step(sz, dsz, np.empty(4)) == math.inf
 
     def test_writes_the_ratios_and_reports_a_nan_one(self):
         sz, dsz = np.array([1.0, 2.0, 0.5, 3.0]), np.array([0.0, -1.0, 2.0, -6.0])
@@ -349,7 +349,7 @@ class TestMaxStep:
         assert qp_module._max_step(sz, dsz, ratio) == 0.5
         assert ratio.tobytes() == (dsz / sz).tobytes()
         assert math.isnan(qp_module._max_step(sz, np.array([0.0, -1.0, np.nan, -6.0]), ratio))
-        assert qp_module._max_step(sz, np.array([0.0, -np.inf, 1.0, -6.0])) == 0.0
+        assert qp_module._max_step(sz, np.array([0.0, -np.inf, 1.0, -6.0]), ratio) == 0.0
 
 
 class TestPresolveCascade:
@@ -443,15 +443,20 @@ def as_scipy(m):
     return m
 
 
+def pivots_and_others(system) -> tuple[np.ndarray, np.ndarray]:
+    """A ``_CholeskyNewton``'s pivot columns, row by row, and its other columns, read off its permuted order."""
+    return system.order[system.nr : system.nf], system.order[: system.nr]
+
+
 def null_space(red) -> np.ndarray:
     """Z of a CSR call, built with numpy from its A and the pivots of its
     rows: the identity on the other columns and, on the pivot p of row r,
     -A[r, j] / A[r, p] at each other column j."""
-    sub, a = red.scatter, as_scipy(red.a).toarray()
-    z = np.zeros((red.c.size, sub.others.size))
-    z[sub.others, np.arange(sub.others.size)] = 1.0
-    for r, p in enumerate(sub.pivots):
-        z[p] = -a[r, sub.others] / a[r, p]
+    (pivots, others), a = pivots_and_others(red.newton), as_scipy(red.a).toarray()
+    z = np.zeros((red.c.size, others.size))
+    z[others, np.arange(others.size)] = 1.0
+    for r, p in enumerate(pivots):
+        z[p] = -a[r, others] / a[r, p]
     return z
 
 
@@ -463,12 +468,12 @@ def reduced_block_error(k, block, red) -> float:
 
 
 def factored_matrix(monkeypatch, red, w) -> np.ndarray:
-    """The matrix the Newton class of ``red`` hands to LAPACK for the
+    """The matrix the Newton system of ``red`` hands to LAPACK for the
     weights ``w``, copied before it is factored."""
-    if red.scatter is None:
-        name, newton = "_getrf", qp_module._LuNewton
+    if red.newton is None:
+        name, system = "_getrf", qp_module._LuNewton(red)
     else:
-        name, newton = "_potrf", qp_module._CholeskyNewton
+        name, system = "_potrf", red.newton
     seen = []
     with monkeypatch.context() as m:
         real = getattr(qp_module, name)
@@ -478,7 +483,7 @@ def factored_matrix(monkeypatch, red, w) -> np.ndarray:
             return real(a, *args, **kwargs)
 
         m.setattr(qp_module, name, factor)
-        newton(red).factor(w)
+        system.factor(w)
     return seen[0]
 
 
@@ -493,7 +498,7 @@ class TestNewtonBlock:
         red = ws._presolve({int(j): float(rng.uniform(-1, 1)) for j in fixed})
         k, nf, me = red.g_rows.size, red.cols.size, red.b.size
         assert 0 < k < m and nf == n - fixed.size and me == n_eq
-        assert (red.scatter is not None) == sparse
+        assert (red.newton is not None) == sparse
         w = rng.uniform(0.1, 10.0, size=k + 2 * nf)
         g_red = g[red.g_rows][:, red.cols]
         ref = (
@@ -507,7 +512,7 @@ class TestNewtonBlock:
         size = nf - me if sparse else nf + me
         assert kkt.shape == (size, size) and kkt.flags.f_contiguous
         if sparse:
-            assert red.scatter.pivots.size == me
+            assert pivots_and_others(red.newton)[0].size == me
             assert reduced_block_error(kkt, ref, red) <= 1e-12
         else:
             assert np.max(np.abs(kkt[:nf, :nf] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -563,7 +568,7 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     -EQ_REG I fill the other blocks."""
     nf, me, k = red.c.size, red.b.size, red.h.size
     g, eq = as_scipy(red.g), as_scipy(red.a)
-    if red.scatter is None:
+    if red.newton is None:
         block = red.p + (g.T * w[:k]) @ g
         block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
     else:
@@ -587,19 +592,28 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
 
 def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
     """Solve under each fixing set; per solve, the (reduced problem, weights) of
-    every Newton matrix, recorded at its class's ``factor``, and with
+    every Newton matrix, recorded at its class's ``factor`` (the problem is
+    the one the interior point that factors it was given), and with
     ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf``, copied
     before it is factored, and the rows of H that a CSR call keeps for its
     pivots (None for a dense call)."""
-    seen, per_solve = [], []
+    seen, per_solve, call = [], [], [None]
     with monkeypatch.context() as m:
+
+        def interior_point(red, *args, real=qp_module._interior_point):
+            call[0] = red
+            return real(red, *args)
+
+        m.setattr(qp_module, "_interior_point", interior_point)
         for cls in (qp_module._LuNewton, qp_module._CholeskyNewton):
 
             def record(system, w, real=cls.factor):
-                seen.append([system.red, w.copy()])
+                red = call[0]
+                assert red.newton is None or system is red.newton  # a CSR call factors the system it sliced
+                seen.append([red, w.copy()])
                 ok = real(system, w)
                 if lapack:
-                    seen[-1].append(None if system.red.scatter is None else system.hp.copy())
+                    seen[-1].append(None if red.newton is None else system.hp.copy())
                 return ok
 
             m.setattr(cls, "factor", record)
@@ -657,15 +671,15 @@ class TestKktBuffer:
             for red, w, kkt, rows in seen:
                 ref = ordered_pair_kkt(red, w)
                 assert kkt.flags.f_contiguous
-                if red.scatter is None:
+                if red.newton is None:
                     assert kkt.shape == ref.shape
                     differ += kkt.tobytes(order="C") != ref.tobytes(order="C")
                     continue
-                nf, sub = red.c.size, red.scatter
+                nf, (pivots, others) = red.c.size, pivots_and_others(red.newton)
                 block = ref[:nf, :nf]
-                assert kkt.shape == (sub.others.size,) * 2
-                differ += rows.tobytes() != block[sub.pivots][:, sub.order[:nf]].tobytes()
-                if sub.pivots.size:
+                assert kkt.shape == (others.size,) * 2
+                differ += rows.tobytes() != block[pivots][:, red.newton.order[:nf]].tobytes()
+                if pivots.size:
                     differ += reduced_block_error(kkt, block, red) > 1e-12
                 else:
                     differ += np.tril(kkt).tobytes(order="C") != np.tril(block).tobytes(order="C")
@@ -712,11 +726,11 @@ class TestKktBuffer:
         real = BoxQp._slice_csr
 
         def upper(self, g_rows, a_rows, cols):
-            p, g, a, sub = real(self, g_rows, a_rows, cols)
-            nr = sub.others.size
+            p, g, a, newton = real(self, g_rows, a_rows, cols)
+            nr = newton.nr
             flip = lambda at: np.where(at < nr * nr, at // nr + at % nr * nr, at)  # noqa: E731
-            sub.at, sub.route_at = flip(sub.at), flip(sub.route_at)
-            return p, g, a, sub
+            newton.at, newton.route_at = flip(newton.at), flip(newton.route_at)
+            return p, g, a, newton
 
         monkeypatch.setattr(BoxQp, "_slice_csr", upper)
         per_solve = recorded_weights(monkeypatch, ws, preset_fixings(prob, ws, name, count=3), lapack=True)
@@ -739,8 +753,8 @@ class TestCholeskyNewton:
         checked = eliminating = 0
         for _, seen in recorded_weights(monkeypatch, ws, fixings_list):
             for red, w in seen:
-                assert red.scatter is not None  # not the dense LU path
-                system = qp_module._CholeskyNewton(red)
+                assert red.newton is not None  # not the dense LU path
+                system = red.newton
                 assert system.factor(w)
                 rhs = rng.normal(size=red.c.size + red.b.size)
                 d = system.solve(rhs).copy()
@@ -748,7 +762,7 @@ class TestCholeskyNewton:
                 scale = np.abs(kkt).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
                 assert np.abs(kkt @ d - rhs).max() <= 1e-10 * scale
                 checked += 1
-                eliminating += red.scatter.pivots.size > 0
+                eliminating += pivots_and_others(system)[0].size > 0
         return checked, eliminating
 
     @pytest.mark.parametrize("n_eq", [0, 4])
@@ -772,7 +786,7 @@ class TestCholeskyNewton:
         optimal = 0
         for fixings in random_fixings(rng, 120):
             red = ws._presolve(fixings)
-            assert red.scatter is None and isinstance(red.g, np.ndarray) and isinstance(red.a, np.ndarray)
+            assert red.newton is None and isinstance(red.g, np.ndarray) and isinstance(red.a, np.ndarray)
             sol, ref = ws.solve(fixings), held_dense.solve(fixings)
             assert sol.status == ref.status
             if sol.status == "optimal":
@@ -1070,31 +1084,84 @@ class TestCsrWorkspace:
                 ws.solve(first)
                 assert self.every_field(ws.solve(second), BoxQp.from_miqp(prob).solve(second))
 
-    def test_csr_solves_build_no_scipy_matrix(self, monkeypatch, children):
-        """Cold, warm and cutoff calls of a CSR workspace: no scipy sparse
-        matrix is constructed and no scipy product is dispatched."""
+    @staticmethod
+    def scipy_counts(monkeypatch) -> dict:
+        """From now on, count the scipy sparse matrices constructed and the
+        scipy products dispatched outside the HiGHS feasibility LP
+        (``_feasible``), and the LPs run."""
         from scipy.sparse import _base
 
-        prob, same, other = children
-        ws = BoxQp.from_miqp(prob)
-        root = ws.solve()
-        counts = {"constructed": 0, "products": 0}
-        init, dispatch = _base._spbase.__init__, _base._spbase._matmul_dispatch
+        counts, in_lp = {"constructed": 0, "products": 0, "lps": 0}, [False]
+        init, dispatch, feasible = _base._spbase.__init__, _base._spbase._matmul_dispatch, qp_module._feasible
 
         def counted_init(self, *args, **kwargs):
-            counts["constructed"] += 1
+            counts["constructed"] += not in_lp[0]
             init(self, *args, **kwargs)
 
         def counted_dispatch(self, other):
-            counts["products"] += 1
+            counts["products"] += not in_lp[0]
             return dispatch(self, other)
+
+        def counted_feasible(red):
+            counts["lps"] += 1
+            in_lp[0] = True
+            try:
+                return feasible(red)
+            finally:
+                in_lp[0] = False
 
         monkeypatch.setattr(_base._spbase, "__init__", counted_init)
         monkeypatch.setattr(_base._spbase, "_matmul_dispatch", counted_dispatch)
+        monkeypatch.setattr(qp_module, "_feasible", counted_feasible)
+        return counts
+
+    def test_csr_solves_build_no_scipy_matrix(self, monkeypatch, children):
+        """Cold, warm and cutoff calls of a CSR workspace: no scipy sparse
+        matrix is constructed, no scipy product is dispatched and no LP runs."""
+        prob, same, other = children
+        ws = BoxQp.from_miqp(prob)
+        root = ws.solve()
+        counts = self.scipy_counts(monkeypatch)
         assert {"optimal", "cutoff"} <= self.solve_each(ws, root, same[:2] + other[:2])
-        assert counts == {"constructed": 0, "products": 0}
+        assert counts == {"constructed": 0, "products": 0, "lps": 0}
         sp.csr_matrix((2, 2)) @ np.ones(2)  # the counters see a construction and a product
-        assert counts == {"constructed": 1, "products": 1}
+        assert counts == {"constructed": 1, "products": 1, "lps": 0}
+
+    @pytest.mark.parametrize("shared", [2, 4])
+    def test_lu_fallback_builds_no_scipy_matrix_outside_the_lp(self, monkeypatch, shared):
+        """Cold, warm and cutoff calls of the CSR workspaces of
+        ``TestCholeskyNewton.test_rows_without_a_pivot_solve_dense``, each
+        on the dense LU path: outside the feasibility LP, no scipy sparse
+        matrix is constructed and no scipy product is dispatched."""
+        rng = np.random.default_rng(7 + shared)
+        ws, _, _ = random_workspace(rng, 120, 200, 4, shared=shared)
+        fixings = random_fixings(rng, 120)
+        reds = [ws._presolve(f) for f in fixings]
+        assert ws.sparse and all(red.newton is None for red in reds)
+        root = ws.solve()
+        counts = self.scipy_counts(monkeypatch)
+        assert "optimal" in self.solve_each(ws, root, [fixings])
+        assert counts["constructed"] == counts["products"] == 0
+        assert qp_module._feasible(reds[0])  # the LP's own matrices are not counted
+        assert counts["constructed"] == counts["products"] == 0 and counts["lps"] >= 1
+        sp.csr_matrix((2, 2)) @ np.ones(2)
+        assert counts["constructed"] == counts["products"] == 1
+
+    @pytest.mark.parametrize("shared", [2, 4])
+    def test_lu_fallback_slices_match_scipy(self, shared):
+        """The dense G and A of a call on the LU path are scipy's slices of
+        the workspace's G and [A; G], byte for byte, float64 and C-ordered."""
+        rng = np.random.default_rng(7 + shared)
+        ws, _, _ = random_workspace(rng, 120, 200, 4, shared=shared)
+        for fixings in random_fixings(rng, 120):
+            red = ws._presolve(fixings)
+            assert red.newton is None
+            # the A rows: the equality rows, then the first row of each zero-width pair
+            a_rows = np.concatenate([red.eq_rows[red.eq_rows >= 0], ws.b.size + red.pair_rows[:, 0]])
+            for got, m, rows in ((red.g, ws.g, red.g_rows), (red.a, ws._ag, a_rows)):
+                ref = sp.csr_matrix(m)[rows][:, red.cols].toarray()
+                assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+                assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
 
 
 class TestInfeasibleHandOff:
@@ -1227,6 +1294,28 @@ class TestCsrTake:
             for name in ("data", "indices", "indptr"):
                 u, v = getattr(got, name), getattr(ref, name)
                 assert u.dtype == v.dtype and np.array_equal(u, v)
+
+    def test_dense_matches_scipy_toarray(self):
+        """A canonical matrix's slice, written into zeros by ``_Csr.dense``,
+        is scipy's ``toarray`` of the same slice byte for byte, C-ordered,
+        with rows in any order and repeated, empty rows and no rows."""
+        rng = np.random.default_rng(12)
+        empty = 0
+        for trial in range(200):
+            n_rows, n = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+            m = sp.random(n_rows, n, density=rng.uniform(0.05, 0.6), format="csr",
+                          random_state=np.random.RandomState(trial))
+            m.data = rng.normal(size=m.nnz) * 10.0 ** rng.integers(-8, 8, size=m.nnz)
+            rows = rng.integers(0, n_rows, size=int(rng.integers(0, n_rows + 2)))
+            cols = np.flatnonzero(rng.random(n) < 0.6)
+            col_map = np.full(n, -1)
+            col_map[cols] = np.arange(cols.size)
+            got = qp_module._take(m, rows, cols, col_map).dense()
+            ref = m[rows][:, cols].toarray()
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes()
+            empty += rows.size == 0
+        assert empty > 5
 
 
 class TestShrinkableRows:

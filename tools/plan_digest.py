@@ -130,10 +130,10 @@ def recorded_solves():
     def presolve(ws, fixings):
         red = real_presolve(ws, fixings)
         if red is not None and ws.sparse:
-            if red.scatter is None:
+            if red.newton is None:
                 solves.dense += 1
             else:
-                solves.eliminated += red.scatter.pivots.size
+                solves.eliminated += red.newton.nf - red.newton.nr
         return red
 
     qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
