@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -47,6 +48,11 @@ INT_TOL = 1e-5
 PRUNE_EPS = 1e-9
 OPTIMAL_GAP = 1e-4
 BRUTE_FORCE_MAX_BINARIES = 20
+
+
+def _is(value, kind) -> bool:
+    """Whether value is a number of this ``numbers`` kind; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,14 @@ class MiqpLimits:
     time_limit: float | None = None
 
     def __post_init__(self):
-        # a negative or NaN limit would plan silently with no meaning
-        if not (self.gap >= 0.0 and math.isfinite(self.gap)):
+        # a negative, NaN, fractional or boolean limit would plan silently with no meaning
+        if not (_is(self.gap, numbers.Real) and self.gap >= 0.0 and math.isfinite(self.gap)):
             raise ContractViolation(f"gap must be a finite number >= 0, got {self.gap!r}")
-        if self.max_nodes is not None and not self.max_nodes >= 0:
-            raise ContractViolation(f"max_nodes must be >= 0 or None, got {self.max_nodes!r}")
-        if self.time_limit is not None and not (self.time_limit > 0.0 and math.isfinite(self.time_limit)):
+        if self.max_nodes is not None and not (_is(self.max_nodes, numbers.Integral) and self.max_nodes >= 0):
+            raise ContractViolation(f"max_nodes must be an integer >= 0 or None, got {self.max_nodes!r}")
+        if self.time_limit is not None and not (
+            _is(self.time_limit, numbers.Real) and self.time_limit > 0.0 and math.isfinite(self.time_limit)
+        ):
             raise ContractViolation(
                 f"time_limit must be a finite number > 0 or None, got {self.time_limit!r}"
             )

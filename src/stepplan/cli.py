@@ -1,7 +1,9 @@
 """Command-line interface: plan, bench, validate, export-mip.
 
-Exit codes: 0 ok, 2 parse/configuration error, 3 infeasible, 4 not
-converged, 5 solver limits hit without a usable plan.
+Exit codes: 0 ok, 2 parse/configuration error or an unwritable output,
+3 infeasible, 4 not converged, 5 solver limits hit without a usable plan.
+The commands raise; ``main`` alone maps an error to its exit code, the same
+for every command.
 """
 
 from __future__ import annotations
@@ -12,14 +14,7 @@ import time
 from pathlib import Path
 
 from .bnb import MiqpLimits, solve_miqp
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    InfeasibleScenarioError,
-    PlanningError,
-    ScenarioParseError,
-    StepPlanError,
-)
+from .errors import ContractViolation, InfeasibleScenarioError, PlanningError, StepPlanError
 from .formulation import assemble, make_rounding_heuristic
 from .lp_export import save_lp
 from .plan_io import load_plan, save_plan
@@ -39,37 +34,21 @@ EXIT_LIMITS = 5
 BENCH_REFERENCE = {12: 312, 24: 552, 36: 828}
 
 
-def _load(path: str):
-    try:
-        return load_scenario(path)
-    except (ScenarioParseError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
 def _limits(args) -> MiqpLimits:
-    """The limits the flags set; a meaningless one exits EXIT_PARSE, naming its flag."""
+    """The limits the flags set; a meaningless one is a ContractViolation naming its flag."""
     values = {"gap": args.gap, "max_nodes": args.node_limit, "time_limit": args.time_limit}
     for (field, value), flag in zip(values.items(), ("--gap", "--node-limit", "--time-limit")):
         try:
             MiqpLimits(**{field: value})
         except ContractViolation as exc:
-            print(f"error: {flag}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
+            raise ContractViolation(f"{flag}: {exc}") from exc
     return MiqpLimits(**values)
 
 
 def cmd_plan(args) -> int:
     limits = _limits(args)
-    scenario = _load(args.scenario)
-    try:
-        result = plan(scenario, chunk_multiplier=args.chunk, limits=limits)
-    except PlanningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMITS if exc.reason == "limits" else EXIT_INFEASIBLE
-    except InfeasibleScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    scenario = load_scenario(args.scenario)
+    result = plan(scenario, chunk_multiplier=args.chunk, limits=limits)
     if args.output:
         save_plan(result, scenario, args.output, include_timings=args.timings)
     if args.svg:
@@ -94,26 +73,20 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     limits = _limits(args)
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     try:
         horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
-    except ValueError:
-        print("error: --horizons expects a comma-separated integer list", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:
+        raise ContractViolation("--horizons expects a comma-separated integer list") from exc
     if not horizons:
-        print("error: --horizons list is empty", file=sys.stderr)
-        return EXIT_PARSE
-    n = scenario.robot.n_legs
-    for h in horizons:
-        if h <= 0 or h % n != 0:
-            print(f"error: horizon {h} is not a positive multiple of n_legs={n}", file=sys.stderr)
-            return EXIT_PARSE
+        raise ContractViolation("--horizons list is empty")
+    # built before the header, so the scenario check rejects a bad horizon with nothing printed
+    scenarios = [scenario.with_overrides(max_steps=h) for h in horizons]
     rows = []
     header = f"{'steps':>6} {'binaries':>9} {'continuous':>11} {'nodes':>6} {'gap':>8} {'time_s':>8} {'status':>11}"
     print(header)
     print("-" * len(header))
-    for h in horizons:
-        scn = scenario.with_overrides(max_steps=h)
+    for h, scn in zip(horizons, scenarios):
         problem = assemble(scn)
         n_bin = len(problem.binary_indices)
         n_cont = problem.n_vars - n_bin
@@ -135,29 +108,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario = _load(args.scenario)
-    try:
-        loaded = load_plan(args.plan, scenario)
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    scenario = load_scenario(args.scenario)
+    loaded = load_plan(args.plan, scenario)
     report = validate_plan(loaded, scenario)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_INFEASIBLE
 
 
 def cmd_export_mip(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     if args.horizon is not None:
-        if args.horizon <= 0 or args.horizon % scenario.robot.n_legs != 0:
-            print("error: --horizon must be a positive multiple of n_legs", file=sys.stderr)
-            return EXIT_PARSE
         scenario = scenario.with_overrides(max_steps=args.horizon)
-    try:
-        problem = assemble(scenario)
-    except (InfeasibleScenarioError, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    problem = assemble(scenario)
     save_lp(problem, args.output, name=scenario.name)
     print(
         f"wrote {args.output}: {problem.n_vars} variables "
@@ -216,11 +178,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    except StepPlanError as exc:
+    except (StepPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, PlanningError):
+            return EXIT_LIMITS if exc.reason == "limits" else EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleScenarioError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -696,6 +696,10 @@ class BoxQp:
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ContractViolation("all variable bounds must be finite")
         self.n = n = self.lo.shape[0]
+        columns = np.asarray(integer_columns)
+        # -1 would pin the last column and 0.5 column 0, silently
+        if columns.size and not (np.issubdtype(columns.dtype, np.integer) and 0 <= columns.min() <= columns.max() < n):
+            raise ContractViolation(f"integer_columns must be integer column indices in 0..{n - 1}")
         self.q = np.asarray(q_vector, dtype=float)
         self.h = np.asarray(h_vector, dtype=float)
         self.b = np.asarray(b_vector, dtype=float)
@@ -717,7 +721,7 @@ class BoxQp:
         else:
             self._ag = np.vstack([self.a, self.g])
         pinnable = np.zeros(n, dtype=bool)
-        pinnable[np.asarray(integer_columns, dtype=int)] = True
+        pinnable[columns.astype(int)] = True
         self._pinnable = pinnable
         # 1.0 at each nonzero entry: a product with the free mask counts free entries
         self._nz_ag = _nonzero(self._ag)

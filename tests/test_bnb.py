@@ -508,7 +508,9 @@ class TestMiqpLimits:
     @pytest.mark.parametrize(
         "kwargs",
         [{"gap": -1.0}, {"gap": float("nan")}, {"gap": float("inf")}, {"max_nodes": -3}, {"time_limit": -1.0},
-         {"time_limit": 0.0}, {"time_limit": float("nan")}, {"time_limit": float("inf")}],
+         {"time_limit": 0.0}, {"time_limit": float("nan")}, {"time_limit": float("inf")},
+         # a cap of 2.5 would stop at 3 nodes; a bool is no limit; a string is no number
+         {"max_nodes": 2.5}, {"max_nodes": True}, {"gap": True}, {"time_limit": True}, {"max_nodes": "3"}],
     )
     def test_meaningless_limit_is_rejected(self, kwargs):
         with pytest.raises(ContractViolation, match=next(iter(kwargs))):
@@ -518,3 +520,4 @@ class TestMiqpLimits:
         limits = MiqpLimits(gap=0.0, max_nodes=0, time_limit=1e-3)
         assert (limits.gap, limits.max_nodes, limits.time_limit) == (0.0, 0, 1e-3)
         assert MiqpLimits() == MiqpLimits(gap=1e-4, max_nodes=None, time_limit=None)
+        assert MiqpLimits(max_nodes=np.int64(2)).max_nodes == 2

@@ -3,13 +3,16 @@ import math
 
 import pytest
 
+from stepplan import cli
 from stepplan.cli import (
     EXIT_INFEASIBLE,
+    EXIT_LIMITS,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_PARSE,
     main,
 )
+from stepplan.errors import PlanningError
 
 
 @pytest.fixture()
@@ -223,3 +226,64 @@ class TestExportCommand:
         text = out_path.read_text()
         assert text.startswith("\\ cli_hop")
         assert "Minimize" in text and "Binaries" in text and text.rstrip().endswith("End")
+
+
+@pytest.fixture()
+def infeasible_file(scenario_file, tmp_path):
+    doc = json.loads(scenario_file.read_text())
+    doc["goal"]["position"] = [1.45, 0.0, 0.0]  # goal footholds reach x = 1.65, past the 1.5 m ground
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestExitCodes:
+    """Every command maps an error to the same exit code and one ``error:`` line on stderr;
+    ``quiet`` rows must print nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message, quiet",
+        [
+            (["plan", "{infeasible}"], EXIT_INFEASIBLE, "outside every safe region", False),
+            (["bench", "{infeasible}", "--horizons", "4"], EXIT_INFEASIBLE, "outside every safe region", False),
+            (["export-mip", "{infeasible}", "-o", "{tmp}/model.lp"], EXIT_INFEASIBLE, "outside every safe region",
+             False),
+            (["plan", "{scenario}", "--chunk", "2", "-o", "{tmp}/missing/out"], EXIT_PARSE, "No such file", False),
+            (["bench", "{scenario}", "--horizons", "4", "--node-limit", "2", "-o", "{tmp}/missing/out"],
+             EXIT_PARSE, "No such file", False),
+            (["export-mip", "{scenario}", "--horizon", "4", "-o", "{tmp}/missing/out"], EXIT_PARSE, "No such file",
+             False),
+            (["plan", "{scenario}", "--chunk", "2", "--svg", "{tmp}/missing/p.svg"], EXIT_PARSE, "No such file",
+             False),
+            # a bad horizon is reported by the scenario check
+            (["bench", "{scenario}", "--horizons", "5"], EXIT_PARSE,
+             "max_steps (5) must be a positive multiple of n_legs (4)", True),
+            (["export-mip", "{scenario}", "--horizon", "5", "-o", "{tmp}/model.lp"], EXIT_PARSE,
+             "max_steps (5) must be a positive multiple of n_legs (4)", True),
+            (["plan", "{scenario}", "--chunk", "5"], EXIT_PARSE, "chunk of 20 steps does not fit max_steps 16", True),
+            (["validate", "{tmp}/missing.json", "{scenario}"], EXIT_PARSE, "cannot read file", True),
+            (["plan", "{broken}"], EXIT_PARSE, "invalid JSON", True),
+        ],
+        ids=["plan-infeasible", "bench-infeasible", "export-infeasible", "plan-unwritable-output",
+             "bench-unwritable-output", "export-unwritable-output", "plan-unwritable-svg", "bench-bad-horizon",
+             "export-bad-horizon", "plan-chunk-too-long", "validate-missing-plan", "plan-malformed-json"],
+    )
+    def test_error_exit_code(self, scenario_file, infeasible_file, tmp_path, capsys, argv, code, message, quiet):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        paths = {"scenario": scenario_file, "infeasible": infeasible_file, "broken": broken, "tmp": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and message in errors[0]
+        if quiet:
+            assert captured.out == ""
+
+    def test_limits_without_a_plan(self, scenario_file, monkeypatch, capsys):
+        def limited(scenario, **kwargs):
+            raise PlanningError("chunk 0 hit solver limits (node-limit) with no feasible plan", 0, scenario,
+                                reason="limits")
+
+        monkeypatch.setattr(cli, "plan", limited)
+        assert main(["plan", str(scenario_file)]) == EXIT_LIMITS
+        assert "error: chunk 0 hit solver limits" in capsys.readouterr().err

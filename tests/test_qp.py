@@ -296,6 +296,24 @@ class TestFixingContract:
             self.workspace().solve(fixings=fixings)
 
 
+class TestIntegerColumnsContract:
+    @staticmethod
+    def workspace(integer_columns):
+        no_rows = np.zeros((0, 2))
+        return BoxQp(2.0 * np.eye(2), [-6.0, 0.0], no_rows, [], no_rows, [], [0.0, -5.0], [1.0, 5.0],
+                     integer_columns=integer_columns)
+
+    # -1 would make the last column pinnable and 0.5 column 0; 2 is past the end
+    @pytest.mark.parametrize("columns", [[-1], [0.5], [2], [0, 2], [True]])
+    def test_bad_column_is_a_contract_violation(self, columns):
+        with pytest.raises(ContractViolation, match="integer_columns"):
+            self.workspace(columns)
+
+    @pytest.mark.parametrize("columns", [(), [], [0], np.array([1, 0])])
+    def test_column_indices_are_accepted(self, columns):
+        assert self.workspace(columns)._pinnable.tolist() == [i in list(columns) for i in range(2)]
+
+
 class TestLayout:
     def test_dense_reduced_matrices_are_c_ordered(self):
         # a product sums in another order on an F-ordered array, so every
