@@ -9,6 +9,8 @@ for every command.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -45,8 +47,19 @@ def _limits(args) -> MiqpLimits:
     return MiqpLimits(**values)
 
 
+def _check_outputs(*paths) -> None:
+    """Raise, before any loading or solving, the error that writing an
+    output would raise later: its directory is missing, or it is one."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_plan(args) -> int:
     limits = _limits(args)
+    _check_outputs(args.output, args.svg)
     scenario = load_scenario(args.scenario)
     result = plan(scenario, chunk_multiplier=args.chunk, limits=limits)
     if args.output:
@@ -73,6 +86,7 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     limits = _limits(args)
+    _check_outputs(args.output)
     scenario = load_scenario(args.scenario)
     try:
         horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
@@ -80,14 +94,15 @@ def cmd_bench(args) -> int:
         raise ContractViolation("--horizons expects a comma-separated integer list") from exc
     if not horizons:
         raise ContractViolation("--horizons list is empty")
-    # built before the header, so the scenario check rejects a bad horizon with nothing printed
+    # built and assembled before the header, so a bad horizon or an
+    # infeasible scenario is rejected with nothing printed
     scenarios = [scenario.with_overrides(max_steps=h) for h in horizons]
+    problems = [assemble(scn) for scn in scenarios]
     rows = []
     header = f"{'steps':>6} {'binaries':>9} {'continuous':>11} {'nodes':>6} {'gap':>8} {'time_s':>8} {'status':>11}"
     print(header)
     print("-" * len(header))
-    for h, scn in zip(horizons, scenarios):
-        problem = assemble(scn)
+    for h, scn, problem in zip(horizons, scenarios, problems):
         n_bin = len(problem.binary_indices)
         n_cont = problem.n_vars - n_bin
         t0 = time.perf_counter()
@@ -116,6 +131,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export_mip(args) -> int:
+    _check_outputs(args.output)
     scenario = load_scenario(args.scenario)
     if args.horizon is not None:
         scenario = scenario.with_overrides(max_steps=args.horizon)

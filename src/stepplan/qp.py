@@ -124,6 +124,32 @@ stacked rows in BLAS's order, so a dense call's iterates move in their last
 bits. Dense matrices stay C-ordered: a product sums in another order on an
 F-ordered copy, such as ``m[rows][:, cols]`` makes.
 
+For the same reason a call's numpy operations go through numpy's C entry
+points, not through a ufunc reduction or a Python-level wrapper, which
+cost a few times the arithmetic at these sizes. Each substitution keeps
+every bit:
+
+- a minimum or maximum is ``v[v.argmin()]`` or ``v[v.argmax()]``: the
+  entry the reduction returns, the first NaN if there is one, as the
+  reduction propagates NaN (ties differ at most in a zero's sign, and no
+  caller reads that: the ratio test compares its minimum with 0, and the
+  others take maxima of magnitudes or of positive multipliers). An empty
+  vector keeps its own branch, as ``_norm``'s 0.0;
+- an any or all test is ``np.count_nonzero`` compared with 0 or with the
+  size: a count of the same booleans;
+- ``np.dot`` and ``@`` of dense arrays are ``ndarray.dot``, which makes the
+  same BLAS call without ``np.dot``'s Python dispatcher;
+- ``round``, ``searchsorted``, ``take``, ``repeat``, ``cumsum`` and
+  ``argsort`` are the ndarray methods that fromnumeric's wrappers call;
+- a ufunc takes its output positionally, but ``np.maximum`` and
+  ``np.minimum``, for which numpy deprecates it; views that an iteration
+  reads, such as G' and the parts of the Newton weights, are made once per
+  call.
+
+``cutoff_bound`` keeps one ``np.add.reduce``: its pairwise summation
+sets the bound's bits. ``tools/ab_qp.py`` counts the calls that still go
+through those entry points, per solve and per iteration.
+
 The Newton system [[H, A'], [A, -EQ_REG I]], H = P + G_all' W G_all, is
 factored in a buffer allocated once per call, F-ordered because LAPACK
 reads it column by column; each iteration writes there what the
@@ -259,7 +285,9 @@ class QpSolution:
         had none; and whether it has every entry."""
         _, z, cols, g_rows = self._duals[:4]
         mi, n = self._ws.h.shape[0], self.x.size
-        sz = np.maximum(np.stack([self._slacks, z]), WARM_FLOOR)
+        sz = np.empty((2, z.size))
+        np.maximum(self._slacks, WARM_FLOOR, out=sz[0])
+        np.maximum(z, WARM_FLOOR, out=sz[1])
         if g_rows.size == mi and cols.size == n:  # the call's stacked rows are the workspace's
             return self.x, sz, True
         stored = np.full((2, mi + 2 * n), np.nan)
@@ -322,7 +350,7 @@ def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
     ``sum_duplicates`` and ``eliminate_zeros`` compact them in place, so a
     matrix that needs either is copied first: the caller's matrix stays as
     it was."""
-    if m.has_canonical_format and m.data.all():
+    if m.has_canonical_format and np.count_nonzero(m.data) == m.data.size:
         return m
     m = m.copy()
     m.sum_duplicates()
@@ -405,7 +433,7 @@ def _fix(rows, cols, coefs, rhs, lo, hi) -> bool:
     ref_lo, ref_hi = lo[col], hi[col]
     ref_lo[1:][same] = ref_hi[1:][same] = val[:-1][same]
     slack = FEAS_TOL * (1.0 + np.abs(val))
-    if not ((ref_lo - slack <= val) & (val <= ref_hi + slack)).all():
+    if np.count_nonzero((ref_lo - slack <= val) & (val <= ref_hi + slack)) < val.size:
         return False
     last = np.ones(col.size, dtype=bool)
     last[:-1] = ~same
@@ -426,10 +454,10 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row_of, col_of = g.nonzero()  # row by row, columns ascending
         data = g[row_of, col_of]
     else:
-        row_of, col_of, data = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices, g.data
+        row_of, col_of, data = np.arange(g.shape[0]).repeat(np.diff(g.indptr)), g.indices, g.data
     on = kept[col_of]
     row_of, col_of = row_of[on], col_of[on]
-    vals_on = np.round(data[on], 12) + 0.0  # +0.0 folds -0.0 into 0.0
+    vals_on = data[on].round(12) + 0.0  # +0.0 folds -0.0 into 0.0
     # a row takes part with two entries on, one of them nonzero
     count = np.bincount(row_of, minlength=g.shape[0])
     take = (count >= 2) & (np.bincount(row_of, vals_on != 0.0, minlength=g.shape[0]) > 0)
@@ -437,17 +465,19 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a row's negation sums to the negated row sum (rounding is symmetric),
     # so with no two opposite sums there is no pair
     sums = np.bincount(row_of, vals_on, minlength=g.shape[0])[rows]
-    ordered = np.sort(sums)
-    mates = np.searchsorted(ordered, -sums, "right") - np.searchsorted(ordered, -sums, "left")
-    if not (mates > (sums == 0.0)).any():
+    ordered = sums.copy()
+    ordered.sort()
+    mates = ordered.searchsorted(-sums, "right") - ordered.searchsorted(-sums, "left")
+    if not np.count_nonzero(mates > (sums == 0.0)):
         return none
     # each taking row's key, padded: its columns (-1 past the end), then the
     # bits of its values; the negated keys are stacked below the row keys
     entry = take[row_of]
     row_of, vals_on = row_of[entry], vals_on[entry]
-    pos = np.arange(row_of.size) - np.repeat(np.cumsum(count[rows]) - count[rows], count[rows])
-    at = np.searchsorted(rows, row_of), pos
-    width = int(count[rows].max())
+    per_row = count[rows]
+    pos = np.arange(row_of.size) - (per_row.cumsum() - per_row).repeat(per_row)
+    at = rows.searchsorted(row_of), pos
+    width = int(per_row[per_row.argmax()])
     keys = np.zeros((2 * rows.size, 2 * width), dtype=np.int64)
     keys[:, :width] = -1
     keys[at] = keys[(at[0] + rows.size, at[1])] = col_of[entry]
@@ -457,19 +487,19 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step = np.zeros(order.size, dtype=bool)
     step[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     key_of = np.empty(order.size, dtype=int)
-    key_of[order] = np.cumsum(step)
+    key_of[order] = step.cumsum()
     own, negated = key_of[: rows.size], key_of[rows.size :]
     # group ids number the keys by the first row that has them
     keys_seen, first = np.unique(own, return_index=True)
     ids = np.zeros(order.size, dtype=int)
-    ids[keys_seen[np.argsort(first)]] = np.arange(keys_seen.size)
+    ids[keys_seen[first.argsort()]] = np.arange(keys_seen.size)
     # the rows of each key, ascending, and each row's mates among them
-    members = np.argsort(own, kind="stable")
+    members = own.argsort(kind="stable")
     size = np.bincount(own, minlength=order.size)
-    start = np.cumsum(size) - size
+    start = size.cumsum() - size
     n_mates = size[negated]
-    i = np.repeat(np.arange(rows.size), n_mates)
-    j = members[np.arange(i.size) + np.repeat(start[negated] - (np.cumsum(n_mates) - n_mates), n_mates)]
+    i = np.arange(rows.size).repeat(n_mates)
+    j = members[np.arange(i.size) + (start[negated] - (n_mates.cumsum() - n_mates)).repeat(n_mates)]
     later = j > i
     i, j = i[later], j[later]
     return np.stack([rows[i], rows[j]], axis=1), np.minimum(ids[negated[i]], ids[own[i]])
@@ -579,11 +609,15 @@ def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _crossed(lo: np.ndarray, hi: np.ndarray) -> bool:
     """Whether a lower bound exceeds its upper bound beyond the presolve tolerance."""
-    return bool((lo - hi > FEAS_TOL * (1.0 + np.abs(lo))).any())
+    return bool(np.count_nonzero(lo - hi > FEAS_TOL * (1.0 + np.abs(lo))))
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.maximum.reduce(np.abs(v), initial=0.0))
+    """The largest |v_i|, 0.0 for an empty ``v`` and NaN if an entry is NaN."""
+    if not v.size:
+        return 0.0
+    mag = np.abs(v)
+    return float(mag[mag.argmax()])
 
 
 def _copy_product(m, v: np.ndarray, out: np.ndarray) -> None:
@@ -612,7 +646,7 @@ def _times(m, v: np.ndarray) -> np.ndarray:
     one (a scipy matrix or ``_Csr`` arrays) scipy's kernel adds the products
     into zeros, as ``m @ v`` does after its dispatch."""
     if isinstance(m, np.ndarray):
-        return m @ v
+        return m.dot(v)
     out = np.zeros(m.shape[0])
     _sparsetools.csr_matvec(*m.shape, m.indptr, m.indices, m.data, v, out)
     return out
@@ -624,15 +658,16 @@ def _rounding(terms: int, magnitude: float) -> float:
     A float sum of k terms errs by at most (k - 1) u times the sum of their
     magnitudes (u = 2^-53, half of ``np.finfo(float).eps``); a product
     adds u of its own. Counting 8 more terms at 2u each covers the few
-    additions that combine the sums."""
-    return float((terms + 8) * np.finfo(float).eps * magnitude)
+    additions that combine the sums. ``math.ulp(1.0)`` is that eps."""
+    return float((terms + 8) * math.ulp(1.0) * magnitude)
 
 
 def _max_step(sz: np.ndarray, dsz: np.ndarray, ratio: np.ndarray) -> float:
     """Largest step along ``dsz`` keeping the positive vector ``sz``
     nonnegative, with the ratios dsz / sz written to ``ratio``; NaN when a
     ratio is NaN, as a direction that is not finite makes it."""
-    worst = np.minimum.reduce(np.divide(dsz, sz, out=ratio))
+    np.divide(dsz, sz, ratio)
+    worst = ratio[ratio.argmin()]
     return -1.0 / worst if not worst >= 0.0 else math.inf
 
 
@@ -669,7 +704,8 @@ def _restrict(start: tuple, red: _Reduced, sz: np.ndarray) -> None:
         stored.take(rows, 1, out=sz, mode="clip")  # the rows are in range: no checked copy
     else:
         warm = stored.take(rows, 1)
-        np.copyto(sz, warm, where=~np.isnan(warm))
+        has = warm == warm  # not NaN
+        sz[has] = warm[has]
 
 
 class BoxQp:
@@ -693,12 +729,15 @@ class BoxQp:
         rows are paired as opposites on the other columns."""
         self.lo = np.asarray(lower, dtype=float)
         self.hi = np.asarray(upper, dtype=float)
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+        finite = np.count_nonzero(np.isfinite(self.lo)) + np.count_nonzero(np.isfinite(self.hi))
+        if finite < self.lo.size + self.hi.size:
             raise ContractViolation("all variable bounds must be finite")
         self.n = n = self.lo.shape[0]
         columns = np.asarray(integer_columns)
         # -1 would pin the last column and 0.5 column 0, silently
-        if columns.size and not (np.issubdtype(columns.dtype, np.integer) and 0 <= columns.min() <= columns.max() < n):
+        if columns.size and not (
+            columns.dtype.kind in "iu" and 0 <= columns[columns.argmin()] <= columns[columns.argmax()] < n
+        ):
             raise ContractViolation(f"integer_columns must be integer column indices in 0..{n - 1}")
         self.q = np.asarray(q_vector, dtype=float)
         self.h = np.asarray(h_vector, dtype=float)
@@ -715,8 +754,8 @@ class BoxQp:
         if self.sparse:
             # computed once: the G entry pairs and their bins, the entries of P and [A; G]
             self._scatter = _entry_pairs(g)
-            self._g_entries = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), g.indices.astype(np.intp)
-            self._p_entries = np.repeat(np.arange(n), np.diff(p.indptr)), p.indices, p.data
+            self._g_entries = np.arange(g.shape[0]).repeat(np.diff(g.indptr)), g.indices.astype(np.intp)
+            self._p_entries = np.arange(n).repeat(np.diff(p.indptr)), p.indices, p.data
             self._ag = sp.vstack([a, g], format="csr")
         else:
             self._ag = np.vstack([self.a, self.g])
@@ -733,14 +772,14 @@ class BoxQp:
         # the reduced linear term, which sum the same products, at any
         # fixings within the presolve tolerance of the bounds
         width = np.maximum(np.abs(self.lo), np.abs(self.hi)) + 1.0
-        magnitude = width @ (abs(p) @ width) + np.abs(self.q) @ width + abs(self.constant)
+        magnitude = width.dot(abs(p).dot(width)) + np.abs(self.q).dot(width) + abs(self.constant)
         self._fixed_slack = 2.0 * _rounding(n, magnitude)
         self._crossed = _crossed(self.lo, self.hi)
         # with two entries off the pinnable and collapsed columns in every
         # row, no fixing of pinnable columns leaves a row empty or singleton,
         # so no bound moves and the presolve tests no row
         kept = (~pinnable & self._free).astype(float)
-        self._tests_rows = bool((_times(self._nz_ag, kept) < 2.0).any())
+        self._tests_rows = bool(np.count_nonzero(_times(self._nz_ag, kept) < 2.0))
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
@@ -781,14 +820,16 @@ class BoxQp:
         if fixings:
             idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
-            if not (np.isfinite(val).all() and 0 <= idx.min() and idx.max() < self.n):
+            if not (
+                np.count_nonzero(np.isfinite(val)) == val.size and 0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n
+            ):
                 raise ContractViolation(f"fixings must pin variables 0..{self.n - 1} to finite values")
             slack = FEAS_TOL * (1.0 + np.abs(val))
-            if ((val < lo[idx] - slack) | (val > hi[idx] + slack)).any():
+            if np.count_nonzero((val < lo[idx] - slack) | (val > hi[idx] + slack)):
                 return None
             lo[idx] = hi[idx] = val
             free[idx] = False
-            tests_rows = tests_rows or not self._pinnable[idx].all()
+            tests_rows = tests_rows or np.count_nonzero(self._pinnable[idx]) < idx.size
         # only the workspace's own bounds can cross here: a fixing sets lo = hi
         if self._crossed and _crossed(lo, hi):
             return None
@@ -800,7 +841,8 @@ class BoxQp:
             live = np.ones(me + self.h.shape[0], dtype=bool)
             bound_rows, bound_coefs = np.full((2, self.n), -1), np.zeros((2, self.n))
         while True:
-            x = np.where(free, 0.0, 0.5 * (lo + hi))
+            x = 0.5 * (lo + hi)
+            x[free] = 0.0
             h = self.h - _times(self.g, x)
             b = self.b - _times(self.a, x)
             if not tests_rows:
@@ -810,9 +852,9 @@ class BoxQp:
             empty = (live & (nnz == 0.0)).nonzero()[0]
             if empty.size:
                 eq, ineq = empty[empty < me], empty[empty >= me] - me
-                if (np.abs(b[eq]) > FEAS_TOL * (1.0 + np.abs(self.b[eq]))).any() or (
+                if np.count_nonzero(np.abs(b[eq]) > FEAS_TOL * (1.0 + np.abs(self.b[eq]))) or np.count_nonzero(
                     h[ineq] < -FEAS_TOL * (1.0 + np.abs(self.h[ineq]))
-                ).any():
+                ):
                     return None
             single = (live & (nnz == 1.0)).nonzero()[0]
             live &= nnz >= 2.0
@@ -829,7 +871,7 @@ class BoxQp:
             if _crossed(lo, hi):  # a tightened bound crossed the other
                 return None
             still_free = _wide(lo, hi)
-            if np.array_equal(still_free, free):
+            if not np.count_nonzero(still_free != free):
                 break
             free = still_free  # a row pinned a variable: substitute again
         found = self._zero_width_pairs(h, free, None if live is None else live[me:])
@@ -933,12 +975,12 @@ class BoxQp:
         if kept is not None:
             ready &= kept
         live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
-        if not live.any():
+        if not np.count_nonzero(live):
             return none, none[:, 0]
         pairs, groups = self._pairs[live], self._pair_groups[live]
         h_i = rhs[pairs[:, 0]]
         width = h_i + rhs[pairs[:, 1]]
-        if (width < -FEAS_TOL * (1.0 + np.abs(h_i))).any():
+        if np.count_nonzero(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
             return None
         zero = width <= FEAS_TOL * (1.0 + np.abs(h_i))
         _, first = np.unique(groups[zero], return_index=True)
@@ -979,7 +1021,7 @@ class BoxQp:
         base = slack = 0.0
         if cutoff < math.inf:  # the objective's fixed part and its rounding allowance
             x = red.x
-            base, slack = float(0.5 * x @ red.px + self.q @ x + self.constant), self._fixed_slack
+            base, slack = float((0.5 * x).dot(red.px) + self.q.dot(x) + self.constant), self._fixed_slack
         warm = None if start is None else start._start
         xr, y, s, z, it, status, bound = _interior_point(red, cutoff - base + slack, warm)
         if status == "max-iterations" and warm is not None:  # the one status a start can worsen
@@ -1010,7 +1052,7 @@ class BoxQp:
         x = red.x.copy()
         x[red.cols] = xr
         return QpSolution(
-            x, float(0.5 * x @ _times(self.p, x) + self.q @ x + self.constant), status, iterations,
+            x, float((0.5 * x).dot(_times(self.p, x)) + self.q.dot(x) + self.constant), status, iterations,
             _ws=self,
             _duals=(y_red, z, red.cols, red.g_rows, red.eq_rows, red.pair_rows,
                     red.bound_rows, red.bound_coefs),
@@ -1080,19 +1122,25 @@ class _LuNewton:
         self.a_t, self.reg = (red.a.T.copy(), -EQ_REG * np.eye(me)) if me else (red.a.T, None)
         # G' W_G, F-ordered as g.T * w makes it (a product of another layout
         # sums in another order), G' W_G G and the bound weights
-        self.gw = np.empty((nf, red.h.size), order="F")
+        self.g_t, self.gw = red.g.T, np.empty((nf, red.h.size), order="F")
         self.block, self.bounds = np.empty((nf, nf)), np.empty(nf)
+        self.w = None  # the weights buffer last factored, whose G and bound parts ``factor`` views
 
     def factor(self, w: np.ndarray) -> bool:
-        """Factor the Newton matrix for the weights ``w``; False if it is singular."""
+        """Factor the Newton matrix for the weights ``w``; False if it is singular.
+
+        An interior point passes one buffer on every iteration, so the views
+        of its parts are made once per call."""
         red, kkt, nf, block = self.red, self.kkt, self.nf, self.block
-        k = red.h.size
+        if w is not self.w:
+            k = red.h.size
+            self.w, self.w_g, self.w_lo, self.w_hi = w, w[:k], w[k : k + nf], w[k + nf :]
         # the bound diagonal goes in after the G product: one product over
         # G_all sums in another order, and a criterion-1 relaxation whose
         # complementarity sits within rounding of the tolerance then fails
-        np.dot(np.multiply(red.g.T, w[:k], out=self.gw), red.g, out=block)
-        np.add(red.p, block, out=self.top)
-        np.add(self.diag, np.add(w[k : k + nf], w[k + nf :], out=self.bounds), out=self.diag)
+        np.multiply(self.g_t, self.w_g, self.gw).dot(red.g, block)
+        np.add(red.p, block, self.top)
+        np.add(self.diag, np.add(self.w_lo, self.w_hi, self.bounds), self.diag)
         if self.me:
             kkt[nf:, :nf] = red.a
             kkt[:nf, nf:] = self.a_t
@@ -1242,16 +1290,16 @@ class _CholeskyNewton:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[dx; dy] for the right-hand side [r_x; r_y], in the call's buffer."""
         k, nr, nf, dp, subst, coefs = self.k, self.nr, self.nf, self.dp, self.subst, self.coefs
-        r = np.take(rhs, self.order, out=self.r)
-        x_e = np.divide(r[nf:], coefs, out=self.x_e)
-        t = np.subtract(r[:nf], np.dot(x_e, self.hp, out=self.t), out=self.t)  # r_x - H x_e: H is symmetric
+        r = rhs.take(self.order, 0, self.r)
+        x_e = np.divide(r[nf:], coefs, self.x_e)
+        t = np.subtract(r[:nf], x_e.dot(self.hp, self.t), self.t)  # r_x - H x_e: H is symmetric
         # each triangular solve runs in place: every vector is a contiguous float64 view
-        du = np.dot(t[nr:], subst, out=dp[:nr])
+        du = t[nr:].dot(subst, dp[:nr])
         du += t[:nr]  # Z't
         _trtrs(k, du, lower=1, overwrite_b=1)
         _trtrs(k, du, lower=1, trans=1, overwrite_b=1)
-        np.add(np.dot(subst, du, out=dp[nr:nf]), x_e, out=dp[nr:nf])
-        dy = np.subtract(r[nr:nf], np.dot(self.hp, dp[:nf], out=dp[nf:]), out=dp[nf:])
+        np.add(subst.dot(du, dp[nr:nf]), x_e, dp[nr:nf])
+        dy = np.subtract(r[nr:nf], self.hp.dot(dp[:nf], dp[nf:]), dp[nf:])
         dy /= coefs
         self.d[self.order] = dp
         return self.d
@@ -1283,7 +1331,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     # dense products write into their buffer; a CSR product is copied there.
     # times_t(m_t, v, out) writes m'v: from a view of a dense m, from a CSR m's own arrays
     if isinstance(g, np.ndarray):
-        times, times_t, g_t, g_all_t = np.dot, np.dot, g.T, g_all.T
+        times, times_t, g_t, g_all_t = np.ndarray.dot, np.ndarray.dot, g.T, g_all.T
     else:
         times, times_t, g_t, g_all_t = _copy_product, _copy_product_t, g, g_all
     # [h_all; b; c]: one max-abs reduction gives both loop-invariant norms
@@ -1300,7 +1348,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     # [G_all x; A x], [Px; G_all'z; A'y] (the terms of r_d) and [r_p; r_e]
     # in one buffer: one max-abs reduction gives the three norms
     sums = np.empty(2 * n_p + 3 * nf)
-    abs_sums, starts = np.empty_like(sums), np.array([0, n_p, n_p + 3 * nf])
+    abs_sums, starts = np.empty(sums.size), np.array([0, n_p, n_p + 3 * nf])
     gx, ax, res = sums[:n_cone], sums[n_cone:n_p], sums[n_p + 3 * nf :]
     px, gz, ay = sums[n_p : n_p + nf], sums[n_p + nf : n_p + 2 * nf], sums[n_p + 2 * nf : n_p + 3 * nf]
     r_p, r_e = res[:n_cone], res[n_cone:]
@@ -1315,7 +1363,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     rhs = np.empty(nf + me)
     rhs_x, rhs_y = rhs[:nf], rhs[nf:]
     if start is None:
-        np.multiply(0.5, red.lo + red.hi, out=x)
+        np.multiply(0.5, red.lo + red.hi, x)
     else:
         start[0][red.cols].clip(red.lo, red.hi, out=x)  # np.clip's result, without its dispatch
     if start is None or not start[2]:  # the cold [s; z] at x, kept where the start lacks an entry
@@ -1347,22 +1395,25 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         cutoff without it, is subtracted."""
         z_g = z[:mi]
         times_t(g_t, z_g, gz_g)
-        np.add(px, c, out=r)
-        np.add(r, gz_g, out=r)
-        np.add(r, ay, out=r)
+        np.add(px, c, r)
+        np.add(r, gz_g, r)
+        np.add(r, ay, r)
+        # the pairwise sum of np.add.reduce, whose bits the bound keeps
         box = np.add.reduce(np.minimum(r * red.lo, r * red.hi, out=r))
-        bound = float(box) - float(x @ px) * 0.5 - float(z_g @ red.h) - float(y @ b)
+        bound = float(box) - float(x.dot(px)) * 0.5 - float(z_g.dot(red.h)) - float(y.dot(b))
         if not bound >= cutoff:
             return None
         abs_p, abs_x, abs_y = np.abs(p), np.abs(x), np.abs(y)
         if isinstance(g, np.ndarray):
-            abs_gz = abs(g).T @ z_g
+            abs_gz = abs(g).T.dot(z_g)
         else:  # |G|'z_G from G's arrays, as |g|.T @ z_G of its scipy matrix sums it
             abs_gz = np.empty(nf)
             _copy_product_t(g._replace(data=np.abs(g.data)), z_g, abs_gz)
-        r_abs = abs_p @ abs_x + np.abs(c) + abs_gz + np.abs(a_t) @ abs_y
+        r_abs = abs_p.dot(abs_x) + np.abs(c) + abs_gz + np.abs(a_t).dot(abs_y)
         width = np.maximum(np.abs(red.lo), np.abs(red.hi))
-        magnitude = abs_x @ (abs_p @ abs_x) + z_g @ np.abs(red.h) + abs_y @ np.abs(b) + 2.0 * (r_abs @ width)
+        magnitude = (
+            abs_x.dot(abs_p.dot(abs_x)) + z_g.dot(np.abs(red.h)) + abs_y.dot(np.abs(b)) + 2.0 * r_abs.dot(width)
+        )
         bound -= _rounding(nf + mi + me, float(magnitude))
         return bound if bound >= cutoff else None
 
@@ -1376,23 +1427,23 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     floor = 10.0 * eps
     it = 0
     for it in range(1, MAX_ITER + 1):
-        np.dot(p, x, out=px)
+        p.dot(x, px)
         times_t(g_all_t, z, gz)
-        np.add(px, c, out=r_d)
-        np.add(r_d, gz, out=r_d)
+        np.add(px, c, r_d)
+        np.add(r_d, gz, r_d)
         if me:  # r_d is never -0.0 (gz sums + z_u, z_u > 0), so adding 0.0 would change no bit
-            np.dot(a_t, y, out=ay)
-            np.add(r_d, ay, out=r_d)
+            a_t.dot(y, ay)
+            np.add(r_d, ay, r_d)
         times(g_all, x, gx)
-        np.add(gx, s, out=r_p)
-        np.subtract(r_p, h_all, out=r_p)
+        np.add(gx, s, r_p)
+        np.subtract(r_p, h_all, r_p)
         if me:
             times(a, x, ax)
-            np.subtract(ax, b, out=r_e)
-        mu = float(np.dot(s, z)) / n_cone
-        obj = 0.5 * float(np.dot(x, px)) + float(np.dot(c, x))  # scaling by 0.5 is exact
+            np.subtract(ax, b, r_e)
+        mu = float(s.dot(z)) / n_cone
+        obj = 0.5 * float(x.dot(px)) + float(c.dot(x))  # scaling by 0.5 is exact
         # residuals relative to the terms that make them up
-        norm_gax, norm_terms, prim = np.maximum.reduceat(np.abs(sums, out=abs_sums), starts).tolist()
+        norm_gax, norm_terms, prim = np.maximum.reduceat(np.abs(sums, abs_sums), starts).tolist()
         scale_p, scale_d = 1.0 + max(norm_gax, norm_hb), 1.0 + max(norm_terms, norm_c)
         gap, scale_c = mu * n_cone, 1.0 + abs(obj)
         if prim <= floor * scale_p and gap <= floor * scale_c:
@@ -1406,7 +1457,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
             return x, y, s, z, it - 1, "cutoff", bound
         if gap <= MU_FLOOR * scale_c:
             break
-        res_p, z_max = prim / scale_p, float(np.maximum.reduce(z))
+        res_p, z_max = prim / scale_p, float(z[z.argmax()])
         history.append((res_p, z_max))
         if feasible is None and len(history) > STALL_ITERS:
             old_res, old_z = history[-1 - STALL_ITERS]
@@ -1416,41 +1467,41 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
                 feasible = _feasible(red)
                 if not feasible:
                     return x, y, s, z, it - 1, "infeasible", -math.inf
-        if not system.factor(np.divide(z, s, out=weights)):
+        if not system.factor(np.divide(z, s, weights)):
             break
         # the parts of the Newton right-hand side both solves share
-        np.negative(r_d, out=neg_rd)
-        np.multiply(s, z, out=sz_prod)
-        np.multiply(z, r_p, out=z_rp)
-        np.negative(r_p, out=neg_rp)
-        np.negative(s, out=neg_s)
+        np.negative(r_d, neg_rd)
+        np.multiply(s, z, sz_prod)
+        np.multiply(z, r_p, z_rp)
+        np.negative(r_p, neg_rp)
+        np.negative(s, neg_s)
         if me:
-            np.negative(r_e, out=rhs_y)
+            np.negative(r_e, rhs_y)
 
         def newton(r_c):
             """[dx; dy] for the complementarity target ``r_c``; fills [ds; dz]."""
-            np.subtract(z_rp, r_c, out=t)
-            np.divide(t, s, out=t)
+            np.subtract(z_rp, r_c, t)
+            np.divide(t, s, t)
             times_t(g_all_t, t, rhs_x)
-            np.subtract(neg_rd, rhs_x, out=rhs_x)
+            np.subtract(neg_rd, rhs_x, rhs_x)
             d = system.solve(rhs)
             times(g_all, d[:nf], ds)  # ds = -r_p - G_all dx
-            np.subtract(neg_rp, ds, out=ds)
-            np.multiply(z, ds, out=dz)  # dz = (r_c + z ds) / (-s): the bits of (-r_c - z ds) / s
-            np.add(r_c, dz, out=dz)
-            np.divide(dz, neg_s, out=dz)
+            np.subtract(neg_rp, ds, ds)
+            np.multiply(z, ds, dz)  # dz = (r_c + z ds) / (-s): the bits of (-r_c - z ds) / s
+            np.add(r_c, dz, dz)
+            np.divide(dz, neg_s, dz)
             return d
 
         # predictor: the affine-scaling direction sets Mehrotra's centering
         newton(sz_prod)
         alpha = min(1.0, _max_step(sz, dsz, ratio))
-        np.add(sz, np.multiply(alpha, dsz, out=shifted), out=shifted)
-        mu_aff = float(np.dot(shifted_s, shifted_z)) / n_cone
+        np.add(sz, np.multiply(alpha, dsz, shifted), shifted)
+        mu_aff = float(shifted_s.dot(shifted_z)) / n_cone
         sigma = (mu_aff / mu) ** 3
         # corrector: second-order term plus centering
-        np.multiply(ds, dz, out=r_corr)
-        np.add(sz_prod, r_corr, out=r_corr)
-        d = newton(np.subtract(r_corr, sigma * mu, out=r_corr))
+        np.multiply(ds, dz, r_corr)
+        np.add(sz_prod, r_corr, r_corr)
+        d = newton(np.subtract(r_corr, sigma * mu, r_corr))
         # a fixed fraction to the boundary can cycle at small mu
         tau = min(max(0.9, 1.0 - 10.0 * mu), TAU_MAX)
         step = _max_step(sz, dsz, ratio)
@@ -1462,9 +1513,9 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         sz += alpha * dsz
     if cutoff < math.inf:
         # a loop that ran out took Px and A'y before its last step
-        np.dot(p, x, out=px)
+        p.dot(x, px)
         if me:
-            np.dot(a_t, y, out=ay)
+            a_t.dot(y, ay)
         if (bound := cutoff_bound()) is not None:
             return x, y, s, z, it, "cutoff", bound
     # iterates that stop unconverged at their accuracy floor, where further

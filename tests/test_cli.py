@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from stepplan import cli
+from stepplan import cli, qp
 from stepplan.cli import (
     EXIT_INFEASIBLE,
     EXIT_LIMITS,
@@ -239,22 +239,24 @@ def infeasible_file(scenario_file, tmp_path):
 
 class TestExitCodes:
     """Every command maps an error to the same exit code and one ``error:`` line on stderr;
-    ``quiet`` rows must print nothing on stdout."""
+    ``quiet`` rows must print nothing on stdout and solve no relaxation."""
 
     @pytest.mark.parametrize(
         "argv, code, message, quiet",
         [
             (["plan", "{infeasible}"], EXIT_INFEASIBLE, "outside every safe region", False),
-            (["bench", "{infeasible}", "--horizons", "4"], EXIT_INFEASIBLE, "outside every safe region", False),
+            (["bench", "{infeasible}", "--horizons", "4"], EXIT_INFEASIBLE, "outside every safe region", True),
             (["export-mip", "{infeasible}", "-o", "{tmp}/model.lp"], EXIT_INFEASIBLE, "outside every safe region",
              False),
-            (["plan", "{scenario}", "--chunk", "2", "-o", "{tmp}/missing/out"], EXIT_PARSE, "No such file", False),
+            # an unwritable output is found before the scenario is loaded
+            (["plan", "{scenario}", "--chunk", "2", "-o", "{tmp}/missing/out"], EXIT_PARSE, "No such file", True),
             (["bench", "{scenario}", "--horizons", "4", "--node-limit", "2", "-o", "{tmp}/missing/out"],
-             EXIT_PARSE, "No such file", False),
+             EXIT_PARSE, "No such file", True),
             (["export-mip", "{scenario}", "--horizon", "4", "-o", "{tmp}/missing/out"], EXIT_PARSE, "No such file",
-             False),
+             True),
             (["plan", "{scenario}", "--chunk", "2", "--svg", "{tmp}/missing/p.svg"], EXIT_PARSE, "No such file",
-             False),
+             True),
+            (["plan", "{scenario}", "--chunk", "2", "-o", "{tmp}"], EXIT_PARSE, "Is a directory", True),
             # a bad horizon is reported by the scenario check
             (["bench", "{scenario}", "--horizons", "5"], EXIT_PARSE,
              "max_steps (5) must be a positive multiple of n_legs (4)", True),
@@ -265,19 +267,23 @@ class TestExitCodes:
             (["plan", "{broken}"], EXIT_PARSE, "invalid JSON", True),
         ],
         ids=["plan-infeasible", "bench-infeasible", "export-infeasible", "plan-unwritable-output",
-             "bench-unwritable-output", "export-unwritable-output", "plan-unwritable-svg", "bench-bad-horizon",
-             "export-bad-horizon", "plan-chunk-too-long", "validate-missing-plan", "plan-malformed-json"],
+             "bench-unwritable-output", "export-unwritable-output", "plan-unwritable-svg", "plan-output-is-a-dir",
+             "bench-bad-horizon", "export-bad-horizon", "plan-chunk-too-long", "validate-missing-plan",
+             "plan-malformed-json"],
     )
-    def test_error_exit_code(self, scenario_file, infeasible_file, tmp_path, capsys, argv, code, message, quiet):
+    def test_error_exit_code(self, scenario_file, infeasible_file, tmp_path, capsys, monkeypatch, argv, code,
+                             message, quiet):
         broken = tmp_path / "broken.json"
         broken.write_text("{")
         paths = {"scenario": scenario_file, "infeasible": infeasible_file, "broken": broken, "tmp": tmp_path}
+        solves, solve = [], qp.BoxQp.solve
+        monkeypatch.setattr(qp.BoxQp, "solve", lambda ws, *args, **kw: solves.append(ws) or solve(ws, *args, **kw))
         assert main([arg.format(**paths) for arg in argv]) == code
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and message in errors[0]
         if quiet:
-            assert captured.out == ""
+            assert captured.out == "" and not solves
 
     def test_limits_without_a_plan(self, scenario_file, monkeypatch, capsys):
         def limited(scenario, **kwargs):

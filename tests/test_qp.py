@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1800,3 +1802,51 @@ class TestWarmStart:
         assert no_iterate.status == "cutoff"
         with pytest.raises(ContractViolation, match="warm start"):
             ws.solve(start=no_iterate)
+
+
+def numpy_wrapper_entries(run) -> collections.Counter:
+    """What ``run()`` does through numpy's slow entry points, by name: its
+    ``ufunc.reduce`` calls (a min, max, any or all reduction) and its
+    entries into ``np.dot``'s Python dispatcher and fromnumeric's wrappers."""
+    seen = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            if arg.__name__ == "reduce" and isinstance(getattr(arg, "__self__", None), np.ufunc):
+                seen["ufunc.reduce"] += 1
+        elif event == "call" and "numpy" in Path(frame.f_code.co_filename).parts:
+            name = f"{Path(frame.f_code.co_filename).name}:{frame.f_code.co_name}"
+            if name == "multiarray.py:dot" or name.startswith("fromnumeric.py:_wrap"):
+                seen[name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestNumpyEntryPoints:
+    """A warm dense solve without a cutoff, presolve, start and iterations
+    included, takes every numpy operation through a C entry point (see the
+    module docstring): it makes no ``ufunc.reduce`` call and enters neither
+    ``np.dot``'s dispatcher nor a fromnumeric wrapper."""
+
+    def test_warm_dense_solves_avoid_the_slow_entry_points(self):
+        rng = np.random.default_rng(43)
+        cases = []
+        for _ in range(8):
+            prob = criterion_1_problem(rng)
+            ws = BoxQp.from_miqp(prob)
+            assert not ws.sparse
+            bins = prob.binary_indices.tolist()
+            root, fixed = ws.solve(), ws.solve({bins[0]: 1.0})
+            cases += [(ws, root, {j: v}) for j in bins for v in (0.0, 1.0)]
+            if fixed.status == "optimal":  # a start that lacks the entries of its fixed column
+                cases += [(ws, fixed, {j: 1.0}) for j in bins[1:]]
+        sols = []
+        seen = numpy_wrapper_entries(lambda: sols.extend(ws.solve(fx, start=start) for ws, start, fx in cases))
+        assert seen == collections.Counter()
+        assert sum(sol.iterations for sol in sols) > 500
+        assert sum(not start._start[2] for _, start, _ in cases) > 0

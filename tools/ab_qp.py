@@ -32,7 +32,15 @@ that call. The same sums are printed for each call's presolve
 (``BoxQp._presolve``, the part of a solve before its interior point), run
 alone after each round's solves, to show which part of a solve a
 difference comes from. Both modules run in one process, so a drift in host speed between
-processes does not enter the ratios:
+processes does not enter the ratios.
+
+For a deterministic counter next to those ratios, the tool replays the
+calls once more through each checkout, untimed, under ``sys.setprofile``,
+and prints per solve and per interior-point iteration how often they go
+through numpy's slow entry points: ``ufunc.reduce`` calls (a min, max, any
+or all reduction; ``cutoff_bound`` keeps one ``np.add.reduce`` for its
+bits), entries into ``np.dot``'s Python dispatcher and entries into
+fromnumeric's wrappers (``_wrapfunc``, ``_wrapreduction*``):
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
     python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain hexapod_rotation
@@ -52,6 +60,7 @@ is unsound.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import importlib
 import importlib.util
@@ -168,6 +177,33 @@ def replay(modules, spaces, calls, first: int):
             workspaces[j][k]._presolve(fixings)
             presolve[j, i] = time.perf_counter() - t0
     return setup, workspaces, seconds, sols, presolve
+
+
+def entry_census(workspaces, calls) -> tuple[collections.Counter, int]:
+    """Replay ``calls`` through ``workspaces`` under ``sys.setprofile``:
+    the ``ufunc.reduce`` calls and the entries into ``np.dot``'s Python
+    dispatcher and fromnumeric's wrappers they make, and their iterations."""
+    seen, sols = collections.Counter(), []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            if arg.__name__ == "reduce" and isinstance(getattr(arg, "__self__", None), np.ufunc):
+                seen["ufunc.reduce"] += 1
+        elif event == "call" and "numpy" in Path(frame.f_code.co_filename).parts:
+            name = f"{Path(frame.f_code.co_filename).name}:{frame.f_code.co_name}"
+            if name == "multiarray.py:dot":
+                seen["np.dot dispatcher"] += 1
+            elif name.startswith("fromnumeric.py:_wrap"):
+                seen["fromnumeric wrappers"] += 1
+
+    sys.setprofile(profile)
+    try:
+        for k, fixings, cutoff, start in calls:
+            warm = None if start is None else sols[start]
+            sols.append(workspaces[k].solve(fixings=fixings, cutoff=cutoff, start=warm))
+    finally:
+        sys.setprofile(None)
+    return seen, sum(sol.iterations for sol in sols)
 
 
 def structure(ws) -> list[np.ndarray]:
@@ -288,6 +324,15 @@ def compare(label: str, run, parent, rounds: int) -> bool:
         f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}; "
         f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}"
     )
+    for name, workspaces in (("parent", ws_old), ("this", ws_new)):
+        seen, its = entry_census(workspaces, calls)
+        counts = [(key, seen[key]) for key in ("ufunc.reduce", "np.dot dispatcher", "fromnumeric wrappers")]
+        print(
+            f"entry census, {name} (untimed): per solve "
+            + ", ".join(f"{key} {count / len(calls):.2f}" for key, count in counts)
+            + "; per iteration "
+            + ", ".join(f"{key} {count / max(its, 1):.3f}" for key, count in counts)
+        )
     if differ:
         print(f"differing solutions: {how}")
     return not (differ or structures or unsound)
