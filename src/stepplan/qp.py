@@ -46,6 +46,22 @@ on iterations whose objective has reached the cutoff and before each LP,
 so a call that does not end at the cutoff returns bit for bit what it
 returns without one.
 
+A call on the LU path (below) ends, once its active set settles, at the
+solution of that set's KKT system (finite termination: Mehrotra and Ye,
+Math. Prog. 62, 1993). At each convergence test, after the cutoff test,
+it guesses the active rows of G_all as those with s < z. When the guess
+is the one of the previous test and not the last one tried, it solves
+[[P, G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y] = [-c; h_act;
+b] by one LU, with s = h_all - G_all x (0 on the active rows) and z = 0
+off them. The call ends "optimal", with ``polished`` set, if s >= 0, z >=
+0 and the point passes the loop's own convergence test (the same
+EPS_ABS and scales); otherwise, or when the system is singular, its
+iterations go on as they were. The trigger and the test have no
+parameter. The step ignores the cutoff, so a call that does not end at
+the cutoff still returns bit for bit what it returns without one. Calls
+on ``_CholeskyNewton``, every call of the bundled presets, take no such
+step: their guess settles only at their last test or two.
+
 The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
 with one free variable become bounds, and pairs of opposite rows whose
@@ -111,13 +127,15 @@ bounds makes the call infeasible.
 
 On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
-iteration into them: [x; y], [s; z] and [ds; dz] are one buffer each (one
-ratio test, one update), and [G_all x; A x], [Px; G_all'z; A'y] and [r_p;
-r_e] are three views of one buffer (one ``np.abs`` and one
-``np.maximum.reduceat`` give the three norms). Each G_all product is one
-call on the operator ``_stacked`` builds. A call without equality rows, as
-every call on a small random MIQP, skips A'y, Ax and their residual: A'y
-stays 0, and adding it to the dual residual changes no bit. Every such
+iteration into them: the iterate [x; y; s; z] and its direction [dx; dy;
+ds; dz] are one buffer each (one ratio test over [s; z], one update of
+the iterate), the Newton solve writes [dx; dy] in place, and [G_all x;
+A x], [Px; G_all'z; A'y] and [r_p; r_e] are three views of one buffer
+(one ``np.abs`` and one ``np.maximum.reduceat`` give the three norms).
+Each G_all product is one call on the operator ``_stacked`` builds. A
+call without equality rows, as every call on a small random MIQP, skips
+A'y, Ax and their residual: A'y stays 0, and adding it to the dual
+residual changes no bit. Every such
 rewrite is exact, each element coming from the same floating point
 operations in the same order, but one: a dense G_all product sums the
 stacked rows in BLAS's order, so a dense call's iterates move in their last
@@ -135,8 +153,14 @@ every bit:
   caller reads that: the ratio test compares its minimum with 0, and the
   others take maxima of magnitudes or of positive multipliers). An empty
   vector keeps its own branch, as ``_norm``'s 0.0;
-- an any or all test is ``np.count_nonzero`` compared with 0 or with the
-  size: a count of the same booleans;
+- an any or all test is the boolean array's entry at its ``argmax`` or
+  ``argmin`` (``_any``, ``_all``); ``np.count_nonzero`` is a Python
+  function in numpy 2;
+- a stacked array (a dense G_all, [-c; h_all; b], a start's rows) is
+  written into one allocated array, not made by ``np.concatenate``, whose
+  dispatcher is a Python function; ``np.full`` is ``np.empty`` and
+  ``fill``, and the warm start's clip is ``np.maximum`` then
+  ``np.minimum``, the bits of ``np.clip`` for finite entries;
 - ``np.dot`` and ``@`` of dense arrays are ``ndarray.dot``, which makes the
   same BLAS call without ``np.dot``'s Python dispatcher;
 - ``round``, ``searchsorted``, ``take``, ``repeat``, ``cumsum`` and
@@ -148,7 +172,8 @@ every bit:
 
 ``cutoff_bound`` keeps one ``np.add.reduce``: its pairwise summation
 sets the bound's bits. ``tools/ab_qp.py`` counts the calls that still go
-through those entry points, per solve and per iteration.
+through those entry points or any other Python function of numpy, per
+solve and per iteration.
 
 The Newton system [[H, A'], [A, -EQ_REG I]], H = P + G_all' W G_all, is
 factored in a buffer allocated once per call, F-ordered because LAPACK
@@ -245,7 +270,8 @@ class QpSolution:
     solve was given. A solve that ended at its cutoff has NaN ``x`` and a
     certified lower bound, at or above the cutoff, as ``objective``; an
     infeasible one has NaN ``x`` and an infinite ``objective``.
-    ``polished`` is always False: the interior point has no polish step.
+    ``polished`` is True when the active-set termination step, not the
+    interior point's own test, ended the solve (see the module docstring).
 
     ``y``, ``prim_res`` and ``dual_res`` are computed from the reduced
     multipliers the first time they are read, since branch-and-bound never
@@ -290,7 +316,7 @@ class QpSolution:
         np.maximum(z, WARM_FLOOR, out=sz[1])
         if g_rows.size == mi and cols.size == n:  # the call's stacked rows are the workspace's
             return self.x, sz, True
-        stored = np.full((2, mi + 2 * n), np.nan)
+        stored = _full((2, mi + 2 * n), np.nan)
         stored[:, _stacked_rows(g_rows, cols, mi, n)] = sz
         return self.x, stored, False
 
@@ -350,7 +376,7 @@ def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
     ``sum_duplicates`` and ``eliminate_zeros`` compact them in place, so a
     matrix that needs either is copied first: the caller's matrix stays as
     it was."""
-    if m.has_canonical_format and np.count_nonzero(m.data) == m.data.size:
+    if m.has_canonical_format and _all(m.data != 0.0):
         return m
     m = m.copy()
     m.sum_duplicates()
@@ -433,7 +459,7 @@ def _fix(rows, cols, coefs, rhs, lo, hi) -> bool:
     ref_lo, ref_hi = lo[col], hi[col]
     ref_lo[1:][same] = ref_hi[1:][same] = val[:-1][same]
     slack = FEAS_TOL * (1.0 + np.abs(val))
-    if np.count_nonzero((ref_lo - slack <= val) & (val <= ref_hi + slack)) < val.size:
+    if not _all((ref_lo - slack <= val) & (val <= ref_hi + slack)):
         return False
     last = np.ones(col.size, dtype=bool)
     last[:-1] = ~same
@@ -468,7 +494,7 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = sums.copy()
     ordered.sort()
     mates = ordered.searchsorted(-sums, "right") - ordered.searchsorted(-sums, "left")
-    if not np.count_nonzero(mates > (sums == 0.0)):
+    if not _any(mates > (sums == 0.0)):
         return none
     # each taking row's key, padded: its columns (-1 past the end), then the
     # bits of its values; the negated keys are stacked below the row keys
@@ -609,7 +635,24 @@ def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _crossed(lo: np.ndarray, hi: np.ndarray) -> bool:
     """Whether a lower bound exceeds its upper bound beyond the presolve tolerance."""
-    return bool(np.count_nonzero(lo - hi > FEAS_TOL * (1.0 + np.abs(lo))))
+    return _any(lo - hi > FEAS_TOL * (1.0 + np.abs(lo)))
+
+
+def _any(b: np.ndarray) -> bool:
+    """Whether the boolean array ``b`` has a True entry, by its first maximum."""
+    return b.size > 0 and bool(b[b.argmax()])
+
+
+def _all(b: np.ndarray) -> bool:
+    """Whether every entry of the boolean array ``b`` is True, by its first minimum."""
+    return b.size == 0 or bool(b[b.argmin()])
+
+
+def _full(shape, value: float) -> np.ndarray:
+    """``np.full(shape, value)``, without its Python-level wrapper."""
+    out = np.empty(shape)
+    out.fill(value)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -678,9 +721,15 @@ def _stacked(g, nf: int):
     adds the unit rows' terms after G's, so a CSR product gives the bits of G's
     product and the bound blocks taken apart, but for the sign of a zero."""
     if isinstance(g, np.ndarray):
-        eye = np.zeros((nf, nf))
-        eye.reshape(-1)[:: nf + 1] = 1.0  # np.eye(nf), without its slower flat iterator
-        return np.concatenate([g, -eye, eye])
+        k = g.shape[0]
+        out = np.empty((k + 2 * nf, nf))
+        out[:k] = g
+        lower, upper = out[k : k + nf], out[k + nf :]
+        lower.fill(-0.0)  # as in -np.eye(nf)
+        upper.fill(0.0)
+        lower.reshape(-1)[:: nf + 1] = -1.0
+        upper.reshape(-1)[:: nf + 1] = 1.0
+        return out
     cols, unit = np.arange(nf, dtype=g.indices.dtype), np.arange(1, 2 * nf + 1, dtype=g.indptr.dtype)
     data = np.concatenate([g.data, np.full(nf, -1.0), np.ones(nf)])
     return _Csr((g.shape[0] + 2 * nf, nf), np.concatenate([g.indptr, g.indptr[-1] + unit]),
@@ -690,7 +739,12 @@ def _stacked(g, nf: int):
 def _stacked_rows(g_rows: np.ndarray, cols: np.ndarray, mi: int, n: int) -> np.ndarray:
     """The position of each row of a call's G_all in a workspace's stacked
     rows [G; -I; I] of ``mi`` G rows and ``n`` columns."""
-    return np.concatenate([g_rows, cols + mi, cols + (mi + n)])
+    k, nf = g_rows.size, cols.size
+    out = np.empty(k + 2 * nf, dtype=np.intp)
+    out[:k] = g_rows
+    np.add(cols, mi, out[k : k + nf])
+    np.add(cols, mi + n, out[k + nf :])
+    return out
 
 
 def _restrict(start: tuple, red: _Reduced, sz: np.ndarray) -> None:
@@ -729,8 +783,7 @@ class BoxQp:
         rows are paired as opposites on the other columns."""
         self.lo = np.asarray(lower, dtype=float)
         self.hi = np.asarray(upper, dtype=float)
-        finite = np.count_nonzero(np.isfinite(self.lo)) + np.count_nonzero(np.isfinite(self.hi))
-        if finite < self.lo.size + self.hi.size:
+        if not (_all(np.isfinite(self.lo)) and _all(np.isfinite(self.hi))):
             raise ContractViolation("all variable bounds must be finite")
         self.n = n = self.lo.shape[0]
         columns = np.asarray(integer_columns)
@@ -779,7 +832,7 @@ class BoxQp:
         # row, no fixing of pinnable columns leaves a row empty or singleton,
         # so no bound moves and the presolve tests no row
         kept = (~pinnable & self._free).astype(float)
-        self._tests_rows = bool(np.count_nonzero(_times(self._nz_ag, kept) < 2.0))
+        self._tests_rows = _any(_times(self._nz_ag, kept) < 2.0)
 
     @classmethod
     def from_miqp(cls, problem: MiqpProblem) -> "BoxQp":
@@ -821,15 +874,15 @@ class BoxQp:
             idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
             if not (
-                np.count_nonzero(np.isfinite(val)) == val.size and 0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n
+                _all(np.isfinite(val)) and 0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n
             ):
                 raise ContractViolation(f"fixings must pin variables 0..{self.n - 1} to finite values")
             slack = FEAS_TOL * (1.0 + np.abs(val))
-            if np.count_nonzero((val < lo[idx] - slack) | (val > hi[idx] + slack)):
+            if _any((val < lo[idx] - slack) | (val > hi[idx] + slack)):
                 return None
             lo[idx] = hi[idx] = val
             free[idx] = False
-            tests_rows = tests_rows or np.count_nonzero(self._pinnable[idx]) < idx.size
+            tests_rows = tests_rows or not _all(self._pinnable[idx])
         # only the workspace's own bounds can cross here: a fixing sets lo = hi
         if self._crossed and _crossed(lo, hi):
             return None
@@ -852,7 +905,7 @@ class BoxQp:
             empty = (live & (nnz == 0.0)).nonzero()[0]
             if empty.size:
                 eq, ineq = empty[empty < me], empty[empty >= me] - me
-                if np.count_nonzero(np.abs(b[eq]) > FEAS_TOL * (1.0 + np.abs(self.b[eq]))) or np.count_nonzero(
+                if _any(np.abs(b[eq]) > FEAS_TOL * (1.0 + np.abs(self.b[eq]))) or _any(
                     h[ineq] < -FEAS_TOL * (1.0 + np.abs(self.h[ineq]))
                 ):
                     return None
@@ -871,7 +924,7 @@ class BoxQp:
             if _crossed(lo, hi):  # a tightened bound crossed the other
                 return None
             still_free = _wide(lo, hi)
-            if not np.count_nonzero(still_free != free):
+            if not _any(still_free != free):
                 break
             free = still_free  # a row pinned a variable: substitute again
         found = self._zero_width_pairs(h, free, None if live is None else live[me:])
@@ -975,12 +1028,12 @@ class BoxQp:
         if kept is not None:
             ready &= kept
         live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
-        if not np.count_nonzero(live):
+        if not _any(live):
             return none, none[:, 0]
         pairs, groups = self._pairs[live], self._pair_groups[live]
         h_i = rhs[pairs[:, 0]]
         width = h_i + rhs[pairs[:, 1]]
-        if np.count_nonzero(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
+        if _any(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
             return None
         zero = width <= FEAS_TOL * (1.0 + np.abs(h_i))
         _, first = np.unique(groups[zero], return_index=True)
@@ -1034,17 +1087,19 @@ class BoxQp:
             # fall below the cutoff only by its own rounding, which the
             # allowances exceed: the cutoff is a bound as well
             return self._unsolved(it, "cutoff", max(cutoff, base - slack + bound))
+        if status == "polished":
+            return self._result(red, xr, y, s, z, "optimal", it, polished=True)
         return self._result(red, xr, y, s, z, status, it)
 
     def _unsolved(self, iterations: int, status="infeasible", objective=math.inf) -> QpSolution:
         """A solution with no primal point: infeasible, or ended at the cutoff with a certified bound."""
-        sol = QpSolution(np.full(self.n, np.nan), objective, status, iterations)
+        sol = QpSolution(_full(self.n, np.nan), objective, status, iterations)
         # nothing to map back: the lazy fields are set now
         m = self.h.shape[0] + self.b.shape[0] + self.n
         vars(sol).update(y=np.zeros(m), prim_res=math.inf, dual_res=math.inf)
         return sol
 
-    def _result(self, red: _Reduced, xr, y_red, s, z, status, iterations) -> QpSolution:
+    def _result(self, red: _Reduced, xr, y_red, s, z, status, iterations, polished=False) -> QpSolution:
         """The full primal and objective; the multipliers are mapped on read.
 
         The solution keeps the reduced multipliers and the small index maps,
@@ -1053,7 +1108,7 @@ class BoxQp:
         x[red.cols] = xr
         return QpSolution(
             x, float((0.5 * x).dot(_times(self.p, x)) + self.q.dot(x) + self.constant), status, iterations,
-            _ws=self,
+            polished, _ws=self,
             _duals=(y_red, z, red.cols, red.g_rows, red.eq_rows, red.pair_rows,
                     red.bound_rows, red.bound_coefs),
             _slacks=s,
@@ -1149,8 +1204,8 @@ class _LuNewton:
         return info == 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """[dx; dy] for the right-hand side [r_x; r_y], in a new array."""
-        return _getrs(self.lu, self.piv, rhs)[0]
+        """Overwrite the right-hand side [r_x; r_y] with [dx; dy], and return it."""
+        return _getrs(self.lu, self.piv, rhs, 0, 1)[0]  # overwrite_b: solved in place
 
 
 class _CholeskyNewton:
@@ -1269,8 +1324,8 @@ class _CholeskyNewton:
         self.block = np.empty(square + me * nf)
         self.k = self.block[:square].reshape((nr, nr), order="F")  # views: factored in place
         self.hp = self.block[square:].reshape((me, nf))
-        # the right-hand side and the step in the permuted order, and the step
-        self.r, self.dp, self.d = np.empty(nf + me), np.empty(nf + me), np.empty(nf + me)
+        # the right-hand side and the step in the permuted order
+        self.r, self.dp = np.empty(nf + me), np.empty(nf + me)
         self.t, self.x_e = np.empty(nf), np.empty(me)
         self.sums, self.routed = np.empty(pairs.shape[0]), np.empty(self.route_at.size)
 
@@ -1288,7 +1343,7 @@ class _CholeskyNewton:
         return not _potrf(self.k, lower=1, clean=0, overwrite_a=1)[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """[dx; dy] for the right-hand side [r_x; r_y], in the call's buffer."""
+        """Overwrite the right-hand side [r_x; r_y] with [dx; dy], and return it."""
         k, nr, nf, dp, subst, coefs = self.k, self.nr, self.nf, self.dp, self.subst, self.coefs
         r = rhs.take(self.order, 0, self.r)
         x_e = np.divide(r[nf:], coefs, self.x_e)
@@ -1301,8 +1356,8 @@ class _CholeskyNewton:
         np.add(subst.dot(du, dp[nr:nf]), x_e, dp[nr:nf])
         dy = np.subtract(r[nr:nf], self.hp.dot(dp[:nf], dp[nf:]), dp[nf:])
         dy /= coefs
-        self.d[self.order] = dp
-        return self.d
+        rhs[self.order] = dp
+        return rhs
 
 
 def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
@@ -1312,21 +1367,25 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     The inequality rows and both sides of the variable bounds form one
     stacked system  G_all x + s = h_all, that is  Gx + s = h,  -x + s_l = -lo
     and  x + s_u = hi,  with slacks s >= 0 and multipliers z >= 0. The
-    buffers ([x; y], [s; z], [ds; dz], the products, residuals, Newton
-    weights and complementarity targets) are allocated once per call and
-    written in place, so the views into them made before the loop stay
-    valid. Infeasibility is left to the HiGHS LP, run at most once: at a
-    stall, or when the iterates do not converge. Before either, and on each
-    iteration whose objective has reached ``cutoff``, the call ends with
-    status "cutoff" if the certified lower bound (``cutoff_bound``) has
-    reached it too. Iterates that do not converge end "optimal" at their
-    best iterate, before the LP, when it lies within their accuracy floor
-    (see the module docstring). Returns ``(x, y, s, z, iterations, status,
-    bound)``, with that bound for a cutoff and -inf otherwise.
+    buffers (the iterate [x; y; s; z], its direction, the products,
+    residuals, Newton weights and complementarity targets) are allocated
+    once per call and written in place, so the views into them made before
+    the loop stay valid. Infeasibility is left to the HiGHS LP, run at most
+    once: at a stall, or when the iterates do not converge. Before either,
+    and on each iteration whose objective has reached ``cutoff``, the call
+    ends with status "cutoff" if the certified lower bound
+    (``cutoff_bound``) has reached it too. A call on the LU path then tries
+    the active-set termination step (``polish``), and ends with status
+    "polished" if it succeeds. Iterates that do not converge end "optimal"
+    at their best iterate, before the LP, when it lies within their
+    accuracy floor (see the module docstring). Returns ``(x, y, s, z,
+    iterations, status, bound)``, with that bound for a cutoff and -inf
+    otherwise.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
     n_cone = mi + 2 * nf
+    n_xy, n_p = nf + me, n_cone + me
     g_all = _stacked(g, nf)
     # dense products write into their buffer; a CSR product is copied there.
     # times_t(m_t, v, out) writes m'v: from a view of a dense m, from a CSR m's own arrays
@@ -1334,38 +1393,75 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         times, times_t, g_t, g_all_t = np.ndarray.dot, np.ndarray.dot, g.T, g_all.T
     else:
         times, times_t, g_t, g_all_t = _copy_product, _copy_product_t, g, g_all
-    # [h_all; b; c]: one max-abs reduction gives both loop-invariant norms
-    hbc = np.concatenate([red.h, -red.lo, red.hi, b, c])
-    n_p = n_cone + me
-    h_all = hbc[:n_cone]
-    norm_hb, norm_c = np.maximum.reduceat(np.abs(hbc), [0, n_p]).tolist()
-    xy = np.zeros(nf + me)
-    x, y = xy[:nf], xy[nf:]
-    sz = np.empty(2 * n_cone)
-    s, z = sz[:n_cone], sz[n_cone:]
-    dsz = np.empty(2 * n_cone)
-    ds, dz = dsz[:n_cone], dsz[n_cone:]
-    # [G_all x; A x], [Px; G_all'z; A'y] (the terms of r_d) and [r_p; r_e]
-    # in one buffer: one max-abs reduction gives the three norms
-    sums = np.empty(2 * n_p + 3 * nf)
-    abs_sums, starts = np.empty(sums.size), np.array([0, n_p, n_p + 3 * nf])
-    gx, ax, res = sums[:n_cone], sums[n_cone:n_p], sums[n_p + 3 * nf :]
-    px, gz, ay = sums[n_p : n_p + nf], sums[n_p + nf : n_p + 2 * nf], sums[n_p + 2 * nf : n_p + 3 * nf]
-    r_p, r_e = res[:n_cone], res[n_cone:]
-    if not me:  # A'y of no rows; a call without them skips all equality-row work
-        ay.fill(0.0)
+    # [-c; h_all; b], the right-hand side of the KKT system ``polish`` solves:
+    # one max-abs reduction gives both loop-invariant norms
+    kkt_rhs = np.empty(nf + n_p)
+    h_all = kkt_rhs[nf : nf + n_cone]
+    np.negative(c, kkt_rhs[:nf])
+    h_all[:mi] = red.h
+    np.negative(red.lo, h_all[mi : mi + nf])
+    h_all[mi + nf :] = red.hi
+    kkt_rhs[nf + n_cone :] = b
+    norm_c, norm_hb = np.maximum.reduceat(np.abs(kkt_rhs), [0, nf]).tolist()
+
+    def iterate() -> tuple:
+        """Buffers for an iterate [x; y; s; z] and its measures, as views:
+        the iterate, x, y, s, z; then [G_all x; A x], [Px; G_all'z; A'y]
+        (the terms of r_d) and [r_p; r_e] in one buffer, so that one max-abs
+        reduction gives the three norms, with its views gx, ax, px, gz, ay,
+        r_p and r_e; then r_d."""
+        state, sums = np.zeros(n_xy + 2 * n_cone), np.empty(2 * n_p + 3 * nf)
+        ay, res = sums[n_p + 2 * nf : n_p + 3 * nf], sums[n_p + 3 * nf :]
+        if not me:  # A'y of no rows; a call without them skips all equality-row work
+            ay.fill(0.0)
+        return (
+            state, state[:nf], state[nf:n_xy], state[n_xy : n_xy + n_cone], state[n_xy + n_cone :],
+            sums, sums[:n_cone], sums[n_cone:n_p], sums[n_p : n_p + nf], sums[n_p + nf : n_p + 2 * nf], ay,
+            res[:n_cone], res[n_cone:], np.empty(nf),
+        )
+
+    abs_sums, starts = np.empty(2 * n_p + 3 * nf), np.array([0, n_p, n_p + 3 * nf])
+
+    def measure(point: tuple) -> tuple:
+        """Write the products and residuals of the ``iterate()`` buffers
+        ``point``; return mu, the objective, the primal residual's norm and
+        the primal, dual and complementarity scales."""
+        _, x, y, s, z, sums, gx, ax, px, gz, ay, r_p, r_e, r_d = point
+        p.dot(x, px)
+        times_t(g_all_t, z, gz)
+        np.add(px, c, r_d)
+        np.add(r_d, gz, r_d)
+        if me:  # r_d is never -0.0 (gz sums + z_u, z_u > 0), so adding 0.0 would change no bit
+            a_t.dot(y, ay)
+            np.add(r_d, ay, r_d)
+        times(g_all, x, gx)
+        np.add(gx, s, r_p)
+        np.subtract(r_p, h_all, r_p)
+        if me:
+            times(a, x, ax)
+            np.subtract(ax, b, r_e)
+        mu = float(s.dot(z)) / n_cone
+        obj = 0.5 * float(x.dot(px)) + float(c.dot(x))  # scaling by 0.5 is exact
+        # residuals relative to the terms that make them up
+        norm_gax, norm_terms, prim = np.maximum.reduceat(np.abs(sums, abs_sums), starts).tolist()
+        return mu, obj, prim, 1.0 + max(norm_gax, norm_hb), 1.0 + max(norm_terms, norm_c), 1.0 + abs(obj)
+
+    own = iterate()
+    state, x, y, s, z, _, gx, _, px, _, ay, r_p, r_e, r_d = own
+    sz = state[n_xy:]
+    direction = np.empty(state.size)  # [dx; dy; ds; dz]
+    dxy, dx, dy = direction[:n_xy], direction[:nf], direction[nf:n_xy]
+    dsz, ds, dz = direction[n_xy:], direction[n_xy : n_xy + n_cone], direction[n_xy + n_cone :]
     neg_rp, neg_s, t = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
-    r_d, neg_rd = np.empty(nf), np.empty(nf)
+    neg_rd = np.empty(nf)
     # s * z, z * r_p, z / s and the corrector's r_c
     sz_prod, z_rp, weights, r_corr = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
     shifted, ratio = np.empty(2 * n_cone), np.empty(2 * n_cone)  # sz + alpha * dsz, dsz / sz
     shifted_s, shifted_z = shifted[:n_cone], shifted[n_cone:]
-    rhs = np.empty(nf + me)
-    rhs_x, rhs_y = rhs[:nf], rhs[nf:]
     if start is None:
         np.multiply(0.5, red.lo + red.hi, x)
-    else:
-        start[0][red.cols].clip(red.lo, red.hi, out=x)  # np.clip's result, without its dispatch
+    else:  # np.clip's result, without its Python-level wrapper
+        np.minimum(np.maximum(start[0][red.cols], red.lo, out=x), red.hi, out=x)
     if start is None or not start[2]:  # the cold [s; z] at x, kept where the start lacks an entry
         z.fill(1.0)
         times(g_all, x, gx)
@@ -1417,44 +1513,94 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         bound -= _rounding(nf + mi + me, float(magnitude))
         return bound if bound >= cutoff else None
 
+    def newton(r_c):
+        """[dx; dy; ds; dz] into ``direction`` for the complementarity target ``r_c``."""
+        np.subtract(z_rp, r_c, t)
+        np.divide(t, s, t)
+        times_t(g_all_t, t, dx)
+        np.subtract(neg_rd, dx, dx)
+        if me:
+            np.negative(r_e, dy)
+        system.solve(dxy)
+        times(g_all, dx, ds)  # ds = -r_p - G_all dx
+        np.subtract(neg_rp, ds, ds)
+        np.multiply(z, ds, dz)  # dz = (r_c + z ds) / (-s): the bits of (-r_c - z ds) / s
+        np.add(r_c, dz, dz)
+        np.divide(dz, neg_s, dz)
+
+    eps = EPS_ABS
+    kkt = keep = trial = None  # the polish's KKT matrix, row mask and iterate, made at its first try
+
+    def polish(active: np.ndarray) -> bool:
+        """Whether the point that solves the KKT system of the G_all rows
+        ``active`` (a mask) passes the loop's own convergence test; the
+        point is left in ``trial``.
+
+        The system [[P, G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y]
+        = [-c; h_act; b] is the restriction of the call's whole KKT system,
+        whose transpose ``kkt`` holds (P' where P belongs), built at the
+        first try. The point has s = h_all - G_all x, 0 on the active rows,
+        and z = 0 off them; it must have s >= 0 and z >= 0, and is rejected
+        when LAPACK finds the system singular."""
+        nonlocal kkt, keep, trial
+        if kkt is None:
+            kkt = np.zeros((nf + n_p, nf + n_p))
+            kkt[:nf, :nf] = p.T
+            kkt[:nf, nf : nf + n_cone] = g_all.T
+            kkt[nf : nf + n_cone, :nf] = g_all
+            if me:
+                kkt[:nf, nf + n_cone :] = a_t
+                kkt[nf + n_cone :, :nf] = a
+            keep, trial = np.zeros(nf + n_p, dtype=bool), iterate()
+            keep[:nf] = keep[nf + n_cone :] = True  # x and the equality rows, with the guess between
+        keep[nf : nf + n_cone] = active
+        point = _active_set_point(kkt, kkt_rhs, keep)
+        if point is None:
+            return False
+        _, x_t, y_t, s_t, z_t, *_, r_d_t = trial
+        on = active.nonzero()[0]
+        z_on = point[nf : point.size - me]
+        x_t[...], y_t[...] = point[:nf], point[point.size - me :]
+        z_t.fill(0.0)
+        z_t[on] = z_on
+        times(g_all, x_t, s_t)
+        np.subtract(h_all, s_t, s_t)
+        s_t[on] = 0.0
+        # a NaN is the first minimum, and fails the test
+        if not (s_t[s_t.argmin()] >= 0.0 and (not z_on.size or z_on[z_on.argmin()] >= 0.0)):
+            return False
+        mu, _, prim, scale_p, scale_d, scale_c = measure(trial)
+        return prim <= eps * scale_p and _norm(r_d_t) <= eps * scale_d and mu * n_cone <= eps * scale_c
+
     feasible = None  # the LP's verdict, once it has run
     # the iterate nearest convergence among those whose primal residual and
     # complementarity are within 10 times the tolerance: its worst relative
-    # measure, [x; y] and [s; z]
-    best = (math.inf, None, None)
+    # measure and [x; y; s; z]
+    best = (math.inf, None)
     history = []  # relative primal residual and largest multiplier per iteration
-    eps = EPS_ABS
     floor = 10.0 * eps
+    # the active-set guess s < z, and the bytes of the last evaluation's guess and of the last one tried
+    polishing, guess, last, tried = red.newton is None, np.empty(n_cone, dtype=bool), None, None
     it = 0
     for it in range(1, MAX_ITER + 1):
-        p.dot(x, px)
-        times_t(g_all_t, z, gz)
-        np.add(px, c, r_d)
-        np.add(r_d, gz, r_d)
-        if me:  # r_d is never -0.0 (gz sums + z_u, z_u > 0), so adding 0.0 would change no bit
-            a_t.dot(y, ay)
-            np.add(r_d, ay, r_d)
-        times(g_all, x, gx)
-        np.add(gx, s, r_p)
-        np.subtract(r_p, h_all, r_p)
-        if me:
-            times(a, x, ax)
-            np.subtract(ax, b, r_e)
-        mu = float(s.dot(z)) / n_cone
-        obj = 0.5 * float(x.dot(px)) + float(c.dot(x))  # scaling by 0.5 is exact
-        # residuals relative to the terms that make them up
-        norm_gax, norm_terms, prim = np.maximum.reduceat(np.abs(sums, abs_sums), starts).tolist()
-        scale_p, scale_d = 1.0 + max(norm_gax, norm_hb), 1.0 + max(norm_terms, norm_c)
-        gap, scale_c = mu * n_cone, 1.0 + abs(obj)
+        mu, obj, prim, scale_p, scale_d, scale_c = measure(own)
+        gap = mu * n_cone
         if prim <= floor * scale_p and gap <= floor * scale_c:
             dual = _norm(r_d)
             if prim <= eps * scale_p and dual <= eps * scale_d and gap <= eps * scale_c:
                 return x, y, s, z, it - 1, "optimal", -math.inf
             worst = max(prim / scale_p, dual / scale_d, gap / scale_c)
             if worst < best[0]:
-                best = worst, xy.copy(), sz.copy()
+                best = worst, state.copy()
         if obj >= cutoff and (bound := cutoff_bound()) is not None:
             return x, y, s, z, it - 1, "cutoff", bound
+        if polishing:
+            key = np.less(s, z, guess).tobytes()
+            if key == last and key != tried:
+                tried = key
+                if polish(guess):
+                    return *trial[1:5], it - 1, "polished", -math.inf
+            last = key
         if gap <= MU_FLOOR * scale_c:
             break
         res_p, z_max = prim / scale_p, float(z[z.argmax()])
@@ -1475,23 +1621,6 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         np.multiply(z, r_p, z_rp)
         np.negative(r_p, neg_rp)
         np.negative(s, neg_s)
-        if me:
-            np.negative(r_e, rhs_y)
-
-        def newton(r_c):
-            """[dx; dy] for the complementarity target ``r_c``; fills [ds; dz]."""
-            np.subtract(z_rp, r_c, t)
-            np.divide(t, s, t)
-            times_t(g_all_t, t, rhs_x)
-            np.subtract(neg_rd, rhs_x, rhs_x)
-            d = system.solve(rhs)
-            times(g_all, d[:nf], ds)  # ds = -r_p - G_all dx
-            np.subtract(neg_rp, ds, ds)
-            np.multiply(z, ds, dz)  # dz = (r_c + z ds) / (-s): the bits of (-r_c - z ds) / s
-            np.add(r_c, dz, dz)
-            np.divide(dz, neg_s, dz)
-            return d
-
         # predictor: the affine-scaling direction sets Mehrotra's centering
         newton(sz_prod)
         alpha = min(1.0, _max_step(sz, dsz, ratio))
@@ -1501,7 +1630,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         # corrector: second-order term plus centering
         np.multiply(ds, dz, r_corr)
         np.add(sz_prod, r_corr, r_corr)
-        d = newton(np.subtract(r_corr, sigma * mu, r_corr))
+        newton(np.subtract(r_corr, sigma * mu, r_corr))
         # a fixed fraction to the boundary can cycle at small mu
         tau = min(max(0.9, 1.0 - 10.0 * mu), TAU_MAX)
         step = _max_step(sz, dsz, ratio)
@@ -1509,8 +1638,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         # a dx that is not finite makes a ratio NaN, or -inf and the step 0
         if not (alpha > 1e-12 and not math.isnan(step)):
             break
-        xy += alpha * d
-        sz += alpha * dsz
+        np.add(state, np.multiply(alpha, direction, direction), state)
     if cutoff < math.inf:
         # a loop that ran out took Px and A'y before its last step
         p.dot(x, px)
@@ -1521,11 +1649,25 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     # iterates that stop unconverged at their accuracy floor, where further
     # steps only degrade the residuals, return the best one
     if best[0] <= floor:
-        _, xy, sz = best
+        xy, sz = best[1][:n_xy], best[1][n_xy:]
         return xy[:nf], xy[nf:], sz[:n_cone], sz[n_cone:], it, "optimal", -math.inf
     if feasible is None:
         feasible = _feasible(red)
     return x, y, s, z, it, "max-iterations" if feasible else "infeasible", -math.inf
+
+
+def _active_set_point(kkt: np.ndarray, rhs: np.ndarray, keep: np.ndarray) -> np.ndarray | None:
+    """The solution of the rows and columns ``keep`` (a mask) of the KKT
+    system ``kkt`` v = ``rhs``, or None if LAPACK finds them singular.
+
+    ``kkt`` is C-ordered and holds the transpose of the system: the
+    restriction, taken by one ``take`` per axis, is factored in place
+    through its F-ordered transpose, which is the restricted system."""
+    rows = keep.nonzero()[0]
+    lu, piv, info = _getrf(kkt.take(rows, 0).take(rows, 1).T, 1)  # overwrite_a
+    if info:
+        return None
+    return _getrs(lu, piv, rhs.take(rows), 0, 1)[0]  # overwrite_b
 
 
 def _feasible(red: _Reduced) -> bool:

@@ -336,21 +336,29 @@ def slsqp_reference(prob, fixings, start=None):
     return res.fun
 
 
+def relaxation_optimum(prob, fixings) -> float:
+    """The optimum of the relaxation with ``fixings`` pinned, with no BoxQp:
+    HiGHS decides whether the fixings leave it feasible, and SLSQP solves
+    it from the LP's point; inf if they do not."""
+    lo, hi = prob.lower.copy(), prob.upper.copy()
+    for i, value in fixings.items():
+        lo[i] = hi[i] = value
+    lp = linprog(
+        np.zeros(prob.n_vars), A_ub=prob.a_ineq.toarray(), b_ub=prob.b_ineq, bounds=list(zip(lo, hi)), method="highs"
+    )
+    assert lp.status in (0, 2)  # solved, or infeasible
+    return slsqp_reference(prob, fixings, lp.x) if lp.status == 0 else math.inf
+
+
 def enumerated_optimum(prob) -> float:
-    """The MIQP's optimum by enumeration, with no BoxQp: for each binary
-    pattern HiGHS decides whether the pattern is feasible, and SLSQP solves
-    its QP from the LP's point; inf if no pattern is."""
-    a, bins = prob.a_ineq.toarray(), prob.binary_indices.tolist()
-    best = math.inf
-    for pattern in itertools.product((0.0, 1.0), repeat=len(bins)):
-        fixings = dict(zip(bins, pattern))
-        lo, hi = prob.lower.copy(), prob.upper.copy()
-        lo[bins] = hi[bins] = pattern
-        lp = linprog(np.zeros(prob.n_vars), A_ub=a, b_ub=prob.b_ineq, bounds=list(zip(lo, hi)), method="highs")
-        assert lp.status in (0, 2)  # solved, or infeasible
-        if lp.status == 0:
-            best = min(best, slsqp_reference(prob, fixings, lp.x))
-    return best
+    """The MIQP's optimum by enumeration, with no BoxQp: the least
+    ``relaxation_optimum`` over the binary patterns; inf if no pattern is
+    feasible."""
+    bins = prob.binary_indices.tolist()
+    return min(
+        relaxation_optimum(prob, dict(zip(bins, pattern)))
+        for pattern in itertools.product((0.0, 1.0), repeat=len(bins))
+    )
 
 
 class TestEngineFreeOracle:
@@ -451,9 +459,13 @@ class TestCutoffPruning:
     def test_unconverged_trees_prune_on_certified_bounds(self, monkeypatch):
         # 7 iterations leave many relaxations unconverged, warm-started ones
         # included, and still find incumbents, so relaxations end at the
-        # cutoff from unconverged iterates
+        # cutoff from unconverged iterates. A flat column keeps every call
+        # from ending at an active-set solve, which most of them reach
+        # within 7 iterations
+        from test_qp import with_flat_column
+
         rng = np.random.default_rng(2024)
-        problems = [random_instance(rng, 10, 8, 8) for _ in range(30)]
+        problems = [with_flat_column(random_instance(rng, 10, 8, 8)) for _ in range(30)]
         with monkeypatch.context() as m:
             m.setattr(qp, "MAX_ITER", 7)
             trees = [bnb._Tree(prob, MiqpLimits()) for prob in problems]
@@ -475,11 +487,14 @@ class TestCutoffPruning:
 
 class TestUnconvergedRoot:
     def test_root_at_max_iterations_is_pushed_without_a_bound(self, monkeypatch):
-        # 3 iterations leave every root unconverged. Its objective is that of
-        # an inexact iterate, not a bound: pushed on it, the 24th draw's root
-        # closed its tree 0.037 above the optimum
+        # 3 iterations leave every root unconverged, with a flat column that
+        # keeps it from ending at an active-set solve. Its objective is that
+        # of an inexact iterate, not a bound: pushed on it, the 24th draw's
+        # root closed its tree 0.037 above the optimum
+        from test_qp import with_flat_column
+
         rng = np.random.default_rng(1)
-        problems = [random_instance(rng, 10, 8, 8) for _ in range(24)]
+        problems = [with_flat_column(random_instance(rng, 10, 8, 8)) for _ in range(24)]
         optima = [brute_force_solve(prob) for prob in problems]
         real = BoxQp.solve
         first = []

@@ -21,9 +21,10 @@ objective must not lie below that bound by more than ``BOUND_TOL`` relative.
 The parent solves those calls once more without a cutoff for this, on the
 first round and untimed. The tool prints the number of cutoff solves, the
 unsound ones and the smallest relative margin of a parent objective over its
-bound, the number of warm calls, and the ratio of this checkout's total
+bound, the number of warm calls, the ratio of this checkout's total
 interior-point iterations to the parent's (a warm call's cold retry
-included). It also prints the median over rounds of this checkout's set-up
+included), and how many solves of each checkout ended at an active-set
+solve (``QpSolution.polished``). It also prints the median over rounds of this checkout's set-up
 time and solve time over the parent's, and, for each checkout, the sum over
 workspaces and over calls of each one's minimum time across rounds, with the
 ratio of those sums: a per-round ratio moves by several percent with the
@@ -39,8 +40,9 @@ calls once more through each checkout, untimed, under ``sys.setprofile``,
 and prints per solve and per interior-point iteration how often they go
 through numpy's slow entry points: ``ufunc.reduce`` calls (a min, max, any
 or all reduction; ``cutoff_bound`` keeps one ``np.add.reduce`` for its
-bits), entries into ``np.dot``'s Python dispatcher and entries into
-fromnumeric's wrappers (``_wrapfunc``, ``_wrapreduction*``):
+bits) and calls of any Python function under ``numpy/``, such as the
+dispatchers of ``np.dot`` and ``np.concatenate``, ``np.count_nonzero`` or
+fromnumeric's wrappers, with the functions called most:
 
     python tools/ab_qp.py ../parent-checkout --seed 1 --rounds 7
     python tools/ab_qp.py ../parent-checkout --preset quadruped_tilted_terrain hexapod_rotation
@@ -179,22 +181,19 @@ def replay(modules, spaces, calls, first: int):
     return setup, workspaces, seconds, sols, presolve
 
 
-def entry_census(workspaces, calls) -> tuple[collections.Counter, int]:
+def entry_census(workspaces, calls) -> tuple[collections.Counter, collections.Counter, int]:
     """Replay ``calls`` through ``workspaces`` under ``sys.setprofile``:
-    the ``ufunc.reduce`` calls and the entries into ``np.dot``'s Python
-    dispatcher and fromnumeric's wrappers they make, and their iterations."""
-    seen, sols = collections.Counter(), []
+    the ``ufunc.reduce`` calls they make, the calls of Python functions
+    under ``numpy/`` by name, and their iterations."""
+    seen, numpy_calls, sols = collections.Counter(), collections.Counter(), []
 
     def profile(frame, event, arg):
         if event == "c_call":
             if arg.__name__ == "reduce" and isinstance(getattr(arg, "__self__", None), np.ufunc):
                 seen["ufunc.reduce"] += 1
         elif event == "call" and "numpy" in Path(frame.f_code.co_filename).parts:
-            name = f"{Path(frame.f_code.co_filename).name}:{frame.f_code.co_name}"
-            if name == "multiarray.py:dot":
-                seen["np.dot dispatcher"] += 1
-            elif name.startswith("fromnumeric.py:_wrap"):
-                seen["fromnumeric wrappers"] += 1
+            seen["numpy Python calls"] += 1
+            numpy_calls[f"{Path(frame.f_code.co_filename).name}:{frame.f_code.co_name}"] += 1
 
     sys.setprofile(profile)
     try:
@@ -203,7 +202,7 @@ def entry_census(workspaces, calls) -> tuple[collections.Counter, int]:
             sols.append(workspaces[k].solve(fixings=fixings, cutoff=cutoff, start=warm))
     finally:
         sys.setprofile(None)
-    return seen, sum(sol.iterations for sol in sols)
+    return seen, numpy_calls, sum(sol.iterations for sol in sols)
 
 
 def structure(ws) -> list[np.ndarray]:
@@ -292,6 +291,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             unsound = sum(m < -BOUND_TOL for m in margins)
             margin = min(margins, default=math.inf)
             iterations = [sum(sol.iterations for sol in sols) for sols in (old, new)]
+            polished = [sum(sol.polished for sol in sols) for sols in (old, new)]
         differing = sum(not same(a, b) for a, b in zip(old, new))
         if differing > differ:
             differ, how = differing, differences(old, new)
@@ -322,16 +322,19 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     )
     print(
         f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}; "
-        f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}"
+        f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}; "
+        f"polished solves parent {polished[0]}, this {polished[1]}"
     )
     for name, workspaces in (("parent", ws_old), ("this", ws_new)):
-        seen, its = entry_census(workspaces, calls)
-        counts = [(key, seen[key]) for key in ("ufunc.reduce", "np.dot dispatcher", "fromnumeric wrappers")]
+        seen, numpy_calls, its = entry_census(workspaces, calls)
+        counts = [(key, seen[key]) for key in ("ufunc.reduce", "numpy Python calls")]
         print(
             f"entry census, {name} (untimed): per solve "
             + ", ".join(f"{key} {count / len(calls):.2f}" for key, count in counts)
             + "; per iteration "
             + ", ".join(f"{key} {count / max(its, 1):.3f}" for key, count in counts)
+            + "; most called, per solve: "
+            + ", ".join(f"{fn} {count / len(calls):.2f}" for fn, count in numpy_calls.most_common(3))
         )
     if differ:
         print(f"differing solutions: {how}")

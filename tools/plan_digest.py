@@ -3,8 +3,9 @@
 
 For each bundled preset, planned at default ``plan()`` limits, it prints the
 number of plan steps, the chunk statuses, the node count of each chunk, the
-number of ``BoxQp.solve`` calls, their total interior-point iterations and
-how many ended at the incumbent cutoff (status "cutoff"), the total
+number of ``BoxQp.solve`` calls, their total interior-point iterations, how
+many ended at the incumbent cutoff (status "cutoff") and how many at an
+active-set solve (``QpSolution.polished``), the total
 ``MiqpSolution.refix_solves`` of its chunks (the relaxations the incumbent
 path asked for), how many calls were warm-started and how many of those were solved again cold
 (their warm interior point ended "max-iterations"), the equality rows the
@@ -26,11 +27,11 @@ every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
 order), so a change to the load path that moves a box shows even when no plan
 moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
 benchmark workload on the batch of that seed and prints the total node
-count, the solve, iteration, cutoff, refix, warm and retry counts and the
-sha256 of every solution ``x`` (bytes in batch order). Run it from the
-repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, refix, warm, retry, eliminated and dense counts may
-differ between two commits that keep every plan:
+count, the solve, iteration, cutoff, polished, refix, warm and retry counts
+and the sha256 of every solution ``x`` (bytes in batch order). Run it from
+the repository root on two commits and compare the outputs; only the solve,
+iteration, cutoff, polished, refix, warm, retry, eliminated and dense counts
+may differ between two commits that keep every plan:
 
     python tools/plan_digest.py --tree-seed 1 2 3
 """
@@ -145,13 +146,15 @@ def recorded_solves():
 
 def solve_counts(solves: Solves, results) -> str:
     """The number of solves, their total iterations, how many ended at the
-    cutoff, the total ``refix_solves`` of the ``MiqpSolution`` results, and
-    the warm-started solves and cold retries."""
+    cutoff and how many at an active-set solve, the total ``refix_solves``
+    of the ``MiqpSolution`` results, and the warm-started solves and cold
+    retries."""
     sols = solves.solutions
     cutoffs = sum(sol.status == "cutoff" for sol in sols)
     return (
         f"solves={len(sols)} iterations={sum(sol.iterations for sol in sols)} cutoffs={cutoffs} "
-        f"refix={sum(r.refix_solves for r in results)} warm={solves.warm} retries={solves.retries}"
+        f"polished={sum(sol.polished for sol in sols)} refix={sum(r.refix_solves for r in results)} "
+        f"warm={solves.warm} retries={solves.retries}"
     )
 
 
