@@ -19,14 +19,15 @@ ends early with status "cutoff": a child that ends so is pruned like an
 infeasible one, and a rounding candidate that ends so cannot beat the
 incumbent. Incumbents come from one path: a rounding hook turns a relaxed
 ``x`` under a node's fixings into complete candidates (every free binary
-fixed), and each is relaxed, snapped to exact 0/1 binaries and kept if it
-beats the incumbent. A model-aware hook may be given; the generic rule
-(argmax within choice groups, threshold elsewhere) is the default. The path
-rounds every relaxation the tree pushes: the root's and each child's that
-is not pruned, fractional or integral. Everything is
-deterministic: identical problems and limits reproduce identical node
-counts and solutions (time limits excepted). A brute-force enumerator over
-all binary patterns serves as the testing oracle for small instances.
+fixed to 0 or 1, or the solve raises ContractViolation), and each is
+relaxed, snapped to exact 0/1 binaries and kept if it beats the incumbent.
+A model-aware hook may be given; the generic rule (argmax within choice
+groups, threshold elsewhere) is the default. The path rounds every
+relaxation the tree pushes: the root's and each child's that is not
+pruned, fractional or integral. Everything is deterministic: identical
+problems and limits reproduce identical node counts and solutions (time
+limits excepted). A brute-force enumerator over all binary patterns serves
+as the testing oracle for small instances.
 """
 
 from __future__ import annotations
@@ -213,8 +214,12 @@ class _Tree:
 
     def incumbent(self, x: np.ndarray, fixings: dict[int, float]) -> None:
         """Relax each candidate the rounding hook gives for ``x`` under
-        ``fixings``, snap it and keep it if it beats the incumbent."""
+        ``fixings``, snap it and keep it if it beats the incumbent. A
+        candidate that leaves a free binary unpinned, or pins one off 0 and
+        1, relaxes to no integral point: it is a ContractViolation."""
         for cand in self.rounding(x, fixings):
+            if not all(cand.get(i) in (0.0, 1.0) for i in self.free_bins):
+                raise ContractViolation("a rounding candidate must pin every free binary to 0 or 1")
             sol = self.relax(cand)
             self.refix_solves += 1
             if sol.status != "optimal":
@@ -295,9 +300,10 @@ def solve_miqp(
     """Solve a MIQP by best-first branch-and-bound over its binary variables.
 
     ``rounding`` is an optional model-aware hook ``fn(x, fixings) -> list of
-    fixings``; each candidate it returns must fix every free binary, and is
-    relaxed, snapped and tried as an incumbent. The generic rule (argmax
-    within choice groups, threshold elsewhere) is the default hook.
+    fixings``; each candidate it returns must fix every free binary to 0 or
+    1 (else the solve raises ContractViolation), and is relaxed, snapped and
+    tried as an incumbent. The generic rule (argmax within choice groups,
+    threshold elsewhere) is the default hook.
     """
     return _Tree(problem, limits or MiqpLimits(), rounding=rounding).run()
 

@@ -12,20 +12,19 @@ A warm start is a ``QpSolution`` of the same workspace: its x, and the
 slack and multiplier of each of its G rows and bound sides, stored once in
 the workspace's stacked row order [G rows; lower sides; upper sides],
 raised to at least WARM_FLOOR, so that the iterate is well inside the
-cone, and NaN where its call had no such row or column. A call clips x
-into its box and restricts [s; z] to its own rows of G_all with one
-``take``. An entry the start does not have (a row or column its call's
-presolve removed) keeps the cold value, which only a call whose start
-lacks entries computes; the equality multipliers start at 0 (Yildirim
+cone, and 1.0, the cold multiplier, where its call had no such row or
+column. A call clips x into its box and restricts [s; z] to its own rows
+of G_all with one ``take``; the equality multipliers start at 0 (Yildirim
 and Wright, SIAM J. Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim.
-13, 2002). Only "max-iterations" can be worse from a warm start than from
-the cold one (an infeasible verdict comes from HiGHS, a cutoff from a
-certified bound), so a warm call that ends there is solved once more,
-cold.
+13, 2002). Branch-and-bound hands every call the root's start, whose rows
+and columns cover the call's, so such a call reads no 1.0 entry. Only
+"max-iterations" can be worse from a warm start than from the cold one (an
+infeasible verdict comes from HiGHS, a cutoff from a certified bound), so
+a warm call that ends there is solved once more, cold.
 
 The inequality rows and both sides of the variable bounds form one stacked
-operator  G_all = [G; -I; I]  with one slack and one multiplier per row, so
-the bounds add a diagonal to the Newton block  P + G_all' diag(w) G_all.
+operator  G_all = [G; -I; I]  with one slack and one multiplier per row, and
+the Newton block is  P + G_all' diag(w) G_all.
 When the iterates stall (the primal residual stops falling while the
 multipliers grow) or the interior point does not converge, an exact HiGHS
 feasibility LP (through ``scipy.optimize.milp``, a lighter wrapper than
@@ -119,11 +118,11 @@ branch-and-bound reads none of them.
 
 Small problems are held dense: for a few variables, numpy products are far
 cheaper than building sparse objects, and the Newton block is one product
-plus the bound diagonal. A dense workspace converts each of P, G and A once
-from its input. Large ones keep their rows in CSR form, and only the Newton
-matrix is dense. Variable bounds must be finite (the assembled problems
-always are), and so must every fixing; a fixing outside its variable's
-bounds makes the call infeasible.
+over G_all. A dense workspace converts each of P, G and A once from its
+input. Large ones keep their rows in CSR form, and only the Newton matrix
+is dense. Variable bounds must be finite (the assembled problems always
+are), and so must every fixing; a fixing outside its variable's bounds
+makes the call infeasible.
 
 On small problems a call's cost is numpy call overhead, not arithmetic, so
 the interior point allocates its vectors once per call and writes each
@@ -167,8 +166,7 @@ every bit:
   ``argsort`` are the ndarray methods that fromnumeric's wrappers call;
 - a ufunc takes its output positionally, but ``np.maximum`` and
   ``np.minimum``, for which numpy deprecates it; views that an iteration
-  reads, such as G' and the parts of the Newton weights, are made once per
-  call.
+  reads, such as G' and G_all', are made once per call.
 
 ``cutoff_bound`` keeps one ``np.add.reduce``: its pairwise summation
 sets the bound's bits. ``tools/ab_qp.py`` counts the calls that still go
@@ -180,16 +178,16 @@ factored in a buffer allocated once per call, F-ordered because LAPACK
 reads it column by column; each iteration writes there what the
 factorization reads and factors the buffer in place, with A' kept in its
 own array. A dense workspace factors the whole matrix by LU, as the plain
-formulas do: it writes P plus G's product into the buffer's leading block,
-adds the bound diagonal there, then writes A, A' and -EQ_REG I (a call
-without equality rows builds neither A' nor the regularization), so the
-matrix it factors is the plain formulas' bit for bit for the weights it is
-given (``tools/ab_qp.py`` compares every
-solution with another checkout's). A CSR call whose equality rows each
-have a private pivot, a column no other equality row touches, eliminates
-them (the null-space method: Nocedal and Wright, Numerical Optimization,
-2nd ed., 16.2; Benzi, Golub and Liesen, Acta Numerica 14, 2005) and factors
-the reduced block by Cholesky, in the ``_CholeskyNewton`` its presolve
+formulas do: it writes P plus one product G_all' W G_all over the call's
+dense G_all into the buffer's leading block, then A, A' and -EQ_REG I (a
+call without equality rows builds neither A' nor the regularization), so
+the matrix it factors is the plain formulas' bit for bit for the weights
+it is given (``tools/ab_qp.py`` compares every solution with another
+checkout's). A CSR call whose equality rows each have a private pivot, a
+column no other equality row touches, eliminates them (the null-space
+method: Nocedal and Wright, Numerical Optimization, 2nd ed., 16.2; Benzi,
+Golub and Liesen, Acta Numerica 14, 2005) and factors the reduced block by
+Cholesky, in the ``_CholeskyNewton`` its presolve
 builds. On the bundled presets this is cheaper than an LU of the whole
 matrix, and keeps every status, iteration count and objective to nine
 digits, but not every last bit. A CSR call with an equality row that has no
@@ -211,6 +209,7 @@ falling, and further steps only make the multipliers grow.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -305,20 +304,16 @@ class QpSolution:
 
     @cached_property
     def _start(self) -> tuple:
-        """The final iterate as a warm start: ``x``; [s; z] of each
+        """The final iterate as a warm start: ``x``, and [s; z] of each
         workspace G row, lower and upper bound side, in that stacked order,
-        raised to at least WARM_FLOOR and NaN where the call that made it
-        had none; and whether it has every entry."""
+        raised to at least WARM_FLOOR and 1.0, the cold multiplier, where
+        the call that made it had none."""
         _, z, cols, g_rows = self._duals[:4]
         mi, n = self._ws.h.shape[0], self.x.size
-        sz = np.empty((2, z.size))
-        np.maximum(self._slacks, WARM_FLOOR, out=sz[0])
-        np.maximum(z, WARM_FLOOR, out=sz[1])
-        if g_rows.size == mi and cols.size == n:  # the call's stacked rows are the workspace's
-            return self.x, sz, True
-        stored = _full((2, mi + 2 * n), np.nan)
-        stored[:, _stacked_rows(g_rows, cols, mi, n)] = sz
-        return self.x, stored, False
+        rows, stored = _stacked_rows(g_rows, cols, mi, n), _full((2, mi + 2 * n), 1.0)
+        stored[0, rows] = np.maximum(self._slacks, WARM_FLOOR)
+        stored[1, rows] = np.maximum(z, WARM_FLOOR)
+        return self.x, stored
 
 
 @dataclass
@@ -747,21 +742,6 @@ def _stacked_rows(g_rows: np.ndarray, cols: np.ndarray, mi: int, n: int) -> np.n
     return out
 
 
-def _restrict(start: tuple, red: _Reduced, sz: np.ndarray) -> None:
-    """Write a warm start's [s; z] (``QpSolution._start``) at the call's
-    G_all rows into ``sz``, of shape (2, n_cone); an entry that the start
-    lacks keeps the value ``sz`` has."""
-    _, stored, complete = start
-    n = red.x.size
-    rows = _stacked_rows(red.g_rows, red.cols, stored.shape[1] - 2 * n, n)
-    if complete:
-        stored.take(rows, 1, out=sz, mode="clip")  # the rows are in range: no checked copy
-    else:
-        warm = stored.take(rows, 1)
-        has = warm == warm  # not NaN
-        sz[has] = warm[has]
-
-
 class BoxQp:
     """Reusable workspace for one constraint structure with varying fixings.
     A solve never modifies it: a call's result depends only on its own arguments."""
@@ -871,9 +851,12 @@ class BoxQp:
         free = self._free.copy()
         tests_rows = self._tests_rows
         if fixings:
-            idx = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
+            try:  # np.fromiter alone truncates an index such as 1.5, "1" or np.float64(1.0)
+                idx = np.fromiter(map(operator.index, fixings), dtype=int, count=len(fixings))
+            except (TypeError, OverflowError):
+                idx = None
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
-            if not (
+            if idx is None or not (
                 _all(np.isfinite(val)) and 0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n
             ):
                 raise ContractViolation(f"fixings must pin variables 0..{self.n - 1} to finite values")
@@ -1056,8 +1039,9 @@ class BoxQp:
         solved once more without the start, and ``iterations`` counts both.
         A result is a function of the fixings, the cutoff and the start
         alone. A fixing outside its variable's bounds (beyond the presolve
-        tolerance) makes the call infeasible; a non-finite value or an
-        index outside the variables is a ContractViolation.
+        tolerance) makes the call infeasible; a non-finite value, or an
+        index that is not an integer or lies outside the variables, is a
+        ContractViolation.
 
         With a finite ``cutoff``, a call whose certified lower bound reaches
         it before the iterates converge stops there with status "cutoff"
@@ -1157,47 +1141,36 @@ class BoxQp:
 
 
 class _LuNewton:
-    """The Newton system of a dense workspace, factored whole by LU.
+    """The Newton system of a call on the LU path, factored whole by LU: a
+    dense workspace's call, or a CSR call with an equality row that has no
+    private pivot, whose G and A its presolve made dense.
 
     The F-ordered buffer holds [[P + G_all' W G_all, A'], [A, -EQ_REG I]];
-    ``factor`` writes it, from the block's terms in buffers of their own,
-    and has LAPACK factor it in place."""
+    ``factor`` writes the leading block as P plus one product over the
+    call's dense G_all, and has LAPACK factor the buffer in place."""
 
-    def __init__(self, red: _Reduced):
+    def __init__(self, red: _Reduced, g_all: np.ndarray):
         nf, me = red.c.size, red.b.size
-        self.red, self.nf, self.me = red, nf, me
+        self.red, self.nf, self.me, self.g_all = red, nf, me, g_all
         self.kkt = np.empty((nf + me, nf + me), order="F")
-        # views of the leading block and its diagonal: the block's sum is
-        # written straight into the buffer (a ufunc writes any layout); it is
-        # not bitwise symmetric, so every entry is written
+        # the leading block, written whole (it is not bitwise symmetric)
+        # straight into the buffer: a ufunc writes any layout
         self.top = self.kkt[:nf, :nf]
-        self.diag = self.kkt.reshape(-1, order="F")[:: nf + me + 1][:nf]
         # A' in its own array, as the right-hand sides read it: the LU
         # overwrites kkt. A call without equality rows builds neither
         self.a_t, self.reg = (red.a.T.copy(), -EQ_REG * np.eye(me)) if me else (red.a.T, None)
-        # G' W_G, F-ordered as g.T * w makes it (a product of another layout
-        # sums in another order), G' W_G G and the bound weights
-        self.g_t, self.gw = red.g.T, np.empty((nf, red.h.size), order="F")
-        self.block, self.bounds = np.empty((nf, nf)), np.empty(nf)
-        self.w = None  # the weights buffer last factored, whose G and bound parts ``factor`` views
+        # G_all' W, F-ordered as g_all.T * w makes it (a product of another
+        # layout sums in another order), and G_all' W G_all
+        self.g_all_t, self.gw = g_all.T, np.empty((nf, g_all.shape[0]), order="F")
+        self.block = np.empty((nf, nf))
 
     def factor(self, w: np.ndarray) -> bool:
-        """Factor the Newton matrix for the weights ``w``; False if it is singular.
-
-        An interior point passes one buffer on every iteration, so the views
-        of its parts are made once per call."""
-        red, kkt, nf, block = self.red, self.kkt, self.nf, self.block
-        if w is not self.w:
-            k = red.h.size
-            self.w, self.w_g, self.w_lo, self.w_hi = w, w[:k], w[k : k + nf], w[k + nf :]
-        # the bound diagonal goes in after the G product: one product over
-        # G_all sums in another order, and a criterion-1 relaxation whose
-        # complementarity sits within rounding of the tolerance then fails
-        np.multiply(self.g_t, self.w_g, self.gw).dot(red.g, block)
-        np.add(red.p, block, self.top)
-        np.add(self.diag, np.add(self.w_lo, self.w_hi, self.bounds), self.diag)
+        """Factor the Newton matrix for the weights ``w``; False if it is singular."""
+        kkt, nf = self.kkt, self.nf
+        np.multiply(self.g_all_t, w, self.gw).dot(self.g_all, self.block)
+        np.add(self.red.p, self.block, self.top)
         if self.me:
-            kkt[nf:, :nf] = red.a
+            kkt[nf:, :nf] = self.red.a
             kkt[:nf, nf:] = self.a_t
             kkt[nf:, nf:] = self.reg
         self.lu, self.piv, info = _getrf(kkt, 1)  # overwrite_a: factored in place
@@ -1458,20 +1431,17 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     sz_prod, z_rp, weights, r_corr = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
     shifted, ratio = np.empty(2 * n_cone), np.empty(2 * n_cone)  # sz + alpha * dsz, dsz / sz
     shifted_s, shifted_z = shifted[:n_cone], shifted[n_cone:]
-    if start is None:
+    if start is None:  # the cold point: the box's centre, z = 1 and s at least 1
         np.multiply(0.5, red.lo + red.hi, x)
-    else:  # np.clip's result, without its Python-level wrapper
-        np.minimum(np.maximum(start[0][red.cols], red.lo, out=x), red.hi, out=x)
-    if start is None or not start[2]:  # the cold [s; z] at x, kept where the start lacks an entry
         z.fill(1.0)
         times(g_all, x, gx)
         np.maximum(h_all - gx, 1.0, out=s)
-    if start is not None:
-        _restrict(start, red, sz.reshape(2, n_cone))
-    # each iteration writes the Newton matrix into one F-ordered buffer and
-    # factors it in place: LAPACK sees the column-major matrix that a copy of
-    # a C-ordered one gives it, without the copy
-    system = _LuNewton(red) if red.newton is None else red.newton
+    else:  # np.clip's result, without its Python-level wrapper, and the start's [s; z] at the call's rows
+        (start_x, stored), n = start, red.x.size
+        np.minimum(np.maximum(start_x[red.cols], red.lo, out=x), red.hi, out=x)
+        rows = _stacked_rows(red.g_rows, red.cols, stored.shape[1] - 2 * n, n)
+        stored.take(rows, 1, out=sz.reshape(2, n_cone), mode="clip")  # the rows are in range: no checked copy
+    system = _LuNewton(red, g_all) if red.newton is None else red.newton
     a_t = system.a_t
     r, gz_g = np.empty(nf), np.empty(nf)  # the bound's dual residual and G'z_G
 

@@ -31,22 +31,25 @@ class PresetPlans:
 
     def __init__(self):
         self._runs = {}
+        self.warm = {}  # by name: (workspace, fixings, start) of every warm-started BoxQp.solve
 
     def __getitem__(self, name: str) -> PresetRun:
         if name not in self._runs:
             scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
-            statuses = []
+            statuses, warm = [], []
             real = qp.BoxQp.solve
 
             def recording(ws, *args, **kwargs):
                 sol = real(ws, *args, **kwargs)
                 statuses.append(sol.status)
+                if kwargs.get("start") is not None:
+                    warm.append((ws, kwargs.get("fixings"), kwargs["start"]))
                 return sol
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(qp.BoxQp, "solve", recording)
                 result = plan(scenario)
-            self._runs[name] = PresetRun(scenario, result, statuses)
+            self._runs[name], self.warm[name] = PresetRun(scenario, result, statuses), warm
         return self._runs[name]
 
 

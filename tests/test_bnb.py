@@ -139,6 +139,39 @@ class TestSolveMiqp:
         assert np.array_equal(a.x, b.x)
 
 
+class TestRoundingContract:
+    """A rounding candidate must pin every free binary to 0 or 1. Relaxed
+    as it is, one that does not gives a point that is not integral, and kept
+    as an incumbent it could end the tree "optimal" below brute force's
+    optimum, with rows violated."""
+
+    HOOKS = {
+        "none pinned": lambda free: lambda x, f: [dict(f)],
+        "first unpinned": lambda free: lambda x, f: [{**{i: 1.0 for i in free[1:]}, **f}],
+        "pinned at 0.5": lambda free: lambda x, f: [{**{i: 0.5 for i in free}, **f}],
+        "pinned at 2": lambda free: lambda x, f: [{**{i: 2.0 for i in free}, **f}],
+    }
+
+    @pytest.mark.parametrize("hook", HOOKS)
+    def test_a_candidate_off_the_binaries_is_a_contract_violation(self, hook):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            prob = random_instance(rng)
+            with pytest.raises(ContractViolation, match="rounding candidate"):
+                solve_miqp(prob, rounding=self.HOOKS[hook](prob.binary_indices.tolist()))
+
+    def test_a_complete_candidate_is_kept(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            prob = random_instance(rng)
+            free = prob.binary_indices.tolist()
+            # every binary at 0, as numpy and Python numbers: no candidate the generic hook would give
+            sol = solve_miqp(prob, rounding=lambda x, f: [{**{np.int64(i): np.float64(0.0) for i in free}, **f}])
+            assert sol.status in ("optimal", "infeasible")
+            if sol.feasible:
+                assert validate_assignment(prob, sol.x).ok
+
+
 class TestBranch:
     def test_children_split_the_most_fractional_free_binary(self):
         # 0 is continuous, 1 a binary pinned by its bounds, 2-6 free binaries
@@ -426,6 +459,56 @@ class TestRelaxationMemo:
         assert sol.status == brute.status == "optimal"
         assert sol.objective == pytest.approx(brute.objective, abs=1e-5)
         assert np.allclose(sol.x, brute.x, atol=1e-5)
+
+
+class TestWarmStartCoverage:
+    """Every warm start the tree hands over is the root's, and the root's
+    stacked rows (its G rows and both bound sides of its free columns) cover
+    those of each call it starts. A stored start holds 1.0 where its own
+    call had no row, so a call outside that cover would start there at 1.0,
+    not at the root's iterate."""
+
+    @staticmethod
+    def coverage(warm) -> tuple[int, int]:
+        """Of the warm calls ``warm``, (workspace, fixings, start) each: how
+        many reach the interior point, and how many of those keep a stacked
+        row that their start's call did not keep."""
+        reached = uncovered = 0
+        for ws, fixings, start in warm:
+            red = ws._presolve(fixings)
+            if red is None or not red.cols.size:
+                continue  # the call ends before its interior point and reads no start
+            mi, n = ws.h.shape[0], ws.n
+            rows = qp._stacked_rows(red.g_rows, red.cols, mi, n)
+            own = qp._stacked_rows(start._duals[3], start._duals[2], mi, n)
+            reached += 1
+            uncovered += not np.isin(rows, own).all()
+        return reached, uncovered
+
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+    def test_preset_plans(self, preset_plans, preset):
+        preset_plans[preset]  # planned, with its warm calls recorded
+        reached, uncovered = self.coverage(preset_plans.warm[preset])
+        assert reached >= 5 and uncovered == 0
+
+    def test_criterion_1_trees(self, monkeypatch):
+        warm, roots, real = [], [], BoxQp.solve
+
+        def recording(ws, fixings=None, cutoff=math.inf, start=None):
+            sol = real(ws, fixings, cutoff, start)
+            if start is None:
+                roots.append(sol)
+            else:
+                assert start is roots[-1]  # the tree's root
+                warm.append((ws, fixings, start))
+            return sol
+
+        monkeypatch.setattr(BoxQp, "solve", recording)
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            solve_miqp(random_instance(rng, 10, 8, 8))
+        reached, uncovered = self.coverage(warm)
+        assert reached >= 100 and uncovered == 0
 
 
 class TestWarmStartedRelaxations:

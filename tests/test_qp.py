@@ -315,9 +315,12 @@ class TestFixingContract:
         assert sol.x[0] == value
         assert sol.objective == pytest.approx(-5.0, abs=1e-9)
 
-    @pytest.mark.parametrize("fixings", [{0: math.nan}, {0: math.inf}, {5: 0.0}, {-1: 0.0}])
+    # an index that is not an integer (1.5, "1", np.float64(1.0)) would be
+    # truncated to a pin of x1, and one past int64 would overflow
+    @pytest.mark.parametrize("fixings", [{0: math.nan}, {0: math.inf}, {5: 0.0}, {-1: 0.0}, {1.5: 0.0},
+                                         {"1": 0.0}, {np.float64(1.0): 0.0}, {2**70: 0.0}])
     def test_bad_fixing_is_a_contract_violation(self, fixings):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="fixings"):
             self.workspace().solve(fixings=fixings)
 
 
@@ -519,7 +522,7 @@ def factored_matrix(monkeypatch, red, w) -> np.ndarray:
     """The matrix the Newton system of ``red`` hands to LAPACK for the
     weights ``w``, copied before it is factored."""
     if red.newton is None:
-        name, system = "_getrf", qp_module._LuNewton(red)
+        name, system = "_getrf", qp_module._LuNewton(red, qp_module._stacked(red.g, red.c.size))
     else:
         name, system = "_potrf", red.newton
     seen = []
@@ -612,13 +615,13 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     A CSR workspace sums its block with one np.bincount over every ordered
     pair of G entries that share a row, by row, then by first and second
     entry, followed by each free column's lower and upper bound term; a
-    dense one takes one product plus the bound diagonal. A, A' and
-    -EQ_REG I fill the other blocks."""
+    dense one takes one product over G_all = [G; -I; I]. A, A' and -EQ_REG I
+    fill the other blocks."""
     nf, me, k = red.c.size, red.b.size, red.h.size
     g, eq = as_scipy(red.g), as_scipy(red.a)
     if red.newton is None:
-        block = red.p + (g.T * w[:k]) @ g
-        block.ravel()[:: nf + 1] += w[k : k + nf] + w[k + nf :]
+        g_all = stacked_g(red)[0]
+        block = red.p + (g_all.T * w) @ g_all
     else:
         count = np.diff(g.indptr)
         row_of = np.repeat(np.arange(k), count)
@@ -1770,23 +1773,24 @@ class TestWarmStart:
         return rows, lower, upper
 
     @classmethod
-    def restricted_by_rule(cls, sol, red, cold) -> tuple[np.ndarray, np.ndarray]:
+    def restricted_by_rule(cls, sol, red) -> tuple[np.ndarray, np.ndarray]:
         """A call's initial [s; z] by the rule of the stored rows: restrict
         the start to the call's G rows and free columns, raise it to
-        WARM_FLOOR, and keep the cold value where the start has NaN. Also
-        returns where it has NaN."""
+        WARM_FLOOR, and take 1.0, the cold multiplier, where the start has
+        NaN. Also returns where it has NaN."""
         rows, lower, upper = cls.stored_by_row(sol)
         warm = np.concatenate([rows[:, red.g_rows], lower[:, red.cols], upper[:, red.cols]], axis=1)
-        out = cold.copy()
-        np.copyto(out, np.maximum(warm, qp_module.WARM_FLOOR), where=~np.isnan(warm))
-        return out, np.isnan(warm)
+        lacked = np.isnan(warm)
+        return np.where(lacked, 1.0, np.maximum(warm, qp_module.WARM_FLOOR)), lacked
 
-    def test_stacked_restriction_matches_the_row_rule(self):
+    def test_stacked_restriction_matches_the_row_rule(self, monkeypatch):
         """The stacked warm start, restricted with one take, gives every
-        call the [s; z] that restricting the start's rows and bound sides
-        one by one gives: from complete starts, from a preset root whose
-        presolve dropped rows, and from starts of calls with fixings, which
-        lack entries that the calls restricted here keep."""
+        call the initial [s; z] that restricting the start's rows and bound
+        sides one by one gives: from complete starts, from a preset root
+        whose presolve dropped rows, and from starts of calls with fixings,
+        which lack entries that the calls restricted here keep and start at
+        1.0. The interior point is run for no iteration, so it returns the
+        point it starts from."""
         rng = np.random.default_rng(41)
         cases = []
         prob = preset_chunk("quadruped_tilted_terrain")
@@ -1806,18 +1810,17 @@ class TestWarmStart:
             if fixed.status == "optimal":
                 cases += [(ws, fixed, None)] + [(ws, fixed, {j: 1.0}) for j in bins[1:]]
         lacking = 0
+        monkeypatch.setattr(qp_module, "MAX_ITER", 0)
+        monkeypatch.setattr(qp_module, "_feasible", lambda red: True)  # the LP a loop that runs out calls
         for ws, start, fixings in cases:
             assert start.status in ("optimal", "max-iterations")
             red = ws._presolve(fixings)
-            if red is None:
+            if red is None or not red.cols.size:
                 continue
-            cold = rng.uniform(1.0, 2.0, size=(2, red.h.size + 2 * red.cols.size))
-            got = cold.copy()
-            qp_module._restrict(start._start, red, got)
-            expected, lacked = self.restricted_by_rule(start, red, cold)
-            assert got.tobytes() == expected.tobytes()
-            assert np.array_equal(got[lacked], cold[lacked])
-            assert start._start[2] is not np.isnan(start._start[1]).any()
+            _, _, s, z, iterations, status, _ = qp_module._interior_point(red, math.inf, start._start)
+            assert (iterations, status) == (0, "max-iterations")
+            expected, lacked = self.restricted_by_rule(start, red)
+            assert np.stack([s, z]).tobytes() == expected.tobytes()
             lacking += lacked.any()
         assert lacking >= 10
 
@@ -2071,4 +2074,4 @@ class TestNumpyEntryPoints:
         assert seen == collections.Counter()
         assert sum(sol.iterations for sol in sols) > 500
         assert sum(sol.polished for sol in sols) > 100
-        assert sum(not start._start[2] for _, start, _ in cases) > 0
+        assert sum(start._duals[2].size < start.x.size for _, start, _ in cases) > 0  # starts with 1.0 entries
