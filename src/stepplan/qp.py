@@ -19,17 +19,26 @@ and Wright, SIAM J. Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim.
 13, 2002). Branch-and-bound hands every call the root's start, whose rows
 and columns cover the call's, so such a call reads no 1.0 entry. Only
 "max-iterations" can be worse from a warm start than from the cold one (an
-infeasible verdict comes from HiGHS, a cutoff from a certified bound), so
-a warm call that ends there is solved once more, cold.
+infeasible verdict comes from a certificate or HiGHS, a cutoff from a
+certified bound), so a warm call that ends there is solved once more, cold.
 
 The inequality rows and both sides of the variable bounds form one stacked
 operator  G_all = [G; -I; I]  with one slack and one multiplier per row, and
 the Newton block is  P + G_all' diag(w) G_all.
 When the iterates stall (the primal residual stops falling while the
-multipliers grow) or the interior point does not converge, an exact HiGHS
-feasibility LP (through ``scipy.optimize.milp``, a lighter wrapper than
-``linprog``) decides whether the reduced problem is infeasible; it runs at
-most once per call, and not at all in a call that ends at its cutoff.
+multipliers grow) or the interior point does not converge, the call
+decides whether the reduced problem is infeasible. It first takes the
+Farkas bound at the iterate's multipliers: the cutoff's bound (below) with
+P and c dropped, the least value over the box of z_G'(Gx - h) + y'(Ax - b),
+less its rounding allowance and the slack that the presolve's tolerance
+FEAS_TOL (1 + |rhs|) on each row allows. A bound above 0 proves that no
+point of the box meets the rows within that tolerance, and the call ends
+"infeasible" (Neumaier and Shcherbina, Math. Prog. 99, 2004). Otherwise an
+exact HiGHS feasibility LP (through ``scipy.optimize.milp``, a lighter
+wrapper than ``linprog``) decides; it runs at most once per call, and not
+at all in a call that ends at its cutoff. A stalled infeasible problem's
+multipliers grow, and the bound with them, so on small random MIQPs it
+decides most stalls.
 
 A call may be given a cutoff (branch-and-bound passes its incumbent): it
 then ends with status "cutoff" as soon as a certified lower bound on its
@@ -48,17 +57,23 @@ returns without one.
 A call on the LU path (below) ends, once its active set settles, at the
 solution of that set's KKT system (finite termination: Mehrotra and Ye,
 Math. Prog. 62, 1993). At each convergence test, after the cutoff test,
-it guesses the active rows of G_all as those with s < z. When the guess
-is the one of the previous test and not the last one tried, it solves
+it guesses the active rows of G_all as those with s < z. Whenever the
+guess differs from the last one tried, from the first test on, it solves
 [[P, G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y] = [-c; h_act;
 b] by one LU, with s = h_all - G_all x (0 on the active rows) and z = 0
-off them. The call ends "optimal", with ``polished`` set, if s >= 0, z >=
+off them. The call ends "optimal", with ``polished`` set, if z >= 0, s >=
 0 and the point passes the loop's own convergence test (the same
 EPS_ABS and scales); otherwise, or when the system is singular, its
-iterations go on as they were. The trigger and the test have no
-parameter. The step ignores the cutoff, so a call that does not end at
-the cutoff still returns bit for bit what it returns without one. Calls
-on ``_CholeskyNewton``, every call of the bundled presets, take no such
+iterations go on as they were. Most rejected points have a negative
+multiplier, so z is tested straight after the solve, before s and the
+point's residuals are built. A cold call's first guess is empty (s >= 1 =
+z), so a problem whose unconstrained optimum is feasible ends at its
+first test, and a warm call's first guess is its start's active set; the
+``_LuNewton`` is built at the first factorization, so a call that ends at
+its first test builds none. The trigger and the test have no parameter.
+The step ignores the cutoff, so a call that does not end at the cutoff
+still returns bit for bit what it returns without one. Calls on
+``_CholeskyNewton``, every call of the bundled presets, take no such
 step: their guess settles only at their last test or two.
 
 The presolve removes the structures that leave a feasible set without an
@@ -168,7 +183,7 @@ every bit:
   ``np.minimum``, for which numpy deprecates it; views that an iteration
   reads, such as G' and G_all', are made once per call.
 
-``cutoff_bound`` keeps one ``np.add.reduce``: its pairwise summation
+``_lagrangian_bound`` keeps one ``np.add.reduce``: its pairwise summation
 sets the bound's bits. ``tools/ab_qp.py`` counts the calls that still go
 through those entry points or any other Python function of numpy, per
 solve and per iteration.
@@ -195,7 +210,7 @@ private pivot (none on the bundled presets, whose equality rows are the
 region and segment choice rows and the zero-width pair rows) writes its
 sliced G and A into dense arrays, the bits of scipy's ``toarray``, and runs
 on the LU path of a dense workspace. A Cholesky breakdown ends the call as
-a singular LU does: the LP decides its status.
+a singular LU does: the Farkas bound or the LP decides its status.
 
 A call whose iterates stop unconverged (at MU_FLOOR, on a collapsed step, a
 failed factorization or MAX_ITER) at their accuracy floor ends optimal at
@@ -225,7 +240,7 @@ from .formulation import MiqpProblem
 
 #: residual and complementarity tolerance, relative to the data scale
 EPS_ABS = 1e-9
-#: interior-point iterations per call before the LP decides the status
+#: interior-point iterations per call before the Farkas bound or the LP decides the status
 MAX_ITER = 100
 #: presolve tolerance for emptied rows, crossed bounds and zero-width pairs
 FEAS_TOL = 1e-9
@@ -851,10 +866,15 @@ class BoxQp:
         free = self._free.copy()
         tests_rows = self._tests_rows
         if fixings:
-            try:  # np.fromiter alone truncates an index such as 1.5, "1" or np.float64(1.0)
-                idx = np.fromiter(map(operator.index, fixings), dtype=int, count=len(fixings))
-            except (TypeError, OverflowError):
-                idx = None
+            # np.fromiter alone truncates an index such as 1.5, "1" or
+            # np.float64(1.0), and operator.index reads True as 1, which
+            # integer_columns rejects
+            idx = None
+            if bool not in (kinds := set(map(type, fixings))) and np.bool_ not in kinds:
+                try:
+                    idx = np.fromiter(map(operator.index, fixings), dtype=int, count=len(fixings))
+                except (TypeError, OverflowError):
+                    pass
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
             if idx is None or not (
                 _all(np.isfinite(val)) and 0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n
@@ -1149,16 +1169,17 @@ class _LuNewton:
     ``factor`` writes the leading block as P plus one product over the
     call's dense G_all, and has LAPACK factor the buffer in place."""
 
-    def __init__(self, red: _Reduced, g_all: np.ndarray):
+    def __init__(self, red: _Reduced, g_all: np.ndarray, a_t: np.ndarray):
         nf, me = red.c.size, red.b.size
         self.red, self.nf, self.me, self.g_all = red, nf, me, g_all
         self.kkt = np.empty((nf + me, nf + me), order="F")
         # the leading block, written whole (it is not bitwise symmetric)
         # straight into the buffer: a ufunc writes any layout
         self.top = self.kkt[:nf, :nf]
-        # A' in its own array, as the right-hand sides read it: the LU
-        # overwrites kkt. A call without equality rows builds neither
-        self.a_t, self.reg = (red.a.T.copy(), -EQ_REG * np.eye(me)) if me else (red.a.T, None)
+        # A' in its own array, made by the call, as the right-hand sides
+        # read it: the LU overwrites kkt. A call without equality rows
+        # builds no regularization
+        self.a_t, self.reg = a_t, -EQ_REG * np.eye(me) if me else None
         # G_all' W, F-ordered as g_all.T * w makes it (a product of another
         # layout sums in another order), and G_all' W G_all
         self.g_all_t, self.gw = g_all.T, np.empty((nf, g_all.shape[0]), order="F")
@@ -1343,11 +1364,12 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     buffers (the iterate [x; y; s; z], its direction, the products,
     residuals, Newton weights and complementarity targets) are allocated
     once per call and written in place, so the views into them made before
-    the loop stay valid. Infeasibility is left to the HiGHS LP, run at most
-    once: at a stall, or when the iterates do not converge. Before either,
-    and on each iteration whose objective has reached ``cutoff``, the call
-    ends with status "cutoff" if the certified lower bound
-    (``cutoff_bound``) has reached it too. A call on the LU path then tries
+    the loop stay valid. Infeasibility is decided at a stall, or when the
+    iterates do not converge: by the Farkas bound at the iterate's
+    multipliers if it is above 0, else by the HiGHS LP, run at most once.
+    Before either, and on each iteration whose objective has reached
+    ``cutoff``, the call ends with status "cutoff" if the certified lower
+    bound (``cutoff_bound``) has reached it too. A call on the LU path then tries
     the active-set termination step (``polish``), and ends with status
     "polished" if it succeeds. Iterates that do not converge end "optimal"
     at their best iterate, before the LP, when it lies within their
@@ -1363,9 +1385,9 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     # dense products write into their buffer; a CSR product is copied there.
     # times_t(m_t, v, out) writes m'v: from a view of a dense m, from a CSR m's own arrays
     if isinstance(g, np.ndarray):
-        times, times_t, g_t, g_all_t = np.ndarray.dot, np.ndarray.dot, g.T, g_all.T
+        times, times_t, g_all_t = np.ndarray.dot, np.ndarray.dot, g_all.T
     else:
-        times, times_t, g_t, g_all_t = _copy_product, _copy_product_t, g, g_all
+        times, times_t, g_all_t = _copy_product, _copy_product_t, g_all
     # [-c; h_all; b], the right-hand side of the KKT system ``polish`` solves:
     # one max-abs reduction gives both loop-invariant norms
     kkt_rhs = np.empty(nf + n_p)
@@ -1441,47 +1463,21 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         np.minimum(np.maximum(start_x[red.cols], red.lo, out=x), red.hi, out=x)
         rows = _stacked_rows(red.g_rows, red.cols, stored.shape[1] - 2 * n, n)
         stored.take(rows, 1, out=sz.reshape(2, n_cone), mode="clip")  # the rows are in range: no checked copy
-    system = _LuNewton(red, g_all) if red.newton is None else red.newton
-    a_t = system.a_t
-    r, gz_g = np.empty(nf), np.empty(nf)  # the bound's dual residual and G'z_G
+    # a call on the LU path builds its _LuNewton at its first factorization,
+    # so one that ends at its first test builds none; A' is C-ordered
+    system = red.newton
+    a_t = system.a_t if system is not None else red.a.T.copy() if me else red.a.T
 
+    # the bounds at the iterate read Px and A'y from px and ay
     def cutoff_bound():
-        """The certified lower bound on the reduced problem's objective, as
-        the presolve built that problem, at the current iterate if it
-        reaches ``cutoff``, else None; ``px`` and ``ay`` must hold Px and A'y.
-
-        For z_G >= 0 and any y, the Lagrangian 0.5 x'Px + c'x + z_G'(Gx - h)
-        + y'(Ax - b) bounds the objective from below on the feasible set,
-        and so does its minimum over the box. The quadratic lies above its
-        tangent at the iterate x, so that minimum is at least -0.5 x'Px -
-        z_G'h - y'b + sum_i min(r_i lo_i, r_i hi_i), r = Px + c + G'z_G +
-        A'y: the bound multipliers are not used, the box absorbs the dual
-        residual whole (Neumaier and Shcherbina, Math. Prog. 99, 2004). An
-        allowance for rounding, taken only when the bound reaches the
-        cutoff without it, is subtracted."""
-        z_g = z[:mi]
-        times_t(g_t, z_g, gz_g)
-        np.add(px, c, r)
-        np.add(r, gz_g, r)
-        np.add(r, ay, r)
-        # the pairwise sum of np.add.reduce, whose bits the bound keeps
-        box = np.add.reduce(np.minimum(r * red.lo, r * red.hi, out=r))
-        bound = float(box) - float(x.dot(px)) * 0.5 - float(z_g.dot(red.h)) - float(y.dot(b))
-        if not bound >= cutoff:
-            return None
-        abs_p, abs_x, abs_y = np.abs(p), np.abs(x), np.abs(y)
-        if isinstance(g, np.ndarray):
-            abs_gz = abs(g).T.dot(z_g)
-        else:  # |G|'z_G from G's arrays, as |g|.T @ z_G of its scipy matrix sums it
-            abs_gz = np.empty(nf)
-            _copy_product_t(g._replace(data=np.abs(g.data)), z_g, abs_gz)
-        r_abs = abs_p.dot(abs_x) + np.abs(c) + abs_gz + np.abs(a_t).dot(abs_y)
-        width = np.maximum(np.abs(red.lo), np.abs(red.hi))
-        magnitude = (
-            abs_x.dot(abs_p.dot(abs_x)) + z_g.dot(np.abs(red.h)) + abs_y.dot(np.abs(b)) + 2.0 * r_abs.dot(width)
-        )
-        bound -= _rounding(nf + mi + me, float(magnitude))
+        """The certified lower bound on the objective at the current iterate
+        if it reaches ``cutoff``, else None."""
+        bound = _lagrangian_bound(red, a_t, z[:mi], y, ay, cutoff, x, px)
         return bound if bound >= cutoff else None
+
+    def certified_infeasible() -> bool:
+        """Whether the current iterate's multipliers prove the rows infeasible."""
+        return _lagrangian_bound(red, a_t, z[:mi], y, ay, 0.0) > 0.0
 
     def newton(r_c):
         """[dx; dy; ds; dz] into ``direction`` for the complementarity target ``r_c``."""
@@ -1510,8 +1506,9 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         = [-c; h_act; b] is the restriction of the call's whole KKT system,
         whose transpose ``kkt`` holds (P' where P belongs), built at the
         first try. The point has s = h_all - G_all x, 0 on the active rows,
-        and z = 0 off them; it must have s >= 0 and z >= 0, and is rejected
-        when LAPACK finds the system singular."""
+        and z = 0 off them; it must have z >= 0, tested first, as most
+        rejected points fail it, and s >= 0, and is rejected when LAPACK
+        finds the system singular."""
         nonlocal kkt, keep, trial
         if kkt is None:
             kkt = np.zeros((nf + n_p, nf + n_p))
@@ -1527,17 +1524,19 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         point = _active_set_point(kkt, kkt_rhs, keep)
         if point is None:
             return False
+        z_on = point[nf : point.size - me]
+        # a NaN is the first minimum, and fails each sign test
+        if z_on.size and not z_on[z_on.argmin()] >= 0.0:
+            return False
         _, x_t, y_t, s_t, z_t, *_, r_d_t = trial
         on = active.nonzero()[0]
-        z_on = point[nf : point.size - me]
         x_t[...], y_t[...] = point[:nf], point[point.size - me :]
         z_t.fill(0.0)
         z_t[on] = z_on
         times(g_all, x_t, s_t)
         np.subtract(h_all, s_t, s_t)
         s_t[on] = 0.0
-        # a NaN is the first minimum, and fails the test
-        if not (s_t[s_t.argmin()] >= 0.0 and (not z_on.size or z_on[z_on.argmin()] >= 0.0)):
+        if not s_t[s_t.argmin()] >= 0.0:
             return False
         mu, _, prim, scale_p, scale_d, scale_c = measure(trial)
         return prim <= eps * scale_p and _norm(r_d_t) <= eps * scale_d and mu * n_cone <= eps * scale_c
@@ -1549,8 +1548,8 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     best = (math.inf, None)
     history = []  # relative primal residual and largest multiplier per iteration
     floor = 10.0 * eps
-    # the active-set guess s < z, and the bytes of the last evaluation's guess and of the last one tried
-    polishing, guess, last, tried = red.newton is None, np.empty(n_cone, dtype=bool), None, None
+    # the active-set guess s < z, and the bytes of the last one tried
+    polishing, guess, tried = red.newton is None, np.empty(n_cone, dtype=bool), None
     it = 0
     for it in range(1, MAX_ITER + 1):
         mu, obj, prim, scale_p, scale_d, scale_c = measure(own)
@@ -1564,13 +1563,10 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
                 best = worst, state.copy()
         if obj >= cutoff and (bound := cutoff_bound()) is not None:
             return x, y, s, z, it - 1, "cutoff", bound
-        if polishing:
-            key = np.less(s, z, guess).tobytes()
-            if key == last and key != tried:
-                tried = key
-                if polish(guess):
-                    return *trial[1:5], it - 1, "polished", -math.inf
-            last = key
+        if polishing and (key := np.less(s, z, guess).tobytes()) != tried:
+            tried = key
+            if polish(guess):
+                return *trial[1:5], it - 1, "polished", -math.inf
         if gap <= MU_FLOOR * scale_c:
             break
         res_p, z_max = prim / scale_p, float(z[z.argmax()])
@@ -1580,9 +1576,11 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
             if res_p > STALL_RATIO * old_res and z_max > STALL_GROWTH * old_z:
                 if cutoff < math.inf and (bound := cutoff_bound()) is not None:
                     return x, y, s, z, it - 1, "cutoff", bound
-                feasible = _feasible(red)
+                feasible = not certified_infeasible() and _feasible(red)
                 if not feasible:
                     return x, y, s, z, it - 1, "infeasible", -math.inf
+        if system is None:
+            system = _LuNewton(red, g_all, a_t)
         if not system.factor(np.divide(z, s, weights)):
             break
         # the parts of the Newton right-hand side both solves share
@@ -1609,21 +1607,78 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         if not (alpha > 1e-12 and not math.isnan(step)):
             break
         np.add(state, np.multiply(alpha, direction, direction), state)
-    if cutoff < math.inf:
-        # a loop that ran out took Px and A'y before its last step
-        p.dot(x, px)
-        if me:
-            a_t.dot(y, ay)
-        if (bound := cutoff_bound()) is not None:
-            return x, y, s, z, it, "cutoff", bound
+    # a loop that ran out took Px and A'y before its last step
+    p.dot(x, px)
+    if me:
+        a_t.dot(y, ay)
+    if cutoff < math.inf and (bound := cutoff_bound()) is not None:
+        return x, y, s, z, it, "cutoff", bound
     # iterates that stop unconverged at their accuracy floor, where further
     # steps only degrade the residuals, return the best one
     if best[0] <= floor:
         xy, sz = best[1][:n_xy], best[1][n_xy:]
         return xy[:nf], xy[nf:], sz[:n_cone], sz[n_cone:], it, "optimal", -math.inf
     if feasible is None:
-        feasible = _feasible(red)
+        feasible = not certified_infeasible() and _feasible(red)
     return x, y, s, z, it, "max-iterations" if feasible else "infeasible", -math.inf
+
+
+def _lagrangian_bound(red: _Reduced, a_t: np.ndarray, z_g, y, ay, target: float, x=None, px=None) -> float:
+    """A certified lower bound at the multipliers ``z_g`` >= 0 of G's rows
+    and ``y`` of A's, or NaN if it does not reach ``target`` before its
+    allowances are taken. ``ay`` is A'y, and ``a_t`` is A' as a C-ordered
+    array.
+
+    For z_G >= 0 and any y, the Lagrangian 0.5 x'Px + c'x + z_G'(Gx - h) +
+    y'(Ax - b) bounds the objective from below on the feasible set, and so
+    does its minimum over the box. The quadratic lies above its tangent at
+    an iterate x, so that minimum is at least -0.5 x'Px - z_G'h - y'b +
+    sum_i min(r_i lo_i, r_i hi_i), r = Px + c + G'z_G + A'y: the bound
+    multipliers are not used, the box absorbs the dual residual whole
+    (Neumaier and Shcherbina, Math. Prog. 99, 2004). Given ``x`` and ``px``
+    = Px, this is the bound on the reduced problem's objective, as the
+    presolve built that problem. Without them, P and c are dropped: the
+    bound is then the least value over the box of z_G'(Gx - h) + y'(Ax -
+    b). At a point of the box within the presolve's tolerance d = FEAS_TOL
+    (1 + |rhs|) of every row that value is at most z_G'd_h + |y|'d_b, so a
+    bound above 0 once that slack is subtracted proves that the rows have
+    no such point (a Farkas certificate). An allowance for rounding is
+    subtracted from both."""
+    p, c, g, b = red.p, red.c, red.g, red.b
+    nf, mi, me = c.size, red.h.size, b.size
+    objective = x is not None
+    r = np.empty(nf)  # G'z_G, then the dual residual
+    if isinstance(g, np.ndarray):
+        g.T.dot(z_g, r)
+    else:
+        _copy_product_t(g, z_g, r)
+    if objective:
+        np.add(np.add(px, c), r, r)
+    np.add(r, ay, r)
+    # the pairwise sum of np.add.reduce, whose bits the bound keeps
+    box = np.add.reduce(np.minimum(r * red.lo, r * red.hi, out=r))
+    quad = float(x.dot(px)) * 0.5 if objective else 0.0
+    bound = float(box) - quad - float(z_g.dot(red.h)) - float(y.dot(b))
+    if not bound >= target:
+        return math.nan
+    abs_y, abs_h, abs_b = np.abs(y), np.abs(red.h), np.abs(b)
+    if isinstance(g, np.ndarray):
+        r_abs = abs(g).T.dot(z_g)
+    else:  # |G|'z_G from G's arrays, as |g|.T @ z_G of its scipy matrix sums it
+        r_abs = np.empty(nf)
+        _copy_product_t(g._replace(data=np.abs(g.data)), z_g, r_abs)
+    quad_abs = 0.0
+    if objective:
+        abs_p, abs_x = np.abs(p), np.abs(x)
+        r_abs = abs_p.dot(abs_x) + np.abs(c) + r_abs
+        quad_abs = abs_x.dot(abs_p.dot(abs_x))
+    r_abs = r_abs + np.abs(a_t).dot(abs_y)
+    width = np.maximum(np.abs(red.lo), np.abs(red.hi))
+    magnitude = quad_abs + z_g.dot(abs_h) + abs_y.dot(abs_b) + 2.0 * r_abs.dot(width)
+    bound -= _rounding(nf + mi + me, float(magnitude))
+    if not objective:
+        bound -= FEAS_TOL * float(z_g.dot(1.0 + abs_h) + abs_y.dot(1.0 + abs_b))
+    return bound
 
 
 def _active_set_point(kkt: np.ndarray, rhs: np.ndarray, keep: np.ndarray) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import importlib.util
 import itertools
 import math
 import sys
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stepplan import bnb
 from stepplan.errors import ContractViolation
 from stepplan.formulation import MiqpProblem
 from stepplan import qp as qp_module
 from stepplan.qp import BoxQp, solve_qp
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
 
 
 def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=None,
@@ -97,7 +100,7 @@ class TestSolveQp:
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
 
-    def test_infeasibility_decided_by_lp(self, monkeypatch):
+    def test_infeasibility_decided_by_certificate_or_lp(self, monkeypatch):
         # x + y <= -1 and -x + y <= -1 force y <= -1 against y >= 0; no row
         # is a singleton or an opposite pair, so the presolve cannot see it
         calls = []
@@ -110,6 +113,11 @@ class TestSolveQp:
         sol = solve_qp(prob)
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
+        assert calls == []  # the stalled iterate's multipliers certify it
+        # an allowance that no bound clears makes the certificate refuse: the LP decides, at the same iterate
+        monkeypatch.setattr(qp_module, "_rounding", lambda terms, magnitude: math.inf)
+        by_lp = solve_qp(prob)
+        assert (by_lp.status, by_lp.iterations) == (sol.status, sol.iterations)
         assert calls == [1]
 
     def test_zero_tolerance_ends_without_dividing_by_zero(self, monkeypatch):
@@ -316,9 +324,11 @@ class TestFixingContract:
         assert sol.objective == pytest.approx(-5.0, abs=1e-9)
 
     # an index that is not an integer (1.5, "1", np.float64(1.0)) would be
-    # truncated to a pin of x1, and one past int64 would overflow
+    # truncated to a pin of x1, one past int64 would overflow, and a boolean
+    # would be read as 0 or 1, which integer_columns rejects
     @pytest.mark.parametrize("fixings", [{0: math.nan}, {0: math.inf}, {5: 0.0}, {-1: 0.0}, {1.5: 0.0},
-                                         {"1": 0.0}, {np.float64(1.0): 0.0}, {2**70: 0.0}])
+                                         {"1": 0.0}, {np.float64(1.0): 0.0}, {2**70: 0.0}, {True: 0.5},
+                                         {False: 0.5}, {np.True_: 0.5}, {1: 0.0, np.False_: 0.5}])
     def test_bad_fixing_is_a_contract_violation(self, fixings):
         with pytest.raises(ContractViolation, match="fixings"):
             self.workspace().solve(fixings=fixings)
@@ -522,7 +532,7 @@ def factored_matrix(monkeypatch, red, w) -> np.ndarray:
     """The matrix the Newton system of ``red`` hands to LAPACK for the
     weights ``w``, copied before it is factored."""
     if red.newton is None:
-        name, system = "_getrf", qp_module._LuNewton(red, qp_module._stacked(red.g, red.c.size))
+        name, system = "_getrf", qp_module._LuNewton(red, qp_module._stacked(red.g, red.c.size), red.a.T.copy())
     else:
         name, system = "_potrf", red.newton
     seen = []
@@ -647,7 +657,9 @@ def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
     the one the interior point that factors it was given), and with
     ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf``, copied
     before it is factored, and the rows of H that a CSR call keeps for its
-    pivots (None for a dense call)."""
+    pivots (None for a dense call). A ``_getrf`` call outside ``factor``,
+    such as an active-set solve's before the first factorization, is not
+    recorded."""
     seen, per_solve, call = [], [], [None]
     with monkeypatch.context() as m:
 
@@ -672,7 +684,7 @@ def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
             for name in ("_getrf", "_potrf"):
 
                 def factor(a, *args, real=getattr(qp_module, name), **kwargs):
-                    if len(seen[-1]) == 2:
+                    if seen and len(seen[-1]) == 2:
                         seen[-1].append(a.copy(order="K"))
                     return real(a, *args, **kwargs)
 
@@ -764,8 +776,14 @@ class TestKktBuffer:
         rng = np.random.default_rng(n + n_eq)
         ws, _, _ = random_workspace(rng, n, m, n_eq)
         assert ws.sparse == (n > 100)
-        # a dense call often ends at an active-set solve after two iterations: more calls
         checked, optimal = self.check_solves(monkeypatch, ws, random_fixings(rng, n, 5 if ws.sparse else 20))
+        if not ws.sparse:
+            # most dense calls end at an active-set solve, many at their first
+            # test, before any factorization. With a flat column every such
+            # solve is singular, so the calls of that workspace iterate
+            flat, _, _ = random_workspace(rng, n, m, n_eq, flat=True)
+            more = self.check_solves(monkeypatch, flat, random_fixings(rng, n, 5))
+            checked, optimal = checked + more[0], optimal + more[1]
         assert checked > 20 and optimal >= 3
 
     def test_upper_triangle_scatter_fails_the_check(self, monkeypatch):
@@ -1229,11 +1247,17 @@ class TestInfeasibleHandOff:
         calls = []
         real = qp_module._feasible
         monkeypatch.setattr(qp_module, "_feasible", lambda red: calls.append(1) or real(red))
-        sol = BoxQp.from_miqp(self.node_problem()).solve(fixings={2: 0.0})
+        ws = BoxQp.from_miqp(self.node_problem())
+        sol = ws.solve(fixings={2: 0.0})
         assert sol.status == "infeasible"
-        assert calls == [1]
+        assert calls == []  # the certificate decides at the stall
         # waiting for the step to collapse took 16 iterations on this node
         assert sol.iterations < 16
+        # when the certificate refuses, the LP decides at the same stall
+        monkeypatch.setattr(qp_module, "_rounding", lambda terms, magnitude: math.inf)
+        by_lp = ws.solve(fixings={2: 0.0})
+        assert (by_lp.status, by_lp.iterations) == (sol.status, sol.iterations)
+        assert calls == [1]
 
     def test_stall_on_feasible_problem_keeps_iterating(self, monkeypatch):
         ws = BoxQp.from_miqp(with_flat_column(self.node_problem()))  # no call ends at an active-set solve
@@ -1255,6 +1279,86 @@ class TestInfeasibleHandOff:
         short = ws.solve(fixings={2: 1.0})
         assert short.status == "max-iterations"
         assert calls == [1]
+
+
+def tree_workload(seed: int):
+    """The ``tree_random_miqp`` benchmark workload on the batch of ``seed``,
+    its module loaded from its file, which imports only ``stepplan``."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name].TreeRandomMiqp(ROOT, seed, False)
+
+
+class TestInfeasibilityCertificate:
+    """The Farkas bound (``_lagrangian_bound`` without an iterate) exceeds 0
+    only on calls whose rows are infeasible: at random multipliers it never
+    does on a call that HiGHS finds feasible, and every call of the tree
+    batches that it ends "infeasible" HiGHS finds infeasible too."""
+
+    @staticmethod
+    def certifies(red, z_g, y) -> bool:
+        a_t = red.newton.a_t if red.newton is not None else red.a.T.copy()
+        return qp_module._lagrangian_bound(red, a_t, z_g, y, a_t.dot(y), 0.0) > 0.0
+
+    def test_random_multipliers_never_certify_a_feasible_call(self):
+        rng = np.random.default_rng(47)
+        calls = []
+        for _ in range(30):
+            prob = criterion_1_problem(rng)
+            ws = BoxQp.from_miqp(prob)
+            bins = prob.binary_indices.tolist()
+            calls += [(ws, {})] + [(ws, dict(zip(bins, rng.integers(0, 2, len(bins)).astype(float))))
+                                   for _ in range(4)]
+        for n, m, n_eq in ((14, 12, 0), (14, 12, 3), (120, 200, 0), (120, 200, 4)):
+            ws, _, _ = random_workspace(rng, n, m, n_eq)
+            calls += [(ws, fixings) for fixings in random_fixings(rng, n, 10)]
+        feasible = infeasible = certified = 0
+        for ws, fixings in calls:
+            red = ws._presolve(fixings)
+            if red is None or not red.cols.size:
+                continue
+            lp_feasible = qp_module._feasible(red)
+            feasible += lp_feasible
+            infeasible += not lp_feasible
+            for scale in 10.0 ** rng.uniform(-3, 6, size=20):
+                z_g = scale * rng.exponential(size=red.h.size)
+                y = scale * rng.normal(size=red.b.size)
+                if self.certifies(red, z_g, y):
+                    assert not lp_feasible
+                    certified += 1
+        assert feasible >= 150 and infeasible >= 15 and certified >= 40
+
+    @pytest.mark.parametrize("h, infeasible", [(0.0, False), (-1e-12, False), (-1e-10, False), (-1e-6, True)])
+    def test_rows_within_the_presolve_tolerance_are_not_certified(self, h, infeasible):
+        """x + y <= h and -x + y <= h meet y >= 0 only at x = 0, y = h, and
+        z_G = (1, 1) gives a bound of -2h at any scale. Rows violated there by
+        less than the presolve's tolerance, as HiGHS accepts them, are not
+        certified; rows violated by far more are."""
+        prob = make_problem(np.eye(2), [0.0, 0.0], a_in=[[1.0, 1.0], [-1.0, 1.0]], b_in=[h, h],
+                            lb=[-5.0, 0.0], ub=[5.0, 5.0])
+        red = BoxQp.from_miqp(prob)._presolve(None)
+        assert qp_module._feasible(red) != infeasible
+        for scale in 10.0 ** np.arange(-3.0, 7.0):
+            assert self.certifies(red, np.full(2, scale), np.zeros(0)) == infeasible
+
+    def test_calls_it_decides_on_the_tree_batches_are_infeasible(self, monkeypatch):
+        decided, real = [], qp_module._lagrangian_bound
+
+        def bound(red, a_t, z_g, y, ay, target, x=None, px=None):
+            out = real(red, a_t, z_g, y, ay, target, x, px)
+            if x is None and out > 0.0:
+                decided.append(red)
+            return out
+
+        monkeypatch.setattr(qp_module, "_lagrangian_bound", bound)
+        for seed in (1, 2, 3):
+            workload = tree_workload(seed)
+            workload.run(bnb, workload.setup(bnb))
+        assert len(decided) >= 100
+        assert not any(qp_module._feasible(red) for red in decided)
 
 
 class TestInputsUntouched:
@@ -1675,7 +1779,7 @@ class TestCutoff:
     def test_bound_is_certified_or_solve_is_unchanged(self):
         rng = np.random.default_rng(21)
         ended, ended_infeasible, unchanged = 0, 0, 0
-        for _ in range(40):
+        for _ in range(60):  # most calls end at an active-set solve before their cutoff: 60 problems for 100 cutoffs
             prob = criterion_1_problem(rng)
             ws = BoxQp.from_miqp(prob)
             root = ws.solve().objective
@@ -1863,10 +1967,11 @@ def stacked_g(red) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestActiveSetTermination:
-    """A call on the LU path tries the active-set termination step when its
-    guess s < z repeats, and ends "optimal" and polished at the point that
-    solves the guess's KKT system if that point passes the loop's own
-    convergence test; a rejected try leaves the iterations as they were."""
+    """A call on the LU path tries the active-set termination step whenever
+    its guess s < z differs from the last one tried, and ends "optimal" and
+    polished at the point that solves the guess's KKT system if that point
+    passes the loop's own convergence test; a rejected try leaves the
+    iterations as they were."""
 
     @staticmethod
     def cases(rng, count):
@@ -2060,7 +2165,7 @@ class TestNumpyEntryPoints:
     def test_warm_dense_solves_avoid_the_slow_entry_points(self):
         rng = np.random.default_rng(43)
         cases = []
-        for _ in range(12):  # enough solves for 500 iterations, though most end at an active-set solve
+        for _ in range(24):  # enough solves for 500 iterations, though most end at an active-set solve
             prob = criterion_1_problem(rng)
             ws = BoxQp.from_miqp(prob)
             assert not ws.sparse

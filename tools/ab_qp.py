@@ -23,9 +23,11 @@ first round and untimed. The tool prints the number of cutoff solves, the
 unsound ones and the smallest relative margin of a parent objective over its
 bound, the number of warm calls, the ratio of this checkout's total
 interior-point iterations to the parent's (a warm call's cold retry
-included), and how many solves of each checkout ended at an active-set
-solve (``QpSolution.polished``). It also prints the median over rounds of this checkout's set-up
-time and solve time over the parent's, and, for each checkout, the sum over
+included), how many solves of each checkout ended at an active-set solve
+(``QpSolution.polished``) and how many HiGHS feasibility LPs (``_feasible``)
+each checkout's solves ran, both on the first round. It also prints the
+median over rounds of this checkout's set-up time and solve time over the
+parent's, and, for each checkout, the sum over
 workspaces and over calls of each one's minimum time across rounds, with the
 ratio of those sums: a per-round ratio moves by several percent with the
 host, while a call's minimum keeps only the noise that slows every round of
@@ -39,8 +41,8 @@ For a deterministic counter next to those ratios, the tool replays the
 calls once more through each checkout, untimed, under ``sys.setprofile``,
 and prints per solve and per interior-point iteration how often they go
 through numpy's slow entry points: ``ufunc.reduce`` calls (a min, max, any
-or all reduction; ``cutoff_bound`` keeps one ``np.add.reduce`` for its
-bits) and calls of any Python function under ``numpy/``, such as the
+or all reduction; ``_lagrangian_bound`` keeps one ``np.add.reduce`` for
+its bits) and calls of any Python function under ``numpy/``, such as the
 dispatchers of ``np.dot`` and ``np.concatenate``, ``np.count_nonzero`` or
 fromnumeric's wrappers, with the functions called most:
 
@@ -49,7 +51,9 @@ fromnumeric's wrappers, with the functions called most:
 
 The tree workspaces are all dense and test no row; a preset's are all CSR
 and test every row. The tool prints how many workspaces test rows in each
-checkout. When solutions differ, it also prints how many changed status and
+checkout. When solutions differ, it also prints how many changed status,
+by parent and new status, with how many of the new "optimal" ones lie at or
+above their call's cutoff (a caller discards them as it discards a cutoff),
 how many changed iteration count, and, over the solutions whose status is
 unchanged, the largest relative objective difference and the largest
 entry of |x - x_parent|: a change that moves only last bits shows 0 status
@@ -71,6 +75,7 @@ import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 # one BLAS thread, as in the benchmark: tiny products gain nothing from threads
@@ -118,6 +123,24 @@ def preset_plan(name: str):
 
     scenario = load_scenario(ROOT / "src" / "stepplan" / "scenarios" / f"{name}.json")
     return lambda: plan(scenario)
+
+
+@contextmanager
+def counted_lps(modules):
+    """Yield one list per module that grows by one entry per call of that
+    module's HiGHS feasibility LP (``_feasible``) made inside."""
+    counts, real = [[] for _ in modules], [m._feasible for m in modules]
+
+    def counting(count, feasible):
+        return lambda red: count.append(1) or feasible(red)
+
+    for m, count, feasible in zip(modules, counts, real):
+        m._feasible = counting(count, feasible)
+    try:
+        yield counts
+    finally:
+        for m, feasible in zip(modules, real):
+            m._feasible = feasible
 
 
 def record_calls(run):
@@ -228,12 +251,20 @@ def same(a, b) -> bool:
     return True
 
 
-def differences(old, new) -> str:
-    """How the differing solutions differ: status and iteration changes, and
-    over unchanged statuses the largest relative objective difference and
-    the largest |x - x_parent| entry (infeasible solutions have neither,
-    cutoff solutions no x)."""
-    status = sum(a.status != b.status for a, b in zip(old, new))
+def differences(old, new, cutoffs) -> str:
+    """How the differing solutions differ: status changes, by parent and
+    this status, with how many of those to "optimal" have an objective at
+    or above the call's cutoff (``cutoffs``, by call), which the caller
+    discards as it discards a cutoff; iteration changes; and over unchanged
+    statuses the largest relative objective difference and the largest
+    |x - x_parent| entry (infeasible solutions have neither, cutoff
+    solutions no x)."""
+    changed = [
+        (a.status, b.status, b.objective >= cut) for a, b, cut in zip(old, new, cutoffs) if a.status != b.status
+    ]
+    status = len(changed)
+    kinds = collections.Counter((was, now) for was, now, _ in changed)
+    above = sum(now == "optimal" and over for _, now, over in changed)
     iterations = sum(a.iterations != b.iterations for a, b in zip(old, new))
     rel_obj = max_dx = 0.0
     for a, b in zip(old, new):
@@ -243,7 +274,9 @@ def differences(old, new) -> str:
             rel_obj = max(rel_obj, abs(b.objective - a.objective) / max(abs(a.objective), abs(b.objective)))
         max_dx = max(max_dx, float(np.max(np.abs(b.x - a.x), initial=0.0)))
     return (
-        f"status changed: {status}; iterations changed: {iterations}; "
+        f"status changed: {status} ("
+        + ", ".join(f"{was} to {now} {count}" for (was, now), count in sorted(kinds.items()))
+        + f"; to optimal at or above the cutoff {above}); iterations changed: {iterations}; "
         f"largest relative objective difference: {rel_obj:.3g}; largest |dx|: {max_dx:.3g}"
     )
 
@@ -268,7 +301,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     least_presolve = np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        setup, (ws_old, ws_new), seconds, (old, new), presolve = replay((parent, qp), spaces, calls, r)
+        with counted_lps((parent, qp)) as lps:
+            setup, (ws_old, ws_new), seconds, (old, new), presolve = replay((parent, qp), spaces, calls, r)
         np.minimum(least_setup, setup, out=least_setup)
         np.minimum(least, seconds, out=least)
         np.minimum(least_presolve, presolve, out=least_presolve)
@@ -292,9 +326,10 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             margin = min(margins, default=math.inf)
             iterations = [sum(sol.iterations for sol in sols) for sols in (old, new)]
             polished = [sum(sol.polished for sol in sols) for sols in (old, new)]
+            lp_counts = [len(count) for count in lps]
         differing = sum(not same(a, b) for a, b in zip(old, new))
         if differing > differ:
-            differ, how = differing, differences(old, new)
+            differ, how = differing, differences(old, new, [c[2] for c in calls])
         setup_ratios.append(s_new / s_parent)
         ratios.append(t_new / t_parent)
         print(
@@ -323,7 +358,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     print(
         f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}; "
         f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}; "
-        f"polished solves parent {polished[0]}, this {polished[1]}"
+        f"polished solves parent {polished[0]}, this {polished[1]}; "
+        f"feasibility LPs parent {lp_counts[0]}, this {lp_counts[1]}"
     )
     for name, workspaces in (("parent", ws_old), ("this", ws_new)):
         seen, numpy_calls, its = entry_census(workspaces, calls)
