@@ -63,28 +63,28 @@ class PwlTable:
     def segment_of(self, theta):
         """0-based index of a segment containing theta (lower one at interior
         knots): an int for a scalar, an array of them for an array."""
-        t = np.asarray(theta, dtype=float)
-        if t.size:
-            self._check_domain(float(np.min(t)))
-            self._check_domain(float(np.max(t)))
-        k = np.searchsorted(self.breakpoints, t, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), self.n_segments - 1)
+        t, k = self._located(theta)
         return int(k) if t.ndim == 0 else k
 
     def eval(self, theta):
         """Value of the active chord at ``theta`` (scalar or array)."""
-        t = np.asarray(theta, dtype=float)
-        self._check_domain(float(np.min(t)))
-        self._check_domain(float(np.max(t)))
-        k = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, self.n_segments - 1)
+        t, k = self._located(theta)
         out = self.slopes[k] * t + self.intercepts[k]
         return float(out) if np.isscalar(theta) or t.ndim == 0 else out
 
-    def _check_domain(self, theta: float) -> None:
-        if theta < self.theta_min - _DOMAIN_TOL or theta > self.theta_max + _DOMAIN_TOL:
-            raise DomainError(
-                f"theta {theta} outside [{self.theta_min}, {self.theta_max}] of {self.kind} table"
-            )
+    def _located(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """``theta`` as a float array and the segment of each entry. Every
+        entry must lie within the table's range: a NaN lies in none, and an
+        empty array has no entry to check."""
+        t = np.asarray(theta, dtype=float)
+        if t.size:
+            for value in (float(np.min(t)), float(np.max(t))):  # either is NaN if an entry is
+                if not self.theta_min - _DOMAIN_TOL <= value <= self.theta_max + _DOMAIN_TOL:
+                    raise DomainError(
+                        f"theta {value} outside [{self.theta_min}, {self.theta_max}] of {self.kind} table"
+                    )
+        k = np.searchsorted(self.breakpoints, t, side="right") - 1
+        return t, np.minimum(np.maximum(k, 0), self.n_segments - 1)
 
 
 def build_table(kind: str, theta_range: tuple[float, float], n_segments: int) -> PwlTable:

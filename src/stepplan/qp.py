@@ -19,26 +19,28 @@ and Wright, SIAM J. Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim.
 13, 2002). Branch-and-bound hands every call the root's start, whose rows
 and columns cover the call's, so such a call reads no 1.0 entry. Only
 "max-iterations" can be worse from a warm start than from the cold one (an
-infeasible verdict comes from a certificate or HiGHS, a cutoff from a
-certified bound), so a warm call that ends there is solved once more, cold.
+infeasible verdict comes from the presolve or a certificate, a cutoff from
+a certified bound), so a warm call that ends there is solved once more,
+cold.
 
 The inequality rows and both sides of the variable bounds form one stacked
 operator  G_all = [G; -I; I]  with one slack and one multiplier per row, and
 the Newton block is  P + G_all' diag(w) G_all.
 When the iterates stall (the primal residual stops falling while the
-multipliers grow) or the interior point does not converge, the call
-decides whether the reduced problem is infeasible. It first takes the
-Farkas bound at the iterate's multipliers: the cutoff's bound (below) with
-P and c dropped, the least value over the box of z_G'(Gx - h) + y'(Ax - b),
-less its rounding allowance and the slack that the presolve's tolerance
-FEAS_TOL (1 + |rhs|) on each row allows. A bound above 0 proves that no
-point of the box meets the rows within that tolerance, and the call ends
-"infeasible" (Neumaier and Shcherbina, Math. Prog. 99, 2004). Otherwise an
-exact HiGHS feasibility LP (through ``scipy.optimize.milp``, a lighter
-wrapper than ``linprog``) decides; it runs at most once per call, and not
-at all in a call that ends at its cutoff. A stalled infeasible problem's
-multipliers grow, and the bound with them, so on small random MIQPs it
-decides most stalls.
+multipliers grow) or the interior point does not converge, the call takes
+the Farkas bound at the iterate's multipliers: the cutoff's bound (below)
+with P and c dropped, the least value over the box of z_G'(Gx - h) +
+y'(Ax - b), less its rounding allowance and the slack that the presolve's
+tolerance FEAS_TOL (1 + |rhs|) on each row allows. A bound above 0 proves
+that no point of the box meets the rows within that tolerance, and the
+call ends "infeasible" (Neumaier and Shcherbina, Math. Prog. 99, 2004).
+Otherwise a stalled call keeps iterating (the stall test may fire again
+on a later iteration), and a call that does not converge ends
+"max-iterations". So "infeasible" is proved, by the presolve or by a
+certificate, and an undecided call says "max-iterations"; no call solves
+an LP. A stalled infeasible problem's multipliers grow, and the bound with
+them: on the bundled presets and the tree batches of seeds 1-3 no call
+ends "max-iterations".
 
 A call may be given a cutoff (branch-and-bound passes its incumbent): it
 then ends with status "cutoff" as soon as a certified lower bound on its
@@ -50,9 +52,9 @@ Leyffer, "Numerical experience with lower bounds for MIQP branch-and-bound",
 SIAM J. Optim. 8, 1998; Neumaier and Shcherbina, Math. Prog. 99, 2004).
 It is valid at any iterate, converged or not, and an infeasible problem's
 growing multipliers drive it up. It is taken after the convergence test,
-on iterations whose objective has reached the cutoff and before each LP,
-so a call that does not end at the cutoff returns bit for bit what it
-returns without one.
+on iterations whose objective has reached the cutoff and before each
+Farkas bound, so a call that does not end at the cutoff returns bit for
+bit what it returns without one.
 
 A call on the LU path (below) ends, once its active set settles, at the
 solution of that set's KKT system (finite termination: Mehrotra and Ye,
@@ -116,8 +118,7 @@ structure alone is found once per workspace:
   block's lower triangle, the only one its Cholesky factorization reads.
 
 Each matrix is sliced once per call. A CSR call builds no scipy sparse
-object and dispatches no scipy product; only the HiGHS feasibility LP, run
-at most once per call, builds scipy matrices. Its G and A are the ``_Csr``
+object and dispatches no scipy product. Its G and A are the ``_Csr``
 arrays of scipy's ``m[rows][:, cols]``, entry order included: one mask over
 G's entries gives G, and one slice of [A; G] gives A and the zero-width
 pairs' rows. Every product of a CSR matrix, in the presolve or in the
@@ -209,8 +210,8 @@ digits, but not every last bit. A CSR call with an equality row that has no
 private pivot (none on the bundled presets, whose equality rows are the
 region and segment choice rows and the zero-width pair rows) writes its
 sliced G and A into dense arrays, the bits of scipy's ``toarray``, and runs
-on the LU path of a dense workspace. A Cholesky breakdown ends the call as
-a singular LU does: the Farkas bound or the LP decides its status.
+on the LU path of a dense workspace. A Cholesky breakdown stops the
+iterations as a singular LU does.
 
 A call whose iterates stop unconverged (at MU_FLOOR, on a collapsed step, a
 failed factorization or MAX_ITER) at their accuracy floor ends optimal at
@@ -232,7 +233,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import _sparsetools
 
 from .errors import ContractViolation
@@ -240,7 +240,8 @@ from .formulation import MiqpProblem
 
 #: residual and complementarity tolerance, relative to the data scale
 EPS_ABS = 1e-9
-#: interior-point iterations per call before the Farkas bound or the LP decides the status
+#: interior-point iterations per call; one that runs out ends "infeasible"
+#: if the Farkas bound proves it, else "max-iterations"
 MAX_ITER = 100
 #: presolve tolerance for emptied rows, crossed bounds and zero-width pairs
 FEAS_TOL = 1e-9
@@ -1061,7 +1062,9 @@ class BoxQp:
         alone. A fixing outside its variable's bounds (beyond the presolve
         tolerance) makes the call infeasible; a non-finite value, or an
         index that is not an integer or lies outside the variables, is a
-        ContractViolation.
+        ContractViolation. A call ends "infeasible" only when the presolve
+        or a Farkas certificate at its iterate proves it; one that neither
+        converges nor is proved infeasible ends "max-iterations".
 
         With a finite ``cutoff``, a call whose certified lower bound reaches
         it before the iterates converge stops there with status "cutoff"
@@ -1364,18 +1367,19 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     buffers (the iterate [x; y; s; z], its direction, the products,
     residuals, Newton weights and complementarity targets) are allocated
     once per call and written in place, so the views into them made before
-    the loop stay valid. Infeasibility is decided at a stall, or when the
-    iterates do not converge: by the Farkas bound at the iterate's
-    multipliers if it is above 0, else by the HiGHS LP, run at most once.
-    Before either, and on each iteration whose objective has reached
-    ``cutoff``, the call ends with status "cutoff" if the certified lower
-    bound (``cutoff_bound``) has reached it too. A call on the LU path then tries
-    the active-set termination step (``polish``), and ends with status
-    "polished" if it succeeds. Iterates that do not converge end "optimal"
-    at their best iterate, before the LP, when it lies within their
-    accuracy floor (see the module docstring). Returns ``(x, y, s, z,
-    iterations, status, bound)``, with that bound for a cutoff and -inf
-    otherwise.
+    the loop stay valid. The call ends "infeasible" only when the Farkas
+    bound at the iterate's multipliers (``certified_infeasible``) is above
+    0, taken at a stall, where a call it does not decide keeps iterating,
+    and when the iterates do not converge, where such a call ends
+    "max-iterations". Before either, and on each iteration whose objective
+    has reached ``cutoff``, the call ends with status "cutoff" if the
+    certified lower bound (``cutoff_bound``) has reached it too. A call on
+    the LU path then tries the active-set termination step (``polish``),
+    and ends with status "polished" if it succeeds. Iterates that do not
+    converge end "optimal" at their best iterate, before the Farkas bound,
+    when it lies within their accuracy floor (see the module docstring).
+    Returns ``(x, y, s, z, iterations, status, bound)``, with that bound
+    for a cutoff and -inf otherwise.
     """
     p, c, g, a, b = red.p, red.c, red.g, red.a, red.b
     nf, mi, me = c.size, red.h.size, b.size
@@ -1541,7 +1545,6 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         mu, _, prim, scale_p, scale_d, scale_c = measure(trial)
         return prim <= eps * scale_p and _norm(r_d_t) <= eps * scale_d and mu * n_cone <= eps * scale_c
 
-    feasible = None  # the LP's verdict, once it has run
     # the iterate nearest convergence among those whose primal residual and
     # complementarity are within 10 times the tolerance: its worst relative
     # measure and [x; y; s; z]
@@ -1571,13 +1574,12 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
             break
         res_p, z_max = prim / scale_p, float(z[z.argmax()])
         history.append((res_p, z_max))
-        if feasible is None and len(history) > STALL_ITERS:
+        if len(history) > STALL_ITERS:
             old_res, old_z = history[-1 - STALL_ITERS]
             if res_p > STALL_RATIO * old_res and z_max > STALL_GROWTH * old_z:
                 if cutoff < math.inf and (bound := cutoff_bound()) is not None:
                     return x, y, s, z, it - 1, "cutoff", bound
-                feasible = not certified_infeasible() and _feasible(red)
-                if not feasible:
+                if certified_infeasible():
                     return x, y, s, z, it - 1, "infeasible", -math.inf
         if system is None:
             system = _LuNewton(red, g_all, a_t)
@@ -1618,9 +1620,7 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     if best[0] <= floor:
         xy, sz = best[1][:n_xy], best[1][n_xy:]
         return xy[:nf], xy[nf:], sz[:n_cone], sz[n_cone:], it, "optimal", -math.inf
-    if feasible is None:
-        feasible = not certified_infeasible() and _feasible(red)
-    return x, y, s, z, it, "max-iterations" if feasible else "infeasible", -math.inf
+    return x, y, s, z, it, "infeasible" if certified_infeasible() else "max-iterations", -math.inf
 
 
 def _lagrangian_bound(red: _Reduced, a_t: np.ndarray, z_g, y, ay, target: float, x=None, px=None) -> float:
@@ -1693,23 +1693,6 @@ def _active_set_point(kkt: np.ndarray, rhs: np.ndarray, keep: np.ndarray) -> np.
     if info:
         return None
     return _getrs(lu, piv, rhs.take(rows), 0, 1)[0]  # overwrite_b
-
-
-def _feasible(red: _Reduced) -> bool:
-    """Exact feasibility of the reduced constraints, decided by HiGHS.
-
-    The only scipy matrices a CSR call builds are the two made here."""
-    # one stacked constraint: milp stacks a list of them as sparse matrices
-    if isinstance(red.g, np.ndarray):
-        matrix = np.vstack([red.g, red.a])
-    else:
-        matrix = sp.vstack([sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) for m in (red.g, red.a)])
-    rows = LinearConstraint(
-        matrix,
-        np.concatenate([np.full(red.h.size, -np.inf), red.b]),
-        np.concatenate([red.h, red.b]),
-    )
-    return milp(np.zeros(red.c.size), constraints=rows, bounds=Bounds(red.lo, red.hi)).status != 2
 
 
 def solve_qp(problem: MiqpProblem, fixings: dict[int, float] | None = None) -> QpSolution:

@@ -60,6 +60,28 @@ class TestEval:
         with pytest.raises(DomainError):
             table.eval(1.5)
 
+    def test_nan_rejected_by_segment_of(self):
+        table = build_table("sin", (-1.0, 1.0), 4)
+        with pytest.raises(DomainError):
+            table.segment_of(math.nan)
+        with pytest.raises(DomainError):
+            table.segment_of(np.array([0.0, math.nan]))
+
+    def test_nan_rejected_by_eval(self):
+        table = build_table("sin", (-1.0, 1.0), 4)
+        with pytest.raises(DomainError):
+            table.eval(math.nan)
+        with pytest.raises(DomainError):
+            table.eval(np.array([math.nan, 0.5]))
+
+    def test_empty_array_is_valid_for_segment_of(self):
+        k = build_table("sin", (-1.0, 1.0), 4).segment_of(np.array([]))
+        assert k.shape == (0,) and k.dtype.kind == "i"
+
+    def test_empty_array_is_valid_for_eval(self):
+        vals = build_table("sin", (-1.0, 1.0), 4).eval(np.array([]))
+        assert vals.shape == (0,) and vals.dtype == np.float64
+
     def test_vectorized(self):
         table = build_table("cos", (-2.0, 2.0), 6)
         thetas = np.linspace(-2.0, 2.0, 11)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from stepplan import bnb
 from stepplan.errors import ContractViolation
@@ -65,6 +67,39 @@ def with_flat_column(prob: MiqpProblem) -> MiqpProblem:
     )
 
 
+def highs_feasible(red) -> bool:
+    """Exact feasibility of a call's reduced constraints (``BoxQp._presolve``),
+    decided by a HiGHS feasibility LP: the oracle, free of the engine, that
+    the Farkas certificate's verdicts are checked against."""
+    # one stacked constraint: milp stacks a list of them as sparse matrices
+    if isinstance(red.g, np.ndarray):
+        matrix = np.vstack([red.g, red.a])
+    else:
+        matrix = sp.vstack([sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) for m in (red.g, red.a)])
+    rows = LinearConstraint(
+        matrix,
+        np.concatenate([np.full(red.h.size, -np.inf), red.b]),
+        np.concatenate([red.h, red.b]),
+    )
+    return milp(np.zeros(red.c.size), constraints=rows, bounds=Bounds(red.lo, red.hi)).status != 2
+
+
+def farkas_bounds(monkeypatch) -> list:
+    """From now on, record each Farkas bound a call takes (``_lagrangian_bound``
+    without an iterate) as (its reduced call, the bound): the certificate
+    tests; a bound above 0 decides its call infeasible."""
+    taken, real = [], qp_module._lagrangian_bound
+
+    def bound(red, a_t, z_g, y, ay, target, x=None, px=None):
+        out = real(red, a_t, z_g, y, ay, target, x, px)
+        if x is None:
+            taken.append((red, out))
+        return out
+
+    monkeypatch.setattr(qp_module, "_lagrangian_bound", bound)
+    return taken
+
+
 class TestSolveQp:
     def test_active_bound(self):
         # min x^2 with x >= 3
@@ -100,25 +135,23 @@ class TestSolveQp:
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
 
-    def test_infeasibility_decided_by_certificate_or_lp(self, monkeypatch):
+    def test_infeasibility_decided_by_certificate_alone(self, monkeypatch):
         # x + y <= -1 and -x + y <= -1 force y <= -1 against y >= 0; no row
         # is a singleton or an opposite pair, so the presolve cannot see it
-        calls = []
-        real = qp_module.milp
-        monkeypatch.setattr(
-            qp_module, "milp", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-        )
         prob = make_problem(np.eye(2), [0.0, 0.0], a_in=[[1.0, 1.0], [-1.0, 1.0]],
                             b_in=[-1.0, -1.0], lb=[-5.0, 0.0], ub=[5.0, 5.0])
+        assert not highs_feasible(BoxQp.from_miqp(prob)._presolve(None))
+        taken = farkas_bounds(monkeypatch)
         sol = solve_qp(prob)
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
-        assert calls == []  # the stalled iterate's multipliers certify it
-        # an allowance that no bound clears makes the certificate refuse: the LP decides, at the same iterate
+        assert taken[-1][1] > 0.0  # the stalled iterate's multipliers certify it
+        # an allowance that no bound clears makes the certificate refuse, and
+        # nothing else decides: the call runs on and ends undecided
         monkeypatch.setattr(qp_module, "_rounding", lambda terms, magnitude: math.inf)
-        by_lp = solve_qp(prob)
-        assert (by_lp.status, by_lp.iterations) == (sol.status, sol.iterations)
-        assert calls == [1]
+        undecided = solve_qp(prob)
+        assert undecided.status == "max-iterations"
+        assert undecided.iterations > sol.iterations
 
     def test_zero_tolerance_ends_without_dividing_by_zero(self, monkeypatch):
         # With no tolerance the iterates cannot converge. They must stop
@@ -1051,7 +1084,8 @@ class TestNonFiniteDirection:
     iteration it appears, before the step: a NaN entry makes a ratio of the
     step test NaN, an infinite one a ratio -inf and the step 0. The status
     and iteration count are those the loop gave when it tested dx with
-    ``np.isfinite``: the iterations before it, then the LP's verdict."""
+    ``np.isfinite``: the iterations before it, then the Farkas bound's
+    verdict."""
 
     @staticmethod
     def spoiled(monkeypatch, cls, call, value):
@@ -1157,52 +1191,42 @@ class TestCsrWorkspace:
     @staticmethod
     def scipy_counts(monkeypatch) -> dict:
         """From now on, count the scipy sparse matrices constructed and the
-        scipy products dispatched outside the HiGHS feasibility LP
-        (``_feasible``), and the LPs run."""
+        scipy products dispatched."""
         from scipy.sparse import _base
 
-        counts, in_lp = {"constructed": 0, "products": 0, "lps": 0}, [False]
-        init, dispatch, feasible = _base._spbase.__init__, _base._spbase._matmul_dispatch, qp_module._feasible
+        counts = {"constructed": 0, "products": 0}
+        init, dispatch = _base._spbase.__init__, _base._spbase._matmul_dispatch
 
         def counted_init(self, *args, **kwargs):
-            counts["constructed"] += not in_lp[0]
+            counts["constructed"] += 1
             init(self, *args, **kwargs)
 
         def counted_dispatch(self, other):
-            counts["products"] += not in_lp[0]
+            counts["products"] += 1
             return dispatch(self, other)
-
-        def counted_feasible(red):
-            counts["lps"] += 1
-            in_lp[0] = True
-            try:
-                return feasible(red)
-            finally:
-                in_lp[0] = False
 
         monkeypatch.setattr(_base._spbase, "__init__", counted_init)
         monkeypatch.setattr(_base._spbase, "_matmul_dispatch", counted_dispatch)
-        monkeypatch.setattr(qp_module, "_feasible", counted_feasible)
         return counts
 
     def test_csr_solves_build_no_scipy_matrix(self, monkeypatch, children):
         """Cold, warm and cutoff calls of a CSR workspace: no scipy sparse
-        matrix is constructed, no scipy product is dispatched and no LP runs."""
+        matrix is constructed and no scipy product is dispatched."""
         prob, same, other = children
         ws = BoxQp.from_miqp(prob)
         root = ws.solve()
         counts = self.scipy_counts(monkeypatch)
         assert {"optimal", "cutoff"} <= self.solve_each(ws, root, same[:2] + other[:2])
-        assert counts == {"constructed": 0, "products": 0, "lps": 0}
+        assert counts == {"constructed": 0, "products": 0}
         sp.csr_matrix((2, 2)) @ np.ones(2)  # the counters see a construction and a product
-        assert counts == {"constructed": 1, "products": 1, "lps": 0}
+        assert counts == {"constructed": 1, "products": 1}
 
     @pytest.mark.parametrize("shared", [2, 4])
-    def test_lu_fallback_builds_no_scipy_matrix_outside_the_lp(self, monkeypatch, shared):
+    def test_lu_fallback_builds_no_scipy_matrix(self, monkeypatch, shared):
         """Cold, warm and cutoff calls of the CSR workspaces of
         ``TestCholeskyNewton.test_rows_without_a_pivot_solve_dense``, each
-        on the dense LU path: outside the feasibility LP, no scipy sparse
-        matrix is constructed and no scipy product is dispatched."""
+        on the dense LU path: no scipy sparse matrix is constructed and no
+        scipy product is dispatched."""
         rng = np.random.default_rng(7 + shared)
         ws, _, _ = random_workspace(rng, 120, 200, 4, shared=shared)
         fixings = random_fixings(rng, 120)
@@ -1211,11 +1235,9 @@ class TestCsrWorkspace:
         root = ws.solve()
         counts = self.scipy_counts(monkeypatch)
         assert "optimal" in self.solve_each(ws, root, [fixings])
-        assert counts["constructed"] == counts["products"] == 0
-        assert qp_module._feasible(reds[0])  # the LP's own matrices are not counted
-        assert counts["constructed"] == counts["products"] == 0 and counts["lps"] >= 1
+        assert counts == {"constructed": 0, "products": 0}
         sp.csr_matrix((2, 2)) @ np.ones(2)
-        assert counts["constructed"] == counts["products"] == 1
+        assert counts == {"constructed": 1, "products": 1}
 
     @pytest.mark.parametrize("shared", [2, 4])
     def test_lu_fallback_slices_match_scipy(self, shared):
@@ -1238,47 +1260,49 @@ class TestInfeasibleHandOff:
     @staticmethod
     def node_problem():
         # the binary b relaxes x + y <= -1 + 2b and -x + y <= -1 + 2b; with b
-        # fixed to 0 they force y <= -1 against y >= 0, which only the LP sees
+        # fixed to 0 they force y <= -1 against y >= 0, which the presolve does not see
         return make_problem(np.diag([1.0, 1.0, 0.0]), [0.0, 0.0, 1.0],
                             a_in=[[1.0, 1.0, -2.0], [-1.0, 1.0, -2.0]], b_in=[-1.0, -1.0],
                             lb=[-5.0, 0.0, 0.0], ub=[5.0, 5.0, 1.0], bins=[2])
 
     def test_stalled_infeasible_node_is_decided_early(self, monkeypatch):
-        calls = []
-        real = qp_module._feasible
-        monkeypatch.setattr(qp_module, "_feasible", lambda red: calls.append(1) or real(red))
         ws = BoxQp.from_miqp(self.node_problem())
+        assert not highs_feasible(ws._presolve({2: 0.0}))
+        taken = farkas_bounds(monkeypatch)
         sol = ws.solve(fixings={2: 0.0})
         assert sol.status == "infeasible"
-        assert calls == []  # the certificate decides at the stall
+        assert len(taken) == 1 and taken[0][1] > 0.0  # the certificate decides at the first stall
         # waiting for the step to collapse took 16 iterations on this node
         assert sol.iterations < 16
-        # when the certificate refuses, the LP decides at the same stall
+        # the certificate alone decides: when it refuses, the call iterates
+        # past the stall, takes it at each later one and ends undecided
         monkeypatch.setattr(qp_module, "_rounding", lambda terms, magnitude: math.inf)
-        by_lp = ws.solve(fixings={2: 0.0})
-        assert (by_lp.status, by_lp.iterations) == (sol.status, sol.iterations)
-        assert calls == [1]
+        taken.clear()
+        undecided = ws.solve(fixings={2: 0.0})
+        assert undecided.status == "max-iterations"
+        assert undecided.iterations > sol.iterations and len(taken) > 2
 
     def test_stall_on_feasible_problem_keeps_iterating(self, monkeypatch):
         ws = BoxQp.from_miqp(with_flat_column(self.node_problem()))  # no call ends at an active-set solve
         plain = ws.solve(fixings={2: 1.0})
         assert plain.status == "optimal" and plain.iterations > qp_module.STALL_ITERS + 1
-        # make every iteration a stall and let the LP answer feasible
+        # make every iteration with a primal residual, after the first
+        # STALL_ITERS, a stall: the certificate refuses at each, the stall
+        # test fires again on later iterations, and they go on bit for bit
         monkeypatch.setattr(qp_module, "STALL_RATIO", 0.0)
         monkeypatch.setattr(qp_module, "STALL_GROWTH", 0.0)
-        calls = []
-        monkeypatch.setattr(qp_module, "_feasible", lambda red: calls.append(1) or True)
+        taken = farkas_bounds(monkeypatch)
         sol = ws.solve(fixings={2: 1.0})
         assert sol.status == "optimal"
-        assert calls == [1]
+        assert len(taken) > 1 and not any(bound > 0.0 for _, bound in taken)
         assert sol.iterations == plain.iterations
-        assert np.array_equal(sol.x, plain.x)
-        # the LP's verdict stands: an unconverged end does not run it again
-        calls.clear()
+        assert sol.x.tobytes() == plain.x.tobytes() and sol.objective == plain.objective
+        # an unconverged end takes the certificate once more, and ends undecided when it refuses
+        taken.clear()
         monkeypatch.setattr(qp_module, "MAX_ITER", qp_module.STALL_ITERS + 2)
         short = ws.solve(fixings={2: 1.0})
         assert short.status == "max-iterations"
-        assert calls == [1]
+        assert len(taken) == 3
 
 
 def tree_workload(seed: int):
@@ -1320,7 +1344,7 @@ class TestInfeasibilityCertificate:
             red = ws._presolve(fixings)
             if red is None or not red.cols.size:
                 continue
-            lp_feasible = qp_module._feasible(red)
+            lp_feasible = highs_feasible(red)
             feasible += lp_feasible
             infeasible += not lp_feasible
             for scale in 10.0 ** rng.uniform(-3, 6, size=20):
@@ -1340,25 +1364,58 @@ class TestInfeasibilityCertificate:
         prob = make_problem(np.eye(2), [0.0, 0.0], a_in=[[1.0, 1.0], [-1.0, 1.0]], b_in=[h, h],
                             lb=[-5.0, 0.0], ub=[5.0, 5.0])
         red = BoxQp.from_miqp(prob)._presolve(None)
-        assert qp_module._feasible(red) != infeasible
+        assert highs_feasible(red) != infeasible
         for scale in 10.0 ** np.arange(-3.0, 7.0):
             assert self.certifies(red, np.full(2, scale), np.zeros(0)) == infeasible
 
     def test_calls_it_decides_on_the_tree_batches_are_infeasible(self, monkeypatch):
-        decided, real = [], qp_module._lagrangian_bound
-
-        def bound(red, a_t, z_g, y, ay, target, x=None, px=None):
-            out = real(red, a_t, z_g, y, ay, target, x, px)
-            if x is None and out > 0.0:
-                decided.append(red)
-            return out
-
-        monkeypatch.setattr(qp_module, "_lagrangian_bound", bound)
+        taken = farkas_bounds(monkeypatch)
         for seed in (1, 2, 3):
             workload = tree_workload(seed)
             workload.run(bnb, workload.setup(bnb))
+        decided = [red for red, bound in taken if bound > 0.0]
         assert len(decided) >= 100
-        assert not any(qp_module._feasible(red) for red in decided)
+        assert not any(highs_feasible(red) for red in decided)
+
+    def test_no_relaxation_calls_highs(self, monkeypatch):
+        """Planning the five presets and running the tree batch of seed 1
+        enter HiGHS nowhere, and every call whose interior point ends
+        "infeasible" there is infeasible by the oracle. The presets are
+        loaded first: their region boxes are HiGHS LPs run at load time."""
+        from stepplan.planner import plan
+        from stepplan.scenario_io import load_scenario
+
+        scenarios = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.json"))]
+        assert len(scenarios) == 5
+        workload = tree_workload(1)
+        problems = workload.setup(bnb)
+        calls, decided, highs, real = collections.Counter(), [], [], qp_module._interior_point
+
+        def interior_point(red, cutoff, start=None):
+            out = real(red, cutoff, start)
+            calls[out[5]] += 1
+            if out[5] == "infeasible":
+                decided.append(red)
+            return out
+
+        def refuse(*args, **kwargs):
+            highs.append(args)
+            raise AssertionError("a relaxation called HiGHS")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_module, "_interior_point", interior_point)
+            stepplan_modules = [m for name, m in sys.modules.items() if name.startswith("stepplan")]
+            for module in [scipy.optimize, *stepplan_modules]:
+                for name in ("milp", "linprog"):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, refuse)
+            for scenario in scenarios:
+                plan(scenario)
+            preset_decided = len(decided)
+            workload.run(bnb, problems)
+        assert highs == [] and sum(calls.values()) > 1000
+        assert preset_decided >= 5 and len(decided) >= preset_decided + 20
+        assert not any(highs_feasible(red) for red in decided)
 
 
 class TestInputsUntouched:
@@ -1915,7 +1972,6 @@ class TestWarmStart:
                 cases += [(ws, fixed, None)] + [(ws, fixed, {j: 1.0}) for j in bins[1:]]
         lacking = 0
         monkeypatch.setattr(qp_module, "MAX_ITER", 0)
-        monkeypatch.setattr(qp_module, "_feasible", lambda red: True)  # the LP a loop that runs out calls
         for ws, start, fixings in cases:
             assert start.status in ("optimal", "max-iterations")
             red = ws._presolve(fixings)

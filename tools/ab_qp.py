@@ -25,7 +25,8 @@ bound, the number of warm calls, the ratio of this checkout's total
 interior-point iterations to the parent's (a warm call's cold retry
 included), how many solves of each checkout ended at an active-set solve
 (``QpSolution.polished``) and how many HiGHS feasibility LPs (``_feasible``)
-each checkout's solves ran, both on the first round. It also prints the
+each checkout's solves ran, both on the first round; a checkout whose
+``qp`` has no ``_feasible`` runs none. It also prints the
 median over rounds of this checkout's set-up time and solve time over the
 parent's, and, for each checkout, the sum over
 workspaces and over calls of each one's minimum time across rounds, with the
@@ -128,18 +129,20 @@ def preset_plan(name: str):
 @contextmanager
 def counted_lps(modules):
     """Yield one list per module that grows by one entry per call of that
-    module's HiGHS feasibility LP (``_feasible``) made inside."""
-    counts, real = [[] for _ in modules], [m._feasible for m in modules]
+    module's HiGHS feasibility LP (``_feasible``) made inside; the list of a
+    module without one stays empty."""
+    counts = [[] for _ in modules]
+    real = [(m, count, m._feasible) for m, count in zip(modules, counts) if hasattr(m, "_feasible")]
 
     def counting(count, feasible):
         return lambda red: count.append(1) or feasible(red)
 
-    for m, count, feasible in zip(modules, counts, real):
+    for m, count, feasible in real:
         m._feasible = counting(count, feasible)
     try:
         yield counts
     finally:
-        for m, feasible in zip(modules, real):
+        for m, _, feasible in real:
             m._feasible = feasible
 
 

@@ -5,9 +5,9 @@ For each bundled preset, planned at default ``plan()`` limits, it prints the
 number of plan steps, the chunk statuses, the node count of each chunk, the
 number of ``BoxQp.solve`` calls, their total interior-point iterations, how
 many ended at the incumbent cutoff (status "cutoff") and how many at an
-active-set solve (``QpSolution.polished``), how many HiGHS feasibility LPs
-(``qp._feasible``) the calls ran, the total
-``MiqpSolution.refix_solves`` of its chunks (the relaxations the incumbent
+active-set solve (``QpSolution.polished``), how many ended undecided
+(status "max-iterations": neither converged nor proved infeasible), the
+total ``MiqpSolution.refix_solves`` of its chunks (the relaxations the incumbent
 path asked for), how many calls were warm-started and how many of those were solved again cold
 (their warm interior point ended "max-iterations"), the equality rows the
 CSR Newton systems eliminated through a pivot column, summed over calls,
@@ -28,10 +28,10 @@ every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
 order), so a change to the load path that moves a box shows even when no plan
 moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
 benchmark workload on the batch of that seed and prints the total node
-count, the solve, iteration, cutoff, polished, LP, refix, warm and retry
-counts and the sha256 of every solution ``x`` (bytes in batch order). Run it from
+count, the solve, iteration, cutoff, polished, undecided, refix, warm and
+retry counts and the sha256 of every solution ``x`` (bytes in batch order). Run it from
 the repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, polished, LP, refix, warm, retry, eliminated and dense
+iteration, cutoff, polished, refix, warm, retry, eliminated and dense
 counts may differ between two commits that keep every plan. A tree's sha256
 also moves when its solutions move in their last bits, as they do when
 calls end at an active-set solve instead of the interior point's own test:
@@ -103,13 +103,11 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 class Solves:
     """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
     warm start, how many warm interior points ended "max-iterations", so
-    that their call was solved again cold, how many HiGHS feasibility LPs
-    the calls ran, the equality rows the calls' CSR Newton systems
+    that their call was solved again cold, the equality rows the calls' CSR Newton systems
     eliminated and the CSR calls that ran on the dense LU path."""
 
     solutions: list = dataclasses.field(default_factory=list)
     warm: int = 0
-    lps: int = 0
     retries: int = 0
     eliminated: int = 0
     dense: int = 0
@@ -120,7 +118,6 @@ def recorded_solves():
     """Yield a ``Solves`` that records the ``BoxQp.solve`` calls made inside."""
     solves = Solves()
     real_solve, real_interior_point, real_presolve = qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve
-    real_feasible = qp._feasible
 
     def recording(ws, *args, **kwargs):
         sol = real_solve(ws, *args, **kwargs)
@@ -142,30 +139,26 @@ def recorded_solves():
                 solves.eliminated += red.newton.nf - red.newton.nr
         return red
 
-    def feasible(red):
-        solves.lps += 1
-        return real_feasible(red)
-
     qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
-    qp._feasible = feasible
     try:
         yield solves
     finally:
         qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = real_solve, real_interior_point, real_presolve
-        qp._feasible = real_feasible
 
 
 def solve_counts(solves: Solves, results) -> str:
     """The number of solves, their total iterations, how many ended at the
-    cutoff and how many at an active-set solve, the HiGHS feasibility LPs
-    they ran, the total ``refix_solves``
+    cutoff, how many at an active-set solve and how many undecided
+    ("max-iterations"), the total ``refix_solves``
     of the ``MiqpSolution`` results, and the warm-started solves and cold
     retries."""
     sols = solves.solutions
     cutoffs = sum(sol.status == "cutoff" for sol in sols)
+    undecided = sum(sol.status == "max-iterations" for sol in sols)
     return (
         f"solves={len(sols)} iterations={sum(sol.iterations for sol in sols)} cutoffs={cutoffs} "
-        f"polished={sum(sol.polished for sol in sols)} lps={solves.lps} refix={sum(r.refix_solves for r in results)} "
+        f"polished={sum(sol.polished for sol in sols)} undecided={undecided} "
+        f"refix={sum(r.refix_solves for r in results)} "
         f"warm={solves.warm} retries={solves.retries}"
     )
 
