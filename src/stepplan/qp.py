@@ -60,23 +60,29 @@ A call on the LU path (below) ends, once its active set settles, at the
 solution of that set's KKT system (finite termination: Mehrotra and Ye,
 Math. Prog. 62, 1993). At each convergence test, after the cutoff test,
 it guesses the active rows of G_all as those with s < z. Whenever the
-guess differs from the last one tried, from the first test on, it solves
-[[P, G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y] = [-c; h_act;
-b] by one LU, with s = h_all - G_all x (0 on the active rows) and z = 0
-off them. The call ends "optimal", with ``polished`` set, if z >= 0, s >=
-0 and the point passes the loop's own convergence test (the same
-EPS_ABS and scales); otherwise, or when the system is singular, its
-iterations go on as they were. Most rejected points have a negative
-multiplier, so z is tested straight after the solve, before s and the
-point's residuals are built. A cold call's first guess is empty (s >= 1 =
-z), so a problem whose unconstrained optimum is feasible ends at its
-first test, and a warm call's first guess is its start's active set; the
-``_LuNewton`` is built at the first factorization, so a call that ends at
-its first test builds none. The trigger and the test have no parameter.
-The step ignores the cutoff, so a call that does not end at the cutoff
-still returns bit for bit what it returns without one. Calls on
-``_CholeskyNewton``, every call of the bundled presets, take no such
-step: their guess settles only at their last test or two.
+call has not tried that guess, from the first test on, it solves [[P,
+G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y] = [-c; h_act; b] by
+one LU, with s = h_all - G_all x (0 on the active rows) and z = 0 off
+them. The call ends "optimal", with ``polished`` set, if z >= 0, s >= 0
+and the point passes the loop's own convergence test (the same EPS_ABS
+and scales). A point that fails a sign test names the next guess, a
+primal-dual active-set step (Hintermueller, Ito and Kunisch, SIAM J.
+Optim. 13, 2002): the guessed rows with z >= 0 and the other rows with s
+< 0. That guess is solved at once, at the same test, unless the call has
+tried it: a guess's point does not depend on the iterate, so the call
+keeps every guess it has tried and solves none twice. The chain ends at a
+point it takes, at a guess already tried, at a point that passes the
+sign tests but not the convergence test, or at a singular system or a
+NaN; the iterations then go on as they were. A cold call's first guess
+is empty (s >= 1 = z), and a warm call's first guess is its start's
+active set; on the tree batches most calls end at their first test. The
+``_LuNewton`` and the Newton loop's buffers are made at the first step,
+so a call that ends at its first test builds and allocates none of them.
+The chain and its tests have no parameter. The step ignores the cutoff,
+so a call that does not end at the cutoff still returns bit for bit what
+it returns without one. Calls on ``_CholeskyNewton``, every call of the
+bundled presets, take no such step: their guess settles only at their
+last test or two.
 
 The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
@@ -141,21 +147,21 @@ are), and so must every fixing; a fixing outside its variable's bounds
 makes the call infeasible.
 
 On small problems a call's cost is numpy call overhead, not arithmetic, so
-the interior point allocates its vectors once per call and writes each
-iteration into them: the iterate [x; y; s; z] and its direction [dx; dy;
-ds; dz] are one buffer each (one ratio test over [s; z], one update of
-the iterate), the Newton solve writes [dx; dy] in place, and [G_all x;
-A x], [Px; G_all'z; A'y] and [r_p; r_e] are three views of one buffer
-(one ``np.abs`` and one ``np.maximum.reduceat`` give the three norms).
-Each G_all product is one call on the operator ``_stacked`` builds. A
-call without equality rows, as every call on a small random MIQP, skips
-A'y, Ax and their residual: A'y stays 0, and adding it to the dual
-residual changes no bit. Every such
-rewrite is exact, each element coming from the same floating point
-operations in the same order, but one: a dense G_all product sums the
-stacked rows in BLAS's order, so a dense call's iterates move in their last
-bits. Dense matrices stay C-ordered: a product sums in another order on an
-F-ordered copy, such as ``m[rows][:, cols]`` makes.
+the interior point allocates its vectors once per call (the Newton loop's
+at its first step) and writes each iteration into them: the iterate [x; y;
+s; z] and its direction [dx; dy; ds; dz] are one buffer each (one ratio
+test over [s; z], one update of the iterate), the Newton solve writes [dx;
+dy] in place, and [G_all x; A x], [Px; G_all'z; A'y] and [r_p; r_e] are
+three views of one buffer (one ``np.abs`` and one ``np.maximum.reduceat``
+give the three norms). Each G_all product is one call on the operator
+``_stacked`` builds. A call without equality rows, as every call on a small
+random MIQP, skips A'y, Ax and their residual: A'y stays 0, and adding it
+to the dual residual changes no bit. Every such rewrite is exact, each
+element coming from the same floating point operations in the same order,
+but one: a dense G_all product sums the stacked rows in BLAS's order, so a
+dense call's iterates move in their last bits. Dense matrices stay
+C-ordered: a product sums in another order on an F-ordered copy, such as
+``m[rows][:, cols]`` makes.
 
 For the same reason a call's numpy operations go through numpy's C entry
 points, not through a ufunc reduction or a Python-level wrapper, which
@@ -877,13 +883,22 @@ class BoxQp:
                 except (TypeError, OverflowError):
                     pass
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
-            if idx is None or not (
-                _all(np.isfinite(val)) and 0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n
-            ):
-                raise ContractViolation(f"fixings must pin variables 0..{self.n - 1} to finite values")
-            slack = FEAS_TOL * (1.0 + np.abs(val))
-            if _any((val < lo[idx] - slack) | (val > hi[idx] + slack)):
-                return None
+            bad = f"fixings must pin variables 0..{self.n - 1} to finite values"
+            if idx is None or not (0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n):
+                raise ContractViolation(bad)
+            # a value within its bounds is within their tolerance, so only
+            # when a value's excess over them is above 0 or NaN (the value is
+            # not finite) does the tolerance's own test run
+            below, above = lo[idx], hi[idx]
+            np.subtract(below, val, below)
+            np.subtract(val, above, above)
+            excess = np.maximum(below, above, out=below)
+            if not excess[excess.argmax()] <= 0.0:
+                if not _all(np.isfinite(val)):
+                    raise ContractViolation(bad)
+                slack = FEAS_TOL * (1.0 + np.abs(val))
+                if _any((val < lo[idx] - slack) | (val > hi[idx] + slack)):
+                    return None
             lo[idx] = hi[idx] = val
             free[idx] = False
             tests_rows = tests_rows or not _all(self._pinnable[idx])
@@ -1362,22 +1377,24 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     interior point or from the warm ``start`` (``QpSolution._start``).
 
     The inequality rows and both sides of the variable bounds form one
-    stacked system  G_all x + s = h_all, that is  Gx + s = h,  -x + s_l = -lo
-    and  x + s_u = hi,  with slacks s >= 0 and multipliers z >= 0. The
+    stacked system G_all x + s = h_all, that is Gx + s = h, -x + s_l = -lo
+    and x + s_u = hi, with slacks s >= 0 and multipliers z >= 0. The
     buffers (the iterate [x; y; s; z], its direction, the products,
     residuals, Newton weights and complementarity targets) are allocated
-    once per call and written in place, so the views into them made before
-    the loop stay valid. The call ends "infeasible" only when the Farkas
-    bound at the iterate's multipliers (``certified_infeasible``) is above
-    0, taken at a stall, where a call it does not decide keeps iterating,
-    and when the iterates do not converge, where such a call ends
-    "max-iterations". Before either, and on each iteration whose objective
-    has reached ``cutoff``, the call ends with status "cutoff" if the
-    certified lower bound (``cutoff_bound``) has reached it too. A call on
-    the LU path then tries the active-set termination step (``polish``),
-    and ends with status "polished" if it succeeds. Iterates that do not
-    converge end "optimal" at their best iterate, before the Farkas bound,
-    when it lies within their accuracy floor (see the module docstring).
+    once per call, those of the Newton loop at its first step, and written
+    in place, so the views into them stay valid. The call ends "infeasible"
+    only when the Farkas bound at the iterate's multipliers
+    (``certified_infeasible``) is above 0, taken at a stall, where a call
+    it does not decide keeps iterating, and when the iterates do not
+    converge, where such a call ends "max-iterations". Before either, and
+    on each iteration whose objective has reached ``cutoff``, the call ends
+    with status "cutoff" if the certified lower bound (``cutoff_bound``)
+    has reached it too. A call on the LU path then tries the active-set
+    termination step (``polish``) on a guess it has not tried, with the
+    repairs it names, and ends with status "polished" if one succeeds.
+    Iterates that do not converge end "optimal" at their best iterate,
+    before the Farkas bound, when it lies within their accuracy floor (see
+    the module docstring).
     Returns ``(x, y, s, z, iterations, status, bound)``, with that bound
     for a cutoff and -inf otherwise.
     """
@@ -1448,15 +1465,6 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
     own = iterate()
     state, x, y, s, z, _, gx, _, px, _, ay, r_p, r_e, r_d = own
     sz = state[n_xy:]
-    direction = np.empty(state.size)  # [dx; dy; ds; dz]
-    dxy, dx, dy = direction[:n_xy], direction[:nf], direction[nf:n_xy]
-    dsz, ds, dz = direction[n_xy:], direction[n_xy : n_xy + n_cone], direction[n_xy + n_cone :]
-    neg_rp, neg_s, t = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
-    neg_rd = np.empty(nf)
-    # s * z, z * r_p, z / s and the corrector's r_c
-    sz_prod, z_rp, weights, r_corr = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
-    shifted, ratio = np.empty(2 * n_cone), np.empty(2 * n_cone)  # sz + alpha * dsz, dsz / sz
-    shifted_s, shifted_z = shifted[:n_cone], shifted[n_cone:]
     if start is None:  # the cold point: the box's centre, z = 1 and s at least 1
         np.multiply(0.5, red.lo + red.hi, x)
         z.fill(1.0)
@@ -1499,21 +1507,29 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         np.divide(dz, neg_s, dz)
 
     eps = EPS_ABS
-    kkt = keep = trial = None  # the polish's KKT matrix, row mask and iterate, made at its first try
+    # the polish's KKT matrix, row mask, iterate and next-guess mask, made at its first try
+    kkt = keep = trial = kept = None
+    tried = set()  # the bytes of every guess this call has tried
 
-    def polish(active: np.ndarray) -> bool:
-        """Whether the point that solves the KKT system of the G_all rows
-        ``active`` (a mask) passes the loop's own convergence test; the
-        point is left in ``trial``.
+    def polish(first: np.ndarray, key: bytes) -> bool:
+        """Whether a chain of active-set guesses, from ``first`` (a mask of
+        G_all's rows, whose bytes are ``key``), reaches a point that passes
+        the loop's own convergence test; the point is left in ``trial``.
 
-        The system [[P, G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y]
-        = [-c; h_act; b] is the restriction of the call's whole KKT system,
-        whose transpose ``kkt`` holds (P' where P belongs), built at the
-        first try. The point has s = h_all - G_all x, 0 on the active rows,
-        and z = 0 off them; it must have z >= 0, tested first, as most
-        rejected points fail it, and s >= 0, and is rejected when LAPACK
-        finds the system singular."""
-        nonlocal kkt, keep, trial
+        A guess's point solves the KKT system of its G_all rows, [[P,
+        G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y] = [-c; h_act;
+        b], the restriction of the call's whole KKT system, whose transpose
+        ``kkt`` holds (P' where P belongs), built at the first try. The
+        point has s = h_all - G_all x, 0 on the guessed rows, and z = 0 off
+        them. The next guess keeps the guessed rows with z >= 0 and adds
+        the others with s < 0, a primal-dual active-set step (Hintermueller,
+        Ito and Kunisch, SIAM J. Optim. 13, 2002): it is the guess itself
+        exactly when z >= 0 and s >= 0, and the chain then ends: the point
+        is taken if it passes the convergence test. Otherwise the next
+        guess is tried at once, unless this call has tried it: a guess's
+        point does not depend on the iterate. A singular system or a NaN
+        ends the chain."""
+        nonlocal kkt, keep, trial, kept
         if kkt is None:
             kkt = np.zeros((nf + n_p, nf + n_p))
             kkt[:nf, :nf] = p.T
@@ -1524,54 +1540,72 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
                 kkt[nf + n_cone :, :nf] = a
             keep, trial = np.zeros(nf + n_p, dtype=bool), iterate()
             keep[:nf] = keep[nf + n_cone :] = True  # x and the equality rows, with the guess between
-        keep[nf : nf + n_cone] = active
-        point = _active_set_point(kkt, kkt_rhs, keep)
-        if point is None:
-            return False
-        z_on = point[nf : point.size - me]
-        # a NaN is the first minimum, and fails each sign test
-        if z_on.size and not z_on[z_on.argmin()] >= 0.0:
-            return False
+            kept = np.empty(n_cone, dtype=bool)
         _, x_t, y_t, s_t, z_t, *_, r_d_t = trial
-        on = active.nonzero()[0]
-        x_t[...], y_t[...] = point[:nf], point[point.size - me :]
-        z_t.fill(0.0)
-        z_t[on] = z_on
-        times(g_all, x_t, s_t)
-        np.subtract(h_all, s_t, s_t)
-        s_t[on] = 0.0
-        if not s_t[s_t.argmin()] >= 0.0:
-            return False
-        mu, _, prim, scale_p, scale_d, scale_c = measure(trial)
-        return prim <= eps * scale_p and _norm(r_d_t) <= eps * scale_d and mu * n_cone <= eps * scale_c
+        active = keep[nf : nf + n_cone]
+        active[...] = first
+        while True:
+            point = _active_set_point(kkt, kkt_rhs, keep)
+            # the squares sum to NaN exactly when an entry is NaN
+            if point is None or math.isnan(point.dot(point)):
+                return False
+            on, z_on = active.nonzero()[0], point[nf : point.size - me]
+            times(g_all, point[:nf], s_t)
+            np.subtract(h_all, s_t, s_t)
+            s_t[on] = 0.0
+            # the next guess: the rows with s < 0 and the guessed rows with z >= 0
+            np.logical_or(np.less(s_t, 0.0, kept), active, kept)
+            kept[on[z_on < 0.0]] = False
+            repaired = kept.tobytes()
+            if repaired == key:  # z >= 0 and s >= 0
+                x_t[...], y_t[...] = point[:nf], point[point.size - me :]
+                z_t.fill(0.0)
+                z_t[on] = z_on
+                mu, _, prim, scale_p, scale_d, scale_c = measure(trial)
+                return prim <= eps * scale_p and _norm(r_d_t) <= eps * scale_d and mu * n_cone <= eps * scale_c
+            if repaired in tried:
+                return False
+            tried.add(key := repaired)
+            active[...] = kept
 
     # the iterate nearest convergence among those whose primal residual and
     # complementarity are within 10 times the tolerance: its worst relative
     # measure and [x; y; s; z]
     best = (math.inf, None)
-    history = []  # relative primal residual and largest multiplier per iteration
     floor = 10.0 * eps
-    # the active-set guess s < z, and the bytes of the last one tried
-    polishing, guess, tried = red.newton is None, np.empty(n_cone, dtype=bool), None
+    # the active-set guess s < z; the Newton loop's buffers are made at its first step
+    polishing, guess, direction = red.newton is None, np.empty(n_cone, dtype=bool), None
     it = 0
     for it in range(1, MAX_ITER + 1):
         mu, obj, prim, scale_p, scale_d, scale_c = measure(own)
         gap = mu * n_cone
+        worst = math.inf
         if prim <= floor * scale_p and gap <= floor * scale_c:
             dual = _norm(r_d)
             if prim <= eps * scale_p and dual <= eps * scale_d and gap <= eps * scale_c:
                 return x, y, s, z, it - 1, "optimal", -math.inf
             worst = max(prim / scale_p, dual / scale_d, gap / scale_c)
-            if worst < best[0]:
-                best = worst, state.copy()
         if obj >= cutoff and (bound := cutoff_bound()) is not None:
             return x, y, s, z, it - 1, "cutoff", bound
-        if polishing and (key := np.less(s, z, guess).tobytes()) != tried:
-            tried = key
-            if polish(guess):
+        if polishing and (key := np.less(s, z, guess).tobytes()) not in tried:
+            tried.add(key)
+            if polish(guess, key):
                 return *trial[1:5], it - 1, "polished", -math.inf
+        if worst < best[0]:
+            best = worst, state.copy()
         if gap <= MU_FLOOR * scale_c:
             break
+        if direction is None:
+            direction = np.empty(state.size)  # [dx; dy; ds; dz]
+            dxy, dx, dy = direction[:n_xy], direction[:nf], direction[nf:n_xy]
+            dsz, ds, dz = direction[n_xy:], direction[n_xy : n_xy + n_cone], direction[n_xy + n_cone :]
+            neg_rp, neg_s, t = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
+            neg_rd = np.empty(nf)
+            # s * z, z * r_p, z / s and the corrector's r_c
+            sz_prod, z_rp, weights, r_corr = np.empty(n_cone), np.empty(n_cone), np.empty(n_cone), np.empty(n_cone)
+            shifted, ratio = np.empty(2 * n_cone), np.empty(2 * n_cone)  # sz + alpha * dsz, dsz / sz
+            shifted_s, shifted_z = shifted[:n_cone], shifted[n_cone:]
+            history = []  # relative primal residual and largest multiplier per iteration
         res_p, z_max = prim / scale_p, float(z[z.argmax()])
         history.append((res_p, z_max))
         if len(history) > STALL_ITERS:

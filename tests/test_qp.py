@@ -1836,9 +1836,10 @@ class TestCutoff:
     def test_bound_is_certified_or_solve_is_unchanged(self):
         rng = np.random.default_rng(21)
         ended, ended_infeasible, unchanged = 0, 0, 0
-        for _ in range(60):  # most calls end at an active-set solve before their cutoff: 60 problems for 100 cutoffs
+        for _ in range(60):
             prob = criterion_1_problem(rng)
-            ws = BoxQp.from_miqp(prob)
+            # no call ends at an active-set solve, which most would before their cutoff
+            ws = BoxQp.from_miqp(with_flat_column(prob))
             root = ws.solve().objective
             bins = prob.binary_indices
             for _ in range(4):
@@ -1863,8 +1864,8 @@ class TestCutoff:
         assert ended > 100 and ended_infeasible > 10 and unchanged > 100
 
     def test_cutoff_fields_are_set_at_once(self):
-        prob = criterion_1_problem(np.random.default_rng(3))
-        ws = BoxQp.from_miqp(prob)
+        prob = with_flat_column(criterion_1_problem(np.random.default_rng(3)))
+        ws = BoxQp.from_miqp(prob)  # the call runs its interior point to the cutoff
         sol = ws.solve(cutoff=ws.solve().objective - 0.1)
         assert sol.status == "cutoff" and math.isfinite(sol.objective)
         assert np.array_equal(sol.y, np.zeros(prob.n_ineq + prob.n_eq + prob.n_vars))
@@ -1985,7 +1986,7 @@ class TestWarmStart:
         assert lacking >= 10
 
     def test_start_must_be_an_iterate_of_this_workspace(self):
-        prob = criterion_1_problem(np.random.default_rng(7))
+        prob = with_flat_column(criterion_1_problem(np.random.default_rng(7)))  # a cutoff ends the call below
         ws, other = BoxQp.from_miqp(prob), BoxQp.from_miqp(prob)
         root = ws.solve()
         with pytest.raises(ContractViolation, match="warm start"):
@@ -1996,24 +1997,56 @@ class TestWarmStart:
             ws.solve(start=no_iterate)
 
 
-def active_set_tries(monkeypatch, fail=False) -> list:
+def active_set_tries(monkeypatch, fail=False, repairs=True) -> list:
     """Record each try of the active-set termination step as (the reduced
     problem, the kept rows of its KKT system, the point or None if the
-    system is singular); with ``fail``, every try finds its system singular."""
-    tries, call, real = [], [None], qp_module._active_set_point
+    system is singular, its chain): the tries made at one convergence test,
+    a guess and its repairs, share their chain number. With ``fail``, every
+    try finds its system singular; without ``repairs``, every try but the
+    first of its chain does, so each test tries its own guess alone."""
+    tries, call, real = [], [None, 0], qp_module._active_set_point
+    real_factor = qp_module._LuNewton.factor
 
     def interior_point(red, *args, real_ip=qp_module._interior_point):
-        call[0] = red
+        call[0], call[1] = red, call[1] + 1
         return real_ip(red, *args)
 
+    def factor(system, w):
+        call[1] += 1  # an iteration: the next test's tries are a new chain
+        return real_factor(system, w)
+
     def point(kkt, rhs, keep):
-        out = None if fail else real(kkt, rhs, keep)
-        tries.append((call[0], keep.copy(), None if out is None else out.copy()))
+        repair = bool(tries) and tries[-1][3] == call[1]
+        out = None if fail or (repair and not repairs) else real(kkt, rhs, keep)
+        tries.append((call[0], keep.copy(), None if out is None else out.copy(), call[1]))
         return out
 
     monkeypatch.setattr(qp_module, "_interior_point", interior_point)
+    monkeypatch.setattr(qp_module._LuNewton, "factor", factor)
     monkeypatch.setattr(qp_module, "_active_set_point", point)
     return tries
+
+
+def chains(tries) -> list:
+    """The recorded tries (``active_set_tries``) grouped by chain, in order."""
+    return [list(group) for _, group in itertools.groupby(tries, key=lambda t: t[3])]
+
+
+def repaired(red, keep, point) -> np.ndarray:
+    """The kept rows of the try that repairs a try's point, built with
+    numpy: its guessed rows whose multiplier is at least 0 and the other
+    G_all rows whose slack is below 0. They are the try's own when the
+    point has z >= 0 and s >= 0."""
+    nf, me = red.c.size, red.b.size
+    g_all, h_all = stacked_g(red)
+    active = keep[nf : keep.size - me]
+    z = np.zeros(active.size)
+    z[active] = point[nf : point.size - me]
+    s = h_all - g_all @ point[:nf]
+    s[active] = 0.0
+    out = keep.copy()
+    out[nf : keep.size - me] = (active & (z >= 0.0)) | (s < 0.0)
+    return out
 
 
 def stacked_g(red) -> tuple[np.ndarray, np.ndarray]:
@@ -2024,9 +2057,10 @@ def stacked_g(red) -> tuple[np.ndarray, np.ndarray]:
 
 class TestActiveSetTermination:
     """A call on the LU path tries the active-set termination step whenever
-    its guess s < z differs from the last one tried, and ends "optimal" and
-    polished at the point that solves the guess's KKT system if that point
-    passes the loop's own convergence test; a rejected try leaves the
+    its guess s < z is one the call has not tried, repairs a rejected guess
+    at once (``TestActiveSetRepair``), and ends "optimal" and polished at
+    the point that solves a guess's KKT system if that point passes the
+    loop's own convergence test; a rejected chain of tries leaves the
     iterations as they were."""
 
     @staticmethod
@@ -2086,10 +2120,12 @@ class TestActiveSetTermination:
 
     def test_a_rejected_try_leaves_the_iterations_as_they_were(self, monkeypatch):
         """A try whose point misses an active row (a slack off the guess
-        below 0) or has a negative multiplier is rejected. Each call makes
-        the tries that the same call whose every try is singular makes, up
-        to the one it ends at, and one that ends unpolished returns what
-        that call returns, bit for bit."""
+        below 0) or has a negative multiplier is rejected, and the next try
+        of its chain is its repair. Each call's chains start at the tries
+        that the same call whose every try is singular makes, less the
+        guesses an earlier chain of the call tried, up to the one it ends
+        at, and one that ends unpolished returns what that call returns,
+        bit for bit."""
         cases = self.cases(np.random.default_rng(44), 15)
         runs = []
         for fail in (False, True):
@@ -2101,14 +2137,25 @@ class TestActiveSetTermination:
                     runs[-1].append((ws.solve(fixings, cutoff, start), list(tries)))
         reasons, unpolished = collections.Counter(), 0
         for (sol, seen), (ref, failed) in zip(*runs):
-            assert [keep.tobytes() for _, keep, _ in seen] == [keep.tobytes() for _, keep, _ in failed[: len(seen)]]
-            if sol.polished:
-                assert seen and self.fault(*seen[-1]) is None
-                seen = seen[:-1]
-            else:
+            tried, made = set(), chains(seen)
+            for key in (keep.tobytes() for _, keep, _, _ in failed):
+                if key in tried:
+                    continue
+                assert made, "a test tried a guess beyond the call's end"
+                chain = made.pop(0)
+                assert chain[0][1].tobytes() == key
+                for (red, keep, point, _), (_, next_keep, _, _) in itertools.pairwise(chain):
+                    assert repaired(red, keep, point).tobytes() == next_keep.tobytes()
+                tried.update(keep.tobytes() for _, keep, _, _ in chain)
+                if sol.polished and not made:  # it ended at the chain's last try
+                    assert self.fault(*chain[-1][:3]) is None
+                    seen = seen[:-1]
+                    break
+            assert not made
+            if not sol.polished:
                 assert same_solution(sol, ref)
-                unpolished += any(point is not None for _, _, point in seen)
-            reasons.update(self.fault(*t) for t in seen)
+                unpolished += any(point is not None for _, _, point, _ in seen)
+            reasons.update(self.fault(*t[:3]) for t in seen)
         assert reasons["negative multiplier"] >= 15 and reasons["missed row"] >= 40
         assert unpolished >= 10
 
@@ -2125,7 +2172,7 @@ class TestActiveSetTermination:
             for fixings in [{}] + [{int(i): 1.0} for i in prob.binary_indices]:
                 ref, tries[:] = ws.solve(fixings), []
                 sol = flat.solve(fixings)
-                assert tries and all(point is None for _, _, point in tries)
+                assert tries and all(point is None for _, _, point, _ in tries)
                 assert sol.status == ref.status and not sol.polished
                 if sol.status == "optimal":
                     assert sol.x[-1] == 0.0
@@ -2147,7 +2194,7 @@ class TestActiveSetTermination:
         rng = np.random.default_rng(11)
         ws, _, _ = random_workspace(rng, 120, 200, 4, shared=4)
         sols = [ws.solve(fixings) for fixings in random_fixings(rng, 120)]
-        assert ws.sparse and all(red.newton is None for red, _, _ in tries)
+        assert ws.sparse and all(red.newton is None for red, *_ in tries)
         assert len(tries) >= 6 and sum(sol.polished for sol in sols) >= 3
 
     def test_lapack_reads_the_plain_active_set_system(self, monkeypatch):
@@ -2178,8 +2225,8 @@ class TestActiveSetTermination:
         ws, _, _ = random_workspace(rng, 14, 12, 3)
         for fixings in random_fixings(rng, 14, 10):
             ws.solve(fixings)
-        assert len(matrices) == len(tries) and sum(red.b.size > 0 for red, _, _ in tries) >= 5
-        for a, (red, keep, _) in zip(matrices, tries):
+        assert len(matrices) == len(tries) and sum(red.b.size > 0 for red, *_ in tries) >= 5
+        for a, (red, keep, *_) in zip(matrices, tries):
             nf, me = red.c.size, red.b.size
             g_act = stacked_g(red)[0][keep[nf : keep.size - me]]
             zero = lambda rows, cols: np.zeros((rows, cols))  # noqa: E731
@@ -2214,25 +2261,138 @@ def numpy_wrapper_entries(run) -> collections.Counter:
 
 class TestNumpyEntryPoints:
     """A warm dense solve without a cutoff, presolve, start, iterations and
-    active-set termination step included, takes every numpy operation
-    through a C entry point (see the module docstring): it makes no
-    ``ufunc.reduce`` call and calls no Python function of numpy."""
+    active-set termination step with its repairs included, takes every
+    numpy operation through a C entry point (see the module docstring): it
+    makes no ``ufunc.reduce`` call and calls no Python function of numpy."""
 
-    def test_warm_dense_solves_avoid_the_slow_entry_points(self):
+    def test_warm_dense_solves_avoid_the_slow_entry_points(self, monkeypatch):
         rng = np.random.default_rng(43)
         cases = []
-        for _ in range(24):  # enough solves for 500 iterations, though most end at an active-set solve
+        for _ in range(24):
             prob = criterion_1_problem(rng)
-            ws = BoxQp.from_miqp(prob)
-            assert not ws.sparse
-            bins = prob.binary_indices.tolist()
-            root, fixed = ws.solve(), ws.solve({bins[0]: 1.0})
-            cases += [(ws, root, {j: v}) for j in bins for v in (0.0, 1.0)]
-            if fixed.status == "optimal":  # a start that lacks the entries of its fixed column
-                cases += [(ws, fixed, {j: 1.0}) for j in bins[1:]]
-        sols = []
-        seen = numpy_wrapper_entries(lambda: sols.extend(ws.solve(fx, start=start) for ws, start, fx in cases))
+            # most calls end at an active-set solve, many after a repair; with
+            # a flat column, every call runs its interior point to its own end
+            for flat in (False, True):
+                ws = BoxQp.from_miqp(with_flat_column(prob) if flat else prob)
+                assert not ws.sparse
+                bins = prob.binary_indices.tolist()
+                root, fixed = ws.solve(), ws.solve({bins[0]: 1.0})
+                cases += [(ws, root, {j: v}, flat) for j in bins for v in (0.0, 1.0)]
+                if fixed.status == "optimal":  # a start that lacks the entries of its fixed column
+                    cases += [(ws, fixed, {j: 1.0}, flat) for j in bins[1:]]
+        tries, sols = active_set_tries(monkeypatch), []
+        seen = numpy_wrapper_entries(lambda: sols.extend(ws.solve(fx, start=start) for ws, start, fx, _ in cases))
         assert seen == collections.Counter()
-        assert sum(sol.iterations for sol in sols) > 500
+        assert sum(sol.iterations for sol, case in zip(sols, cases) if case[3]) > 500
         assert sum(sol.polished for sol in sols) > 100
-        assert sum(start._duals[2].size < start.x.size for _, start, _ in cases) > 0  # starts with 1.0 entries
+        assert sum(len(chain) - 1 for chain in chains(tries)) > 100  # repairs
+        assert sum(start._duals[2].size < start.x.size for _, start, _, _ in cases) > 0  # starts with 1.0 entries
+
+
+class TestActiveSetRepair:
+    """A rejected guess names the next: the guessed rows whose multiplier
+    is at least 0 and the other rows whose slack is below 0 (Hintermueller,
+    Ito and Kunisch), tried at once. A chain ends at a point that passes
+    the convergence test, at a guess the call has tried, or at a singular
+    system."""
+
+    def test_repaired_polished_solutions_match_the_engine_free_oracle(self, monkeypatch):
+        from test_bnb import random_instance, relaxation_optimum
+
+        tries = active_set_tries(monkeypatch)
+        rng = np.random.default_rng(1)
+        ended, checked = collections.Counter(), 0
+        while checked < 10:  # the oracle's problems: criterion 1's with at most 5 binaries
+            prob = random_instance(rng, 10, 8, 8)
+            bins = prob.binary_indices.tolist()
+            if len(bins) > 5:
+                continue
+            ws = BoxQp.from_miqp(prob)
+            root = ws.solve()
+            assert root.status == "optimal"
+            checked += 1
+            for pattern in itertools.product((0.0, 1.0), repeat=len(bins)):
+                fixings, optimum = dict(zip(bins, pattern)), None
+                for start in (None, root):
+                    tries.clear()
+                    sol = ws.solve(fixings, start=start)
+                    if not (sol.polished and len(chains(tries)[-1]) > 1):  # not ended by a repaired guess
+                        continue
+                    assert sol.status == "optimal"
+                    assert sol.prim_res <= 1e-9 and sol.dual_res <= 1e-9 * (1.0 + np.abs(sol.y).max())
+                    optimum = relaxation_optimum(prob, fixings) if optimum is None else optimum
+                    assert sol.objective == pytest.approx(optimum, rel=0.0, abs=1e-7)
+                    ended["cold" if start is None else "warm"] += 1
+        assert ended["cold"] >= 50 and ended["warm"] >= 50
+
+    def test_a_guess_wrong_both_ways_is_repaired_at_the_first_test(self, monkeypatch):
+        """min 0.5 x'Px - 1.5 x_0 - 2 x_1 over [-1, 1]^2, P = [[1, 0.9],
+        [0.9, 1]]. With x_1 fixed at 0 the optimum puts x_0 on its upper
+        bound, and a call started there guesses that bound alone. Its point
+        (1, 1.1) has a negative multiplier on it and misses x_1's upper
+        bound; the repair guesses x_1's upper bound alone, whose point
+        (0.6, 1) is the optimum. The call ends at iteration 0 after two KKT
+        solves."""
+        ws = BoxQp.from_miqp(make_problem([[0.5, 0.45], [0.45, 0.5]], [-1.5, -2.0], lb=[-1.0, -1.0], ub=[1.0, 1.0]))
+        start = ws.solve({1: 0.0})
+        assert start.status == "optimal" and start.x.tolist() == [1.0, 0.0]
+        tries = active_set_tries(monkeypatch)
+        sol = ws.solve(start=start)
+        assert (sol.status, sol.polished, sol.iterations, len(tries)) == ("optimal", True, 0, 2)
+        (red, keep, point, _), (_, second, _, _) = tries
+        g_all, h_all = stacked_g(red)
+        rows = lambda mask: mask[2:].tolist()  # noqa: E731  [lower x_0, lower x_1, upper x_0, upper x_1]
+        assert rows(keep) == [False, False, True, False] and point[:2] == pytest.approx([1.0, 1.1])
+        assert point[2] < 0.0 and (h_all - g_all @ point[:2])[3] < 0.0  # wrong both ways
+        assert rows(second) == [False, False, False, True]
+        assert sol.x == pytest.approx([0.6, 1.0], abs=1e-12)
+        assert sol.objective == pytest.approx(-1.68, abs=1e-12)
+
+    def test_a_chain_that_revisits_a_guess_stops(self, monkeypatch):
+        """A chain whose repair is a guess the call has tried ends there, and
+        the call's iterations go on: one that then ends unpolished returns
+        what it returns with repairs off (each test tries its own guess
+        alone), bit for bit."""
+        cases = TestActiveSetTermination.cases(np.random.default_rng(48), 30)
+        runs = []
+        for repairs in (True, False):
+            with monkeypatch.context() as m:
+                tries = active_set_tries(m, repairs=repairs)
+                runs.append([])
+                for ws, fixings, start, cutoff in cases:
+                    tries.clear()
+                    runs[-1].append((ws.solve(fixings, cutoff, start), list(tries)))
+        revisits = unpolished = 0
+        for (sol, seen), (ref, _) in zip(*runs):
+            tried, revisited = set(), False
+            for chain in chains(seen):
+                tried.update(keep.tobytes() for _, keep, _, _ in chain)
+                red, keep, point, _ = chain[-1]
+                if point is not None and (key := repaired(red, keep, point).tobytes()) != keep.tobytes():
+                    assert key in tried  # rejected on its signs, its repair tried before
+                    revisited = True
+            revisits += revisited
+            if revisited and not sol.polished:
+                assert same_solution(sol, ref)
+                unpolished += 1
+        assert revisits >= 30 and unpolished >= 5
+
+    def test_a_flat_column_call_never_polishes(self, monkeypatch):
+        """With ``with_flat_column`` every try's system is singular, so no
+        chain goes past its first try and no call polishes: cold, warm or
+        with a cutoff."""
+        rng = np.random.default_rng(47)
+        cases = []
+        for _ in range(5):
+            prob = with_flat_column(criterion_1_problem(rng))
+            ws = BoxQp.from_miqp(prob)
+            root = ws.solve()
+            near = root.objective + 0.01 * (1.0 + abs(root.objective))
+            children = [{int(i): v} for i in prob.binary_indices for v in (0.0, 1.0)]
+            cases += [(ws, fx, start, cutoff) for fx in [{}] + children for start in (None, root)
+                      for cutoff in (math.inf, near)]
+        tries = active_set_tries(monkeypatch)
+        sols = [ws.solve(fixings, cutoff, start) for ws, fixings, start, cutoff in cases]
+        assert not any(sol.polished for sol in sols)
+        assert len(tries) >= len(sols) >= 100 and all(point is None for _, _, point, _ in tries)
+        assert all(len(chain) == 1 for chain in chains(tries))

@@ -24,9 +24,9 @@ unsound ones and the smallest relative margin of a parent objective over its
 bound, the number of warm calls, the ratio of this checkout's total
 interior-point iterations to the parent's (a warm call's cold retry
 included), how many solves of each checkout ended at an active-set solve
-(``QpSolution.polished``) and how many HiGHS feasibility LPs (``_feasible``)
-each checkout's solves ran, both on the first round; a checkout whose
-``qp`` has no ``_feasible`` runs none. It also prints the
+(``QpSolution.polished``) and how many KKT systems each checkout's
+active-set step solved (calls of ``_active_set_point``), both on the first
+round; a checkout whose ``qp`` has no such step solves none. It also prints the
 median over rounds of this checkout's set-up time and solve time over the
 parent's, and, for each checkout, the sum over
 workspaces and over calls of each one's minimum time across rounds, with the
@@ -127,23 +127,25 @@ def preset_plan(name: str):
 
 
 @contextmanager
-def counted_lps(modules):
-    """Yield one list per module that grows by one entry per call of that
-    module's HiGHS feasibility LP (``_feasible``) made inside; the list of a
-    module without one stays empty."""
+def counted_kkt_solves(modules):
+    """Yield one list per module that grows by one entry per KKT system
+    that module's active-set step solves (``_active_set_point``) inside;
+    the list of a module without the step stays empty."""
     counts = [[] for _ in modules]
-    real = [(m, count, m._feasible) for m, count in zip(modules, counts) if hasattr(m, "_feasible")]
+    real = [
+        (m, count, m._active_set_point) for m, count in zip(modules, counts) if hasattr(m, "_active_set_point")
+    ]
 
-    def counting(count, feasible):
-        return lambda red: count.append(1) or feasible(red)
+    def counting(count, point):
+        return lambda kkt, rhs, keep: count.append(1) or point(kkt, rhs, keep)
 
-    for m, count, feasible in real:
-        m._feasible = counting(count, feasible)
+    for m, count, point in real:
+        m._active_set_point = counting(count, point)
     try:
         yield counts
     finally:
-        for m, _, feasible in real:
-            m._feasible = feasible
+        for m, _, point in real:
+            m._active_set_point = point
 
 
 def record_calls(run):
@@ -304,7 +306,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     least_presolve = np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        with counted_lps((parent, qp)) as lps:
+        with counted_kkt_solves((parent, qp)) as kkt:
             setup, (ws_old, ws_new), seconds, (old, new), presolve = replay((parent, qp), spaces, calls, r)
         np.minimum(least_setup, setup, out=least_setup)
         np.minimum(least, seconds, out=least)
@@ -329,7 +331,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             margin = min(margins, default=math.inf)
             iterations = [sum(sol.iterations for sol in sols) for sols in (old, new)]
             polished = [sum(sol.polished for sol in sols) for sols in (old, new)]
-            lp_counts = [len(count) for count in lps]
+            kkt_counts = [len(count) for count in kkt]
         differing = sum(not same(a, b) for a, b in zip(old, new))
         if differing > differ:
             differ, how = differing, differences(old, new, [c[2] for c in calls])
@@ -362,7 +364,7 @@ def compare(label: str, run, parent, rounds: int) -> bool:
         f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}; "
         f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}; "
         f"polished solves parent {polished[0]}, this {polished[1]}; "
-        f"feasibility LPs parent {lp_counts[0]}, this {lp_counts[1]}"
+        f"KKT solves parent {kkt_counts[0]}, this {kkt_counts[1]}"
     )
     for name, workspaces in (("parent", ws_old), ("this", ws_new)):
         seen, numpy_calls, its = entry_census(workspaces, calls)

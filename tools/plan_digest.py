@@ -5,8 +5,9 @@ For each bundled preset, planned at default ``plan()`` limits, it prints the
 number of plan steps, the chunk statuses, the node count of each chunk, the
 number of ``BoxQp.solve`` calls, their total interior-point iterations, how
 many ended at the incumbent cutoff (status "cutoff") and how many at an
-active-set solve (``QpSolution.polished``), how many ended undecided
-(status "max-iterations": neither converged nor proved infeasible), the
+active-set solve (``QpSolution.polished``), how many KKT systems the
+active-set step solved (calls of ``qp._active_set_point``), how many ended
+undecided (status "max-iterations": neither converged nor proved infeasible), the
 total ``MiqpSolution.refix_solves`` of its chunks (the relaxations the incumbent
 path asked for), how many calls were warm-started and how many of those were solved again cold
 (their warm interior point ended "max-iterations"), the equality rows the
@@ -28,11 +29,11 @@ every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
 order), so a change to the load path that moves a box shows even when no plan
 moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
 benchmark workload on the batch of that seed and prints the total node
-count, the solve, iteration, cutoff, polished, undecided, refix, warm and
-retry counts and the sha256 of every solution ``x`` (bytes in batch order). Run it from
+count, the solve, iteration, cutoff, polished, KKT-solve, undecided, refix,
+warm and retry counts and the sha256 of every solution ``x`` (bytes in batch order). Run it from
 the repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, polished, refix, warm, retry, eliminated and dense
-counts may differ between two commits that keep every plan. A tree's sha256
+iteration, cutoff, polished, KKT-solve, refix, warm, retry, eliminated and
+dense counts may differ between two commits that keep every plan. A tree's sha256
 also moves when its solutions move in their last bits, as they do when
 calls end at an active-set solve instead of the interior point's own test:
 
@@ -101,12 +102,13 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 
 @dataclasses.dataclass
 class Solves:
-    """The ``QpSolution`` of each ``BoxQp.solve`` call, how many calls had a
-    warm start, how many warm interior points ended "max-iterations", so
+    """The ``QpSolution`` of each ``BoxQp.solve`` call, the KKT systems
+    the active-set step solved, how many calls had a warm start, how many warm interior points ended "max-iterations", so
     that their call was solved again cold, the equality rows the calls' CSR Newton systems
     eliminated and the CSR calls that ran on the dense LU path."""
 
     solutions: list = dataclasses.field(default_factory=list)
+    kkt: int = 0
     warm: int = 0
     retries: int = 0
     eliminated: int = 0
@@ -118,6 +120,7 @@ def recorded_solves():
     """Yield a ``Solves`` that records the ``BoxQp.solve`` calls made inside."""
     solves = Solves()
     real_solve, real_interior_point, real_presolve = qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve
+    real_point = qp._active_set_point
 
     def recording(ws, *args, **kwargs):
         sol = real_solve(ws, *args, **kwargs)
@@ -130,6 +133,10 @@ def recorded_solves():
         solves.retries += start is not None and out[5] == "max-iterations"
         return out
 
+    def point(kkt, rhs, keep):
+        solves.kkt += 1
+        return real_point(kkt, rhs, keep)
+
     def presolve(ws, fixings):
         red = real_presolve(ws, fixings)
         if red is not None and ws.sparse:
@@ -140,16 +147,18 @@ def recorded_solves():
         return red
 
     qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
+    qp._active_set_point = point
     try:
         yield solves
     finally:
         qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = real_solve, real_interior_point, real_presolve
+        qp._active_set_point = real_point
 
 
 def solve_counts(solves: Solves, results) -> str:
     """The number of solves, their total iterations, how many ended at the
-    cutoff, how many at an active-set solve and how many undecided
-    ("max-iterations"), the total ``refix_solves``
+    cutoff, how many at an active-set solve, the KKT systems the active-set
+    step solved, how many undecided ("max-iterations"), the total ``refix_solves``
     of the ``MiqpSolution`` results, and the warm-started solves and cold
     retries."""
     sols = solves.solutions
@@ -157,7 +166,7 @@ def solve_counts(solves: Solves, results) -> str:
     undecided = sum(sol.status == "max-iterations" for sol in sols)
     return (
         f"solves={len(sols)} iterations={sum(sol.iterations for sol in sols)} cutoffs={cutoffs} "
-        f"polished={sum(sol.polished for sol in sols)} undecided={undecided} "
+        f"polished={sum(sol.polished for sol in sols)} kkt={solves.kkt} undecided={undecided} "
         f"refix={sum(r.refix_solves for r in results)} "
         f"warm={solves.warm} retries={solves.retries}"
     )
