@@ -62,27 +62,30 @@ Math. Prog. 62, 1993). At each convergence test, after the cutoff test,
 it guesses the active rows of G_all as those with s < z. Whenever the
 call has not tried that guess, from the first test on, it solves [[P,
 G_act', A'], [G_act, 0, 0], [A, 0, 0]] [x; z_act; y] = [-c; h_act; b] by
-one LU, with s = h_all - G_all x (0 on the active rows) and z = 0 off
-them. The call ends "optimal", with ``polished`` set, if z >= 0, s >= 0
-and the point passes the loop's own convergence test (the same EPS_ABS
-and scales). A point that fails a sign test names the next guess, a
-primal-dual active-set step (Hintermueller, Ito and Kunisch, SIAM J.
-Optim. 13, 2002): the guessed rows with z >= 0 and the other rows with s
-< 0. That guess is solved at once, at the same test, unless the call has
-tried it: a guess's point does not depend on the iterate, so the call
-keeps every guess it has tried and solves none twice. The chain ends at a
-point it takes, at a guess already tried, at a point that passes the
-sign tests but not the convergence test, or at a singular system or a
-NaN; the iterations then go on as they were. A cold call's first guess
-is empty (s >= 1 = z), and a warm call's first guess is its start's
-active set; on the tree batches most calls end at their first test. The
-``_LuNewton`` and the Newton loop's buffers are made at the first step,
-so a call that ends at its first test builds and allocates none of them.
-The chain and its tests have no parameter. The step ignores the cutoff,
-so a call that does not end at the cutoff still returns bit for bit what
-it returns without one. Calls on ``_CholeskyNewton``, every call of the
-bundled presets, take no such step: their guess settles only at their
-last test or two.
+one LAPACK call (``gesv``: the LU and its solve), with s = h_all - G_all
+x (0 on the active rows) and z = 0 off them. The call ends "optimal",
+with ``polished`` set, if z >= 0, s >= 0 and the point passes the loop's
+own convergence test (the same EPS_ABS and scales). A point that fails a
+sign test names the next guess, a primal-dual active-set step
+(Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002): the guessed
+rows with z >= 0 and the other rows with s < 0. That guess is solved at
+once, at the same test, unless the call has tried it: a guess's point
+does not depend on the iterate, so the call keeps every guess it has
+tried and solves none twice. The chain ends at a point it takes, at a
+guess already tried, at a point that passes the sign tests but not the
+convergence test, at a singular system or a NaN, or, before any LAPACK
+call, at a guess with more rows than free columns (its guessed rows and
+the equality rows): such a system is singular by its shape, and rounding
+would hide its zero pivot from LAPACK. The iterations then go on as they
+were. A cold call's first guess is empty (s >= 1 = z), and a warm call's
+first guess is its start's active set; on the tree batches most calls end
+at their first test. The ``_LuNewton`` and the Newton loop's buffers are
+made at the first step, so a call that ends at its first test builds and
+allocates none of them. The chain and its tests have no parameter. The
+step ignores the cutoff, so a call that does not end at the cutoff still
+returns bit for bit what it returns without one. Calls on
+``_CholeskyNewton``, every call of the bundled presets, take no such
+step: their guess settles only at their last test or two.
 
 The presolve removes the structures that leave a feasible set without an
 interior: rows emptied by the fixings are checked and dropped, rows left
@@ -275,9 +278,9 @@ WARM_FLOOR = 0.1
 
 # LAPACK directly: the checking wrappers cost more than a tiny solve. LU for
 # the full Newton matrix of a dense call, Cholesky and triangular solves for
-# the reduced block of a CSR one
-_getrf, _getrs, _potrf, _trtrs = la.get_lapack_funcs(
-    ("getrf", "getrs", "potrf", "trtrs"), dtype=np.float64
+# the reduced block of a CSR one, and one LU-and-solve call per active-set guess
+_getrf, _getrs, _gesv, _potrf, _trtrs = la.get_lapack_funcs(
+    ("getrf", "getrs", "gesv", "potrf", "trtrs"), dtype=np.float64
 )
 
 
@@ -1528,7 +1531,10 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         is taken if it passes the convergence test. Otherwise the next
         guess is tried at once, unless this call has tried it: a guess's
         point does not depend on the iterate. A singular system or a NaN
-        ends the chain."""
+        ends the chain, and so does a guess whose G_all rows and equality
+        rows outnumber the ``nf`` free columns, before LAPACK sees it: its
+        system is singular by its shape, and rounding often hides the zero
+        pivot from LAPACK, which then returns a point with huge entries."""
         nonlocal kkt, keep, trial, kept
         if kkt is None:
             kkt = np.zeros((nf + n_p, nf + n_p))
@@ -1545,17 +1551,20 @@ def _interior_point(red: _Reduced, cutoff: float, start: tuple | None = None):
         active = keep[nf : nf + n_cone]
         active[...] = first
         while True:
+            on = active.nonzero()[0]
+            if on.size + me > nf:  # more rows than free columns: singular by its shape
+                return False
             point = _active_set_point(kkt, kkt_rhs, keep)
             # the squares sum to NaN exactly when an entry is NaN
             if point is None or math.isnan(point.dot(point)):
                 return False
-            on, z_on = active.nonzero()[0], point[nf : point.size - me]
+            z_on = point[nf : point.size - me]
             times(g_all, point[:nf], s_t)
             np.subtract(h_all, s_t, s_t)
             s_t[on] = 0.0
-            # the next guess: the rows with s < 0 and the guessed rows with z >= 0
-            np.logical_or(np.less(s_t, 0.0, kept), active, kept)
-            kept[on[z_on < 0.0]] = False
+            # the next guess: the rows with s < 0 (none guessed) and the guessed rows with z >= 0
+            np.less(s_t, 0.0, kept)
+            kept[on] = z_on >= 0.0
             repaired = kept.tobytes()
             if repaired == key:  # z >= 0 and s >= 0
                 x_t[...], y_t[...] = point[:nf], point[point.size - me :]
@@ -1720,13 +1729,13 @@ def _active_set_point(kkt: np.ndarray, rhs: np.ndarray, keep: np.ndarray) -> np.
     system ``kkt`` v = ``rhs``, or None if LAPACK finds them singular.
 
     ``kkt`` is C-ordered and holds the transpose of the system: the
-    restriction, taken by one ``take`` per axis, is factored in place
-    through its F-ordered transpose, which is the restricted system."""
+    restriction, taken by one ``take`` per axis, is factored and solved in
+    place through its F-ordered transpose, which is the restricted system,
+    by one ``gesv`` call. The caller hands it no system with more
+    constraint rows than columns (``polish``)."""
     rows = keep.nonzero()[0]
-    lu, piv, info = _getrf(kkt.take(rows, 0).take(rows, 1).T, 1)  # overwrite_a
-    if info:
-        return None
-    return _getrs(lu, piv, rhs.take(rows), 0, 1)[0]  # overwrite_b
+    _, _, point, info = _gesv(kkt.take(rows, 0).take(rows, 1).T, rhs.take(rows), 1, 1)  # overwrite a and b
+    return None if info else point
 
 
 def solve_qp(problem: MiqpProblem, fixings: dict[int, float] | None = None) -> QpSolution:

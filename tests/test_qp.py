@@ -690,9 +690,8 @@ def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
     the one the interior point that factors it was given), and with
     ``lapack`` the matrix then handed to ``_getrf`` or ``_potrf``, copied
     before it is factored, and the rows of H that a CSR call keeps for its
-    pivots (None for a dense call). A ``_getrf`` call outside ``factor``,
-    such as an active-set solve's before the first factorization, is not
-    recorded."""
+    pivots (None for a dense call). An active-set solve calls ``_gesv``,
+    which is not recorded."""
     seen, per_solve, call = [], [], [None]
     with monkeypatch.context() as m:
 
@@ -2049,6 +2048,14 @@ def repaired(red, keep, point) -> np.ndarray:
     return out
 
 
+def overfull(red, keep) -> bool:
+    """Whether the kept rows of a KKT system, its guessed G_all rows and
+    its equality rows, outnumber the call's free columns: a guess the
+    step does not solve, since its system is singular by its shape."""
+    nf = red.c.size
+    return int(keep[nf:].sum()) > nf
+
+
 def stacked_g(red) -> tuple[np.ndarray, np.ndarray]:
     """A dense call's G_all = [G; -I; I] and h_all = [h; -lo; hi], built with numpy."""
     nf = red.c.size
@@ -2198,12 +2205,12 @@ class TestActiveSetTermination:
         assert len(tries) >= 6 and sum(sol.polished for sol in sols) >= 3
 
     def test_lapack_reads_the_plain_active_set_system(self, monkeypatch):
-        """The matrix each try hands ``_getrf`` is [[P, G_act', A'], [G_act,
+        """The matrix each try hands ``_gesv`` is [[P, G_act', A'], [G_act,
         0, 0], [A, 0, 0]], built with numpy, byte for byte, with and without
         equality rows."""
         matrices, inside = [], [False]
         tries = active_set_tries(monkeypatch)
-        real_point, real_getrf = qp_module._active_set_point, qp_module._getrf
+        real_point, real_gesv = qp_module._active_set_point, qp_module._gesv
 
         def point(*args):
             inside[0] = True
@@ -2212,13 +2219,13 @@ class TestActiveSetTermination:
             finally:
                 inside[0] = False
 
-        def getrf(a, *args):
+        def gesv(a, *args):
             if inside[0]:
                 matrices.append(a.copy())
-            return real_getrf(a, *args)
+            return real_gesv(a, *args)
 
         monkeypatch.setattr(qp_module, "_active_set_point", point)
-        monkeypatch.setattr(qp_module, "_getrf", getrf)
+        monkeypatch.setattr(qp_module, "_gesv", gesv)
         for ws, fixings, start, cutoff in self.cases(np.random.default_rng(46), 3):
             ws.solve(fixings, cutoff, start)
         rng = np.random.default_rng(14)
@@ -2293,8 +2300,8 @@ class TestActiveSetRepair:
     """A rejected guess names the next: the guessed rows whose multiplier
     is at least 0 and the other rows whose slack is below 0 (Hintermueller,
     Ito and Kunisch), tried at once. A chain ends at a point that passes
-    the convergence test, at a guess the call has tried, or at a singular
-    system."""
+    the convergence test, at a guess the call has tried, at a singular
+    system, or, unsolved, at a guess with more rows than free columns."""
 
     def test_repaired_polished_solutions_match_the_engine_free_oracle(self, monkeypatch):
         from test_bnb import random_instance, relaxation_optimum
@@ -2352,8 +2359,9 @@ class TestActiveSetRepair:
         """A chain whose repair is a guess the call has tried ends there, and
         the call's iterations go on: one that then ends unpolished returns
         what it returns with repairs off (each test tries its own guess
-        alone), bit for bit."""
-        cases = TestActiveSetTermination.cases(np.random.default_rng(48), 30)
+        alone), bit for bit. A chain whose repair has more rows than free
+        columns (``overfull``) ends there too, untried."""
+        cases = TestActiveSetTermination.cases(np.random.default_rng(48), 120)
         runs = []
         for repairs in (True, False):
             with monkeypatch.context() as m:
@@ -2362,20 +2370,70 @@ class TestActiveSetRepair:
                 for ws, fixings, start, cutoff in cases:
                     tries.clear()
                     runs[-1].append((ws.solve(fixings, cutoff, start), list(tries)))
-        revisits = unpolished = 0
+        revisits = unpolished = overfull_ends = 0
         for (sol, seen), (ref, _) in zip(*runs):
             tried, revisited = set(), False
             for chain in chains(seen):
                 tried.update(keep.tobytes() for _, keep, _, _ in chain)
                 red, keep, point, _ = chain[-1]
-                if point is not None and (key := repaired(red, keep, point).tobytes()) != keep.tobytes():
-                    assert key in tried  # rejected on its signs, its repair tried before
-                    revisited = True
+                if point is None or (after := repaired(red, keep, point)).tobytes() == keep.tobytes():
+                    continue
+                if overfull(red, after):  # rejected on its signs, its repair not solved
+                    overfull_ends += 1
+                    continue
+                assert after.tobytes() in tried  # rejected on its signs, its repair tried before
+                revisited = True
             revisits += revisited
             if revisited and not sol.polished:
                 assert same_solution(sol, ref)
                 unpolished += 1
-        assert revisits >= 30 and unpolished >= 5
+        assert revisits >= 30 and unpolished >= 5 and overfull_ends >= 1000
+
+    def test_no_chain_solves_an_overfull_guess(self, monkeypatch):
+        """No try hands LAPACK a guess whose rows outnumber the free
+        columns: such a system is singular by its shape, and rounding hides
+        its zero pivot, so LAPACK would solve it to a point with huge
+        entries. Criterion 1's calls, cold, warm and with a cutoff, and the
+        first 40 problems of the tree batch of seed 1 hand it none, and
+        many of their chains end at such a guess instead."""
+        tries = active_set_tries(monkeypatch)
+        for ws, fixings, start, cutoff in TestActiveSetTermination.cases(np.random.default_rng(49), 15):
+            ws.solve(fixings, cutoff, start)
+        workload = tree_workload(1)
+        workload.run(bnb, workload.setup(bnb)[:40])
+        assert len(tries) >= 1000
+        assert not any(overfull(red, keep) for red, keep, _, _ in tries)
+        assert max(np.abs(point).max() for _, _, point, _ in tries if point is not None) <= 1e20
+        ends = sum(
+            point is not None and overfull(red, repaired(red, keep, point))
+            for red, keep, point, _ in (chain[-1] for chain in chains(tries))
+        )
+        assert ends >= 100
+
+    def test_a_cold_guess_past_the_columns_ends_its_chain_unsolved(self, monkeypatch):
+        """min 0.5 |x|^2 - 3 x_0 - 3 x_1 over [-5, 5]^2 with x_0 + 0.5 x_1
+        <= 1, 0.5 x_0 + x_1 <= 1 and x_0 + x_1 <= 1.5. A cold call's first
+        guess is empty, and its point, the unconstrained minimizer (3, 3),
+        violates all three rows. The repair guesses the three rows against
+        2 columns, and the chain ends there, with no LAPACK call. The call
+        still ends "optimal" at (2/3, 2/3)."""
+        from test_bnb import relaxation_optimum
+
+        prob = make_problem(0.5 * np.eye(2), [-3.0, -3.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
+                            a_in=[[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]], b_in=[1.0, 1.0, 1.5])
+        ws, solved = BoxQp.from_miqp(prob), []
+        tries, real_gesv = active_set_tries(monkeypatch), qp_module._gesv
+        monkeypatch.setattr(qp_module, "_gesv", lambda a, *args: solved.append(a.shape[0]) or real_gesv(a, *args))
+        sol = ws.solve()
+        red, keep, point, _ = chains(tries)[0][0]
+        assert not keep[2:].any() and point[:2] == pytest.approx([3.0, 3.0], abs=1e-12)
+        after = repaired(red, keep, point)
+        assert after[2:5].all() and not after[5:].any() and overfull(red, after)
+        assert len(chains(tries)[0]) == 1 and len(solved) == len(tries)
+        assert not any(overfull(red, keep) for red, keep, _, _ in tries)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(relaxation_optimum(prob, {}), rel=0.0, abs=1e-7)
+        assert sol.x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-7)
 
     def test_a_flat_column_call_never_polishes(self, monkeypatch):
         """With ``with_flat_column`` every try's system is singular, so no

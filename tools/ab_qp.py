@@ -24,9 +24,12 @@ unsound ones and the smallest relative margin of a parent objective over its
 bound, the number of warm calls, the ratio of this checkout's total
 interior-point iterations to the parent's (a warm call's cold retry
 included), how many solves of each checkout ended at an active-set solve
-(``QpSolution.polished``) and how many KKT systems each checkout's
-active-set step solved (calls of ``_active_set_point``), both on the first
-round; a checkout whose ``qp`` has no such step solves none. It also prints the
+(``QpSolution.polished``), how many KKT systems each checkout's
+active-set step solved (calls of ``_active_set_point``) and how many LU
+factorizations each made on the LU path, those KKT solves and the Newton
+steps' (``_LuNewton.factor`` calls), all on the first round; a checkout
+whose ``qp`` has no such step solves none. A change that trades KKT solves
+for Newton steps shows its net in the factorizations. It also prints the
 median over rounds of this checkout's set-up time and solve time over the
 parent's, and, for each checkout, the sum over
 workspaces and over calls of each one's minimum time across rounds, with the
@@ -127,25 +130,30 @@ def preset_plan(name: str):
 
 
 @contextmanager
-def counted_kkt_solves(modules):
-    """Yield one list per module that grows by one entry per KKT system
-    that module's active-set step solves (``_active_set_point``) inside;
-    the list of a module without the step stays empty."""
-    counts = [[] for _ in modules]
+def counted_factorizations(modules):
+    """Yield one ``Counter`` per module of the LU factorizations that
+    module makes inside on the LU path: "kkt", the KKT systems its
+    active-set step solves (``_active_set_point``), and "newton", its
+    Newton steps' ``_LuNewton.factor`` calls. A module without the step
+    counts no "kkt"."""
+    counts = [collections.Counter() for _ in modules]
     real = [
-        (m, count, m._active_set_point) for m, count in zip(modules, counts) if hasattr(m, "_active_set_point")
+        (owner, name, key, count, getattr(owner, name))
+        for m, count in zip(modules, counts)
+        for owner, name, key in ((m, "_active_set_point", "kkt"), (m._LuNewton, "factor", "newton"))
+        if hasattr(owner, name)
     ]
 
-    def counting(count, point):
-        return lambda kkt, rhs, keep: count.append(1) or point(kkt, rhs, keep)
+    def counting(count, key, fn):
+        return lambda *args: count.update((key,)) or fn(*args)
 
-    for m, count, point in real:
-        m._active_set_point = counting(count, point)
+    for owner, name, key, count, fn in real:
+        setattr(owner, name, counting(count, key, fn))
     try:
         yield counts
     finally:
-        for m, _, point in real:
-            m._active_set_point = point
+        for owner, name, _, _, fn in real:
+            setattr(owner, name, fn)
 
 
 def record_calls(run):
@@ -306,7 +314,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
     least_setup, least = np.full((2, len(spaces)), np.inf), np.full((2, len(calls)), np.inf)
     least_presolve = np.full((2, len(calls)), np.inf)
     for r in range(rounds):
-        with counted_kkt_solves((parent, qp)) as kkt:
+        # counted on the first round alone, so that the other rounds' times carry no counting
+        with counted_factorizations((parent, qp) if r == 0 else ()) as lu:
             setup, (ws_old, ws_new), seconds, (old, new), presolve = replay((parent, qp), spaces, calls, r)
         np.minimum(least_setup, setup, out=least_setup)
         np.minimum(least, seconds, out=least)
@@ -331,7 +340,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
             margin = min(margins, default=math.inf)
             iterations = [sum(sol.iterations for sol in sols) for sols in (old, new)]
             polished = [sum(sol.polished for sol in sols) for sols in (old, new)]
-            kkt_counts = [len(count) for count in kkt]
+            kkt_counts = [count["kkt"] for count in lu]
+            lu_counts = [count["kkt"] + count["newton"] for count in lu]
         differing = sum(not same(a, b) for a, b in zip(old, new))
         if differing > differ:
             differ, how = differing, differences(old, new, [c[2] for c in calls])
@@ -364,7 +374,8 @@ def compare(label: str, run, parent, rounds: int) -> bool:
         f"warm calls: {sum(c[3] is not None for c in calls)} of {len(calls)}; "
         f"iterations parent {iterations[0]}, this {iterations[1]}, ratio {iterations[1] / iterations[0]:.3f}; "
         f"polished solves parent {polished[0]}, this {polished[1]}; "
-        f"KKT solves parent {kkt_counts[0]}, this {kkt_counts[1]}"
+        f"KKT solves parent {kkt_counts[0]}, this {kkt_counts[1]}; "
+        f"LU factorizations parent {lu_counts[0]}, this {lu_counts[1]}"
     )
     for name, workspaces in (("parent", ws_old), ("this", ws_new)):
         seen, numpy_calls, its = entry_census(workspaces, calls)
