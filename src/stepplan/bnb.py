@@ -12,7 +12,7 @@ the root's final iterate (a warm start), whatever the node, so once the
 root is solved a relaxation depends on its fixings alone. Each tree
 therefore keeps a memo of its relaxations keyed by the fixing set: a tree
 node or a rounding candidate that asks for fixings solved before gets the
-stored result instead of a new solve. A node is pruned when its bound
+stored result instead of a new solve. A child is pruned when its bound
 reaches the incumbent less PRUNE_EPS. Every relaxation is asked for with
 that value as its cutoff, so one whose certified lower bound reaches it
 ends early with status "cutoff": a child that ends so is pruned like an
@@ -21,8 +21,8 @@ incumbent. Incumbents come from one path: a rounding hook turns a relaxed
 ``x`` under a node's fixings into complete candidates (every free binary
 fixed to 0 or 1, or the solve raises ContractViolation), and each is
 relaxed, snapped to exact 0/1 binaries and kept if it beats the incumbent.
-A model-aware hook may be given; the generic rule (argmax within choice
-groups, threshold elsewhere) is the default. The path rounds every
+A model-aware hook may be given; the generic rule (each free binary to 1
+above 0.5, else to 0) is the default. The path rounds every
 relaxation the tree pushes: the root's and each child's that is not
 pruned, fractional or integral. Everything is deterministic: identical
 problems and limits reproduce identical node counts and solutions (time
@@ -112,21 +112,6 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return (incumbent - bound) / max(1.0, abs(incumbent))
 
 
-def _choice_groups(problem: MiqpProblem) -> list[np.ndarray]:
-    """Equality rows of the form sum(binary subset) == 1, used by the rounding heuristic."""
-    groups = []
-    bins = set(problem.binary_indices.tolist())
-    a = problem.a_eq.tocsr()
-    for r in range(problem.n_eq):
-        if problem.b_eq[r] != 1.0:
-            continue
-        cols = a.indices[a.indptr[r] : a.indptr[r + 1]]
-        vals = a.data[a.indptr[r] : a.indptr[r + 1]]
-        if len(cols) and np.all(vals == 1.0) and all(int(c) in bins for c in cols):
-            groups.append(np.sort(cols.astype(int)))
-    return groups
-
-
 def _snap(problem: MiqpProblem, x: np.ndarray) -> np.ndarray:
     """A copy of ``x`` with its binaries rounded to exactly 0 or 1."""
     x = x.copy()
@@ -147,8 +132,6 @@ class _Tree:
         # layout has no trims
         trims = problem.layout.trims if problem.layout is not None else bins[:0]
         self.free_trims = trims[free[trims]].tolist()
-        # only the generic rounding hook reads the choice groups
-        self.groups = _choice_groups(problem) if rounding is None else []
         self.incumbent_x: np.ndarray | None = None
         self.incumbent_obj = math.inf
         # relaxations asked for, memo hits included
@@ -194,19 +177,8 @@ class _Tree:
         return None
 
     def generic_rounding(self, x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
-        """The default rounding hook: argmax within choice groups, threshold elsewhere."""
+        """The default rounding hook: each free binary to 1 above 0.5, else to 0."""
         out = dict(fixings)
-        for g in self.groups:
-            free = [int(i) for i in g if int(i) not in fixings]
-            if not free:
-                continue
-            if any(fixings.get(int(i), 0.0) == 1.0 for i in g):
-                for i in free:
-                    out[i] = 0.0
-                continue
-            pick = max(free, key=lambda i: (x[i], -i))
-            for i in free:
-                out[i] = 1.0 if i == pick else 0.0
         for i in self.free_bins:
             if i not in out:
                 out[i] = 1.0 if x[i] > 0.5 else 0.0
@@ -275,9 +247,6 @@ class _Tree:
                 status = "time-limit"
                 break
             bound, _, fixings, children = heapq.heappop(self.heap)
-            if bound >= self.incumbent_obj - PRUNE_EPS:
-                self.heap.clear()  # best-first: all remaining nodes are prunable
-                break
             for child in children:
                 child_fix = {**fixings, **child}
                 self.nodes += 1
@@ -302,8 +271,8 @@ def solve_miqp(
     ``rounding`` is an optional model-aware hook ``fn(x, fixings) -> list of
     fixings``; each candidate it returns must fix every free binary to 0 or
     1 (else the solve raises ContractViolation), and is relaxed, snapped and
-    tried as an incumbent. The generic rule (argmax within choice groups,
-    threshold elsewhere) is the default hook.
+    tried as an incumbent. The generic rule (each free binary to 1 above
+    0.5, else to 0) is the default hook.
     """
     return _Tree(problem, limits or MiqpLimits(), rounding=rounding).run()
 

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,16 @@ def highs_feasible(red) -> bool:
         np.concatenate([red.h, red.b]),
     )
     return milp(np.zeros(red.c.size), constraints=rows, bounds=Bounds(red.lo, red.hi)).status != 2
+
+
+def workspace_feasible(ws, fixings) -> bool:
+    """``highs_feasible`` on a workspace's own rows and bounds, with the
+    fixings pinned: the oracle for a call that its presolve proves
+    infeasible, and so reduces to nothing."""
+    lo, hi = ws.lo.copy(), ws.hi.copy()
+    for i, v in fixings.items():
+        lo[i] = hi[i] = v
+    return highs_feasible(types.SimpleNamespace(g=ws.g, h=ws.h, a=ws.a, b=ws.b, lo=lo, hi=hi, c=ws.q))
 
 
 def farkas_bounds(monkeypatch) -> list:
@@ -1255,6 +1266,49 @@ class TestCsrWorkspace:
                 assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
 
 
+class TestPresolveInfeasibility:
+    """A call whose presolve proves it infeasible ends "infeasible" after 0
+    iterations, and HiGHS finds its rows and bounds infeasible as well."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_crossed_workspace_bounds(self, monkeypatch, sparse):
+        if sparse:
+            monkeypatch.setattr(qp_module, "SPARSE_MIN_ENTRIES", 0)
+        for gap, infeasible in ((1e-6, True), (1e-12, False)):
+            # x1 in [0, -gap]: crossed beyond FEAS_TOL, or within it
+            prob = make_problem(np.eye(3), [1.0, 0.0, 0.0], lb=[-1.0, 0.0, 0.0], ub=[1.0, -gap, 1.0],
+                                bins=[2], a_in=[[1.0, 1.0, 1.0]], b_in=[5.0])
+            ws = BoxQp.from_miqp(prob)
+            assert ws.sparse == sparse
+            for fixings in ({}, {2: 1.0}):
+                sol = ws.solve(fixings)
+                assert workspace_feasible(ws, fixings) != infeasible
+                if infeasible:
+                    assert (sol.status, sol.iterations) == ("infeasible", 0)
+                else:
+                    assert sol.status == "optimal"
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_width_pair_of_negative_width(self, monkeypatch, sparse):
+        if sparse:
+            monkeypatch.setattr(qp_module, "SPARSE_MIN_ENTRIES", 0)
+        # x0 + x1 <= 0.5 - b and x0 + x1 >= 1 - 2b: rows opposite on x0 and
+        # x1, whose pair, once b is fixed, has width b - 0.5: -0.5 at b = 0
+        prob = make_problem(np.diag([1.0, 1.0, 0.0]), [0.0, 0.0, 0.0], lb=[-5.0, -5.0, 0.0],
+                            ub=[5.0, 5.0, 1.0], bins=[2], a_in=[[1.0, 1.0, 1.0], [-1.0, -1.0, -2.0]],
+                            b_in=[0.5, -1.0])
+        ws = BoxQp.from_miqp(prob)
+        assert ws.sparse == sparse
+        assert ws._pairs.tolist() == [[0, 1]]  # mechanism: the presolve pairs the rows
+        for fixings, infeasible in (({2: 0.0}, True), ({2: 1.0}, False), ({}, False)):
+            sol = ws.solve(fixings)
+            assert workspace_feasible(ws, fixings) != infeasible
+            if infeasible:
+                assert (sol.status, sol.iterations) == ("infeasible", 0)
+            else:
+                assert sol.status == "optimal"
+
+
 class TestInfeasibleHandOff:
     @staticmethod
     def node_problem():
@@ -1917,6 +1971,41 @@ class TestWarmStart:
         monkeypatch.setattr(qp_module, "_interior_point", warm_fails)
         retried = ws.solve(fixings, start=root)
         assert retried.iterations == warm.iterations + cold.iterations
+        assert same_solution(dataclasses.replace(retried, iterations=cold.iterations), cold)
+
+    def test_warm_breakdown_on_the_24_step_chunk_is_solved_again_cold(self, monkeypatch):
+        """A child of the paper's 24-step chunk that the tree proving it
+        optimal asks for: started from the root, it ends "max-iterations",
+        and the cold solve that follows is the solution."""
+        ws = BoxQp.from_miqp(preset_chunk("hexapod_stepping_stones"))
+        root = ws.solve()
+        assert root.status == "optimal"
+        fixings = {i: 1.0 for i in (175, 214, 266, 279)}
+        fixings.update((i, 0.0) for i in (427, 430, 431, 437, 438, 439, 440, 441, 442, 459))
+        cold = ws.solve(fixings)
+        assert cold.status == "optimal"
+        ends, factored, real, real_factor = [], [], qp_module._interior_point, qp_module._CholeskyNewton.factor
+
+        def interior_point(red, cutoff, start=None):
+            out = real(red, cutoff, start)
+            ends.append((start is not None, out[4], out[5], factored[-1]))
+            return out
+
+        def factor(system, w):
+            factored.append(real_factor(system, w))
+            return factored[-1]
+
+        monkeypatch.setattr(qp_module, "_interior_point", interior_point)
+        monkeypatch.setattr(qp_module._CholeskyNewton, "factor", factor)
+        retried = ws.solve(fixings, start=root)
+        (warm, warm_its, warm_status, warm_factored), cold_end = ends
+        # mechanism: the warm interior point stops at a failed Cholesky
+        # factorization, long before MAX_ITER
+        assert warm and warm_status == "max-iterations" and not warm_factored
+        assert warm_its < qp_module.MAX_ITER and factored.count(False) == 1
+        assert cold_end[:3] == (False, cold.iterations, "optimal")
+        # contract: the cold solution, with the iterations of both solves
+        assert retried.iterations == warm_its + cold.iterations
         assert same_solution(dataclasses.replace(retried, iterations=cold.iterations), cold)
 
     @staticmethod
