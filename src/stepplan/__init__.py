@@ -34,7 +34,7 @@ from .lp_export import problem_to_lp, save_lp
 from .plan_io import load_plan, plan_to_json, save_plan
 from .planner import FootstepPlan, plan, validate_plan
 from .pwl import PwlTable, build_table, segment_count_with_zero_knot
-from .qp import BoxQp, QpSolution, solve_qp
+from .qp import BoxQp, QpSolution
 from .scenario_io import load_scenario, parse_scenario, save_scenario, scenario_to_json
 from .svg import render_plan_svg
 
@@ -83,7 +83,6 @@ __all__ = [
     "scenario_to_json",
     "segment_count_with_zero_knot",
     "solve_miqp",
-    "solve_qp",
     "validate_assignment",
     "validate_plan",
     "wrap_angle",

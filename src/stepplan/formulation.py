@@ -55,8 +55,6 @@ from .errors import AssemblyError, ContractViolation, InfeasibleScenarioError
 from .model import CONTAINS_TOL, Scenario, coc, derive_leg_goals, nominal_position, wrap_angle
 from .pwl import PwlTable, build_table
 
-_COMP = {"x": 0, "y": 1, "z": 2}
-
 
 @dataclass(frozen=True)
 class VariableLayout:
@@ -74,9 +72,7 @@ class VariableLayout:
       cosine segment binaries, configuration-major;
     - ``trims`` (n_steps,): trim binaries.
 
-    Callers index the vector with these arrays. The scalar accessors take
-    steps, configurations, regions and segments 1-based, matching the
-    planning domain, and read the same arrays.
+    Callers index the vector with these arrays.
     """
 
     n_steps: int
@@ -111,43 +107,6 @@ class VariableLayout:
     def continuous_count(self) -> int:
         return self.feet.size + self.thetas.size + self.sines.size + self.cosines.size
 
-    @property
-    def binary_count(self) -> int:
-        return self.size - self.continuous_count
-
-    def foot(self, step: int, comp) -> int:
-        c = _COMP.get(comp, -1) if isinstance(comp, str) else int(comp)
-        if not 0 <= c < 3:
-            raise ContractViolation(f"component {comp!r} is not one of x, y, z or 0..2")
-        return int(self.feet[self._check(step, self.n_steps, "step"), c])
-
-    def theta(self, config: int) -> int:
-        return int(self.thetas[self._check(config, self.n_configs, "config")])
-
-    def sin(self, config: int) -> int:
-        return int(self.sines[self._check(config, self.n_configs, "config")])
-
-    def cos(self, config: int) -> int:
-        return int(self.cosines[self._check(config, self.n_configs, "config")])
-
-    def region(self, step: int, region: int) -> int:
-        return int(self.regions[
-            self._check(step, self.n_steps, "step"), self._check(region, self.n_regions, "region")
-        ])
-
-    def sin_segment(self, config: int, segment: int) -> int:
-        return int(self.sin_segments[
-            self._check(config, self.n_configs, "config"), self._check(segment, self.n_segments, "segment")
-        ])
-
-    def cos_segment(self, config: int, segment: int) -> int:
-        return int(self.cos_segments[
-            self._check(config, self.n_configs, "config"), self._check(segment, self.n_segments, "segment")
-        ])
-
-    def trim(self, step: int) -> int:
-        return int(self.trims[self._check(step, self.n_steps, "step")])
-
     def binary_indices(self) -> np.ndarray:
         """All binary variable positions: the blocks from the region binaries on."""
         return np.arange(self.continuous_count, self.size)
@@ -161,13 +120,6 @@ class VariableLayout:
                     return f"f{at[0]}{'xyz'[at[1] - 1]}"
                 return prefix + "_".join(map(str, at))
         raise ContractViolation(f"index {index} outside layout of size {self.size}")
-
-    @staticmethod
-    def _check(value: int, limit: int, what: str) -> int:
-        """The 0-based position of the 1-based ``value`` in 1..``limit``."""
-        if not 1 <= value <= limit:
-            raise ContractViolation(f"{what} {value} outside 1..{limit}")
-        return value - 1
 
 
 @dataclass(frozen=True)
@@ -471,20 +423,21 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # box around its own nominal foothold (l_bnd), (b) the reach box around
     # its leg's previous nominal foothold or start stance (d_lim) and the
     # height change from its leg's previous z (dz_max). Walked in step order,
-    # each e without foot(i, c) reads only earlier steps, so its range over
-    # the bounds fixed so far clips foot(i, c) to [min e - lim, max e + lim].
-    # Every feasible footstep satisfies these rows (trimming keeps them
-    # active), so the clipped boxes are valid bounds; they keep every big-M
-    # derived from them small, and an empty one proves the step unplaceable.
+    # each e reads only earlier steps, so its range over the bounds fixed so
+    # far clips foot(i, c) to [min e - lim, max e + lim]. Every feasible
+    # footstep satisfies these rows (trimming keeps them active), so the
+    # clipped boxes are valid bounds; they keep every big-M derived from them
+    # small, and an empty one proves the step unplaceable.
     steps = np.arange(n_steps)
     feet = layout.feet
     # each step's five e (reference x, y, reach x, y, dz) as one table of
     # columns, values (zero padding) and constants. A linearized nominal
-    # foothold holds its CoC window's feet, each over the window size, then
-    # its leg's cosine and sine terms:  cos(theta + phi) = c cos(phi) -
-    # s sin(phi)  and  sin(theta + phi) = s cos(phi) + c sin(phi);  the
-    # window's start feet are summed into the constant in window order
-    size = n if scenario.coc_convention == "include-current" else n - 1
+    # foothold holds its CoC window's feet, the n - 1 steps before it, each
+    # over the window size, then its leg's cosine and sine terms:
+    # cos(theta + phi) = c cos(phi) - s sin(phi)  and  sin(theta + phi) =
+    # s cos(phi) + c sin(phi);  the window's start feet are summed into the
+    # constant in window order. No e holds its own step's foot.
+    size = n - 1
     scale = 1.0 / size
     window = steps[:, None] - n + 1 + np.arange(size)  # steps below 0 are start feet
     real = window >= 0
@@ -512,14 +465,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     e_cols[n:, 4, 0], e_vals[n:, 4, 0], e_consts[:n, 4] = feet[:-n, 2], 1.0, start[:, 2]
     e_feet = feet[:, [0, 1, 0, 1, 2]]
     lims = np.array([robot.l_bnd, robot.l_bnd, robot.d_lim, robot.d_lim, robot.dz_max], dtype=float)
-    # under include-current the reference box's own nominal holds the foot
-    own = (e_cols == e_feet[..., None]) & (e_vals != 0.0)
-    walk = ~own.any(axis=2)
     # the walk reads and writes the bounds as Python floats, each e's range
     # summed from its constant in table order
     lo, hi = lower.tolist(), upper.tolist()
     for cols, vals, e_lo, col, lim in zip(
-        *(a[walk].tolist() for a in (e_cols, e_vals, e_consts, e_feet, np.broadcast_to(lims, walk.shape)))
+        e_cols.reshape(-1, size + 2).tolist(), e_vals.reshape(-1, size + 2).tolist(),
+        *(a.ravel().tolist() for a in (e_consts, e_feet, np.broadcast_to(lims, e_consts.shape))),
     ):
         e_hi = e_lo
         for c, v in zip(cols, vals):
@@ -540,12 +491,10 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     ineq = _RowBag()
     eq = _RowBag()
     # the rows  foot - e <= lim  and  e - foot <= lim  of each e: the foot's
-    # entry (merged into the window's under include-current) and -e, in
-    # column order; all reference-box rows first, then each step's reach
-    # and dz rows
+    # entry and -e, in column order; all reference-box rows first, then each
+    # step's reach and dz rows
     cols = np.concatenate([e_cols, e_feet[..., None]], axis=2)
-    vals = np.concatenate([-e_vals, walk[..., None] * 1.0], axis=2)
-    vals[..., :-1][own] += 1.0
+    vals = np.concatenate([-e_vals, np.ones((n_steps, 5, 1))], axis=2)
     order = np.argsort(cols, axis=2)
     cols = np.take_along_axis(cols, order, axis=2).repeat(2, axis=1)
     vals = np.take_along_axis(vals, order, axis=2)

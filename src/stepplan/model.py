@@ -14,10 +14,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 
-#: Window convention for the center of contacts used by the constraint model.
-#: "exclude-current" averages the n_legs-1 steps before the constrained step,
-#: "include-current" averages the n_legs steps ending at it.
-COC_CONVENTIONS = ("exclude-current", "include-current")
 #: how far (m) start footholds and the goal may sit outside the workspace box
 _WORKSPACE_TOL = 1e-6
 #: how far (m) a point may violate a region's halfspaces and still lie in it
@@ -150,7 +146,6 @@ class Scenario:
     q_t: float                       # negative per-step trim reward
     q_r: np.ndarray                  # (2, 2) PSD weight on CoC drift between configurations
     workspace_box: tuple[np.ndarray, np.ndarray]
-    coc_convention: str = "exclude-current"
     name: str = "scenario"
 
     def __post_init__(self):
@@ -222,29 +217,18 @@ class Scenario:
         goal = self.goal_position
         if np.any(goal < lo - _WORKSPACE_TOL) or np.any(goal > hi + _WORKSPACE_TOL):
             raise ConfigurationError("goal position outside workspace_box")
-        if self.coc_convention not in COC_CONVENTIONS:
-            raise ConfigurationError(
-                f"coc_convention must be one of {COC_CONVENTIONS}, got {self.coc_convention!r}"
-            )
-
-    @property
-    def n_configurations(self) -> int:
-        return self.max_steps // self.robot.n_legs
 
     def with_overrides(self, **kw) -> "Scenario":
         return replace(self, **kw)
 
 
-def coc(footsteps, expected_count: int | None = None) -> np.ndarray:
+def coc(footsteps) -> np.ndarray:
     """Arithmetic mean of the xy coordinates of a window of footsteps.
 
     ``footsteps`` may hold Footstep objects or array-likes with at least two
-    components. ``expected_count`` lets callers enforce the window size their
-    CoC convention requires.
+    components.
     """
     pts = [s.xy() if isinstance(s, Footstep) else np.asarray(s, dtype=float)[:2] for s in footsteps]
-    if expected_count is not None and len(pts) != expected_count:
-        raise ContractViolation(f"CoC window must have {expected_count} steps, got {len(pts)}")
     if not pts:
         raise ContractViolation("CoC window must not be empty")
     return np.mean(np.vstack(pts), axis=0)
@@ -263,20 +247,18 @@ def nominal_position(coc_xy, theta: float, leg: int, robot: RobotModel) -> np.nd
     return p + robot.l_leg * np.array([math.cos(theta + phi), math.sin(theta + phi)])
 
 
-def leg_of(step_index: int, robot: RobotModel | int) -> int:
+def leg_of(step_index: int, n_legs: int) -> int:
     """Leg (1-based) that executes 1-based ``step_index`` in the cyclic gait order."""
-    n = robot.n_legs if isinstance(robot, RobotModel) else int(robot)
     if step_index < 1:
         raise ContractViolation(f"step_index must be >= 1, got {step_index}")
-    return (step_index - 1) % n + 1
+    return (step_index - 1) % n_legs + 1
 
 
-def config_of(step_index: int, robot: RobotModel | int) -> int:
+def config_of(step_index: int, n_legs: int) -> int:
     """Configuration (1-based block of n_legs steps) containing ``step_index``."""
-    n = robot.n_legs if isinstance(robot, RobotModel) else int(robot)
     if step_index < 1:
         raise ContractViolation(f"step_index must be >= 1, got {step_index}")
-    return (step_index - 1) // n + 1
+    return (step_index - 1) // n_legs + 1
 
 
 def derive_leg_goals(goal_position, goal_yaw: float, robot: RobotModel) -> np.ndarray:

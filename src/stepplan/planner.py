@@ -314,9 +314,8 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
             return start[leg - 1]
 
         def coc_at(k: int) -> np.ndarray:
-            """Mean xy of the feet in step k's CoC window."""
-            end = k + 1 if scenario.coc_convention == "include-current" else k
-            return np.mean([foot_at(j)[:2] for j in range(k - n + 1, end)], axis=0)
+            """Mean xy of the feet in step k's CoC window: the n - 1 steps before it."""
+            return np.mean([foot_at(j)[:2] for j in range(k - n + 1, k)], axis=0)
 
         if chunk.kept_count % n != 0:
             note("yaw-sharing", chunk.index, 0, float(chunk.kept_count % n), 0.0,

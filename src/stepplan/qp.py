@@ -1736,13 +1736,3 @@ def _active_set_point(kkt: np.ndarray, rhs: np.ndarray, keep: np.ndarray) -> np.
     rows = keep.nonzero()[0]
     _, _, point, info = _gesv(kkt.take(rows, 0).take(rows, 1).T, rhs.take(rows), 1, 1)  # overwrite a and b
     return None if info else point
-
-
-def solve_qp(problem: MiqpProblem, fixings: dict[int, float] | None = None) -> QpSolution:
-    """Solve the convex relaxation of ``problem`` (binaries in [0,1]).
-
-    ``fixings`` pins individual variables (typically binaries) to values.
-    Convenience wrapper that builds a fresh workspace; reuse a BoxQp when
-    solving many variations of one problem.
-    """
-    return BoxQp.from_miqp(problem).solve(fixings=fixings)

@@ -288,7 +288,14 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
     name = doc.get("name", Path(source).stem if source else "scenario")
     if not isinstance(name, str):
         _fail("name must be a string", "name")
+    # files saved while the CoC window was a setting name it; only the one window loads
     convention = doc.get("coc_convention", "exclude-current")
+    if convention != "exclude-current":
+        _fail(
+            f'expected "exclude-current", the one CoC window (the n_legs - 1 steps '
+            f"before each step), got {convention!r}",
+            "coc_convention",
+        )
 
     return Scenario(
         robot=robot,
@@ -304,7 +311,6 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
         q_t=_as_float(wt["q_t"], "weights.q_t"),
         q_r=_as_matrix(wt["q_r"], 2, "weights.q_r"),
         workspace_box=(box_lo, box_hi),
-        coc_convention=convention,
         name=name,
     )
 
@@ -366,7 +372,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "min": list(map(float, scenario.workspace_box[0])),
             "max": list(map(float, scenario.workspace_box[1])),
         },
-        "coc_convention": scenario.coc_convention,
     }
 
 

@@ -63,8 +63,9 @@ def region_xy_polygon(region: SafeRegion) -> list[tuple[float, float]]:
     return sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
 
 
-def render_plan_svg(plan: FootstepPlan, scenario: Scenario, scale: float = 260.0) -> str:
+def render_plan_svg(plan: FootstepPlan, scenario: Scenario) -> str:
     lo, hi = scenario.workspace_box
+    scale = 260.0  # pixels per meter
     margin = 30.0
     width = (hi[0] - lo[0]) * scale + 2 * margin
     height = (hi[1] - lo[1]) * scale + 2 * margin

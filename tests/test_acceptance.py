@@ -206,7 +206,7 @@ def test_criterion_7_variable_count_formula():
         got_cont = problem.n_vars - got_bin
         ok = ok and got_bin == expect_bin and got_cont == expect_cont
         layout = VariableLayout(horizon, n, n_regions, n_segments)
-        ok = ok and layout.binary_count == expect_bin and layout.size == problem.n_vars
+        ok = ok and len(layout.binary_indices()) == expect_bin and layout.size == problem.n_vars
         rows.append(f"{horizon} steps: {got_bin} bin / {got_cont} cont")
     report(
         7,
@@ -255,13 +255,13 @@ def test_criterion_8_trimming():
     sol = solve_miqp(problem)
     layout = problem.layout
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
-    trims = np.array([sol.x[layout.trim(i)] for i in range(1, 13)])
+    trims = sol.x[layout.trims]
     later_trimmed = bool(np.all(trims[4:] == 1.0))
     pinned = True
     for i in range(1, 13):
-        if sol.x[layout.trim(i)] == 1.0:
+        if trims[i - 1] == 1.0:
             leg = (i - 1) % 4 + 1
-            foot = np.array([sol.x[layout.foot(i, comp)] for comp in range(3)])
+            foot = sol.x[layout.feet[i - 1]]
             pinned = pinned and float(np.max(np.abs(foot - goals[leg - 1]))) <= 1e-6
     trim_term = scenario.q_t * float(np.sum(trims))
     identity = trim_term == scenario.q_t * int(np.sum(trims == 1.0))

@@ -83,6 +83,16 @@ class TestPlanCommand:
         assert code == EXIT_PARSE
         assert "l_bnd must be finite" in capsys.readouterr().err
 
+    def test_unsupported_coc_window_is_parse_error(self, scenario_file, tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["coc_convention"] = "include-current"
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        code = main(["plan", str(path), "--chunk", "2", "-o", str(tmp_path / "plan.json")])
+        assert code == EXIT_PARSE
+        assert "coc_convention" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()
+
     def test_unreachable_goal_not_converged(self, scenario_file, tmp_path, capsys):
         doc = json.loads(scenario_file.read_text())
         doc["goal"]["position"] = [1.2, 0.0, 0.0]  # beyond the step budget

@@ -89,7 +89,7 @@ class TestVariableLayout:
     def test_counts_match_closed_form(self):
         # 12 steps, 13 regions, 8 segments, 6 legs
         layout = VariableLayout(12, 6, 13, 8)
-        assert layout.binary_count == 12 * 13 + 2 * 2 * 8 + 12 == 200
+        assert len(layout.binary_indices()) == 12 * 13 + 2 * 2 * 8 + 12 == 200
         assert layout.continuous_count == 3 * 12 + 3 * 2 == 42
         assert layout.size == 242
 
@@ -97,13 +97,10 @@ class TestVariableLayout:
         # independent counting routine: enumerate every index block
         layout = VariableLayout(12, 6, 13, 8)
         indices = layout.binary_indices()
-        assert len(indices) == layout.binary_count
         assert len(set(indices.tolist())) == len(indices)
         all_idx = set(indices.tolist())
-        for i in range(1, 13):
-            for comp in range(3):
-                assert layout.foot(i, comp) not in all_idx
-        assert layout.size == layout.binary_count + layout.continuous_count
+        assert all_idx.isdisjoint(layout.feet.ravel().tolist())
+        assert layout.size == len(indices) + layout.continuous_count
 
     @given(st.integers(2, 8), st.integers(1, 5), st.integers(1, 13), st.integers(2, 9))
     @settings(max_examples=40, deadline=None)
@@ -111,7 +108,6 @@ class TestVariableLayout:
         n_steps = n_legs * n_cfg
         layout = VariableLayout(n_steps, n_legs, n_regions, n_segments)
         expected = n_steps * n_regions + 2 * n_cfg * n_segments + n_steps
-        assert layout.binary_count == expected
         assert len(layout.binary_indices()) == expected
         assert layout.size == expected + 3 * n_steps + 3 * n_cfg
 
@@ -125,37 +121,20 @@ class TestVariableLayout:
         assert [b.shape for b in blocks] == [(8, 3), (2,), (2,), (2,), (8, 3), (2, 4), (2, 4), (8,)]
         assert np.concatenate([b.ravel() for b in blocks]).tolist() == list(range(layout.size))
         assert not any(b.flags.writeable for b in blocks)
-        for i in range(1, 9):
-            assert [layout.foot(i, c) for c in range(3)] == [layout.foot(i, c) for c in "xyz"] == layout.feet[i - 1].tolist()
-            assert [layout.region(i, r) for r in range(1, 4)] == layout.regions[i - 1].tolist()
-            assert layout.trim(i) == layout.trims[i - 1]
-        for c in range(1, 3):
-            assert (layout.theta(c), layout.sin(c), layout.cos(c)) == (
-                layout.thetas[c - 1], layout.sines[c - 1], layout.cosines[c - 1]
-            )
-            assert [layout.sin_segment(c, k) for k in range(1, 5)] == layout.sin_segments[c - 1].tolist()
-            assert [layout.cos_segment(c, k) for k in range(1, 5)] == layout.cos_segments[c - 1].tolist()
 
     def test_var_names_roundtrip_blocks(self):
         layout = VariableLayout(8, 4, 3, 4)
-        assert layout.var_name(layout.foot(3, "y")) == "f3y"
-        assert layout.var_name(layout.theta(2)) == "th2"
-        assert layout.var_name(layout.region(8, 3)) == "H8_3"
-        assert layout.var_name(layout.trim(1)) == "t1"
+        assert layout.var_name(layout.feet[2, 1]) == "f3y"
+        assert layout.var_name(layout.thetas[1]) == "th2"
+        assert layout.var_name(layout.regions[7, 2]) == "H8_3"
+        assert layout.var_name(layout.trims[0]) == "t1"
 
     def test_rejects_bad_indices(self):
         layout = VariableLayout(8, 4, 3, 4)
-        with pytest.raises(ContractViolation):
-            layout.foot(9, 0)
-        with pytest.raises(ContractViolation):
-            layout.region(1, 4)
-        # a negative index or comp must not wrap to another variable, nor comp 3 run into the next step
+        # a negative index must not wrap to another variable
         for index in (-1, -3 * 8, layout.size, layout.size + 1):
             with pytest.raises(ContractViolation):
                 layout.var_name(index)
-        for comp in (3, -1, "w"):
-            with pytest.raises(ContractViolation):
-                layout.foot(1, comp)
 
     def test_steps_must_be_configuration_multiple(self):
         with pytest.raises(ContractViolation):
@@ -169,14 +148,12 @@ class TestVariableLayout:
         # the binary blocks are contiguous, so binary_indices() can be a range
         layout = VariableLayout(n_steps, n_legs, n_regions, n_segments)
         expected = set()
-        for i in range(1, n_steps + 1):
-            expected.add(layout.trim(i))
-            expected.update(layout.region(i, r) for r in range(1, n_regions + 1))
-        for c in range(1, layout.n_configs + 1):
-            for k in range(1, n_segments + 1):
-                expected.update({layout.sin_segment(c, k), layout.cos_segment(c, k)})
+        for i in range(n_steps):
+            expected.add(int(layout.trims[i]))
+            expected.update(layout.regions[i].tolist())
+        for c in range(layout.n_configs):
+            expected.update(layout.sin_segments[c].tolist() + layout.cos_segments[c].tolist())
         assert layout.binary_indices().tolist() == sorted(expected)
-        assert layout.binary_count == len(expected)
         assert layout.continuous_count == layout.size - len(expected)
 
 
@@ -249,16 +226,16 @@ class TestAssemble:
         goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
         can_trim = {}
         for i in range(16, 0, -1):
-            feet = [layout.foot(i, comp) for comp in range(3)]
+            feet = [layout.feet[i - 1, comp] for comp in range(3)]
             lo, hi = prob.lower[feet], prob.upper[feet]
             g = goals[leg_of(i, n) - 1]
             inside = bool(np.all((lo - 1e-9 <= g) & (g <= hi + 1e-9)))
             can_trim[i] = inside and can_trim.get(i + n, True)
-            assert prob.upper[layout.trim(i)] == float(can_trim[i])
+            assert prob.upper[layout.trims[i - 1]] == float(can_trim[i])
             for r, reg in enumerate(scn.regions, start=1):
                 # smallest a.x - b over the step box, per halfspace
                 least = np.minimum(reg.a_matrix * lo, reg.a_matrix * hi).sum(axis=1) - reg.b_vector
-                assert prob.upper[layout.region(i, r)] == float(least.max() <= 1e-12)
+                assert prob.upper[layout.regions[i - 1, r - 1]] == float(least.max() <= 1e-12)
         assert 0 < sum(can_trim.values()) < 16
 
     def test_variable_counts(self):
@@ -266,7 +243,7 @@ class TestAssemble:
         prob = assemble(scn)
         layout = prob.layout
         assert prob.n_vars == layout.size
-        assert len(prob.binary_indices) == layout.binary_count
+        assert prob.binary_indices.tolist() == layout.binary_indices().tolist()
         assert np.all(prob.lower[prob.binary_indices] >= 0.0)
         assert np.all(prob.upper[prob.binary_indices] <= 1.0)
 
@@ -313,18 +290,18 @@ class TestAssemble:
         sin_t, cos_t = scenario_tables(scn)
         x = np.zeros(prob.n_vars)
         for i in range(1, 9):
-            leg = leg_of(i, robot)
+            leg = leg_of(i, robot.n_legs)
             for comp in range(3):
-                x[layout.foot(i, comp)] = goals[leg - 1][comp]
-            x[layout.trim(i)] = 1.0
-            x[layout.region(i, 1)] = 1.0
+                x[layout.feet[i - 1, comp]] = goals[leg - 1][comp]
+            x[layout.trims[i - 1]] = 1.0
+            x[layout.regions[i - 1, 0]] = 1.0
         for c in (1, 2):
-            x[layout.theta(c)] = 0.0
-            x[layout.sin(c)] = sin_t.eval(0.0)
-            x[layout.cos(c)] = cos_t.eval(0.0)
+            x[layout.thetas[c - 1]] = 0.0
+            x[layout.sines[c - 1]] = sin_t.eval(0.0)
+            x[layout.cosines[c - 1]] = cos_t.eval(0.0)
             k = sin_t.segment_of(0.0) + 1
-            x[layout.sin_segment(c, k)] = 1.0
-            x[layout.cos_segment(c, k)] = 1.0
+            x[layout.sin_segments[c - 1, k - 1]] = 1.0
+            x[layout.cos_segments[c - 1, k - 1]] = 1.0
         report = validate_assignment(prob, x, 1e-9)
         assert report.ok, report.summary()
         # objective is exactly the trim reward: q_t * N
@@ -352,8 +329,8 @@ class TestAssemble:
             for i in range(1, 9):
                 for comp in range(3):
                     # within the per-step bound box, which big-M rows use
-                    x[layout.foot(i, comp)] = rng.uniform(
-                        prob.lower[layout.foot(i, comp)], prob.upper[layout.foot(i, comp)]
+                    x[layout.feet[i - 1, comp]] = rng.uniform(
+                        prob.lower[layout.feet[i - 1, comp]], prob.upper[layout.feet[i - 1, comp]]
                     )
             resid = a[region_rows] @ x - prob.b_ineq[region_rows]
             assert np.max(resid) <= 1e-9
@@ -396,20 +373,6 @@ class TestAssemble:
         with pytest.raises(ContractViolation):
             assemble(scn)
 
-    def test_include_current_convention_solves(self):
-        from stepplan.bnb import MiqpLimits, solve_miqp
-        from stepplan.formulation import make_rounding_heuristic
-
-        scn = small_scenario(coc_convention="include-current", goal_position=np.array([0.3, 0.0, 0.0]))
-        prob = assemble(scn)
-        sol = solve_miqp(
-            prob,
-            limits=MiqpLimits(gap=0.05, max_nodes=6),
-            rounding=make_rounding_heuristic(scn, prob),
-        )
-        assert sol.feasible
-        assert validate_assignment(prob, sol.x, 1e-6).ok
-
 
 class TestRoundingHeuristic:
     def test_root_candidates_are_one_hot(self):
@@ -433,15 +396,15 @@ class TestRoundingHeuristic:
             steps = range(1, layout.n_steps + 1)
             for cand in cands:
                 for i in steps:
-                    assert sum(cand[layout.region(i, r)] for r in range(1, layout.n_regions + 1)) == 1.0
-                for c in range(1, layout.n_configs + 1):
-                    for seg_of in (layout.sin_segment, layout.cos_segment):
-                        assert sum(cand[seg_of(c, k)] for k in range(1, layout.n_segments + 1)) == 1.0
+                    assert sum(cand[k] for k in layout.regions[i - 1].tolist()) == 1.0
+                for c in range(layout.n_configs):
+                    for segs in (layout.sin_segments, layout.cos_segments):
+                        assert sum(cand[k] for k in segs[c].tolist()) == 1.0
             # every candidate after the first is built with trims off, and
             # none trims when the goal yaw is out of range
             untrimmed = cands if goal_yaw > scn.theta_range[1] else cands[1:]
             for cand in untrimmed:
-                assert all(cand[layout.trim(i)] == 0.0 for i in steps)
+                assert all(cand[layout.trims[i - 1]] == 0.0 for i in steps)
 
     @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
     def test_candidates_match_the_variable_by_variable_completion(self, preset):
@@ -513,7 +476,7 @@ def reference_candidates(scn, prob, x, fixings):
         for leg in range(1, n + 1):
             chain_open = True
             for i in range(layout.n_steps - n + leg, 0, -n):
-                idx = layout.trim(i)
+                idx = int(layout.trims[i - 1])
                 want = value(x, fixings, idx) > 0.5 if with_trims else fixings.get(idx) == 1.0
                 trimmed[i] = chain_open = want and chain_open
                 out[idx] = 1.0 if trimmed[i] else 0.0
@@ -521,9 +484,9 @@ def reference_candidates(scn, prob, x, fixings):
             if any(trimmed[i] for i in range((cfg - 1) * n + 1, cfg * n + 1)):
                 theta = float(scn.goal_yaw)
             else:
-                theta = min(max(float(x[layout.theta(cfg)]), lo_t), hi_t)
-            for table, seg_of in ((sin_t, layout.sin_segment), (cos_t, layout.cos_segment)):
-                segs = [seg_of(cfg, k) for k in range(1, layout.n_segments + 1)]
+                theta = min(max(float(x[layout.thetas[cfg - 1]]), lo_t), hi_t)
+            for table, blocks in ((sin_t, layout.sin_segments), (cos_t, layout.cos_segments)):
+                segs = blocks[cfg - 1].tolist()
                 ones = [k for k, idx in enumerate(segs) if fixings.get(idx) == 1.0]
                 if ones:
                     chosen = ones[0]
@@ -537,11 +500,11 @@ def reference_candidates(scn, prob, x, fixings):
                     if idx not in fixings:
                         out[idx] = 1.0 if k == chosen else 0.0
         for i in range(1, layout.n_steps + 1):
-            regs = [layout.region(i, r) for r in range(1, layout.n_regions + 1)]
+            regs = layout.regions[i - 1].tolist()
             ones = [r for r, idx in enumerate(regs) if fixings.get(idx) == 1.0]
             chosen = ones[0] if ones else None
             if chosen is None:
-                point = [x[layout.foot(i, c)] for c in range(3)]
+                point = [x[layout.feet[i - 1, c]] for c in range(3)]
                 best = None
                 for r, idx in enumerate(regs):
                     if not is_open(fixings, idx):
@@ -568,12 +531,12 @@ def reference_candidates(scn, prob, x, fixings):
         for cfg in range(1, layout.n_configs + 1):
             travel = min(travel + max(stride_factor * budget - robot.l_leg * rate, 0.15 * budget), dist)
             theta = min(max(scn.start_yaw + min(max(want_turn, -rate * cfg), rate * cfg), lo_t), hi_t)
-            walk[layout.theta(cfg)] = theta
+            walk[layout.thetas[cfg - 1]] = theta
             for leg in range(1, n + 1):
                 i = (cfg - 1) * n + leg
                 foot = nominal_position(start + travel * direction, theta, leg, robot)
-                walk[layout.foot(i, 0)], walk[layout.foot(i, 1)] = foot
-                walk[layout.foot(i, 2)] = scn.goal_position[2]
+                walk[layout.feet[i - 1, 0]], walk[layout.feet[i - 1, 1]] = foot
+                walk[layout.feet[i - 1, 2]] = scn.goal_position[2]
         return complete(walk, {}, False)
 
     tries = [complete(x, fixings, True), complete(x, fixings, False)]
@@ -585,9 +548,28 @@ def reference_candidates(scn, prob, x, fixings):
             unique.append(cand)
     return unique
 
+def family_scenario(preset, n_configs, start):
+    """Preset ``preset`` cut to ``n_configs`` configurations.
+
+    Every preset starts level, at yaw 0, in a symmetric stance. With
+    ``start="irregular"`` leg j's start foot moves by its own xy and z offset
+    and the start yaw turns by 0.1, so that a CoC window constant, a reach
+    box's start nominal or a dz row that reads another leg's start foot, or
+    drops the start yaw, assembles other rows.
+    """
+    base = load_scenario(SCENARIO_DIR / f"{preset}.json")
+    scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs)
+    if start == "irregular":
+        j = np.arange(1, base.robot.n_legs + 1, dtype=float)[:, None]
+        offsets = np.hstack([0.01 * j * (-1.0) ** j, -0.007 * j, 0.006 * j - 0.02])
+        scn = scn.with_overrides(start_footholds=scn.start_footholds + offsets, start_yaw=0.1)
+    return scn
+
+
 def reference_step_boxes(scn):
     """Footstep boxes propagated step by step from the exact nominal-position
-    helper, the chord tables' knot ranges and the CoC window.
+    helper, the chord tables' knot ranges and the CoC window (the n_legs - 1
+    steps before each step).
 
     The linearized nominal offset of a leg is its yaw-0 offset turned by the
     (cos, sin) variable pair; it is linear in that pair, so its range over the
@@ -598,7 +580,6 @@ def reference_step_boxes(scn):
     sin_t, cos_t = scenario_tables(scn)
     s_knots, c_knots = np.sin(sin_t.breakpoints), np.cos(cos_t.breakpoints)
     corners = [(c, s) for c in (c_knots.min(), c_knots.max()) for s in (s_knots.min(), s_knots.max())]
-    include_current = scn.coc_convention == "include-current"
     ws_lo, ws_hi = scn.workspace_box
     start = scn.start_footholds
     lo = {k: start[(k - 1) % n] for k in range(1 - n, 1)}
@@ -609,7 +590,7 @@ def reference_step_boxes(scn):
         if step < 1:
             p = nominal_position(start[:, :2].mean(axis=0), scn.start_yaw, leg, robot)
             return p, p
-        window = range(step - n + 1, step + 1 if include_current else step)
+        window = range(step - n + 1, step)
         coc_lo = sum(lo[k][:2] for k in window) / len(window)
         coc_hi = sum(hi[k][:2] for k in window) / len(window)
         u = nominal_position((0.0, 0.0), 0.0, leg, robot)
@@ -621,10 +602,9 @@ def reference_step_boxes(scn):
         reach_lo, reach_hi = nominal_box(prev)
         xy_lo = np.maximum(ws_lo[:2], reach_lo - robot.d_lim)
         xy_hi = np.minimum(ws_hi[:2], reach_hi + robot.d_lim)
-        if not include_current:
-            ref_lo, ref_hi = nominal_box(i)
-            xy_lo = np.maximum(xy_lo, ref_lo - robot.l_bnd)
-            xy_hi = np.minimum(xy_hi, ref_hi + robot.l_bnd)
+        ref_lo, ref_hi = nominal_box(i)
+        xy_lo = np.maximum(xy_lo, ref_lo - robot.l_bnd)
+        xy_hi = np.minimum(xy_hi, ref_hi + robot.l_bnd)
         lo[i] = np.append(xy_lo, max(ws_lo[2], lo[prev][2] - robot.dz_max))
         hi[i] = np.append(xy_hi, min(ws_hi[2], hi[prev][2] + robot.dz_max))
     steps = range(1, scn.max_steps + 1)
@@ -632,12 +612,11 @@ def reference_step_boxes(scn):
 
 
 class TestStepBoxes:
-    @pytest.mark.parametrize("convention", ["exclude-current", "include-current"])
+    @pytest.mark.parametrize("start", ["preset", "irregular"])
     @pytest.mark.parametrize("n_configs", [1, 2, 4])
     @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
-    def test_foot_bounds_match_reference_propagation(self, preset, n_configs, convention):
-        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
-        scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, coc_convention=convention)
+    def test_foot_bounds_match_reference_propagation(self, preset, n_configs, start):
+        scn = family_scenario(preset, n_configs, start)
         prob = assemble(scn)
         ref_lo, ref_hi = reference_step_boxes(scn)
         feet = slice(0, 3 * scn.max_steps)
@@ -678,36 +657,36 @@ def reference_family_rows(scn, prob):
     ineq = {"region": [], "trig": [], "trim": []}
     eq = []
     for i in steps:
-        eq.append(("region", f"step {i} region choice", {layout.region(i, r): 1.0 for r in regions}, 1.0))
+        eq.append(("region", f"step {i} region choice", {layout.regions[i - 1, r - 1]: 1.0 for r in regions}, 1.0))
         for r, reg in zip(regions, scn.regions):
             for row in range(reg.n_rows):
-                coefs = {layout.foot(i, c): float(reg.a_matrix[row, c]) for c in range(3)}
+                coefs = {layout.feet[i - 1, c]: float(reg.a_matrix[row, c]) for c in range(3)}
                 label = f"step {i} in {reg.name} row {row}"
-                ineq["region"].append(("region", label, coefs, float(reg.b_vector[row]), layout.region(i, r)))
+                ineq["region"].append(("region", label, coefs, float(reg.b_vector[row]), layout.regions[i - 1, r - 1]))
         if all(reg.bbox is not None for reg in scn.regions):
             for c, tag in enumerate("xyz"):
-                upper = {layout.foot(i, c): 1.0}
-                lower = {layout.foot(i, c): -1.0}
+                upper = {layout.feet[i - 1, c]: 1.0}
+                lower = {layout.feet[i - 1, c]: -1.0}
                 for r, reg in zip(regions, scn.regions):
-                    upper[layout.region(i, r)] = -float(reg.bbox[1][c])
-                    lower[layout.region(i, r)] = float(reg.bbox[0][c])
+                    upper[layout.regions[i - 1, r - 1]] = -float(reg.bbox[1][c])
+                    lower[layout.regions[i - 1, r - 1]] = float(reg.bbox[0][c])
                 ineq["region"].append(("region", f"step {i} region hull +{tag}", upper, 0.0, None))
                 ineq["region"].append(("region", f"step {i} region hull -{tag}", lower, 0.0, None))
     sin_t, cos_t = scenario_tables(scn)
     for cfg in configs:
-        th = layout.theta(cfg)
-        for table, tag, val, seg_of in (
-            (sin_t, "sin", layout.sin(cfg), layout.sin_segment),
-            (cos_t, "cos", layout.cos(cfg), layout.cos_segment),
+        th = layout.thetas[cfg - 1]
+        for table, tag, val, blocks in (
+            (sin_t, "sin", layout.sines[cfg - 1], layout.sin_segments),
+            (cos_t, "cos", layout.cosines[cfg - 1], layout.cos_segments),
         ):
             segs = range(1, layout.n_segments + 1)
-            eq.append(("trig", f"config {cfg} {tag} segment choice", {seg_of(cfg, k): 1.0 for k in segs}, 1.0))
+            eq.append(("trig", f"config {cfg} {tag} segment choice", {blocks[cfg - 1, k - 1]: 1.0 for k in segs}, 1.0))
             knots = [(float(t), table.eval(float(t))) for t in table.breakpoints]
             envelope = [{th: 1.0}, {th: -1.0}, {val: 1.0}, {val: -1.0}]
             for k in segs:
                 (t0, v0), (t1, v1) = knots[k - 1], knots[k]
                 m, c = float(table.slopes[k - 1]), float(table.intercepts[k - 1])
-                b, name = seg_of(cfg, k), f"config {cfg} {tag} seg {k}"
+                b, name = blocks[cfg - 1, k - 1], f"config {cfg} {tag} seg {k}"
                 ineq["trig"] += [
                     ("trig", f"{name} theta hi", {th: 1.0}, t1, b),
                     ("trig", f"{name} theta lo", {th: -1.0}, -t0, b),
@@ -725,19 +704,19 @@ def reference_family_rows(scn, prob):
     goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
     for i in steps:
         goal = goals[leg_of(i, n) - 1]
-        yaw = layout.theta((i - 1) // n + 1)
+        yaw = layout.thetas[(i - 1) // n]
         for sign, tag in ((1.0, "+"), (-1.0, "-")):
             for c, name in enumerate("xyz"):
                 ineq["trim"].append((
-                    "trim", f"step {i} trim pin {tag}{name}", {layout.foot(i, c): sign},
-                    sign * float(goal[c]), layout.trim(i),
+                    "trim", f"step {i} trim pin {tag}{name}", {layout.feet[i - 1, c]: sign},
+                    sign * float(goal[c]), layout.trims[i - 1],
                 ))
         for sign, tag in ((1.0, "+"), (-1.0, "-")):
             ineq["trim"].append((
-                "trim", f"step {i} trim pin {tag}yaw", {yaw: sign}, sign * float(scn.goal_yaw), layout.trim(i),
+                "trim", f"step {i} trim pin {tag}yaw", {yaw: sign}, sign * float(scn.goal_yaw), layout.trims[i - 1],
             ))
         if i + n <= layout.n_steps:
-            mono = {layout.trim(i): 1.0, layout.trim(i + n): -1.0}
+            mono = {layout.trims[i - 1]: 1.0, layout.trims[i + n - 1]: -1.0}
             ineq["trim"].append(("trim", f"trim monotone {i} <= {i + n}", mono, 0.0, None))
     return ineq, eq
 
@@ -746,8 +725,8 @@ def reference_pair_rows(scn, prob):
     """The reference-box, reach and dz row pairs of ``scn``, written one at a time.
 
     Each step's linearized nominal foothold per xy component is the mean of
-    its CoC window's feet (start feet, summed in window order, as a
-    constant), plus the leg offset turned by the configuration's cosine and
+    its CoC window's feet, the n_legs - 1 steps before it (start feet,
+    summed in window order, as a constant), plus the leg offset turned by the configuration's cosine and
     sine variables. A pair  |foot - e| <= lim  is the row  foot - e <= lim
     and its negation. Returns (family, label, {column: coefficient}, rhs,
     None) in assembly order: every step's reference-box pairs (x, then y),
@@ -756,27 +735,26 @@ def reference_pair_rows(scn, prob):
     layout, robot = prob.layout, scn.robot
     n, start = robot.n_legs, scn.start_footholds.tolist()
     start_coc = coc(scn.start_footholds)
-    include_current = scn.coc_convention == "include-current"
 
     def nominal(i, comp):
-        window = range(i - n + 1, i + 1 if include_current else i)
+        window = range(i - n + 1, i)
         coefs, const = {}, 0.0
         for k in window:
             if k >= 1:
-                coefs[layout.foot(k, comp)] = 1.0 / len(window)
+                coefs[layout.feet[k - 1, comp]] = 1.0 / len(window)
             else:
                 const += 1.0 / len(window) * start[(k - 1) % n][comp]
         phi, cfg = robot.leg_offsets[(i - 1) % n], (i - 1) // n + 1
         c, s = robot.l_leg * math.cos(phi), robot.l_leg * math.sin(phi)
         if comp == 0:
-            coefs[layout.cos(cfg)], coefs[layout.sin(cfg)] = c, -s
+            coefs[layout.cosines[cfg - 1]], coefs[layout.sines[cfg - 1]] = c, -s
         else:
-            coefs[layout.sin(cfg)], coefs[layout.cos(cfg)] = c, s
+            coefs[layout.sines[cfg - 1]], coefs[layout.cosines[cfg - 1]] = c, s
         return coefs, const
 
     def pair(family, label, i, comp, e, lim):
         coefs, const = e
-        row = {layout.foot(i, comp): 1.0}
+        row = {layout.feet[i - 1, comp]: 1.0}
         for col, v in coefs.items():
             row[col] = row.get(col, 0.0) - v
         tag = ("x", "y", "")[comp]
@@ -796,7 +774,7 @@ def reference_pair_rows(scn, prob):
             else:
                 e = {}, float(nominal_position(start_coc, scn.start_yaw, leg, robot)[comp])
             reachability += pair("reachability", f"step {i} reach", i, comp, e, robot.d_lim)
-        e = ({layout.foot(i - n, 2): 1.0}, 0.0) if i > n else ({}, start[leg - 1][2])
+        e = ({layout.feet[i - n - 1, 2]: 1.0}, 0.0) if i > n else ({}, start[leg - 1][2])
         reachability += pair("reachability", f"step {i} dz", i, 2, e, robot.dz_max)
     return geometric + reachability
 
@@ -834,12 +812,11 @@ def problem_rows(matrix, rhs, labels, families, family):
 
 
 class TestPairRows:
-    @pytest.mark.parametrize("convention", ["exclude-current", "include-current"])
+    @pytest.mark.parametrize("start", ["preset", "irregular"])
     @pytest.mark.parametrize("n_configs", [1, 2, 4])
     @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
-    def test_geometric_and_reachability_rows_match_row_by_row_reference(self, preset, n_configs, convention):
-        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
-        scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, coc_convention=convention)
+    def test_geometric_and_reachability_rows_match_row_by_row_reference(self, preset, n_configs, start):
+        scn = family_scenario(preset, n_configs, start)
         prob = assemble(scn)
         rows = reference_pair_rows(scn, prob)
         lower, upper = prob.lower.tolist(), prob.upper.tolist()
@@ -853,12 +830,11 @@ class TestPairRows:
 
 
 class TestFamilyRows:
-    @pytest.mark.parametrize("convention", ["exclude-current", "include-current"])
+    @pytest.mark.parametrize("start", ["preset", "irregular"])
     @pytest.mark.parametrize("n_configs", [1, 2, 4])
     @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
-    def test_region_trig_and_trim_rows_match_row_by_row_reference(self, preset, n_configs, convention):
-        base = load_scenario(SCENARIO_DIR / f"{preset}.json")
-        scn = base.with_overrides(max_steps=n_configs * base.robot.n_legs, coc_convention=convention)
+    def test_region_trig_and_trim_rows_match_row_by_row_reference(self, preset, n_configs, start):
+        scn = family_scenario(preset, n_configs, start)
         prob = assemble(scn)
         ineq, eq = reference_family_rows(scn, prob)
         lower, upper = prob.lower.tolist(), prob.upper.tolist()
@@ -900,19 +876,19 @@ def reference_objective(scn, prob):
     goals = derive_leg_goals(scn.goal_position, scn.goal_yaw, scn.robot)
     for i in range(layout.n_steps - n + 1, layout.n_steps + 1):
         g = goals[leg_of(i, n) - 1]
-        cols = [layout.foot(i, 0), layout.foot(i, 1), layout.foot(i, 2), layout.theta(layout.n_configs)]
+        cols = [layout.feet[i - 1, 0], layout.feet[i - 1, 1], layout.feet[i - 1, 2], layout.thetas[layout.n_configs - 1]]
         add([([(col, 1.0)], -float(v)) for col, v in zip(cols, [*g, scn.goal_yaw])], scn.q_goal)
     for i in range(1, layout.n_steps + 1):
-        c[layout.trim(i)] += scn.q_t
+        c[layout.trims[i - 1]] += scn.q_t
     start = coc(scn.start_footholds)
     for cfg in range(1, layout.n_configs + 1):
         exprs = []
         for comp in range(2):
-            coefs = [(layout.foot(i, comp), 1.0 / n) for i in range((cfg - 1) * n + 1, cfg * n + 1)]
+            coefs = [(layout.feet[i - 1, comp], 1.0 / n) for i in range((cfg - 1) * n + 1, cfg * n + 1)]
             if cfg == 1:
                 exprs.append((coefs, 0.0 + -float(start[comp])))
             else:
-                prev = [(layout.foot(i, comp), -(1.0 / n)) for i in range((cfg - 2) * n + 1, (cfg - 1) * n + 1)]
+                prev = [(layout.feet[i - 1, comp], -(1.0 / n)) for i in range((cfg - 2) * n + 1, (cfg - 1) * n + 1)]
                 exprs.append((coefs + prev, 0.0))
         add(exprs, scn.q_r)
     sym = {}
@@ -962,20 +938,20 @@ class TestValidateAssignment:
         sin_t, cos_t = scenario_tables(scn2)
         x = np.zeros(prob2.n_vars)
         for i in range(1, 9):
-            leg = leg_of(i, scn2.robot)
+            leg = leg_of(i, scn2.robot.n_legs)
             for comp in range(3):
-                x[layout.foot(i, comp)] = goals[leg - 1][comp]
-            x[layout.trim(i)] = 1.0
-            x[layout.region(i, 1)] = 1.0
+                x[layout.feet[i - 1, comp]] = goals[leg - 1][comp]
+            x[layout.trims[i - 1]] = 1.0
+            x[layout.regions[i - 1, 0]] = 1.0
         for c in (1, 2):
-            x[layout.sin(c)] = sin_t.eval(0.0)
-            x[layout.cos(c)] = cos_t.eval(0.0)
+            x[layout.sines[c - 1]] = sin_t.eval(0.0)
+            x[layout.cosines[c - 1]] = cos_t.eval(0.0)
             k = sin_t.segment_of(0.0) + 1
-            x[layout.sin_segment(c, k)] = 1.0
-            x[layout.cos_segment(c, k)] = 1.0
+            x[layout.sin_segments[c - 1, k - 1]] = 1.0
+            x[layout.cos_segments[c - 1, k - 1]] = 1.0
         assert validate_assignment(prob2, x, 1e-6).ok
         x2 = x.copy()
-        x2[layout.foot(5, 2)] += 2 * scn2.robot.dz_max
+        x2[layout.feet[4, 2]] += 2 * scn2.robot.dz_max
         report = validate_assignment(prob2, x2, 1e-6)
         assert any(v.family == "reachability" and "dz" in v.label for v in report.violations)
 
@@ -983,7 +959,7 @@ class TestValidateAssignment:
         scn = small_scenario()
         prob = assemble(scn)
         x = np.zeros(prob.n_vars)
-        x[prob.layout.region(1, 1)] = 0.4
+        x[prob.layout.regions[0, 0]] = 0.4
         report = validate_assignment(prob, x, 1e-6)
         assert any(v.family == "integrality" for v in report.violations)
 
@@ -997,7 +973,7 @@ class TestValidateAssignment:
             assert [v.index for v in flagged] == list(range(prob.n_vars))
             assert all(v.family == "bounds" and v.kind == "bound" for v in flagged)
         x = 0.5 * (prob.lower + prob.upper)  # within every bound
-        x[prob.layout.foot(2, 1)] = np.nan
+        x[prob.layout.feet[1, 1]] = np.nan
         report = validate_assignment(prob, x, 1e-6)
         assert [v.label for v in report.violations if v.family == "bounds"] == ["f2y not finite"]
 

@@ -82,11 +82,7 @@ class TestCoc:
     def test_six_step_window_mean(self):
         # independent summation: x = (0+2+2+0+1+1)/6 = 1, y = (0+0+2+2+1-1)/6 = 2/3
         pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (1, -1)]
-        assert np.allclose(coc(pts, expected_count=6), [1.0, 2.0 / 3.0])
-
-    def test_wrong_window_length_rejected(self):
-        with pytest.raises(ContractViolation):
-            coc([(0, 0), (1, 1)], expected_count=3)
+        assert np.allclose(coc(pts), [1.0, 2.0 / 3.0])
 
     def test_empty_window_rejected(self):
         with pytest.raises(ContractViolation):
@@ -149,7 +145,7 @@ class TestLegIndexing:
         assert leg_of(7, 6) == 1
 
     def test_last_leg_of_configuration(self):
-        assert leg_of(12, quadruped()) == 4
+        assert leg_of(12, quadruped().n_legs) == 4
 
     def test_config_of(self):
         assert config_of(1, 6) == 1
@@ -244,7 +240,7 @@ class TestScenario:
 
     def test_valid_scenario_builds(self):
         scn = self.make()
-        assert scn.n_configurations == 2
+        assert (scn.robot.n_legs, scn.max_steps) == (4, 8)
 
     def test_max_steps_multiple_of_legs(self):
         with pytest.raises(ConfigurationError):
@@ -266,10 +262,6 @@ class TestScenario:
     def test_psd_weights_required(self):
         with pytest.raises(ConfigurationError):
             self.make(q_goal=np.diag([1.0, 1.0, 1.0, -1.0]))
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self.make(coc_convention="sideways")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from stepplan import bnb
 from stepplan.errors import ContractViolation
 from stepplan.formulation import MiqpProblem
 from stepplan import qp as qp_module
-from stepplan.qp import BoxQp, solve_qp
+from stepplan.qp import BoxQp
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
@@ -115,7 +115,7 @@ class TestSolveQp:
     def test_active_bound(self):
         # min x^2 with x >= 3
         prob = make_problem([[1.0]], [0.0], lb=[3.0], ub=[100.0])
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(3.0, abs=1e-6)
         assert sol.objective == pytest.approx(9.0, abs=1e-5)
@@ -123,7 +123,7 @@ class TestSolveQp:
     def test_unconstrained_quadratic(self):
         # min (x-1)^2 + (y-2)^2 written as x'Qx + c'x + const
         prob = make_problem(np.eye(2), [-2.0, -4.0], const=5.0)
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 2.0], atol=1e-6)
         assert sol.objective == pytest.approx(0.0, abs=1e-6)
@@ -134,7 +134,7 @@ class TestSolveQp:
         prob = make_problem(G.T @ G + 0.1 * np.eye(4), rng.normal(size=4),
                             a_in=rng.normal(size=(3, 4)), b_in=rng.normal(size=3) + 2.0,
                             lb=np.full(4, -5.0), ub=np.full(4, 5.0))
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "optimal"
         assert sol.prim_res <= 1e-6
         assert sol.dual_res <= 1e-6
@@ -142,7 +142,7 @@ class TestSolveQp:
     def test_infeasible_detection(self):
         prob = make_problem([[1.0]], [0.0], a_in=[[1.0], [-1.0]], b_in=[-1.0, -1.0],
                             lb=[-5.0], ub=[5.0])
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
 
@@ -153,14 +153,14 @@ class TestSolveQp:
                             b_in=[-1.0, -1.0], lb=[-5.0, 0.0], ub=[5.0, 5.0])
         assert not highs_feasible(BoxQp.from_miqp(prob)._presolve(None))
         taken = farkas_bounds(monkeypatch)
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
         assert taken[-1][1] > 0.0  # the stalled iterate's multipliers certify it
         # an allowance that no bound clears makes the certificate refuse, and
         # nothing else decides: the call runs on and ends undecided
         monkeypatch.setattr(qp_module, "_rounding", lambda terms, magnitude: math.inf)
-        undecided = solve_qp(prob)
+        undecided = BoxQp.from_miqp(prob).solve()
         assert undecided.status == "max-iterations"
         assert undecided.iterations > sol.iterations
 
@@ -177,20 +177,20 @@ class TestSolveQp:
                                 a_in=rng.normal(size=(4, 3)), b_in=rng.normal(size=4) + 2.0,
                                 lb=np.full(3, -5.0), ub=np.full(3, 5.0))
             with np.errstate(all="raise"):
-                sol = solve_qp(prob)
+                sol = BoxQp.from_miqp(prob).solve()
             assert sol.status == "max-iterations"
             assert np.all(np.isfinite(sol.x))
 
     def test_equality_constraints(self):
         # min x^2 + y^2 s.t. x + y = 2 -> (1, 1)
         prob = make_problem(np.eye(2), [0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[2.0])
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-6)
 
     def test_unbounded_variables_rejected(self):
         prob = make_problem([[1.0]], [0.0], lb=[-np.inf], ub=[np.inf])
         with pytest.raises(ContractViolation):
-            solve_qp(prob)
+            BoxQp.from_miqp(prob).solve()
 
     def test_matches_projected_gradient_oracle(self):
         # strictly convex box QPs, checked against a projected-gradient oracle
@@ -203,7 +203,7 @@ class TestSolveQp:
             lo = rng.uniform(-2, -0.2, d)
             hi = rng.uniform(0.2, 2, d)
             prob = make_problem(Q, c, lb=lo, ub=hi)
-            sol = solve_qp(prob)
+            sol = BoxQp.from_miqp(prob).solve()
             assert sol.status == "optimal"
             # oracle: projected gradient to high accuracy
             P = 2.0 * Q
@@ -287,7 +287,7 @@ class TestWorkspaceReuse:
     def test_kkt_residuals_at_active_bound(self):
         # min x^2 with 3 <= x <= 100: the lower bound is active with multiplier 6
         prob = make_problem([[1.0]], [0.0], lb=[3.0], ub=[100.0])
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "optimal"
         x, y_bound = sol.x[0], sol.y[-1]
         assert abs(2.0 * x + y_bound) <= 1e-9  # stationarity: Px + q + y = 0
@@ -306,7 +306,7 @@ class TestWorkspaceReuse:
         b = np.concatenate([rng.normal(size=3) * 0.2, [-0.5]])
         prob = make_problem(Q, c, a_in=A, b_in=b, a_eq=[[1.0, 1.0, 0.0, 0.0]], b_eq=[0.3],
                             lb=np.full(4, -1.0), ub=np.full(4, 1.0))
-        sol = solve_qp(prob)
+        sol = BoxQp.from_miqp(prob).solve()
         assert sol.status == "optimal"
         y_in, y_eq, y_b = sol.y[:4], sol.y[4:5], sol.y[5:]
         grad = 2.0 * Q @ sol.x + c + A.T @ y_in + np.array([[1.0, 1.0, 0.0, 0.0]]).T @ y_eq + y_b
@@ -342,8 +342,8 @@ class TestWorkspaceReuse:
         G = rng.normal(size=(5, 5))
         prob = make_problem(G.T @ G + 0.05 * np.eye(5), rng.normal(size=5),
                             a_in=rng.normal(size=(4, 5)), b_in=rng.normal(size=4) + 3.0)
-        a = solve_qp(prob)
-        b = solve_qp(prob)
+        a = BoxQp.from_miqp(prob).solve()
+        b = BoxQp.from_miqp(prob).solve()
         assert a.iterations == b.iterations
         assert np.array_equal(a.x, b.x)
 

@@ -183,6 +183,31 @@ class TestParse:
         assert str(exc.value) == "region 'slab' is unbounded (direction x)"
 
 
+class TestCocWindowKey:
+    """Files saved while the CoC window was a setting carry "coc_convention"."""
+
+    def test_the_one_window_parses_as_if_absent(self):
+        doc = minimal_doc()
+        without = parse_scenario(json.dumps(doc))
+        doc["coc_convention"] = "exclude-current"
+        named = parse_scenario(json.dumps(doc))
+        assert scenario_to_json(named) == scenario_to_json(without)
+        for a, b in zip(named.regions, without.regions):
+            assert np.array_equal(a.bbox[0], b.bbox[0]) and np.array_equal(a.bbox[1], b.bbox[1])
+
+    @pytest.mark.parametrize("value", ["include-current", "sideways", None, 1])
+    def test_any_other_window_is_rejected_at_the_key(self, value):
+        doc = minimal_doc()
+        doc["coc_convention"] = value
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.location == "coc_convention"
+        assert '"exclude-current"' in str(exc.value)
+
+    def test_serialization_omits_the_key(self):
+        assert "coc_convention" not in scenario_to_json(parse_scenario(json.dumps(minimal_doc())))
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
         first = parse_scenario(json.dumps(minimal_doc()))

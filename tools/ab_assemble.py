@@ -3,7 +3,7 @@
 
 Records every chunk scenario that ``plan()`` assembles on each bundled
 preset (or on the presets named with ``--preset``), then assembles each
-one under both CoC conventions through the ``formulation`` module of
+one, with the one CoC window, through the ``formulation`` module of
 PARENT_DIR and through this checkout's, over ``--rounds`` rounds, with the
 first of the two alternating call by call. Every field of the two ``MiqpProblem`` results must be
 bit-identical: each array's dtype, shape and bytes, each CSR matrix's type,
@@ -16,6 +16,11 @@ does not enter the ratios:
 
     python tools/ab_assemble.py ../parent-checkout --rounds 9
     python tools/ab_assemble.py ../parent-checkout --preset quadruped_tilted_terrain
+
+The chunk scenarios are this checkout's ``Scenario`` objects. A checkout
+whose ``assemble`` reads a field they lack (one from before the CoC window
+was fixed reads ``coc_convention``) cannot assemble them, so run the tool
+inside that checkout, with this one as PARENT_DIR.
 
 Exits 1 if any problem differs.
 """
@@ -42,7 +47,6 @@ sys.path.insert(0, str(ROOT / "tools"))
 from ab_qp import load_module  # noqa: E402
 from plan_digest import problem_fields  # noqa: E402
 from stepplan import formulation, planner  # noqa: E402
-from stepplan.model import COC_CONVENTIONS  # noqa: E402
 from stepplan.scenario_io import load_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
@@ -94,9 +98,8 @@ def main(argv=None) -> int:
     labels, scenarios = [], []
     for name in args.preset:
         chunks = record_chunks(name)
-        for convention in COC_CONVENTIONS:
-            labels += [f"{name} chunk {k} {convention}" for k in range(len(chunks))]
-            scenarios += [chunk.with_overrides(coc_convention=convention) for chunk in chunks]
+        labels += [f"{name} chunk {k}" for k in range(len(chunks))]
+        scenarios += chunks
     print(f"{len(args.preset)} presets, {len(scenarios)} chunk scenarios", flush=True)
     ratios, differ = [], {}
     least = np.full((2, len(scenarios)), np.inf)

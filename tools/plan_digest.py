@@ -20,8 +20,8 @@ the last bits of a plan keeps the steps, statuses, nodes, iterations,
 objectives and bounds and shows a new sha256; one that only ends more
 relaxations at the cutoff changes the iterations and cutoffs alone. A
 second line per preset gives the sha256 of every field of the problems
-``assemble`` builds from it at 1, 2 and 4 configurations under each CoC
-convention (see ``problem_fields``), so a change to ``assemble`` that moves
+``assemble`` builds from it at 1, 2 and 4 configurations, with the one CoC
+window (see ``problem_fields``), so a change to ``assemble`` that moves
 one bit shows even when no plan moves, then the sha256 of the
 ``problem_to_lp`` text of those problems, so a change to the variable names
 or the LP writer shows too. One more line gives the sha256 of
@@ -64,7 +64,6 @@ import scipy.sparse as sp  # noqa: E402
 from stepplan import bnb, qp  # noqa: E402
 from stepplan.formulation import assemble  # noqa: E402
 from stepplan.lp_export import problem_to_lp  # noqa: E402
-from stepplan.model import COC_CONVENTIONS  # noqa: E402
 from stepplan.plan_io import plan_to_json  # noqa: E402
 from stepplan.planner import plan  # noqa: E402
 from stepplan.scenario_io import load_scenario  # noqa: E402
@@ -193,15 +192,12 @@ def problem_digest(path: Path) -> str:
     scenario = load_scenario(path)
     digest, lp_digest = hashlib.sha256(), hashlib.sha256()
     for n_configs in (1, 2, 4):
-        for convention in COC_CONVENTIONS:
-            problem = assemble(scenario.with_overrides(
-                max_steps=n_configs * scenario.robot.n_legs, coc_convention=convention
-            ))
-            for name, data in problem_fields(problem):
-                digest.update(name.encode() + data)
-            lp_digest.update(problem_to_lp(problem).encode())
+        problem = assemble(scenario.with_overrides(max_steps=n_configs * scenario.robot.n_legs))
+        for name, data in problem_fields(problem):
+            digest.update(name.encode() + data)
+        lp_digest.update(problem_to_lp(problem).encode())
     return (
-        f"{path.stem} problems: configs=1,2,4 conventions=2 sha256={digest.hexdigest()} "
+        f"{path.stem} problems: configs=1,2,4 sha256={digest.hexdigest()} "
         f"lp_sha256={lp_digest.hexdigest()}"
     )
 
