@@ -83,7 +83,7 @@ class MiqpLimits:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class MiqpSolution:
     """Incumbent (exactly integral binaries) plus solve statistics.
 

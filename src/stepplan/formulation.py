@@ -122,7 +122,7 @@ class VariableLayout:
         raise ContractViolation(f"index {index} outside layout of size {self.size}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MiqpProblem:
     """Canonical MIQP: minimize x'Qx + c'x + const over the constraint system."""
 

@@ -88,7 +88,7 @@ class Footstep:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafeRegion:
     """Convex obstacle-free polytope {x in R^3 : A x <= b}."""
 
@@ -129,7 +129,7 @@ class SafeRegion:
         return self.violation(point) <= CONTAINS_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete input of the planner: robot, terrain, boundary conditions, weights."""
 

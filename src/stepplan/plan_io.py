@@ -123,7 +123,8 @@ def plan_from_dict(doc: dict, scenario: Scenario, source: str = "") -> FootstepP
         _field(rb, "n_legs", at, _as_int) == robot.n_legs
         and len(offsets) == robot.n_legs
         and np.allclose(offsets, robot.leg_offsets)
-        and np.isclose(_field(rb, "l_leg", at, _as_float), robot.l_leg)
+        and all(np.isclose(_field(rb, key, at, _as_float), getattr(robot, key))
+                for key in ("l_leg", "l_bnd", "d_lim", "dz_max"))
     )
     if not same:
         raise ScenarioParseError("plan robot block does not match the scenario robot", source)

@@ -32,7 +32,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChunkRecord:
     """One solved chunk: enough context to re-assemble and re-validate it."""
 
@@ -54,7 +54,7 @@ class ChunkRecord:
     solve_time: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FootstepPlan:
     """Concatenated footsteps plus per-chunk statistics and convergence record."""
 

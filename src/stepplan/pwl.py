@@ -21,7 +21,7 @@ _DOMAIN_TOL = 1e-9
 _ZERO_KNOT_SEARCH = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PwlTable:
     """Chord segments of sin or cos over [theta_min, theta_max].
 

@@ -284,7 +284,7 @@ _getrf, _getrs, _gesv, _potrf, _trtrs = la.get_lapack_funcs(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class QpSolution:
     """Result of one convex solve.
 
@@ -311,9 +311,9 @@ class QpSolution:
     iterations: int
     polished: bool = False
     # the workspace, the reduced multipliers with their maps back to it and the reduced slacks
-    _ws: BoxQp | None = field(default=None, repr=False, compare=False)
-    _duals: tuple = field(default=(), repr=False, compare=False)
-    _slacks: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _ws: BoxQp | None = field(default=None, repr=False)
+    _duals: tuple = field(default=(), repr=False)
+    _slacks: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -341,7 +341,7 @@ class QpSolution:
         return self.x, stored
 
 
-@dataclass
+@dataclass(eq=False)
 class _Reduced:
     """A call's problem after substitution and presolve, with the maps back.
 

@@ -11,11 +11,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
+from oracles import random_miqp
 from stepplan.bnb import brute_force_solve, solve_miqp
 from stepplan.formulation import (
-    MiqpProblem,
     VariableLayout,
     assemble,
     validate_assignment,
@@ -40,41 +39,6 @@ PRESETS = (
 def report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}")
     assert ok, detail
-
-
-def random_miqp(rng):
-    n_c = int(rng.integers(2, 11))  # <= 10 continuous
-    n_b = int(rng.integers(1, 9))   # <= 8 binaries
-    n = n_c + n_b
-    G = rng.normal(size=(n, n)) * 0.6
-    Q = G.T @ G / n + 0.02 * np.eye(n)
-    c = rng.normal(size=n)
-    lb = np.concatenate([rng.uniform(-3, -0.5, n_c), np.zeros(n_b)])
-    ub = np.concatenate([rng.uniform(0.5, 3, n_c), np.ones(n_b)])
-    bins = np.arange(n_c, n)
-    x0 = np.concatenate(
-        [rng.uniform(lb[:n_c], ub[:n_c]), rng.integers(0, 2, n_b).astype(float)]
-    )
-    m = int(rng.integers(2, 9))
-    A = rng.normal(size=(m, n))
-    b = A @ x0 + rng.uniform(0.05, 1.0, m)
-    return MiqpProblem(
-        q_matrix=sp.csr_matrix(Q),
-        c_vector=c,
-        objective_constant=0.3,
-        a_ineq=sp.csr_matrix(A),
-        b_ineq=b,
-        a_eq=sp.csr_matrix((0, n)),
-        b_eq=np.zeros(0),
-        lower=lb,
-        upper=ub,
-        binary_indices=bins,
-        layout=None,
-        ineq_families=tuple("row" for _ in range(m)),
-        ineq_labels=tuple(f"row{i}" for i in range(m)),
-        eq_families=(),
-        eq_labels=(),
-    )
 
 
 def test_criterion_1_oracle_equivalence():

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.optimize import linprog, minimize
 
+from oracles import enumerated_optimum, make_problem, random_instance, slsqp_reference, with_flat_column
 from stepplan import bnb, qp
 from stepplan.bnb import (
     BRUTE_FORCE_MAX_BINARIES,
@@ -16,54 +15,11 @@ from stepplan.bnb import (
     solve_miqp,
 )
 from stepplan.errors import ContractViolation
-from stepplan.formulation import MiqpProblem, assemble, make_rounding_heuristic, validate_assignment
+from stepplan.formulation import assemble, make_rounding_heuristic, validate_assignment
 from stepplan.lp_export import problem_to_lp
 from stepplan.qp import BoxQp
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "stepplan" / "scenarios"
-
-
-def make_problem(Q, c, const=0.0, lb=None, ub=None, bins=(), a_in=None, b_in=None):
-    n = len(c)
-    lb = np.full(n, -10.0) if lb is None else np.asarray(lb, float)
-    ub = np.full(n, 10.0) if ub is None else np.asarray(ub, float)
-    return MiqpProblem(
-        q_matrix=sp.csr_matrix(np.atleast_2d(np.asarray(Q, float))),
-        c_vector=np.asarray(c, float),
-        objective_constant=const,
-        a_ineq=sp.csr_matrix(np.atleast_2d(np.asarray(a_in, float))) if a_in is not None else sp.csr_matrix((0, n)),
-        b_ineq=np.asarray(b_in, float) if b_in is not None else np.zeros(0),
-        a_eq=sp.csr_matrix((0, n)),
-        b_eq=np.zeros(0),
-        lower=lb,
-        upper=ub,
-        binary_indices=np.asarray(bins, int),
-        layout=None,
-        ineq_families=tuple("r" for _ in range(len(b_in) if b_in is not None else 0)),
-        ineq_labels=tuple(f"r{i}" for i in range(len(b_in) if b_in is not None else 0)),
-        eq_families=(),
-        eq_labels=(),
-    )
-
-
-def random_instance(rng, max_c=6, max_b=6, max_rows=6):
-    """A random MIQP; ``random_instance(rng, 10, 8, 8)`` draws criterion 1's problems."""
-    n_c = int(rng.integers(2, max_c + 1))
-    n_b = int(rng.integers(1, max_b + 1))
-    n = n_c + n_b
-    G = rng.normal(size=(n, n)) * 0.6
-    Q = G.T @ G / n + 0.02 * np.eye(n)
-    c = rng.normal(size=n)
-    lb = np.concatenate([rng.uniform(-3, -0.5, n_c), np.zeros(n_b)])
-    ub = np.concatenate([rng.uniform(0.5, 3, n_c), np.ones(n_b)])
-    bins = list(range(n_c, n))
-    x0 = np.concatenate(
-        [rng.uniform(lb[:n_c], ub[:n_c]), rng.integers(0, 2, n_b).astype(float)]
-    )
-    m = int(rng.integers(2, max_rows + 1))
-    A = rng.normal(size=(m, n))
-    b = A @ x0 + rng.uniform(0.05, 1.0, m)
-    return make_problem(Q, c, 0.3, lb, ub, bins, a_in=A, b_in=b)
 
 
 class TestSolveMiqp:
@@ -285,7 +241,7 @@ class TestProblemsWithoutLayout:
 
 class TestBruteForce:
     def test_zero_binaries_matches_qp(self):
-        prob = make_problem(np.eye(2), [-2.0, -4.0], const=5.0)
+        prob = make_problem(np.eye(2), [-2.0, -4.0], const=5.0, lb=[-10.0, -10.0], ub=[10.0, 10.0])
         sol = brute_force_solve(prob)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-6)
@@ -341,57 +297,6 @@ class TestOracleAgreement:
         if sol.feasible:
             assert sol.best_bound <= sol.objective + 1e-9
             assert sol.gap >= 0.0
-
-
-def slsqp_reference(prob, fixings, start=None):
-    """Relaxation optimum with ``fixings`` pinned, by scipy's SLSQP with
-    analytic jacobians, from ``start`` (a full-length point) or from 0."""
-    free = [i for i in range(prob.n_vars) if i not in fixings]
-    a, q = prob.a_ineq.toarray(), prob.q_matrix.toarray()
-
-    def full(v):
-        x = np.zeros(prob.n_vars)
-        x[free] = v
-        for i, val in fixings.items():
-            x[i] = val
-        return x
-
-    res = minimize(
-        lambda v: prob.objective_value(full(v)),
-        np.zeros(len(free)) if start is None else start[free],
-        jac=lambda v: ((q + q.T) @ full(v) + prob.c_vector)[free],
-        method="SLSQP",
-        bounds=list(zip(prob.lower[free], prob.upper[free])),
-        constraints=[{"type": "ineq", "fun": lambda v: prob.b_ineq - a @ full(v), "jac": lambda v: -a[:, free]}],
-        options={"ftol": 1e-14, "maxiter": 1000},
-    )
-    assert res.success
-    return res.fun
-
-
-def relaxation_optimum(prob, fixings) -> float:
-    """The optimum of the relaxation with ``fixings`` pinned, with no BoxQp:
-    HiGHS decides whether the fixings leave it feasible, and SLSQP solves
-    it from the LP's point; inf if they do not."""
-    lo, hi = prob.lower.copy(), prob.upper.copy()
-    for i, value in fixings.items():
-        lo[i] = hi[i] = value
-    lp = linprog(
-        np.zeros(prob.n_vars), A_ub=prob.a_ineq.toarray(), b_ub=prob.b_ineq, bounds=list(zip(lo, hi)), method="highs"
-    )
-    assert lp.status in (0, 2)  # solved, or infeasible
-    return slsqp_reference(prob, fixings, lp.x) if lp.status == 0 else math.inf
-
-
-def enumerated_optimum(prob) -> float:
-    """The MIQP's optimum by enumeration, with no BoxQp: the least
-    ``relaxation_optimum`` over the binary patterns; inf if no pattern is
-    feasible."""
-    bins = prob.binary_indices.tolist()
-    return min(
-        relaxation_optimum(prob, dict(zip(bins, pattern)))
-        for pattern in itertools.product((0.0, 1.0), repeat=len(bins))
-    )
 
 
 class TestEngineFreeOracle:
@@ -545,8 +450,6 @@ class TestCutoffPruning:
         # cutoff from unconverged iterates. A flat column keeps every call
         # from ending at an active-set solve, which most of them reach
         # within 7 iterations
-        from test_qp import with_flat_column
-
         rng = np.random.default_rng(2024)
         problems = [with_flat_column(random_instance(rng, 10, 8, 8)) for _ in range(30)]
         with monkeypatch.context() as m:
@@ -574,8 +477,6 @@ class TestUnconvergedRoot:
         # keeps it from ending at an active-set solve. Its objective is that
         # of an inexact iterate, not a bound: pushed on it, the 24th draw's
         # root closed its tree 0.037 above the optimum
-        from test_qp import with_flat_column
-
         rng = np.random.default_rng(1)
         problems = [with_flat_column(random_instance(rng, 10, 8, 8)) for _ in range(24)]
         optima = [brute_force_solve(prob) for prob in problems]

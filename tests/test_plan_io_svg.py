@@ -90,16 +90,19 @@ class TestPlanFile:
             ("n_legs", 6), ("n_legs", "4"), ("leg_offsets", [0.0, 1.0]), ("leg_offsets", "0 1 2 3"),
             ("leg_offsets", [None] * scn.robot.n_legs), ("leg_offsets", None),
             ("l_leg", "long"), ("l_leg", None),
+            # a plan saved for another reach box or height limit
+            ("l_bnd", scn.robot.l_bnd * 1.5), ("d_lim", scn.robot.d_lim * 1.5), ("dz_max", scn.robot.dz_max + 0.1),
         )
         for key, value in malformed:
             doc = plan_to_dict(result, scn)
             doc["robot"][key] = value
             with pytest.raises(ScenarioParseError):
                 plan_from_dict(doc, scn)
-        doc = plan_to_dict(result, scn)
-        del doc["robot"]["l_leg"]
-        with pytest.raises(ScenarioParseError, match="robot"):
-            plan_from_dict(doc, scn)
+        for key in ("l_leg", "l_bnd", "d_lim", "dz_max"):
+            doc = plan_to_dict(result, scn)
+            del doc["robot"][key]
+            with pytest.raises(ScenarioParseError, match="robot"):
+                plan_from_dict(doc, scn)
 
     def test_inconsistent_step_count_rejected(self, planned):
         scn, result = planned

@@ -1,10 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from oracles import random_miqp
+from stepplan.bnb import MiqpSolution, solve_miqp
 from stepplan.errors import ContractViolation
-from stepplan.formulation import assemble, validate_assignment
+from stepplan.formulation import MiqpProblem, assemble, validate_assignment
 from stepplan.model import (
     Footstep,
     RobotModel,
@@ -14,11 +17,14 @@ from stepplan.model import (
     nominal_position,
 )
 from stepplan.planner import (
+    ChunkRecord,
     FootstepPlan,
     _drop_standing_tail,
     plan,
     validate_plan,
 )
+from stepplan.pwl import PwlTable, build_table
+from stepplan.qp import BoxQp, QpSolution, _Reduced
 
 
 def quadruped():
@@ -273,3 +279,31 @@ class TestPresetQualityFloor:
     def test_quadruped_tilted_terrain_closes_its_last_chunk(self, preset_plans):
         chunk = preset_plans["quadruped_tilted_terrain"].result.chunks[2]
         assert chunk.status == "optimal"
+
+
+class TestRecordsCompareByIdentity:
+    """The records that hold arrays compare and hash by identity: ``==``
+    between two equal records never reaches an array's ambiguous truth value."""
+
+    @pytest.fixture(scope="class")
+    def records(self, preset_plans):
+        run = preset_plans["quadruped_tilted_terrain"]
+        chunk = run.result.chunks[-1]
+        prob = assemble(chunk.scenario)
+        ws = BoxQp.from_miqp(prob)
+        return {
+            Scenario: run.scenario, SafeRegion: run.scenario.regions[0], ChunkRecord: chunk,
+            FootstepPlan: run.result, PwlTable: build_table("sin", chunk.theta_range, chunk.n_segments),
+            MiqpProblem: prob, QpSolution: ws.solve(), _Reduced: ws._presolve(None),
+            MiqpSolution: solve_miqp(random_miqp(np.random.default_rng(1))),
+        }
+
+    @pytest.mark.parametrize("cls", [Scenario, SafeRegion, ChunkRecord, FootstepPlan, PwlTable, MiqpProblem,
+                                     QpSolution, _Reduced, MiqpSolution], ids=lambda cls: cls.__name__)
+    def test_equal_records_compare_without_raising(self, records, cls):
+        record = records[cls]
+        twin = copy.deepcopy(record)
+        assert type(record) is cls
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert len({record, twin, record}) == 2
