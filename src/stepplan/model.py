@@ -96,7 +96,8 @@ class SafeRegion:
     b_vector: np.ndarray
     name: str
     # Axis-aligned bounding box, filled in by the scenario loader once the
-    # region has been proven nonempty and bounded. (lo, hi) or None.
+    # region is known nonempty and bounded: a polygon's is a closed form of
+    # its vertices, a halfspace region's comes from an LP. (lo, hi) or None.
     bbox: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):

@@ -30,6 +30,7 @@ from .model import (
     nominal_position,
     wrap_angle,
 )
+from .pwl import chord_error_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +305,7 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
         offset += chunk.kept_count
         start = np.asarray(chunk.start_footholds, dtype=float)
         table_h = (chunk.theta_range[1] - chunk.theta_range[0]) / chunk.n_segments
-        chord_err = table_h * table_h / 8.0
+        chord_err = chord_error_bound(table_h)
         start_coc = coc(start)
 
         def foot_at(k: int) -> np.ndarray:

@@ -21,6 +21,11 @@ _DOMAIN_TOL = 1e-9
 _ZERO_KNOT_SEARCH = 64
 
 
+def chord_error_bound(h: float) -> float:
+    """Bound on |chord - exact| of sin or cos over a segment of width ``h``."""
+    return h * h / 8.0
+
+
 @dataclass(frozen=True, eq=False)
 class PwlTable:
     """Chord segments of sin or cos over [theta_min, theta_max].
@@ -57,8 +62,7 @@ class PwlTable:
 
     def error_bound(self) -> float:
         """Uniform bound on |table - exact| over the whole range."""
-        h = self.segment_width
-        return h * h / 8.0
+        return chord_error_bound(self.segment_width)
 
     def segment_of(self, theta):
         """0-based index of a segment containing theta (lower one at interior

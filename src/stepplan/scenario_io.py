@@ -3,10 +3,13 @@
 Scenario files are versioned JSON documents. Safe regions may be authored
 directly as halfspace systems or as convex 2D polygons with a z-plane
 (optionally tilted) and thickness, which the loader expands to halfspaces.
-Every region is proven nonempty and bounded at load time: the six sides of
-every region's bounding box are exact LPs, solved by HiGHS as one
-block-diagonal LP per scenario. The boxes are attached to the regions for use
-by the formulation and the renderer.
+Every region's bounding box is attached to it for use by the formulation and
+the renderer. A polygon's box is a closed form of its vertices: the parser's
+checks (convex, nonzero area, thickness >= 0) already prove the prism
+nonempty and bounded. A halfspace region is proven nonempty and bounded at
+load time: the six sides of its box are exact LPs, solved by HiGHS as one
+block-diagonal LP per scenario. Only that LP imports ``scipy.optimize``, so a
+scenario of polygons alone never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import ConfigurationError, ScenarioParseError
 from .model import RobotModel, SafeRegion, Scenario
@@ -80,7 +81,8 @@ def _as_matrix(v, size: int, path: str) -> np.ndarray:
     return np.diag(_as_floats(v, size, path))
 
 
-def _polygon_to_halfspaces(entry: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _polygon_region(entry: dict, path: str, name: str) -> SafeRegion:
+    """The halfspaces of a polygon prism, with its box as a closed form of the vertices."""
     poly = entry["polygon"]
     if not isinstance(poly, list) or len(poly) < 3:
         _fail("polygon needs at least 3 vertices", f"{path}.polygon")
@@ -127,7 +129,13 @@ def _polygon_to_halfspaces(entry: dict, path: str) -> tuple[np.ndarray, np.ndarr
     rhs.append((gamma + 0.5 * thickness) / nz)
     rows.append([alpha / nz, beta / nz, -1.0 / nz])
     rhs.append((-gamma + 0.5 * thickness) / nz)
-    return np.array(rows), np.array(rhs)
+    # Python floats, so a non-finite input raises no warning here: SafeRegion
+    # names it through A or b before the box is used
+    xs, ys = pts.T.tolist()
+    zs = [alpha * x + beta * y + gamma for x, y in zip(xs, ys)]
+    bbox = (np.array([min(xs), min(ys), min(zs) - 0.5 * thickness]),
+            np.array([max(xs), max(ys), max(zs) + 0.5 * thickness]))
+    return SafeRegion(a_matrix=np.array(rows), b_vector=np.array(rhs), name=name, bbox=bbox)
 
 
 def _parse_region(entry, index: int) -> SafeRegion:
@@ -150,8 +158,7 @@ def _parse_region(entry, index: int) -> SafeRegion:
         )
         return SafeRegion(a_matrix=a, b_vector=np.array(b), name=name)
     if "polygon" in entry:
-        a, b = _polygon_to_halfspaces(entry, path)
-        return SafeRegion(a_matrix=a, b_vector=b, name=name)
+        return _polygon_region(entry, path, name)
     _fail("region needs 'halfspaces' or 'polygon'", path)
 
 
@@ -171,6 +178,9 @@ def _solve_sides(
     Returns the ``milp`` status and, when it is 0 (optimal), the side values
     in order.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     a = np.concatenate([r.a_matrix for r, _, _ in sides])
     b = np.concatenate([r.b_vector for r, _, _ in sides])
     owner = np.repeat(np.arange(len(sides)), [r.n_rows for r, _, _ in sides])
@@ -213,7 +223,8 @@ def region_extent(regions: list[SafeRegion]) -> list[tuple[np.ndarray, np.ndarra
     each maximum before its minimum. The first side that fails names its
     region: an infeasible LP means the region is empty; an unbounded one
     gives a direction in which it is unbounded.
-    Returns ``(lo, hi)`` per region, in order.
+    Returns ``(lo, hi)`` per region, in order. The loader calls it for
+    halfspace regions only: a polygon's box is a closed form of its vertices.
     """
     sides = [(r, comp, sign) for r in regions for comp, sign in _SIDES]
     status, values = _solve_sides(sides)
@@ -262,10 +273,14 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
     box_lo = np.array(_as_floats(box["min"], 3, "workspace_box.min"))
     box_hi = np.array(_as_floats(box["max"], 3, "workspace_box.max"))
 
-    regions = [
-        SafeRegion(r.a_matrix, r.b_vector, r.name, bbox=bbox)
-        for r, bbox in zip(regions, region_extent(regions))
-    ]
+    # polygons come with their boxes; the halfspace regions' boxes are LPs
+    pending = [r for r in regions if r.bbox is None]
+    if pending:
+        boxes = iter(region_extent(pending))
+        regions = [
+            SafeRegion(r.a_matrix, r.b_vector, r.name, bbox=next(boxes)) if r.bbox is None else r
+            for r in regions
+        ]
 
     st = doc["start"]
     _check_keys(st, {"footholds", "yaw"}, {"footholds", "yaw"}, "start")

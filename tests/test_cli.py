@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +307,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "plan", limited)
         assert main(["plan", str(scenario_file)]) == EXIT_LIMITS
         assert "error: chunk 0 hit solver limits" in capsys.readouterr().err
+
+
+def test_polygon_preset_plans_without_scipy_optimize(tmp_path):
+    """A polygon scenario's region boxes need no LP, so the planning process
+    never imports scipy.optimize. A fresh process is needed: the test modules
+    import it themselves."""
+    src = Path(cli.__file__).resolve().parents[1]
+    preset = src / "stepplan" / "scenarios" / "quadruped_tilted_terrain.json"
+    script = (
+        "import sys; from stepplan.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = ["plan", str(preset), "-o", str(tmp_path / "plan.json"), "--svg", str(tmp_path / "plan.svg")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"

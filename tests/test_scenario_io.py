@@ -4,9 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from stepplan import scenario_io
 from stepplan.errors import ConfigurationError, ScenarioParseError
 from stepplan.scenario_io import (
     load_scenario,
@@ -236,6 +236,71 @@ class TestRoundTrip:
         assert np.array_equal(again.start_footholds, scn.start_footholds)
 
 
+def per_side_lps(region):
+    """The region's box, one LP per side over its own rows, solved here."""
+    lo, hi = np.empty(3), np.empty(3)
+    rows = LinearConstraint(region.a_matrix, -np.inf, region.b_vector)
+    for comp in range(3):
+        for sign, store in ((1.0, hi), (-1.0, lo)):
+            cost = np.zeros(3)
+            cost[comp] = -sign
+            res = milp(cost, constraints=rows, bounds=Bounds(-np.inf, np.inf))
+            assert res.status == 0
+            store[comp] = -sign * res.fun
+    return lo, hi
+
+
+def prism_box(entry):
+    """A polygon prism's box by its definition: vertex extremes in x and y, and
+    the plane's extremes over the vertices, less and plus half the thickness."""
+    pts = np.array(entry["polygon"], dtype=float)
+    a, b, c = entry["plane"] if "plane" in entry else (0.0, 0.0, entry["z"])
+    z = a * pts[:, 0] + b * pts[:, 1] + c
+    half = 0.5 * entry.get("thickness", 0.04)
+    return (np.array([*pts.min(axis=0), z.min() - half]),
+            np.array([*pts.max(axis=0), z.max() + half]))
+
+
+def assert_polygon_boxes(doc, scn):
+    """Each polygon region's box has the bytes of its definition and lies
+    within 2 ulp of one LP per side over the region's rows."""
+    for entry, region in zip(doc["regions"], scn.regions):
+        if "polygon" not in entry:
+            continue
+        for got, want, lp in zip(region.bbox, prism_box(entry), per_side_lps(region)):
+            assert got.tobytes() == want.tobytes(), region.name
+            assert np.all(np.abs(got - lp) <= 2 * np.spacing(np.abs(lp))), region.name
+
+
+def round_tripped(name):
+    """A preset saved and parsed again: every region is a halfspace system."""
+    return parse_scenario(scenario_to_json(load_scenario(SCENARIO_DIR / f"{name}.json")))
+
+
+def tilted_ramp(**changes):
+    return {
+        "name": "ramp",
+        "polygon": [[1.0, -0.5], [1.4, -0.5], [1.4, 0.5], [1.0, 0.5]],
+        "plane": [0.1, -0.05, -0.1],
+        "thickness": 0.04,
+        **changes,
+    }
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Count the calls of scipy.optimize.milp, which the loader looks up there."""
+    calls = []
+    real = scipy.optimize.milp
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    return calls
+
+
 class TestRegionExtent:
     def test_extent_of_box(self):
         doc = minimal_doc()
@@ -247,34 +312,84 @@ class TestRegionExtent:
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_boxes_equal_per_side_lps(self, name):
-        """The batched boxes keep every bit of one LP per side, solved here."""
-        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        """The batched boxes of halfspace regions keep every bit of one LP per
+        side. A round-tripped preset's regions are halfspaces, so its boxes are
+        the batched LP's."""
+        scn = round_tripped(name)
         for region in scn.regions:
-            lo, hi = np.empty(3), np.empty(3)
-            rows = LinearConstraint(region.a_matrix, -np.inf, region.b_vector)
-            for comp in range(3):
-                for sign, store in ((1.0, hi), (-1.0, lo)):
-                    cost = np.zeros(3)
-                    cost[comp] = -sign
-                    res = milp(cost, constraints=rows, bounds=Bounds(-np.inf, np.inf))
-                    assert res.status == 0
-                    store[comp] = -sign * res.fun
+            lo, hi = per_side_lps(region)
             assert region.bbox[0].tobytes() == lo.tobytes(), region.name
             assert region.bbox[1].tobytes() == hi.tobytes(), region.name
 
-    def test_one_lp_per_load(self, monkeypatch):
-        calls = []
-        real = scenario_io.milp
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_polygon_boxes_by_definition(self, name):
+        path = SCENARIO_DIR / f"{name}.json"
+        assert_polygon_boxes(json.loads(path.read_text()), load_scenario(path))
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize(
+        "ramp",
+        [tilted_ramp(), tilted_ramp(thickness=0.0), tilted_ramp(plane=[0.0, 0.0, 0.03], thickness=0.0)],
+        ids=["tilted", "tilted-zero-thickness", "flat-zero-thickness"],
+    )
+    def test_polygon_box_by_definition(self, ramp):
+        doc = minimal_doc()
+        doc["regions"].append(ramp)
+        assert_polygon_boxes(doc, parse_scenario(json.dumps(doc)))
 
-        monkeypatch.setattr(scenario_io, "milp", spy)
+    def test_clockwise_vertices_give_the_same_box(self):
+        doc = minimal_doc()
+        doc["regions"].append(tilted_ramp())
+        ccw = parse_scenario(json.dumps(doc))
+        for entry in doc["regions"]:
+            entry["polygon"].reverse()
+        cw = parse_scenario(json.dumps(doc))
+        assert_polygon_boxes(doc, cw)
+        for a, b in zip(ccw.regions, cw.regions):
+            assert a.bbox[0].tobytes() == b.bbox[0].tobytes()
+            assert a.bbox[1].tobytes() == b.bbox[1].tobytes()
+
+    def test_mixed_document_keeps_region_order(self, milp_calls):
+        doc = minimal_doc()
+        doc["regions"] = [CUBE, doc["regions"][0], tilted_ramp()]
+        scn = parse_scenario(json.dumps(doc))
+        assert [r.name for r in scn.regions] == ["cube", "ground", "ramp"]
+        assert len(milp_calls) == 1  # the cube's six sides, one batched LP
+        lo, hi = per_side_lps(scn.regions[0])
+        assert scn.regions[0].bbox[0].tobytes() == lo.tobytes()
+        assert scn.regions[0].bbox[1].tobytes() == hi.tobytes()
+        assert_polygon_boxes(doc, scn)
+
+    def test_bad_halfspace_region_among_polygons_is_named(self):
+        doc = minimal_doc()
+        slab = {"name": "slab", "halfspaces": {"a": [[0, 0, 1], [0, 0, -1]], "b": [0.05, 0.05]}}
+        doc["regions"] = [doc["regions"][0], CUBE, slab, tilted_ramp()]
+        with pytest.raises(ConfigurationError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == "region 'slab' is unbounded (direction x)"
+
+    def test_nan_vertex_rejected(self):
+        doc = minimal_doc()
+        doc["regions"][0]["polygon"][1][0] = float("nan")
+        with pytest.raises(ConfigurationError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == "region 'ground': A has a non-finite entry"
+
+    def test_infinite_thickness_rejected(self):
+        doc = minimal_doc()
+        doc["regions"][0]["thickness"] = float("inf")
+        with pytest.raises(ConfigurationError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == "region 'ground': b has a non-finite entry"
+
+    def test_one_lp_per_load(self, milp_calls):
+        """Polygon regions take no LP; a load with halfspace regions takes one."""
         for name in PRESETS:
             load_scenario(SCENARIO_DIR / f"{name}.json")
         parse_scenario(json.dumps(minimal_doc()))
-        assert len(calls) == len(PRESETS) + 1
+        assert len(milp_calls) == 0
+        text = scenario_to_json(load_scenario(SCENARIO_DIR / f"{PRESETS[0]}.json"))
+        parse_scenario(text)
+        assert len(milp_calls) == 1
 
 
 class TestBundledPresets:
