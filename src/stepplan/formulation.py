@@ -51,7 +51,7 @@ from itertools import compress
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, ContractViolation, InfeasibleScenarioError
+from .errors import AssemblyError, ContractViolation, DomainError, InfeasibleScenarioError
 from .model import CONTAINS_TOL, Scenario, coc, derive_leg_goals, nominal_position, wrap_angle
 from .pwl import PwlTable, build_table
 
@@ -467,6 +467,8 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     lims = np.array([robot.l_bnd, robot.l_bnd, robot.d_lim, robot.d_lim, robot.dz_max], dtype=float)
     # the walk reads and writes the bounds as Python floats, each e's range
     # summed from its constant in table order
+    # (``min(a, b)`` is b only when b < a, ``max(a, b)`` b only when b > a:
+    # the comparisons below pick the same float, sign of a zero included)
     lo, hi = lower.tolist(), upper.tolist()
     for cols, vals, e_lo, col, lim in zip(
         e_cols.reshape(-1, size + 2).tolist(), e_vals.reshape(-1, size + 2).tolist(),
@@ -476,9 +478,12 @@ def assemble(scenario: Scenario) -> MiqpProblem:
         for c, v in zip(cols, vals):
             if v != 0.0:
                 a, b = v * lo[c], v * hi[c]
-                e_lo, e_hi = e_lo + min(a, b), e_hi + max(a, b)
-        lo[col] = max(lo[col], e_lo - lim)
-        hi[col] = min(hi[col], e_hi + lim)
+                e_lo += b if b < a else a
+                e_hi += b if b > a else a
+        if e_lo - lim > lo[col]:
+            lo[col] = e_lo - lim
+        if e_hi + lim < hi[col]:
+            hi[col] = e_hi + lim
     lower, upper = np.array(lo), np.array(hi)
     empty = (lower[feet] > upper[feet]).any(axis=1)
     if empty.any():
@@ -490,6 +495,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # bounds, so the region and trim pins below reach every row
     ineq = _RowBag()
     eq = _RowBag()
+    step_names = [f"step {i} " for i in range(1, n_steps + 1)]  # each step's label prefix
     # the rows  foot - e <= lim  and  e - foot <= lim  of each e: the foot's
     # entry and -e, in column order; all reference-box rows first, then each
     # step's reach and dz rows
@@ -506,7 +512,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     ):
         ineq.add(
             cols[:, part].reshape(-1, size + 3), vals[:, part].reshape(-1, size + 3), rhs[:, part].ravel(),
-            family, [f"step {i} {name}" for i in range(1, n_steps + 1) for name in names],
+            family, [step + name for step in step_names for name in names],
         )
 
     # ---- goal footholds (trim targets / goal cost), region membership gate -
@@ -573,7 +579,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     step_of, cand = np.nonzero(live)
     ineq.add(
         cols[live], vals[live], rhs[cand], "region",
-        [f"step {i} {names[k]}" for i, k in zip((step_of + 1).tolist(), cand.tolist())],
+        [step_names[i] + names[k] for i, k in zip(step_of.tolist(), cand.tolist())],
         binaries[live],
     )
 
@@ -591,7 +597,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     ineq.add(
         local[:, cols].reshape(-1, 1 + n_seg),
         np.concatenate([vals] * n_cfg), np.concatenate([rhs] * n_cfg), "trig",
-        [f"config {c} {name}" for c in range(1, n_cfg + 1) for name in sin_names + cos_names],
+        [config + name for config in (f"config {c} " for c in range(1, n_cfg + 1)) for name in sin_names + cos_names],
         np.where(binaries >= 0, local[:, binaries], -1).ravel(),
     )
     choice = np.stack([layout.sin_segments, layout.cos_segments], axis=1).reshape(-1, n_seg)
@@ -614,7 +620,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     # each step's rows: pins of its foot to its leg's goal and of its
     # configuration's yaw to the goal yaw, enforced by its trim binary,
     # then the monotone row  t_i <= t_{i+n}  while step i + n exists
-    pins = ("+x", "+y", "+z", "-x", "-y", "-z", "+yaw", "-yaw")
+    pins = tuple(f"trim pin {pin}" for pin in ("+x", "+y", "+z", "-x", "-y", "-z", "+yaw", "-yaw"))
     cols = np.zeros((n_steps, 9, 2), dtype=int)
     vals = np.zeros((n_steps, 9, 2))
     rhs = np.zeros((n_steps, 9))
@@ -631,7 +637,7 @@ def assemble(scenario: Scenario) -> MiqpProblem:
     live[n_steps - n :, 8] = False
     labels = []
     for i in range(1, n_steps + 1):
-        labels += [f"step {i} trim pin {pin}" for pin in pins]
+        labels += [step_names[i - 1] + pin for pin in pins]
         if i + n <= n_steps:
             labels.append(f"trim monotone {i} <= {i + n}")
     ineq.add(cols[live], vals[live], rhs[live], "trim", labels, binaries[live])
@@ -715,9 +721,14 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     Each completion is a few array passes over the layout's index blocks:
     one product over every region's rows gives the step-by-region violation
     matrix, and the picks are array reductions with the tie rules above.
+    The completions with and without trims of one relaxed point share every
+    pick that does not read the trims: the fixings' masks, the region picks
+    and the segment picks at the relaxed yaws. The trims change only the
+    segments of the configurations they send to the goal yaw. The sine and
+    cosine tables share their breakpoints, so one ``segment_of`` serves both.
     """
     layout = problem.layout
-    sin_table, cos_table = scenario_tables(scenario)
+    sin_table = build_table("sin", scenario.theta_range, scenario.n_segments)
     n = layout.n_legs
     n_steps, n_configs = layout.n_steps, layout.n_configs
     lo_t, hi_t = scenario.theta_range
@@ -725,67 +736,99 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
     # each leg's chain of steps from the tail inward, legs in order (0-based)
     chains = np.arange(n_steps).reshape(n_configs, n)[::-1].T.ravel()
     trim_idx, theta_idx, region_idx, foot_idx = layout.trims, layout.thetas, layout.regions, layout.feet
+    chain_keys = trim_idx[chains].tolist()
     # [configuration, sin or cos, segment]
     seg_idx = np.stack([layout.sin_segments, layout.cos_segments], axis=1)
+    k = np.arange(layout.n_segments)
     a_all = np.vstack([region.a_matrix for region in scenario.regions])
-    b_all = np.concatenate([region.b_vector for region in scenario.regions])
+    b_all = np.concatenate([region.b_vector for region in scenario.regions])[:, None]
     first_row = np.cumsum([0] + [region.n_rows for region in scenario.regions])[:-1]
     pinned = problem.lower == problem.upper
     open_up = problem.upper > 0.0
+    # without fixings every binary is free, no segment is taken and every open region is allowed
+    open_r, no_one = open_up[region_idx], np.zeros(problem.n_vars, dtype=bool)
+    all_s, all_r = np.ones(seg_idx.shape, dtype=bool), np.ones(region_idx.shape, dtype=bool)
+    none_taken = np.zeros((n_configs, 2), dtype=bool)
+    every_key = chain_keys + seg_idx.ravel().tolist() + region_idx.ravel().tolist()
 
-    def complete(
-        x: np.ndarray, fixings: dict[int, float], with_trims: bool = True
-    ) -> dict[int, float]:
-        fixed = np.full(problem.n_vars, np.nan)  # NaN where not fixed
-        is_fixed = np.zeros(problem.n_vars, dtype=bool)
+    def goal_segment() -> int | None:
+        """The goal yaw's segment, or None when it lies outside the tables."""
+        try:
+            return sin_table.segment_of(goal_yaw)
+        except DomainError:
+            return None
+
+    def picks(x: np.ndarray, fixings: dict[int, float]):
+        """The picks of ``complete`` that read no trim, for both completions."""
+        value = np.where(pinned, problem.lower, x)
         if fixings:
+            fixed = np.full(problem.n_vars, np.nan)  # NaN where not fixed
+            free = np.ones(problem.n_vars, dtype=bool)
             keys = np.fromiter(fixings.keys(), dtype=int, count=len(fixings))
-            fixed[keys] = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
-            is_fixed[keys] = True
-        value = np.where(is_fixed, fixed, np.where(pinned, problem.lower, x))
-        one, allowed = fixed == 1.0, ~(fixed == 0.0) & open_up
+            value[keys] = fixed[keys] = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
+            free[keys] = False
+            one, allowed = fixed == 1.0, ~(fixed == 0.0) & open_up
+            one_s, allowed_s = one[seg_idx], allowed[seg_idx]
+            taken, one_at, any_s = one_s.any(axis=2), one_s.argmax(axis=2), allowed_s.any(axis=2)
+            allowed_r, one_r = allowed[region_idx], one[region_idx]
+            free_s, free_r = free[seg_idx], free[region_idx]
+            keys = chain_keys + seg_idx[free_s].tolist() + region_idx[free_r].tolist()
+        else:
+            one, taken, allowed_r, free_s, free_r, keys = no_one, none_taken, open_r, all_s, all_r, every_key
 
-        # trim suffixes per leg, honoring monotonicity from the tail inward;
-        # a trim ``assemble`` pinned to 0 (goal yaw or goal foothold out of
-        # reach) reads as its bound
-        want = value[trim_idx] > 0.5 if with_trims else one[trim_idx]
-        trimmed = np.logical_and.accumulate(want.reshape(n_configs, n)[::-1], axis=0)[::-1]
-        theta = np.where(trimmed.any(axis=1), goal_yaw, np.minimum(np.maximum(x[theta_idx], lo_t), hi_t))
-
-        # a segment fixed to 1 stands; else the one holding theta, or the
-        # nearest open one (the lower on a tie) when that one is fixed to 0
-        one_s, allowed_s = one[seg_idx], allowed[seg_idx]
-        taken = one_s.any(axis=2)
-        segment = np.zeros(taken.shape, dtype=int)
-        for t, table in enumerate((sin_table, cos_table)):
-            segment[~taken[:, t], t] = table.segment_of(theta[~taken[:, t]])
-        k = np.arange(layout.n_segments)
-        nearest = np.where(allowed_s, np.abs(k - segment[..., None]), k.size).argmin(axis=2)
-        at = np.take_along_axis(seg_idx, segment[..., None], axis=2)[..., 0]
-        moved = (fixed[at] == 0.0) & allowed_s.any(axis=2)
-        segment = np.where(taken, one_s.argmax(axis=2), np.where(moved, nearest, segment))
+        def segments(home: np.ndarray) -> np.ndarray:
+            """Each segment pick, from the segment ``home`` holding its yaw: a
+            segment fixed to 1 stands; else ``home``, or the nearest open one
+            (the lower on a tie) when ``home`` is fixed to 0. Without
+            fixings the pick is ``home``."""
+            if not fixings:
+                return home
+            nearest = np.where(allowed_s, np.abs(k - home[..., None]), k.size).argmin(axis=2)
+            at = np.take_along_axis(seg_idx, home[..., None], axis=2)[..., 0]
+            moved = (fixed[at] == 0.0) & any_s
+            return np.where(taken, one_at, np.where(moved, nearest, home))
 
         # the region geometrically closest to the relaxed position; the
         # indicator value breaks ties, then the lower region number. One
         # product over every region's rows gives each row the dot product
         # ``SafeRegion.violation`` takes (the rounding tests compare the
         # candidates with a per-region reference)
-        violation = np.maximum.reduceat(a_all @ x[foot_idx].T - b_all[:, None], first_row, axis=0).T
-        allowed_r = allowed[region_idx]
+        violation = np.maximum.reduceat(a_all @ x[foot_idx].T - b_all, first_row, axis=0).T
         closest = allowed_r & (violation == np.where(allowed_r, violation, np.inf).min(axis=1, keepdims=True))
         tie_value = np.where(closest, value[region_idx], -np.inf)
         best = closest & (tie_value == tie_value.max(axis=1, keepdims=True))
-        one_r = one[region_idx]
         region = np.where(allowed_r.any(axis=1), best.argmax(axis=1), -1)
-        region = np.where(one_r.any(axis=1), one_r.argmax(axis=1), region)
+        if fixings:
+            region = np.where(one_r.any(axis=1), one_r.argmax(axis=1), region)
+        region_on = (np.arange(layout.n_regions) == region[:, None])[free_r]
+        theta = np.minimum(np.maximum(x[theta_idx], lo_t), hi_t)
+        # a relaxed yaw that is not NaN lies in the tables once clipped
+        home = sin_table.segment_of(theta) if not np.isnan(theta).any() else None
+        shared = None if home is None else segments(np.repeat(home[:, None], 2, axis=1))
 
-        out = dict(fixings)
-        out.update(zip(trim_idx[chains].tolist(), np.where(trimmed.ravel()[chains], 1.0, 0.0).tolist()))
-        seg_on, region_on = k == segment[..., None], np.arange(layout.n_regions) == region[:, None]
-        for idx, on in ((seg_idx, seg_on), (region_idx, region_on)):
-            unfixed = ~is_fixed[idx]
-            out.update(zip(idx[unfixed].tolist(), np.where(on[unfixed], 1.0, 0.0).tolist()))
-        return out
+        def complete(with_trims: bool) -> dict[int, float]:
+            # trim suffixes per leg, honoring monotonicity from the tail
+            # inward; a trim ``assemble`` pinned to 0 (goal yaw or goal
+            # foothold out of reach) reads as its bound
+            want = value[trim_idx] > 0.5 if with_trims else one[trim_idx]
+            trimmed = np.logical_and.accumulate(want.reshape(n_configs, n)[::-1], axis=0)[::-1]
+            to_goal = trimmed.any(axis=1)
+            if shared is not None and not to_goal.any():
+                segment = shared
+            elif shared is not None and (goal := goal_segment()) is not None:
+                segment = np.where(to_goal[:, None], segments(np.full(shared.shape, goal)), shared)
+            else:  # a yaw outside the tables: each table locates (and rejects) it
+                yaw = np.where(to_goal, goal_yaw, theta)
+                home_t = np.zeros((n_configs, 2), dtype=int)
+                for t, table in enumerate((sin_table, build_table("cos", scenario.theta_range, scenario.n_segments))):
+                    home_t[~taken[:, t], t] = table.segment_of(yaw[~taken[:, t]])
+                segment = segments(home_t)
+            on = np.concatenate([trimmed.ravel()[chains], (k == segment[..., None])[free_s], region_on])
+            out = dict(fixings)
+            out.update(zip(keys, np.where(on, 1.0, 0.0).tolist()))
+            return out
+
+        return complete
 
     robot = scenario.robot
     start_coc = coc(scenario.start_footholds)
@@ -820,10 +863,11 @@ def make_rounding_heuristic(scenario: Scenario, problem: MiqpProblem):
         x[theta_idx] = thetas
         x[foot_idx[:, :2]] = np.repeat(coc_xy, n, axis=0) + offset
         x[foot_idx[:, 2]] = scenario.goal_position[2]
-        return complete(x, {}, with_trims=False)
+        return picks(x, {})(with_trims=False)
 
     def candidates(x: np.ndarray, fixings: dict[int, float]) -> list[dict[int, float]]:
-        tries = [complete(x, fixings, with_trims=True), complete(x, fixings, with_trims=False)]
+        complete = picks(x, fixings)
+        tries = [complete(with_trims=True), complete(with_trims=False)]
         if not fixings:
             tries += [straight_walk(1.0), straight_walk(0.8)]
         outs = []

@@ -124,7 +124,7 @@ class SafeRegion:
     def violation(self, point) -> float:
         """Largest halfspace violation at ``point`` (<= 0 means inside)."""
         p = np.asarray(point, dtype=float).ravel()[:3]
-        return float(np.max(self.a_matrix @ p - self.b_vector))
+        return float((self.a_matrix @ p - self.b_vector).max())
 
     def contains(self, point) -> bool:
         return self.violation(point) <= CONTAINS_TOL
@@ -204,19 +204,21 @@ class Scenario:
         if self.q_r.shape != (2, 2):
             raise ConfigurationError("q_r must be 2x2")
         for label, m in (("q_goal", self.q_goal), ("q_r", self.q_r)):
-            if not np.allclose(m, m.T, atol=1e-12):
+            # np.allclose(m, m.T, atol=1e-12) of a finite m
+            if not (np.abs(m - m.T) <= 1e-12 + 1e-5 * np.abs(m.T)).all():
                 raise ConfigurationError(f"{label} must be symmetric")
-            if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < -1e-9:
+            if np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -1e-9:
                 raise ConfigurationError(f"{label} must be positive semidefinite")
         lo, hi = self.workspace_box
-        if lo.shape != (3,) or hi.shape != (3,) or np.any(lo >= hi):
+        if lo.shape != (3,) or hi.shape != (3,) or (lo >= hi).any():
             raise ConfigurationError("workspace_box must be a nonempty axis-aligned box")
-        for j in range(n):
-            p = self.start_footholds[j]
-            if np.any(p < lo - _WORKSPACE_TOL) or np.any(p > hi + _WORKSPACE_TOL):
+        # each start foothold, then the goal, against the box widened by the tolerance
+        points = np.vstack([self.start_footholds, self.goal_position])
+        outside = ((points < lo - _WORKSPACE_TOL) | (points > hi + _WORKSPACE_TOL)).any(axis=1)
+        if outside.any():
+            j = int(outside.argmax())
+            if j < n:
                 raise ConfigurationError(f"start foothold of leg {j + 1} outside workspace_box")
-        goal = self.goal_position
-        if np.any(goal < lo - _WORKSPACE_TOL) or np.any(goal > hi + _WORKSPACE_TOL):
             raise ConfigurationError("goal position outside workspace_box")
 
     def with_overrides(self, **kw) -> "Scenario":

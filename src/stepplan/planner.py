@@ -24,10 +24,8 @@ from .model import (
     Footstep,
     Scenario,
     coc,
-    config_of,
     derive_leg_goals,
     leg_of,
-    nominal_position,
     wrap_angle,
 )
 from .pwl import chord_error_bound
@@ -277,6 +275,12 @@ class PlanValidationReport:
         return "\n".join(lines)
 
 
+#: the families of ``validate_plan``, in the order of its ``family_worst``
+_FAMILIES = ("geometric", "reachability", "dz", "region", "yaw-sharing", "trim")
+#: the family of each per-step check, in the order a step's checks run
+_CHECKS = ("yaw-sharing", "yaw-sharing", "yaw-sharing", "geometric", "reachability", "dz", "region", "trim")
+
+
 def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationReport:
     """Re-check a plan against the exact (non-linearized) geometry.
 
@@ -284,93 +288,129 @@ def validate_plan(plan_obj: FootstepPlan, scenario: Scenario) -> PlanValidationR
     error of the trig approximation (h^2/8 scaled by leg reach); region
     membership, height changes, yaw sharing and trim pins are checked at
     fixed tolerances.
+
+    The checks run in four passes over the steps of every chunk at once.
+    The first gathers each step's foot, yaw, leg, trim and chunk, and each
+    chunk's start stance; a chunk whose steps do not form complete
+    configurations is one issue and takes no further part. The second
+    takes each step's CoC window mean (``np.mean`` over the window) and its
+    exact nominal foothold, with ``math.cos`` and ``math.sin`` per step as
+    ``nominal_position`` takes them; a step's reachability anchor is the
+    nominal foothold of its leg's previous step, or of its chunk's start
+    stance. The third computes every check's amount and allowance as one
+    row per step, a check that does not apply to a step reading 0.0, and
+    calls ``SafeRegion.violation`` per step. The last lists the failed
+    checks in step order; a family's worst is the largest of 0.0 and its
+    amounts, NaN if one is NaN. Every issue and every worst has the bits of
+    a step-by-step check.
     """
     robot = scenario.robot
     n = robot.n_legs
-    issues: list[PlanIssue] = []
-    worst: dict[str, float] = {
-        f: 0.0 for f in ("geometric", "reachability", "dz", "region", "yaw-sharing", "trim")
-    }
-
-    def note(family, chunk, step, amount, allowed, detail):
-        worst[family] = float(np.maximum(worst[family], amount))  # keeps a NaN
-        if not amount <= allowed:  # a NaN amount is an issue too
-            issues.append(PlanIssue(family, chunk, step, amount, allowed, detail))
-
+    phis = robot.leg_offsets
+    # each leg's chord-error factor, l_leg (|cos phi| + |sin phi|)
+    reach = np.array([robot.l_leg * (abs(math.cos(phi)) + abs(math.sin(phi))) for phi in phis])
     goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
     regions = {r.name: r for r in scenario.regions}
+    issues: list[tuple[tuple, PlanIssue]] = []  # each with its (chunk position, step, check)
+    incomplete: list[float] = []
+    steps: list[Footstep] = []
+    chunks = []  # (position, index, step count, chord error, theta range) of each checked chunk
+    window_feet, start_nominal, start_z = [], [], []
     offset = 0
-    for chunk in plan_obj.chunks:
+    for pos, chunk in enumerate(plan_obj.chunks):
         kept = plan_obj.steps[offset : offset + chunk.kept_count]
         offset += chunk.kept_count
         start = np.asarray(chunk.start_footholds, dtype=float)
         table_h = (chunk.theta_range[1] - chunk.theta_range[0]) / chunk.n_segments
         chord_err = chord_error_bound(table_h)
         start_coc = coc(start)
-
-        def foot_at(k: int) -> np.ndarray:
-            if k >= 1:
-                return kept[k - 1].xyz()
-            leg = (k - 1) % n + 1
-            return start[leg - 1]
-
-        def coc_at(k: int) -> np.ndarray:
-            """Mean xy of the feet in step k's CoC window: the n - 1 steps before it."""
-            return np.mean([foot_at(j)[:2] for j in range(k - n + 1, k)], axis=0)
-
         if chunk.kept_count % n != 0:
-            note("yaw-sharing", chunk.index, 0, float(chunk.kept_count % n), 0.0,
-                 "steps not grouped in complete configurations")
+            incomplete.append(float(chunk.kept_count % n))
+            issues.append(((pos, 0, 0), PlanIssue("yaw-sharing", chunk.index, 0, incomplete[-1], 0.0,
+                                                  "steps not grouped in complete configurations")))
             continue
-        for i in range(1, chunk.kept_count + 1):
-            step = kept[i - 1]
-            leg = leg_of(i, n)
-            cfg_first = kept[(config_of(i, n) - 1) * n]
-            phi = robot.leg_offsets[leg - 1]
-            slack = robot.l_leg * (abs(math.cos(phi)) + abs(math.sin(phi))) * chord_err
-
-            note("yaw-sharing", chunk.index, i, abs(step.theta - cfg_first.theta), 1e-9,
-                 "yaw differs within configuration")
-            below = chunk.theta_range[0] - step.theta
-            above = step.theta - chunk.theta_range[1]
-            note("yaw-sharing", chunk.index, i, max(below, above, 0.0), 1e-9,
-                 "yaw outside the chunk range")
-            if step.leg != leg:
-                note("yaw-sharing", chunk.index, i, 1.0, 0.0, "leg out of cyclic order")
-
-            # reference box around the linearized nominal position, checked exactly
-            r_nom = nominal_position(coc_at(i), step.theta, leg, robot)
-            dev = float(np.max(np.abs(step.xy() - r_nom)))
-            note("geometric", chunk.index, i, dev, robot.l_bnd + slack + 1e-9,
-                 f"leg {leg} outside reference box")
-
-            # reachability from the previous placement of the same leg
-            prev = i - n
-            if prev >= 1:
-                prev_step = kept[prev - 1]
-                anchor = nominal_position(coc_at(prev), prev_step.theta, leg, robot)
-                prev_z = prev_step.z
+        if not kept:
+            continue
+        steps += kept
+        chunks.append((pos, chunk.index, len(kept), chord_err, *chunk.theta_range))
+        # the start feet in step 1's CoC window, the start stance's nominal footholds and heights
+        window_feet.append(start[np.arange(1 - n, 0) % n, :2])
+        yaw = chunk.start_yaw
+        start_nominal.append(
+            start_coc + robot.l_leg * np.array([(math.cos(yaw + phi), math.sin(yaw + phi)) for phi in phis])
+        )
+        start_z.append(start[:, 2])
+    worst_of = {f: [] for f in _FAMILIES}
+    worst_of["yaw-sharing"] += incomplete
+    if steps:
+        total = len(steps)
+        position, index, count, chord_err, lo_t, hi_t = (np.array(c) for c in zip(*chunks))
+        ordinal = np.arange(len(chunks)).repeat(count)
+        first = (count.cumsum() - count).repeat(count)
+        at = np.arange(total)
+        local = at - first  # 0-based step within the chunk
+        leg = at % n  # every checked chunk holds complete configurations
+        xyz = np.array([(s.x, s.y, s.z) for s in steps], dtype=float)
+        thetas = [s.theta for s in steps]
+        theta = np.array(thetas, dtype=float)
+        # each step's CoC window: the n - 1 feet before it, its chunk's start feet below its step 1
+        slot = local[:, None] + np.arange(n - 1)
+        feet = np.concatenate(window_feet + [xyz[:, :2]])
+        window = feet[np.where(slot < n - 1, ordinal[:, None] * (n - 1) + slot,
+                               len(chunks) * (n - 1) + first[:, None] + slot - (n - 1))]
+        angles = [t + phis[j] for t, j in zip(thetas, leg.tolist())]
+        nominal = np.mean(window, axis=1) + robot.l_leg * np.array(
+            [(math.cos(a), math.sin(a)) for a in angles]
+        ).reshape(total, 2)
+        # the leg's previous step, or its chunk's start stance
+        back = np.where(local < n, ordinal * n + local, len(chunks) * n + at - n)
+        anchor = np.concatenate(start_nominal + [nominal])[back]
+        prev_z = np.concatenate(start_z + [xyz[:, 2]])[back]
+        slack = reach[leg] * chord_err[ordinal]
+        # max(below, above, 0.0) as Python takes it: a NaN below stays
+        below, above = lo_t[ordinal] - theta, theta - hi_t[ordinal]
+        out_of_range = np.where(above > below, above, below)
+        out_of_range = np.where(0.0 > out_of_range, 0.0, out_of_range)
+        region_amount, region_allowed = np.empty(total), np.empty(total)
+        for i, step in enumerate(steps):
+            reg = None if step.region is None else regions.get(step.region)
+            if reg is None:
+                region_amount[i], region_allowed[i] = math.inf, 0.0
             else:
-                anchor = nominal_position(start_coc, chunk.start_yaw, leg, robot)
-                prev_z = start[leg - 1][2]
-            dev = float(np.max(np.abs(step.xy() - anchor)))
-            note("reachability", chunk.index, i, dev, robot.d_lim + slack + 1e-9,
-                 f"leg {leg} outside reachability box")
-            note("dz", chunk.index, i, abs(step.z - prev_z), robot.dz_max + 1e-9,
-                 f"leg {leg} height change")
-
-            if step.region is None:
-                note("region", chunk.index, i, math.inf, 0.0, "no region assigned")
-            else:
-                reg = regions.get(step.region)
-                if reg is None:
-                    note("region", chunk.index, i, math.inf, 0.0,
-                         f"unknown region {step.region!r}")
-                else:
-                    note("region", chunk.index, i, max(reg.violation(step.xyz()), 0.0),
-                         1e-6, f"outside region {step.region!r}")
-
-            if step.trimmed:
-                dev = float(np.max(np.abs(step.xyz() - goals[leg - 1])))
-                note("trim", chunk.index, i, dev, 1e-6, f"trimmed leg {leg} off its goal")
-    return PlanValidationReport(tuple(issues), worst)
+                region_amount[i], region_allowed[i] = max(reg.violation(step.xyz()), 0.0), 1e-6
+        trimmed = np.array([s.trimmed for s in steps], dtype=bool)
+        off_order = np.array([s.leg for s in steps]) != leg + 1
+        # one row per step, one column per check in _CHECKS' order
+        amounts = np.column_stack([
+            np.abs(theta - theta[at - leg]),
+            out_of_range,
+            np.where(off_order, 1.0, 0.0),
+            np.abs(xyz[:, :2] - nominal).max(axis=1),
+            np.abs(xyz[:, :2] - anchor).max(axis=1),
+            np.abs(xyz[:, 2] - prev_z),
+            region_amount,
+            np.where(trimmed, np.abs(xyz - goals[leg]).max(axis=1), 0.0),
+        ])
+        allowed = np.column_stack(np.broadcast_arrays(
+            1e-9, 1e-9, 0.0, robot.l_bnd + slack + 1e-9, robot.d_lim + slack + 1e-9,
+            robot.dz_max + 1e-9, region_allowed, 1e-6,
+        ))
+        for family, worst in zip(_CHECKS, amounts.max(axis=0).tolist()):
+            worst_of[family].append(worst)
+        for i, check in zip(*(~(amounts <= allowed)).nonzero()):
+            step, j = steps[i], int(leg[i]) + 1
+            detail = (
+                "yaw differs within configuration", "yaw outside the chunk range", "leg out of cyclic order",
+                f"leg {j} outside reference box", f"leg {j} outside reachability box", f"leg {j} height change",
+                "no region assigned" if step.region is None else (
+                    f"outside region {step.region!r}" if step.region in regions
+                    else f"unknown region {step.region!r}"),
+                f"trimmed leg {j} off its goal",
+            )[check]
+            issue = PlanIssue(_CHECKS[check], int(index[ordinal[i]]), int(local[i]) + 1,
+                              float(amounts[i, check]), float(allowed[i, check]), detail)
+            issues.append(((int(position[ordinal[i]]), int(local[i]) + 1, int(check)), issue))
+    issues.sort(key=lambda item: item[0])
+    # 0.0 or the largest amount, NaN if one is NaN; + 0.0 makes a -0.0 worst 0.0
+    worst = {f: float(np.max(values, initial=0.0)) + 0.0 if values else 0.0 for f, values in worst_of.items()}
+    return PlanValidationReport(tuple(issue for _, issue in issues), worst)

@@ -404,6 +404,15 @@ def _stored(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
+def _float_csr(m, shape: tuple) -> sp.csr_matrix:
+    """``m`` as a float CSR matrix of ``shape``: a float ``sp.csr_matrix`` of
+    that shape is taken as it is, anything else is converted by scipy, which
+    would share that matrix's arrays anyway."""
+    if type(m) is sp.csr_matrix and m.dtype == np.float64 and m.shape == shape:
+        return m
+    return sp.csr_matrix(m, shape=shape, dtype=float)
+
+
 def _held_sparse(n_rows: int, n: int) -> bool:
     """Whether a workspace of ``n_rows`` inequality rows and ``n`` variables is held in CSR form."""
     return n_rows * n > SPARSE_MIN_ENTRIES
@@ -453,6 +462,8 @@ def _tighten(rows, cols, coefs, rhs, lo, hi, bound_rows, bound_coefs) -> None:
     # only a row strictly tighter than its bound can move it, and the
     # tightest row of a bound is one of those if any is
     tighter = (key < np.where(upper, hi[cols], -lo[cols])).nonzero()[0]
+    if not tighter.size:
+        return
     target = 2 * cols[tighter] + upper[tighter]  # each bound a row can move: its column and side
     order = np.lexsort((key[tighter], target))  # stable: the first row wins a tie
     first = np.ones(order.size, dtype=bool)
@@ -517,30 +528,38 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not _any(mates > (sums == 0.0)):
         return none
     # each taking row's key, padded: its columns (-1 past the end), then the
-    # bits of its values; the negated keys are stacked below the row keys
+    # bits of its values; the negated keys (the same columns, the bits of the
+    # negated values, a padding 0.0 staying 0.0) are stacked below the row keys
     entry = take[row_of]
     row_of, vals_on = row_of[entry], vals_on[entry]
     per_row = count[rows]
-    pos = np.arange(row_of.size) - (per_row.cumsum() - per_row).repeat(per_row)
-    at = rows.searchsorted(row_of), pos
-    width = int(per_row[per_row.argmax()])
-    keys = np.zeros((2 * rows.size, 2 * width), dtype=np.int64)
-    keys[:, :width] = -1
-    keys[at] = keys[(at[0] + rows.size, at[1])] = col_of[entry]
-    keys[(at[0], at[1] + width)] = vals_on.view(np.int64)
-    keys[(at[0] + rows.size, at[1] + width)] = (-vals_on + 0.0).view(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    step = np.zeros(order.size, dtype=bool)
-    step[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    at = rows.searchsorted(row_of), np.arange(row_of.size) - (per_row.cumsum() - per_row).repeat(per_row)
+    width, r = int(per_row[per_row.argmax()]), rows.size
+    keys = np.empty((2 * r, 2 * width), dtype=np.int64)
+    cols = keys[:r, :width]
+    cols.fill(-1)
+    cols[at] = col_of[entry]
+    values = np.zeros((r, width))
+    values[at] = vals_on
+    keys[:r, width:] = values.view(np.int64)
+    keys[r:, :width] = cols
+    keys[r:, width:] = (-values + 0.0).view(np.int64)
+    # sorted as void scalars of their bytes, stably, equal keys are neighbours:
+    # a key's rows first and in row order, then its negated rows
+    order = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().argsort(kind="stable")
+    keys = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     key_of = np.empty(order.size, dtype=int)
-    key_of[order] = step.cumsum()
-    own, negated = key_of[: rows.size], key_of[rows.size :]
-    # group ids number the keys by the first row that has them
-    keys_seen, first = np.unique(own, return_index=True)
+    key_of[order] = new.cumsum() - 1
+    own, negated = key_of[:r], key_of[r:]
+    # the rows of each key, ascending; group ids number the keys by their first row
+    is_own = order < r
+    members = order[is_own]
+    first = order[new & is_own]
     ids = np.zeros(order.size, dtype=int)
-    ids[keys_seen[first.argsort()]] = np.arange(keys_seen.size)
-    # the rows of each key, ascending, and each row's mates among them
-    members = own.argsort(kind="stable")
+    ids[key_of[first[first.argsort()]]] = np.arange(first.size)
+    # each row's mates among the rows of its negated key
     size = np.bincount(own, minlength=order.size)
     start = size.cumsum() - size
     n_mates = size[negated]
@@ -549,6 +568,23 @@ def _opposite_pairs(g, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     later = j > i
     i, j = i[later], j[later]
     return np.stack([rows[i], rows[j]], axis=1), np.minimum(ids[negated[i]], ids[own[i]])
+
+
+def _pair_pins(g, pairs: np.ndarray, pinnable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of each pair's two rows of ``g`` on ``pinnable``
+    columns, as each entry's pair and column: a pair's free parts are exact
+    negatives once none of those columns is free."""
+    rows = pairs.ravel()
+    if isinstance(g, np.ndarray):
+        at, col = ((np.abs(g[rows]) > 0.0) & pinnable).nonzero()
+    else:
+        count = g.indptr[rows + 1] - g.indptr[rows]
+        at = np.arange(rows.size).repeat(count)
+        entry = np.arange(at.size) + (g.indptr[rows] - (count.cumsum() - count)).repeat(count)
+        col = g.indices[entry]
+        on = pinnable[col] & (np.abs(g.data[entry]) > 0.0)
+        at, col = at[on], col[on]
+    return at // 2, col
 
 
 def _entry_pairs(m: sp.csr_matrix) -> tuple[np.ndarray, ...]:
@@ -804,7 +840,7 @@ class BoxQp:
         self.sparse = _held_sparse(self.h.shape[0], n)
         shapes = (self.h.shape[0], n), (self.b.shape[0], n), (n, n)
         g, a, p = (
-            _stored(sp.csr_matrix(m, shape=shape, dtype=float)) if self.sparse else _dense(m, shape)
+            _stored(_float_csr(m, shape)) if self.sparse else _dense(m, shape)
             for m, shape in zip((g_matrix, a_matrix, p_matrix), shapes)
         )
         self.g, self.a, self.p = g, a, p
@@ -814,7 +850,11 @@ class BoxQp:
             self._scatter = _entry_pairs(g)
             self._g_entries = np.arange(g.shape[0]).repeat(np.diff(g.indptr)), g.indices.astype(np.intp)
             self._p_entries = np.arange(n).repeat(np.diff(p.indptr)), p.indices, p.data
-            self._ag = sp.vstack([a, g], format="csr")
+            # [A; G] as CSR arrays: A's rows, then G's with their row pointers moved past A's entries
+            self._ag = _Csr(
+                (a.shape[0] + g.shape[0], n), np.concatenate([a.indptr, g.indptr[1:] + a.indptr[-1]]),
+                np.concatenate([a.indices, g.indices]), np.concatenate([a.data, g.data]),
+            )
         else:
             self._ag = np.vstack([self.a, self.g])
         pinnable = np.zeros(n, dtype=bool)
@@ -825,12 +865,14 @@ class BoxQp:
         # a pair can only become an equality when both rows keep two free
         # entries off the pinnable columns, so only such entries are compared
         self._pairs, self._pair_groups = _opposite_pairs(g, ~pinnable & (self.lo < self.hi))
+        self._pair_pins = _pair_pins(g, self._pairs, pinnable) if self._pairs.size else None
         self._free = _wide(self.lo, self.hi)
         # a cutoff's rounding allowance for the objective's fixed part and
         # the reduced linear term, which sum the same products, at any
         # fixings within the presolve tolerance of the bounds
         width = np.maximum(np.abs(self.lo), np.abs(self.hi)) + 1.0
-        magnitude = width.dot(abs(p).dot(width)) + np.abs(self.q).dot(width) + abs(self.constant)
+        abs_p = np.abs(p) if not self.sparse else _Csr(p.shape, p.indptr, p.indices, np.abs(p.data))
+        magnitude = width.dot(_times(abs_p, width)) + np.abs(self.q).dot(width) + abs(self.constant)
         self._fixed_slack = 2.0 * _rounding(n, magnitude)
         self._crossed = _crossed(self.lo, self.hi)
         # with two entries off the pinnable and collapsed columns in every
@@ -878,13 +920,15 @@ class BoxQp:
         if fixings:
             # np.fromiter alone truncates an index such as 1.5, "1" or
             # np.float64(1.0), and operator.index reads True as 1, which
-            # integer_columns rejects
-            idx = None
-            if bool not in (kinds := set(map(type, fixings))) and np.bool_ not in kinds:
-                try:
+            # integer_columns rejects; it reads a Python int exactly
+            idx, kinds = None, set(map(type, fixings))
+            try:
+                if kinds == {int}:
+                    idx = np.fromiter(fixings, dtype=int, count=len(fixings))
+                elif bool not in kinds and np.bool_ not in kinds:
                     idx = np.fromiter(map(operator.index, fixings), dtype=int, count=len(fixings))
-                except (TypeError, OverflowError):
-                    pass
+            except (TypeError, OverflowError):
+                pass
             val = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
             bad = f"fixings must pin variables 0..{self.n - 1} to finite values"
             if idx is None or not (0 <= idx[idx.argmin()] and idx[idx.argmax()] < self.n):
@@ -918,8 +962,12 @@ class BoxQp:
         while True:
             x = 0.5 * (lo + hi)
             x[free] = 0.0
-            h = self.h - _times(self.g, x)
-            b = self.b - _times(self.a, x)
+            if self.sparse:  # one product over [A; G]: each row sums the same products
+                ax = _times(self._ag, x)
+                b, h = self.b - ax[:me], self.h - ax[me:]
+            else:
+                h = self.h - _times(self.g, x)
+                b = self.b - _times(self.a, x)
             if not tests_rows:
                 break  # every row keeps two free entries
             f = free.astype(float)
@@ -1045,11 +1093,10 @@ class BoxQp:
         none = np.zeros((0, 2), dtype=int)
         if not self._pairs.size:
             return none, none[:, 0]
-        pinnable = _times(self._nz_ag, (free & self._pinnable).astype(float))[self.b.shape[0] :]
-        ready = pinnable == 0.0
+        pair_of, col = self._pair_pins
+        live = np.bincount(pair_of, free[col], minlength=self._pairs.shape[0]) == 0.0
         if kept is not None:
-            ready &= kept
-        live = ready[self._pairs[:, 0]] & ready[self._pairs[:, 1]]
+            live &= kept[self._pairs].all(axis=1)
         if not _any(live):
             return none, none[:, 0]
         pairs, groups = self._pairs[live], self._pair_groups[live]
@@ -1058,6 +1105,8 @@ class BoxQp:
         if _any(width < -FEAS_TOL * (1.0 + np.abs(h_i))):
             return None
         zero = width <= FEAS_TOL * (1.0 + np.abs(h_i))
+        if not _any(zero):
+            return none, none[:, 0]
         _, first = np.unique(groups[zero], return_index=True)
         return pairs[zero][first], pairs[zero].ravel()
 

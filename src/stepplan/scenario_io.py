@@ -86,7 +86,12 @@ def _polygon_region(entry: dict, path: str, name: str) -> SafeRegion:
     poly = entry["polygon"]
     if not isinstance(poly, list) or len(poly) < 3:
         _fail("polygon needs at least 3 vertices", f"{path}.polygon")
-    pts = np.array([_as_floats(p, 2, f"{path}.polygon[{i}]") for i, p in enumerate(poly)])
+    pts = [_as_floats(p, 2, f"{path}.polygon[{i}]") for i, p in enumerate(poly)]
+    # checked before any arithmetic: an infinite vertex turns the edge normals into NaN
+    for i, p in enumerate(pts):
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            _fail(f"vertex {p} is not finite", f"{path}.polygon[{i}]")
+    pts = np.array(pts)
     area2 = 0.0
     for i in range(len(pts)):
         x0, y0 = pts[i]
@@ -129,8 +134,8 @@ def _polygon_region(entry: dict, path: str, name: str) -> SafeRegion:
     rhs.append((gamma + 0.5 * thickness) / nz)
     rows.append([alpha / nz, beta / nz, -1.0 / nz])
     rhs.append((-gamma + 0.5 * thickness) / nz)
-    # Python floats, so a non-finite input raises no warning here: SafeRegion
-    # names it through A or b before the box is used
+    # Python floats, so a non-finite plane or thickness raises no warning
+    # here: SafeRegion names it through A or b before the box is used
     xs, ys = pts.T.tolist()
     zs = [alpha * x + beta * y + gamma for x, y in zip(xs, ys)]
     bbox = (np.array([min(xs), min(ys), min(zs) - 0.5 * thickness]),

@@ -4,7 +4,8 @@ No reference here calls ``BoxQp``: HiGHS (``linprog``, ``milp``) decides
 feasibility, and SLSQP or projected gradient finds an optimum. Each builder
 draws its problems from the generator it is given, in a fixed order, so a
 test's problems depend on its seed alone. No test module imports another:
-what two of them share lives here.
+what two of them share lives here, ``reference_validate_plan`` (a plan
+checked step by step) included.
 """
 
 import dataclasses
@@ -17,6 +18,9 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp, minimize
 
 from stepplan.formulation import MiqpProblem
+from stepplan.model import coc, config_of, derive_leg_goals, leg_of, nominal_position
+from stepplan.planner import PlanIssue, PlanValidationReport
+from stepplan.pwl import chord_error_bound
 
 
 def _csr(m, n: int) -> sp.csr_matrix:
@@ -282,3 +286,94 @@ CONTRACT_FAMILIES = {
     "csr-eq": lambda: _sparse(124, 4),
     "lu-fallback": lambda: _sparse(9, 4, shared=2),
 }
+
+
+def reference_validate_plan(plan_obj, scenario) -> PlanValidationReport:
+    """``validate_plan`` checked step by step: per step, the CoC window mean
+    by ``np.mean`` of its feet, ``nominal_position`` twice, one
+    ``SafeRegion.violation`` and one ``note`` per check, each folding its
+    amount into the family's worst by ``np.maximum``."""
+    robot = scenario.robot
+    n = robot.n_legs
+    issues = []
+    worst = {f: 0.0 for f in ("geometric", "reachability", "dz", "region", "yaw-sharing", "trim")}
+
+    def note(family, chunk, step, amount, allowed, detail):
+        worst[family] = float(np.maximum(worst[family], amount))  # keeps a NaN
+        if not amount <= allowed:  # a NaN amount is an issue too
+            issues.append(PlanIssue(family, chunk, step, amount, allowed, detail))
+
+    goals = derive_leg_goals(scenario.goal_position, scenario.goal_yaw, robot)
+    regions = {r.name: r for r in scenario.regions}
+    offset = 0
+    for chunk in plan_obj.chunks:
+        kept = plan_obj.steps[offset : offset + chunk.kept_count]
+        offset += chunk.kept_count
+        start = np.asarray(chunk.start_footholds, dtype=float)
+        table_h = (chunk.theta_range[1] - chunk.theta_range[0]) / chunk.n_segments
+        chord_err = chord_error_bound(table_h)
+        start_coc = coc(start)
+
+        def foot_at(k, kept=kept, start=start):
+            if k >= 1:
+                return kept[k - 1].xyz()
+            return start[(k - 1) % n]
+
+        def coc_at(k):
+            """Mean xy of the feet in step k's CoC window: the n - 1 steps before it."""
+            return np.mean([foot_at(j)[:2] for j in range(k - n + 1, k)], axis=0)
+
+        if chunk.kept_count % n != 0:
+            note("yaw-sharing", chunk.index, 0, float(chunk.kept_count % n), 0.0,
+                 "steps not grouped in complete configurations")
+            continue
+        for i in range(1, chunk.kept_count + 1):
+            step = kept[i - 1]
+            leg = leg_of(i, n)
+            cfg_first = kept[(config_of(i, n) - 1) * n]
+            phi = robot.leg_offsets[leg - 1]
+            slack = robot.l_leg * (abs(math.cos(phi)) + abs(math.sin(phi))) * chord_err
+
+            note("yaw-sharing", chunk.index, i, abs(step.theta - cfg_first.theta), 1e-9,
+                 "yaw differs within configuration")
+            below = chunk.theta_range[0] - step.theta
+            above = step.theta - chunk.theta_range[1]
+            note("yaw-sharing", chunk.index, i, max(below, above, 0.0), 1e-9,
+                 "yaw outside the chunk range")
+            if step.leg != leg:
+                note("yaw-sharing", chunk.index, i, 1.0, 0.0, "leg out of cyclic order")
+
+            r_nom = nominal_position(coc_at(i), step.theta, leg, robot)
+            dev = float(np.max(np.abs(step.xy() - r_nom)))
+            note("geometric", chunk.index, i, dev, robot.l_bnd + slack + 1e-9,
+                 f"leg {leg} outside reference box")
+
+            prev = i - n
+            if prev >= 1:
+                prev_step = kept[prev - 1]
+                anchor = nominal_position(coc_at(prev), prev_step.theta, leg, robot)
+                prev_z = prev_step.z
+            else:
+                anchor = nominal_position(start_coc, chunk.start_yaw, leg, robot)
+                prev_z = start[leg - 1][2]
+            dev = float(np.max(np.abs(step.xy() - anchor)))
+            note("reachability", chunk.index, i, dev, robot.d_lim + slack + 1e-9,
+                 f"leg {leg} outside reachability box")
+            note("dz", chunk.index, i, abs(step.z - prev_z), robot.dz_max + 1e-9,
+                 f"leg {leg} height change")
+
+            if step.region is None:
+                note("region", chunk.index, i, math.inf, 0.0, "no region assigned")
+            else:
+                reg = regions.get(step.region)
+                if reg is None:
+                    note("region", chunk.index, i, math.inf, 0.0,
+                         f"unknown region {step.region!r}")
+                else:
+                    note("region", chunk.index, i, max(reg.violation(step.xyz()), 0.0),
+                         1e-6, f"outside region {step.region!r}")
+
+            if step.trimmed:
+                dev = float(np.max(np.abs(step.xyz() - goals[leg - 1])))
+                note("trim", chunk.index, i, dev, 1e-6, f"trimmed leg {leg} off its goal")
+    return PlanValidationReport(tuple(issues), worst)

@@ -324,3 +324,22 @@ def test_polygon_preset_plans_without_scipy_optimize(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
+def test_infinite_vertex_exits_as_a_parse_error_under_warnings_as_errors(scenario_file, tmp_path):
+    """An infinite polygon vertex is a parse error that names the vertex, also
+    when RuntimeWarnings are errors: the parser checks it before any
+    arithmetic that would warn. A fresh process runs with the warning filter."""
+    doc = json.loads(scenario_file.read_text())
+    doc["regions"][0]["polygon"][1][0] = math.inf
+    bad = tmp_path / "inf_vertex.json"
+    bad.write_text(json.dumps(doc))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from stepplan.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, "plan", str(bad), "-o", str(tmp_path / "p.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_PARSE == 2, done.stderr
+    assert "regions[0].polygon[1]" in done.stderr and "is not finite" in done.stderr

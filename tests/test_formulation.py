@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepplan.bnb import MiqpLimits, _Tree
-from stepplan.errors import AssemblyError, ContractViolation, InfeasibleScenarioError
+from stepplan.errors import AssemblyError, ContractViolation, DomainError, InfeasibleScenarioError
 from stepplan.formulation import (
     VariableLayout,
     _box_excess,
@@ -426,6 +426,24 @@ class TestRoundingHeuristic:
             got = hook(x, fixings)
             ref = reference_candidates(scn, prob, x, fixings)
             assert [list(c.items()) for c in got] == [list(c.items()) for c in ref]
+
+    def test_a_yaw_outside_the_tables_raises_as_the_reference_does(self):
+        # a relaxed yaw that is NaN, and a goal yaw outside the tables that a
+        # trim fixed to 1 sends a configuration to: each table locates (and
+        # rejects) it, as a completion one variable at a time does
+        base = load_scenario(SCENARIO_DIR / "quadruped_tilted_terrain.json")
+        scn = base.with_overrides(max_steps=4 * base.robot.n_legs, goal_yaw=base.theta_range[1] + 0.5)
+        prob = assemble(scn)
+        root = BoxQp.from_miqp(prob).solve()
+        nan_yaw = root.x.copy()
+        nan_yaw[prob.layout.thetas[1]] = math.nan
+        last_trim = int(prob.layout.trims[-1])
+        for x, fixings in ((nan_yaw, {}), (root.x, {last_trim: 1.0})):
+            with pytest.raises(DomainError) as got:
+                make_rounding_heuristic(scn, prob)(x, fixings)
+            with pytest.raises(DomainError) as ref:
+                reference_candidates(scn, prob, x, fixings)
+            assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("preset", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
     def test_candidates_fix_every_binary(self, preset_plans, preset):

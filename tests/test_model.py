@@ -263,6 +263,36 @@ class TestScenario:
         with pytest.raises(ConfigurationError):
             self.make(q_goal=np.diag([1.0, 1.0, 1.0, -1.0]))
 
+    def test_goal_outside_box_named(self):
+        with pytest.raises(ConfigurationError, match="^goal position outside workspace_box$"):
+            self.make(goal_position=np.array([1.0, 0.0, 0.5]))
+
+    def test_asymmetric_weight_rejected(self):
+        q_r = np.array([[0.05, 0.01], [0.0, 0.05]])
+        with pytest.raises(ConfigurationError, match="^q_r must be symmetric$"):
+            self.make(q_r=q_r)
+        self.make(q_r=q_r + np.array([[0.0, 0.0], [0.01 - 1e-13, 0.0]]))  # within allclose's 1e-12 + 1e-5 |m'|
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(start_footholds=np.full((4, 3), math.nan)), "start_footholds must be finite"),
+            (dict(start_footholds=np.array([[0.2, 0.2, 0.0], [-0.2, 0.2, 0.0], [-0.2, -0.2, 0.0], [0.2, -1.5, 0.0]])),
+             "start foothold of leg 4 outside workspace_box"),
+            (dict(start_yaw=0.9), "start_yaw 0.9 outside theta_range [-0.8, 0.8]"),
+            (dict(max_steps=6), "max_steps (6) must be a positive multiple of n_legs (4)"),
+            (dict(theta_range=(0.0, 0.0), start_yaw=0.0), "theta_range must be a nonempty interval"),
+        ],
+        ids=["non-finite-start", "start-outside-box", "yaw-outside-range", "max-steps", "empty-range"],
+    )
+    def test_with_overrides_validates(self, overrides, message):
+        # a chunk scenario is the planner's scenario with overrides: each
+        # check still runs on it, with its message
+        scn = self.make()
+        with pytest.raises(ConfigurationError) as exc:
+            scn.with_overrides(**overrides)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field", ["start_footholds", "start_yaw", "goal_position", "goal_yaw", "workspace_box", "q_goal", "q_r", "q_t"]

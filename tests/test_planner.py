@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from oracles import random_miqp
+from oracles import random_miqp, reference_validate_plan
 from stepplan.bnb import MiqpSolution, solve_miqp
 from stepplan.errors import ContractViolation
 from stepplan.formulation import MiqpProblem, assemble, validate_assignment
@@ -234,6 +236,86 @@ class TestValidatePlan:
         base = validate_plan(result, scn).family_worst["geometric"]
         assert worst > base
         assert worst - base <= scn.robot.l_leg * h * 2.5 + 1e-6
+
+
+def report_fields(report) -> tuple:
+    """Every field of a plan validation report, each float as its bytes."""
+    bits = lambda v: (type(v), struct.pack("<d", v))  # noqa: E731
+    return (
+        [(i.family, i.chunk, i.step, bits(i.amount), bits(i.allowed), i.detail) for i in report.issues],
+        [(family, bits(worst)) for family, worst in report.family_worst.items()],
+    )
+
+
+def with_steps(result, **changes):
+    """``result`` with step k replaced by ``change(step)`` for each ``k=change``
+    given as ``s<k>``; ``chunks`` replaces the chunk records."""
+    steps = list(result.steps)
+    for key, change in changes.items():
+        if key.startswith("s"):
+            k = int(key[1:])
+            steps[k] = change(steps[k])
+    return dataclasses.replace(result, steps=tuple(steps), chunks=changes.get("chunks", result.chunks))
+
+
+class TestValidatePlanReference:
+    """``validate_plan`` gives the report of the step-by-step reference, field
+    for field and bit for bit, on the preset plans and on perturbed copies
+    that trip every family."""
+
+    @pytest.mark.parametrize("preset", [
+        "hexapod_rotation", "hexapod_stepping_stones", "hexapod_tilted_terrain",
+        "quadruped_stepping_stones", "quadruped_tilted_terrain",
+    ])
+    def test_preset_plans(self, preset_plans, preset):
+        run = preset_plans[preset]
+        report = validate_plan(run.result, run.scenario)
+        assert report.ok
+        assert report_fields(report) == report_fields(reference_validate_plan(run.result, run.scenario))
+
+    def perturbed(self, result, scn):
+        n = scn.robot.n_legs
+        hi = result.chunks[0].theta_range[1]
+        first = result.chunks[0]
+        replace = dataclasses.replace
+        # the first chunk one step short: its last configuration is incomplete
+        short = (replace(first, kept_count=first.kept_count - 1),) + result.chunks[1:]
+        return {
+            "geometric and reachability": with_steps(result, s5=lambda s: replace(s, x=s.x + 0.5)),
+            "dz": with_steps(result, s6=lambda s: replace(s, z=s.z + 0.3)),
+            "outside region": with_steps(result, s7=lambda s: replace(s, y=s.y + 5.0)),
+            "unknown region": with_steps(result, s2=lambda s: replace(s, region="nowhere")),
+            "no region": with_steps(result, s3=lambda s: replace(s, region=None)),
+            "off yaw": with_steps(result, s9=lambda s: replace(s, theta=s.theta + 0.3)),
+            "out of range": with_steps(
+                result, **{f"s{k}": (lambda s: replace(s, theta=hi + 0.2)) for k in range(n, 2 * n)}
+            ),
+            "leg out of order": with_steps(result, s1=lambda s: replace(s, leg=s.leg % n + 1)),
+            "incomplete configuration": replace(
+                result, steps=result.steps[: first.kept_count - 1] + result.steps[first.kept_count:],
+                chunks=short,
+            ),
+            "trim": with_steps(result, s4=lambda s: replace(s, trimmed=True)),
+            "nan": with_steps(result, s8=lambda s: replace(s, x=math.nan)),
+            "nan yaw": with_steps(result, s10=lambda s: replace(s, theta=math.nan)),
+        }
+
+    @pytest.mark.parametrize("preset", ["quadruped_tilted_terrain", "hexapod_stepping_stones"])
+    def test_perturbed_plans_trip_every_family(self, preset_plans, preset):
+        run = preset_plans[preset]
+        tripped = set()
+        for name, moved in self.perturbed(run.result, run.scenario).items():
+            report = validate_plan(moved, run.scenario)
+            assert not report.ok, name
+            assert report_fields(report) == report_fields(reference_validate_plan(moved, run.scenario)), name
+            tripped |= {(i.family, i.detail.split(" ")[0]) for i in report.issues}
+            if name.startswith("nan"):
+                assert any(math.isnan(w) for w in report.family_worst.values()), name
+        families = {"geometric", "reachability", "dz", "region", "yaw-sharing", "trim"}
+        assert {family for family, _ in tripped} == families
+        yaw = {detail for family, detail in tripped if family == "yaw-sharing"}
+        assert yaw == {"yaw", "leg", "steps"}
+        assert {detail for family, detail in tripped if family == "region"} == {"outside", "unknown", "no"}
 
 
 class TestPresetRelaxations:

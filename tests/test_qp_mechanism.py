@@ -1050,7 +1050,7 @@ class TestCsrWorkspace:
             assert red.newton is None
             # the A rows: the equality rows, then the first row of each zero-width pair
             a_rows = np.concatenate([red.eq_rows[red.eq_rows >= 0], ws.b.size + red.pair_rows[:, 0]])
-            for got, m, rows in ((red.g, ws.g, red.g_rows), (red.a, ws._ag, a_rows)):
+            for got, m, rows in ((red.g, ws.g, red.g_rows), (red.a, sp.vstack([ws.a, ws.g]), a_rows)):
                 ref = sp.csr_matrix(m)[rows][:, red.cols].toarray()
                 assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
                 assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
@@ -1564,6 +1564,58 @@ class TestOppositePairs:
             g, kept = fuzz_matrix(rng, trial)
             found += self.check(g, kept)
             found += self.check(g.toarray(), kept)  # as a dense workspace holds it
+        assert found > 100
+
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIOS.glob("*.json"))])
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_pair_pins_mark_the_pairs_with_a_free_pinnable_column(self, name, chunks):
+        # a pair is ready once no pinnable column of its two rows is free: the
+        # entries the workspace keeps give what a product over its rows does
+        ws = BoxQp.from_miqp(preset_chunk(name, chunks))
+        pair_of, col = ws._pair_pins
+        rng = np.random.default_rng(chunks)
+        g = as_scipy(ws.g) if ws.sparse else sp.csr_matrix(ws.g)
+        for share in (0.0, 0.01, 0.5, 1.0):
+            free = ws._free & (rng.random(ws.n) < share)
+            blocked = (abs(g).sign() @ (free & ws._pinnable).astype(float))[ws._pairs].sum(axis=1)
+            got = np.bincount(pair_of, free[col], minlength=len(ws._pairs))
+            assert np.array_equal(got == 0.0, blocked == 0.0)
+
+    @staticmethod
+    def planted(rng, kind):
+        """A matrix of one of three kinds, rows shuffled, with the columns kept.
+
+        "groups": three or more equal rows and three or more opposite rows of
+        each of a few patterns; "sums": rows whose sums are opposite but whose
+        entries are not; "rounding": rows equal to another's negation only
+        after rounding to 12 digits, next to rows that differ in the 11th."""
+        n = int(rng.integers(3, 9))
+        patterns = [rng.choice([0.0, 1.0, -1.0, 0.5, 2.0, -3.0], size=n) for _ in range(int(rng.integers(1, 4)))]
+        rows = []
+        for p in patterns:
+            if kind == "groups":
+                rows += [p] * int(rng.integers(3, 6)) + [-p] * int(rng.integers(3, 6))
+            elif kind == "sums":
+                # the same sum, other entries: a permutation and a shifted mass
+                q = -rng.permutation(p)
+                r = -p.copy()
+                r[0], r[-1] = r[0] + 1.0, r[-1] - 1.0
+                rows += [p, q, r, -p]
+            else:
+                tiny = rng.choice([1e-14, -3e-14, 2e-13])
+                rows += [p, -(p + tiny), -(p + 1e-11), p + tiny]
+        dense = np.array(rows)
+        dense = dense[rng.permutation(len(dense))]
+        return dense, rng.random(n) < 0.9
+
+    @pytest.mark.parametrize("kind", ["groups", "sums", "rounding"])
+    def test_planted_matrices_match_the_row_by_row_search(self, kind):
+        rng = np.random.default_rng({"groups": 21, "sums": 22, "rounding": 23}[kind])
+        found = 0
+        for _ in range(60):
+            dense, kept = self.planted(rng, kind)
+            found += self.check(sp.csr_matrix(dense), kept)
+            found += self.check(dense, kept)
         assert found > 100
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,9 +371,22 @@ class TestRegionExtent:
     def test_nan_vertex_rejected(self):
         doc = minimal_doc()
         doc["regions"][0]["polygon"][1][0] = float("nan")
-        with pytest.raises(ConfigurationError) as exc:
+        with pytest.raises(ScenarioParseError) as exc:
             parse_scenario(json.dumps(doc))
-        assert str(exc.value) == "region 'ground': A has a non-finite entry"
+        assert str(exc.value) == "regions[0].polygon[1]: vertex [nan, -0.6] is not finite"
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_vertex_is_named(self, value):
+        # named before the area and edge-normal arithmetic, which would warn
+        # "invalid value encountered in divide" on it
+        doc = minimal_doc()
+        doc["regions"][0]["polygon"][2][1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioParseError) as exc:
+                parse_scenario(json.dumps(doc))
+        assert exc.value.location == "regions[0].polygon[2]"
+        assert str(exc.value) == f"regions[0].polygon[2]: vertex [1.4, {value}] is not finite"
 
     def test_infinite_thickness_rejected(self):
         doc = minimal_doc()

@@ -15,7 +15,12 @@ CSR Newton systems eliminated through a pivot column, summed over calls,
 how many CSR calls had a row without one and ran on the dense LU path
 instead, each chunk's objective and ``best_bound`` (both ``%.9g``) and the
 sha256 of the plan JSON followed by the plan SVG, so a change that moves a
-plan shows its quality delta. A change that moves only
+plan shows its quality delta. Two more lines per preset digest outputs that no
+plan bit shows: the sha256 of the plan's ``validate_plan`` report (every
+issue's fields and every family's worst, floats as ``float.hex``), and the
+sha256 of every candidate list the rounding hook returned while planning, in
+call order (each candidate's items in order, values as ``float.hex``), so a
+change that moves a candidate or a report bit shows even when no plan moves. A change that moves only
 the last bits of a plan keeps the steps, statuses, nodes, iterations,
 objectives and bounds and shows a new sha256; one that only ends more
 relaxations at the cutoff changes the iterations and cutoffs alone. A
@@ -61,11 +66,11 @@ sys.path.insert(0, str(ROOT))
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
-from stepplan import bnb, qp  # noqa: E402
+from stepplan import bnb, planner, qp  # noqa: E402
 from stepplan.formulation import assemble  # noqa: E402
 from stepplan.lp_export import problem_to_lp  # noqa: E402
 from stepplan.plan_io import plan_to_json  # noqa: E402
-from stepplan.planner import plan  # noqa: E402
+from stepplan.planner import plan, validate_plan  # noqa: E402
 from stepplan.scenario_io import load_scenario  # noqa: E402
 from stepplan.svg import render_plan_svg  # noqa: E402
 
@@ -154,6 +159,40 @@ def recorded_solves():
         qp._active_set_point = real_point
 
 
+@contextmanager
+def recorded_candidates():
+    """Yield a list that receives the bytes of each rounding-hook call's
+    candidate list, in call order, for the hooks ``plan()`` makes inside."""
+    calls = []
+    real = planner.make_rounding_heuristic
+
+    def make(*args, **kwargs):
+        hook = real(*args, **kwargs)
+
+        def recording(x, fixings):
+            out = hook(x, fixings)
+            calls.append("\n".join(
+                " ".join(f"{k}:{float(v).hex()}" for k, v in cand.items()) for cand in out
+            ).encode() + b"\n\n")
+            return out
+
+        return recording
+
+    planner.make_rounding_heuristic = make
+    try:
+        yield calls
+    finally:
+        planner.make_rounding_heuristic = real
+
+
+def report_bytes(report) -> bytes:
+    """Every field of a ``PlanValidationReport``, floats as ``float.hex``."""
+    lines = [f"{i.family}|{i.chunk}|{i.step}|{float(i.amount).hex()}|{float(i.allowed).hex()}|{i.detail}"
+             for i in report.issues]
+    lines += [f"{family}|{float(worst).hex()}" for family, worst in report.family_worst.items()]
+    return "\n".join(lines).encode()
+
+
 def solve_counts(solves: Solves, results) -> str:
     """The number of solves, their total iterations, how many ended at the
     cutoff, how many at an active-set solve, the KKT systems the active-set
@@ -173,8 +212,9 @@ def solve_counts(solves: Solves, results) -> str:
 
 def preset_digest(path: Path) -> str:
     scenario = load_scenario(path)
-    with recorded_solves() as solves:
+    with recorded_solves() as solves, recorded_candidates() as candidates:
         result = plan(scenario)
+    report = validate_plan(result, scenario)
     text = plan_to_json(result, scenario) + render_plan_svg(result, scenario)
     chunk_statuses = ",".join(c.solution.status for c in result.chunks)
     nodes = ",".join(str(c.solution.nodes) for c in result.chunks)
@@ -184,7 +224,11 @@ def preset_digest(path: Path) -> str:
         f"{path.stem}: steps={result.n_steps} status={chunk_statuses} nodes={nodes} "
         f"{solve_counts(solves, [c.solution for c in result.chunks])} "
         f"eliminated={solves.eliminated} dense={solves.dense} "
-        f"objectives={objectives} bounds={bounds} sha256={hashlib.sha256(text.encode()).hexdigest()}"
+        f"objectives={objectives} bounds={bounds} sha256={hashlib.sha256(text.encode()).hexdigest()}\n"
+        f"{path.stem} validation: issues={len(report.issues)} "
+        f"sha256={hashlib.sha256(report_bytes(report)).hexdigest()}\n"
+        f"{path.stem} rounding: calls={len(candidates)} "
+        f"sha256={hashlib.sha256(b''.join(candidates)).hexdigest()}"
     )
 
 
