@@ -17,11 +17,7 @@ column. A call clips x into its box and restricts [s; z] to its own rows
 of G_all with one ``take``; the equality multipliers start at 0 (Yildirim
 and Wright, SIAM J. Optim. 12, 2002; Gondzio and Grothey, SIAM J. Optim.
 13, 2002). Branch-and-bound hands every call the root's start, whose rows
-and columns cover the call's, so such a call reads no 1.0 entry. Only
-"max-iterations" can be worse from a warm start than from the cold one (an
-infeasible verdict comes from the presolve or a certificate, a cutoff from
-a certified bound), so a warm call that ends there is solved once more,
-cold.
+and columns cover the call's, so such a call reads no 1.0 entry.
 
 The inequality rows and both sides of the variable bounds form one stacked
 operator  G_all = [G; -I; I]  with one slack and one multiplier per row, and
@@ -228,7 +224,8 @@ its best iterate: the one whose worst relative residual or complementarity
 measure is smallest among those whose primal residual and complementarity
 lie within 10 EPS_ABS, if that measure is within 10 EPS_ABS too. The
 residuals of such iterates sit at their rounding floor while the gap keeps
-falling, and further steps only make the multipliers grow.
+falling, and further steps only make the multipliers grow. So end the
+uncapped 24-step proof's two breakdowns and dense calls' collapsed steps.
 """
 
 from __future__ import annotations
@@ -256,6 +253,8 @@ MAX_ITER = 100
 FEAS_TOL = 1e-9
 #: regularization of the equality block of the Newton matrix
 EQ_REG = 1e-12
+#: regularization of a CSR call's reduced Newton block (``_CholeskyNewton``)
+K_REG = 1e-5
 #: a CSR call eliminates an equality row through a pivot at least this
 #: fraction of the row's largest coefficient, so Z's entries stay below its inverse
 PIVOT_RATIO = 0.1
@@ -1123,15 +1122,14 @@ class BoxQp:
         With it, a solution of this workspace that has an iterate (not an
         infeasible or cutoff one), the call starts from that solution's
         final iterate, restricted to the call's free columns and kept rows
-        (see the module docstring); if it then ends "max-iterations", it is
-        solved once more without the start, and ``iterations`` counts both.
-        A result is a function of the fixings, the cutoff and the start
-        alone. A fixing outside its variable's bounds (beyond the presolve
-        tolerance) makes the call infeasible; a non-finite value, or an
-        index that is not an integer or lies outside the variables, is a
-        ContractViolation. A call ends "infeasible" only when the presolve
-        or a Farkas certificate at its iterate proves it; one that neither
-        converges nor is proved infeasible ends "max-iterations".
+        (see the module docstring). A result is a function of the fixings,
+        the cutoff and the start alone. A fixing outside its variable's
+        bounds (beyond the presolve tolerance) makes the call infeasible; a
+        non-finite value, or an index that is not an integer or lies outside
+        the variables, is a ContractViolation. A call ends "infeasible" only
+        when the presolve or a Farkas certificate at its iterate proves it;
+        one that neither converges nor is proved infeasible ends
+        "max-iterations".
 
         With a finite ``cutoff``, a call whose certified lower bound reaches
         it before the iterates converge stops there with status "cutoff"
@@ -1151,9 +1149,6 @@ class BoxQp:
             base, slack = float((0.5 * x).dot(red.px) + self.q.dot(x) + self.constant), self._fixed_slack
         warm = None if start is None else start._start
         xr, y, s, z, it, status, bound = _interior_point(red, cutoff - base + slack, warm)
-        if status == "max-iterations" and warm is not None:  # the one status a start can worsen
-            xr, y, s, z, cold, status, bound = _interior_point(red, cutoff - base + slack)
-            it += cold
         if status == "infeasible":
             return self._unsolved(it)
         if status == "cutoff":
@@ -1285,18 +1280,21 @@ class _CholeskyNewton:
     rows; ``subst`` holds Z's pivot rows. The reduced block K = Z'HZ, H = P
     + G_all' W G_all, is symmetric positive definite (P is PSD, both bound
     sides put a positive weight on each diagonal entry of H, and Z has full
-    column rank). ``factor`` sums it in one flat buffer, K's lower triangle
+    column rank), and K_REG on its diagonal keeps it so in rounding, which
+    makes K indefinite where the weights span 26 orders of magnitude (a
+    primal regularization of the step alone: Saunders and Tomlin, SOL 96-4,
+    1996). ``factor`` sums K in one flat buffer, K's lower triangle
     F-ordered, then H's pivot rows C-ordered in the permuted order: P's
     entries, then the entry pairs' sums by bin, then the pivot rows carried
     through Z. Each row of ``pairs`` and ``routes`` holds one bin's terms in
     summation order, so ``csr_matvec`` sums each bin as a ``np.bincount`` of
-    the terms would. It then factors K in place, K = LL'. A solve takes du
-    = L^-T L^-1 Z'(r_x - H x_e), two triangular solves: for one vector, two
-    ``trtrs`` calls take about half the time of one ``potrs`` at nf = 170.
-    Each row's multiplier then comes from its pivot's row of the first
-    block row, dy_r = (r_x - H dx)_p / a_rp. ``a_t`` is A' as a C-ordered
-    array, as a dense workspace holds it. Every buffer is allocated once
-    per call."""
+    the terms would. It then factors K + K_REG I = LL' in place. A solve
+    takes du = L^-T L^-1 Z'(r_x - H x_e), two triangular solves: for one
+    vector, two ``trtrs`` calls take about half the time of one ``potrs`` at
+    nf = 170. Each row's multiplier then comes from its pivot's row of the
+    first block row, dy_r = (r_x - H dx)_p / a_rp. ``a_t`` is A' as a
+    C-ordered array, as a dense workspace holds it. Every buffer is
+    allocated once per call."""
 
     @classmethod
     def build(cls, nf: int, p_entries: tuple, a: _Csr, pairs: _Csr, bin_cols: tuple) -> _CholeskyNewton | None:
@@ -1394,7 +1392,7 @@ class _CholeskyNewton:
         self.sums, self.routed = np.empty(pairs.shape[0]), np.empty(self.route_at.size)
 
     def factor(self, w: np.ndarray) -> bool:
-        """Factor the reduced block for the weights ``w``; False if it is not numerically positive definite."""
+        """Factor K + K_REG I for the weights ``w``; False if it is not numerically positive definite."""
         block, sums, nf, mi = self.block, self.sums, self.nf, self.mi
         block.fill(0.0)
         block[self.p_at] = self.p_val
@@ -1404,6 +1402,7 @@ class _CholeskyNewton:
         block[self.at] += sums[self.which]
         _copy_product(self.routes, block, self.routed)
         block[self.route_at] += self.routed
+        block[: self.nr**2 : self.nr + 1] += K_REG  # K's diagonal
         return not _potrf(self.k, lower=1, clean=0, overwrite_a=1)[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

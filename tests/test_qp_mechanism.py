@@ -95,7 +95,8 @@ class TestLoopEnds:
         # criterion 1's draw 69 with its free binaries at (1,1,0,1,0,1,0) and
         # a flat column, so that no call ends at an active-set solve,
         # converges at EPS_ABS = 2e-9. At the default 1e-9 its iterates stall
-        # at their accuracy floor, and the best iterate is returned
+        # at their accuracy floor, the step collapses, and the best iterate
+        # is returned
         rng = np.random.default_rng(2024)
         for _ in range(70):
             prob = random_miqp(rng)
@@ -387,6 +388,19 @@ def null_space(red) -> np.ndarray:
     return z
 
 
+def with_k_reg(block, red) -> np.ndarray:
+    """``block``, H or the whole Newton matrix of a call, with K_REG added in
+    place on the diagonal of a CSR call's other (non-pivot) columns: H +
+    K_REG E, E being 1 there and 0 elsewhere. Z is the identity on those
+    columns, so its reduced block Z'(H + K_REG E)Z is Z'HZ + K_REG I, the
+    block ``_CholeskyNewton`` factors; its pivot rows are H's. A dense
+    call's matrix is returned as it is."""
+    if red.newton is not None:
+        others = pivots_and_others(red.newton)[1]
+        block[others, others] += qp_module.K_REG
+    return block
+
+
 def reduced_block_error(k, block, red) -> float:
     """The largest entry of |tril(K - Z' block Z)| relative to the largest of |Z' block Z|."""
     z = null_space(red)
@@ -416,8 +430,8 @@ def factored_matrix(monkeypatch, red, w) -> np.ndarray:
 
 class TestNewtonBlock:
     """The Newton matrix a call hands LAPACK: ``_CholeskyNewton.factor``'s
-    Z'HZ on a CSR workspace, ``_LuNewton.factor``'s whole matrix with
-    -EQ_REG I on a dense one."""
+    Z'HZ + K_REG I on a CSR workspace, ``_LuNewton.factor``'s whole matrix
+    with -EQ_REG I on a dense one."""
 
     @pytest.mark.parametrize("n, m, n_eq, sparse", [(120, 200, 0, True), (120, 200, 3, True),
                                                     (14, 12, 0, False), (14, 12, 3, False)])
@@ -438,8 +452,10 @@ class TestNewtonBlock:
             + sp.diags(w[k : k + nf] + w[k + nf :])
         ).toarray()
         kkt = factored_matrix(monkeypatch, red, w)
-        # a CSR workspace eliminates its equality rows and factors Z'HZ,
-        # reading its lower triangle; a dense one factors the whole matrix
+        # a CSR workspace eliminates its equality rows and factors Z'HZ +
+        # K_REG I, reading its lower triangle; a dense one factors the whole
+        # matrix, with no K_REG
+        ref = with_k_reg(ref, red)
         size = nf - me if sparse else nf + me
         assert kkt.shape == (size, size) and kkt.flags.f_contiguous
         if sparse:
@@ -498,7 +514,9 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     pair of G entries that share a row, by row, then by first and second
     entry, followed by each free column's lower and upper bound term; a
     dense one takes one product over G_all = [G; -I; I]. A, A' and -EQ_REG I
-    fill the other blocks."""
+    fill the other blocks. A CSR workspace's block then gets K_REG on the
+    diagonal of its other columns (``with_k_reg``), as the block it reduces
+    and factors does."""
     nf, me, k = red.c.size, red.b.size, red.h.size
     g, eq = as_scipy(red.g), as_scipy(red.a)
     if red.newton is None:
@@ -520,7 +538,7 @@ def ordered_pair_kkt(red, w) -> np.ndarray:
     kkt[nf:, :nf] = eq.toarray() if sp.issparse(eq) else eq
     kkt[:nf, nf:] = kkt[nf:, :nf].T
     kkt[nf:, nf:] = -qp_module.EQ_REG * np.eye(me)
-    return kkt
+    return with_k_reg(kkt, red)
 
 
 def recorded_weights(monkeypatch, ws, fixings_list, lapack=False):
@@ -583,11 +601,12 @@ class TestKktBuffer:
     """The buffer each iteration factors in place is the plain Newton matrix
     where LAPACK reads it. A dense workspace's whole matrix at ``_getrf`` is
     that matrix byte for byte. A CSR workspace hands ``_potrf`` the reduced
-    block Z'HZ (H = P + G_all' W G_all, the top-left block), whose lower
-    triangle, the only one the Cholesky factorization and the triangular
-    solves read, is within 1e-12 of Z'HZ built with numpy; with no
-    eliminated row it is H's lower triangle byte for byte. The rows of H it
-    keeps for its pivots are H's byte for byte."""
+    block Z'HZ + K_REG I (H = P + G_all' W G_all, the top-left block), whose
+    lower triangle, the only one the Cholesky factorization and the
+    triangular solves read, is within 1e-12 of Z'(H + K_REG E)Z built with
+    numpy (``with_k_reg``); with no eliminated row it is the lower triangle
+    of H + K_REG I byte for byte, K_REG added last. The rows of H it keeps
+    for its pivots are H's byte for byte."""
 
     @staticmethod
     def mismatches(per_solve) -> int:
@@ -673,14 +692,16 @@ class TestKktBuffer:
 
 class TestCholeskyNewton:
     """``_CholeskyNewton``: a CSR workspace's elimination of its equality
-    rows gives the direction of the full Newton system, and a Cholesky
-    breakdown ends the solve."""
+    rows gives the direction of the full Newton system with K_REG on the
+    diagonal of its other columns, and a Cholesky breakdown ends the
+    solve."""
 
     @staticmethod
     def check_directions(monkeypatch, ws, fixings_list) -> tuple[int, int]:
         """Re-solve every Newton system of the solves, each on the
         elimination path, for a random right-hand side r; the direction d's
-        residual against the full matrix K, built with numpy, is within
+        residual against the full matrix K, built with numpy with K_REG on
+        the diagonal of the other columns (``ordered_pair_kkt``), is within
         1e-10 of |K| |d| + |r| in the max norm. Returns how many systems
         were checked, and how many of them eliminated rows."""
         rng = np.random.default_rng(0)
@@ -1761,9 +1782,8 @@ class TestCutoff:
         assert ended > 100 and ended_infeasible > 10 and unchanged > 100
 
 class TestWarmStart:
-    """The warm start: ``QpSolution._start``, its restriction to a call's
-    rows in ``_interior_point``, and ``BoxQp.solve``'s cold retry of a warm
-    call that ends "max-iterations"."""
+    """The warm start: ``QpSolution._start`` and its restriction to a call's
+    rows in ``_interior_point``."""
 
     def test_warm_saves_iterations_on_criterion_1_problems(self):
         """The children and rounding candidates of criterion 1's roots take
@@ -1784,40 +1804,31 @@ class TestWarmStart:
                     its += cold.iterations, warm.iterations
         assert its[1] < 0.85 * its[0]
 
-    def test_warm_breakdown_on_the_24_step_chunk_is_solved_again_cold(self, monkeypatch):
+    def test_warm_child_of_the_24_step_chunk_factors_every_newton_block(self, monkeypatch):
         """A child of the paper's 24-step chunk that the tree proving it
-        optimal asks for: started from the root, it ends "max-iterations",
-        and the cold solve that follows is the solution."""
+        optimal asks for, and whose warm start once made K indefinite in
+        rounding: started from the root, every factorization succeeds, and
+        the call ends "optimal" in fewer iterations than the cold one, at
+        its objective."""
         ws = BoxQp.from_miqp(preset_chunk("hexapod_stepping_stones"))
         root = ws.solve()
         assert root.status == "optimal"
         fixings = {i: 1.0 for i in (175, 214, 266, 279)}
         fixings.update((i, 0.0) for i in (427, 430, 431, 437, 438, 439, 440, 441, 442, 459))
         cold = ws.solve(fixings)
-        assert cold.status == "optimal"
-        ends, factored, real, real_factor = [], [], qp_module._interior_point, qp_module._CholeskyNewton.factor
-
-        def interior_point(red, cutoff, start=None):
-            out = real(red, cutoff, start)
-            ends.append((start is not None, out[4], out[5], factored[-1]))
-            return out
+        assert cold.status == "optimal" and cold.objective == pytest.approx(82.66698541, rel=1e-9)
+        factored, real = [], qp_module._CholeskyNewton.factor
 
         def factor(system, w):
-            factored.append(real_factor(system, w))
+            factored.append(real(system, w))
             return factored[-1]
 
-        monkeypatch.setattr(qp_module, "_interior_point", interior_point)
         monkeypatch.setattr(qp_module._CholeskyNewton, "factor", factor)
-        retried = ws.solve(fixings, start=root)
-        (warm, warm_its, warm_status, warm_factored), cold_end = ends
-        # mechanism: the warm interior point stops at a failed Cholesky
-        # factorization, long before MAX_ITER
-        assert warm and warm_status == "max-iterations" and not warm_factored
-        assert warm_its < qp_module.MAX_ITER and factored.count(False) == 1
-        assert cold_end[:3] == (False, cold.iterations, "optimal")
-        # contract: the cold solution, with the iterations of both solves
-        assert retried.iterations == warm_its + cold.iterations
-        assert same_solution(dataclasses.replace(retried, iterations=cold.iterations), cold)
+        warm = ws.solve(fixings, start=root)
+        # one factorization per iteration, none failed
+        assert warm.status == "optimal" and len(factored) == warm.iterations and all(factored)
+        assert warm.iterations < cold.iterations
+        assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
 
     @staticmethod
     def stored_by_row(sol) -> np.ndarray:

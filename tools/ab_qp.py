@@ -22,8 +22,8 @@ The parent solves those calls once more without a cutoff for this, on the
 first round and untimed. The tool prints the number of cutoff solves, the
 unsound ones and the smallest relative margin of a parent objective over its
 bound, the number of warm calls, the ratio of this checkout's total
-interior-point iterations to the parent's (a warm call's cold retry
-included), how many solves of each checkout ended at an active-set solve
+interior-point iterations to the parent's (as each ``QpSolution``
+counts them), how many solves of each checkout ended at an active-set solve
 (``QpSolution.polished``), how many KKT systems each checkout's
 active-set step solved (calls of ``_active_set_point``) and how many LU
 factorizations each made on the LU path, those KKT solves and the Newton

@@ -9,8 +9,10 @@ active-set solve (``QpSolution.polished``), how many KKT systems the
 active-set step solved (calls of ``qp._active_set_point``), how many ended
 undecided (status "max-iterations": neither converged nor proved infeasible), the
 total ``MiqpSolution.refix_solves`` of its chunks (the relaxations the incumbent
-path asked for), how many calls were warm-started and how many of those were solved again cold
-(their warm interior point ended "max-iterations"), the equality rows the
+path asked for), how many calls were warm-started, how many Newton
+factorizations failed (calls of ``_CholeskyNewton.factor`` or
+``_LuNewton.factor`` that returned False, each of which ends its interior
+point), the equality rows the
 CSR Newton systems eliminated through a pivot column, summed over calls,
 how many CSR calls had a row without one and ran on the dense LU path
 instead, each chunk's objective and ``best_bound`` (both ``%.9g``) and the
@@ -32,13 +34,20 @@ one bit shows even when no plan moves, then the sha256 of the
 or the LP writer shows too. One more line gives the sha256 of
 every preset's region boxes (``lo`` then ``hi`` bytes, presets and regions in
 order), so a change to the load path that moves a box shows even when no plan
-moves. For each seed given to ``--tree-seed`` it runs the ``tree_random_miqp``
-benchmark workload on the batch of that seed and prints the total node
-count, the solve, iteration, cutoff, polished, KKT-solve, undecided, refix,
-warm and retry counts and the sha256 of every solution ``x`` (bytes in batch order). Run it from
-the repository root on two commits and compare the outputs; only the solve,
-iteration, cutoff, polished, KKT-solve, refix, warm, retry, eliminated and
-dense counts may differ between two commits that keep every plan. A tree's sha256
+moves. Then a proof census: each preset's first chunk of 4 configurations,
+solved with its rounding hook to gap 1e-4 under a cap of 400 nodes (no time
+limit, so the run is deterministic), prints one line with its status, nodes,
+incumbent (``%.9g``), gap, solves, iterations and failed factorizations; the
+deep nodes of a proof reach weights far wider than a plan's. For each seed
+given to ``--tree-seed`` it runs the ``tree_random_miqp`` benchmark workload
+on the batch of that seed and prints the total node count, the solve,
+iteration, cutoff, polished, KKT-solve, undecided, refix, warm and
+failed-factorization counts and the sha256 of every solution ``x`` (bytes in
+batch order). Run it from the repository root on two commits and compare the
+outputs; only the solve, iteration, cutoff, polished, KKT-solve, refix, warm,
+failed-factorization, eliminated and dense counts may differ between two
+commits that keep every plan (and the proof census's gaps in their last
+digits). A tree's sha256
 also moves when its solutions move in their last bits, as they do when
 calls end at an active-set solve instead of the interior point's own test:
 
@@ -67,7 +76,7 @@ import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
 from stepplan import bnb, planner, qp  # noqa: E402
-from stepplan.formulation import assemble  # noqa: E402
+from stepplan.formulation import assemble, make_rounding_heuristic  # noqa: E402
 from stepplan.lp_export import problem_to_lp  # noqa: E402
 from stepplan.plan_io import plan_to_json  # noqa: E402
 from stepplan.planner import plan, validate_plan  # noqa: E402
@@ -75,6 +84,9 @@ from stepplan.scenario_io import load_scenario  # noqa: E402
 from stepplan.svg import render_plan_svg  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "stepplan" / "scenarios"
+#: the proof census: each preset's first chunk of this many configurations,
+#: to this gap under this node cap
+PROOF_CONFIGS, PROOF_GAP, PROOF_NODES = 4, 1e-4, 400
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -107,14 +119,14 @@ def problem_fields(problem) -> list[tuple[str, bytes]]:
 @dataclasses.dataclass
 class Solves:
     """The ``QpSolution`` of each ``BoxQp.solve`` call, the KKT systems
-    the active-set step solved, how many calls had a warm start, how many warm interior points ended "max-iterations", so
-    that their call was solved again cold, the equality rows the calls' CSR Newton systems
+    the active-set step solved, how many calls had a warm start, how many Newton
+    factorizations failed, the equality rows the calls' CSR Newton systems
     eliminated and the CSR calls that ran on the dense LU path."""
 
     solutions: list = dataclasses.field(default_factory=list)
     kkt: int = 0
     warm: int = 0
-    retries: int = 0
+    factor_failures: int = 0
     eliminated: int = 0
     dense: int = 0
 
@@ -123,8 +135,9 @@ class Solves:
 def recorded_solves():
     """Yield a ``Solves`` that records the ``BoxQp.solve`` calls made inside."""
     solves = Solves()
-    real_solve, real_interior_point, real_presolve = qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve
-    real_point = qp._active_set_point
+    real_solve, real_presolve, real_point = qp.BoxQp.solve, qp.BoxQp._presolve, qp._active_set_point
+    systems = qp._CholeskyNewton, qp._LuNewton
+    real_factors = [cls.factor for cls in systems]
 
     def recording(ws, *args, **kwargs):
         sol = real_solve(ws, *args, **kwargs)
@@ -132,10 +145,13 @@ def recorded_solves():
         solves.warm += kwargs.get("start") is not None
         return sol
 
-    def interior_point(red, cutoff, start=None):
-        out = real_interior_point(red, cutoff, start)
-        solves.retries += start is not None and out[5] == "max-iterations"
-        return out
+    def counted(real_factor):
+        def factor(system, w):
+            ok = real_factor(system, w)
+            solves.factor_failures += not ok
+            return ok
+
+        return factor
 
     def point(kkt, rhs, keep):
         solves.kkt += 1
@@ -150,13 +166,15 @@ def recorded_solves():
                 solves.eliminated += red.newton.nf - red.newton.nr
         return red
 
-    qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = recording, interior_point, presolve
-    qp._active_set_point = point
+    qp.BoxQp.solve, qp.BoxQp._presolve, qp._active_set_point = recording, presolve, point
+    for cls, real_factor in zip(systems, real_factors):
+        cls.factor = counted(real_factor)
     try:
         yield solves
     finally:
-        qp.BoxQp.solve, qp._interior_point, qp.BoxQp._presolve = real_solve, real_interior_point, real_presolve
-        qp._active_set_point = real_point
+        qp.BoxQp.solve, qp.BoxQp._presolve, qp._active_set_point = real_solve, real_presolve, real_point
+        for cls, real_factor in zip(systems, real_factors):
+            cls.factor = real_factor
 
 
 @contextmanager
@@ -197,8 +215,8 @@ def solve_counts(solves: Solves, results) -> str:
     """The number of solves, their total iterations, how many ended at the
     cutoff, how many at an active-set solve, the KKT systems the active-set
     step solved, how many undecided ("max-iterations"), the total ``refix_solves``
-    of the ``MiqpSolution`` results, and the warm-started solves and cold
-    retries."""
+    of the ``MiqpSolution`` results, the warm-started solves and the failed
+    Newton factorizations."""
     sols = solves.solutions
     cutoffs = sum(sol.status == "cutoff" for sol in sols)
     undecided = sum(sol.status == "max-iterations" for sol in sols)
@@ -206,7 +224,7 @@ def solve_counts(solves: Solves, results) -> str:
         f"solves={len(sols)} iterations={sum(sol.iterations for sol in sols)} cutoffs={cutoffs} "
         f"polished={sum(sol.polished for sol in sols)} kkt={solves.kkt} undecided={undecided} "
         f"refix={sum(r.refix_solves for r in results)} "
-        f"warm={solves.warm} retries={solves.retries}"
+        f"warm={solves.warm} factor_failures={solves.factor_failures}"
     )
 
 
@@ -257,6 +275,22 @@ def box_digest(paths: list[Path]) -> str:
     return f"region boxes: presets={len(paths)} regions={count} sha256={digest.hexdigest()}"
 
 
+def proof_census(path: Path) -> str:
+    scenario = load_scenario(path)
+    chunk = scenario.with_overrides(max_steps=PROOF_CONFIGS * scenario.robot.n_legs)
+    problem = assemble(chunk)
+    rounding = make_rounding_heuristic(chunk, problem)
+    with recorded_solves() as solves:
+        sol = bnb.solve_miqp(problem, bnb.MiqpLimits(gap=PROOF_GAP, max_nodes=PROOF_NODES), rounding)
+    sols = solves.solutions
+    return (
+        f"{path.stem} proof: configs={PROOF_CONFIGS} gap_limit={PROOF_GAP:g} max_nodes={PROOF_NODES} "
+        f"status={sol.status} nodes={sol.nodes} incumbent={'%.9g' % sol.objective} gap={'%.9g' % sol.gap} "
+        f"solves={len(sols)} iterations={sum(s.iterations for s in sols)} "
+        f"factor_failures={solves.factor_failures}"
+    )
+
+
 def tree_digest(seed: int) -> str:
     from perfbench.workloads import TreeRandomMiqp
 
@@ -283,6 +317,8 @@ def main(argv=None) -> int:
         print(preset_digest(path), flush=True)
         print(problem_digest(path), flush=True)
     print(box_digest(paths), flush=True)
+    for path in paths:
+        print(proof_census(path), flush=True)
     for seed in args.tree_seed:
         print(tree_digest(seed), flush=True)
     return 0
